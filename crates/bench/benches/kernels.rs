@@ -1,37 +1,47 @@
 //! Criterion microbenchmarks of the dense substrate kernels on the host:
-//! `gemm` (serial and parallel), `trsm`, and the two panel factorization
-//! kernels whose speed gap drives Tables 3-4 (`getf2` vs `rgetf2`).
+//! `gemm` (serial and parallel, at the shapes the repository benchmark
+//! probes, `f64` and `f32`), `trsm`, and the two panel factorization kernels
+//! whose speed gap drives Tables 3-4 (`getf2` vs `rgetf2`).
 
-use calu_matrix::blas3::{gemm, par_gemm, trsm};
+use calu_matrix::blas3::{gemm, par_gemm, trsm, Arm};
 use calu_matrix::lapack::{getf2, rgetf2};
-use calu_matrix::{gen, Diag, Matrix, NoObs, Side, Uplo};
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use calu_matrix::{gen, Diag, Matrix, NoObs, Scalar, Side, Uplo};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn bench_gemm(c: &mut Criterion) {
-    let mut g = c.benchmark_group("gemm");
-    g.sample_size(10);
+/// The two shapes the repository benchmark probes (`matrix.blas3.*` in
+/// `benchmark/`): the 64^3 update of one tile, which is a `Gemm` task of the
+/// runtime, and the rank-64 trailing update of sequential CALU at n = 1024.
+fn bench_gemm_at<T: Scalar>(g: &mut BenchmarkGroup<'_>) {
     let mut rng = StdRng::seed_from_u64(1);
-    for &n in &[128usize, 256] {
-        let a = gen::randn(&mut rng, n, n);
-        let b = gen::randn(&mut rng, n, n);
-        let c0 = Matrix::zeros(n, n);
-        g.bench_function(format!("serial_{n}"), |bench| {
-            bench.iter_batched(
-                || c0.clone(),
-                |mut cc| gemm(1.0, a.view(), b.view(), 0.0, cc.view_mut()),
-                BatchSize::LargeInput,
-            )
+    // (label, m, k, n, calls per timed iteration: 200 tile updates, as there).
+    for (name, m, k, n, calls) in
+        [("tile_64x64x64_x200", 64, 64, 64, 200), ("update_1024x64x1024", 1024, 64, 1024, 1)]
+    {
+        let a = gen::randn::<T>(&mut rng, m, k);
+        let b = gen::randn::<T>(&mut rng, k, n);
+        let mut c = gen::randn::<T>(&mut rng, m, n);
+        g.bench_function(format!("{name}_{}", T::NAME), |bench| {
+            bench.iter(|| {
+                for _ in 0..calls {
+                    gemm(-T::ONE, a.view(), b.view(), T::ONE, c.view_mut());
+                }
+            })
         });
-        g.bench_function(format!("rayon_{n}"), |bench| {
-            bench.iter_batched(
-                || c0.clone(),
-                |mut cc| par_gemm(1.0, a.view(), b.view(), 0.0, cc.view_mut()),
-                BatchSize::LargeInput,
-            )
-        });
+        if calls == 1 {
+            g.bench_function(format!("{name}_{}_rayon", T::NAME), |bench| {
+                bench.iter(|| par_gemm(-T::ONE, a.view(), b.view(), T::ONE, c.view_mut()))
+            });
+        }
     }
+}
+
+fn bench_gemm(c: &mut Criterion) {
+    let mut g = c.benchmark_group(format!("gemm_{}", Arm::detect().name()));
+    g.sample_size(10);
+    bench_gemm_at::<f64>(&mut g);
+    bench_gemm_at::<f32>(&mut g);
     g.finish();
 }
 

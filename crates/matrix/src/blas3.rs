@@ -1,31 +1,93 @@
-//! Level-3 kernels: cache-blocked `gemm` (serial and rayon-parallel) and the
-//! four no-transpose `trsm` cases LU factorization needs.
+//! Level-3 kernels: a packed, register-blocked `gemm` (serial and
+//! rayon-parallel) and the four no-transpose `trsm` cases LU factorization
+//! needs.
 //!
-//! The `gemm` here follows the usual three-level blocking (NC/KC/MC) with a
-//! rank-4-update inner kernel over contiguous columns, which the LLVM
-//! auto-vectorizer handles well. It is not a tuned micro-kernel BLAS — the
-//! paper's absolute GFLOP/s are reproduced under a machine model, not on the
-//! host — but it keeps the laptop-scale stability experiments fast.
+//! # `gemm`
+//!
+//! CALU takes the panel off the critical path so that a factorization runs
+//! at the speed of its trailing update; this `gemm` is that update. It has
+//! the GotoBLAS/BLIS shape: three cache-blocking loops (`NC`, `KC`, `MC`)
+//! around two packing steps and a register-tile micro-kernel.
+//!
+//! * The `KC × NC` block of `B` is packed into `NR`-column panels and the
+//!   `MC × KC` block of `A` into `MR`-row panels, both zero-padded at ragged
+//!   edges. Packed panels are contiguous and read front to back, so the
+//!   64 × 64 tiles of a flat `ld = 1536` matrix — whose columns are 12 KiB
+//!   apart and map to eight L1 sets — stop evicting one another.
+//! * The micro-kernel ([`Ukernel`]) keeps a whole `MR × NR` tile of `C` in
+//!   registers across the `k` loop. It is reached through one hook,
+//!   [`Scalar::gemm_ukernel`], with exactly two arms ([`Arm`]): `std::arch`
+//!   AVX2+FMA kernels for `f64` (8×6) and `f32` (16×6), chosen once per
+//!   process when the host has both features, and one generic portable
+//!   kernel otherwise. Nothing else selects an arm.
+//! * Pack buffers come from a process-wide pool, one buffer per concurrently
+//!   running call, each grown to the largest block it has held and never
+//!   beyond `MC·KC + KC·NC` elements; once warm, no `gemm` call allocates.
+//!
+//! ## Position independence
+//!
+//! Every element of `C` is computed as `c ← β·c`, then for each `KC`-block
+//! of `k` in order `c ← c + α·(Σ_l a_il·b_lj)`, the sum accumulated from
+//! zero in increasing `l` with one operation per step — a fused multiply-add
+//! on the AVX2+FMA arm, a multiply then an add on the portable arm. The `KC`
+//! splits depend on `k` alone, and a ragged tile is computed as a full
+//! padded tile of which only the valid part is stored. So an element's bits
+//! do not depend on `m`, `n`, leading dimensions, where the element sits in
+//! a register tile or cache block, or how the caller cut `C` into pieces:
+//! `gemm` on a whole matrix equals `gemm` tile by tile over any partition
+//! of its rows and columns, bit for bit. That is what keeps the per-tile
+//! task-graph runtime, the distributed runtime, both storage layouts and
+//! [`par_gemm`] bitwise equal to the sequential whole-matrix update.
+//! **Bits are a function of (input, arm) and nothing else**: the two arms
+//! round differently, so factors are reproducible across runs, schedules
+//! and thread counts on one host, not across hosts that take different arms.
+
+mod ukernel;
+
+pub use ukernel::{Arm, Ukernel};
 
 use crate::blas1::axpy;
 use crate::scalar::Scalar;
 use crate::view::{MatView, MatViewMut};
 use crate::{Diag, Side, Uplo};
+use std::sync::{Mutex, PoisonError};
 
-/// Column-block width processed per parallel task / outer loop step.
-const NC: usize = 128;
-/// K-block depth kept in cache between C updates.
+/// Columns of `B`/`C` per outermost block: a multiple of every kernel's
+/// `NR`, so only the last panel of a matrix is ever padded.
+const NC: usize = 510;
+/// Depth of one packed block: an `MR × KC` and a `KC × NR` panel together
+/// stay in L1 across a micro-kernel call.
 const KC: usize = 256;
-/// Row-block height of the packed A panel equivalent.
-const MC: usize = 256;
+/// Rows of `A`/`C` per packed block (a multiple of every kernel's `MR`): the
+/// `MC × KC` block of packed `A` stays in L2 while `B`'s panels stream by.
+const MC: usize = 192;
 
 /// `C = alpha * A * B + beta * C` (BLAS `DGEMM`, no transposes), serial.
 ///
-/// Shapes: `A: m x k`, `B: k x n`, `C: m x n`.
+/// Shapes: `A: m x k`, `B: k x n`, `C: m x n`. Position independent (see the
+/// module documentation): updating `C` whole or piece by piece gives the same
+/// bits.
 ///
 /// # Panics
 /// On dimension mismatch.
 pub fn gemm<T: Scalar>(
+    alpha: T,
+    a: MatView<'_, T>,
+    b: MatView<'_, T>,
+    beta: T,
+    c: MatViewMut<'_, T>,
+) {
+    gemm_on(Arm::detect(), alpha, a, b, beta, c);
+}
+
+/// [`gemm`] on a stated micro-kernel arm. `gemm` is this with
+/// [`Arm::detect`]; tests call it to hold both arms to one contract on one
+/// host.
+///
+/// # Panics
+/// On dimension mismatch.
+pub fn gemm_on<T: Scalar>(
+    arm: Arm,
     alpha: T,
     a: MatView<'_, T>,
     b: MatView<'_, T>,
@@ -43,29 +105,106 @@ pub fn gemm<T: Scalar>(
         return;
     }
 
-    let mut jc = 0;
-    while jc < n {
-        let nb = NC.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kb = KC.min(k - pc);
-            let mut ic = 0;
-            while ic < m {
-                let mb = MC.min(m - ic);
-                let a_blk = a.submatrix(ic, pc, mb, kb);
-                let b_blk = b.submatrix(pc, jc, kb, nb);
-                let c_blk = c.submatrix_mut(ic, jc, mb, nb);
-                block_kernel(alpha, a_blk, b_blk, c_blk);
-                ic += mb;
+    let kernel = T::gemm_ukernel(arm);
+    let a_len = MC.min(m).next_multiple_of(kernel.mr()) * KC.min(k);
+    let b_len = KC.min(k) * NC.min(n).next_multiple_of(kernel.nr());
+    with_pack_buffer(kernel.pool(), a_len + b_len, |buf| {
+        let (a_pack, b_pack) = buf.split_at_mut(a_len);
+        for jc in (0..n).step_by(NC) {
+            let nb = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kb = KC.min(k - pc);
+                kernel.pack_b(b.submatrix(pc, jc, kb, nb), b_pack);
+                for ic in (0..m).step_by(MC) {
+                    let mb = MC.min(m - ic);
+                    kernel.pack_a(a.submatrix(ic, pc, mb, kb), a_pack);
+                    kernel.macro_kernel(alpha, kb, a_pack, b_pack, c.submatrix_mut(ic, jc, mb, nb));
+                }
             }
-            pc += kb;
         }
-        jc += nb;
+    });
+}
+
+/// Pack buffers of one precision, shared by the whole process. A `gemm` call
+/// takes one for its duration and puts it back, so at most one buffer exists
+/// per concurrently running call, each at most `MC·KC + KC·NC` elements. The
+/// executors spawn their workers per operation; buffers owned by threads
+/// would be allocated and freed with every one of them.
+type PackPool<T> = Mutex<Vec<Vec<T>>>;
+
+/// Runs `body` on a pack buffer of `len` elements from `pool`.
+fn with_pack_buffer<T: Scalar, R>(
+    pool: &PackPool<T>,
+    len: usize,
+    body: impl FnOnce(&mut [T]) -> R,
+) -> R {
+    // A pop or a push leaves the pool valid at every step, so a poisoned
+    // lock has nothing to protect.
+    let mut buf = pool.lock().unwrap_or_else(PoisonError::into_inner).pop().unwrap_or_default();
+    if buf.len() < len {
+        buf.resize(len, T::ZERO);
+    }
+    let out = body(&mut buf[..len]);
+    pool.lock().unwrap_or_else(PoisonError::into_inner).push(buf);
+    out
+}
+
+/// Packs the block `a` into `MR`-row panels: panel `p` holds rows
+/// `[p·MR, (p+1)·MR)`, step `l` of it the `MR` consecutive elements at
+/// `(p·kb + l)·MR`; rows past the block are zero.
+fn pack_a<T: Scalar, const MR: usize>(a: MatView<'_, T>, buf: &mut [T]) {
+    let panel = a.cols() * MR;
+    for l in 0..a.cols() {
+        let mut at = l * MR;
+        let mut chunks = a.col(l).chunks_exact(MR);
+        for rows in &mut chunks {
+            buf[at..at + MR].copy_from_slice(rows);
+            at += panel;
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let dst = &mut buf[at..at + MR];
+            dst[..rest.len()].copy_from_slice(rest);
+            dst[rest.len()..].fill(T::ZERO);
+        }
     }
 }
 
+/// Packs the block `b` into `NR`-column panels: panel `q` holds columns
+/// `[q·NR, (q+1)·NR)`, step `l` of it the `NR` consecutive elements at
+/// `(q·kb + l)·NR`; columns past the block are zero.
+fn pack_b<T: Scalar, const NR: usize>(b: MatView<'_, T>, buf: &mut [T]) {
+    let (kb, nb) = (b.rows(), b.cols());
+    for (q, j0) in (0..nb).step_by(NR).enumerate() {
+        let panel = &mut buf[q * kb * NR..(q + 1) * kb * NR];
+        let w = NR.min(nb - j0);
+        if w == NR {
+            let cols: [&[T]; NR] = std::array::from_fn(|j| &b.col(j0 + j)[..kb]);
+            for (l, row) in panel.chunks_exact_mut(NR).enumerate() {
+                for j in 0..NR {
+                    row[j] = cols[j][l];
+                }
+            }
+        } else {
+            panel.fill(T::ZERO);
+            for j in 0..w {
+                for (row, &v) in panel.chunks_exact_mut(NR).zip(b.col(j0 + j)) {
+                    row[j] = v;
+                }
+            }
+        }
+    }
+}
+
+/// Fewest multiply-adds [`par_gemm`] splits: below 4 M of them (8 Mflop) the
+/// spawn overhead dominates on small core counts.
+const PAR_MIN_WORK: u64 = 4_000_000;
+/// Columns per parallel task, before rounding down to a multiple of `NR`.
+const PAR_COLS: usize = 128;
+
 /// `C = alpha * A * B + beta * C`, splitting columns of `C` across the rayon
-/// thread pool. Falls back to the serial path for small problems.
+/// thread pool. Falls back to the serial path for small problems. Bitwise
+/// equal to [`gemm`] (position independence).
 pub fn par_gemm<T: Scalar>(
     alpha: T,
     a: MatView<'_, T>,
@@ -75,15 +214,19 @@ pub fn par_gemm<T: Scalar>(
 ) {
     let n = b.cols();
     let work = (a.rows() as u64) * (a.cols() as u64) * (n as u64);
-    // Below ~8 Mflop the spawn overhead dominates on small core counts.
-    if work < 4_000_000 || n < 2 * NC {
+    // Split on whole column panels, so that no panel is packed (and padded)
+    // by two tasks.
+    let nr = T::gemm_ukernel(Arm::detect()).nr();
+    let quantum = PAR_COLS / nr * nr;
+    if work < PAR_MIN_WORK || n < 2 * quantum {
         gemm(alpha, a, b, beta, c);
         return;
     }
-    par_gemm_cols(alpha, a, b, beta, c);
+    par_gemm_cols(quantum, alpha, a, b, beta, c);
 }
 
 fn par_gemm_cols<T: Scalar>(
+    quantum: usize,
     alpha: T,
     a: MatView<'_, T>,
     b: MatView<'_, T>,
@@ -91,50 +234,17 @@ fn par_gemm_cols<T: Scalar>(
     c: MatViewMut<'_, T>,
 ) {
     let n = c.cols();
-    if n <= NC {
+    if n <= quantum {
         gemm(alpha, a, b, beta, c);
         return;
     }
-    let half = (n / 2 / NC).max(1) * NC;
-    let (b_l, b_r) = b.split_at_col(half.min(n));
-    let (c_l, c_r) = c.split_at_col_mut(half.min(n));
+    let half = (n / 2 / quantum).max(1) * quantum;
+    let (b_l, b_r) = b.split_at_col(half);
+    let (c_l, c_r) = c.split_at_col_mut(half);
     rayon::join(
-        || par_gemm_cols(alpha, a, b_l, beta, c_l),
-        || par_gemm_cols(alpha, a, b_r, beta, c_r),
+        || par_gemm_cols(quantum, alpha, a, b_l, beta, c_l),
+        || par_gemm_cols(quantum, alpha, a, b_r, beta, c_r),
     );
-}
-
-/// Inner blocked kernel: `C += alpha * A * B` over one cache block, rank-4
-/// updates down contiguous columns.
-fn block_kernel<T: Scalar>(
-    alpha: T,
-    a: MatView<'_, T>,
-    b: MatView<'_, T>,
-    mut c: MatViewMut<'_, T>,
-) {
-    let kb = a.cols();
-    let k4 = kb - kb % 4;
-    for j in 0..b.cols() {
-        let bcol = b.col(j);
-        let ccol = c.col_mut(j);
-        let mut l = 0;
-        while l < k4 {
-            let (b0, b1, b2, b3) =
-                (alpha * bcol[l], alpha * bcol[l + 1], alpha * bcol[l + 2], alpha * bcol[l + 3]);
-            let a0 = a.col(l);
-            let a1 = a.col(l + 1);
-            let a2 = a.col(l + 2);
-            let a3 = a.col(l + 3);
-            for (i, cv) in ccol.iter_mut().enumerate() {
-                *cv += a0[i] * b0 + a1[i] * b1 + a2[i] * b2 + a3[i] * b3;
-            }
-            l += 4;
-        }
-        while l < kb {
-            axpy(alpha * bcol[l], a.col(l), ccol);
-            l += 1;
-        }
-    }
 }
 
 fn scale<T: Scalar>(beta: T, mut c: MatViewMut<'_, T>) {
@@ -324,17 +434,125 @@ mod tests {
         let mut c2 = c0;
         gemm(1.0, a.view(), b.view(), 1.0, c1.view_mut());
         par_gemm(1.0, a.view(), b.view(), 1.0, c2.view_mut());
-        assert_close(&c1, &c2, 1e-11 * (k as f64));
+        assert_eq!(c1, c2, "position independence makes the column split invisible");
+    }
+
+    /// Both arms where the host has AVX2+FMA, the portable one elsewhere.
+    fn arms() -> impl Iterator<Item = Arm> {
+        [Some(Arm::portable()), Arm::avx2_fma()].into_iter().flatten()
+    }
+
+    /// `gemm_on(arm)` against `gemm_naive` on one shape: non-finite entries
+    /// must agree in kind (NaN, +Inf, -Inf), finite ones to rounding.
+    fn check_against_naive<T: Scalar>(
+        arm: Arm,
+        (alpha, beta): (f64, f64),
+        a: &Matrix<T>,
+        b: &Matrix<T>,
+        c0: &Matrix<T>,
+    ) {
+        let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
+        let mut got = c0.clone();
+        let mut want = c0.clone();
+        gemm_on(arm, alpha, a.view(), b.view(), beta, got.view_mut());
+        gemm_naive(alpha, a.view(), b.view(), beta, want.view_mut());
+        let tol = 8.0 * T::EPSILON.to_f64() * (a.cols() as f64 + 2.0);
+        for j in 0..c0.cols() {
+            for i in 0..c0.rows() {
+                let (g, w) = (got[(i, j)].to_f64(), want[(i, j)].to_f64());
+                let at = format!(
+                    "{} {} C({i},{j}) of {}x{}x{}",
+                    arm.name(),
+                    T::NAME,
+                    c0.rows(),
+                    a.cols(),
+                    c0.cols()
+                );
+                if w.is_finite() {
+                    assert!((g - w).abs() <= tol * (1.0 + w.abs()), "{at}: {g} vs {w}");
+                } else {
+                    assert!(g == w || (g.is_nan() && w.is_nan()), "{at}: {g} vs {w}");
+                }
+            }
+        }
+    }
+
+    fn edge_shapes<T: Scalar>() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for arm in arms() {
+            let kernel = T::gemm_ukernel(arm);
+            let (mr, nr) = (kernel.mr(), kernel.nr());
+            let ms = [0, 1, mr - 1, mr, mr + 1];
+            let ns = [0, 1, nr - 1, nr, nr + 1];
+            for &m in &ms {
+                for &n in &ns {
+                    for &k in ms.iter().chain(&ns) {
+                        let a = gen::randn::<T>(&mut rng, m, k);
+                        let b = gen::randn::<T>(&mut rng, k, n);
+                        let c0 = gen::randn::<T>(&mut rng, m, n);
+                        check_against_naive(arm, (1.5, -0.5), &a, &b, &c0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_edge_shapes_match_naive_on_both_arms() {
+        edge_shapes::<f64>();
+        edge_shapes::<f32>();
     }
 
     #[test]
     fn gemm_beta_zero_overwrites_nan() {
-        // beta = 0 must overwrite even NaN garbage in C.
-        let a = Matrix::identity(2);
-        let b = Matrix::identity(2);
-        let mut c = Matrix::from_fn(2, 2, |_, _| f64::NAN);
-        gemm(1.0, a.view(), b.view(), 0.0, c.view_mut());
-        assert_eq!(c, Matrix::identity(2));
+        // beta = 0 must overwrite even NaN garbage in C, in full and in
+        // ragged register tiles.
+        for arm in arms() {
+            for n in [2, 9, 17] {
+                let a = Matrix::identity(n);
+                let b = Matrix::identity(n);
+                let mut c = Matrix::from_fn(n, n, |_, _| f64::NAN);
+                gemm_on(arm, 1.0, a.view(), b.view(), 0.0, c.view_mut());
+                assert_eq!(c, Matrix::identity(n), "{} n={n}", arm.name());
+            }
+        }
+    }
+
+    fn non_finite_stays_in_its_row_and_column<T: Scalar>() {
+        // A non-finite value in the last valid row of A (column of B) sits
+        // next to the zero padding of a ragged panel. It must reach row
+        // `m-1` (column `n-1`) of C and nothing else: `0 * Inf` in the
+        // padding may not leak.
+        let mut rng = StdRng::seed_from_u64(10);
+        for arm in arms() {
+            let kernel = T::gemm_ukernel(arm);
+            let (m, n, k) = (2 * kernel.mr() + 1, 2 * kernel.nr() + 1, 7);
+            for bad in [T::INFINITY, T::NEG_INFINITY, T::from_f64(f64::NAN)] {
+                let a0 = gen::randn::<T>(&mut rng, m, k);
+                let b0 = gen::randn::<T>(&mut rng, k, n);
+                let c0 = gen::randn::<T>(&mut rng, m, n);
+                let mut a = a0.clone();
+                a[(m - 1, 3)] = bad;
+                check_against_naive(arm, (-1.0, 1.0), &a, &b0, &c0);
+                let mut b = b0.clone();
+                b[(3, n - 1)] = bad;
+                check_against_naive(arm, (-1.0, 1.0), &a0, &b, &c0);
+
+                let mut c = c0.clone();
+                gemm_on(arm, -T::ONE, a.view(), b0.view(), T::ONE, c.view_mut());
+                for j in 0..n {
+                    for i in 0..m {
+                        assert_eq!(c[(i, j)].is_finite(), i != m - 1, "{} ({i},{j})", arm.name());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_non_finite_inputs_do_not_leak_through_padding() {
+        non_finite_stays_in_its_row_and_column::<f64>();
+        non_finite_stays_in_its_row_and_column::<f32>();
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   borrowed, leading-dimension strided views so every kernel operates on
 //!   sub-blocks without copying (the shape ScaLAPACK-style algorithms need).
 //! * BLAS level 1/2/3: [`blas1`], [`blas2`], [`blas3`] (`iamax`, `axpy`,
-//!   `ger`, `gemv`, blocked `gemm`, the four no-transpose `trsm` cases used
-//!   by LU, with optional rayon-parallel `gemm`).
+//!   `ger`, `gemv`, a packed register-blocked `gemm` with AVX2+FMA and
+//!   portable micro-kernels, the four no-transpose `trsm` cases used by LU,
+//!   with optional rayon-parallel `gemm`).
 //! * LAPACK-style factorizations in [`lapack`]: `getf2` (classic partial
 //!   pivoting, the paper's `DGETF2`), `rgetf2` (recursive, the paper's
 //!   `RGETF2` from Gustavson/Toledo), blocked `getrf` (GEPP baseline),
@@ -30,11 +31,12 @@
 //!   experiments use to track element growth and pivot thresholds at every
 //!   elimination stage.
 //!
-//! All kernels are written for clarity-first correctness with cache-blocked
-//! hot loops; absolute speed is not the point of the reproduction (the
-//! performance tables are regenerated under a machine model, see
-//! `calu-netsim`), but `gemm` is blocked and vectorizer-friendly so the
-//! laptop-scale experiments finish quickly.
+//! The kernels are written for clarity-first correctness; the paper's
+//! performance tables are regenerated under a machine model (see
+//! `calu-netsim`), not on the host. The exception is [`blas3::gemm`], the
+//! trailing update every factorization spends its time in: it is a packed,
+//! register-blocked kernel whose bits depend only on its input and on the
+//! instruction-set arm the host takes (see [`blas3`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

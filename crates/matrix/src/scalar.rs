@@ -17,6 +17,7 @@
 //! which is what makes the mixed-precision payload round trips through
 //! the netsim (`f64` words) bitwise faithful.
 
+use crate::blas3::{Arm, Ukernel};
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -87,6 +88,12 @@ pub trait Scalar:
     /// Widens to `f64` (exact for both implementations).
     fn to_f64(self) -> f64;
 
+    /// The register-tile micro-kernel of [`crate::blas3::gemm`] at this
+    /// precision on `arm` — the one place the kernels stop being generic
+    /// (`std::arch` vectors are typed by element).
+    #[doc(hidden)]
+    fn gemm_ukernel(arm: Arm) -> Ukernel<Self>;
+
     /// `n` as a scalar (exact up to 2⁵³ for `f64`, 2²⁴ for `f32` — fine
     /// for the dimension-sized factors the kernels use).
     #[inline(always)]
@@ -145,6 +152,10 @@ macro_rules! impl_scalar {
             #[inline(always)]
             fn to_f64(self) -> f64 {
                 self as f64
+            }
+            #[inline(always)]
+            fn gemm_ukernel(arm: Arm) -> Ukernel<Self> {
+                Ukernel::<$t>::for_arm(arm)
             }
         }
     };

@@ -15,10 +15,12 @@
 //!   is valid for the view's lifetime (and writable for `MatViewMut`),
 //! * distinct `MatViewMut`s never alias.
 //!
-//! All `unsafe` in this crate is confined to this module; the public
-//! splitting/sub-view API only hands out views that preserve the invariants,
-//! so kernels built on top are safe code. Element accesses are
-//! bounds-checked with `debug_assert!` (tests run with debug assertions on).
+//! The `unsafe` of the view machinery is confined to this module (the only
+//! other `unsafe` in the crate is the `gemm` micro-kernel file,
+//! `blas3/ukernel.rs`); the public splitting/sub-view API only hands out
+//! views that preserve the invariants, so kernels built on top are safe
+//! code. Element accesses are bounds-checked with `debug_assert!` (tests run
+//! with debug assertions on).
 
 use crate::scalar::Scalar;
 use std::fmt;
@@ -215,6 +217,14 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
     #[inline(always)]
     pub fn is_empty(&self) -> bool {
         self.rows == 0 || self.cols == 0
+    }
+
+    /// Pointer to element `(0, 0)`; element `(i, j)` is `ld·j + i` elements
+    /// on. Valid for reads and writes of the view's elements for as long as
+    /// the view is borrowed (the `gemm` micro-kernels store through it).
+    #[inline(always)]
+    pub fn as_mut_ptr(&mut self) -> *mut T {
+        self.ptr
     }
 
     /// Element `(i, j)`.

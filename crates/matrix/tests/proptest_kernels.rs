@@ -3,17 +3,17 @@
 //! inequalities over randomized shapes.
 
 use calu_matrix::blas2::{gemv, gemv_t, trmv, trsv_t};
-use calu_matrix::blas3::{gemm, trsm};
+use calu_matrix::blas3::{gemm, gemm_on, trsm, Arm};
 use calu_matrix::lapack::{
     gecon, geequ, getf2, getf2_info, getrf, getri, getrs, getrs_t, laqge, lu_nopiv, rgetf2,
     rgetf2_info, GetrfOpts, PanelAlg,
 };
 use calu_matrix::norms::{mat_norm_1, mat_norm_fro, mat_norm_inf};
 use calu_matrix::perm::{apply_ipiv, apply_ipiv_inv, ipiv_to_perm, permute_rows};
-use calu_matrix::{gen, Diag, Matrix, NoObs, Side, Uplo};
+use calu_matrix::{gen, Diag, Matrix, NoObs, Scalar, Side, Uplo};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn randn_mat(seed: u64, m: usize, n: usize) -> Matrix {
     gen::randn(&mut StdRng::seed_from_u64(seed), m, n)
@@ -27,6 +27,78 @@ fn plu_error(orig: &Matrix, lu: &Matrix, ipiv: &[usize]) -> f64 {
     let mut prod = Matrix::zeros(orig.rows(), orig.cols());
     gemm(1.0, l.view(), u.view(), 0.0, prod.view_mut());
     pa.max_abs_diff(&prod) / orig.max_abs().max(1.0)
+}
+
+/// Cuts `0..len` into consecutive pieces of arbitrary sizes `(start, size)`.
+fn partition(rng: &mut StdRng, len: usize) -> Vec<(usize, usize)> {
+    let mut pieces = Vec::new();
+    let mut at = 0;
+    while at < len {
+        let size = rng.gen_range(1..(len - at).min(70) + 1);
+        pieces.push((at, size));
+        at += size;
+    }
+    pieces
+}
+
+/// The bit patterns of a matrix (every `f32` widens to `f64` exactly).
+fn bits<T: Scalar>(m: &Matrix<T>) -> Vec<u64> {
+    (0..m.cols()).flat_map(|j| m.col(j).iter().map(|v| v.to_f64().to_bits())).collect()
+}
+
+/// `gemm` on the whole of `C` against `gemm` piece by piece over an arbitrary
+/// partition of `C`'s rows and columns, on one arm, through strided windows
+/// (`ld = rows + pad`) of larger matrices. Returns the two results.
+fn whole_and_pieces<T: Scalar>(
+    arm: Arm,
+    seed: u64,
+    (m, n, k): (usize, usize, usize),
+    (alpha, beta): (f64, f64),
+    pad: usize,
+) -> (Matrix<T>, Matrix<T>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
+    let a_store = gen::randn::<T>(&mut rng, m + pad, k);
+    let b_store = gen::randn::<T>(&mut rng, k + pad, n);
+    let c0 = gen::randn::<T>(&mut rng, m + pad, n);
+    let a = a_store.view().submatrix(pad / 2, 0, m, k);
+    let b = b_store.view().submatrix(pad / 2, 0, k, n);
+
+    let mut whole = c0.clone();
+    gemm_on(arm, alpha, a, b, beta, whole.view_mut().into_submatrix(pad / 2, 0, m, n));
+
+    let mut pieces = c0;
+    let cols = partition(&mut rng, n);
+    for (i, h) in partition(&mut rng, m) {
+        for &(j, w) in &cols {
+            let c = pieces.view_mut().into_submatrix(pad / 2 + i, j, h, w);
+            gemm_on(arm, alpha, a.submatrix(i, 0, h, k), b.submatrix(0, j, k, w), beta, c);
+        }
+    }
+    (whole, pieces)
+}
+
+proptest! {
+    // Debug builds run the micro-kernels unoptimized; a dozen cases already
+    // cover full, ragged and KC-split blocks at both precisions.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn prop_gemm_is_position_independent_on_both_arms(
+        seed in 0u64..1_000_000,
+        m in 1usize..200, n in 1usize..200, k in 1usize..300,
+        alpha in 0usize..3, beta in 0usize..3, pad in 1usize..9,
+    ) {
+        // k straddles KC = 256; alpha/beta cover the identity, the LU update
+        // and a general scale; the windows have ld > rows.
+        let scale = ([1.0, -1.0, 1.5][alpha], [0.0, 1.0, -0.5][beta]);
+        for arm in [Some(Arm::portable()), Arm::avx2_fma()].into_iter().flatten() {
+            let (whole, pieces) = whole_and_pieces::<f64>(arm, seed, (m, n, k), scale, pad);
+            prop_assert!(bits(&whole) == bits(&pieces), "f64 differs on the {} arm", arm.name());
+            let (whole, pieces) = whole_and_pieces::<f32>(arm, seed, (m, n, k), scale, pad);
+            prop_assert!(bits(&whole) == bits(&pieces), "f32 differs on the {} arm", arm.name());
+        }
+    }
 }
 
 proptest! {
@@ -110,7 +182,6 @@ proptest! {
     fn prop_ipiv_apply_unapply(seed in 0u64..1_000_000, m in 1usize..40, n in 1usize..10) {
         let a0 = randn_mat(seed, m, n);
         let mut rng = StdRng::seed_from_u64(seed ^ 3);
-        use rand::Rng;
         let k = m.min(8);
         let ipiv: Vec<usize> = (0..k).map(|i| rng.gen_range(i..m)).collect();
         let mut a = a0.clone();
