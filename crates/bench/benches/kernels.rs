@@ -1,10 +1,13 @@
 //! Criterion microbenchmarks of the dense substrate kernels on the host:
 //! `gemm` (serial and parallel, at the shapes the repository benchmark
-//! probes, `f64` and `f32`), `trsm`, and the two panel factorization kernels
-//! whose speed gap drives Tables 3-4 (`getf2` vs `rgetf2`).
+//! probes, `f64` and `f32`), `trsm`, the two panel factorization kernels
+//! whose speed gap drives Tables 3-4 (`getf2` vs `rgetf2`), and the panel's
+//! rows below its top block as an unblocked sweep (`lu_nopiv`) against the
+//! recursive `gemm`-based `lu_rows` — the BLAS-2 → BLAS-3 step of the
+//! unpivoted half of TSLU.
 
 use calu_matrix::blas3::{gemm, par_gemm, trsm, Arm};
-use calu_matrix::lapack::{getf2, rgetf2};
+use calu_matrix::lapack::{getf2, lu_nopiv, lu_rows, rgetf2};
 use calu_matrix::{gen, Diag, Matrix, NoObs, Scalar, Side, Uplo};
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion};
 use rand::rngs::StdRng;
@@ -88,6 +91,33 @@ fn bench_panel_kernels(c: &mut Criterion) {
             |mut a| {
                 let mut ipiv = vec![0usize; b];
                 rgetf2(a.view_mut(), &mut ipiv, &mut NoObs).unwrap();
+            },
+            BatchSize::LargeInput,
+        )
+    });
+
+    // The unpivoted half of TSLU on an 8192 x 64 panel whose top block is
+    // safe to factor as it stands: one full-height unblocked sweep, against
+    // the top block alone plus `lu_rows` for everything below it.
+    let m = 8192;
+    let mut p0: Matrix = gen::randn(&mut rng, m, b);
+    for j in 0..b {
+        p0[(j, j)] += 2.0 * b as f64;
+    }
+    g.bench_function("lu_nopiv_unblocked_8192x64", |bench| {
+        bench.iter_batched(
+            || p0.clone(),
+            |mut a| lu_nopiv(a.view_mut(), &mut NoObs).unwrap(),
+            BatchSize::LargeInput,
+        )
+    });
+    g.bench_function("lu_nopiv_top_plus_lu_rows_8192x64", |bench| {
+        bench.iter_batched(
+            || p0.clone(),
+            |mut a| {
+                let (mut top, below) = a.view_mut().split_at_row_mut(b);
+                lu_nopiv(top.rb_mut(), &mut NoObs).unwrap();
+                lu_rows(top.as_view(), below, &mut [0.0; 64], &mut NoObs).unwrap();
             },
             BatchSize::LargeInput,
         )

@@ -29,16 +29,12 @@ fn bench_runtime_factor(c: &mut Criterion) {
     let a: Matrix = gen::randn(&mut rng, n, n);
     let opts = CaluOpts { block: 64, p: 4, ..Default::default() };
     for depth in [1usize, 2] {
-        let serial =
-            RuntimeOpts { lookahead: depth, executor: ExecutorKind::Serial, parallel_panel: false };
+        let serial = RuntimeOpts { lookahead: depth, executor: ExecutorKind::Serial };
         g.bench_function(format!("serial_{n}_d{depth}"), |bench| {
             bench.iter(|| runtime_calu_factor(&a, opts, serial).unwrap())
         });
-        let threaded = RuntimeOpts {
-            lookahead: depth,
-            executor: ExecutorKind::Threaded { threads: 0 },
-            parallel_panel: false,
-        };
+        let threaded =
+            RuntimeOpts { lookahead: depth, executor: ExecutorKind::Threaded { threads: 0 } };
         g.bench_function(format!("threaded_{n}_d{depth}"), |bench| {
             bench.iter(|| runtime_calu_factor(&a, opts, threaded).unwrap())
         });

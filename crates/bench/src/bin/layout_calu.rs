@@ -19,12 +19,11 @@
 //!   difference is the durable record.)
 //!
 //! The DAG used for the modeled columns is built with the *same*
-//! [`PanelMode`] that the measured runs execute, so modeled and executed
-//! paths always agree: the gathered DAG's tile-major `Panel(k)` charges
-//! its gather/scatter copy, the resident DAG's per-tile subgraph does
-//! not (the copy does not exist there). With `--panel both` (default)
-//! the record's `panel_comparison` section quantifies exactly the
-//! eliminated gather/scatter words.
+//! [`PanelMode`] and `p` that the measured runs execute, so modeled and
+//! executed paths always agree. Neither mode gathers or scatters the panel
+//! in tile-major storage (leaves and `L₂₁` chunks are walked tile by tile
+//! in place), so the modes differ in their leaves only; `--panel both`
+//! (default) records one row set per mode.
 //!
 //! As in `BENCH_runtime.json`, `"measured_speedup_valid": false` flags a
 //! single-core host: the threaded-executor rows then measure executor
@@ -157,9 +156,6 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    // Per (mode, n): tile-major panel traffic, for the gather/scatter
-    // elimination summary below.
-    let mut panel_traffic_mb: Vec<(&'static str, usize, f64)> = Vec::new();
     for &n in &sizes {
         let a: Matrix = gen::randn(&mut rng, n, n);
         let p = (n / nb).max(2);
@@ -169,10 +165,8 @@ fn main() {
         for &mode in &args.panel {
             let opts = CaluOpts { block: nb, p, panel_mode: mode, ..Default::default() };
 
-            // Correctness gate before any timing: flat and tile paths,
-            // bitwise. The gathered mode is additionally pinned to the
-            // sequential sweep; the resident mode follows its own
-            // deterministic tree, so its gate is flat == tile.
+            // Correctness gate before any timing: the sequential sweep,
+            // the flat path and the tile path, bitwise, in either mode.
             let flat_ref = {
                 let mut w = a.clone();
                 let (ipiv, _) =
@@ -180,16 +174,15 @@ fn main() {
                         .expect("factorization succeeds");
                 (w, ipiv)
             };
-            if mode == PanelMode::Gathered {
+            {
                 let seq = calu_core::calu_factor(&a, opts).expect("factorization succeeds");
-                assert_eq!(flat_ref.1, seq.ipiv, "gathered pivots diverge at n={n}");
+                assert_eq!(flat_ref.1, seq.ipiv, "{} pivots diverge at n={n}", mode_name(mode));
                 assert_eq!(
                     flat_ref.0.max_abs_diff(&seq.lu),
                     0.0,
-                    "gathered factors must be bitwise identical at n={n}"
+                    "{} factors must be bitwise identical to sequential at n={n}",
+                    mode_name(mode)
                 );
-            }
-            {
                 let mut t = tiles0.clone();
                 let (ipiv, _) =
                     runtime_calu_tiles(&mut t, opts, RuntimeOpts::default(), &mut NoObs).unwrap();
@@ -203,32 +196,22 @@ fn main() {
             }
 
             // Modeled columns from the mode-matching DAG: executed and
-            // modeled paths agree on which panel tasks (and copies) exist.
-            let dag = LuDag::build_with(shape, 1, mode);
+            // modeled paths agree on which panel tasks exist.
+            let dag = LuDag::build_panels(shape, 1, mode, p);
             let traffic = |loc: TileLocality| -> f64 {
-                dag.tasks().iter().map(|&t| modeled_cache_traffic(&shape, t, &mch, loc)).sum()
+                dag.tasks().iter().map(|&t| modeled_cache_traffic(&dag, t, &mch, loc)).sum()
             };
             let modeled = |loc: TileLocality| -> f64 {
-                dag.tasks().iter().map(|&t| modeled_time_layout(&shape, t, &mch, loc)).sum()
+                dag.tasks().iter().map(|&t| modeled_time_layout(&dag, t, &mch, loc)).sum()
             };
             let (tf, tt) = (traffic(TileLocality::Flat), traffic(TileLocality::TileMajor));
             let (mf, mt) = (modeled(TileLocality::Flat), modeled(TileLocality::TileMajor));
-            panel_traffic_mb.push((
-                mode_name(mode),
-                n,
-                dag.tasks()
-                    .iter()
-                    .filter(|t| t.cat().starts_with("panel"))
-                    .map(|&t| modeled_cache_traffic(&shape, t, &mch, TileLocality::TileMajor))
-                    .sum::<f64>()
-                    / 1e6,
-            ));
 
             for (name, executor) in [
                 ("serial", ExecutorKind::Serial),
                 ("threaded", ExecutorKind::Threaded { threads: args.threads }),
             ] {
-                let rt = RuntimeOpts { lookahead: 1, executor, parallel_panel: false };
+                let rt = RuntimeOpts { lookahead: 1, executor };
                 // Both timed regions factor a pre-cloned working copy in
                 // place — the clone stays outside the timer on both paths.
                 let flat_s = best_of(args.reps, || {
@@ -289,7 +272,6 @@ fn main() {
         let rt = RuntimeOpts {
             lookahead: 1,
             executor: ExecutorKind::Threaded { threads: args.threads },
-            parallel_panel: false,
         };
         let (ipiv, rep) = runtime_calu_tiles(&mut t, opts, rt, &mut NoObs).expect("traced run");
         assert_eq!(ipiv.len(), n);
@@ -308,29 +290,6 @@ fn main() {
         );
     }
 
-    // Panel-mode comparison: the tile-major panel traffic per mode, and
-    // the per-size gather/scatter words the resident subgraph eliminates.
-    let mut cmp_rows = Vec::new();
-    for &n in &sizes {
-        let find = |m: &str| {
-            panel_traffic_mb.iter().find(|&&(pm, pn, _)| pm == m && pn == n).map(|&(_, _, v)| v)
-        };
-        if let (Some(g), Some(r)) = (find("gathered"), find("resident")) {
-            println!(
-                "n={n}: tile-major panel traffic gathered {g:.1}MB vs resident {r:.1}MB \
-                 (eliminated gather/scatter: {:.1}MB)",
-                g - r
-            );
-            cmp_rows.push(
-                JsonValue::obj()
-                    .set("n", n)
-                    .set("panel_traffic_gathered_mb", g)
-                    .set("panel_traffic_resident_mb", r)
-                    .set("eliminated_panel_copy_mb", g - r),
-            );
-        }
-    }
-
     let row_json = |r: &Row| {
         JsonValue::obj()
             .set("n", r.n)
@@ -345,7 +304,7 @@ fn main() {
             .set("modeled_time_flat_s", r.modeled_flat_s)
             .set("modeled_time_tiled_s", r.modeled_tiled_s)
     };
-    let mut record = host
+    let record = host
         .stamp(
             JsonValue::obj()
                 .set("bench", "layout_calu")
@@ -355,8 +314,5 @@ fn main() {
         .set("reps", args.reps)
         .set("model", "xt4")
         .set("rows", rows.iter().map(row_json).collect::<JsonValue>());
-    if !cmp_rows.is_empty() {
-        record = record.set("panel_comparison", cmp_rows.into_iter().collect::<JsonValue>());
-    }
     write_record(&args.out, &record);
 }

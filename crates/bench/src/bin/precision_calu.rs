@@ -101,11 +101,7 @@ fn main() {
     let b: Vec<f64> = gen::hpl_rhs(&mut rng, n);
 
     let opts = CaluOpts { block: nb, p: 4, ..Default::default() };
-    let rt = RuntimeOpts {
-        lookahead: 2,
-        executor: ExecutorKind::Threaded { threads: 0 },
-        parallel_panel: false,
-    };
+    let rt = RuntimeOpts { lookahead: 2, executor: ExecutorKind::Threaded { threads: 0 } };
 
     println!("precision_calu: {n}x{n}, nb={nb}, host_threads={host_threads}, reps={}", args.reps);
 
@@ -125,7 +121,7 @@ fn main() {
     let mch = MachineConfig::power5();
     let cp = |p: Precision| {
         let m = mch.for_precision(p);
-        dag.critical_path(|t| modeled_time(&shape, t, &m))
+        dag.critical_path(|t| modeled_time(&dag, t, &m))
     };
     let (cp64, cp32) = (cp(Precision::F64), cp(Precision::F32));
     println!(

@@ -18,18 +18,17 @@
 //! committed record from a single-core CI container cannot be mistaken
 //! for a parallel-win measurement (see EXPERIMENTS.md).
 //!
-//! The `--panel` flag selects the panel decomposition: `gathered` (one
-//! monolithic `Panel(k)` task per step), `resident` (the per-tile
-//! `PanelElect`/`PanelReduce`/`PanelFinish`/`PanelApply` tournament
-//! subgraph), or `both` (the default). With both modes the record gains a
-//! `panel_comparison` section: per mode, one traced threaded run's
-//! measured panel-phase time, the idle-during-panel wait
-//! (`calu_obs::idle_overlap_ns`), the modeled critical path, and the
-//! modeled tile-major panel traffic — including the gather/scatter words
-//! the resident subgraph eliminates. The gathered reference uses
-//! `p = max(n/nb, 2)` tournament blocks so its leaves coincide with the
+//! The `--panel` flag selects the leaves of the panel subgraph
+//! (`PanelElect`/`PanelReduce`/`PanelFinish`/`PanelApply`): `gathered`
+//! (`p` block rows), `resident` (one leaf per tile row), or `both` (the
+//! default). The record's `panel_comparison` section holds, per mode, one
+//! traced threaded run's measured panel-phase time, the idle-during-panel
+//! wait (`calu_obs::idle_overlap_ns`), the modeled critical path, and the
+//! modeled tile-major panel traffic. The gathered rows use
+//! `p = max(n/nb, 2)` tournament blocks so their leaves coincide with the
 //! resident tree's tile-height leaves at the first step (apples to
-//! apples); each row records its `p`.
+//! apples); each row records its `p`. Every mode's factors are asserted
+//! bitwise equal to the sequential sweep's before timing.
 //!
 //! Usage: `runtime_calu [--n N] [--nb NB] [--reps R] [--threads T]
 //! [--panel gathered|resident|both] [--out PATH] [--trace-out PATH]`
@@ -39,7 +38,7 @@
 //! `bench_report --trace` (or `chrome://tracing`) can consume.
 
 use calu_bench::{write_record, HostInfo};
-use calu_core::{runtime_calu_factor, CaluOpts, RuntimeOpts};
+use calu_core::{calu_factor, runtime_calu_factor, CaluOpts, RuntimeOpts};
 use calu_matrix::{gen, Matrix};
 use calu_netsim::MachineConfig;
 use calu_obs::analyze::measured_phase_ns;
@@ -166,6 +165,12 @@ fn main() {
         |mode: PanelMode| CaluOpts { block: nb, p, panel_mode: mode, ..Default::default() };
     let shape = LuShape { m: n, n, nb };
     let mch = MachineConfig::power5();
+    for &mode in &args.panel {
+        let seq = calu_factor(&a, opts_for(mode)).expect("factorization succeeds");
+        let (f, _) = runtime_calu_factor(&a, opts_for(mode), RuntimeOpts::default())
+            .expect("factorization succeeds");
+        assert_eq!(f, seq, "{} runtime factors must equal sequential bitwise", mode_name(mode));
+    }
 
     println!(
         "runtime_calu: {n}x{n}, nb={nb}, p={p}, host_threads={host_threads}, reps={}",
@@ -180,7 +185,7 @@ fn main() {
     for &mode in &args.panel {
         for depth in [1usize, 2, 3] {
             let run = |executor: ExecutorKind| {
-                let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
+                let rt = RuntimeOpts { lookahead: depth, executor };
                 let t0 = Instant::now();
                 let (f, _rep) =
                     runtime_calu_factor(&a, opts_for(mode), rt).expect("factorization succeeds");
@@ -193,9 +198,9 @@ fn main() {
             let threaded_s =
                 best_of(args.reps, || run(ExecutorKind::Threaded { threads: args.threads }));
 
-            let dag = LuDag::build_with(shape, depth, mode);
-            let modeled_serial_s = dag.total_cost(|t| modeled_time(&shape, t, &mch));
-            let modeled_cp_s = dag.critical_path(|t| modeled_time(&shape, t, &mch));
+            let dag = LuDag::build_panels(shape, depth, mode, p);
+            let modeled_serial_s = dag.total_cost(|t| modeled_time(&dag, t, &mch));
+            let modeled_cp_s = dag.critical_path(|t| modeled_time(&dag, t, &mch));
             println!(
                 "{:>9} {:>5} {:>10.1}ms {:>10.1}ms {:>8.2}x {:>10.1}ms {:>10.1}ms {:>8.2}x",
                 mode_name(mode),
@@ -244,15 +249,13 @@ fn main() {
 
     // Panel-mode comparison: one traced threaded run per selected mode at
     // depth 2, profiled through calu-obs — measured panel-phase time, the
-    // idle-during-panel wait the decomposition exists to shrink, and the
-    // modeled tile-major panel traffic whose gathered/resident difference
-    // is exactly the eliminated gather/scatter copy.
+    // idle-during-panel wait the subgraph exists to shrink, and the
+    // modeled tile-major panel traffic.
     let mut sides: Vec<PanelSide> = Vec::new();
     for &mode in &args.panel {
         let rt = RuntimeOpts {
             lookahead: 2,
             executor: ExecutorKind::Threaded { threads: args.threads },
-            parallel_panel: false,
         };
         let (f, rep) = runtime_calu_factor(&a, opts_for(mode), rt).expect("traced run succeeds");
         assert_eq!(f.ipiv.len(), n);
@@ -278,12 +281,12 @@ fn main() {
             },
         );
         assert!(profile.workers.iter().all(|w| w.partition_exact()));
-        let dag = LuDag::build_with(shape, 2, mode);
+        let dag = LuDag::build_panels(shape, 2, mode, p);
         let panel_traffic_mb = dag
             .tasks()
             .iter()
             .filter(|t| is_panel(t.cat()))
-            .map(|&t| modeled_cache_traffic(&shape, t, &mch, TileLocality::TileMajor))
+            .map(|&t| modeled_cache_traffic(&dag, t, &mch, TileLocality::TileMajor))
             .sum::<f64>()
             / 1e6;
         sides.push(PanelSide {
@@ -291,7 +294,7 @@ fn main() {
             wall_s: rep.wall,
             panel_measured_ns,
             panel_wait_ns,
-            modeled_cp_s: dag.critical_path(|t| modeled_time(&shape, t, &mch)),
+            modeled_cp_s: dag.critical_path(|t| modeled_time(&dag, t, &mch)),
             panel_traffic_mb,
         });
     }
@@ -312,9 +315,8 @@ fn main() {
     }
     if let [g, r] = &sides[..] {
         println!(
-            "resident vs gathered: panel time {:.2}x, eliminated gather/scatter {:.1}MB",
-            g.panel_measured_ns as f64 / (r.panel_measured_ns as f64).max(1.0),
-            g.panel_traffic_mb - r.panel_traffic_mb
+            "resident vs gathered: panel time {:.2}x",
+            g.panel_measured_ns as f64 / (r.panel_measured_ns as f64).max(1.0)
         );
     }
 
@@ -326,7 +328,6 @@ fn main() {
         let rt = RuntimeOpts {
             lookahead: 3,
             executor: ExecutorKind::Threaded { threads: args.threads },
-            parallel_panel: false,
         };
         let (f, rep) = runtime_calu_factor(&a, opts_for(mode), rt).expect("traced run succeeds");
         assert_eq!(f.ipiv.len(), n);
@@ -376,12 +377,10 @@ fn main() {
         .set("executor", "threaded")
         .set("modes", sides.iter().map(side_json).collect::<JsonValue>());
     if let [g, r] = &sides[..] {
-        cmp = cmp
-            .set(
-                "panel_time_ratio",
-                g.panel_measured_ns as f64 / (r.panel_measured_ns as f64).max(1.0),
-            )
-            .set("eliminated_panel_copy_mb", g.panel_traffic_mb - r.panel_traffic_mb);
+        cmp = cmp.set(
+            "panel_time_ratio",
+            g.panel_measured_ns as f64 / (r.panel_measured_ns as f64).max(1.0),
+        );
     }
     record = record.set("panel_comparison", cmp);
     write_record(&args.out, &record);

@@ -118,7 +118,7 @@ fn run_scenario(
         max_batch: batch,
         rhs_block: 8,
         calu: CaluOpts { block: nb, p: 4, ..Default::default() },
-        rt: RuntimeOpts { lookahead: 2, executor, parallel_panel: false },
+        rt: RuntimeOpts { lookahead: 2, executor },
     };
     let mut svc: SolverService = SolverService::new(opts);
     svc.register(1, a.clone());

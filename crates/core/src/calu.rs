@@ -10,11 +10,11 @@
 //! distributed one must and does match bit for bit) and powers the
 //! stability study.
 
-use crate::tslu::{tslu_factor, LocalLu};
+use crate::tslu::{tslu_factor_plan, LocalLu};
 use calu_matrix::blas3::{gemm, par_gemm, trsm};
 use calu_matrix::perm::apply_ipiv;
 use calu_matrix::{Diag, MatViewMut, Matrix, NoObs, PivotObserver, Result, Scalar, Side, Uplo};
-use calu_runtime::PanelMode;
+use calu_runtime::{PanelMode, PanelPlan, DEFAULT_TOURNAMENT_LEAVES};
 
 /// CALU tuning parameters.
 #[derive(Debug, Clone, Copy)]
@@ -29,11 +29,11 @@ pub struct CaluOpts {
     pub local: LocalLu,
     /// Run trailing updates on the rayon pool.
     pub parallel_update: bool,
-    /// How the runtime engines factor panels ([`PanelMode::Gathered`] is
-    /// the bitwise sequential reference; [`PanelMode::Resident`] is the
-    /// per-tile tournament subgraph). The sequential sweeps here
-    /// ([`calu_inplace`]/[`calu_factor`]) always run gathered and ignore
-    /// this knob.
+    /// Which rows each panel's tournament leaves cover:
+    /// [`PanelMode::Gathered`] cuts `p` block rows, [`PanelMode::Resident`]
+    /// one leaf per `block`-high tile row (and ignores `p`). Every engine —
+    /// the sequential sweep here and the task-graph runtime — honours it
+    /// and gives bitwise identical factors for the same mode.
     pub panel_mode: PanelMode,
 }
 
@@ -41,7 +41,7 @@ impl Default for CaluOpts {
     fn default() -> Self {
         Self {
             block: 64,
-            p: 4,
+            p: DEFAULT_TOURNAMENT_LEAVES,
             local: LocalLu::Recursive,
             parallel_update: false,
             panel_mode: PanelMode::Gathered,
@@ -109,7 +109,8 @@ pub fn calu_inplace<T: Scalar, O: PivotObserver<T>>(
         // TSLU panel factorization (tournament + unpivoted LU).
         {
             let panel = a.submatrix_mut(k, k, m - k, jb);
-            let r = tslu_factor(panel, opts.p, opts.local, obs).map_err(|e| match e {
+            let plan = PanelPlan::new(m - k, jb, nb, opts.p, opts.panel_mode);
+            let r = tslu_factor_plan(panel, &plan, opts.local, obs).map_err(|e| match e {
                 calu_matrix::Error::SingularPivot { step } => {
                     calu_matrix::Error::SingularPivot { step: step + k }
                 }

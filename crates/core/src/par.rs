@@ -4,10 +4,10 @@
 //! The paper's future-work section asks about "the suitability of the new
 //! ca-pivoting strategy for parallel LU on multicore architectures"; this
 //! module is that variant: the factorization runs on the runtime's
-//! work-stealing threaded executor (tiles of the trailing update spread
-//! across workers) and each panel's local candidate elections additionally
-//! run on the rayon pool. The numerics are bitwise identical to the
-//! sequential [`crate::calu`] path (same tournament tree, same per-element
+//! work-stealing threaded executor — tiles of the trailing update, each
+//! panel's leaf elections and its chunks of `L₂₁` all spread across
+//! workers as tasks. The numerics are bitwise identical to the sequential
+//! [`crate::calu`] path (same tournament tree, same per-element
 //! accumulation order), which the tests assert.
 
 use crate::calu::{CaluOpts, LuFactors};
@@ -15,8 +15,7 @@ use crate::rt::{runtime_calu_inplace, RuntimeOpts};
 use calu_matrix::{MatViewMut, Matrix, NoObs, PivotObserver, Result, Scalar};
 use calu_runtime::ExecutorKind;
 
-/// Factors a copy of `a` with CALU using the threaded runtime for the
-/// trailing update and rayon for the panels' local factorizations.
+/// Factors a copy of `a` with CALU on the threaded runtime.
 ///
 /// # Errors
 /// Singular pivot.
@@ -35,11 +34,7 @@ pub fn par_calu_inplace<T: Scalar, O: PivotObserver<T> + Send>(
     opts: CaluOpts,
     obs: &mut O,
 ) -> Result<Vec<usize>> {
-    let rt = RuntimeOpts {
-        lookahead: 1,
-        executor: ExecutorKind::Threaded { threads: 0 },
-        parallel_panel: true,
-    };
+    let rt = RuntimeOpts { lookahead: 1, executor: ExecutorKind::Threaded { threads: 0 } };
     let (ipiv, _report) = runtime_calu_inplace(a, opts, rt, obs)?;
     Ok(ipiv)
 }

@@ -6,13 +6,19 @@
 //!
 //! The runtime schedules; this module supplies the kernels: a
 //! [`calu_runtime::TaskRunner`] whose task bodies are the *same* calls the
-//! sequential sweep makes, carved into block-column / tile granularity.
-//! Why the factors are **bitwise identical** to
+//! sequential sweep makes, carved into leaf / chunk / block-column / tile
+//! granularity. Why the factors are **bitwise identical** to
 //! [`calu_inplace`](crate::calu::calu_inplace) under *any* topological
 //! execution order:
 //!
-//! * the panel kernel ([`tslu_factor_with`]) is byte-for-byte the
-//!   sequential call on the same full-height panel;
+//! * the panel subgraph runs the sequential panel's four kernels
+//!   ([`crate::tslu`]) over the same [`PanelPlan`](calu_runtime::PanelPlan):
+//!   each leaf's election reads only its own rows, candidate sets are
+//!   folded in the fixed order of
+//!   [`tournament_tree`](calu_runtime::tournament_tree), the finish factors
+//!   the top block exactly as the sequential panel does, and the bits of a
+//!   row of `L₂₁` depend on that row and `U₁₁` only
+//!   ([`lu_rows`]), so any chunking of the apply is exact;
 //! * row swaps applied per block column are the same element swaps as one
 //!   whole-matrix `apply_ipiv`;
 //! * `trsm` forward-substitutes each column of `U₁₂` independently, so a
@@ -24,30 +30,33 @@
 //!   (see `calu_runtime::dag`), so there are no racy interleavings to
 //!   reorder arithmetic.
 //!
+//! One runner serves both storage layouts: task bodies address the matrix
+//! through `Storage`, which hands out blocks of a flat column-major
+//! matrix (`SharedMat`) or of single tiles of a [`TileMatrix`]
+//! (`SharedTiles`); operands that span tiles (a leaf, an apply chunk) are
+//! walked run by run.
+//!
 //! The observer is shared behind a mutex, locked per callback (so a
-//! concurrent tile's `on_stage` never waits out a panel); its statistics
-//! are order-free (documented on [`crate::instrument::PivotStats`]), and
-//! the panel events — the only ordered ones — are serialized by the
-//! panel chain.
+//! concurrent tile's `on_stage` never waits out a panel task); its
+//! statistics are order-free (documented on
+//! [`crate::instrument::PivotStats`]). The only ordered events, the
+//! `on_pivot` thresholds, are assembled per panel in a
+//! `PanelTau` and reported after the run, in step order — the order the
+//! sequential sweep reports them in.
 
-use calu_matrix::blas1::scal;
-use calu_matrix::blas2::ger;
 use calu_matrix::blas3::{gemm, trsm};
-use calu_matrix::lapack::lu_nopiv;
-use calu_matrix::perm::apply_ipiv;
+use calu_matrix::lapack::lu_rows;
 use calu_matrix::{
     Diag, Error, MatView, MatViewMut, Matrix, NoObs, PivotObserver, Result, Scalar, Side,
     TileLayout, TileMatrix, Uplo,
 };
-use calu_runtime::{
-    panel_tree_levels, panel_tree_resolve, ExecReport, ExecutorKind, LuDag, LuShape, PanelMode,
-    Task, TaskRunner,
-};
+use calu_runtime::{ExecReport, ExecutorKind, LuDag, LuShape, Task, TaskRunner};
+use std::ops::Range;
 use std::sync::Mutex;
 
 use crate::calu::{CaluOpts, LuFactors};
 use crate::tournament::{reduce_pair, Candidates};
-use crate::tslu::{local_candidates, tslu_factor_with, winners_to_ipiv, LocalLu};
+use crate::tslu::{elect_candidates, finish_top, winners_to_ipiv, LocalLu, PanelTau};
 
 /// How a runtime-scheduled factorization should execute.
 #[derive(Debug, Clone, Copy)]
@@ -58,26 +67,44 @@ pub struct RuntimeOpts {
     pub lookahead: usize,
     /// Which executor drives the DAG.
     pub executor: ExecutorKind,
-    /// Elect panel candidates on the rayon pool inside each `Panel` task
-    /// (the numerics are identical either way; see
-    /// [`crate::tslu::tslu_pivots_with`]).
-    pub parallel_panel: bool,
 }
 
 impl Default for RuntimeOpts {
     fn default() -> Self {
-        Self {
-            lookahead: 1,
-            executor: ExecutorKind::Threaded { threads: 0 },
-            parallel_panel: false,
-        }
+        Self { lookahead: 1, executor: ExecutorKind::Threaded { threads: 0 } }
     }
 }
 
-/// Shared-mutable handle to the matrix being factored. Tasks carve
-/// disjoint views out of it; the DAG's edges are the proof of
-/// disjointness among concurrently running tasks (every overlapping pair
-/// is ordered), which is exactly the invariant `MatViewMut` requires.
+/// The matrix being factored, as task bodies address it. Tasks carve
+/// disjoint views out of it; the DAG's edges are the proof of disjointness
+/// among concurrently running tasks (every overlapping pair is ordered),
+/// which is exactly the invariant `MatViewMut` requires.
+pub(crate) trait Storage<T: Scalar>: Sync {
+    /// A mutable view of the `nr × nc` block at `(i, j)`, which must lie
+    /// inside one run of the storage: anywhere in a flat matrix, within one
+    /// tile of a tile-major one (every `Trsm`/`Gemm` operand and every panel
+    /// top block does; see [`Storage::row_runs`] for operands that do not).
+    ///
+    /// # Safety
+    /// The caller must hold (via DAG ordering) exclusive access to the
+    /// block's *elements* for the view's lifetime — shared access if it
+    /// only reads — and the block must be in range.
+    unsafe fn block(&self, i: usize, j: usize, nr: usize, nc: usize) -> MatViewMut<'_, T>;
+
+    /// Swaps rows `r1` and `r2` across the columns `cols` — the element
+    /// swaps of a flat `swap_rows`, whatever the layout.
+    ///
+    /// # Safety
+    /// The caller's task must own both rows over `cols` (DAG-ordered
+    /// against every other toucher).
+    unsafe fn swap_rows(&self, r1: usize, r2: usize, cols: Range<usize>);
+
+    /// Cuts a row range into the runs [`Storage::block`] can address as one
+    /// view, in order.
+    fn row_runs(&self, rows: Range<usize>) -> Vec<Range<usize>>;
+}
+
+/// Shared-mutable handle to a flat column-major matrix.
 pub(crate) struct SharedMat<T> {
     ptr: *mut T,
     rows: usize,
@@ -97,34 +124,84 @@ impl<T: Scalar> SharedMat<T> {
             if rows == 0 || cols == 0 { std::ptr::null_mut() } else { a.col_mut(0).as_mut_ptr() };
         Self { ptr, rows, cols, ld }
     }
+}
 
-    /// A mutable view of the block `rows × cols` at `(i, j)`, built from
-    /// raw parts so that logically disjoint blocks whose strided spans
-    /// interleave never materialize overlapping `&mut` slices.
-    ///
-    /// # Safety
-    /// The caller must hold (via DAG ordering) exclusive access to the
-    /// block's *elements* for the view's lifetime, and the block must be
-    /// in range.
-    pub(crate) unsafe fn block(
-        &self,
-        i: usize,
-        j: usize,
-        nr: usize,
-        nc: usize,
-    ) -> MatViewMut<'_, T> {
+impl<T: Scalar> Storage<T> for SharedMat<T> {
+    /// Built from raw parts so that logically disjoint blocks whose strided
+    /// spans interleave never materialize overlapping `&mut` slices.
+    unsafe fn block(&self, i: usize, j: usize, nr: usize, nc: usize) -> MatViewMut<'_, T> {
         debug_assert!(i + nr <= self.rows && j + nc <= self.cols);
         debug_assert!(nr > 0 && nc > 0, "tasks never touch empty blocks");
         unsafe { MatViewMut::from_raw_parts(self.ptr.add(j * self.ld + i), nr, nc, self.ld) }
     }
+
+    unsafe fn swap_rows(&self, r1: usize, r2: usize, cols: Range<usize>) {
+        let (lo, hi) = (r1.min(r2), r1.max(r2));
+        unsafe { self.block(lo, cols.start, hi - lo + 1, cols.len()) }.swap_rows(0, hi - lo);
+    }
+
+    fn row_runs(&self, rows: Range<usize>) -> Vec<Range<usize>> {
+        vec![rows]
+    }
 }
 
-/// Shared pivot vector: `Panel(k)` writes its `jb` slots exclusively
-/// ([`Self::write`]), `Swap(k, ·)` tasks read them back concurrently
-/// ([`Self::read`] — several same-step swaps may read at once, so the
+/// Shared-mutable handle to a [`TileMatrix`] — the tile-major counterpart
+/// of [`SharedMat`]. Every operand of `Trsm`/`Gemm` lives inside one tile,
+/// which is the point of the layout; only the cross-tile row swaps and the
+/// panel's leaves and apply chunks walk several tiles.
+struct SharedTiles<T> {
+    ptr: *mut T,
+    layout: TileLayout,
+}
+
+unsafe impl<T: Send> Send for SharedTiles<T> {}
+unsafe impl<T: Sync> Sync for SharedTiles<T> {}
+
+impl<T: Scalar> SharedTiles<T> {
+    fn new(a: &mut TileMatrix<T>) -> Self {
+        Self { ptr: a.as_mut_slice().as_mut_ptr(), layout: a.layout() }
+    }
+}
+
+impl<T: Scalar> Storage<T> for SharedTiles<T> {
+    /// The view's leading dimension is the tile height, so the block is
+    /// cache-contained.
+    unsafe fn block(&self, i: usize, j: usize, nr: usize, nc: usize) -> MatViewMut<'_, T> {
+        let (ti, tj) = (i / self.layout.mb(), j / self.layout.nb());
+        let (i0, j0) = (i % self.layout.mb(), j % self.layout.nb());
+        let h = self.layout.tile_height(ti);
+        debug_assert!(i0 + nr <= h && j0 + nc <= self.layout.tile_width(tj), "block spans tiles");
+        debug_assert!(nr > 0 && nc > 0, "tasks never touch empty blocks");
+        let off = self.layout.tile_offset(ti, tj) + j0 * h + i0;
+        unsafe { MatViewMut::from_raw_parts(self.ptr.add(off), nr, nc, h) }
+    }
+
+    unsafe fn swap_rows(&self, r1: usize, r2: usize, cols: Range<usize>) {
+        for j in cols {
+            unsafe {
+                let a = self.ptr.add(self.layout.elem_offset(r1, j));
+                let b = self.ptr.add(self.layout.elem_offset(r2, j));
+                std::ptr::swap(a, b);
+            }
+        }
+    }
+
+    fn row_runs(&self, rows: Range<usize>) -> Vec<Range<usize>> {
+        let mb = self.layout.mb();
+        self.layout
+            .row_tile_span(rows)
+            .into_iter()
+            .map(|(ti, r)| ti * mb + r.start..ti * mb + r.end)
+            .collect()
+    }
+}
+
+/// Shared pivot vector: `PanelFinish(k)` writes its `jb` slots exclusively
+/// ([`Self::publish`]), `Swap(k, ·)` tasks read them back concurrently
+/// ([`Self::read_local`] — several same-step swaps may read at once, so the
 /// read path hands out shared references only). Writes happen-before all
-/// reads via the `Swap ← Panel` edges (the executor's pool lock carries
-/// the synchronization), and distinct panels own disjoint slots.
+/// reads via the `Swap ← PanelFinish` edges (the executor's pool lock
+/// carries the synchronization), and distinct panels own disjoint slots.
 struct SharedIpiv {
     ptr: *mut usize,
     len: usize,
@@ -134,43 +211,31 @@ unsafe impl Send for SharedIpiv {}
 unsafe impl Sync for SharedIpiv {}
 
 impl SharedIpiv {
-    /// # Safety
-    /// Only the `Panel` task owning `range` may call this, and nothing
-    /// else may access the range while the returned slice lives. (The
-    /// `&self → &mut` shape is the whole point of the cell: the DAG, not
-    /// the borrow checker, proves exclusivity.)
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn write(&self, range: std::ops::Range<usize>) -> &mut [usize] {
-        debug_assert!(range.end <= self.len);
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
-    }
-
-    /// # Safety
-    /// The caller's task must be DAG-ordered after the `Panel` that wrote
-    /// `range` (no writer may be live; concurrent readers are fine).
-    unsafe fn read(&self, range: std::ops::Range<usize>) -> &[usize] {
-        debug_assert!(range.end <= self.len);
-        unsafe { std::slice::from_raw_parts(self.ptr.add(range.start), range.len()) }
-    }
-
-    /// Panel `k`'s pivot swaps, local to rows `k·nb..m` — the read-back
-    /// both the flat and the tile runner use in their `Swap` tasks.
+    /// Panel `k`'s pivot swaps, local to rows `k·nb..m`.
     ///
     /// # Safety
-    /// The caller's task must be DAG-ordered after `Panel(k)`.
+    /// The caller's task must be DAG-ordered after `PanelFinish(k)` (no
+    /// writer may be live; concurrent readers are fine).
     unsafe fn read_local(&self, shape: &LuShape, k: usize) -> Vec<usize> {
         let base = k * shape.nb;
         let jb = shape.panel_width(k);
-        unsafe { self.read(base..base + jb) }.iter().map(|&p| p - base).collect()
+        debug_assert!(base + jb <= self.len);
+        unsafe { std::slice::from_raw_parts(self.ptr.add(base), jb) }
+            .iter()
+            .map(|&p| p - base)
+            .collect()
     }
 
     /// Publishes a panel's elected pivots (local to the panel) into their
-    /// absolute slots — the write-back both runners' `Panel` tasks use.
+    /// absolute slots.
     ///
     /// # Safety
-    /// Only the `Panel` task owning the slots at `base` may call this.
+    /// Only the `PanelFinish` task owning the slots at `base` may call
+    /// this, and nothing else may access them meanwhile. (The DAG, not the
+    /// borrow checker, proves exclusivity.)
     unsafe fn publish(&self, base: usize, local: &[usize]) {
-        let slots = unsafe { self.write(base..base + local.len()) };
+        debug_assert!(base + local.len() <= self.len);
+        let slots = unsafe { std::slice::from_raw_parts_mut(self.ptr.add(base), local.len()) };
         for (slot, &p) in slots.iter_mut().zip(local) {
             *slot = p + base;
         }
@@ -188,7 +253,7 @@ fn rebase_singular(base: usize) -> impl Fn(Error) -> Error {
 
 /// Forwards observer callbacks through the shared mutex, locking per
 /// event rather than per task — a concurrent `Gemm` tile's `on_stage`
-/// never waits out a whole panel factorization, only one callback.
+/// never waits out a whole panel task, only one callback.
 struct MutexObs<'a, 'o, O>(&'a Mutex<&'o mut O>);
 
 impl<T: Scalar, O: PivotObserver<T> + Send> PivotObserver<T> for MutexObs<'_, '_, O> {
@@ -196,7 +261,7 @@ impl<T: Scalar, O: PivotObserver<T> + Send> PivotObserver<T> for MutexObs<'_, '_
         self.0.lock().expect("observer mutex poisoned").on_pivot(step, pivot, col_max);
     }
 
-    fn on_stage(&mut self, changed: &calu_matrix::MatView<'_, T>) {
+    fn on_stage(&mut self, changed: &MatView<'_, T>) {
         self.0.lock().expect("observer mutex poisoned").on_stage(changed);
     }
 
@@ -205,245 +270,150 @@ impl<T: Scalar, O: PivotObserver<T> + Send> PivotObserver<T> for MutexObs<'_, '_
     }
 }
 
-/// Per-step candidate-slot store of the resident panel subgraph
-/// ([`PanelMode::Resident`]): one slot per tournament-tree node (leaves
-/// included), written exactly once by the node's `PanelElect`/`PanelReduce`
-/// task and taken exactly once by its parent (or by `PanelFinish` at the
-/// root). The tree edges order every write before its read; the per-slot
-/// mutex only publishes the memory across workers — it is never contended
-/// beyond that handoff. Slot placement uses the same
-/// [`panel_tree_resolve`] the DAG builder uses for edge endpoints, so both
-/// sides agree on where each subtree's winners live.
-struct ResidentPanels<T> {
-    steps: Vec<StepSlots<T>>,
+/// One step's tournament in flight: a slot per leaf, walked exactly as
+/// [`tournament`](crate::tournament::tournament) walks its vector — the
+/// leaf's `PanelElect` fills slot `leaf`, each `PanelReduce` takes slots
+/// `lo` and `hi` and leaves the winners in `lo`, `PanelFinish` takes slot
+/// 0. The tree's edges order every write before its read; the per-slot
+/// mutex only publishes the memory across workers.
+type CandidateSlots<T> = Vec<Mutex<Option<Candidates<T>>>>;
+
+fn take_slot<T>(slots: &CandidateSlots<T>, i: usize) -> Candidates<T> {
+    slots[i]
+        .lock()
+        .expect("slot mutex")
+        .take()
+        .expect("candidate set produced by a DAG-ordered predecessor")
 }
 
-struct StepSlots<T> {
-    /// Leaf count: tiles spanned by this step's panel.
-    t: usize,
-    /// Flat-slot offset of each tree level.
-    offsets: Vec<usize>,
-    slots: Vec<Mutex<Option<Candidates<T>>>>,
+fn put_slot<T>(slots: &CandidateSlots<T>, i: usize, cand: Candidates<T>) {
+    let prev = slots[i].lock().expect("slot mutex").replace(cand);
+    debug_assert!(prev.is_none(), "candidate slot overwritten before it was read");
 }
 
-impl<T: Scalar> ResidentPanels<T> {
-    fn new(shape: &LuShape) -> Self {
-        let rb = shape.row_blocks();
-        let steps = (0..shape.steps())
-            .map(|k| {
-                let t = rb - k;
-                let counts = panel_tree_levels(t);
-                let mut offsets = Vec::with_capacity(counts.len());
-                let mut total = 0usize;
-                for &c in &counts {
-                    offsets.push(total);
-                    total += c;
-                }
-                StepSlots { t, offsets, slots: (0..total).map(|_| Mutex::new(None)).collect() }
-            })
-            .collect();
-        Self { steps }
-    }
-
-    fn put(&self, k: usize, level: usize, i: usize, cand: Candidates<T>) {
-        let s = &self.steps[k];
-        let prev = s.slots[s.offsets[level] + i].lock().expect("slot mutex").replace(cand);
-        debug_assert!(prev.is_none(), "candidate slot written twice");
-    }
-
-    /// Takes subtree node `(level, i)`'s candidate set, resolving
-    /// pass-through single-child nodes down to the producing descendant.
-    fn take(&self, k: usize, level: usize, i: usize) -> Candidates<T> {
-        let s = &self.steps[k];
-        let (l, i) = panel_tree_resolve(s.t, level, i);
-        s.slots[s.offsets[l] + i]
-            .lock()
-            .expect("slot mutex")
-            .take()
-            .expect("candidate produced by a DAG-ordered predecessor")
-    }
-
-    fn root_level(&self, k: usize) -> usize {
-        self.steps[k].offsets.len() - 1
-    }
-}
-
-/// `PanelElect` body shared by both runners: tournament election on one
-/// tile's rows of the panel. Only the `≤ nb × jb` election copy intrinsic
-/// to tournament pivoting is made — the resident tile itself is read in
-/// place and left untouched. `r0` is the tile's first row, panel-local,
-/// so the elected `Candidates::rows` are panel-local row ids the reduce
-/// tree can fold directly.
-fn elect_resident<T: Scalar>(block: MatView<'_, T>, r0: usize, local: LocalLu) -> Candidates<T> {
-    let rows: Vec<usize> = (r0..r0 + block.rows()).collect();
-    local_candidates(&block.to_matrix(), &rows, local)
-}
-
-/// `PanelApply` body shared by both runners: forms one tile's rows of the
-/// panel's `L₂₁` in place against the finished `U₁₁`. For each panel
-/// column `j` it scales the tile's column by `1/u_jj` and rank-1-updates
-/// the columns right of it — exactly the restriction of `lu_nopiv`'s
-/// per-column `scal`+`ger` sweep to rows lying entirely below the
-/// diagonal block, in the same column order with the same kernels, so for
-/// a given pivot sequence the tile holds bitwise the values a full-height
-/// panel elimination would have produced (column `j`'s update of a row
-/// below the diagonal depends only on that row and `U₁₁`, never on other
-/// trailing rows).
-fn apply_l21<T: Scalar, O: PivotObserver<T>>(
-    u11: MatView<'_, T>,
-    mut tile: MatViewMut<'_, T>,
-    obs: &mut O,
-) {
-    let jb = u11.cols();
-    debug_assert_eq!(tile.cols(), jb);
-    let mut urow = vec![T::ZERO; jb.saturating_sub(1)];
-    for j in 0..jb {
-        let inv = u11.get(j, j).recip();
-        scal(inv, tile.col_mut(j));
-        obs.on_multipliers(tile.col(j));
-        let width = jb - j - 1;
-        if width > 0 {
-            for (c, u) in urow[..width].iter_mut().enumerate() {
-                *u = u11.get(j, j + 1 + c);
-            }
-            let (left, mut right) = tile.rb_mut().split_at_col_mut(j + 1);
-            ger(-T::ONE, left.col(j), &urow[..width], right.rb_mut());
-            obs.on_stage(&right.as_view());
-        }
-    }
-}
-
-/// Binds the LU kernels to runtime tasks over one matrix.
-struct LuRunner<'a, T, O> {
-    mat: SharedMat<T>,
+/// Binds the LU kernels to runtime tasks over one matrix in storage `S`.
+struct LuRunner<'a, T, S, O> {
+    mat: S,
     ipiv: SharedIpiv,
-    shape: LuShape,
-    opts: CaluOpts,
-    parallel_panel: bool,
-    /// Candidate store of the resident panel subgraph
-    /// (`Some` iff `opts.panel_mode == PanelMode::Resident`).
-    resident: Option<ResidentPanels<T>>,
+    dag: &'a LuDag,
+    local: LocalLu,
+    /// Candidate slots of every step's tournament.
+    slots: Vec<CandidateSlots<T>>,
+    /// Every step's pivots and full-column maxima, for the `on_pivot`
+    /// events reported after the run.
+    taus: Vec<Mutex<PanelTau<T>>>,
     obs: Mutex<&'a mut O>,
 }
 
-impl<T: Scalar, O: PivotObserver<T> + Send> TaskRunner for LuRunner<'_, T, O> {
+impl<T, S, O> TaskRunner for LuRunner<'_, T, S, O>
+where
+    T: Scalar,
+    S: Storage<T>,
+    O: PivotObserver<T> + Send,
+{
     fn run(&self, task: Task) -> Result<()> {
-        let (m, nb) = (self.shape.m, self.shape.nb);
+        let shape = self.dag.shape();
+        let (m, nb) = (shape.m, shape.nb);
+        let k = task.step();
+        let base = k * nb;
+        let jb = shape.panel_width(k);
         match task {
-            Task::Panel { k } => {
-                let base = k * nb;
-                let jb = self.shape.panel_width(k);
-                // SAFETY: Panel(k) is the exclusive owner of rows base..m
-                // of block column k (predecessors completed, successors
-                // blocked), and of its ipiv slots.
-                let panel = unsafe { self.mat.block(base, base, m - base, jb) };
-                let mut obs = MutexObs(&self.obs);
-                let r = tslu_factor_with(
-                    panel,
-                    self.opts.p,
-                    self.opts.local,
-                    self.parallel_panel,
-                    &mut obs,
-                )
-                .map_err(rebase_singular(base))?;
-                unsafe { self.ipiv.publish(base, &r.ipiv) };
-                Ok(())
-            }
-            Task::PanelElect { k, ti } => {
-                let base = k * nb;
-                let jb = self.shape.panel_width(k);
-                let rows = self.shape.row_range(ti);
-                // SAFETY: the elect only reads its own tile's rows of
-                // block column k (its gemm predecessor is done; the next
+            Task::PanelElect { leaf, .. } => {
+                let rows = &self.dag.panel_plan(k).leaves()[leaf];
+                let first = base + rows.start;
+                // The leaf's one copy: the working matrix of its local LU.
+                // SAFETY: the elect only reads its leaf's rows of block
+                // column k (their step k-1 updates are done; the next
                 // writer, PanelFinish, is DAG-ordered after it through the
                 // reduce tree).
-                let block = unsafe { self.mat.block(rows.start, base, rows.len(), jb) };
-                let cand = elect_resident(block.as_view(), rows.start - base, self.opts.local);
-                self.resident.as_ref().expect("resident store").put(k, 0, ti - k, cand);
+                let mut work = Matrix::zeros(rows.len(), jb);
+                for run in self.mat.row_runs(first..first + rows.len()) {
+                    let src = unsafe { self.mat.block(run.start, base, run.len(), jb) };
+                    work.view_mut()
+                        .into_submatrix(run.start - first, 0, run.len(), jb)
+                        .copy_from(src.as_view());
+                }
+                let original =
+                    |i, j| unsafe { self.mat.block(first + i, base + j, 1, 1) }.get(0, 0);
+                let cand = elect_candidates(work, self.local, original, |i| rows.start + i);
+                put_slot(&self.slots[k], leaf, cand);
                 Ok(())
             }
-            Task::PanelReduce { k, level, ti, .. } => {
-                let store = self.resident.as_ref().expect("resident store");
-                let i = (ti - k) >> level;
-                let lo = store.take(k, level - 1, 2 * i);
-                let hi = store.take(k, level - 1, 2 * i + 1);
-                store.put(k, level, i, reduce_pair(&lo, &hi));
+            Task::PanelReduce { lo, hi, .. } => {
+                let slots = &self.slots[k];
+                let folded = reduce_pair(&take_slot(slots, lo), &take_slot(slots, hi));
+                put_slot(slots, lo, folded);
                 Ok(())
             }
-            Task::PanelFinish { k } => {
-                let base = k * nb;
-                let jb = self.shape.panel_width(k);
-                let store = self.resident.as_ref().expect("resident store");
-                let root = store.take(k, store.root_level(k), 0);
-                let local = winners_to_ipiv(&root.rows, m - base);
-                // Swap the tournament winners to the top of the panel's
-                // own block column (every elect is DAG-ordered before this
-                // task through the reduce tree, every later toucher after
-                // it; the Swap tasks handle all other columns).
-                // SAFETY: Finish exclusively owns rows base..m of block
-                // column k and the step's ipiv slots.
-                let panel = unsafe { self.mat.block(base, base, m - base, jb) };
-                apply_ipiv(panel, &local);
-                // Factor the diagonal block's rows (jb ≤ h_k): rows
-                // 0..h_k of the pivoted panel fully determine their own
-                // elimination, so this is self-contained — and where a
-                // genuinely singular panel surfaces.
-                let h = self.shape.row_range(k).len();
-                let diag = unsafe { self.mat.block(base, base, h, jb) };
-                let mut obs = MutexObs(&self.obs);
-                lu_nopiv(diag, &mut obs).map_err(rebase_singular(base))?;
+            Task::PanelFinish { .. } => {
+                let winners = take_slot(&self.slots[k], 0).rows;
+                let local = winners_to_ipiv(&winners, m - base);
+                // SAFETY: the finish exclusively owns rows base..m of block
+                // column k (every elect is ordered before it through the
+                // reduce tree, every apply and swap after it) and the
+                // step's ipiv slots. The Swap tasks handle all other
+                // columns.
+                for (i, &p) in local.iter().enumerate() {
+                    if p != i {
+                        unsafe { self.mat.swap_rows(base + i, base + p, base..base + jb) };
+                    }
+                }
+                // The top block's rows fully determine their own
+                // elimination — where a genuinely singular panel surfaces.
+                let top = unsafe { self.mat.block(base, base, jb, jb) };
+                let mut tau = self.taus[k].lock().expect("tau mutex");
+                finish_top(top, &mut tau, &mut MutexObs(&self.obs))
+                    .map_err(rebase_singular(base))?;
                 unsafe { self.ipiv.publish(base, &local) };
                 Ok(())
             }
-            Task::PanelApply { k, ti } => {
-                let base = k * nb;
-                let jb = self.shape.panel_width(k);
-                let rows = self.shape.row_range(ti);
-                // SAFETY: the apply owns its tile's rows of block column
+            Task::PanelApply { chunk, .. } => {
+                let rows = self.dag.panel_plan(k).chunk(chunk);
+                // SAFETY: the apply owns its chunk's rows of block column
                 // k; U₁₁ is stable under concurrent readers (sibling
-                // applies and this step's trsms all read it).
+                // applies and this step's trsms all read the top block).
                 let u11 = unsafe { self.mat.block(base, base, jb, jb) };
-                let tile = unsafe { self.mat.block(rows.start, base, rows.len(), jb) };
-                let mut obs = MutexObs(&self.obs);
-                apply_l21(u11.as_view(), tile, &mut obs);
+                let mut col_max = vec![T::ZERO; jb];
+                for run in self.mat.row_runs(base + rows.start..base + rows.end) {
+                    let block = unsafe { self.mat.block(run.start, base, run.len(), jb) };
+                    lu_rows(u11.as_view(), block, &mut col_max, &mut MutexObs(&self.obs))
+                        .map_err(rebase_singular(base))?;
+                }
+                self.taus[k].lock().expect("tau mutex").merge(&col_max);
                 Ok(())
             }
-            Task::Swap { k, j } => {
-                let base = k * nb;
-                let local = unsafe { self.ipiv.read_local(&self.shape, k) };
-                let cols = self.shape.update_col_range(k, j);
-                // SAFETY: Swap(k,j) owns rows base..m of block column j.
-                let block = unsafe { self.mat.block(base, cols.start, m - base, cols.len()) };
-                apply_ipiv(block, &local);
+            Task::Swap { j, .. } => {
+                let local = unsafe { self.ipiv.read_local(shape, k) };
+                let cols = shape.update_col_range(k, j);
+                // SAFETY: Swap(k,j) owns rows base..m of these columns.
+                for (i, &p) in local.iter().enumerate() {
+                    if p != i {
+                        unsafe { self.mat.swap_rows(base + i, base + p, cols.clone()) };
+                    }
+                }
                 Ok(())
             }
-            Task::Trsm { k, j } => {
-                let base = k * nb;
-                let jb = self.shape.panel_width(k);
-                let cols = self.shape.update_col_range(k, j);
-                // SAFETY: Trsm(k,j) owns rows base..base+jb of block
-                // column j and (shared, read-only among readers that are
+            Task::Trsm { j, .. } => {
+                let cols = shape.update_col_range(k, j);
+                // SAFETY: Trsm(k,j) owns rows base..base+jb of these
+                // columns and (shared, read-only among readers that are
                 // all ordered before the next writer) L₁₁ of column k.
                 let l11 = unsafe { self.mat.block(base, base, jb, jb) };
                 let u12 = unsafe { self.mat.block(base, cols.start, jb, cols.len()) };
                 trsm(Side::Left, Uplo::Lower, Diag::Unit, T::ONE, l11.as_view(), u12);
                 Ok(())
             }
-            Task::Gemm { k, i, j } => {
-                let base = k * nb;
-                let jb = self.shape.panel_width(k);
-                let rows = self.shape.row_range(i);
-                let cols = self.shape.col_range(j);
+            Task::Gemm { i, j, .. } => {
+                let rows = shape.row_range(i);
+                let cols = shape.col_range(j);
                 // SAFETY: Gemm(k,i,j) owns its trailing tile; L₂₁ and U₁₂
                 // are stable until the swaps that are DAG-ordered after
                 // every gemm of step k.
                 let l21 = unsafe { self.mat.block(rows.start, base, rows.len(), jb) };
                 let u12 = unsafe { self.mat.block(base, cols.start, jb, cols.len()) };
-                let tile =
+                let mut tile =
                     unsafe { self.mat.block(rows.start, cols.start, rows.len(), cols.len()) };
-                gemm(-T::ONE, l21.as_view(), u12.as_view(), T::ONE, tile);
-                let tile =
-                    unsafe { self.mat.block(rows.start, cols.start, rows.len(), cols.len()) };
+                gemm(-T::ONE, l21.as_view(), u12.as_view(), T::ONE, tile.rb_mut());
                 self.obs.lock().expect("observer mutex poisoned").on_stage(&tile.as_view());
                 Ok(())
             }
@@ -454,284 +424,65 @@ impl<T: Scalar, O: PivotObserver<T> + Send> TaskRunner for LuRunner<'_, T, O> {
     }
 }
 
-/// Shared-mutable handle to a [`TileMatrix`] being factored — the
-/// tile-major counterpart of [`SharedMat`]. Tasks carve views out of
-/// single tiles (every operand of `Trsm`/`Gemm` lives inside one tile,
-/// which is the point of the layout); only the cross-tile row swaps and
-/// the panel gather/scatter walk several tiles, and the DAG's edges
-/// order every overlapping pair of tasks.
-struct SharedTiles<T> {
-    ptr: *mut T,
-    layout: TileLayout,
-}
-
-unsafe impl<T: Send> Send for SharedTiles<T> {}
-unsafe impl<T: Sync> Sync for SharedTiles<T> {}
-
-impl<T: Scalar> SharedTiles<T> {
-    fn new(a: &mut TileMatrix<T>) -> Self {
-        Self { ptr: a.as_mut_slice().as_mut_ptr(), layout: a.layout() }
-    }
-
-    /// Mutable view of the `nr x nc` block at `(i0, j0)` *inside tile
-    /// `(ti, tj)`* (tile-local coordinates). The view's leading dimension
-    /// is the tile height, so the block is cache-contained.
-    ///
-    /// # Safety
-    /// The caller must hold (via DAG ordering) exclusive access to the
-    /// block's elements for the view's lifetime, and the block must be in
-    /// range of the tile.
-    unsafe fn tile_block(
-        &self,
-        ti: usize,
-        tj: usize,
-        i0: usize,
-        j0: usize,
-        nr: usize,
-        nc: usize,
-    ) -> MatViewMut<'_, T> {
-        let h = self.layout.tile_height(ti);
-        debug_assert!(i0 + nr <= h && j0 + nc <= self.layout.tile_width(tj));
-        debug_assert!(nr > 0 && nc > 0, "tasks never touch empty blocks");
-        let off = self.layout.tile_offset(ti, tj) + j0 * h + i0;
-        unsafe { MatViewMut::from_raw_parts(self.ptr.add(off), nr, nc, h) }
-    }
-
-    /// Swaps global rows `r1` and `r2` across the global column range
-    /// `cols`, crossing tile boundaries — the same element swaps a flat
-    /// `swap_rows` performs.
-    ///
-    /// # Safety
-    /// The caller's task must own both rows over `cols` (DAG-ordered
-    /// against every other toucher).
-    unsafe fn swap_rows_in_cols(&self, r1: usize, r2: usize, cols: std::ops::Range<usize>) {
-        if r1 == r2 {
-            return;
-        }
-        for j in cols {
-            unsafe {
-                let a = self.ptr.add(self.layout.elem_offset(r1, j));
-                let b = self.ptr.add(self.layout.elem_offset(r2, j));
-                std::ptr::swap(a, b);
-            }
-        }
-    }
-}
-
-/// Binds the LU kernels to runtime tasks over tile-major storage. The
-/// task set, DAG, and executors are exactly those of [`LuRunner`]; only
-/// operand addressing differs — `Trsm`/`Gemm` bodies read and write
-/// single contiguous tiles, and the panel gathers its column of tiles
-/// into a scratch panel (tile-major LU's explicit panel copy), factors
-/// it with the byte-identical sequential kernel, and scatters back.
-struct LuTileRunner<'a, T, O> {
-    tiles: SharedTiles<T>,
-    ipiv: SharedIpiv,
-    shape: LuShape,
+/// Factors the `m × n` matrix behind `mat` on the runtime: builds the DAG
+/// for `opts`, runs it, then reports every panel's pivot thresholds.
+fn run_lu<T: Scalar, S: Storage<T>, O: PivotObserver<T> + Send>(
+    mat: S,
+    (m, n): (usize, usize),
     opts: CaluOpts,
-    parallel_panel: bool,
-    /// Candidate store of the resident panel subgraph
-    /// (`Some` iff `opts.panel_mode == PanelMode::Resident`).
-    resident: Option<ResidentPanels<T>>,
-    obs: Mutex<&'a mut O>,
-}
-
-impl<T: Scalar, O: PivotObserver<T> + Send> TaskRunner for LuTileRunner<'_, T, O> {
-    fn run(&self, task: Task) -> Result<()> {
-        let (m, nb) = (self.shape.m, self.shape.nb);
-        let rb = self.shape.row_blocks();
-        match task {
-            Task::Panel { k } => {
-                let base = k * nb;
-                let jb = self.shape.panel_width(k);
-                // Gather the column of tiles into one contiguous scratch
-                // panel (lossless copies), run the byte-identical
-                // sequential TSLU on it, scatter back. The copies are the
-                // storage layout's explicit panel communication; the
-                // arithmetic is untouched, so factors stay bitwise equal.
-                let mut scratch = Matrix::<T>::zeros(m - base, jb);
-                for ti in k..rb {
-                    let h = self.shape.row_range(ti).len();
-                    // SAFETY: Panel(k) exclusively owns rows base..m of
-                    // block column k (and its ipiv slots).
-                    let src = unsafe { self.tiles.tile_block(ti, k, 0, 0, h, jb) };
-                    let r0 = ti * nb - base;
-                    scratch.view_mut().into_submatrix(r0, 0, h, jb).copy_from(src.as_view());
-                }
-                let mut obs = MutexObs(&self.obs);
-                let r = tslu_factor_with(
-                    scratch.view_mut(),
-                    self.opts.p,
-                    self.opts.local,
-                    self.parallel_panel,
-                    &mut obs,
-                )
-                .map_err(rebase_singular(base))?;
-                for ti in k..rb {
-                    let h = self.shape.row_range(ti).len();
-                    let mut dst = unsafe { self.tiles.tile_block(ti, k, 0, 0, h, jb) };
-                    let r0 = ti * nb - base;
-                    dst.copy_from(scratch.view().submatrix(r0, 0, h, jb));
-                }
-                unsafe { self.ipiv.publish(base, &r.ipiv) };
-                Ok(())
-            }
-            Task::PanelElect { k, ti } => {
-                let base = k * nb;
-                let jb = self.shape.panel_width(k);
-                let h = self.shape.row_range(ti).len();
-                // SAFETY: reads its own resident tile's panel columns
-                // only; the next writer (PanelFinish's cross-tile swaps)
-                // is DAG-ordered after it through the reduce tree. No
-                // gather — this is the copy elision the mode is for.
-                let src = unsafe { self.tiles.tile_block(ti, k, 0, 0, h, jb) };
-                let cand = elect_resident(src.as_view(), ti * nb - base, self.opts.local);
-                self.resident.as_ref().expect("resident store").put(k, 0, ti - k, cand);
-                Ok(())
-            }
-            Task::PanelReduce { k, level, ti, .. } => {
-                let store = self.resident.as_ref().expect("resident store");
-                let i = (ti - k) >> level;
-                let lo = store.take(k, level - 1, 2 * i);
-                let hi = store.take(k, level - 1, 2 * i + 1);
-                store.put(k, level, i, reduce_pair(&lo, &hi));
-                Ok(())
-            }
-            Task::PanelFinish { k } => {
-                let base = k * nb;
-                let jb = self.shape.panel_width(k);
-                let store = self.resident.as_ref().expect("resident store");
-                let root = store.take(k, store.root_level(k), 0);
-                let local = winners_to_ipiv(&root.rows, m - base);
-                // Cross-tile winner swaps on the panel's own columns; the
-                // Swap tasks handle every other column.
-                // SAFETY: Finish exclusively owns rows base..m of block
-                // column k (all elects are ordered before it, all applies
-                // and swaps after) and the step's ipiv slots.
-                for (i, &p) in local.iter().enumerate() {
-                    if p != i {
-                        unsafe {
-                            self.tiles.swap_rows_in_cols(base + i, base + p, base..base + jb);
-                        }
-                    }
-                }
-                let h = self.shape.row_range(k).len();
-                let diag = unsafe { self.tiles.tile_block(k, k, 0, 0, h, jb) };
-                let mut obs = MutexObs(&self.obs);
-                lu_nopiv(diag, &mut obs).map_err(rebase_singular(base))?;
-                unsafe { self.ipiv.publish(base, &local) };
-                Ok(())
-            }
-            Task::PanelApply { k, ti } => {
-                let jb = self.shape.panel_width(k);
-                let h = self.shape.row_range(ti).len();
-                // SAFETY: the apply owns tile (ti, k); U₁₁ (tile (k,k))
-                // is stable under concurrent readers.
-                let u11 = unsafe { self.tiles.tile_block(k, k, 0, 0, jb, jb) };
-                let tile = unsafe { self.tiles.tile_block(ti, k, 0, 0, h, jb) };
-                let mut obs = MutexObs(&self.obs);
-                apply_l21(u11.as_view(), tile, &mut obs);
-                Ok(())
-            }
-            Task::Swap { k, j } => {
-                let base = k * nb;
-                let local = unsafe { self.ipiv.read_local(&self.shape, k) };
-                let cols = self.shape.update_col_range(k, j);
-                // SAFETY: Swap(k,j) owns rows base..m of these columns.
-                for (i, &p) in local.iter().enumerate() {
-                    if p != i {
-                        unsafe {
-                            self.tiles.swap_rows_in_cols(base + i, base + p, cols.clone());
-                        }
-                    }
-                }
-                Ok(())
-            }
-            Task::Trsm { k, j } => {
-                let jb = self.shape.panel_width(k);
-                let cols = self.shape.update_col_range(k, j);
-                let j0 = cols.start - j * nb;
-                // SAFETY: Trsm(k,j) owns rows 0..jb of these columns of
-                // tile (k,j); L₁₁ (tile (k,k)) is stable under readers.
-                let l11 = unsafe { self.tiles.tile_block(k, k, 0, 0, jb, jb) };
-                let u12 = unsafe { self.tiles.tile_block(k, j, 0, j0, jb, cols.len()) };
-                trsm(Side::Left, Uplo::Lower, Diag::Unit, T::ONE, l11.as_view(), u12);
-                Ok(())
-            }
-            Task::Gemm { k, i, j } => {
-                let jb = self.shape.panel_width(k);
-                let h = self.shape.row_range(i).len();
-                let w = self.shape.col_range(j).len();
-                // SAFETY: Gemm(k,i,j) owns tile (i,j); L₂₁ (tile (i,k))
-                // and U₁₂ (tile (k,j) top rows) are stable until the
-                // swaps DAG-ordered after every gemm of step k.
-                let l21 = unsafe { self.tiles.tile_block(i, k, 0, 0, h, jb) };
-                let u12 = unsafe { self.tiles.tile_block(k, j, 0, 0, jb, w) };
-                let tile = unsafe { self.tiles.tile_block(i, j, 0, 0, h, w) };
-                gemm(-T::ONE, l21.as_view(), u12.as_view(), T::ONE, tile);
-                let tile = unsafe { self.tiles.tile_block(i, j, 0, 0, h, w) };
-                self.obs.lock().expect("observer mutex poisoned").on_stage(&tile.as_view());
-                Ok(())
-            }
-            Task::Dist(_) | Task::Solve(_) => {
-                unreachable!("factorization runner received a dist/solve task")
-            }
-        }
+    rt: RuntimeOpts,
+    obs: &mut O,
+) -> Result<(Vec<usize>, ExecReport)> {
+    assert!(opts.block > 0 && opts.p > 0, "block and p must be positive");
+    let shape = LuShape { m, n, nb: opts.block };
+    let mut ipiv = vec![0usize; m.min(n)];
+    let dag = LuDag::build_panels(shape, rt.lookahead, opts.panel_mode, opts.p);
+    let plans = (0..shape.steps()).map(|k| dag.panel_plan(k));
+    let runner = LuRunner {
+        mat,
+        ipiv: SharedIpiv { ptr: ipiv.as_mut_ptr(), len: ipiv.len() },
+        dag: &dag,
+        local: opts.local,
+        slots: plans
+            .clone()
+            .map(|p| p.leaves().iter().map(|_| Mutex::new(None)).collect())
+            .collect(),
+        taus: plans.map(|p| Mutex::new(PanelTau::new(p.jb()))).collect(),
+        obs: Mutex::new(obs),
+    };
+    let report = rt.executor.execute(&dag, &runner)?;
+    let LuRunner { taus, obs, .. } = runner;
+    let obs = obs.into_inner().expect("observer mutex poisoned");
+    for tau in taus {
+        tau.into_inner().expect("tau mutex").emit(obs);
     }
-}
-
-/// Builds the resident-mode candidate store when the panel mode needs it.
-fn resident_store<T: Scalar>(mode: PanelMode, shape: &LuShape) -> Option<ResidentPanels<T>> {
-    match mode {
-        PanelMode::Gathered => None,
-        PanelMode::Resident => Some(ResidentPanels::new(shape)),
-    }
+    Ok((ipiv, report))
 }
 
 /// In-place CALU scheduled by the task-graph runtime; same numerical
 /// contract as [`calu_inplace`](crate::calu::calu_inplace) (factors and
-/// pivots bitwise identical at every lookahead depth and on both
-/// executors), plus an [`ExecReport`] of what actually ran where.
-///
-/// Under [`PanelMode::Resident`] (`opts.panel_mode`) the bitwise contract
-/// changes referent: panels factor through the per-tile tournament
-/// subgraph — a *different but equally deterministic* tournament tree
-/// (tile-height leaves instead of `opts.p` row blocks) — so factors are
-/// bitwise reproducible across executors, lookahead depths, and runs, but
-/// are not bitwise equal to the gathered/sequential reference, and the
-/// observer's per-step pivot thresholds are measured within the diagonal
-/// tile rather than the full panel column.
+/// pivots bitwise identical at every lookahead depth, on both executors,
+/// for either `opts.panel_mode`), plus an [`ExecReport`] of what actually
+/// ran where.
 ///
 /// The observer sees the same events as the sequential sweep; only their
 /// order differs (trailing-update stages arrive per tile, concurrent with
-/// later panels), so order-free implementations like
+/// later panels; the per-step pivot thresholds arrive after the run, in
+/// step order), so order-free implementations like
 /// [`PivotStats`](crate::instrument::PivotStats) record identical
 /// statistics.
 ///
 /// # Errors
 /// [`Error::SingularPivot`] with the **absolute** elimination step; all
-/// tasks depending on the failed panel are canceled.
+/// tasks that had not started are canceled.
 pub fn runtime_calu_inplace<T: Scalar, O: PivotObserver<T> + Send>(
     mut a: MatViewMut<'_, T>,
     opts: CaluOpts,
     rt: RuntimeOpts,
     obs: &mut O,
 ) -> Result<(Vec<usize>, ExecReport)> {
-    assert!(opts.block > 0 && opts.p > 0, "block and p must be positive");
-    let shape = LuShape { m: a.rows(), n: a.cols(), nb: opts.block };
-    let mut ipiv = vec![0usize; shape.m.min(shape.n)];
-    let dag = LuDag::build_with(shape, rt.lookahead, opts.panel_mode);
-    let runner = LuRunner {
-        mat: SharedMat::new(&mut a),
-        ipiv: SharedIpiv { ptr: ipiv.as_mut_ptr(), len: ipiv.len() },
-        shape,
-        opts,
-        parallel_panel: rt.parallel_panel,
-        resident: resident_store(opts.panel_mode, &shape),
-        obs: Mutex::new(obs),
-    };
-    let report = rt.executor.execute(&dag, &runner)?;
-    Ok((ipiv, report))
+    let dims = (a.rows(), a.cols());
+    run_lu(SharedMat::new(&mut a), dims, opts, rt, obs)
 }
 
 /// Factors a copy of `a` on the runtime; see [`runtime_calu_inplace`].
@@ -749,12 +500,13 @@ pub fn runtime_calu_factor<T: Scalar>(
 }
 
 /// In-place CALU over **tile-major** storage, scheduled by the task-graph
-/// runtime: the same DAG, executors, priorities, and bitwise-vs-sequential
-/// guarantee as [`runtime_calu_inplace`], with operand addressing moved to
-/// cache-contained tiles — every `Trsm`/`Gemm` body touches single
-/// contiguous tiles of the [`TileMatrix`], row swaps cross tile boundaries
-/// element-for-element, and the panel gathers/scatters its tile column
-/// around the byte-identical sequential TSLU.
+/// runtime: the same DAG, task bodies, executors, priorities, and
+/// bitwise-vs-sequential guarantee as [`runtime_calu_inplace`], with
+/// operand addressing moved to cache-contained tiles — every `Trsm`/`Gemm`
+/// body touches single contiguous tiles of the [`TileMatrix`], row swaps
+/// cross tile boundaries element-for-element, and the panel's elections
+/// and `L₂₁` rows are read and formed tile by tile in place (no panel is
+/// gathered or scattered).
 ///
 /// The tile dimensions must both equal `opts.block` (the DAG's block
 /// geometry *is* the storage geometry — that 1:1 mapping is the point of
@@ -766,35 +518,21 @@ pub fn runtime_calu_factor<T: Scalar>(
 /// If `a`'s tile dimensions differ from `opts.block`.
 ///
 /// # Errors
-/// [`Error::SingularPivot`] with the absolute elimination step; dependent
-/// tasks are canceled.
+/// [`Error::SingularPivot`] with the absolute elimination step; tasks that
+/// had not started are canceled.
 pub fn runtime_calu_tiles<T: Scalar, O: PivotObserver<T> + Send>(
     a: &mut TileMatrix<T>,
     opts: CaluOpts,
     rt: RuntimeOpts,
     obs: &mut O,
 ) -> Result<(Vec<usize>, ExecReport)> {
-    assert!(opts.block > 0 && opts.p > 0, "block and p must be positive");
     let layout = a.layout();
     assert_eq!(
         (layout.mb(), layout.nb()),
         (opts.block, opts.block),
         "tile dims must equal the runtime block size"
     );
-    let shape = LuShape { m: a.rows(), n: a.cols(), nb: opts.block };
-    let mut ipiv = vec![0usize; shape.m.min(shape.n)];
-    let dag = LuDag::build_with(shape, rt.lookahead, opts.panel_mode);
-    let runner = LuTileRunner {
-        tiles: SharedTiles::new(a),
-        ipiv: SharedIpiv { ptr: ipiv.as_mut_ptr(), len: ipiv.len() },
-        shape,
-        opts,
-        parallel_panel: rt.parallel_panel,
-        resident: resident_store(opts.panel_mode, &shape),
-        obs: Mutex::new(obs),
-    };
-    let report = rt.executor.execute(&dag, &runner)?;
-    Ok((ipiv, report))
+    run_lu(SharedTiles::new(a), (a.rows(), a.cols()), opts, rt, obs)
 }
 
 /// Factors a tile-major copy of `a` on the runtime (convenience wrapper:
@@ -815,9 +553,10 @@ pub fn runtime_calu_tiles_factor<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calu::calu_factor;
+    use crate::calu::{calu_factor, calu_inplace};
     use crate::instrument::PivotStats;
     use calu_matrix::gen;
+    use calu_runtime::PanelMode;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -829,61 +568,126 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn runtime_matches_sequential_bitwise_all_depths_and_executors() {
-        let mut rng = StdRng::seed_from_u64(900);
-        for &(m, n, b, p) in &[
-            (96usize, 96usize, 16usize, 4usize),
-            (130, 130, 32, 8),
-            (100, 60, 16, 4),
-            (60, 100, 16, 4),
-            (97, 97, 16, 3),
-        ] {
+    /// `(m, n, block, p)`: square, ragged, wide, and — so that several
+    /// leaves, a fold-in match (p = 3, 5) and several apply chunks are in
+    /// play — tall-skinny shapes of more than 4096 rows per panel.
+    const SHAPES: [(usize, usize, usize, usize); 8] = [
+        (96, 96, 16, 4),
+        (130, 130, 32, 8),
+        (100, 60, 16, 4),
+        (60, 100, 16, 4),
+        (97, 97, 16, 3), // ragged edge tiles in both dimensions
+        (4100, 40, 16, 5),
+        (2050, 96, 32, 3),
+        (8300, 24, 8, 1),
+    ];
+
+    /// Every shape x mode x depth x executor against the sequential sweep,
+    /// bitwise; `factor` runs the runtime on one storage and returns the
+    /// factors as a flat matrix, the pivots and the report.
+    fn assert_matches_sequential(
+        seed: u64,
+        factor: impl Fn(&Matrix, CaluOpts, RuntimeOpts) -> (Matrix, Vec<usize>, ExecReport),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for &(m, n, b, p) in &SHAPES {
             let a0: Matrix = gen::randn(&mut rng, m, n);
-            let opts = CaluOpts { block: b, p, ..Default::default() };
-            let seq = calu_factor(&a0, opts).unwrap();
-            for depth in 1..=3 {
-                for executor in executors() {
-                    let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
-                    let (f, rep) = runtime_calu_factor(&a0, opts, rt).unwrap();
-                    assert_eq!(seq.ipiv, f.ipiv, "{m}x{n} b={b} d={depth} {executor:?}");
-                    assert_eq!(
-                        seq.lu.max_abs_diff(&f.lu),
-                        0.0,
-                        "{m}x{n} b={b} d={depth} {executor:?}: factors must be bitwise identical"
-                    );
-                    assert_eq!(rep.order.len(), rep.timings.len());
+            for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
+                let opts = CaluOpts { block: b, p, panel_mode, ..Default::default() };
+                let seq = calu_factor(&a0, opts).unwrap();
+                for depth in 1..=3 {
+                    for executor in executors() {
+                        let rt = RuntimeOpts { lookahead: depth, executor };
+                        let what =
+                            format!("{m}x{n} b={b} p={p} {panel_mode:?} d={depth} {executor:?}");
+                        let (lu, ipiv, rep) = factor(&a0, opts, rt);
+                        assert_eq!(seq.ipiv, ipiv, "{what}");
+                        assert_eq!(
+                            seq.lu.max_abs_diff(&lu),
+                            0.0,
+                            "{what}: factors must be bitwise identical to sequential"
+                        );
+                        assert_eq!(rep.order.len(), rep.timings.len());
+                    }
                 }
             }
         }
     }
 
     #[test]
+    fn runtime_matches_sequential_bitwise_all_depths_and_executors() {
+        assert_matches_sequential(900, |a, opts, rt| {
+            let (f, rep) = runtime_calu_factor(a, opts, rt).unwrap();
+            (f.lu, f.ipiv, rep)
+        });
+    }
+
+    #[test]
     fn tile_runtime_matches_sequential_bitwise_all_depths_and_executors() {
-        let mut rng = StdRng::seed_from_u64(905);
-        for &(m, n, b, p) in &[
-            (96usize, 96usize, 16usize, 4usize),
-            (130, 130, 32, 8),
-            (100, 60, 16, 4),
-            (60, 100, 16, 4),
-            (97, 97, 16, 3), // ragged edge tiles in both dimensions
-        ] {
-            let a0: Matrix = gen::randn(&mut rng, m, n);
-            let opts = CaluOpts { block: b, p, ..Default::default() };
-            let seq = calu_factor(&a0, opts).unwrap();
-            for depth in 1..=3 {
+        assert_matches_sequential(905, |a, opts, rt| {
+            let (tiles, ipiv, rep) = runtime_calu_tiles_factor(a, opts, rt).unwrap();
+            (tiles.to_matrix(), ipiv, rep)
+        });
+    }
+
+    #[test]
+    fn f32_runtime_matches_sequential_bitwise_on_both_storages() {
+        let mut rng = StdRng::seed_from_u64(914);
+        for &(m, n, b, p) in &[(97usize, 97usize, 16usize, 3usize), (4100, 40, 16, 5)] {
+            let a0: Matrix<f32> = gen::randn(&mut rng, m, n);
+            for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
+                let opts = CaluOpts { block: b, p, panel_mode, ..Default::default() };
+                let seq = calu_factor(&a0, opts).unwrap();
                 for executor in executors() {
-                    let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
-                    let (tiles, ipiv, rep) = runtime_calu_tiles_factor(&a0, opts, rt).unwrap();
-                    assert_eq!(seq.ipiv, ipiv, "{m}x{n} b={b} d={depth} {executor:?}");
-                    assert_eq!(
-                        seq.lu.max_abs_diff(&tiles.to_matrix()),
-                        0.0,
-                        "{m}x{n} b={b} d={depth} {executor:?}: tile factors must be bitwise \
-                         identical to sequential"
-                    );
-                    assert_eq!(rep.order.len(), rep.timings.len());
+                    let rt = RuntimeOpts { lookahead: 2, executor };
+                    let (f, _) = runtime_calu_factor(&a0, opts, rt).unwrap();
+                    assert_eq!(seq, f, "{m}x{n} {panel_mode:?} {executor:?}");
+                    let (tiles, ipiv, _) = runtime_calu_tiles_factor(&a0, opts, rt).unwrap();
+                    assert_eq!(seq.ipiv, ipiv);
+                    assert_eq!(seq.lu, tiles.to_matrix(), "{m}x{n} {panel_mode:?} {executor:?}");
                 }
+            }
+        }
+    }
+
+    /// Sequential and runtime statistics of one matrix under `opts`, the
+    /// runtime on flat or tile storage.
+    fn stats_pair(a0: &Matrix, opts: CaluOpts, tiles: bool) -> (PivotStats, PivotStats) {
+        let mut s_seq = PivotStats::new(a0.max_abs());
+        let mut w = a0.clone();
+        calu_inplace(w.view_mut(), opts, &mut s_seq).unwrap();
+
+        let mut s_rt = PivotStats::new(a0.max_abs());
+        let rt = RuntimeOpts { lookahead: 2, ..Default::default() };
+        if tiles {
+            let mut t = TileMatrix::from_matrix(a0, opts.block, opts.block);
+            runtime_calu_tiles(&mut t, opts, rt, &mut s_rt).unwrap();
+        } else {
+            let mut w2 = a0.clone();
+            runtime_calu_inplace(w2.view_mut(), opts, rt, &mut s_rt).unwrap();
+        }
+        (s_seq, s_rt)
+    }
+
+    fn assert_stats_equal(s_seq: &PivotStats, s_rt: &PivotStats, what: &str) {
+        assert_eq!(s_seq.steps(), s_rt.steps(), "{what}");
+        assert_eq!(s_seq.thresholds, s_rt.thresholds, "{what}: threshold vector");
+        assert_eq!(s_seq.tau_min(), s_rt.tau_min(), "{what}");
+        assert_eq!(s_seq.tau_ave(), s_rt.tau_ave(), "{what}");
+        assert_eq!(s_seq.max_elem, s_rt.max_elem, "{what}");
+        assert_eq!(s_seq.max_l, s_rt.max_l, "{what}");
+    }
+
+    #[test]
+    fn runtime_observer_stats_match_sequential() {
+        let mut rng = StdRng::seed_from_u64(901);
+        for &(m, n, b, p) in &[(120usize, 120usize, 24usize, 4usize), (4100, 40, 16, 3)] {
+            let a0 = gen::randn(&mut rng, m, n);
+            for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
+                let opts = CaluOpts { block: b, p, panel_mode, ..Default::default() };
+                let (s_seq, s_rt) = stats_pair(&a0, opts, false);
+                assert_eq!(s_seq.steps(), m.min(n), "one threshold per elimination step");
+                assert_stats_equal(&s_seq, &s_rt, &format!("{m}x{n} {panel_mode:?}"));
             }
         }
     }
@@ -891,40 +695,60 @@ mod tests {
     #[test]
     fn tile_runtime_observer_stats_match_sequential() {
         let mut rng = StdRng::seed_from_u64(906);
-        let a0 = gen::randn(&mut rng, 120, 120);
-        let opts = CaluOpts { block: 24, p: 4, ..Default::default() };
-
-        let mut s_seq = PivotStats::new(a0.max_abs());
-        let mut w = a0.clone();
-        crate::calu::calu_inplace(w.view_mut(), opts, &mut s_seq).unwrap();
-
-        let mut s_rt = PivotStats::new(a0.max_abs());
-        let mut tiles = calu_matrix::TileMatrix::from_matrix(&a0, 24, 24);
-        let rt = RuntimeOpts { lookahead: 2, ..Default::default() };
-        runtime_calu_tiles(&mut tiles, opts, rt, &mut s_rt).unwrap();
-
-        assert_eq!(s_seq.steps(), s_rt.steps());
-        assert_eq!(s_seq.tau_min(), s_rt.tau_min());
-        assert_eq!(s_seq.max_elem, s_rt.max_elem);
-        assert_eq!(s_seq.max_l, s_rt.max_l);
+        for &(m, n, b, p) in &[(120usize, 120usize, 24usize, 4usize), (4100, 40, 16, 3)] {
+            let a0 = gen::randn(&mut rng, m, n);
+            for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
+                let opts = CaluOpts { block: b, p, panel_mode, ..Default::default() };
+                let (s_seq, s_rt) = stats_pair(&a0, opts, true);
+                assert_stats_equal(&s_seq, &s_rt, &format!("tiles {m}x{n} {panel_mode:?}"));
+            }
+        }
     }
 
     #[test]
-    fn tile_runtime_singular_reports_absolute_step_and_cancels() {
+    fn thresholds_are_measured_against_the_full_column() {
+        // tau_j = |u_jj| / max_i |a_ij^(j)| over *all* rows i >= j of the
+        // panel, not just the top block the finish factors: the reported
+        // minimum must equal 1 / max|L| (the largest multiplier is the
+        // column maximum over its pivot), which only a full-column
+        // denominator gives.
+        let mut rng = StdRng::seed_from_u64(913);
+        let a0 = gen::randn(&mut rng, 4100, 16);
+        for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
+            let opts = CaluOpts { block: 16, p: 4, panel_mode, ..Default::default() };
+            let (_, s) = stats_pair(&a0, opts, false);
+            assert!(s.max_l > 1.0, "tournament pivoting leaves some |l_ij| > 1 at this height");
+            let ratio = s.tau_min() * s.max_l;
+            assert!((ratio - 1.0).abs() < 1e-12, "{panel_mode:?}: tau_min * max|L| = {ratio}");
+        }
+    }
+
+    #[test]
+    fn runtime_singular_reports_absolute_step_and_cancels() {
         let n = 64;
-        let mut rng = StdRng::seed_from_u64(907);
+        // Rank 20: every flavor must fail at absolute step 20 — the
+        // failure surfaces inside PanelFinish's top-block elimination.
+        let mut rng = StdRng::seed_from_u64(902);
         let b = gen::randn(&mut rng, n, 20);
         let a = Matrix::from_fn(n, n, |i, j| if j < 20 { b[(i, j)] } else { 0.0 });
-        let opts = CaluOpts { block: 8, p: 4, ..Default::default() };
-        for depth in 1..=3 {
-            for executor in executors() {
-                let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
-                let err = runtime_calu_tiles_factor(&a, opts, rt).unwrap_err();
-                assert_eq!(
-                    err,
-                    Error::SingularPivot { step: 20 },
-                    "d={depth} {executor:?}: absolute step"
-                );
+        for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
+            let opts = CaluOpts { block: 8, p: 4, panel_mode, ..Default::default() };
+            for depth in 1..=3 {
+                for executor in executors() {
+                    let rt = RuntimeOpts { lookahead: depth, executor };
+                    let err = runtime_calu_factor(&a, opts, rt).unwrap_err();
+                    assert_eq!(
+                        err,
+                        Error::SingularPivot { step: 20 },
+                        "flat {panel_mode:?} d={depth} {executor:?}: absolute step"
+                    );
+                    let err = runtime_calu_tiles_factor(&a, opts, rt).unwrap_err();
+                    assert_eq!(
+                        err,
+                        Error::SingularPivot { step: 20 },
+                        "tiles {panel_mode:?} d={depth} {executor:?}: absolute step"
+                    );
+                }
             }
         }
     }
@@ -939,58 +763,13 @@ mod tests {
     }
 
     #[test]
-    fn runtime_observer_stats_match_sequential() {
-        let mut rng = StdRng::seed_from_u64(901);
-        let a0 = gen::randn(&mut rng, 120, 120);
-        let opts = CaluOpts { block: 24, p: 4, ..Default::default() };
-
-        let mut s_seq = PivotStats::new(a0.max_abs());
-        let mut w = a0.clone();
-        crate::calu::calu_inplace(w.view_mut(), opts, &mut s_seq).unwrap();
-
-        let mut s_rt = PivotStats::new(a0.max_abs());
-        let mut w2 = a0.clone();
-        let rt = RuntimeOpts { lookahead: 2, ..Default::default() };
-        runtime_calu_inplace(w2.view_mut(), opts, rt, &mut s_rt).unwrap();
-
-        assert_eq!(s_seq.steps(), s_rt.steps());
-        assert_eq!(s_seq.tau_min(), s_rt.tau_min());
-        assert_eq!(s_seq.max_elem, s_rt.max_elem);
-        assert_eq!(s_seq.max_l, s_rt.max_l);
-    }
-
-    #[test]
-    fn runtime_singular_reports_absolute_step_and_cancels() {
-        let n = 64;
-        // Rank 20: every flavor must fail at absolute step 20.
-        let mut rng = StdRng::seed_from_u64(902);
-        let b = gen::randn(&mut rng, n, 20);
-        let a = Matrix::from_fn(n, n, |i, j| if j < 20 { b[(i, j)] } else { 0.0 });
-        let opts = CaluOpts { block: 8, p: 4, ..Default::default() };
-        for depth in 1..=3 {
-            for executor in executors() {
-                let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
-                let err = runtime_calu_factor(&a, opts, rt).unwrap_err();
-                assert_eq!(
-                    err,
-                    Error::SingularPivot { step: 20 },
-                    "d={depth} {executor:?}: absolute step"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn runtime_unthrottled_depth_still_exact() {
         let mut rng = StdRng::seed_from_u64(903);
         let a0: Matrix = gen::randn(&mut rng, 144, 144);
         let opts = CaluOpts { block: 16, p: 4, ..Default::default() };
         let seq = calu_factor(&a0, opts).unwrap();
-        let rt = RuntimeOpts {
-            lookahead: 1_000_000,
-            executor: ExecutorKind::Threaded { threads: 3 },
-            parallel_panel: true,
-        };
+        let rt =
+            RuntimeOpts { lookahead: 1_000_000, executor: ExecutorKind::Threaded { threads: 3 } };
         let (f, _) = runtime_calu_factor(&a0, opts, rt).unwrap();
         assert_eq!(seq.ipiv, f.ipiv);
         assert_eq!(seq.lu.max_abs_diff(&f.lu), 0.0);
@@ -1008,126 +787,19 @@ mod tests {
         assert!(!rep.traces().is_empty());
     }
 
-    /// `||P A - L U||_max` against a reconstruction — validity check for
-    /// resident-mode factors, which follow a *different* (tile-leaf)
-    /// tournament tree than the sequential reference.
-    fn check_plu(orig: &Matrix, lu: &Matrix, ipiv: &[usize], tol: f64) {
-        use calu_matrix::perm::{ipiv_to_perm, permute_rows};
-        let perm = ipiv_to_perm(ipiv, orig.rows());
-        let pa = permute_rows(orig, &perm);
-        let l = lu.unit_lower();
-        let u = lu.upper();
-        let mut prod = Matrix::zeros(orig.rows(), orig.cols());
-        gemm(1.0, l.view(), u.view(), 0.0, prod.view_mut());
-        let d = pa.max_abs_diff(&prod);
-        assert!(d < tol, "||P A - L U||_max = {d} > {tol}");
-    }
-
     #[test]
-    fn resident_runtime_bitwise_reproducible_and_correct() {
-        // The serial depth-1 flat run is the resident-mode reference; every
-        // executor x depth, on both the flat and tile paths, must reproduce
-        // it bitwise (the ISSUE contract: deterministic across schedules,
-        // not equal to the gathered tree).
-        let mut rng = StdRng::seed_from_u64(910);
-        for &(m, n, b) in &[
-            (96usize, 96usize, 16usize),
-            (130, 130, 32),
-            (100, 60, 16),
-            (60, 100, 16),
-            (97, 97, 16), // ragged edge tiles in both dimensions
-        ] {
-            let a0: Matrix = gen::randn(&mut rng, m, n);
-            let opts = CaluOpts { block: b, panel_mode: PanelMode::Resident, ..Default::default() };
-            let rt0 =
-                RuntimeOpts { lookahead: 1, executor: ExecutorKind::Serial, parallel_panel: false };
-            let (reference, _) = runtime_calu_factor(&a0, opts, rt0).unwrap();
-            check_plu(&a0, &reference.lu, &reference.ipiv, 1e-8 * m as f64);
-            for depth in 1..=3 {
-                for executor in executors() {
-                    let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
-                    let (f, _) = runtime_calu_factor(&a0, opts, rt).unwrap();
-                    assert_eq!(reference.ipiv, f.ipiv, "{m}x{n} b={b} d={depth} {executor:?}");
-                    assert_eq!(
-                        reference.lu.max_abs_diff(&f.lu),
-                        0.0,
-                        "{m}x{n} b={b} d={depth} {executor:?}: resident factors must be \
-                         bitwise identical across schedules"
-                    );
-                    let (tiles, ipiv, _) = runtime_calu_tiles_factor(&a0, opts, rt).unwrap();
-                    assert_eq!(reference.ipiv, ipiv, "{m}x{n} b={b} d={depth} {executor:?} tiles");
-                    assert_eq!(
-                        reference.lu.max_abs_diff(&tiles.to_matrix()),
-                        0.0,
-                        "{m}x{n} b={b} d={depth} {executor:?}: tile-path resident factors \
-                         must match the flat path bitwise"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn resident_runtime_run_to_run_deterministic() {
+    fn bits_do_not_depend_on_the_thread_count_or_the_run() {
         let mut rng = StdRng::seed_from_u64(911);
-        let a0: Matrix = gen::randn(&mut rng, 120, 120);
-        let opts = CaluOpts { block: 24, panel_mode: PanelMode::Resident, ..Default::default() };
-        let rt = RuntimeOpts {
-            lookahead: 2,
-            executor: ExecutorKind::Threaded { threads: 4 },
-            parallel_panel: false,
-        };
-        let (f1, _) = runtime_calu_factor(&a0, opts, rt).unwrap();
-        for _ in 0..3 {
-            let (f2, _) = runtime_calu_factor(&a0, opts, rt).unwrap();
-            assert_eq!(f1.ipiv, f2.ipiv);
-            assert_eq!(f1.lu.max_abs_diff(&f2.lu), 0.0, "run-to-run determinism");
-        }
-    }
-
-    #[test]
-    fn resident_singular_reports_absolute_step_and_cancels() {
-        let n = 64;
-        // Rank 20: the failure surfaces inside PanelFinish's diagonal-tile
-        // elimination, and must be rebased to the same absolute step the
-        // gathered panel reports — on both runner paths, every schedule.
-        let mut rng = StdRng::seed_from_u64(912);
-        let b = gen::randn(&mut rng, n, 20);
-        let a = Matrix::from_fn(n, n, |i, j| if j < 20 { b[(i, j)] } else { 0.0 });
-        let opts = CaluOpts { block: 8, panel_mode: PanelMode::Resident, ..Default::default() };
-        for depth in 1..=3 {
-            for executor in executors() {
-                let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
-                let err = runtime_calu_factor(&a, opts, rt).unwrap_err();
-                assert_eq!(
-                    err,
-                    Error::SingularPivot { step: 20 },
-                    "flat d={depth} {executor:?}: absolute step"
-                );
-                let err = runtime_calu_tiles_factor(&a, opts, rt).unwrap_err();
-                assert_eq!(
-                    err,
-                    Error::SingularPivot { step: 20 },
-                    "tiles d={depth} {executor:?}: absolute step"
-                );
+        let a0: Matrix = gen::randn(&mut rng, 2050, 48);
+        for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
+            let opts = CaluOpts { block: 24, p: 5, panel_mode, ..Default::default() };
+            let rt1 = RuntimeOpts { lookahead: 2, executor: ExecutorKind::Threaded { threads: 1 } };
+            let (f1, _) = runtime_calu_factor(&a0, opts, rt1).unwrap();
+            for threads in [2, 4, 4, 7] {
+                let rt = RuntimeOpts { lookahead: 2, executor: ExecutorKind::Threaded { threads } };
+                let (f2, _) = runtime_calu_factor(&a0, opts, rt).unwrap();
+                assert_eq!(f1, f2, "{panel_mode:?} threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn resident_runtime_observer_sees_every_step() {
-        // Resident-mode pivot thresholds are measured within the diagonal
-        // tile (documented), so the stats are not compared to the gathered
-        // sweep — but every elimination step must still be observed once.
-        let mut rng = StdRng::seed_from_u64(913);
-        let a0 = gen::randn(&mut rng, 120, 120);
-        let opts = CaluOpts { block: 24, panel_mode: PanelMode::Resident, ..Default::default() };
-        let mut stats = PivotStats::new(a0.max_abs());
-        let mut w = a0.clone();
-        let rt = RuntimeOpts { lookahead: 2, ..Default::default() };
-        runtime_calu_inplace(w.view_mut(), opts, rt, &mut stats).unwrap();
-        assert_eq!(stats.steps(), 120);
-        assert!(stats.tau_min() > 0.0);
-        assert!(stats.growth_factor(1.0) >= 1.0);
     }
 }

@@ -35,7 +35,7 @@ use calu_obs::{JsonValue, Metrics, Recorder, Span};
 use calu_runtime::{ExecReport, ExecutorKind, LuDag, SolveKind, SolveShape, Task, TaskRunner};
 
 use crate::calu::{CaluOpts, LuFactors};
-use crate::rt::{runtime_calu_factor, RuntimeOpts, SharedMat};
+use crate::rt::{runtime_calu_factor, RuntimeOpts, SharedMat, Storage};
 use calu_matrix::blas3::trsm;
 use calu_matrix::{Diag, Side, Uplo};
 
@@ -545,7 +545,7 @@ impl<T: Scalar> SolverService<T> {
 /// kinds to pivot application, diagonal `trsm`s, and the off-diagonal
 /// block updates. The DAG's write chains order every pair of tasks
 /// touching the same tile, which is the disjointness invariant
-/// [`SharedMat::block`] requires — and they fix the floating-point
+/// [`Storage::block`] requires — and they fix the floating-point
 /// reduction order, so every schedule reproduces the sequential
 /// [`calu_matrix::lapack::getrs_mat`] bitwise.
 struct SolveRunner<'a, T> {

@@ -51,11 +51,7 @@ pub fn tiled_calu_inplace<T: Scalar, O: PivotObserver<T> + Send>(
     opts: CaluOpts,
     obs: &mut O,
 ) -> Result<Vec<usize>> {
-    let rt = RuntimeOpts {
-        lookahead: 1,
-        executor: ExecutorKind::Threaded { threads: 0 },
-        parallel_panel: false,
-    };
+    let rt = RuntimeOpts { lookahead: 1, executor: ExecutorKind::Threaded { threads: 0 } };
     let (ipiv, _report) = runtime_calu_inplace(a, opts, rt, obs)?;
     Ok(ipiv)
 }
@@ -79,11 +75,7 @@ pub fn tiled_calu_tiles<T: Scalar, O: PivotObserver<T> + Send>(
     opts: CaluOpts,
     obs: &mut O,
 ) -> Result<Vec<usize>> {
-    let rt = RuntimeOpts {
-        lookahead: 1,
-        executor: ExecutorKind::Threaded { threads: 0 },
-        parallel_panel: false,
-    };
+    let rt = RuntimeOpts { lookahead: 1, executor: ExecutorKind::Threaded { threads: 0 } };
     let (ipiv, _report) = runtime_calu_tiles(a, opts, rt, obs)?;
     Ok(ipiv)
 }

@@ -10,9 +10,11 @@
 //! [`Candidates`] is that message: it serializes to a flat `Vec<f64>` so
 //! the same operator runs inside the netsim butterfly all-reduce.
 
+use crate::tslu::{local_candidates, LocalLu};
 use calu_matrix::lapack::getf2_info;
 use calu_matrix::perm::apply_ipiv;
 use calu_matrix::{Matrix, NoObs, Scalar};
+use calu_runtime::tournament_tree;
 
 /// A set of candidate pivot rows: the row values (as in the original
 /// matrix) and their global row indices, in pivot-preference order.
@@ -58,22 +60,7 @@ impl<T: Scalar> Candidates<T> {
     /// so the tournament never fails — only the final no-pivot panel
     /// factorization can detect a genuinely singular panel.
     pub fn from_block_row(block: &Matrix<T>, global_rows: &[usize]) -> Self {
-        assert_eq!(block.rows(), global_rows.len());
-        let b = block.cols();
-        let keep = block.rows().min(b);
-        let mut work = block.clone();
-        let mut ipiv = vec![0usize; keep];
-        let _info = getf2_info(work.view_mut(), &mut ipiv, &mut NoObs);
-
-        let mut values = block.clone();
-        apply_ipiv(values.view_mut(), &ipiv);
-        let mut idx: Vec<usize> = global_rows.to_vec();
-        for (i, &p) in ipiv.iter().enumerate() {
-            idx.swap(i, p);
-        }
-        let winners = values.view().submatrix(0, 0, keep, b).to_matrix();
-        idx.truncate(keep);
-        Self::new(winners, idx)
+        local_candidates(block, global_rows, LocalLu::Classic)
     }
 
     /// Serializes to a flat payload: `[k, b, rows..., block column-major]`.
@@ -145,35 +132,22 @@ pub fn reduce_pair<T: Scalar>(lo: &Candidates<T>, hi: &Candidates<T>) -> Candida
     Candidates::new(winners, idx)
 }
 
-/// Runs the whole tournament sequentially with exactly the combination tree
-/// of the butterfly all-reduce (fold-in of non-power-of-two extras, then
-/// pairwise halving), so sequential and simulated-distributed TSLU elect
-/// identical pivots.
+/// Runs the whole tournament sequentially over [`tournament_tree`] — the
+/// combination tree of the butterfly all-reduce (fold-in of
+/// non-power-of-two extras, then pairwise halving), and the one the task
+/// graph's `PanelReduce` tasks are wired from — so sequential, runtime and
+/// simulated-distributed TSLU elect identical pivots.
 ///
 /// # Panics
 /// If `blocks` is empty.
-pub fn tournament<T: Scalar>(mut blocks: Vec<Candidates<T>>) -> Candidates<T> {
-    assert!(!blocks.is_empty(), "tournament needs at least one candidate set");
-    let p = blocks.len();
-    let p2 = calu_netsim::collectives::prev_pow2(p);
-    let extra = p - p2;
-
-    // Fold-in: blocks[p2 + i] merges into blocks[i] (matching the netsim
-    // all-reduce pre-step).
-    for i in 0..extra {
-        let hi = blocks[p2 + i].clone();
-        blocks[i] = reduce_pair(&blocks[i], &hi);
+pub fn tournament<T: Scalar>(blocks: Vec<Candidates<T>>) -> Candidates<T> {
+    let mut slots: Vec<Option<Candidates<T>>> = blocks.into_iter().map(Some).collect();
+    for m in tournament_tree(slots.len()) {
+        let lo = slots[m.lo].take().expect("tree reads each slot after its last write");
+        let hi = slots[m.hi].take().expect("tree consumes each slot once");
+        slots[m.lo] = Some(reduce_pair(&lo, &hi));
     }
-    blocks.truncate(p2);
-
-    while blocks.len() > 1 {
-        let mut next = Vec::with_capacity(blocks.len() / 2);
-        for pair in blocks.chunks(2) {
-            next.push(reduce_pair(&pair[0], &pair[1]));
-        }
-        blocks = next;
-    }
-    blocks.pop().expect("non-empty")
+    slots[0].take().expect("slot 0 holds the winners")
 }
 
 /// Flat tournament: stack *all* candidate sets at once and elect the

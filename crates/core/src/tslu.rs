@@ -1,21 +1,38 @@
-//! TSLU — Tall Skinny LU with tournament pivoting (paper Section 3),
-//! sequential reference implementation.
+//! TSLU — Tall Skinny LU with tournament pivoting (paper Section 3).
 //!
-//! Two phases:
-//! 1. **Preprocessing**: partition the `m x b` panel into `p` block-rows,
-//!    elect `b` local pivot rows per block (GEPP on a copy — classic or
-//!    recursive local LU, the `Cl`/`Rec` columns of Tables 3-4), then run
-//!    the tournament to elect the `b` global winners.
-//! 2. **Factorization**: permute the winners to the top (a LAPACK-style
-//!    swap sequence) and factor the panel **without pivoting**.
+//! A panel is factored by four kernels, laid out by a [`PanelPlan`]:
+//!
+//! 1. **elect** (`elect_candidates`): each leaf of the plan — one of `p`
+//!    block rows — runs GEPP on a copy of its rows (classic or recursive
+//!    local LU, the `Cl`/`Rec` columns of Tables 3-4) and keeps its `b`
+//!    pivot rows as they appear in `A`;
+//! 2. **reduce** ([`reduce_pair`](crate::tournament::reduce_pair)):
+//!    candidate sets are folded pairwise along
+//!    [`tournament_tree`](calu_runtime::tournament_tree) until `b` global
+//!    winners remain;
+//! 3. **finish** (`finish_top`): the winners are swapped to the top
+//!    (a LAPACK-style swap sequence) and the top `b × b` block is factored
+//!    **without pivoting**;
+//! 4. **apply** ([`lu_rows`]): the remaining rows become
+//!    `L₂₁ = A₂₁ U₁₁⁻¹`, chunk by chunk, with a BLAS-3 kernel whose output
+//!    rows are bitwise independent of one another.
+//!
+//! [`tslu_factor`] calls them in order on one thread; the task-graph
+//! runtime (`crate::rt`) calls the same four as `PanelElect` /
+//! `PanelReduce` / `PanelFinish` / `PanelApply` task bodies over the same
+//! plan. Leaves are combined in the tree's fixed order and `L₂₁` rows are
+//! bitwise independent of one another, so both give identical factors.
 //!
 //! With `p == 1` or `b == 1` this is exactly partial pivoting (paper
 //! Section 2), which the tests assert.
 
 use crate::tournament::{tournament, Candidates};
-use calu_matrix::lapack::{getf2, lu_nopiv, rgetf2_info};
+use calu_matrix::lapack::{getf2, getf2_info, lu_nopiv, lu_rows, rgetf2_info};
 use calu_matrix::perm::apply_ipiv;
 use calu_matrix::{MatView, MatViewMut, Matrix, NoObs, PivotObserver, Result, Scalar};
+use calu_runtime::{PanelMode, PanelPlan};
+
+pub use calu_runtime::partition_rows;
 
 /// Local LU algorithm used to elect each block-row's candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -39,93 +56,149 @@ pub struct TsluResult {
     pub pivot_rows: Vec<usize>,
 }
 
-/// Splits `m` rows into at most `p` non-empty, nearly equal, contiguous
-/// chunks — the paper's block-row partition of the panel.
-pub fn partition_rows(m: usize, p: usize) -> Vec<std::ops::Range<usize>> {
-    assert!(m > 0 && p > 0);
-    let p = p.min(m);
-    let base = m / p;
-    let extra = m % p;
-    let mut out = Vec::with_capacity(p);
-    let mut start = 0;
-    for i in 0..p {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, m);
-    out
-}
-
-/// Phase 1 only: elects the `min(m, b)` winning pivot rows of the panel
-/// using a `p`-way tournament. Row indices are local to the panel view.
+/// The election kernel: GEPP on `work` — the one copy of a leaf's rows —
+/// in place, then the `min(rows, b)` pivot rows gathered from the
+/// unfactored source by index (paper: "the first b rows of `Π^T_i0 A_i`").
+/// `original(i, j)` reads row `i` of the leaf as it appears in `A`, `id(i)`
+/// names that row to the rest of the tournament.
 ///
-/// Never fails — see [`Candidates::from_block_row`] on rank deficiency.
-pub fn tslu_pivots<T: Scalar>(panel: MatView<'_, T>, p: usize, local: LocalLu) -> Vec<usize> {
-    tslu_pivots_with(panel, p, local, false)
-}
-
-/// [`tslu_pivots`] with optional rayon parallelism across the block-rows'
-/// local factorizations (the shared-memory "multicore" direction named in
-/// the paper's future work). The elected pivots are bitwise identical to
-/// the sequential path — only wall-clock changes.
-pub fn tslu_pivots_with<T: Scalar>(
-    panel: MatView<'_, T>,
-    p: usize,
+/// [`LocalLu::Recursive`] falls back to `getf2` on a leaf with fewer rows
+/// than columns; both kernels choose identical pivots (asserted in tests).
+///
+/// A rank-deficient leaf is fine: the elected rows still span its row space
+/// (GEPP's pivot order puts the independent rows first), so the tournament
+/// never fails — only the finish can detect a genuinely singular panel.
+pub(crate) fn elect_candidates<T: Scalar>(
+    mut work: Matrix<T>,
     local: LocalLu,
-    parallel: bool,
-) -> Vec<usize> {
-    let (m, b) = (panel.rows(), panel.cols());
-    assert!(m >= 1 && b >= 1, "empty panel");
-
-    let parts = partition_rows(m, p);
-    let elect = |range: &std::ops::Range<usize>| -> Candidates<T> {
-        let rows: Vec<usize> = range.clone().collect();
-        let block = panel.submatrix(range.start, 0, range.len(), b).to_matrix();
-        local_candidates(&block, &rows, local)
+    original: impl Fn(usize, usize) -> T,
+    id: impl Fn(usize) -> usize,
+) -> Candidates<T> {
+    let (rows, b) = (work.rows(), work.cols());
+    let mut ipiv = vec![0usize; rows.min(b)];
+    let _info = match local {
+        LocalLu::Recursive if rows >= b => rgetf2_info(work.view_mut(), &mut ipiv, &mut NoObs),
+        _ => getf2_info(work.view_mut(), &mut ipiv, &mut NoObs),
     };
-    let blocks: Vec<Candidates<T>> = if parallel && parts.len() > 1 {
-        use rayon::prelude::*;
-        parts.par_iter().map(elect).collect()
-    } else {
-        parts.iter().map(elect).collect()
-    };
-    tournament(blocks).rows
+    drop(work);
+    let mut winners: Vec<usize> = (0..rows).collect();
+    for (i, &p) in ipiv.iter().enumerate() {
+        winners.swap(i, p);
+    }
+    winners.truncate(ipiv.len());
+    let block = Matrix::from_fn(winners.len(), b, |i, j| original(winners[i], j));
+    Candidates::new(block, winners.into_iter().map(id).collect())
 }
 
-/// Elects candidates from one block-row with the chosen local LU.
+/// [`elect_candidates`] on a block already copied out of the matrix, with
+/// explicit row ids — the shape the distributed panels hold their rows in.
 pub(crate) fn local_candidates<T: Scalar>(
     block: &Matrix<T>,
     global_rows: &[usize],
     local: LocalLu,
 ) -> Candidates<T> {
-    match local {
-        LocalLu::Classic => Candidates::from_block_row(block, global_rows),
-        LocalLu::Recursive => {
-            // Same contract as from_block_row but with the recursive kernel
-            // (identical pivots — asserted in tests — different speed
-            // profile, which only matters under the machine model).
-            let b = block.cols();
-            let keep = block.rows().min(b);
-            let mut work = block.clone();
-            if block.rows() >= b {
-                let mut ipiv = vec![0usize; keep];
-                let _info = rgetf2_info(work.view_mut(), &mut ipiv, &mut NoObs);
-                let mut values = block.clone();
-                apply_ipiv(values.view_mut(), &ipiv);
-                let mut idx: Vec<usize> = global_rows.to_vec();
-                for (i, &pv) in ipiv.iter().enumerate() {
-                    idx.swap(i, pv);
-                }
-                let winners = values.view().submatrix(0, 0, keep, b).to_matrix();
-                idx.truncate(keep);
-                Candidates::new(winners, idx)
-            } else {
-                // Wide local block (fewer rows than b): fall back to getf2.
-                Candidates::from_block_row(block, global_rows)
-            }
+    assert_eq!(block.rows(), global_rows.len());
+    elect_candidates(block.clone(), local, |i, j| block[(i, j)], |i| global_rows[i])
+}
+
+/// A panel's pivots and the column maxima they are measured against — the
+/// paper's threshold `τ_j = |u_jj| / max_i |a_ij^(j)|` taken over the *full*
+/// column, assembled from the pieces the panel is factored in: the finish
+/// records the pivots and the top block's maxima, every apply raises the
+/// maxima by its rows' share, and [`PanelTau::emit`] reports the `on_pivot`
+/// events once the whole panel is done. `max` is exact and order-free, so
+/// any chunking reports the same thresholds.
+#[derive(Debug, Clone)]
+pub(crate) struct PanelTau<T> {
+    /// `|u_jj|` of the pivots factored so far.
+    pivot: Vec<T>,
+    /// Running column maxima, one per panel column.
+    pub(crate) col_max: Vec<T>,
+}
+
+impl<T: Scalar> PanelTau<T> {
+    pub(crate) fn new(jb: usize) -> Self {
+        Self { pivot: Vec::with_capacity(jb), col_max: vec![T::ZERO; jb] }
+    }
+
+    /// Raises the column maxima by one apply's share.
+    pub(crate) fn merge(&mut self, col_max: &[T]) {
+        for (m, &c) in self.col_max.iter_mut().zip(col_max) {
+            *m = m.max(c);
         }
     }
+
+    /// Reports the panel's `on_pivot` events, in column order.
+    pub(crate) fn emit<O: PivotObserver<T>>(&self, obs: &mut O) {
+        for (j, (&pivot, &col_max)) in self.pivot.iter().zip(&self.col_max).enumerate() {
+            obs.on_pivot(j, pivot, col_max);
+        }
+    }
+}
+
+/// Observer of the finish's top-block factorization: keeps the `on_pivot`
+/// events for [`PanelTau`] (their column maxima cover the top block only)
+/// and forwards everything else.
+struct TopBlockObs<'a, T, O> {
+    tau: &'a mut PanelTau<T>,
+    inner: &'a mut O,
+}
+
+impl<T: Scalar, O: PivotObserver<T>> PivotObserver<T> for TopBlockObs<'_, T, O> {
+    fn on_pivot(&mut self, step: usize, pivot: T, col_max: T) {
+        debug_assert_eq!(step, self.tau.pivot.len());
+        self.tau.pivot.push(pivot);
+        self.tau.col_max[step] = col_max;
+    }
+
+    fn on_stage(&mut self, changed: &MatView<'_, T>) {
+        self.inner.on_stage(changed);
+    }
+
+    fn on_multipliers(&mut self, col_below_diag: &[T]) {
+        self.inner.on_multipliers(col_below_diag);
+    }
+}
+
+/// The finish kernel, after the winners have been swapped up: unpivoted LU
+/// of the panel's top block (`jb × jb`; wider only for a panel with more
+/// columns than rows), recording the pivots in `tau`.
+///
+/// # Errors
+/// A zero or non-finite pivot — the panel columns are genuinely linearly
+/// dependent; the step is local to the panel.
+pub(crate) fn finish_top<T: Scalar, O: PivotObserver<T>>(
+    top: MatViewMut<'_, T>,
+    tau: &mut PanelTau<T>,
+    obs: &mut O,
+) -> Result<()> {
+    lu_nopiv(top, &mut TopBlockObs { tau, inner: obs })
+}
+
+/// Elects the winners of `panel` over the leaves of `plan`, sequentially.
+fn elect_plan<T: Scalar>(panel: MatView<'_, T>, plan: &PanelPlan, local: LocalLu) -> Vec<usize> {
+    let b = panel.cols();
+    let leaves = plan.leaves().iter().map(|rows| {
+        let work = panel.submatrix(rows.start, 0, rows.len(), b).to_matrix();
+        elect_candidates(work, local, |i, j| panel.get(rows.start + i, j), |i| rows.start + i)
+    });
+    tournament(leaves.collect()).rows
+}
+
+/// The plan of a stand-alone `rows × cols` panel: `p` block rows, tile
+/// height equal to the panel width.
+fn standalone_plan(rows: usize, cols: usize, p: usize) -> PanelPlan {
+    assert!(rows >= 1 && cols >= 1, "empty panel");
+    PanelPlan::new(rows, cols.min(rows), cols, p, PanelMode::Gathered)
+}
+
+/// Phase 1 only: elects the `min(m, b)` winning pivot rows of the panel
+/// using a `p`-way tournament. Row indices are local to the panel view.
+///
+/// Never fails: a rank-deficient leaf still elects rows spanning its row
+/// space, and only the finish can detect a genuinely singular panel.
+pub fn tslu_pivots<T: Scalar>(panel: MatView<'_, T>, p: usize, local: LocalLu) -> Vec<usize> {
+    elect_plan(panel, &standalone_plan(panel.rows(), panel.cols(), p), local)
 }
 
 /// Converts a winner list into a LAPACK swap sequence over `m` rows: after
@@ -155,8 +228,9 @@ pub fn winners_to_ipiv(winners: &[usize], m: usize) -> Vec<usize> {
 /// pivoting (`L` strictly below the diagonal, `U` in the top `b x b`).
 ///
 /// The observer sees the unpivoted factorization — its `on_pivot` ratios
-/// are the paper's threshold `τ`, its `on_stage`/`on_multipliers` feed the
-/// growth-factor and `|L|` statistics.
+/// are the paper's threshold `τ` over the full column (reported once the
+/// panel is done), its `on_stage`/`on_multipliers` feed the growth-factor
+/// and `|L|` statistics.
 ///
 /// # Errors
 /// A zero pivot in the no-pivot factorization after permutation (the panel
@@ -167,27 +241,36 @@ pub fn tslu_factor<T: Scalar, O: PivotObserver<T>>(
     local: LocalLu,
     obs: &mut O,
 ) -> Result<TsluResult> {
-    tslu_factor_with(panel, p, local, false, obs)
+    let plan = standalone_plan(panel.rows(), panel.cols(), p);
+    tslu_factor_plan(panel, &plan, local, obs)
 }
 
-/// [`tslu_factor`] with optional rayon parallelism in the candidate
-/// election (see [`tslu_pivots_with`]).
+/// [`tslu_factor`] over an explicit [`PanelPlan`] — the four panel kernels
+/// in order, on one thread.
 ///
 /// # Errors
-/// A zero pivot in the no-pivot factorization after permutation (the panel
-/// columns are genuinely linearly dependent).
-pub fn tslu_factor_with<T: Scalar, O: PivotObserver<T>>(
+/// As [`tslu_factor`].
+pub(crate) fn tslu_factor_plan<T: Scalar, O: PivotObserver<T>>(
     mut panel: MatViewMut<'_, T>,
-    p: usize,
+    plan: &PanelPlan,
     local: LocalLu,
-    parallel: bool,
     obs: &mut O,
 ) -> Result<TsluResult> {
-    let m = panel.rows();
-    let winners = tslu_pivots_with(panel.as_view(), p, local, parallel);
-    let ipiv = winners_to_ipiv(&winners, m);
+    debug_assert_eq!((plan.rows(), plan.jb()), (panel.rows(), panel.cols().min(panel.rows())));
+    let winners = elect_plan(panel.as_view(), plan, local);
+    let ipiv = winners_to_ipiv(&winners, panel.rows());
     apply_ipiv(panel.rb_mut(), &ipiv);
-    lu_nopiv(panel, obs)?;
+
+    let jb = plan.jb();
+    let mut tau = PanelTau::new(jb);
+    let (mut top, mut below) = panel.split_at_row_mut(jb);
+    finish_top(top.rb_mut(), &mut tau, obs)?;
+    let u11 = top.submatrix(0, 0, jb, jb);
+    for chunk in plan.chunks() {
+        let rows = below.submatrix_mut(chunk.start - jb, 0, chunk.len(), jb);
+        lu_rows(u11, rows, &mut tau.col_max, obs)?;
+    }
+    tau.emit(obs);
     Ok(TsluResult { ipiv, pivot_rows: winners })
 }
 
@@ -237,20 +320,6 @@ mod tests {
         gemm(1.0, l.view(), u.view(), 0.0, prod.view_mut());
         let d = pa.max_abs_diff(&prod);
         assert!(d < tol, "||P A - L U||_max = {d} > {tol}");
-    }
-
-    #[test]
-    fn partition_rows_covers_everything() {
-        for &(m, p) in &[(16, 4), (17, 4), (5, 8), (1, 1), (100, 7)] {
-            let parts = partition_rows(m, p);
-            assert!(parts.len() <= p);
-            assert!(parts.iter().all(|r| !r.is_empty()));
-            let total: usize = parts.iter().map(|r| r.len()).sum();
-            assert_eq!(total, m);
-            for w in parts.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-            }
-        }
     }
 
     #[test]

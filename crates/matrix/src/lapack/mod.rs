@@ -6,8 +6,12 @@
 //!   Toledo 1997; BLAS-3 rich). Tables 3-4 compare TSLU built on each.
 //! * [`getrf`] — blocked right-looking LU with partial pivoting; the GEPP
 //!   baseline whose parallel analogue is ScaLAPACK's `PDGETRF`.
-//! * [`lu_nopiv`] — LU with **no** pivoting; CALU applies it to the panel
-//!   after tournament pivoting has permuted the winners on top.
+//! * [`lu_nopiv`] — LU with **no** pivoting; CALU applies it to the top
+//!   block of a panel after tournament pivoting has permuted the winners
+//!   there.
+//! * [`lu_rows`] — the panel's remaining rows, `L₂₁ = A₂₁ U₁₁⁻¹`, as a
+//!   recursive `gemm`-based elimination whose output rows are bitwise
+//!   independent of one another.
 //! * [`getrs`] / [`getrs_t`] — triangular solves from the packed factors.
 //! * [`getri`] — explicit inverse from the packed factors.
 //! * [`gecon`] — Hager-Higham reciprocal condition estimate.
@@ -25,6 +29,7 @@ mod getrf;
 mod getri;
 mod getrs;
 mod lu_nopiv;
+mod lu_rows;
 mod rgetf2;
 
 pub use gecon::{gecon, inv_norm1_est};
@@ -34,4 +39,5 @@ pub use getrf::{getrf, GetrfOpts, PanelAlg};
 pub use getri::{getri, trtri_upper};
 pub use getrs::{getrs, getrs_mat, getrs_t};
 pub use lu_nopiv::{lu_nopiv, lu_nopiv_blocked};
+pub use lu_rows::{lu_rows, lu_rows_on};
 pub use rgetf2::{rgetf2, rgetf2_info};

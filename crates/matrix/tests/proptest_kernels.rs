@@ -5,12 +5,12 @@
 use calu_matrix::blas2::{gemv, gemv_t, trmv, trsv_t};
 use calu_matrix::blas3::{gemm, gemm_on, trsm, Arm};
 use calu_matrix::lapack::{
-    gecon, geequ, getf2, getf2_info, getrf, getri, getrs, getrs_t, laqge, lu_nopiv, rgetf2,
-    rgetf2_info, GetrfOpts, PanelAlg,
+    gecon, geequ, getf2, getf2_info, getrf, getri, getrs, getrs_t, laqge, lu_nopiv, lu_rows_on,
+    rgetf2, rgetf2_info, GetrfOpts, PanelAlg,
 };
 use calu_matrix::norms::{mat_norm_1, mat_norm_fro, mat_norm_inf};
 use calu_matrix::perm::{apply_ipiv, apply_ipiv_inv, ipiv_to_perm, permute_rows};
-use calu_matrix::{gen, Diag, Matrix, NoObs, Scalar, Side, Uplo};
+use calu_matrix::{gen, Diag, Error, Matrix, NoObs, Scalar, Side, Uplo};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,11 +92,188 @@ proptest! {
         // k straddles KC = 256; alpha/beta cover the identity, the LU update
         // and a general scale; the windows have ld > rows.
         let scale = ([1.0, -1.0, 1.5][alpha], [0.0, 1.0, -0.5][beta]);
-        for arm in [Some(Arm::portable()), Arm::avx2_fma()].into_iter().flatten() {
+        for arm in arms() {
             let (whole, pieces) = whole_and_pieces::<f64>(arm, seed, (m, n, k), scale, pad);
             prop_assert!(bits(&whole) == bits(&pieces), "f64 differs on the {} arm", arm.name());
             let (whole, pieces) = whole_and_pieces::<f32>(arm, seed, (m, n, k), scale, pad);
             prop_assert!(bits(&whole) == bits(&pieces), "f32 differs on the {} arm", arm.name());
+        }
+    }
+}
+
+/// Panel widths the `lu_rows` properties run at: one column, one short of,
+/// exactly and one past the recursion's base width, and the same around the
+/// benchmark's 64.
+const PANEL_WIDTHS: [usize; 6] = [1, 7, 8, 9, 63, 64];
+
+/// Both `gemm` arms this host can run.
+fn arms() -> impl Iterator<Item = Arm> {
+    [Some(Arm::portable()), Arm::avx2_fma()].into_iter().flatten()
+}
+
+/// A `(jb + h) × jb` panel whose top block is diagonally dominant — the
+/// shape tournament pivoting leaves behind, safe to factor unpivoted — in
+/// rows `pad/2..` of a store with `ld = jb + h + pad`.
+fn panel_store<T: Scalar>(seed: u64, jb: usize, h: usize, pad: usize) -> Matrix<T> {
+    let mut store = gen::randn::<T>(&mut StdRng::seed_from_u64(seed), jb + h + pad, jb);
+    for j in 0..jb {
+        store[(pad / 2 + j, j)] += T::from_f64(2.0 * jb as f64);
+    }
+    store
+}
+
+/// Factors the top block of `store`'s panel, then forms the rows below it
+/// with one `lu_rows_on` call per piece of `pieces` (consecutive
+/// `(start, size)` over the `h` rows). Returns the column maxima.
+fn split_factor<T: Scalar>(
+    arm: Arm,
+    store: &mut Matrix<T>,
+    (jb, h, pad): (usize, usize, usize),
+    pieces: &[(usize, usize)],
+) -> Vec<T> {
+    let panel = store.view_mut().into_submatrix(pad / 2, 0, jb + h, jb);
+    let (mut top, mut below) = panel.split_at_row_mut(jb);
+    lu_nopiv(top.rb_mut(), &mut NoObs).expect("dominant top block");
+    let mut col_max = vec![T::ZERO; jb];
+    for &(i, size) in pieces {
+        lu_rows_on(
+            arm,
+            top.as_view(),
+            below.submatrix_mut(i, 0, size, jb),
+            &mut col_max,
+            &mut NoObs,
+        )
+        .expect("nonsingular U11");
+    }
+    col_max
+}
+
+/// Row independence, reconstruction and fault containment of `lu_rows` at
+/// one precision on one arm; `Err` names the property that failed.
+fn check_lu_rows<T: Scalar>(
+    arm: Arm,
+    seed: u64,
+    jb: usize,
+    h: usize,
+    pad: usize,
+) -> Result<(), String> {
+    let dims = (jb, h, pad);
+    let store0 = panel_store::<T>(seed, jb, h, pad);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+
+    // One call over all rows against arbitrary pieces, and against pieces
+    // that start with single rows (all single rows when there are few).
+    let mut whole = store0.clone();
+    let max_whole = split_factor(arm, &mut whole, dims, &[(0, h)]);
+    let singles = if h <= 40 { h } else { 3 };
+    let mut ones: Vec<(usize, usize)> = (0..singles).map(|i| (i, 1)).collect();
+    if singles < h {
+        ones.push((singles, h - singles));
+    }
+    for pieces in [partition(&mut rng, h), ones] {
+        let mut cut = store0.clone();
+        let max_cut = split_factor(arm, &mut cut, dims, &pieces);
+        if bits(&whole) != bits(&cut) {
+            return Err(format!("rows depend on the chunking {pieces:?}"));
+        }
+        if max_whole
+            .iter()
+            .map(|v| v.to_f64().to_bits())
+            .ne(max_cut.iter().map(|v| v.to_f64().to_bits()))
+        {
+            return Err(format!("column maxima depend on the chunking {pieces:?}"));
+        }
+    }
+
+    // L·U gives the panel back.
+    let orig = store0.view().submatrix(pad / 2, 0, jb + h, jb).to_matrix();
+    let lu = whole.view().submatrix(pad / 2, 0, jb + h, jb).to_matrix();
+    let mut prod = Matrix::<T>::zeros(jb + h, jb);
+    gemm(
+        T::ONE,
+        lu.unit_lower().view(),
+        lu.upper().view().submatrix(0, 0, jb, jb),
+        T::ZERO,
+        prod.view_mut(),
+    );
+    let tol = 8.0 * jb as f64 * T::EPSILON.to_f64() * orig.max_abs().to_f64();
+    let err = orig.max_abs_diff(&prod).to_f64();
+    if err > tol {
+        return Err(format!("reconstruction error {err} > {tol}"));
+    }
+
+    // A NaN or an infinity in one row stays in that row.
+    for poison in [T::from_f64(f64::NAN), T::from_f64(f64::INFINITY)] {
+        let (r, c) = (rng.gen_range(0..h), rng.gen_range(0..jb));
+        let mut dirty = store0.clone();
+        dirty[(pad / 2 + jb + r, c)] = poison;
+        split_factor(arm, &mut dirty, dims, &[(0, h)]);
+        let row = |m: &Matrix<T>, i: usize| -> Vec<u64> {
+            (0..jb).map(|j| m[(pad / 2 + jb + i, j)].to_f64().to_bits()).collect()
+        };
+        if (0..h).any(|i| i != r && row(&dirty, i) != row(&whole, i)) {
+            return Err(format!("a non-finite entry in row {r} reached another row"));
+        }
+        if (0..jb).all(|j| dirty[(pad / 2 + jb + r, j)].is_finite()) {
+            return Err(format!("the non-finite entry in row {r} vanished"));
+        }
+    }
+
+    // A zero or non-finite pivot: full-height lu_nopiv, the top-block
+    // factorization and lu_rows on its own all name the same step.
+    let s = rng.gen_range(0..jb);
+    for bad in [T::ZERO, T::from_f64(f64::NAN), T::from_f64(f64::NEG_INFINITY)] {
+        let mut broken = store0.clone();
+        if bad == T::ZERO {
+            // A zero column stays zero under every earlier update.
+            broken.col_mut(s)[pad / 2..pad / 2 + jb + h].fill(T::ZERO);
+        } else {
+            // Row s is only written, never read, before step s.
+            broken[(pad / 2 + s, s)] = bad;
+        }
+        let want = Err(Error::SingularPivot { step: s });
+        let mut full = broken.clone();
+        if lu_nopiv(full.view_mut().into_submatrix(pad / 2, 0, jb + h, jb), &mut NoObs) != want {
+            return Err(format!("full-height lu_nopiv did not fail at step {s}"));
+        }
+        let panel = broken.view_mut().into_submatrix(pad / 2, 0, jb + h, jb);
+        let (mut top, below) = panel.split_at_row_mut(jb);
+        if lu_nopiv(top.rb_mut(), &mut NoObs) != want {
+            return Err(format!("top-block lu_nopiv did not fail at step {s}"));
+        }
+        let rows_before = below.to_matrix();
+        let got = lu_rows_on(arm, top.as_view(), below, &mut vec![T::ZERO; jb], &mut NoObs);
+        if got != want {
+            return Err(format!("lu_rows reported {got:?}, not step {s}"));
+        }
+        let rows_after = broken.view().submatrix(pad / 2 + jb, 0, h, jb).to_matrix();
+        if bits(&rows_before) != bits(&rows_after) {
+            return Err("lu_rows changed rows before reporting a singular U11".into());
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn prop_lu_rows_is_row_independent_on_both_arms(
+        seed in 0u64..1_000_000,
+        width in 0usize..PANEL_WIDTHS.len(),
+        h in 1usize..2400,
+        pad in 1usize..9,
+    ) {
+        // h straddles the kernel's 1024-row cache blocks; the windows have
+        // ld > rows.
+        let jb = PANEL_WIDTHS[width];
+        for arm in arms() {
+            if let Err(why) = check_lu_rows::<f64>(arm, seed, jb, h, pad) {
+                prop_assert!(false, "f64, {} arm, jb={jb} h={h}: {why}", arm.name());
+            }
+            if let Err(why) = check_lu_rows::<f32>(arm, seed, jb, h, pad) {
+                prop_assert!(false, "f32, {} arm, jb={jb} h={h}: {why}", arm.name());
+            }
         }
     }
 }

@@ -326,8 +326,7 @@ pub fn intersection_ns(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
 
 /// **Phase wait**: total worker idle time that overlaps a phase of
 /// interest — e.g. how long lanes sit empty *while some lane is inside a
-/// panel task*, the quantity the tile-resident panel decomposition exists
-/// to shrink.
+/// panel task*, the quantity the panel task subgraph exists to shrink.
 ///
 /// For each `(pid, tid)` lane, idle is the complement of the lane's span
 /// union within `[0, wall]` (`wall` = `max(wall_ns, latest span end)`);

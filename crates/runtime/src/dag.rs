@@ -1,10 +1,16 @@
 //! The task DAG of blocked right-looking LU.
 //!
-//! [`LuDag::build`] emits, for any `(m, n, nb)`, the dependency graph of
-//! the four task kinds of a right-looking blocked factorization:
+//! [`LuDag::build`] emits, for any `(m, n, nb)`, the dependency graph of a
+//! right-looking blocked factorization:
 //!
-//! * [`Task::Panel`]`(k)` — TSLU tournament factorization of the full-height
-//!   panel (rows `k·nb..m`, the panel's own pivot swaps included);
+//! * the **panel subgraph** of step `k` — TSLU on rows `k·nb..m` of block
+//!   column `k`, shaped by that step's [`PanelPlan`]:
+//!   [`Task::PanelElect`]`(k, leaf)` elects one tournament leaf's candidate
+//!   rows, [`Task::PanelReduce`] folds two candidate sets (one per match of
+//!   [`tournament_tree`](crate::tournament_tree)), [`Task::PanelFinish`]`(k)`
+//!   swaps the winners to the top, factors the top `jb × jb` block and
+//!   publishes the pivots, [`Task::PanelApply`]`(k, chunk)` forms a run of
+//!   tiles of `L₂₁`;
 //! * [`Task::Swap`]`(k, j)` — apply panel `k`'s pivot sequence to block
 //!   column `j ≠ k` (rows `k·nb..m`);
 //! * [`Task::Trsm`]`(k, j)` — `U₁₂ = L₁₁⁻¹ A₁₂` on block column `j > k`;
@@ -12,37 +18,34 @@
 //!   trailing tile at block row `i`, block column `j`.
 //!
 //! The edge set encodes exactly the data flow of the *sequential* sweep
-//! (`calu_inplace`), including the two orderings that are easy to miss:
+//! (`calu_inplace`), including the orderings that are easy to miss:
 //!
+//! * **per-leaf gates**: `PanelElect(k, leaf)` waits only for the step
+//!   `k − 1` updates of the tiles its rows touch, so elections start as the
+//!   column drains; `PanelFinish(k)` — the first writer of the column — is
+//!   ordered after every elect through the reduce tree, and each
+//!   `Gemm(k, i, ·)` after the one apply chunk that forms tile row `i`;
 //! * **anti-dependence on `L`**: `Swap(k+1, k)` permutes rows of column
-//!   block `k`, which every `Gemm(k, ·, ·)` still reads as `L₂₁` — so the
-//!   first left-swap of a column waits for *all* of that step's `gemm`s
-//!   (this is the same commutation `tiled.rs` used: swaps are deferred
-//!   until the updates that read the unswapped `L` have finished);
-//! * **lookahead throttle**: with lookahead depth `d`, `Panel(k)` carries
-//!   edges from every task of step `k − d − 1`, so panels run at most `d`
-//!   steps ahead of the slowest trailing update. Depth 1 reproduces the
-//!   HPL-style schedule of the old hardwired implementation; larger depths
-//!   let `Panel(k+2), Panel(k+3), …` start while step `k`'s bulk `gemm`s
-//!   drag on.
+//!   block `k`, which every `Gemm(k, ·, ·)` still reads as `L₂₁` and every
+//!   `PanelApply(k, ·)` writes — so the first left-swap of a column waits
+//!   for *all* of them;
+//! * **lookahead throttle**: with lookahead depth `d`, the elects of step
+//!   `k` carry edges from every task of step `k − d − 1`, so panels run at
+//!   most `d` steps ahead of the slowest trailing update. Depth 1 is the
+//!   HPL-style schedule; larger depths let later panels start while step
+//!   `k`'s bulk `gemm`s drag on.
 //!
 //! Any topological execution of the DAG produces **bitwise identical**
-//! factors to the sequential sweep: every read/write overlap is ordered by
-//! an edge, tile splits of `gemm`/`trsm`/row-swaps are per-element
-//! reorderings that do not change the fixed k-accumulation order of the
-//! kernels, and the panel kernel itself is untouched.
-//!
-//! [`LuDag::build_with`] additionally offers [`PanelMode::Resident`],
-//! which replaces each monolithic `Panel(k)` with a per-tile tournament
-//! subgraph ([`Task::PanelElect`] → [`Task::PanelReduce`]\* →
-//! [`Task::PanelFinish`] → [`Task::PanelApply`]\*): candidates are elected
-//! on resident tiles with no gather/scatter copy of the panel, folded up a
-//! deterministic binary tree, and `L₂₁` is formed tile-parallel. Resident
-//! executions are bitwise reproducible across executors, depths, and runs
-//! — but use a *different* (still deterministic) tournament tree than the
-//! gathered reference, so the two modes' factors differ.
+//! factors to the sequential sweep run with the same [`PanelMode`] and `p`:
+//! every read/write overlap is ordered by an edge, tile splits of
+//! `gemm`/`trsm`/row-swaps are per-element reorderings that do not change
+//! the fixed k-accumulation order of the kernels, candidate sets are folded
+//! in the tree's fixed order, and `L₂₁` rows are bitwise independent of one
+//! another (`calu_matrix::lapack::lu_rows`).
 
 use calu_netsim::MachineConfig;
+
+use crate::panel::{PanelMode, PanelPlan, DEFAULT_TOURNAMENT_LEAVES};
 
 /// Identifies a node in the DAG (index into [`LuDag::tasks`]).
 pub type TaskId = usize;
@@ -50,57 +53,42 @@ pub type TaskId = usize;
 /// One schedulable unit of work. Indices are in units of `nb`-wide blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Task {
-    /// TSLU tournament factorization of panel `k` (rows `k·nb..m`,
-    /// columns `k·nb..k·nb+jb`), including its own pivot swaps.
-    ///
-    /// The monolithic panel task of [`PanelMode::Gathered`]; under
-    /// [`PanelMode::Resident`] it is replaced by the per-tile tournament
-    /// subgraph `PanelElect → PanelReduce* → PanelFinish → PanelApply*`.
-    Panel {
-        /// Panel step (block column index).
-        k: usize,
-    },
-    /// Tournament leaf of the tile-resident panel ([`PanelMode::Resident`]):
-    /// elect tile `(ti, k)`'s `jb` candidate pivot rows by local LU on the
-    /// resident tile (no gather — the tile is read in place; only the
-    /// `≤ nb × jb` election copy intrinsic to tournament pivoting is made).
+    /// Tournament leaf of panel `k`: elect the `≤ jb` candidate pivot rows
+    /// of one leaf of the step's [`PanelPlan`] by local LU on a copy of the
+    /// leaf's rows (the panel itself is only read).
     PanelElect {
         /// Panel step.
         k: usize,
-        /// Tile row whose candidates are elected (`k ≤ ti < rb`).
-        ti: usize,
+        /// Leaf index into [`PanelPlan::leaves`].
+        leaf: usize,
     },
-    /// Internal node of the tile-resident panel's deterministic binary
-    /// tournament tree: fold the candidate sets of two subtrees with
-    /// `reduce_pair` (lower tile range first, so the winner set is
-    /// execution-order-independent).
+    /// One match of panel `k`'s tournament ([`crate::TreeMatch`]): fold the
+    /// candidate set in slot `hi` into the one in slot `lo`.
     PanelReduce {
         /// Panel step.
         k: usize,
-        /// Tree level (`≥ 1`; leaves are level 0).
-        level: usize,
-        /// Lowest tile row of the left (lower) subtree being folded.
-        ti: usize,
-        /// Lowest tile row of the right (upper) subtree being folded.
-        tj: usize,
+        /// Tournament round (`≥ 1`).
+        round: usize,
+        /// Slot of the lower candidate set, and of the result.
+        lo: usize,
+        /// Slot of the higher candidate set.
+        hi: usize,
     },
-    /// Root of the tile-resident panel subgraph: publish the tournament's
-    /// pivot sequence, apply the winner swaps across the panel's block
-    /// column, and factor the diagonal tile's rows (`L₁₁\U₁₁`) — the step
-    /// where a genuinely singular panel surfaces.
+    /// Root of panel `k`'s subgraph: swap the tournament winners to the top
+    /// of the panel's block column, factor the top `jb × jb` block
+    /// (`L₁₁\U₁₁`) and publish the pivot sequence — the step where a
+    /// genuinely singular panel surfaces.
     PanelFinish {
         /// Panel step.
         k: usize,
     },
-    /// Per-tile `L₂₁` formation of the tile-resident panel: scale and
-    /// rank-1-update tile `(ti, k)`'s rows against the finished `U₁₁` —
-    /// the restriction of the unpivoted panel elimination to that tile,
-    /// running concurrently across tiles.
+    /// `L₂₁` formation for one chunk of panel `k`'s rows below the top
+    /// block (a run of tiles): `rows ← rows · U₁₁⁻¹`.
     PanelApply {
         /// Panel step.
         k: usize,
-        /// Tile row whose `L₂₁` rows are formed (`ti > k`).
-        ti: usize,
+        /// Chunk index into [`PanelPlan::chunks`].
+        chunk: usize,
     },
     /// Apply panel `k`'s pivot swaps to rows `k·nb..m` of block column `j`.
     Swap {
@@ -271,8 +259,7 @@ impl Task {
     /// The elimination step this task belongs to.
     pub fn step(&self) -> usize {
         match *self {
-            Task::Panel { k }
-            | Task::PanelElect { k, .. }
+            Task::PanelElect { k, .. }
             | Task::PanelReduce { k, .. }
             | Task::PanelFinish { k }
             | Task::PanelApply { k, .. }
@@ -298,7 +285,6 @@ impl Task {
     /// Perfetto group and filter events by category).
     pub fn cat(&self) -> &'static str {
         match *self {
-            Task::Panel { .. } => "panel",
             Task::PanelElect { .. } => "panel_elect",
             Task::PanelReduce { .. } => "panel_reduce",
             Task::PanelFinish { .. } => "panel_finish",
@@ -336,13 +322,12 @@ impl Task {
 impl std::fmt::Display for Task {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
-            Task::Panel { k } => write!(f, "Panel({k})"),
-            Task::PanelElect { k, ti } => write!(f, "PanelElect({k},{ti})"),
-            Task::PanelReduce { k, level, ti, tj } => {
-                write!(f, "PanelReduce({k},l{level},{ti}+{tj})")
+            Task::PanelElect { k, leaf } => write!(f, "PanelElect({k},{leaf})"),
+            Task::PanelReduce { k, round, lo, hi } => {
+                write!(f, "PanelReduce({k},r{round},{lo}+{hi})")
             }
             Task::PanelFinish { k } => write!(f, "PanelFinish({k})"),
-            Task::PanelApply { k, ti } => write!(f, "PanelApply({k},{ti})"),
+            Task::PanelApply { k, chunk } => write!(f, "PanelApply({k},{chunk})"),
             Task::Swap { k, j } => write!(f, "Swap({k},{j})"),
             Task::Trsm { k, j } => write!(f, "Trsm({k},{j})"),
             Task::Gemm { k, i, j } => write!(f, "Gemm({k},{i},{j})"),
@@ -425,15 +410,14 @@ pub type Prio = (u32, u8, u32, u32);
 fn priority(shape: &LuShape, t: Task) -> Prio {
     let cb = shape.col_blocks() as u32;
     match t {
-        Task::Panel { k } => (k as u32, 0, 0, 0),
-        // The resident panel subgraph shares the gathered panel's slot
-        // (first among step-k work); within it the reduction spine drains
-        // root-ward first: finish, then reduces (deeper level = closer to
-        // the root = smaller), then elects, then the L₂₁ applies.
+        // The panel subgraph comes first among step-k work; within it the
+        // reduction spine drains root-ward first: finish, then reduces
+        // (later round = closer to the root = smaller), then elects, then
+        // the L₂₁ applies.
         Task::PanelFinish { k } => (k as u32, 0, 0, 0),
-        Task::PanelReduce { k, level, .. } => (k as u32, 0, 1, u32::MAX - level as u32),
-        Task::PanelElect { k, ti } => (k as u32, 0, 2, ti as u32),
-        Task::PanelApply { k, ti } => (k as u32, 0, 3, ti as u32),
+        Task::PanelReduce { k, round, .. } => (k as u32, 0, 1, u32::MAX - round as u32),
+        Task::PanelElect { k, leaf } => (k as u32, 0, 2, leaf as u32),
+        Task::PanelApply { k, chunk } => (k as u32, 0, 3, chunk as u32),
         Task::Swap { k, j } if j >= k => (j as u32, 1, k as u32, 0),
         Task::Trsm { k, j } => (j as u32, 2, k as u32, 0),
         Task::Gemm { k, i, j } => (j as u32, 3, k as u32, i as u32),
@@ -489,78 +473,6 @@ fn dist_priority(cb: u32, d: DistTask) -> Prio {
     }
 }
 
-/// How the shared-memory DAG factors a panel — the knob selecting between
-/// the monolithic gathered panel task and the per-tile tournament subgraph.
-///
-/// Both modes are deterministic; they are *different* deterministic
-/// algorithms. `Gathered` partitions the panel into `opts.p` row blocks
-/// and is bitwise identical to the sequential `calu_inplace` sweep.
-/// `Resident` uses tile-height blocks as tournament leaves (a different
-/// but equally deterministic tree), elects candidates per resident tile —
-/// no gather/scatter copy of the panel — and forms `L₂₁` tile-parallel,
-/// so its factors are bitwise reproducible across executors, lookahead
-/// depths, and runs, but not bitwise equal to `Gathered`'s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PanelMode {
-    /// One monolithic `Panel(k)` task: gather the tile column into a
-    /// contiguous scratch panel, run sequential TSLU, scatter back.
-    /// The bitwise reference (identical to `calu_inplace`).
-    #[default]
-    Gathered,
-    /// Per-tile tournament subgraph
-    /// `PanelElect → PanelReduce* → PanelFinish → PanelApply*`: candidates
-    /// elected on resident tiles, folded up a deterministic binary tree,
-    /// `L₂₁` formed tile-parallel in place. No panel gather/scatter.
-    Resident,
-}
-
-/// Per-level node counts of the resident panel's tournament tree over `t`
-/// leaf tiles: `counts[0] == t` leaves, each higher level pairing nodes
-/// (`⌈·/2⌉`) until a single root. `counts.len() - 1` is the root level.
-/// Empty input (`t == 0`) yields `[0]` — a degenerate tree with no root.
-pub fn panel_tree_levels(t: usize) -> Vec<usize> {
-    let mut counts = vec![t];
-    while *counts.last().expect("non-empty") > 1 {
-        let up = counts.last().expect("non-empty").div_ceil(2);
-        counts.push(up);
-    }
-    counts
-}
-
-/// Resolves tree node `(level, i)` over `t` leaves to the node whose task
-/// actually produces its candidate set: a node with two non-empty children
-/// stores its own `reduce_pair` result, while a single-child node is a
-/// pass-through that collapses to its lone descendant (ultimately a leaf).
-/// Returns the storing node's `(level, i)`.
-///
-/// Shared between the DAG builder (edge endpoints) and the runtime's
-/// candidate-slot store so both sides agree on where every subtree's
-/// winners live.
-pub fn panel_tree_resolve(t: usize, mut level: usize, mut i: usize) -> (usize, usize) {
-    loop {
-        if level == 0 {
-            return (0, i);
-        }
-        let right_lo = (2 * i + 1) << (level - 1);
-        if right_lo < t {
-            return (level, i);
-        }
-        level -= 1;
-        i *= 2;
-    }
-}
-
-/// The [`Task`] producing tree node `(level, i)`'s candidate set for step
-/// `k` over `t` leaf tiles (see [`panel_tree_resolve`]).
-fn panel_tree_task(k: usize, t: usize, level: usize, i: usize) -> Task {
-    let (l, i) = panel_tree_resolve(t, level, i);
-    if l == 0 {
-        Task::PanelElect { k, ti: k + i }
-    } else {
-        Task::PanelReduce { k, level: l, ti: k + (i << l), tj: k + ((2 * i + 1) << (l - 1)) }
-    }
-}
-
 /// The dependency DAG of one blocked LU factorization — shared-memory
 /// ([`LuDag::build`]) or distributed over a 2D block-cyclic grid
 /// ([`LuDag::build_dist`]), where tasks are partitioned per rank and
@@ -577,13 +489,16 @@ pub struct LuDag {
     pub(crate) ranks: usize,
     /// `(Pr, Pc)` grid of a distributed DAG, `None` for shared memory.
     pub(crate) grid: Option<(usize, usize)>,
+    /// Per-step panel geometry of a shared-memory factorization DAG (empty
+    /// for distributed and solve DAGs, which have no panel subgraph).
+    plans: Vec<PanelPlan>,
 }
 
 impl LuDag {
     /// Builds the DAG for an `m × n` factorization with panel width `nb`
     /// and the given panel lookahead depth (`≥ 1`; depths beyond the step
-    /// count leave panels unthrottled), in the default
-    /// [`PanelMode::Gathered`].
+    /// count leave panels unthrottled), with [`PanelMode::Gathered`] panels
+    /// over [`DEFAULT_TOURNAMENT_LEAVES`] block rows.
     ///
     /// # Panics
     /// If `nb == 0` or `lookahead == 0`.
@@ -591,25 +506,31 @@ impl LuDag {
         Self::build_with(shape, lookahead, PanelMode::Gathered)
     }
 
-    /// [`LuDag::build`] with an explicit [`PanelMode`]. Under
-    /// [`PanelMode::Resident`] each `Panel(k)` is replaced by the per-tile
-    /// tournament subgraph: one `PanelElect(k, ti)` per resident tile of
-    /// the panel (each gated only on *its own tile's* step-`k-1` update,
-    /// so elections start as the column drains tile by tile), the
-    /// `PanelReduce` binary tree folding candidate sets root-ward,
-    /// `PanelFinish(k)` as the panel boundary (trailing and left swaps
-    /// hang off it, and the lookahead throttle gates the elects), and one
-    /// `PanelApply(k, ti)` per trailing tile feeding that tile row's
-    /// `Gemm`s.
+    /// [`LuDag::build`] with an explicit [`PanelMode`].
     ///
     /// # Panics
     /// If `nb == 0` or `lookahead == 0`.
     pub fn build_with(shape: LuShape, lookahead: usize, mode: PanelMode) -> Self {
+        Self::build_panels(shape, lookahead, mode, DEFAULT_TOURNAMENT_LEAVES)
+    }
+
+    /// [`LuDag::build_with`] for a tournament over `p` block rows — the
+    /// builder the algorithm layer calls with its `CaluOpts::p`. Step `k`'s
+    /// panel subgraph is laid out by
+    /// `PanelPlan::new(m − k·nb, jb, nb, p, mode)` ([`LuDag::panel_plan`]).
+    ///
+    /// # Panics
+    /// If `nb == 0`, `lookahead == 0` or `p == 0`.
+    pub fn build_panels(shape: LuShape, lookahead: usize, mode: PanelMode, p: usize) -> Self {
         assert!(shape.nb > 0, "panel width nb must be positive");
         assert!(lookahead > 0, "lookahead depth must be at least 1");
         let steps = shape.steps();
         let cb = shape.col_blocks();
         let rb = shape.row_blocks();
+        let nb = shape.nb;
+        let plans: Vec<PanelPlan> = (0..steps)
+            .map(|k| PanelPlan::new(shape.m - k * nb, shape.panel_width(k), nb, p, mode))
+            .collect();
 
         let mut tasks: Vec<Task> = Vec::new();
         let mut id_of = std::collections::HashMap::new();
@@ -621,40 +542,31 @@ impl LuDag {
             id_of.insert(t, id);
             id
         };
+        // Edges as (from, to) pairs; deduped in `from_parts`. The panel
+        // subgraph's internal edges are pushed as its tasks are created.
+        let mut edges: Vec<(TaskId, TaskId)> = Vec::new();
 
-        for k in 0..steps {
-            match mode {
-                PanelMode::Gathered => {
-                    push(Task::Panel { k }, &mut tasks, &mut by_step);
-                }
-                PanelMode::Resident => {
-                    for ti in k..rb {
-                        push(Task::PanelElect { k, ti }, &mut tasks, &mut by_step);
-                    }
-                    let t = rb - k;
-                    let counts = panel_tree_levels(t);
-                    for (level, &n_nodes) in counts.iter().enumerate().skip(1) {
-                        for i in 0..n_nodes {
-                            let right_lo = (2 * i + 1) << (level - 1);
-                            if right_lo < t {
-                                push(
-                                    Task::PanelReduce {
-                                        k,
-                                        level,
-                                        ti: k + (i << level),
-                                        tj: k + right_lo,
-                                    },
-                                    &mut tasks,
-                                    &mut by_step,
-                                );
-                            }
-                        }
-                    }
-                    push(Task::PanelFinish { k }, &mut tasks, &mut by_step);
-                    for ti in k + 1..rb {
-                        push(Task::PanelApply { k, ti }, &mut tasks, &mut by_step);
-                    }
-                }
+        for (k, plan) in plans.iter().enumerate() {
+            // `producer[slot]` is the task whose completion leaves slot's
+            // current candidate set in place: the leaf's elect, then each
+            // match that folds into it.
+            let mut producer: Vec<TaskId> = (0..plan.leaves().len())
+                .map(|leaf| push(Task::PanelElect { k, leaf }, &mut tasks, &mut by_step))
+                .collect();
+            for m in plan.tree() {
+                let reduce = Task::PanelReduce { k, round: m.round, lo: m.lo, hi: m.hi };
+                let id = push(reduce, &mut tasks, &mut by_step);
+                edges.push((producer[m.lo], id));
+                edges.push((producer[m.hi], id));
+                producer[m.lo] = id;
+            }
+            // The tournament root feeds the finish; every elect reaches it
+            // through the tree, so the winner swaps are exclusive.
+            let finish = push(Task::PanelFinish { k }, &mut tasks, &mut by_step);
+            edges.push((producer[0], finish));
+            for chunk in 0..plan.chunks().len() {
+                let apply = push(Task::PanelApply { k, chunk }, &mut tasks, &mut by_step);
+                edges.push((finish, apply));
             }
             for j in 0..k {
                 push(Task::Swap { k, j }, &mut tasks, &mut by_step);
@@ -664,18 +576,18 @@ impl LuDag {
             // both trailing rows and columns its width is exactly nb, so
             // trailing rows start on the block grid at row (k+1)·nb.
             let jb = shape.panel_width(k);
-            if jb < shape.nb && k * shape.nb + jb < shape.n {
+            if jb < nb && k * nb + jb < shape.n {
                 // Ragged final panel in a wide matrix: the rest of the
                 // panel's own block column still needs swap + trsm.
                 push(Task::Swap { k, j: k }, &mut tasks, &mut by_step);
                 push(Task::Trsm { k, j: k }, &mut tasks, &mut by_step);
             }
-            let has_rows_below = k * shape.nb + jb < shape.m;
+            let has_rows_below = k * nb + jb < shape.m;
             for j in k + 1..cb {
                 push(Task::Swap { k, j }, &mut tasks, &mut by_step);
                 push(Task::Trsm { k, j }, &mut tasks, &mut by_step);
                 if has_rows_below {
-                    debug_assert_eq!(jb, shape.nb, "ragged panels have no trailing block");
+                    debug_assert_eq!(jb, nb, "ragged panels have no trailing block");
                     for i in k + 1..rb {
                         push(Task::Gemm { k, i, j }, &mut tasks, &mut by_step);
                     }
@@ -683,72 +595,31 @@ impl LuDag {
             }
         }
 
-        // Edges as (from, to) pairs; deduped below.
         let id = |t: Task| -> TaskId { *id_of.get(&t).expect("edge endpoint exists") };
-        // The task whose completion means "panel k is factored and its
-        // pivots published" — what swaps of step k hang off.
-        let panel_done = |k: usize| -> Task {
-            match mode {
-                PanelMode::Gathered => Task::Panel { k },
-                PanelMode::Resident => Task::PanelFinish { k },
-            }
-        };
-        let mut edges: Vec<(TaskId, TaskId)> = Vec::new();
         for (tid, &t) in tasks.iter().enumerate() {
             match t {
-                Task::Panel { k } => {
+                Task::PanelElect { k, leaf } => {
+                    // Only the tiles this leaf's rows touch must be updated
+                    // through step k-1.
                     if k > 0 {
-                        // The panel's column must be fully updated through
-                        // step k-1.
-                        for i in k..rb {
+                        let rows = &plans[k].leaves()[leaf];
+                        let base = k * nb;
+                        for i in (base + rows.start) / nb..(base + rows.end).div_ceil(nb) {
                             edges.push((id(Task::Gemm { k: k - 1, i, j: k }), tid));
                         }
                     }
-                    // Lookahead throttle: wait for every task of step
-                    // k - lookahead - 1.
+                    // Lookahead throttle on the subgraph's entry tasks: wait
+                    // for every task of step k - lookahead - 1.
                     if k > lookahead {
                         for &p in &by_step[k - lookahead - 1] {
                             edges.push((p, tid));
                         }
                     }
                 }
-                Task::PanelElect { k, ti } => {
-                    // Only this tile's slice of the panel column must be
-                    // updated through step k-1 — the per-tile refinement of
-                    // the gathered panel's all-tiles gate.
-                    if k > 0 {
-                        edges.push((id(Task::Gemm { k: k - 1, i: ti, j: k }), tid));
-                    }
-                    // Lookahead throttle on the subgraph's entry tasks.
-                    if k > lookahead {
-                        for &p in &by_step[k - lookahead - 1] {
-                            edges.push((p, tid));
-                        }
-                    }
-                }
-                Task::PanelReduce { k, level, ti, .. } => {
-                    // Fold the two child subtrees' candidate producers
-                    // (pass-through single-child nodes resolve downward).
-                    let t = rb - k;
-                    let i = (ti - k) >> level;
-                    edges.push((id(panel_tree_task(k, t, level - 1, 2 * i)), tid));
-                    edges.push((id(panel_tree_task(k, t, level - 1, 2 * i + 1)), tid));
-                }
-                Task::PanelFinish { k } => {
-                    // The tournament root; every elect reaches it through
-                    // the reduce tree, so the cross-tile winner swaps and
-                    // the diagonal-tile factorization are exclusive.
-                    let t = rb - k;
-                    let top = panel_tree_levels(t).len() - 1;
-                    edges.push((id(panel_tree_task(k, t, top, 0)), tid));
-                }
-                Task::PanelApply { k, .. } => {
-                    // Needs the published pivots, the swapped panel column,
-                    // and the finished U₁₁ diagonal.
-                    edges.push((id(Task::PanelFinish { k }), tid));
-                }
+                // Wired at creation.
+                Task::PanelReduce { .. } | Task::PanelFinish { .. } | Task::PanelApply { .. } => {}
                 Task::Swap { k, j } if j >= k => {
-                    edges.push((id(panel_done(k)), tid));
+                    edges.push((id(Task::PanelFinish { k }), tid));
                     if k > 0 {
                         // Column j fully updated through step k-1 first.
                         for i in k..rb {
@@ -758,14 +629,14 @@ impl LuDag {
                 }
                 Task::Swap { k, j } => {
                     // j < k: pivot fix-up of a finished L column.
-                    edges.push((id(panel_done(k)), tid));
+                    edges.push((id(Task::PanelFinish { k }), tid));
                     if j < k - 1 {
                         // Swaps on the same column do not commute.
                         edges.push((id(Task::Swap { k: k - 1, j }), tid));
                     } else {
                         // First left-swap of column j = k-1: anti-dependence
-                        // on every reader of the unswapped L₂₁ of step k-1
-                        // (and, resident mode, on its per-tile writers).
+                        // on every reader and every per-chunk writer of the
+                        // unswapped L₂₁ of step k-1.
                         for &gid in &by_step[k - 1] {
                             if matches!(tasks[gid], Task::Gemm { .. } | Task::PanelApply { .. }) {
                                 edges.push((gid, tid));
@@ -774,26 +645,26 @@ impl LuDag {
                     }
                 }
                 Task::Trsm { k, j } => {
-                    // The swap wrote the same rows; the panel root is
-                    // covered transitively (Swap ← Panel/PanelFinish).
+                    // The swap wrote the same rows; the panel finish is
+                    // covered transitively (Swap ← PanelFinish).
                     edges.push((id(Task::Swap { k, j }), tid));
                 }
                 Task::Gemm { k, i, j } => {
                     // Trsm(k,j) produced U₁₂; Swap(k,j) (last writer of the
                     // tile) is transitive. L₂₁ of tile row i comes from the
-                    // panel root (transitive) in gathered mode, or from
-                    // this tile's PanelApply in resident mode.
+                    // apply chunk that covers it.
                     edges.push((id(Task::Trsm { k, j }), tid));
-                    if mode == PanelMode::Resident {
-                        edges.push((id(Task::PanelApply { k, ti: i }), tid));
-                    }
+                    let chunk = plans[k].chunk_of((i - k) * nb);
+                    edges.push((id(Task::PanelApply { k, chunk }), tid));
                 }
                 Task::Dist(_) | Task::Solve(_) => {
                     unreachable!("factorization builder emits no dist/solve tasks")
                 }
             }
         }
-        Self::from_parts(shape, lookahead, tasks, edges, 1, None)
+        let mut dag = Self::from_parts(shape, lookahead, tasks, edges, 1, None);
+        dag.plans = plans;
+        dag
     }
 
     /// Finishes construction from a raw task/edge list (shared by the
@@ -817,7 +688,7 @@ impl LuDag {
             dep_count[to] += 1;
         }
         let prio = tasks.iter().map(|&t| priority(&shape, t)).collect();
-        LuDag { shape, lookahead, tasks, prio, succs, dep_count, ranks, grid }
+        LuDag { shape, lookahead, tasks, prio, succs, dep_count, ranks, grid, plans: Vec::new() }
     }
 
     /// Number of ranks the tasks are partitioned over (1 for a
@@ -849,6 +720,15 @@ impl LuDag {
     /// The lookahead depth the panel throttle was built with.
     pub fn lookahead(&self) -> usize {
         self.lookahead
+    }
+
+    /// Leaf and chunk geometry of step `k`'s panel subgraph — what the
+    /// `leaf`/`lo`/`hi`/`chunk` indices of its tasks refer to.
+    ///
+    /// # Panics
+    /// If `k` is not a step of a shared-memory factorization DAG.
+    pub fn panel_plan(&self, k: usize) -> &PanelPlan {
+        &self.plans[k]
     }
 
     /// All tasks; a [`TaskId`] indexes this slice.
@@ -927,6 +807,20 @@ impl LuDag {
     pub fn total_cost(&self, cost: impl Fn(Task) -> f64) -> f64 {
         self.tasks.iter().map(|&t| cost(t)).sum()
     }
+
+    /// Lower bound on the makespan of `workers` workers under a per-task
+    /// cost model: the longer of the critical path and an even split of the
+    /// total work. The critical path alone is the `workers → ∞` limit and
+    /// ranks plans by depth only; on a few workers a plan that buys depth
+    /// with extra work (tile-height tournament leaves) loses, and this
+    /// bound says so.
+    ///
+    /// # Panics
+    /// If `workers == 0`.
+    pub fn makespan_bound(&self, workers: usize, cost: impl Fn(Task) -> f64) -> f64 {
+        assert!(workers > 0, "at least one worker");
+        self.critical_path(&cost).max(self.total_cost(&cost) / workers as f64)
+    }
 }
 
 /// Which storage layout the matrix behind a DAG's tasks uses — the knob
@@ -942,8 +836,8 @@ pub enum TileLocality {
     /// Flat column-major storage: task operands are strided sub-blocks
     /// with leading dimension `m`.
     Flat,
-    /// Tile-major storage: `Trsm`/`Gemm` operands are contiguous tiles;
-    /// the panel pays an explicit gather/scatter copy around its kernel.
+    /// Tile-major storage: every task operand is a contiguous tile or a
+    /// run of them.
     TileMajor,
 }
 
@@ -963,22 +857,27 @@ pub enum TileLocality {
 /// columns of an operand onto the same cache sets, so a spilled strided
 /// operand also cannot stay resident *within* a task between kernel
 /// passes: its sweeps are charged twice. A matrix that fits in cache
-/// streams once either way, so both layouts charge contiguous bytes.
-/// Tile-major `Panel` tasks charge one extra read+write pair: the
-/// explicit gather/scatter copy into the contiguous scratch panel. Row
+/// streams once either way, so both layouts charge contiguous bytes. Row
 /// swaps touch one line per element in either layout (rows are
 /// orthogonal to column-major storage) and cost the same.
 ///
+/// The panel subgraph charges its main-matrix operand sweeps: the elect
+/// reads its leaf once (into its working copy), the finish read+writes the
+/// top block, each apply read+writes its chunk in place. `jb`-scale scratch
+/// — candidate sets folded by the reduces, the `U₁₁` block every apply
+/// re-reads — stays uncharged. Three panel sweeps in either layout; no
+/// layout gathers or scatters the panel.
+///
 /// The net effect matches the tiled-algorithms literature: tile-major
-/// wins on the `gemm`-dominated trailing updates and gives a little back
-/// on panels — the modeled difference `layout_calu` records next to its
-/// measured times.
+/// wins on the `gemm`-dominated trailing updates — the modeled difference
+/// `layout_calu` records next to its measured times.
 pub fn modeled_cache_traffic(
-    shape: &LuShape,
+    dag: &LuDag,
     task: Task,
     mch: &MachineConfig,
     locality: TileLocality,
 ) -> f64 {
+    let shape = dag.shape();
     const LINE: f64 = 64.0;
     const B: usize = 8; // modeled element bytes (the f64 calibration)
     let spills = ((shape.m * shape.n * B) as f64) > mch.cache_bytes;
@@ -1003,33 +902,13 @@ pub fn modeled_cache_traffic(
         sweeps * lines * LINE
     };
     match task {
-        Task::Panel { k } => {
-            let rows = shape.m - k * shape.nb;
-            let jb = shape.panel_width(k);
-            let kernel = block_bytes(rows, jb, 2.0);
-            match locality {
-                TileLocality::TileMajor => kernel + block_bytes(rows, jb, 2.0),
-                TileLocality::Flat => kernel,
-            }
-        }
-        // The resident panel subgraph charges its *main-matrix* operand
-        // sweeps only, at the same idealization level as the gathered
-        // kernel above (which charges 2 panel sweeps for the whole TSLU,
-        // its internal election copies and tournament folds uncharged as
-        // cache-resident scratch): the elect reads its tile once, the
-        // finish read+writes the diagonal tile, the apply read+writes its
-        // tile in place. jb-scale scratch — election copies, candidate
-        // payloads folded by the reduces, the U₁₁ block every apply
-        // re-reads — stays uncharged on both sides. Net: 3 panel sweeps
-        // instead of the gathered tile panel's 4 — the eliminated
-        // gather/scatter copy, minus the cross-task re-read of each tile.
-        Task::PanelElect { k, ti } => {
-            block_bytes(shape.row_range(ti).len(), shape.panel_width(k), 1.0)
+        Task::PanelElect { k, leaf } => {
+            block_bytes(dag.panel_plan(k).leaves()[leaf].len(), shape.panel_width(k), 1.0)
         }
         Task::PanelReduce { .. } => 0.0,
-        Task::PanelFinish { k } => block_bytes(shape.row_range(k).len(), shape.panel_width(k), 2.0),
-        Task::PanelApply { k, ti } => {
-            block_bytes(shape.row_range(ti).len(), shape.panel_width(k), 2.0)
+        Task::PanelFinish { k } => block_bytes(shape.panel_width(k), shape.panel_width(k), 2.0),
+        Task::PanelApply { k, chunk } => {
+            block_bytes(dag.panel_plan(k).chunk(chunk).len(), shape.panel_width(k), 2.0)
         }
         Task::Swap { k, j } => {
             let jb = shape.panel_width(k);
@@ -1059,42 +938,38 @@ pub fn modeled_cache_traffic(
 /// 16 bytes streamed, i.e. 8 bytes per flop-second — the memory-bound
 /// face of the same [`MachineConfig`]).
 pub fn modeled_time_layout(
-    shape: &LuShape,
+    dag: &LuDag,
     task: Task,
     mch: &MachineConfig,
     locality: TileLocality,
 ) -> f64 {
     let stream_bytes_per_s = 8.0 / mch.gamma2;
-    modeled_time(shape, task, mch)
-        + modeled_cache_traffic(shape, task, mch, locality) / stream_bytes_per_s
+    modeled_time(dag, task, mch)
+        + modeled_cache_traffic(dag, task, mch, locality) / stream_bytes_per_s
 }
 
 /// Modeled execution time of one task under a [`MachineConfig`]'s γ-class
 /// kernel rates (the same model `calu-netsim` charges simulated ranks).
-/// The panel is costed as one unpivoted LU of the full panel height plus a
-/// `getf2` sweep for the tournament's candidate elections.
-pub fn modeled_time(shape: &LuShape, task: Task, mch: &MachineConfig) -> f64 {
+/// Panel tasks are charged what their bodies run: a recursive (`rgetf2`)
+/// local LU per leaf, a `2jb × jb` `getf2` per tournament match, the winner
+/// swaps plus a `jb × jb` unpivoted LU in the finish, and a BLAS-3
+/// triangular solve (`jb²·rows` flops at the `gemm` rate) per apply chunk.
+pub fn modeled_time(dag: &LuDag, task: Task, mch: &MachineConfig) -> f64 {
+    let shape = dag.shape();
     match task {
-        Task::Panel { k } => {
-            let rows = shape.m - k * shape.nb;
-            let jb = shape.panel_width(k);
-            mch.t_getf2(rows, jb) + mch.t_lu_nopiv(rows, jb)
+        Task::PanelElect { k, leaf } => {
+            mch.t_rgetf2(dag.panel_plan(k).leaves()[leaf].len(), shape.panel_width(k))
         }
-        // Resident panel subgraph: the monolithic panel cost split across
-        // its tasks — per-tile elections, jb-scale tree folds, the
-        // diagonal-tile finish, and per-tile L₂₁ formation (triangular
-        // solve flops: jb²·h).
-        Task::PanelElect { k, ti } => mch.t_getf2(shape.row_range(ti).len(), shape.panel_width(k)),
         Task::PanelReduce { k, .. } => {
             let jb = shape.panel_width(k);
             mch.t_getf2(2 * jb, jb)
         }
         Task::PanelFinish { k } => {
             let jb = shape.panel_width(k);
-            mch.t_laswp(jb, jb) + mch.t_lu_nopiv(shape.row_range(k).len(), jb)
+            mch.t_laswp(jb, jb) + mch.t_lu_nopiv(jb, jb)
         }
-        Task::PanelApply { k, ti } => {
-            mch.t_trsm_left(shape.panel_width(k), shape.row_range(ti).len())
+        Task::PanelApply { k, chunk } => {
+            mch.t_trsm_right(dag.panel_plan(k).chunk(chunk).len(), shape.panel_width(k))
         }
         Task::Swap { k, j } => {
             let jb = shape.panel_width(k);
@@ -1121,32 +996,56 @@ mod tests {
         LuDag::build(LuShape { m, n, nb }, d)
     }
 
+    fn rdag(m: usize, n: usize, nb: usize, d: usize) -> LuDag {
+        LuDag::build_with(LuShape { m, n, nb }, d, PanelMode::Resident)
+    }
+
+    fn find(g: &LuDag, t: Task) -> TaskId {
+        g.tasks().iter().position(|&x| x == t).unwrap_or_else(|| panic!("{t} not in the DAG"))
+    }
+
+    fn count(g: &LuDag, cat: &str) -> usize {
+        g.tasks().iter().filter(|t| t.cat() == cat).count()
+    }
+
     #[test]
     fn counts_match_closed_form_square() {
         // 4 block columns, square: per step k < 3 there are (cb-1-k)
         // right-swaps/trsm and (rb-1-k)(cb-1-k) gemms, plus k left swaps.
+        // Each step's panel is min(4, rows) elects, one reduce fewer, one
+        // finish, and one apply chunk whenever rows remain below the top
+        // block (4096-row chunks: one covers everything here).
         let d = dag(128, 128, 32, 1);
-        let (mut panels, mut swaps, mut trsms, mut gemms) = (0, 0, 0, 0);
-        for t in d.tasks() {
-            match t {
-                Task::Panel { .. } => panels += 1,
-                Task::Swap { .. } => swaps += 1,
-                Task::Trsm { .. } => trsms += 1,
-                Task::Gemm { .. } => gemms += 1,
-                Task::PanelElect { .. }
-                | Task::PanelReduce { .. }
-                | Task::PanelFinish { .. }
-                | Task::PanelApply { .. }
-                | Task::Dist(_)
-                | Task::Solve(_) => {
-                    unreachable!("gathered factorization DAGs emit no resident/dist/solve tasks")
-                }
-            }
-        }
-        assert_eq!(panels, 4);
-        assert_eq!(trsms, 3 + 2 + 1);
-        assert_eq!(swaps, (3 + 2 + 1) + (1 + 2 + 3)); // right + left
-        assert_eq!(gemms, 9 + 4 + 1);
+        assert_eq!(count(&d, "panel_elect"), 4 * 4);
+        assert_eq!(count(&d, "panel_reduce"), 4 * 3);
+        assert_eq!(count(&d, "panel_finish"), 4);
+        assert_eq!(count(&d, "panel_apply"), 3);
+        assert_eq!(count(&d, "trsm"), 3 + 2 + 1);
+        assert_eq!(count(&d, "swap"), (3 + 2 + 1) + (1 + 2 + 3)); // right + left
+        assert_eq!(count(&d, "gemm"), 9 + 4 + 1);
+        assert_eq!(d.len(), 16 + 12 + 4 + 3 + 6 + 12 + 14);
+    }
+
+    #[test]
+    fn resident_counts_follow_the_tile_grid() {
+        // Tile-height leaves: t = 4-k elects and t-1 reduces per step;
+        // everything else as gathered.
+        let d = rdag(128, 128, 32, 1);
+        assert_eq!(count(&d, "panel_elect"), 4 + 3 + 2 + 1);
+        assert_eq!(count(&d, "panel_reduce"), 3 + 2 + 1);
+        assert_eq!(count(&d, "panel_finish"), 4);
+        assert_eq!(count(&d, "panel_apply"), 3);
+        assert_eq!(count(&d, "gemm"), 9 + 4 + 1);
+    }
+
+    #[test]
+    fn tall_panel_counts_derive_from_the_plan() {
+        // 65536 x 128, nb 64: two steps of 4 elects + 3 reduces + 1 finish
+        // + 16 apply chunks, beside the 1026 swap/trsm/gemm tasks.
+        let d = dag(65536, 128, 64, 1);
+        assert_eq!(d.len(), 1026 + 2 * (4 + 3 + 1 + 16));
+        let r = rdag(65536, 128, 64, 1);
+        assert_eq!(r.len(), 1026 + (1024 + 1023 + 1 + 16) + (1023 + 1022 + 1 + 16));
     }
 
     #[test]
@@ -1157,6 +1056,7 @@ mod tests {
         assert!(d.tasks().iter().any(|t| matches!(t, Task::Trsm { k: 1, j: 2 })));
         assert!(d.tasks().iter().any(|t| matches!(t, Task::Trsm { k: 1, j: 3 })));
         assert!(!d.tasks().iter().any(|t| matches!(t, Task::Gemm { k: 1, .. })));
+        assert!(!d.tasks().iter().any(|t| matches!(t, Task::PanelApply { k: 1, .. })));
     }
 
     #[test]
@@ -1180,23 +1080,38 @@ mod tests {
         assert_eq!(d.shape().panel_width(2), 8);
         assert!(!d.tasks().iter().any(|t| matches!(t, Task::Trsm { k: 2, .. })));
         assert!(!d.tasks().iter().any(|t| matches!(t, Task::Gemm { k: 2, .. })));
+        // Its rows below the 8 x 8 top block (40..100) still become L.
+        assert_eq!(d.panel_plan(2).chunks().collect::<Vec<_>>(), vec![8..68]);
+        assert!(d.tasks().iter().any(|t| matches!(t, Task::PanelApply { k: 2, chunk: 0 })));
     }
 
     #[test]
-    fn serial_schedule_is_topological_and_complete() {
-        for &(m, n, nb, d) in
-            &[(96, 96, 16, 1), (96, 96, 16, 3), (130, 70, 32, 2), (70, 130, 32, 9)]
-        {
-            let g = dag(m, n, nb, d);
-            let order = g.serial_schedule();
-            assert_eq!(order.len(), g.len());
-            let mut pos = vec![0usize; g.len()];
-            for (p, &id) in order.iter().enumerate() {
-                pos[id] = p;
-            }
-            for id in 0..g.len() {
-                for &s in g.successors(id) {
-                    assert!(pos[id] < pos[s], "{} must precede {}", g.tasks()[id], g.tasks()[s]);
+    fn schedules_are_topological_and_complete_in_both_modes() {
+        for mode in [PanelMode::Gathered, PanelMode::Resident] {
+            for &(m, n, nb, d, p) in &[
+                (96, 96, 16, 1, 4),
+                (96, 96, 16, 3, 3),
+                (130, 70, 32, 2, 5),
+                (70, 130, 32, 9, 4),
+                (100, 60, 16, 2, 1),
+                (9000, 40, 16, 1, 5),
+            ] {
+                let g = LuDag::build_panels(LuShape { m, n, nb }, d, mode, p);
+                let order = g.serial_schedule();
+                assert_eq!(order.len(), g.len());
+                let mut pos = vec![0usize; g.len()];
+                for (p, &id) in order.iter().enumerate() {
+                    pos[id] = p;
+                }
+                for id in 0..g.len() {
+                    for &s in g.successors(id) {
+                        assert!(
+                            pos[id] < pos[s],
+                            "{} must precede {}",
+                            g.tasks()[id],
+                            g.tasks()[s]
+                        );
+                    }
                 }
             }
         }
@@ -1204,59 +1119,68 @@ mod tests {
 
     #[test]
     fn lookahead_throttle_orders_panels_behind_old_gemms() {
-        // With depth 1, Panel(3) must come after every task of step 1 in
-        // any topological order; with a huge depth that edge disappears.
+        // With depth 1, every elect of step 3 must come after every task of
+        // step 1 in any topological order; with a huge depth that edge
+        // disappears.
         let g1 = dag(160, 160, 32, 1);
-        let p3 = g1.tasks().iter().position(|t| matches!(t, Task::Panel { k: 3 })).unwrap();
-        let has_edge_from_step1 =
-            (0..g1.len()).any(|id| g1.tasks()[id].step() == 1 && g1.successors(id).contains(&p3));
-        assert!(has_edge_from_step1, "depth-1 throttle edge missing");
-
+        for leaf in 0..g1.panel_plan(3).leaves().len() {
+            let e3 = find(&g1, Task::PanelElect { k: 3, leaf });
+            let throttled = (0..g1.len())
+                .any(|id| g1.tasks()[id].step() == 1 && g1.successors(id).contains(&e3));
+            assert!(throttled, "depth-1 throttle edge missing on leaf {leaf}");
+        }
         let g9 = dag(160, 160, 32, 9);
-        let p3 = g9.tasks().iter().position(|t| matches!(t, Task::Panel { k: 3 })).unwrap();
+        let e3 = find(&g9, Task::PanelElect { k: 3, leaf: 0 });
         let throttled = (0..g9.len()).any(|id| {
-            matches!(g9.tasks()[id], Task::Gemm { k: 1, .. }) && g9.successors(id).contains(&p3)
+            matches!(g9.tasks()[id], Task::Gemm { k: 1, .. }) && g9.successors(id).contains(&e3)
         });
-        assert!(!throttled, "deep lookahead must not throttle Panel(3) on step-1 gemms");
+        assert!(!throttled, "deep lookahead must not throttle step 3 on step-1 gemms");
     }
 
     #[test]
     fn deeper_lookahead_shortens_the_critical_path() {
         let shape = LuShape { m: 1024, n: 1024, nb: 64 };
         let mch = MachineConfig::power5();
-        let cp = |d: usize| LuDag::build(shape, d).critical_path(|t| modeled_time(&shape, t, &mch));
+        let cp = |d: usize| {
+            let g = LuDag::build(shape, d);
+            g.critical_path(|t| modeled_time(&g, t, &mch))
+        };
         let (c1, c2, c4) = (cp(1), cp(2), cp(4));
         assert!(c2 <= c1 + 1e-12, "depth 2 ({c2}) must not exceed depth 1 ({c1})");
         assert!(c4 <= c2 + 1e-12);
         // And the DAG exposes real parallelism against one worker.
         let g = LuDag::build(shape, 2);
-        let total = g.total_cost(|t| modeled_time(&shape, t, &mch));
+        let total = g.total_cost(|t| modeled_time(&g, t, &mch));
         assert!(total / c2 > 2.0, "modeled parallelism {}", total / c2);
     }
 
     #[test]
-    fn tile_major_traffic_beats_flat_on_updates_and_pays_on_panels() {
+    fn tile_major_traffic_beats_flat_on_updates() {
         // 1024^2 doubles (8 MB) spill the XT4's 2 MB cache.
         let shape = LuShape { m: 1024, n: 1024, nb: 64 };
         let mch = MachineConfig::xt4();
+        let dag = LuDag::build(shape, 1);
         let gemm = Task::Gemm { k: 0, i: 5, j: 7 };
-        let flat = modeled_cache_traffic(&shape, gemm, &mch, TileLocality::Flat);
-        let tiled = modeled_cache_traffic(&shape, gemm, &mch, TileLocality::TileMajor);
+        let flat = modeled_cache_traffic(&dag, gemm, &mch, TileLocality::Flat);
+        let tiled = modeled_cache_traffic(&dag, gemm, &mch, TileLocality::TileMajor);
         assert!(tiled < flat, "tile gemm traffic {tiled} must beat flat {flat}");
         // Exact useful bytes for the tile gemm: A + B read once, C
         // read+write, all contiguous.
         assert_eq!(tiled, (4 * 64 * 64 * 8) as f64);
 
-        let panel = Task::Panel { k: 0 };
-        let p_tiled = modeled_cache_traffic(&shape, panel, &mch, TileLocality::TileMajor);
-        // The tile panel's gather/scatter copy doubles its contiguous
-        // kernel sweep (2 extra sweeps of m x nb doubles).
-        assert_eq!(p_tiled, (4 * 1024 * 64 * 8) as f64, "gather/scatter copy must be charged");
+        // The panel subgraph sweeps the panel three times in tile-major
+        // storage (elect read, finish/apply read+write); nothing is gathered.
+        let panel0: f64 = dag
+            .tasks()
+            .iter()
+            .filter(|t| t.step() == 0 && t.cat().starts_with("panel_"))
+            .map(|&t| modeled_cache_traffic(&dag, t, &mch, TileLocality::TileMajor))
+            .sum();
+        assert_eq!(panel0, (3 * 1024 * 64 * 8) as f64);
 
         // Whole-DAG traffic is gemm-dominated, so tile-major wins net.
-        let dag = LuDag::build(shape, 1);
         let total = |loc| -> f64 {
-            dag.tasks().iter().map(|&t| modeled_cache_traffic(&shape, t, &mch, loc)).sum()
+            dag.tasks().iter().map(|&t| modeled_cache_traffic(&dag, t, &mch, loc)).sum()
         };
         assert!(
             total(TileLocality::TileMajor) < total(TileLocality::Flat),
@@ -1265,9 +1189,9 @@ mod tests {
         // And the layout-aware time model orders the same way while never
         // undercutting the pure compute model.
         let t = |loc| -> f64 {
-            dag.tasks().iter().map(|&t| modeled_time_layout(&shape, t, &mch, loc)).sum()
+            dag.tasks().iter().map(|&t| modeled_time_layout(&dag, t, &mch, loc)).sum()
         };
-        let compute: f64 = dag.tasks().iter().map(|&t| modeled_time(&shape, t, &mch)).sum();
+        let compute: f64 = dag.tasks().iter().map(|&t| modeled_time(&dag, t, &mch)).sum();
         assert!(t(TileLocality::TileMajor) < t(TileLocality::Flat));
         assert!(t(TileLocality::TileMajor) > compute);
     }
@@ -1276,13 +1200,13 @@ mod tests {
     fn cache_resident_flat_blocks_are_not_penalized() {
         // A matrix whose whole strided span fits in cache streams like a
         // contiguous one: no layout difference on Trsm/Gemm operands.
-        let shape = LuShape { m: 64, n: 64, nb: 16 };
         let mch = MachineConfig::power5(); // 16 MB cache >> 32 KB matrix
-        for t in LuDag::build(shape, 1).tasks() {
+        let dag = dag(64, 64, 16, 1);
+        for t in dag.tasks() {
             if matches!(t, Task::Trsm { .. } | Task::Gemm { .. }) {
                 assert_eq!(
-                    modeled_cache_traffic(&shape, *t, &mch, TileLocality::Flat),
-                    modeled_cache_traffic(&shape, *t, &mch, TileLocality::TileMajor),
+                    modeled_cache_traffic(&dag, *t, &mch, TileLocality::Flat),
+                    modeled_cache_traffic(&dag, *t, &mch, TileLocality::TileMajor),
                     "{t}"
                 );
             }
@@ -1290,205 +1214,127 @@ mod tests {
     }
 
     #[test]
-    fn first_left_swap_waits_for_all_readers_of_l() {
-        // Swap(1, 0) must depend on every Gemm(0, ·, ·).
-        let g = dag(96, 96, 32, 1);
-        let target = g.tasks().iter().position(|t| matches!(t, Task::Swap { k: 1, j: 0 })).unwrap();
-        for id in 0..g.len() {
-            if matches!(g.tasks()[id], Task::Gemm { k: 0, .. }) {
-                assert!(
-                    g.successors(id).contains(&target),
-                    "{} must precede Swap(1,0)",
-                    g.tasks()[id]
-                );
-            }
-        }
-    }
-
-    fn rdag(m: usize, n: usize, nb: usize, d: usize) -> LuDag {
-        LuDag::build_with(LuShape { m, n, nb }, d, PanelMode::Resident)
-    }
-
-    #[test]
-    fn resident_counts_match_closed_form_square() {
-        // 4x4 blocks: per step k there are t = 4-k elect leaves, t-1
-        // reduces (any binary tree over t leaves folds t-1 pairs), one
-        // finish, and 4-k-1 applies; swaps/trsms/gemms are unchanged.
-        let d = rdag(128, 128, 32, 1);
-        let (mut elects, mut reduces, mut finishes, mut applies) = (0, 0, 0, 0);
-        let (mut swaps, mut trsms, mut gemms) = (0, 0, 0);
-        for t in d.tasks() {
-            match t {
-                Task::PanelElect { .. } => elects += 1,
-                Task::PanelReduce { .. } => reduces += 1,
-                Task::PanelFinish { .. } => finishes += 1,
-                Task::PanelApply { .. } => applies += 1,
-                Task::Swap { .. } => swaps += 1,
-                Task::Trsm { .. } => trsms += 1,
-                Task::Gemm { .. } => gemms += 1,
-                other => unreachable!("unexpected {other} in a resident DAG"),
-            }
-        }
-        assert_eq!(elects, 4 + 3 + 2 + 1);
-        assert_eq!(reduces, 3 + 2 + 1);
-        assert_eq!(finishes, 4);
-        assert_eq!(applies, 3 + 2 + 1);
-        // Trailing structure identical to the gathered DAG.
-        assert_eq!(trsms, 3 + 2 + 1);
-        assert_eq!(swaps, (3 + 2 + 1) + (1 + 2 + 3));
-        assert_eq!(gemms, 9 + 4 + 1);
-    }
-
-    #[test]
-    fn resident_tree_edges_fold_candidates_to_the_finish() {
-        // 5 leaf tiles at step 0: levels [5, 3, 2, 1]. Node (1,2) is a
-        // pass-through (leaf 4 has no partner), so the level-2 reduce
-        // folds (1,0)'s winner with leaf 4 directly.
-        let g = rdag(5 * 32, 4 * 32, 32, 1);
-        let find = |t: Task| g.tasks().iter().position(|&x| x == t).unwrap();
-        let r10 = find(Task::PanelReduce { k: 0, level: 1, ti: 0, tj: 1 });
-        let r11 = find(Task::PanelReduce { k: 0, level: 1, ti: 2, tj: 3 });
-        let r20 = find(Task::PanelReduce { k: 0, level: 2, ti: 0, tj: 2 });
-        let r30 = find(Task::PanelReduce { k: 0, level: 3, ti: 0, tj: 4 });
-        let fin = find(Task::PanelFinish { k: 0 });
-        assert!(g.successors(r10).contains(&r20));
-        assert!(g.successors(r11).contains(&r20));
-        assert!(g.successors(r20).contains(&r30));
-        assert!(g.successors(find(Task::PanelElect { k: 0, ti: 4 })).contains(&r30));
-        assert!(g.successors(r30).contains(&fin));
-        // Every elect reaches the finish transitively; leaves 0..4 feed
-        // their level-1 parents (or the root, for the odd leaf).
-        assert!(g.successors(find(Task::PanelElect { k: 0, ti: 0 })).contains(&r10));
-        assert!(g.successors(find(Task::PanelElect { k: 0, ti: 3 })).contains(&r11));
-        // Applies hang off the finish and feed their tile row's gemms.
-        let a2 = find(Task::PanelApply { k: 0, ti: 2 });
-        assert!(g.successors(fin).contains(&a2));
-        assert!(g.successors(a2).contains(&find(Task::Gemm { k: 0, i: 2, j: 1 })));
-    }
-
-    #[test]
-    fn resident_elects_gate_per_tile_and_throttle_like_panels() {
-        let g = rdag(160, 160, 32, 1);
-        let find = |t: Task| g.tasks().iter().position(|&x| x == t).unwrap();
-        // Per-tile refinement: Elect(1, ti) waits on Gemm(0, ti, 1) only.
-        let e13 = find(Task::PanelElect { k: 1, ti: 3 });
-        assert!(g.successors(find(Task::Gemm { k: 0, i: 3, j: 1 })).contains(&e13));
-        assert!(!g.successors(find(Task::Gemm { k: 0, i: 2, j: 1 })).contains(&e13));
-        // Depth-1 throttle: step-1 tasks gate the elects of step 3.
-        let e3 = find(Task::PanelElect { k: 3, ti: 4 });
-        let throttled =
-            (0..g.len()).any(|id| g.tasks()[id].step() == 1 && g.successors(id).contains(&e3));
-        assert!(throttled, "depth-1 throttle edge missing on resident elect");
-        // Finish is the panel boundary: the trailing swap hangs off it.
-        let fin = find(Task::PanelFinish { k: 1 });
-        assert!(g.successors(fin).contains(&find(Task::Swap { k: 1, j: 2 })));
-        assert!(g.successors(fin).contains(&find(Task::Swap { k: 1, j: 0 })));
-    }
-
-    #[test]
-    fn resident_first_left_swap_waits_for_applies_too() {
-        let g = rdag(96, 96, 32, 1);
-        let target = g.tasks().iter().position(|t| matches!(t, Task::Swap { k: 1, j: 0 })).unwrap();
-        for id in 0..g.len() {
-            if matches!(g.tasks()[id], Task::Gemm { k: 0, .. } | Task::PanelApply { k: 0, .. }) {
-                assert!(
-                    g.successors(id).contains(&target),
-                    "{} must precede Swap(1,0)",
-                    g.tasks()[id]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn resident_schedule_is_topological_on_ragged_shapes() {
-        for &(m, n, nb, d) in &[
-            (96, 96, 16, 1),
-            (96, 96, 16, 3),
-            (130, 70, 32, 2),
-            (70, 130, 32, 9),
-            (100, 60, 16, 2),
-        ] {
-            let g = LuDag::build_with(LuShape { m, n, nb }, d, PanelMode::Resident);
-            let order = g.serial_schedule();
-            assert_eq!(order.len(), g.len());
-            let mut pos = vec![0usize; g.len()];
-            for (p, &id) in order.iter().enumerate() {
-                pos[id] = p;
-            }
+    fn first_left_swap_waits_for_all_readers_and_writers_of_l() {
+        // Swap(1, 0) must depend on every Gemm(0, ·, ·) and PanelApply(0, ·).
+        for g in [dag(96, 96, 32, 1), rdag(96, 96, 32, 1), dag(9000, 96, 32, 1)] {
+            let target = find(&g, Task::Swap { k: 1, j: 0 });
             for id in 0..g.len() {
-                for &s in g.successors(id) {
-                    assert!(pos[id] < pos[s], "{} must precede {}", g.tasks()[id], g.tasks()[s]);
+                if matches!(g.tasks()[id], Task::Gemm { k: 0, .. } | Task::PanelApply { k: 0, .. })
+                {
+                    assert!(
+                        g.successors(id).contains(&target),
+                        "{} must precede Swap(1,0)",
+                        g.tasks()[id]
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn resident_panel_charges_no_gather_scatter_traffic() {
-        // Same spilled TileMajor setup as the gathered test above: the
-        // gathered panel pays a doubled sweep; the resident subgraph's
-        // total panel-step traffic stays strictly below it.
-        let shape = LuShape { m: 1024, n: 1024, nb: 64 };
-        let mch = MachineConfig::xt4();
-        let gathered =
-            modeled_cache_traffic(&shape, Task::Panel { k: 0 }, &mch, TileLocality::TileMajor);
-        let g = LuDag::build_with(shape, 1, PanelMode::Resident);
-        let resident: f64 = g
-            .tasks()
-            .iter()
-            .filter(|t| {
-                t.step() == 0
-                    && matches!(
-                        t,
-                        Task::PanelElect { .. }
-                            | Task::PanelReduce { .. }
-                            | Task::PanelFinish { .. }
-                            | Task::PanelApply { .. }
-                    )
-            })
-            .map(|&t| modeled_cache_traffic(&shape, t, &mch, TileLocality::TileMajor))
-            .sum();
-        assert!(
-            resident < gathered,
-            "resident panel traffic {resident} must beat gathered {gathered}"
-        );
-        // And the resident critical path is shorter: elections fold in
-        // log(t) tree depth instead of one serial full-height panel.
-        let cp = |mode: PanelMode| {
-            LuDag::build_with(shape, 2, mode).critical_path(|t| modeled_time(&shape, t, &mch))
+    fn tree_edges_fold_candidates_to_the_finish() {
+        // Five leaves: leaf 4 folds into slot 0 first, then slots 0..4
+        // halve — exactly `tournament_tree(5)`.
+        let g = LuDag::build_panels(LuShape { m: 160, n: 128, nb: 32 }, 1, PanelMode::Gathered, 5);
+        let elect = |leaf| find(&g, Task::PanelElect { k: 0, leaf });
+        let reduce = |round, lo, hi| find(&g, Task::PanelReduce { k: 0, round, lo, hi });
+        let (fold, r01, r23, root) =
+            (reduce(1, 0, 4), reduce(2, 0, 1), reduce(2, 2, 3), reduce(3, 0, 2));
+        let fin = find(&g, Task::PanelFinish { k: 0 });
+        assert!(g.successors(elect(0)).contains(&fold));
+        assert!(g.successors(elect(4)).contains(&fold));
+        assert!(g.successors(fold).contains(&r01), "slot 0's fold-in result feeds its next match");
+        assert!(g.successors(elect(1)).contains(&r01));
+        assert!(!g.successors(elect(0)).contains(&r01));
+        assert!(g.successors(elect(2)).contains(&r23));
+        assert!(g.successors(elect(3)).contains(&r23));
+        assert!(g.successors(r01).contains(&root));
+        assert!(g.successors(r23).contains(&root));
+        assert!(g.successors(root).contains(&fin));
+        // Applies hang off the finish and feed their tile rows' gemms.
+        let a0 = find(&g, Task::PanelApply { k: 0, chunk: 0 });
+        assert!(g.successors(fin).contains(&a0));
+        assert!(g.successors(a0).contains(&find(&g, Task::Gemm { k: 0, i: 2, j: 1 })));
+    }
+
+    #[test]
+    fn elects_gate_on_the_tiles_their_rows_touch() {
+        // Step 1 of a 160-row matrix, nb 32: panel rows 32..160, p = 3
+        // leaves of 43/43/42 rows = absolute 32..75, 75..118, 118..160,
+        // i.e. tiles {1,2}, {2,3}, {3,4}.
+        let g = LuDag::build_panels(LuShape { m: 160, n: 160, nb: 32 }, 1, PanelMode::Gathered, 3);
+        let gates = |leaf: usize| -> Vec<usize> {
+            let e = find(&g, Task::PanelElect { k: 1, leaf });
+            (1..5)
+                .filter(|&i| g.successors(find(&g, Task::Gemm { k: 0, i, j: 1 })).contains(&e))
+                .collect()
         };
-        assert!(cp(PanelMode::Resident) < cp(PanelMode::Gathered));
+        assert_eq!(gates(0), vec![1, 2]);
+        assert_eq!(gates(1), vec![2, 3]);
+        assert_eq!(gates(2), vec![3, 4]);
+        // Resident leaves are tiles: one gate each.
+        let r = rdag(160, 160, 32, 1);
+        let e13 = find(&r, Task::PanelElect { k: 1, leaf: 2 });
+        assert!(r.successors(find(&r, Task::Gemm { k: 0, i: 3, j: 1 })).contains(&e13));
+        assert!(!r.successors(find(&r, Task::Gemm { k: 0, i: 2, j: 1 })).contains(&e13));
+        // Finish is the panel boundary: swaps on both sides hang off it.
+        let fin = find(&g, Task::PanelFinish { k: 1 });
+        assert!(g.successors(fin).contains(&find(&g, Task::Swap { k: 1, j: 2 })));
+        assert!(g.successors(fin).contains(&find(&g, Task::Swap { k: 1, j: 0 })));
     }
 
     #[test]
-    fn resident_single_tile_panel_degenerates_to_elect_finish() {
-        let g = rdag(40, 40, 64, 1);
-        assert_eq!(g.len(), 2);
-        assert!(matches!(g.tasks()[0], Task::PanelElect { k: 0, ti: 0 }));
-        assert!(matches!(g.tasks()[1], Task::PanelFinish { k: 0 }));
-        assert!(g.successors(0).contains(&1));
+    fn gemms_wait_for_the_apply_chunk_covering_their_tile_row() {
+        // 9000 rows, nb 32: chunks are 4096 rows = 128 tiles, starting at
+        // tile 1.
+        let g = dag(9000, 64, 32, 1);
+        assert_eq!(g.panel_plan(0).chunks().len(), 3);
+        for (i, chunk) in [(1, 0), (128, 0), (129, 1), (256, 1), (257, 2), (281, 2)] {
+            let a = find(&g, Task::PanelApply { k: 0, chunk });
+            assert!(g.successors(a).contains(&find(&g, Task::Gemm { k: 0, i, j: 1 })), "tile {i}");
+        }
     }
 
     #[test]
-    fn panel_tree_helpers_agree_on_pass_throughs() {
-        assert_eq!(panel_tree_levels(1), vec![1]);
-        assert_eq!(panel_tree_levels(5), vec![5, 3, 2, 1]);
-        assert_eq!(panel_tree_levels(0), vec![0]);
-        // Node (1,2) over 5 leaves has only leaf 4 → resolves to the leaf.
-        assert_eq!(panel_tree_resolve(5, 1, 2), (0, 4));
-        // Node (2,1) covers leaves {4} only → same leaf.
-        assert_eq!(panel_tree_resolve(5, 2, 1), (0, 4));
-        // Two-child nodes store themselves.
-        assert_eq!(panel_tree_resolve(5, 1, 0), (1, 0));
-        assert_eq!(panel_tree_resolve(5, 3, 0), (3, 0));
+    fn model_orders_gathered_and_tile_leaf_plans_like_the_stopwatch() {
+        // `tall_panel` (65536 x 128, nb 64) on the benchmark's two workers:
+        // the stopwatch puts gathered (4 leaves, 3 matches per panel) ahead
+        // of tile-height leaves (1024 leaves, 1023 matches), see
+        // EXPERIMENTS.md "Parallel panel". Tile leaves buy tournament depth
+        // with ~2000 extra `2jb x jb` eliminations, so the infinite-worker
+        // critical path prefers them; the two-worker bound must not.
+        let shape = LuShape { m: 65536, n: 128, nb: 64 };
+        for mch in [MachineConfig::power5(), MachineConfig::xt4()] {
+            let bound = |mode: PanelMode, workers: usize| {
+                let g = LuDag::build_with(shape, 1, mode);
+                g.makespan_bound(workers, |t| modeled_time(&g, t, &mch))
+            };
+            assert!(
+                bound(PanelMode::Gathered, 2) < bound(PanelMode::Resident, 2),
+                "{}: two-worker model must prefer gathered leaves",
+                mch.name
+            );
+            let cp = |mode: PanelMode| {
+                let g = LuDag::build_with(shape, 1, mode);
+                g.critical_path(|t| modeled_time(&g, t, &mch))
+            };
+            assert!(cp(PanelMode::Resident) < cp(PanelMode::Gathered), "{}", mch.name);
+        }
     }
 
     #[test]
     fn empty_and_single_panel_shapes() {
+        // One 40 x 40 panel: 4 leaves of 10 rows, 3 matches, the finish; no
+        // rows below the top block.
         let g = dag(40, 40, 64, 1);
-        assert_eq!(g.len(), 1, "single panel, nothing else");
-        assert!(matches!(g.tasks()[0], Task::Panel { k: 0 }));
+        assert_eq!(g.len(), 8);
+        assert_eq!((count(&g, "panel_elect"), count(&g, "panel_reduce")), (4, 3));
+        assert_eq!(count(&g, "panel_apply"), 0);
+        let r = rdag(40, 40, 64, 1);
+        assert_eq!(r.len(), 2);
+        assert!(matches!(r.tasks()[0], Task::PanelElect { k: 0, leaf: 0 }));
+        assert!(matches!(r.tasks()[1], Task::PanelFinish { k: 0 }));
+        assert!(r.successors(0).contains(&1));
         let e = LuDag::build(LuShape { m: 0, n: 16, nb: 8 }, 1);
         assert!(e.is_empty());
     }

@@ -1287,7 +1287,7 @@ mod tests {
         let mch = MachineConfig::power5();
         let dag = LuDag::build_dist(shape, (2, 2), 1);
         for &t in dag.tasks() {
-            assert_eq!(modeled_time(&shape, t, &mch), 0.0);
+            assert_eq!(modeled_time(&dag, t, &mch), 0.0);
         }
     }
 

@@ -9,9 +9,10 @@
 //!   speedup is measured against.
 //! * [`ThreadedExecutor`] — `std::thread` workers stealing from one shared
 //!   critical-path-ordered ready pool, with per-task completion events
-//!   carried back over a `crossbeam` channel. As soon as `Panel(k+1)`'s
-//!   column slice is updated, the panel outranks every bulk `gemm` in the
-//!   pool, so panels hide behind trailing updates at any lookahead depth —
+//!   carried back over a `crossbeam` channel. As soon as a leaf of panel
+//!   `k+1`'s column slice is updated, its election outranks every bulk
+//!   `gemm` in the pool, so panels hide behind trailing updates at any
+//!   lookahead depth —
 //!   the generalization of the old hardwired depth-1 `rayon::join`.
 //!   (A single shared pool rather than per-worker deques: at panel/tile
 //!   granularity the pool lock is touched a few thousand times per
@@ -24,11 +25,11 @@
 //!
 //! # Failure semantics
 //!
-//! The only fallible task kind is `Panel` (an exactly singular pivot).
-//! Because panels are chained through the DAG, the first panel error is
-//! the same error the sequential sweep would hit; on error the executors
-//! cancel every not-yet-started task and surface the error (the runner is
-//! responsible for reporting the **absolute** elimination step).
+//! The only fallible task kind is `PanelFinish` (an exactly singular
+//! pivot). Because panels are chained through the DAG, the first panel
+//! error is the same error the sequential sweep would hit; on error the
+//! executors cancel every not-yet-started task and surface the error (the
+//! runner is responsible for reporting the **absolute** elimination step).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -586,7 +587,7 @@ mod tests {
     fn failure_cancels_unstarted_tasks() {
         let g = dag(128, 128, 32, 1);
         let ran = AtomicUsize::new(0);
-        let fail_on = Task::Panel { k: 1 };
+        let fail_on = Task::PanelFinish { k: 1 };
         let runner = |t: Task| -> Result<()> {
             ran.fetch_add(1, Ordering::SeqCst);
             if t == fail_on {
@@ -611,7 +612,7 @@ mod tests {
         // A panic inside a task body (user observer, debug assert) must
         // unwind out of execute(), not park the other workers forever.
         let g = dag(128, 128, 32, 1);
-        let boom = Task::Panel { k: 1 };
+        let boom = Task::PanelFinish { k: 1 };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ThreadedExecutor::new(3).execute(&g, &|t: Task| -> Result<()> {
                 assert!(t != boom, "injected task panic");
@@ -668,7 +669,7 @@ mod tests {
         // or mid-task when the probe panics — the pre-fix cascade hit both
         // the waiters and the workers finishing their current task.
         let g = dag(192, 192, 32, 2);
-        let boom = Task::Panel { k: 1 };
+        let boom = Task::PanelFinish { k: 1 };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ThreadedExecutor::new(4).execute(&g, &|t: Task| -> Result<()> {
                 std::thread::sleep(std::time::Duration::from_micros(100));
@@ -727,7 +728,7 @@ mod tests {
             assert!(spans.iter().all(|s| s.dur_us >= 0.0));
             let names: std::collections::HashSet<_> =
                 spans.iter().map(|s| s.name.clone()).collect();
-            assert!(names.contains("Panel(0)"));
+            assert!(names.contains("PanelFinish(0)"));
             assert!(spans.iter().any(|s| s.cat == "gemm"));
             // The export of a live recording round-trips.
             assert!(calu_obs::parse_chrome_trace(&rec.chrome_trace()).is_ok());
@@ -755,8 +756,9 @@ mod tests {
                 assert!(t.queue_delay() >= 0.0);
             }
             // Dependency-free tasks are ready at submission time.
-            let first = rep.timings.iter().find(|t| t.task == Task::Panel { k: 0 }).unwrap();
-            assert_eq!(first.ready, 0.0, "{kind:?}: Panel(0) has no dependencies");
+            let elect0 = Task::PanelElect { k: 0, leaf: 0 };
+            let first = rep.timings.iter().find(|t| t.task == elect0).unwrap();
+            assert_eq!(first.ready, 0.0, "{kind:?}: PanelElect(0,0) has no dependencies");
             // The lane table covers the delays exactly (ns rounding).
             let total_ns: u64 = rep.queue_delay_ns_by_lane().iter().map(|&(_, v)| v).sum();
             assert!((total_ns as f64 / 1e9 - rep.queue_delay()).abs() < 1e-3 * g.len() as f64);

@@ -9,9 +9,11 @@
 //! (`calu-core`):
 //!
 //! * [`dag`] — [`LuDag::build`] emits the dependency DAG of blocked
-//!   right-looking LU for any `(m, n, nb)`: `Panel`/`Swap`/`Trsm`/`Gemm`
-//!   tasks, the anti-dependences that make row-swap deferral sound, and a
-//!   panel throttle for any lookahead depth `d ≥ 1`;
+//!   right-looking LU for any `(m, n, nb)`: the TSLU panel subgraph
+//!   (`PanelElect`/`PanelReduce`/`PanelFinish`/`PanelApply`, laid out by
+//!   [`panel`]'s [`PanelPlan`]) and `Swap`/`Trsm`/`Gemm` tasks, the
+//!   anti-dependences that make row-swap deferral sound, and a panel
+//!   throttle for any lookahead depth `d ≥ 1`;
 //! * [`exec`] — two executors behind the [`Executor`] trait: a
 //!   deterministic [`SerialExecutor`] (priority-ordered replay) and a
 //!   work-stealing [`ThreadedExecutor`] (`std::thread` workers over a
@@ -31,12 +33,12 @@
 pub mod dag;
 pub mod dist;
 pub mod exec;
+pub mod panel;
 pub mod solve;
 
 pub use dag::{
-    modeled_cache_traffic, modeled_time, modeled_time_layout, panel_tree_levels,
-    panel_tree_resolve, DistKind, DistTask, LuDag, LuShape, PanelMode, SolveKind, SolveTask, Task,
-    TaskId, TileLocality,
+    modeled_cache_traffic, modeled_time, modeled_time_layout, DistKind, DistTask, LuDag, LuShape,
+    SolveKind, SolveTask, Task, TaskId, TileLocality,
 };
 pub use dist::{
     dist_comm_term, expected_mailbox_comm, expected_threaded_getf2_comm, modeled_comm_terms,
@@ -45,5 +47,8 @@ pub use dist::{
 };
 pub use exec::{
     ExecReport, Executor, ExecutorKind, SerialExecutor, TaskRunner, TaskTiming, ThreadedExecutor,
+};
+pub use panel::{
+    partition_rows, tournament_tree, PanelMode, PanelPlan, TreeMatch, DEFAULT_TOURNAMENT_LEAVES,
 };
 pub use solve::SolveShape;

@@ -9,7 +9,7 @@
 use calu_repro::core::{calu_factor, runtime_calu_factor, CaluOpts, RuntimeOpts};
 use calu_repro::matrix::{gen, Matrix};
 use calu_repro::netsim::{render_gantt, MachineConfig};
-use calu_repro::runtime::{modeled_time, ExecutorKind, LuDag, LuShape, PanelMode, Task};
+use calu_repro::runtime::{modeled_time, ExecutorKind, LuDag, LuShape, PanelMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -17,40 +17,53 @@ fn main() {
     let (m, n, nb) = (256usize, 256usize, 64usize);
     let shape = LuShape { m, n, nb };
 
-    // --- 1. The DAG itself.
+    // --- 1. The DAG itself: per step a TSLU panel subgraph laid out by that
+    // step's PanelPlan (one elect per leaf, one reduce per tournament match,
+    // one finish, one apply per chunk of L21 rows), then swap/trsm/gemm.
     let dag = LuDag::build(shape, 2);
-    let (mut panels, mut swaps, mut trsms, mut gemms) = (0, 0, 0, 0);
-    for t in dag.tasks() {
-        match t {
-            Task::Panel { .. } => panels += 1,
-            Task::Swap { .. } => swaps += 1,
-            Task::Trsm { .. } => trsms += 1,
-            Task::Gemm { .. } => gemms += 1,
-            Task::PanelElect { .. }
-            | Task::PanelReduce { .. }
-            | Task::PanelFinish { .. }
-            | Task::PanelApply { .. } => {
-                unreachable!("gathered DAGs emit no panel-subgraph tasks")
-            }
-            Task::Dist(_) | Task::Solve(_) => {
-                unreachable!("factorization DAGs emit no dist/solve tasks")
-            }
+    let count = |dag: &LuDag, cat: &str| dag.tasks().iter().filter(|t| t.cat() == cat).count();
+    let census = |dag: &LuDag| {
+        ["panel_elect", "panel_reduce", "panel_finish", "panel_apply", "swap", "trsm", "gemm"]
+            .map(|cat| count(dag, cat))
+    };
+    // What the plans say the census must be.
+    let planned = |dag: &LuDag| {
+        let plans = (0..shape.steps()).map(|k| dag.panel_plan(k));
+        let (mut elect, mut reduce, mut apply) = (0, 0, 0);
+        for plan in plans {
+            elect += plan.leaves().len();
+            reduce += plan.tree().len();
+            apply += plan.chunks().len();
         }
-    }
+        [elect, reduce, shape.steps(), apply]
+    };
+    let [elect, reduce, finish, apply, swaps, trsms, gemms] = census(&dag);
+    assert_eq!([elect, reduce, finish, apply], planned(&dag), "DAG and PanelPlan census differ");
+    assert_eq!([elect, reduce, finish, apply], [16, 12, 4, 3], "4 leaves/step; one 4096-row chunk");
+    assert_eq!(dag.len(), elect + reduce + finish + apply + swaps + trsms + gemms);
     println!("LU task DAG for {m}x{n}, nb={nb}, lookahead depth 2");
-    println!("  {} tasks: {panels} Panel, {swaps} Swap, {trsms} Trsm, {gemms} Gemm", dag.len());
-
-    // Resident mode replaces each Panel(k) with a per-tile tournament
-    // subgraph (elect / reduce / finish / apply) — same Swap/Trsm/Gemm.
-    let resident = LuDag::build_with(shape, 2, PanelMode::Resident);
-    let count = |pfx: &str| resident.tasks().iter().filter(|t| t.cat() == pfx).count();
     println!(
-        "  resident panel subgraph: {} tasks ({} elect, {} reduce, {} finish, {} apply)\n",
-        resident.len(),
-        count("panel_elect"),
-        count("panel_reduce"),
-        count("panel_finish"),
-        count("panel_apply")
+        "  {} tasks: {elect} PanelElect, {reduce} PanelReduce, {finish} PanelFinish, \
+         {apply} PanelApply, {swaps} Swap, {trsms} Trsm, {gemms} Gemm",
+        dag.len()
+    );
+    let plan = dag.panel_plan(0);
+    println!(
+        "  step 0 plan: leaves {:?}, tree {:?}, L21 chunks {:?}",
+        plan.leaves(),
+        plan.tree().iter().map(|t| (t.lo, t.hi)).collect::<Vec<_>>(),
+        plan.chunks().collect::<Vec<_>>()
+    );
+
+    // Resident mode is the same subgraph with one leaf per tile row.
+    let resident = LuDag::build_with(shape, 2, PanelMode::Resident);
+    let [elect, reduce, finish, apply, ..] = census(&resident);
+    assert_eq!([elect, reduce, finish, apply], planned(&resident));
+    assert_eq!([elect, reduce, finish, apply], [4 + 3 + 2 + 1, 3 + 2 + 1, 4, 3]);
+    println!(
+        "  resident (tile-height leaves): {} tasks ({elect} elect, {reduce} reduce, \
+         {finish} finish, {apply} apply)\n",
+        resident.len()
     );
 
     // --- 2. The deterministic serial schedule (what SerialExecutor replays).
@@ -64,11 +77,11 @@ fn main() {
     // --- 3. Lookahead depth vs. modeled critical path (POWER5 kernel rates).
     let mch = MachineConfig::power5();
     println!("\nmodeled critical path vs. lookahead depth (POWER5 γ rates):");
-    let total = dag.total_cost(|t| modeled_time(&shape, t, &mch));
+    let total = dag.total_cost(|t| modeled_time(&dag, t, &mch));
     println!("  one worker (sum of tasks): {:>9.3} ms", total * 1e3);
     for depth in 1..=4 {
         let d = LuDag::build(shape, depth);
-        let cp = d.critical_path(|t| modeled_time(&shape, t, &mch));
+        let cp = d.critical_path(|t| modeled_time(&d, t, &mch));
         println!(
             "  depth {depth}: critical path {:>9.3} ms  (parallelism {:.2}x)",
             cp * 1e3,
@@ -80,11 +93,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     let a: Matrix = gen::randn(&mut rng, m, n);
     let opts = CaluOpts { block: nb, p: 4, ..Default::default() };
-    let rt = RuntimeOpts {
-        lookahead: 2,
-        executor: ExecutorKind::Threaded { threads: 0 },
-        parallel_panel: false,
-    };
+    let rt = RuntimeOpts { lookahead: 2, executor: ExecutorKind::Threaded { threads: 0 } };
     let (f, report) = runtime_calu_factor(&a, opts, rt).expect("factorization succeeds");
     let seq = calu_factor(&a, opts).expect("sequential reference succeeds");
     assert_eq!(

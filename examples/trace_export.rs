@@ -27,11 +27,7 @@ fn main() {
     let opts = ServeOpts {
         max_batch: 8,
         calu: CaluOpts { block: 32, p: 4, ..Default::default() },
-        rt: RuntimeOpts {
-            lookahead: 2,
-            executor: ExecutorKind::Threaded { threads: 2 },
-            parallel_panel: false,
-        },
+        rt: RuntimeOpts { lookahead: 2, executor: ExecutorKind::Threaded { threads: 2 } },
         ..Default::default()
     };
     let mut svc: SolverService = SolverService::new(opts);

@@ -4,11 +4,14 @@
 //! or panics (panics are reserved for API misuse).
 
 use calu_repro::core::{
-    calu_factor, gepp_factor, runtime_calu_factor, tiled_calu_factor, tslu_factor, CaluOpts,
-    LocalLu, RuntimeOpts,
+    calu_factor, calu_inplace, gepp_factor, runtime_calu_factor, runtime_calu_inplace,
+    runtime_calu_tiles_factor, tiled_calu_factor, tslu_factor, CaluOpts, LocalLu, PanelMode,
+    RuntimeOpts,
 };
+use calu_repro::matrix::blas3::{gemm, trsm};
 use calu_repro::matrix::lapack::{getf2, getf2_info, getrf, GetrfOpts};
-use calu_repro::matrix::{gen, Error, Matrix, NoObs};
+use calu_repro::matrix::perm::apply_ipiv;
+use calu_repro::matrix::{gen, Diag, Error, Matrix, NoObs, Side, Uplo};
 use calu_repro::runtime::ExecutorKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,30 +47,35 @@ fn all_flavors_report_singularity_at_the_same_step() {
     }
 }
 
+const EXECUTORS: [ExecutorKind; 3] = [
+    ExecutorKind::Serial,
+    ExecutorKind::Threaded { threads: 2 },
+    ExecutorKind::Threaded { threads: 4 },
+];
+
 #[test]
-fn runtime_dag_cancels_on_singularity_and_reports_absolute_step() {
-    // A SingularPivot inside a Panel(k) task must cancel dependent tasks
-    // and surface the *absolute* elimination step — same contract as the
-    // sequential sweep's `shift_step`, now across the task DAG at every
-    // lookahead depth and on both executors.
+fn panel_subgraph_cancels_on_singularity_and_reports_absolute_step() {
+    // Rank-deficient stacks never fail inside the tournament (elections
+    // and reductions always elect *some* rows), so the dead pivot surfaces
+    // in PanelFinish's top-block elimination. It must be rebased to the
+    // *absolute* elimination step the sequential sweep reports, cancel all
+    // dependents, and never hang — with either kind of leaves, on flat and
+    // tile storage, on both executors, at every lookahead depth.
     let n = 48;
     for &r in &[1usize, 7, 24, 47] {
         let a = rank_deficient(500 + r as u64, n, r);
-        let opts = CaluOpts { block: 8, p: 4, ..Default::default() };
-        for lookahead in 1..=3 {
-            for executor in [
-                ExecutorKind::Serial,
-                ExecutorKind::Threaded { threads: 2 },
-                ExecutorKind::Threaded { threads: 4 },
-            ] {
-                let rt = RuntimeOpts { lookahead, executor, parallel_panel: false };
-                let e = runtime_calu_factor(&a, opts, rt).unwrap_err();
-                match e {
-                    Error::SingularPivot { step } => assert_eq!(
-                        step, r,
-                        "rank {r} d={lookahead} {executor:?}: wrong singular step"
-                    ),
-                    other => panic!("rank {r}: unexpected error {other:?}"),
+        for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
+            let opts = CaluOpts { block: 8, p: 4, panel_mode, ..Default::default() };
+            let want = calu_factor(&a, opts).unwrap_err();
+            assert_eq!(want, Error::SingularPivot { step: r }, "sequential, rank {r}");
+            for lookahead in 1..=3 {
+                for executor in EXECUTORS {
+                    let rt = RuntimeOpts { lookahead, executor };
+                    let what = format!("rank {r} {panel_mode:?} d={lookahead} {executor:?}");
+                    let e = runtime_calu_factor(&a, opts, rt).unwrap_err();
+                    assert_eq!(e, want, "flat {what}: wrong singular step");
+                    let e = runtime_calu_tiles_factor(&a, opts, rt).unwrap_err();
+                    assert_eq!(e, want, "tiles {what}: wrong singular step");
                 }
             }
         }
@@ -75,41 +83,68 @@ fn runtime_dag_cancels_on_singularity_and_reports_absolute_step() {
 }
 
 #[test]
-fn resident_panel_subgraph_cancels_on_singularity_and_reports_absolute_step() {
-    // Same contract as the monolithic Panel(k) above, but with the panel
-    // decomposed into the PanelElect/PanelReduce/PanelFinish/PanelApply
-    // subgraph: rank-deficient stacks never fail inside the tournament
-    // (elections and reductions always elect *some* rows), so the dead
-    // pivot surfaces in PanelFinish's diagonal-tile elimination — and it
-    // must still be rebased to the absolute step, cancel all dependents
-    // on both executors at every depth, and never hang.
-    use calu_repro::core::{runtime_calu_tiles_factor, PanelMode};
-    let n = 48;
-    for &r in &[1usize, 7, 24, 47] {
-        let a = rank_deficient(500 + r as u64, n, r);
-        let opts = CaluOpts { block: 8, panel_mode: PanelMode::Resident, ..Default::default() };
-        for lookahead in 1..=3 {
-            for executor in [
-                ExecutorKind::Serial,
-                ExecutorKind::Threaded { threads: 2 },
-                ExecutorKind::Threaded { threads: 4 },
-            ] {
-                let rt = RuntimeOpts { lookahead, executor, parallel_panel: false };
-                let e = runtime_calu_factor(&a, opts, rt).unwrap_err();
-                match e {
-                    Error::SingularPivot { step } => assert_eq!(
-                        step, r,
-                        "resident rank {r} d={lookahead} {executor:?}: wrong singular step"
-                    ),
-                    other => panic!("resident rank {r}: unexpected error {other:?}"),
-                }
-                let e = runtime_calu_tiles_factor(&a, opts, rt).unwrap_err();
-                match e {
-                    Error::SingularPivot { step } => assert_eq!(
-                        step, r,
-                        "resident tiles rank {r} d={lookahead} {executor:?}: wrong singular step"
-                    ),
-                    other => panic!("resident tiles rank {r}: unexpected error {other:?}"),
+fn tall_rank_deficient_panel_fails_in_finish_and_leaves_applies_and_gemms_unrun() {
+    // 4200 x 24, block 8: every panel has four leaves (or 525 tile-height
+    // ones) and two apply chunks. Rank 3 dies in PanelFinish(0); rank 11 in
+    // PanelFinish(1), with step 0's applies and gemms done and step 1's
+    // outstanding.
+    let (m, n, b) = (4200, 24, 8);
+    let mut rng = StdRng::seed_from_u64(779);
+    let base = gen::randn(&mut rng, m, n);
+    for &r in &[3usize, 11] {
+        let a = Matrix::from_fn(m, n, |i, j| if j < r { base[(i, j)] } else { 0.0 });
+        let k = r / b;
+        let (c0, c1) = (k * b, (k + 1) * b);
+        for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
+            let opts = CaluOpts { block: b, p: 4, panel_mode, ..Default::default() };
+            let want = calu_factor(&a, opts).unwrap_err();
+            assert_eq!(want, Error::SingularPivot { step: r });
+            // The matrix as the failing step finds it: the input, or — for
+            // a failure in step 1 — the input after one full step.
+            let mut before = a.clone();
+            if k == 1 {
+                let ipiv =
+                    calu_inplace(before.view_mut().into_submatrix(0, 0, m, b), opts, &mut NoObs)
+                        .expect("the leading block column has full rank");
+                let (lu, mut rest) = before.view_mut().split_at_col_mut(b);
+                apply_ipiv(rest.rb_mut(), &ipiv);
+                let (mut u12, a22) = rest.split_at_row_mut(b);
+                trsm(
+                    Side::Left,
+                    Uplo::Lower,
+                    Diag::Unit,
+                    1.0,
+                    lu.submatrix(0, 0, b, b),
+                    u12.rb_mut(),
+                );
+                gemm(-1.0, lu.submatrix(b, 0, m - b, b), u12.as_view(), 1.0, a22);
+            }
+            let row = |x: &Matrix, i: usize| -> Vec<u64> {
+                (c0..c1).map(|j| x[(i, j)].to_bits()).collect()
+            };
+            let held: std::collections::HashSet<Vec<u64>> =
+                (c0..m).map(|i| row(&before, i)).collect();
+            for lookahead in 1..=3 {
+                for executor in EXECUTORS {
+                    let rt = RuntimeOpts { lookahead, executor };
+                    let what = format!("rank {r} {panel_mode:?} d={lookahead} {executor:?}");
+                    let e = runtime_calu_tiles_factor(&a, opts, rt).unwrap_err();
+                    assert_eq!(e, want, "tiles {what}");
+                    let mut w = a.clone();
+                    let e = runtime_calu_inplace(w.view_mut(), opts, rt, &mut NoObs).unwrap_err();
+                    assert_eq!(e, want, "flat {what}");
+                    // The failing panel's applies, swaps, trsms and gemms
+                    // hang off its finish and must not have run: right of
+                    // the panel nothing of that step happened, and below
+                    // its top block every row of the panel is still one of
+                    // the rows it held before the finish (swapped, never
+                    // eliminated).
+                    for j in c1..n {
+                        assert_eq!(&w.col(j)[c0..], &before.col(j)[c0..], "{what}: column {j}");
+                    }
+                    for i in c1..m {
+                        assert!(held.contains(&row(&w, i)), "{what}: row {i} was eliminated");
+                    }
                 }
             }
         }
@@ -121,33 +156,24 @@ fn resident_singularity_in_looked_ahead_panel_still_sequentially_first() {
     // Unbounded lookahead runs later panels' elects early; the reduction
     // spine of the failing panel must still report the sequentially-first
     // dead pivot (panels are chained through PanelFinish).
-    use calu_repro::core::PanelMode;
     let n = 64;
     let a = rank_deficient(777, n, 40);
     let opts = CaluOpts { block: 8, panel_mode: PanelMode::Resident, ..Default::default() };
-    let rt = RuntimeOpts {
-        lookahead: 1_000_000,
-        executor: ExecutorKind::Threaded { threads: 4 },
-        parallel_panel: true,
-    };
+    let rt = RuntimeOpts { lookahead: 1_000_000, executor: ExecutorKind::Threaded { threads: 4 } };
     let e = runtime_calu_factor(&a, opts, rt).unwrap_err();
     assert_eq!(e, Error::SingularPivot { step: 40 });
 }
 
 #[test]
 fn runtime_singularity_in_looked_ahead_panel_still_sequentially_first() {
-    // Deep lookahead runs Panel(k+1), Panel(k+2), ... early; a failure
-    // discovered out of wall-clock order must still be reported as the
-    // error the sequential sweep would hit (panels are chained, so the
-    // first failing panel *is* the sequential one).
+    // Deep lookahead runs the elects of panels k+1, k+2, ... early; a
+    // failure discovered out of wall-clock order must still be reported as
+    // the error the sequential sweep would hit (panels are chained through
+    // their finishes, so the first failing panel *is* the sequential one).
     let n = 64;
     let a = rank_deficient(777, n, 40);
     let opts = CaluOpts { block: 8, p: 4, ..Default::default() };
-    let rt = RuntimeOpts {
-        lookahead: 1_000_000,
-        executor: ExecutorKind::Threaded { threads: 4 },
-        parallel_panel: true,
-    };
+    let rt = RuntimeOpts { lookahead: 1_000_000, executor: ExecutorKind::Threaded { threads: 4 } };
     let e = runtime_calu_factor(&a, opts, rt).unwrap_err();
     assert_eq!(e, Error::SingularPivot { step: 40 });
 }

@@ -153,7 +153,7 @@ fn f32_runtime_calu_bitwise_matches_sequential_all_depths_and_executors() {
                 ExecutorKind::Threaded { threads: 2 },
                 ExecutorKind::Threaded { threads: 4 },
             ] {
-                let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
+                let rt = RuntimeOpts { lookahead: depth, executor };
                 let (f, _rep) = runtime_calu_factor(&a, opts, rt).unwrap();
                 assert_eq!(seq.ipiv, f.ipiv, "{m}x{n} d={depth} {executor:?}");
                 assert_eq!(
@@ -191,7 +191,7 @@ fn ir_solve_singular_f32_panel_surfaces_singular_pivot() {
     for executor in [ExecutorKind::Serial, ExecutorKind::Threaded { threads: 3 }] {
         let opts = IrOpts {
             calu: CaluOpts { block: 8, p: 4, ..Default::default() },
-            rt: RuntimeOpts { lookahead: 2, executor, parallel_panel: false },
+            rt: RuntimeOpts { lookahead: 2, executor },
             max_iter: 4,
         };
         let err = ir_solve(&a, &b, opts).unwrap_err();

@@ -178,7 +178,7 @@ proptest! {
         } else {
             ExecutorKind::Serial
         };
-        let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
+        let rt = RuntimeOpts { lookahead: depth, executor };
         let (f, _rep) = runtime_calu_factor(&a, opts, rt).unwrap();
         prop_assert_eq!(&seq.ipiv, &f.ipiv, "pivots differ (m={} n={} b={} p={} d={})", m, n, b, p, depth);
         prop_assert_eq!(seq.lu.max_abs_diff(&f.lu), 0.0);
@@ -198,7 +198,7 @@ proptest! {
         use calu_repro::runtime::ExecutorKind;
         let a = randn_mat(seed, m, n);
         let opts = CaluOpts { block: b, p: 4, ..Default::default() };
-        let rt = RuntimeOpts { lookahead: depth, executor: ExecutorKind::Serial, parallel_panel: false };
+        let rt = RuntimeOpts { lookahead: depth, executor: ExecutorKind::Serial };
         let (f1, r1) = runtime_calu_factor(&a, opts, rt).unwrap();
         let (f2, r2) = runtime_calu_factor(&a, opts, rt).unwrap();
         prop_assert_eq!(&r1.order, &r2.order, "serial schedule must be run-to-run deterministic");
@@ -327,27 +327,25 @@ proptest! {
     }
 
     #[test]
-    fn prop_resident_panel_bitwise_across_schedules(
+    fn prop_resident_panel_equals_sequential_bitwise_across_schedules(
         seed in 0u64..1_000_000,
         m in 8usize..72,
         n in 8usize..72,
         b in 2usize..20,
         depth in 1usize..4,
     ) {
-        // Tile-resident panel mode follows a different deterministic
-        // tournament tree (tile-height leaves), so it is not compared to
-        // the gathered reference — instead its serial depth-1 run is the
-        // reference, and every executor x depth x precision must
-        // reproduce it bitwise on ragged shapes; the f64 factors must
-        // also reconstruct P A = L U.
+        // Tile-height tournament leaves elect different pivots than `p`
+        // block rows do, but it is the same subgraph with the same
+        // kernels: every executor x depth x precision must reproduce the
+        // sequential sweep run in the same mode, bitwise, on ragged
+        // shapes; the f64 factors must also reconstruct P A = L U.
         use calu_repro::core::{runtime_calu_factor, PanelMode, RuntimeOpts};
         use calu_repro::runtime::ExecutorKind;
         let a64 = randn_mat(seed, m, n);
         let a32 = a64.cast::<f32>();
         let opts = CaluOpts { block: b, panel_mode: PanelMode::Resident, ..Default::default() };
-        let rt0 = RuntimeOpts { lookahead: 1, executor: ExecutorKind::Serial, parallel_panel: false };
-        let (want64, _) = runtime_calu_factor(&a64, opts, rt0).unwrap();
-        let (want32, _) = runtime_calu_factor(&a32, opts, rt0).unwrap();
+        let want64 = calu_factor(&a64, opts).unwrap();
+        let want32 = calu_factor(&a32, opts).unwrap();
         let perm = ipiv_to_perm(&want64.ipiv, m);
         prop_assert!(is_permutation(&perm));
         let pa = permute_rows(&a64, &perm);
@@ -358,7 +356,7 @@ proptest! {
         let err = pa.max_abs_diff(&prod) / a64.max_abs().max(1.0);
         prop_assert!(err < 1e-9, "resident reconstruction error {err} (m={m} n={n} b={b})");
         for executor in [ExecutorKind::Serial, ExecutorKind::Threaded { threads: 3 }] {
-            let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
+            let rt = RuntimeOpts { lookahead: depth, executor };
             let (f, _) = runtime_calu_factor(&a64, opts, rt).unwrap();
             prop_assert_eq!(&want64.ipiv, &f.ipiv, "f64 pivots (m={} n={} b={} d={} {:?})", m, n, b, depth, executor);
             prop_assert_eq!(want64.lu.max_abs_diff(&f.lu), 0.0, "f64 factors (m={} n={} b={} d={} {:?})", m, n, b, depth, executor);
@@ -366,6 +364,41 @@ proptest! {
             prop_assert_eq!(&want32.ipiv, &f.ipiv, "f32 pivots (m={} n={} b={} d={} {:?})", m, n, b, depth, executor);
             prop_assert_eq!(want32.lu.max_abs_diff(&f.lu), 0.0f32, "f32 factors (m={} n={} b={} d={} {:?})", m, n, b, depth, executor);
         }
+    }
+
+    #[test]
+    fn prop_tall_panels_equal_sequential_bitwise_on_both_storages(
+        seed in 0u64..1_000_000,
+        m in 2050usize..4400,
+        cols in 1usize..4,
+        ragged in 0usize..9,
+        b_sel in 0usize..2,
+        p_sel in 0usize..4,
+        mode_sel in 0usize..2,
+        depth in 1usize..4,
+        exec_sel in 0usize..2,
+    ) {
+        // Tall-skinny, non-power-of-two shapes: several tournament leaves
+        // (a fold-in match at p = 3 and 5), leaves that straddle tiles,
+        // panels of more than 4096 rows (several apply chunks), a ragged
+        // last panel — on flat and on tile storage, in both modes.
+        use calu_repro::core::{runtime_calu_factor, runtime_calu_tiles_factor, PanelMode, RuntimeOpts};
+        use calu_repro::runtime::ExecutorKind;
+        let b = [16, 32][b_sel];
+        let p = [1, 3, 4, 5][p_sel];
+        let n = cols * b + ragged;
+        let a = randn_mat(seed, m, n);
+        let panel_mode = [PanelMode::Gathered, PanelMode::Resident][mode_sel];
+        let opts = CaluOpts { block: b, p, panel_mode, ..Default::default() };
+        let seq = calu_factor(&a, opts).unwrap();
+        let executor = [ExecutorKind::Serial, ExecutorKind::Threaded { threads: 3 }][exec_sel];
+        let rt = RuntimeOpts { lookahead: depth, executor };
+        let (f, _) = runtime_calu_factor(&a, opts, rt).unwrap();
+        prop_assert_eq!(&seq.ipiv, &f.ipiv, "flat pivots ({}x{} b={} p={} {:?} d={} {:?})", m, n, b, p, panel_mode, depth, executor);
+        prop_assert_eq!(seq.lu.max_abs_diff(&f.lu), 0.0, "flat factors ({}x{} b={} p={} {:?} d={} {:?})", m, n, b, p, panel_mode, depth, executor);
+        let (tiles, ipiv, _) = runtime_calu_tiles_factor(&a, opts, rt).unwrap();
+        prop_assert_eq!(&seq.ipiv, &ipiv, "tile pivots ({}x{} b={} p={} {:?} d={} {:?})", m, n, b, p, panel_mode, depth, executor);
+        prop_assert_eq!(seq.lu.max_abs_diff(&tiles.to_matrix()), 0.0, "tile factors ({}x{} b={} p={} {:?} d={} {:?})", m, n, b, p, panel_mode, depth, executor);
     }
 
     #[test]
@@ -383,7 +416,7 @@ proptest! {
         use calu_repro::runtime::ExecutorKind;
         let a = randn_mat(seed, m, n);
         let opts = CaluOpts { block: b, panel_mode: PanelMode::Resident, ..Default::default() };
-        let rt = RuntimeOpts { lookahead: depth, executor: ExecutorKind::Serial, parallel_panel: false };
+        let rt = RuntimeOpts { lookahead: depth, executor: ExecutorKind::Serial };
         let (f1, r1) = runtime_calu_factor(&a, opts, rt).unwrap();
         let (f2, r2) = runtime_calu_factor(&a, opts, rt).unwrap();
         prop_assert_eq!(&r1.order, &r2.order, "resident serial schedule must be run-to-run deterministic");

@@ -24,7 +24,7 @@ fn check_tile_runtime_bitwise<T: Scalar>(seed: u64, m: usize, n: usize, b: usize
     let seq = calu_factor(&a, opts).expect("random normal matrices are nonsingular");
     for depth in 1..=3 {
         for executor in executors() {
-            let rt = RuntimeOpts { lookahead: depth, executor, parallel_panel: false };
+            let rt = RuntimeOpts { lookahead: depth, executor };
             let mut tiles = TileMatrix::from_matrix(&a, b, b);
             let (ipiv, _rep) = runtime_calu_tiles(&mut tiles, opts, rt, &mut NoObs).unwrap();
             assert_eq!(seq.ipiv, ipiv, "{} {m}x{n} b={b} d={depth} {executor:?}", T::NAME);
