@@ -1,9 +1,9 @@
 //! Criterion benchmark for full factorizations (the wall-clock analogue of
-//! Tables 5-6): sequential CALU vs blocked GEPP vs rayon-parallel CALU vs
-//! the lookahead-tiled multicore variant, plus the factor-consumer
+//! Tables 5-6): sequential CALU vs blocked GEPP vs CALU on the task
+//! runtime (threaded executor, lookahead 1), plus the factor-consumer
 //! routines (inverse, condition estimate).
 
-use calu_core::{calu_factor, gepp_factor, par_calu_factor, tiled_calu_factor, CaluOpts};
+use calu_core::{calu_factor, gepp_factor, runtime_calu_factor, CaluOpts, RuntimeOpts};
 use calu_matrix::lapack::{gecon, getrf, getri, GetrfOpts};
 use calu_matrix::norms::mat_norm_1;
 use calu_matrix::NoObs;
@@ -20,9 +20,8 @@ fn bench_factor(c: &mut Criterion) {
     let a: Matrix = gen::randn(&mut rng, n, n);
     let opts = CaluOpts { block: 64, p: 4, ..Default::default() };
     g.bench_function("calu_seq_512", |bench| bench.iter(|| calu_factor(&a, opts).unwrap()));
-    g.bench_function("calu_rayon_512", |bench| bench.iter(|| par_calu_factor(&a, opts).unwrap()));
-    g.bench_function("calu_tiled_lookahead_512", |bench| {
-        bench.iter(|| tiled_calu_factor(&a, opts).unwrap())
+    g.bench_function("calu_runtime_512", |bench| {
+        bench.iter(|| runtime_calu_factor(&a, opts, RuntimeOpts::default()).unwrap())
     });
     g.bench_function("gepp_512", |bench| bench.iter(|| gepp_factor(&a, 64).unwrap()));
     g.finish();

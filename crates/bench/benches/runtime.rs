@@ -1,8 +1,7 @@
 //! Criterion benchmark for the task-graph runtime: DAG construction cost,
-//! serial-replay vs. threaded execution at several lookahead depths, and
-//! the old front-ends now routed through the runtime.
+//! serial-replay vs. threaded execution at several lookahead depths.
 
-use calu_core::{runtime_calu_factor, tiled_calu_factor, CaluOpts, RuntimeOpts};
+use calu_core::{runtime_calu_factor, CaluOpts, RuntimeOpts};
 use calu_matrix::{gen, Matrix};
 use calu_runtime::{ExecutorKind, LuDag, LuShape};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -39,9 +38,6 @@ fn bench_runtime_factor(c: &mut Criterion) {
             bench.iter(|| runtime_calu_factor(&a, opts, threaded).unwrap())
         });
     }
-    g.bench_function(format!("tiled_frontend_{n}"), |bench| {
-        bench.iter(|| tiled_calu_factor(&a, opts).unwrap())
-    });
     g.finish();
 }
 

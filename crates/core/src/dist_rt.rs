@@ -4,19 +4,33 @@
 //! scheduling — long available to the shared-memory layer — apply to the
 //! distributed setting too.
 //!
-//! The runner binds real kernels over **all** ranks' block-cyclic
-//! [`TileMatrix`] storage at once (the simulation's shared memory): every
-//! task touches exactly the tiles its owning rank would touch, cross-rank
-//! data flows through a mailbox of `f64`-word payloads keyed per message
-//! (the same payload convention `calu-netsim` sends over channels —
-//! `T ↔ f64` round trips are exact for every [`Scalar`]), and the DAG's
-//! edges are the proof that concurrently running tasks touch disjoint
-//! elements. Because each task replays the exact arithmetic of the SPMD
+//! One run is set up once (`DistRun`: block-cyclic scatter into per-rank
+//! [`TileMatrix`] storage, the DAG, the pivot vector, the ledger), driven
+//! by one of two drivers over the [`Communicator`] seam, and assembled
+//! once (`DistRun::finish`):
+//!
+//! * [`CommKind::InProcess`] — *run the DAG on an executor* (this module):
+//!   a [`TaskRunner`] over all ranks' storage at once (the simulation's
+//!   shared memory), payloads in one shared mailbox, the DAG's edges the
+//!   proof that concurrently running tasks touch disjoint elements.
+//! * [`CommKind::Threaded`] — *run the per-rank queues on scoped threads*
+//!   ([`crate::dist_threaded`]): one OS thread per rank, point-to-point
+//!   messages, blocking fetches.
+//!
+//! Both call the same rank-local task bodies (`crate::dist_rank`): a task
+//! touches exactly the tiles its owning rank owns and everything else
+//! arrives as keyed `f64`-word payloads (the same convention `calu-netsim`
+//! sends over channels — `T ↔ f64` round trips are exact for every
+//! [`Scalar`]). Only `Swap` and `PanelGetf2` have one body per
+//! communicator: in one address space each is a single task that moves
+//! elements directly between the rank storages of a process column
+//! (below); as messages each is a collective over that column's rank
+//! threads. Because every task replays the exact arithmetic of the SPMD
 //! sweep ([`dist_calu_factor_spmd`](crate::dist::dist_calu_factor_spmd) /
 //! [`dist_pdgetrf_factor_spmd`](crate::dist::dist_pdgetrf_factor_spmd)),
-//! factors are **bitwise identical** to the pre-refactor distributed
-//! implementations on any schedule, any executor, any lookahead depth —
-//! the property tests assert it.
+//! factors are **bitwise identical** to those references on any schedule,
+//! any executor, any lookahead depth, either communicator — the property
+//! tests assert it.
 //!
 //! # Failure semantics
 //!
@@ -26,7 +40,9 @@
 //! absolute elimination step as [`DistFactors::first_singular`], matching
 //! the step the sequential references error at. Unlike the SPMD loop,
 //! which marches on LAPACK-INFO-style, the canceled factors beyond that
-//! step are untouched — the leading part is still meaningful.
+//! step are untouched — the leading part is still meaningful. (Rank
+//! threads: see [`crate::dist_threaded`], which also cancels the grid when
+//! a rank *panics*.)
 //!
 //! # Reports
 //!
@@ -35,31 +51,24 @@
 //! ([`simulate_dist_schedule`] under a [`DistCostModel`]) as netsim
 //! [`RankTrace`]s — compute and communication of all ranks in one Gantt —
 //! plus a synthesized [`SimReport`] and the wall-clock [`ExecReport`] of
-//! whichever executor actually ran the tasks.
+//! whichever driver actually ran the tasks.
 
-use std::sync::Arc;
+use std::ops::Range;
 
-use crate::comm::{
-    CommKind, Communicator, InProcessComm, MpiComm, MAIL_ACC as ACC, MAIL_PAN as PAN,
-    MAIL_PIV as PIV, MAIL_U12 as U12, MAIL_WBK as WBK,
-};
+use crate::comm::{CommKind, Communicator, InProcessComm, ThreadedComm, MAIL_PIV as PIV};
 use crate::dist::{assemble_2d, DistCaluConfig, DistFactors, DistPdgetrfConfig};
-use crate::tournament::{reduce_pair, Candidates};
-use crate::tslu::{local_candidates, winners_to_ipiv, LocalLu};
+use crate::dist_rank::{RankCell, RankTasks, RunCtx};
+use crate::rt::SharedIpiv;
+use crate::tslu::LocalLu;
 use calu_matrix::blas1::scal;
 use calu_matrix::blas2::ger;
-use calu_matrix::blas3::{gemm, trsm};
-use calu_matrix::lapack::lu_nopiv;
-use calu_matrix::scalar::cast_slice;
-use calu_matrix::{
-    Diag, Error, MatViewMut, Matrix, NoObs, Result, Scalar, Side, TileLayout, TileMatrix, Uplo,
-};
+use calu_matrix::{Error, Matrix, Result, Scalar, TileLayout, TileMatrix};
 use calu_netsim::{MachineConfig, RankTrace, SimReport};
 use calu_obs::{CommDelta, CommLedger, CommLedgerReport, CommTerm, Recorder, Span};
 use calu_runtime::{
-    expected_mailbox_comm, modeled_comm_terms, simulate_dist_schedule, tslu_acc_slot,
-    tslu_leg_count, tslu_leg_role, DistCostModel, DistGeom, DistKind, DistPanelAlg, DistTask,
-    ExecReport, ExecutorKind, LegRole, LuDag, LuShape, Task, TaskRunner,
+    expected_mailbox_comm, expected_threaded_getf2_comm, modeled_comm_terms,
+    simulate_dist_schedule, DistCostModel, DistGeom, DistKind, DistPanelAlg, DistTask, ExecReport,
+    ExecutorKind, LuDag, LuShape, Task, TaskRunner,
 };
 
 /// How a runtime-driven distributed factorization should execute.
@@ -76,11 +85,9 @@ pub struct DistRtOpts {
     /// threads *are* the parallelism and this field is ignored.
     pub executor: ExecutorKind,
     /// Which [`Communicator`] moves cross-rank payloads:
-    /// [`CommKind::InProcess`] (the shared mailbox, behavior-preserving
-    /// default), [`CommKind::Threaded`] (ranks as OS threads over
-    /// per-rank channels), or [`CommKind::Mpi`] (the error-returning
-    /// stub). Factors are bitwise identical under every supported
-    /// backend.
+    /// [`CommKind::InProcess`] (the shared mailbox, the default) or
+    /// [`CommKind::Threaded`] (ranks as OS threads over per-rank
+    /// channels). Factors are bitwise identical under both.
     pub communicator: CommKind,
 }
 
@@ -139,8 +146,8 @@ pub struct DistRtReport {
 impl DistRtReport {
     /// Measured mailbox ledger vs the exact predictor — every delta whose
     /// source is `"mailbox_exact"` is exact on a successful run; the
-    /// `swap` term surfaces as unmodeled (pivot-row exchanges move
-    /// elements directly between rank storages, never via the mailbox).
+    /// `swap` term surfaces as unmodeled (which pivot rows cross owners
+    /// is data-dependent).
     pub fn mailbox_deltas(&self) -> Vec<CommDelta> {
         self.comm.reconcile(&self.expected_mailbox)
     }
@@ -181,163 +188,18 @@ impl DistRtReport {
 }
 
 // ---------------------------------------------------------------------------
-// Shared-mutable cells
+// The in-process runner
 // ---------------------------------------------------------------------------
 
-/// Shared-mutable handle to one rank's local [`TileMatrix`] — the
-/// per-rank counterpart of `rt`'s `SharedTiles`. The DAG's edges prove
-/// that concurrently running tasks touch disjoint elements. (The
-/// rank-thread driver in [`crate::dist_threaded`] reuses it with a
-/// stronger guarantee: one thread owns the whole matrix.)
-pub(crate) struct RankCell<T> {
-    ptr: *mut T,
-    pub(crate) lay: TileLayout,
+/// Runs the DAG's tasks over all ranks' tiles in one address space.
+struct DistRunner<'a, T> {
+    ctx: RunCtx<'a>,
+    cells: &'a [RankCell<T>],
 }
 
-unsafe impl<T: Send> Send for RankCell<T> {}
-unsafe impl<T: Sync> Sync for RankCell<T> {}
-
-impl<T: Scalar> RankCell<T> {
-    pub(crate) fn new(a: &mut TileMatrix<T>) -> Self {
-        Self { ptr: a.as_mut_slice().as_mut_ptr(), lay: a.layout() }
-    }
-
-    /// Local rows of this rank.
-    pub(crate) fn rows(&self) -> usize {
-        self.lay.rows()
-    }
-
-    /// # Safety
-    /// The caller's task must hold (via DAG ordering) access to the
-    /// element.
-    pub(crate) unsafe fn get(&self, li: usize, lj: usize) -> T {
-        unsafe { *self.ptr.add(self.lay.elem_offset(li, lj)) }
-    }
-
-    /// # Safety
-    /// The caller's task must hold exclusive access to the element.
-    pub(crate) unsafe fn set(&self, li: usize, lj: usize, v: T) {
-        unsafe { *self.ptr.add(self.lay.elem_offset(li, lj)) = v };
-    }
-
-    /// Mutable view of the `nr × nc` block at `(i0, j0)` inside tile
-    /// `(ti, tj)`; built from raw parts so logically disjoint blocks never
-    /// materialize overlapping `&mut` slices.
-    ///
-    /// # Safety
-    /// The caller's task must hold exclusive element access via DAG
-    /// ordering, and the block must be in range of the tile.
-    pub(crate) unsafe fn tile_block(
-        &self,
-        ti: usize,
-        tj: usize,
-        i0: usize,
-        j0: usize,
-        nr: usize,
-        nc: usize,
-    ) -> MatViewMut<'_, T> {
-        let h = self.lay.tile_height(ti);
-        debug_assert!(i0 + nr <= h && j0 + nc <= self.lay.tile_width(tj));
-        let off = self.lay.tile_offset(ti, tj) + j0 * h + i0;
-        unsafe { MatViewMut::from_raw_parts(self.ptr.add(off), nr, nc, h) }
-    }
-}
-
-/// Shared pivot vector (the `rt` module's cell, re-stated): the single
-/// designated panel task writes each step's slots exclusively; nothing
-/// reads them until assembly.
-pub(crate) struct IpivCell {
-    pub(crate) ptr: *mut usize,
-    pub(crate) len: usize,
-}
-
-unsafe impl Send for IpivCell {}
-unsafe impl Sync for IpivCell {}
-
-impl IpivCell {
-    /// # Safety
-    /// Only the designated panel task of the step owning `base..` may
-    /// call this, and nothing else may access the range concurrently.
-    pub(crate) unsafe fn publish(&self, base: usize, local: &[usize]) {
-        debug_assert!(base + local.len() <= self.len);
-        for (i, &p) in local.iter().enumerate() {
-            unsafe { *self.ptr.add(base + i) = base + p };
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The runner
-// ---------------------------------------------------------------------------
-
-/// Binds the distributed kernels to runtime tasks over all ranks' tiles.
-struct DistRunner<T> {
-    geom: DistGeom,
-    glayout: TileLayout,
-    alg: DistPanelAlg,
-    local: LocalLu,
-    /// The DAG's lookahead depth — the eviction horizon of the mailbox.
-    lookahead: usize,
-    cells: Vec<RankCell<T>>,
-    ipiv: IpivCell,
-    /// The communicator seam, carrying cross-rank payloads `Arc`d so
-    /// consumers read without copying. This runner drives the shared
-    /// [`InProcessComm`] mailbox (held as a trait object so the seam the
-    /// rank-thread driver crosses is exercised here too): keys are unique
-    /// per message, the DAG orders every post before its fetches, no
-    /// payload is read across steps, and the panel throttle proves old
-    /// steps complete, so [`Self::evict_completed_steps`] bounds the
-    /// mailbox to the lookahead window.
-    comm: Box<dyn Communicator>,
-    /// Measured communication: every mailbox send/arrival and cross-owner
-    /// pivot-row exchange, counted per rank per term as it happens.
-    ledger: CommLedger,
-}
-
-impl<T: Scalar> DistRunner<T> {
+impl<T: Scalar> DistRunner<'_, T> {
     fn cell(&self, prow: usize, pcol: usize) -> &RankCell<T> {
-        &self.cells[pcol * self.geom.pr + prow]
-    }
-
-    fn nb(&self) -> usize {
-        self.geom.shape.nb
-    }
-
-    /// Posts to the shared mailbox: `from`/destinations are implicit (the
-    /// DAG is the wire), so the seam's routing arguments stay empty.
-    fn post(&self, class: u8, k: usize, j: usize, who: usize, data: Vec<f64>) {
-        let key = (class, k as u32, j as u32, who as u32);
-        self.comm.post(0, key, data, &[]).expect("the in-process mailbox cannot refuse a post");
-    }
-
-    fn fetch(&self, class: u8, k: usize, j: usize, who: usize) -> Arc<Vec<f64>> {
-        let key = (class, k as u32, j as u32, who as u32);
-        self.comm.fetch(0, key).expect("the in-process mailbox cannot refuse a fetch")
-    }
-
-    /// The accumulator process row `r` reads after `l` butterfly legs —
-    /// keyed by [`tslu_acc_slot`], the same slot algebra the DAG builder's
-    /// edge endpoints use, so mailbox keys and edges cannot drift apart.
-    fn fetch_acc(&self, k: usize, l: usize, r: usize) -> Candidates<T> {
-        Candidates::from_payload(&self.fetch(ACC, k, tslu_acc_slot(self.geom.pr, l, r), r))
-    }
-
-    /// [`Self::fetch_acc`] for a *partner's* accumulator — the one fetch
-    /// in the butterfly that crosses ranks, i.e. the wire. The transfer is
-    /// ledgered here, at the consuming fetch (DAG-ordered after the
-    /// producer's post, so the payload length is exact on any schedule),
-    /// and attributed to the sending rank — which is precisely the leg's
-    /// send-role side (`Exchange` partners fetch each other, a
-    /// `FoldCombine` fetches its `FoldSend`, a `FoldRecv` its `FoldOut`),
-    /// so per-rank totals match the cost model's send accounting. The
-    /// send-half tasks themselves are no-op injection markers and cannot
-    /// be measured directly: their only DAG ordering against the producer
-    /// runs through this receiving task.
-    fn fetch_acc_wire(&self, k: usize, l: usize, r: usize) -> Candidates<T> {
-        let raw = self.fetch(ACC, k, tslu_acc_slot(self.geom.pr, l, r), r);
-        let sender = self.geom.rank(r, self.geom.pcol_of(k));
-        self.ledger.record_send(sender as u32, "tslu_leg", raw.len() as u64);
-        Candidates::from_payload(&raw)
+        &self.cells[self.ctx.geom.rank(prow, pcol)]
     }
 
     /// Exchanges (or locally swaps) global rows `r1 != r2` across the
@@ -348,237 +210,30 @@ impl<T: Scalar> DistRunner<T> {
     /// # Safety
     /// The calling task must own both rows over `cols` on this process
     /// column (DAG-ordered against every other toucher).
-    unsafe fn swap_rows(&self, pcol: usize, r1: usize, r2: usize, cols: std::ops::Range<usize>) {
+    unsafe fn swap_rows(&self, pcol: usize, r1: usize, r2: usize, cols: Range<usize>) {
         debug_assert!(r1 != r2);
-        let o1 = self.glayout.row_owner(r1);
-        let o2 = self.glayout.row_owner(r2);
-        let (l1, l2) = (self.glayout.local_row(r1), self.glayout.local_row(r2));
-        if o1 == o2 {
-            let c = self.cell(o1, pcol);
-            for lj in cols {
-                unsafe {
-                    let a = c.get(l1, lj);
-                    c.set(l1, lj, c.get(l2, lj));
-                    c.set(l2, lj, a);
-                }
-            }
-        } else {
-            let (c1, c2) = (self.cell(o1, pcol), self.cell(o2, pcol));
-            for lj in cols {
-                unsafe {
-                    let a = c1.get(l1, lj);
-                    c1.set(l1, lj, c2.get(l2, lj));
-                    c2.set(l2, lj, a);
-                }
-            }
-        }
+        let lay = &self.ctx.glayout;
+        let (c1, c2) = (self.cell(lay.row_owner(r1), pcol), self.cell(lay.row_owner(r2), pcol));
+        // SAFETY: the caller owns both row segments (this function's contract).
+        unsafe { c1.swap_row_with(lay.local_row(r1), c2, lay.local_row(r2), cols) };
     }
 
-    /// Local column range of block column `j` on its owning process
-    /// column, restricted to the columns step `k`'s swap touches.
-    fn swap_cols(&self, k: usize, j: usize) -> std::ops::Range<usize> {
-        let b = self.nb();
-        let c0 = self.glayout.local_cols_below(self.geom.pcol_of(j), j * b);
-        let wj = self.geom.wj(j);
-        match self.alg {
-            DistPanelAlg::Tslu => c0..c0 + wj,
-            DistPanelAlg::Getf2 => {
-                if j == k {
-                    c0 + self.geom.jb(k)..c0 + wj
-                } else {
-                    c0..c0 + wj
-                }
-            }
-        }
-    }
-
-    /// Packs local elements column-major as `f64` words, exactly like the
-    /// SPMD payloads.
-    ///
-    /// # Safety
-    /// The calling task must be ordered after the last writer of the
-    /// range.
-    unsafe fn pack(
-        &self,
-        cell: &RankCell<T>,
-        rows: std::ops::Range<usize>,
-        cols: std::ops::Range<usize>,
-    ) -> Vec<f64> {
-        let mut v = Vec::with_capacity(rows.len() * cols.len());
-        for lj in cols {
-            v.extend(rows.clone().map(|li| unsafe { cell.get(li, lj) }.to_f64()));
-        }
-        v
-    }
-
-    // -- task bodies --------------------------------------------------------
-
-    /// Drops every payload of steps the lookahead throttle proves
-    /// complete: a panel task of step `k` carries edges from *all* tasks
-    /// of step `k − d − 1` (and, inductively through the panel chain, of
-    /// every earlier step), and no task reads mail posted by another
-    /// step — so payloads with step `≤ k − d − 1` are dead. Keeps the
-    /// mailbox's footprint proportional to the lookahead window instead
-    /// of the whole factorization.
-    fn evict_completed_steps(&self, k: usize) {
-        if k > self.lookahead {
-            let cutoff = (k - self.lookahead - 1) as u32;
-            self.comm.evict_before(0, cutoff);
-        }
-    }
-
-    /// Empties the mailbox and returns how many payload words were still
-    /// posted. Called by the driver once the executor returns — on the
-    /// success path (the last lookahead window's payloads are still
-    /// resident) and, crucially, after a cancellation, where payloads
-    /// posted for recv tasks that were canceled have no remaining reader
-    /// and would leak for the runner's lifetime. (Every [`Communicator`]
-    /// lock site recovers from poisoning — drain runs during shutdown,
-    /// where a panicked task must not block the cleanup.)
-    fn drain_mailbox(&self) -> usize {
-        self.comm.drain()
-    }
-
-    /// Payload words currently posted (the post-drain residual check).
-    fn mailbox_words(&self) -> usize {
-        self.comm.residual_words()
-    }
-
-    /// Words of one posted payload — 0 if the slot is absent. Used by the
-    /// ledger to measure what actually sits in the mailbox (every peeked
-    /// slot is a DAG ancestor of the peeking task, so it cannot race with
-    /// its producer, and the current step is never evicted).
-    fn mail_len(&self, class: u8, k: usize, j: usize, who: usize) -> usize {
-        self.comm.peek_words(0, (class, k as u32, j as u32, who as u32))
-    }
-
-    /// Ledger entry for one completed communication task — the measured
-    /// side of the reconciliation against [`expected_mailbox_comm`] /
-    /// [`modeled_comm_terms`]. Terms mirror
-    /// [`calu_runtime::dist_comm_term`] exactly: broadcast payloads are
-    /// counted once per receiver, measured from the payload actually in
-    /// the mailbox. Pure sends (`PivSend`/`WSend`/`PanelSend`/`USend`)
-    /// are transit in the cost model and carry no mailbox arrival of
-    /// their own, so — like the model — they add nothing here; the
-    /// `tslu_leg` and `swap` terms are recorded where their transfers
-    /// happen, in [`Self::fetch_acc_wire`] and [`Self::run_swap`].
-    fn account(&self, kind: DistKind, k: usize, j: usize, rank: usize, prow: usize) {
-        let g = &self.geom;
-        let rank = rank as u32;
-        match kind {
-            DistKind::PivRecv => {
-                // The canonical PIV slot may not be posted yet (this
-                // receiver's only mailbox dependence is its own process
-                // row's no-op send) — but the list is always jb entries.
-                self.ledger.record_recv(rank, "piv_bcast", g.jb(k) as u64);
-            }
-            DistKind::PanelRecv => {
-                let words = self.mail_len(PAN, k, 0, prow);
-                self.ledger.record_recv(rank, "panel_bcast", words as u64);
-            }
-            DistKind::URecv => {
-                let words = self.mail_len(U12, k, j, 0);
-                self.ledger.record_recv(rank, "u_bcast", words as u64);
-            }
-            DistKind::Second if prow != g.cprow(k) => {
-                let words = self.mail_len(WBK, k, 0, 0);
-                self.ledger.record_recv(rank, "w_bcast", words as u64);
-            }
-            _ => {}
-        }
-    }
-
-    fn run_cand(&self, k: usize, prow: usize) -> Result<()> {
-        self.evict_completed_steps(k);
-        let g = &self.geom;
-        let (gk, jb) = (k * self.nb(), g.jb(k));
-        let cpcol = g.pcol_of(k);
-        let cell = self.cell(prow, cpcol);
-        let lr = cell.rows();
-        let lr_k = self.glayout.local_rows_below(prow, gk);
-        let lrows = lr - lr_k;
-        let pl0 = self.glayout.local_cols_below(cpcol, gk);
-        let block = Matrix::from_fn(lrows, jb, |i, j| unsafe { cell.get(lr_k + i, pl0 + j) });
-        let idx: Vec<usize> = (lr_k..lr).map(|li| self.glayout.global_row(prow, li) - gk).collect();
-        let cand = if lrows > 0 {
-            local_candidates(&block, &idx, self.local)
-        } else {
-            Candidates::<T>::new(Matrix::zeros(0, jb), vec![])
-        };
-        self.post(ACC, k, 0, prow, cand.to_payload());
-        Ok(())
-    }
-
-    fn run_tslu_leg(&self, k: usize, leg: usize, prow: usize) -> Result<()> {
-        match tslu_leg_role(self.geom.pr, leg, prow) {
-            LegRole::Exchange { partner } => {
-                let mine = self.fetch_acc(k, leg, prow);
-                let theirs = self.fetch_acc_wire(k, leg, partner);
-                // The combine is ordered by member index, exactly as the
-                // netsim butterfly orders it.
-                let acc = if prow < partner {
-                    reduce_pair(&mine, &theirs)
-                } else {
-                    reduce_pair(&theirs, &mine)
-                };
-                self.post(ACC, k, leg + 1, prow, acc.to_payload());
-            }
-            LegRole::FoldCombine { partner } => {
-                let mine = self.fetch_acc(k, leg, prow);
-                let theirs = self.fetch_acc_wire(k, leg, partner);
-                let acc = reduce_pair(&mine, &theirs);
-                self.post(ACC, k, leg + 1, prow, acc.to_payload());
-            }
-            LegRole::FoldRecv { partner } => {
-                let theirs: Candidates<T> = self.fetch_acc_wire(k, leg, partner);
-                self.post(ACC, k, leg + 1, prow, theirs.to_payload());
-            }
-            // Send halves: the data is read from the producer's slot by
-            // the receiving side; the task models the injection.
-            LegRole::FoldSend { .. } | LegRole::FoldOut { .. } => {}
-            LegRole::Idle => unreachable!("idle legs are not emitted"),
-        }
-        Ok(())
-    }
-
-    fn run_piv_send(&self, k: usize, prow: usize) -> Result<()> {
-        let g = &self.geom;
-        if self.alg == DistPanelAlg::Getf2 {
-            // PDGETF2 computed and posted the list; this task models the
-            // row-broadcast injection only.
-            return Ok(());
-        }
-        if prow != g.cprow(k) {
-            // Redundant copies on the other process rows carry the same
-            // list; only the canonical (diagonal-row) slot is consumed.
-            return Ok(());
-        }
-        let gk = k * self.nb();
-        let winners: Candidates<T> = self.fetch_acc(k, tslu_leg_count(g.pr), prow);
-        let li = winners_to_ipiv(&winners.rows, self.geom.shape.m - gk);
-        // SAFETY: the diagonal PivSend of step k is the only writer of
-        // these slots.
-        unsafe { self.ipiv.publish(gk, &li) };
-        self.post(PIV, k, 0, g.cprow(k), li.iter().map(|&x| x as f64).collect());
-        Ok(())
-    }
-
-    fn swap_list(&self, k: usize) -> Vec<usize> {
-        self.fetch(PIV, k, 0, self.geom.cprow(k)).iter().map(|&x| x as usize).collect()
-    }
-
-    fn run_swap(&self, k: usize, j: usize) -> Result<()> {
-        let gk = k * self.nb();
-        let li = self.swap_list(k);
-        let cols = self.swap_cols(k, j);
-        let pcol = self.geom.pcol_of(j);
+    /// `Swap(k, j)` in one address space: one task walks the swap list and
+    /// copies pivot rows directly between the rank storages of `j`'s
+    /// process column. (The rank-thread driver cannot — each thread owns
+    /// one cell — and runs it as a collective of paired messages.)
+    fn run_swap(&self, me: &RankTasks<'_, T>, k: usize, j: usize) -> Result<()> {
+        me.evict_completed_steps(k);
+        let lay = &self.ctx.glayout;
+        let gk = k * me.nb();
+        let cols = me.swap_cols(k, j);
         if cols.is_empty() {
             return Ok(());
         }
-        for (i, &p) in li.iter().enumerate() {
+        for (i, p) in me.swap_list(k)?.into_iter().enumerate() {
             if p != i {
                 let (r1, r2) = (gk + i, gk + p);
-                let (o1, o2) = (self.glayout.row_owner(r1), self.glayout.row_owner(r2));
+                let (o1, o2) = (lay.row_owner(r1), lay.row_owner(r2));
                 if o1 != o2 {
                     // Data-dependent cross-rank exchange: each owner ships
                     // its row segment to the other. Measured here, at the
@@ -587,149 +242,15 @@ impl<T: Scalar> DistRunner<T> {
                     // between the two is exactly what the reconciliation
                     // report quantifies.
                     let w = cols.len() as u64;
-                    self.ledger.record_send(self.geom.rank(o1, pcol) as u32, "swap", w);
-                    self.ledger.record_send(self.geom.rank(o2, pcol) as u32, "swap", w);
+                    for o in [o1, o2] {
+                        let rank = self.ctx.geom.rank(o, me.pcol) as u32;
+                        self.ctx.ledger.record_send(rank, "swap", w);
+                    }
                 }
                 // SAFETY: Swap(k,j) owns rows ≥ k·nb of these columns
                 // across the process column.
-                unsafe { self.swap_rows(pcol, r1, r2, cols.clone()) };
+                unsafe { self.swap_rows(me.pcol, r1, r2, cols.clone()) };
             }
-        }
-        Ok(())
-    }
-
-    fn run_w_send(&self, k: usize) -> Result<()> {
-        let g = &self.geom;
-        let (gk, jb) = (k * self.nb(), g.jb(k));
-        let (cprow, cpcol) = (g.cprow(k), g.pcol_of(k));
-        let cell = self.cell(cprow, cpcol);
-        let d0 = self.glayout.local_rows_below(cprow, gk);
-        let pl0 = self.glayout.local_cols_below(cpcol, gk);
-        // SAFETY: ordered after Swap(k,k), before every Second(k,·).
-        let w = unsafe { self.pack(cell, d0..d0 + jb, pl0..pl0 + jb) };
-        self.post(WBK, k, 0, 0, w);
-        Ok(())
-    }
-
-    fn run_second(&self, k: usize, prow: usize) -> Result<()> {
-        let g = &self.geom;
-        let b = self.nb();
-        let (gk, jb) = (k * b, g.jb(k));
-        let (cprow, cpcol) = (g.cprow(k), g.pcol_of(k));
-        let mut w: Matrix<T> =
-            Matrix::from_col_major(jb, jb, cast_slice(&self.fetch(WBK, k, 0, 0)));
-        // A genuinely singular panel cancels all dependents across ranks;
-        // the driver reports the absolute step (the SPMD loop records the
-        // same step INFO-style and marches on).
-        if let Err(Error::SingularPivot { step }) = lu_nopiv(w.view_mut(), &mut NoObs) {
-            return Err(Error::SingularPivot { step: gk + step });
-        }
-        let cell = self.cell(prow, cpcol);
-        let pl0 = self.glayout.local_cols_below(cpcol, gk);
-        if prow == cprow {
-            let d0 = self.glayout.local_rows_below(cprow, gk);
-            for lj in 0..jb {
-                for li in 0..jb {
-                    // SAFETY: Second(k, cprow) exclusively owns the W rows.
-                    unsafe { cell.set(d0 + li, pl0 + lj, w[(li, lj)]) };
-                }
-            }
-        }
-        let lb0 = self.glayout.local_rows_below(prow, gk + jb);
-        let lr = cell.rows();
-        if lr > lb0 {
-            let u11 = w.view().submatrix(0, 0, jb, jb);
-            let (tjc, jc) = (pl0 / b, pl0 % b);
-            for (ti, rr) in cell.lay.row_tile_span(lb0..lr) {
-                // SAFETY: Second(k, prow) owns its rank's L₂₁ rows.
-                let l21 = unsafe { cell.tile_block(ti, tjc, rr.start, jc, rr.len(), jb) };
-                trsm(Side::Right, Uplo::Upper, Diag::NonUnit, T::ONE, u11, l21);
-            }
-        }
-        Ok(())
-    }
-
-    fn run_panel_send(&self, k: usize, prow: usize) -> Result<()> {
-        let g = &self.geom;
-        let (gk, jb) = (k * self.nb(), g.jb(k));
-        let cpcol = g.pcol_of(k);
-        let cell = self.cell(prow, cpcol);
-        let lr = cell.rows();
-        let lr_k = self.glayout.local_rows_below(prow, gk);
-        let pl0 = self.glayout.local_cols_below(cpcol, gk);
-        // SAFETY: ordered after Second(k, prow) / PanelGetf2(k) — the
-        // last writers of this rank's panel rows.
-        let v = unsafe { self.pack(cell, lr_k..lr, pl0..pl0 + jb) };
-        self.post(PAN, k, 0, prow, v);
-        Ok(())
-    }
-
-    /// The local columns of block column `j` updated by step `k`'s
-    /// trailing work, as `(first local col, width, col tile, intra-tile
-    /// col)`.
-    fn upd_cols(&self, k: usize, j: usize) -> (usize, usize, usize, usize) {
-        let b = self.nb();
-        let pcol = self.geom.pcol_of(j);
-        let c0 = self.glayout.local_cols_below(pcol, j * b);
-        let skip = if j == k { self.geom.jb(k) } else { 0 };
-        let lo = c0 + skip;
-        let wid = self.geom.upd_width(k, j);
-        (lo, wid, c0 / b, lo - (c0 / b) * b)
-    }
-
-    fn run_trsm(&self, k: usize, j: usize) -> Result<()> {
-        let g = &self.geom;
-        let b = self.nb();
-        let (gk, jb) = (k * b, g.jb(k));
-        let cprow = g.cprow(k);
-        let pcol = g.pcol_of(j);
-        let lr_panel = g.panel_rows(cprow, k);
-        let panel_l: Matrix<T> =
-            Matrix::from_col_major(lr_panel, jb, cast_slice(&self.fetch(PAN, k, 0, cprow)));
-        let l11 = panel_l.view().submatrix(0, 0, jb, jb);
-        let cell = self.cell(cprow, pcol);
-        let d0 = self.glayout.local_rows_below(cprow, gk);
-        let (ti_d, i0) = (d0 / b, d0 % b);
-        let (_lo, wid, tj, cr0) = self.upd_cols(k, j);
-        // SAFETY: Trsm(k,j) owns rows d0..d0+jb of these columns.
-        let u12 = unsafe { cell.tile_block(ti_d, tj, i0, cr0, jb, wid) };
-        trsm(Side::Left, Uplo::Lower, Diag::Unit, T::ONE, l11, u12);
-        Ok(())
-    }
-
-    fn run_u_send(&self, k: usize, j: usize) -> Result<()> {
-        let g = &self.geom;
-        let (gk, jb) = (k * self.nb(), g.jb(k));
-        let cprow = g.cprow(k);
-        let cell = self.cell(cprow, g.pcol_of(j));
-        let d0 = self.glayout.local_rows_below(cprow, gk);
-        let (lo, wid, _tj, _cr0) = self.upd_cols(k, j);
-        // SAFETY: ordered after Trsm(k,j).
-        let v = unsafe { self.pack(cell, d0..d0 + jb, lo..lo + wid) };
-        self.post(U12, k, j, 0, v);
-        Ok(())
-    }
-
-    fn run_gemm(&self, k: usize, j: usize, prow: usize) -> Result<()> {
-        let g = &self.geom;
-        let b = self.nb();
-        let (gk, jb) = (k * b, g.jb(k));
-        let pcol = g.pcol_of(j);
-        let cell = self.cell(prow, pcol);
-        let lr = cell.rows();
-        let lr_k = self.glayout.local_rows_below(prow, gk);
-        let lr_panel = lr - lr_k;
-        let panel_l: Matrix<T> =
-            Matrix::from_col_major(lr_panel, jb, cast_slice(&self.fetch(PAN, k, 0, prow)));
-        let (_lo, wid, tj, cr0) = self.upd_cols(k, j);
-        let u12: Matrix<T> = Matrix::from_col_major(jb, wid, cast_slice(&self.fetch(U12, k, j, 0)));
-        let lb0 = self.glayout.local_rows_below(prow, gk + jb);
-        for (ti, rr) in cell.lay.row_tile_span(lb0..lr) {
-            let l21 = panel_l.view().submatrix(ti * b + rr.start - lr_k, 0, rr.len(), jb);
-            // SAFETY: Gemm(k,j,rank) owns its rank's trailing rows of
-            // these columns.
-            let a22 = unsafe { cell.tile_block(ti, tj, rr.start, cr0, rr.len(), wid) };
-            gemm(-T::ONE, l21, u12.view(), T::ONE, a22);
         }
         Ok(())
     }
@@ -737,14 +258,17 @@ impl<T: Scalar> DistRunner<T> {
     /// The whole `PDGETF2` panel of step `k`, replayed across the process
     /// column's rank storages in one task — elementwise identical to the
     /// SPMD inner loop (scan / combine / pivot-row exchange / scale /
-    /// rank-1 update, column by column).
-    fn run_panel_getf2(&self, k: usize) -> Result<()> {
-        self.evict_completed_steps(k);
-        let g = &self.geom;
-        let b = self.nb();
+    /// rank-1 update, column by column). In one address space the picket
+    /// fence needs no messages, so this is one task and nothing is
+    /// ledgered; the rank-thread driver runs the same fence as a
+    /// collective whose candidates, pivot rows and exchanges really cross
+    /// the seam.
+    fn run_panel_getf2(&self, me: &RankTasks<'_, T>, k: usize) -> Result<()> {
+        let (g, lay) = (&self.ctx.geom, &self.ctx.glayout);
+        let b = me.nb();
         let (gk, jb) = (k * b, g.jb(k));
-        let (pr, cprow, cpcol) = (g.pr, g.cprow(k), g.pcol_of(k));
-        let pl0 = self.glayout.local_cols_below(cpcol, gk);
+        let (pr, cpcol) = (g.pr, me.pcol);
+        let pl0 = lay.local_cols_below(cpcol, gk);
         let (tjc, jc) = (pl0 / b, pl0 % b);
         let mut li_piv = Vec::with_capacity(jb);
         for jj in 0..jb {
@@ -756,14 +280,14 @@ impl<T: Scalar> DistRunner<T> {
             let (mut best, mut best_g, mut best_v) = (T::NEG_INFINITY, usize::MAX, T::ZERO);
             for prow in 0..pr {
                 let cell = self.cell(prow, cpcol);
-                let r0 = self.glayout.local_rows_below(prow, gc);
+                let r0 = lay.local_rows_below(prow, gc);
                 let (mut ba, mut bg, mut bv) = (T::NEG_INFINITY, usize::MAX, T::ZERO);
                 for li in r0..cell.rows() {
                     // SAFETY: PanelGetf2(k) owns the whole panel column.
                     let v = unsafe { cell.get(li, pl0 + jj) };
                     if v.abs() > ba {
                         ba = v.abs();
-                        bg = self.glayout.global_row(prow, li);
+                        bg = lay.global_row(prow, li);
                         bv = v;
                     }
                 }
@@ -782,9 +306,9 @@ impl<T: Scalar> DistRunner<T> {
             // The winner's trailing row, captured before the exchange
             // (the values the SPMD combine payload carries).
             let urow: Vec<T> = if jj + 1 < jb {
-                let ow = self.glayout.row_owner(best_g);
-                let lw = self.glayout.local_row(best_g);
-                let cell = self.cell(ow, cpcol);
+                let cell = self.cell(lay.row_owner(best_g), cpcol);
+                let lw = lay.local_row(best_g);
+                // SAFETY: PanelGetf2(k) owns the panel column rows.
                 (jj + 1..jb).map(|c| unsafe { cell.get(lw, pl0 + c) }).collect()
             } else {
                 Vec::new()
@@ -796,177 +320,217 @@ impl<T: Scalar> DistRunner<T> {
             let inv = best_v.recip();
             for prow in 0..pr {
                 let cell = self.cell(prow, cpcol);
-                let r1 = self.glayout.local_rows_below(prow, gc + 1);
-                let lr = cell.rows();
-                if lr == r1 {
-                    continue;
-                }
-                for (ti, rr) in cell.lay.row_tile_span(r1..lr) {
-                    // SAFETY: exclusive panel-column ownership.
+                let r1 = lay.local_rows_below(prow, gc + 1);
+                for (ti, rr) in cell.lay.row_tile_span(r1..cell.rows()) {
+                    // SAFETY: exclusive panel-column ownership; the scaled
+                    // column and the trailing block are disjoint columns.
                     let mut col =
                         unsafe { cell.tile_block(ti, tjc, rr.start, jc + jj, rr.len(), 1) };
                     scal(inv, col.col_mut(0));
-                }
-                if jj + 1 < jb {
-                    for (ti, rr) in cell.lay.row_tile_span(r1..lr) {
-                        let lview =
-                            unsafe { cell.tile_block(ti, tjc, rr.start, jc + jj, rr.len(), 1) };
+                    if jj + 1 < jb {
                         let trailing = unsafe {
                             cell.tile_block(ti, tjc, rr.start, jc + jj + 1, rr.len(), jb - jj - 1)
                         };
-                        ger(-T::ONE, lview.as_view().col(0), &urow, trailing);
+                        ger(-T::ONE, col.as_view().col(0), &urow, trailing);
                     }
                 }
             }
         }
         // SAFETY: PanelGetf2(k) is the only writer of these slots.
-        unsafe { self.ipiv.publish(gk, &li_piv) };
-        self.post(PIV, k, 0, cprow, li_piv.iter().map(|&x| x as f64).collect());
+        unsafe { self.ctx.ipiv.publish(gk, &li_piv) };
+        // Standing in for every participant of the collective, the task
+        // posts each process row's copy of the swap list along its row.
+        let list: Vec<f64> = li_piv.iter().map(|&x| x as f64).collect();
+        for prow in 0..pr {
+            me.post(PIV, k, 0, prow, list.clone(), &me.row_ranks(prow));
+        }
         Ok(())
     }
 }
 
-impl<T: Scalar> TaskRunner for DistRunner<T> {
+impl<T: Scalar> TaskRunner for DistRunner<'_, T> {
     fn run(&self, task: Task) -> Result<()> {
         let Task::Dist(DistTask { kind, k, j, rank }) = task else {
             unreachable!("distributed runner received a shared-memory task")
         };
-        let (k, j, rank) = (k as usize, j as usize, rank as usize);
-        let prow = rank % self.geom.pr;
-        let res = match kind {
-            DistKind::Cand => self.run_cand(k, prow),
-            DistKind::TsluLeg => self.run_tslu_leg(k, j, prow),
-            DistKind::PanelGetf2 => self.run_panel_getf2(k),
-            DistKind::PivSend => self.run_piv_send(k, prow),
-            DistKind::Swap => self.run_swap(k, j),
-            DistKind::WSend => self.run_w_send(k),
-            DistKind::Second => self.run_second(k, prow),
-            DistKind::PanelSend => self.run_panel_send(k, prow),
-            DistKind::Trsm => self.run_trsm(k, j),
-            DistKind::USend => self.run_u_send(k, j),
-            DistKind::Gemm => self.run_gemm(k, j, prow),
-            // Pure arrival markers: the data sits in the producer's slot,
-            // the edge is the wire.
-            DistKind::PivRecv | DistKind::PanelRecv | DistKind::URecv => Ok(()),
-        };
-        if res.is_ok() {
-            self.account(kind, k, j, rank, prow);
+        let (k, j) = (k as usize, j as usize);
+        let me = RankTasks::new(self.ctx, self.cells, rank as usize);
+        match kind {
+            DistKind::Swap => self.run_swap(&me, k, j),
+            DistKind::PanelGetf2 => self.run_panel_getf2(&me, k),
+            _ => me.run_local(kind, k, j),
         }
-        res
     }
 }
 
 // ---------------------------------------------------------------------------
-// Drivers
+// Set-up, drivers, assembly
 // ---------------------------------------------------------------------------
 
-/// Dispatches on the communicator seam: the shared-mailbox path below,
-/// the rank-thread driver in [`crate::dist_threaded`], or the MPI stub —
-/// which is exercised through the trait object exactly as a linked MPI
-/// backend would be, so its refusal surfaces as [`Error::Unsupported`]
-/// before any work begins.
-#[allow(clippy::too_many_arguments)]
+/// One distributed run's state, set up the same way for both drivers: the
+/// matrix scattered block-cyclically into per-rank tiles, the DAG, the
+/// pivot vector, and the measurement sinks.
+pub(crate) struct DistRun<T> {
+    glayout: TileLayout,
+    geom: DistGeom,
+    alg: DistPanelAlg,
+    local: LocalLu,
+    pub(crate) dag: LuDag,
+    locals: Vec<TileMatrix<T>>,
+    /// One cell per entry of `locals` (same order: flat grid rank).
+    pub(crate) cells: Vec<RankCell<T>>,
+    ipiv: Vec<usize>,
+    ipiv_cell: SharedIpiv,
+    ledger: CommLedger,
+    pub(crate) recorder: Recorder,
+}
+
+impl<T: Scalar> DistRun<T> {
+    fn new(
+        a: &Matrix<T>,
+        (b, pr, pc): (usize, usize, usize),
+        local: LocalLu,
+        alg: DistPanelAlg,
+        lookahead: usize,
+    ) -> Self {
+        let (m, n) = (a.rows(), a.cols());
+        assert!(b > 0 && pr > 0 && pc > 0, "block and grid must be positive");
+        let glayout = TileLayout::new(m, n, b, b).with_grid(pr, pc);
+        let mut locals: Vec<TileMatrix<T>> = (0..pr * pc)
+            .map(|rank| {
+                let (prow, pcol) = (rank % pr, rank / pr);
+                TileMatrix::from_fn(glayout.local_layout(prow, pcol), |li, lj| {
+                    a[(glayout.global_row(prow, li), glayout.global_col(pcol, lj))]
+                })
+            })
+            .collect();
+        let shape = LuShape { m, n, nb: b };
+        let mut ipiv = vec![0usize; m.min(n)];
+        Self {
+            glayout,
+            geom: DistGeom { shape, pr, pc },
+            alg,
+            local,
+            dag: LuDag::build_dist_with(shape, (pr, pc), lookahead, alg),
+            cells: locals.iter_mut().map(RankCell::new).collect(),
+            locals,
+            ipiv_cell: SharedIpiv::new(&mut ipiv),
+            ipiv,
+            ledger: CommLedger::new(),
+            recorder: Recorder::new(),
+        }
+    }
+
+    /// What every rank shares when this run's payloads travel on `comm`.
+    pub(crate) fn ctx<'a>(&'a self, comm: &'a dyn Communicator) -> RunCtx<'a> {
+        RunCtx {
+            geom: self.geom,
+            glayout: self.glayout,
+            alg: self.alg,
+            local: self.local,
+            lookahead: self.dag.lookahead(),
+            comm,
+            ledger: &self.ledger,
+            ipiv: &self.ipiv_cell,
+        }
+    }
+
+    /// The in-process driver: the DAG on `executor`, all ranks' tiles in
+    /// one runner.
+    fn run_on_executor(
+        &self,
+        comm: &dyn Communicator,
+        executor: ExecutorKind,
+    ) -> (ExecReport, Option<usize>) {
+        let runner = DistRunner { ctx: self.ctx(comm), cells: &self.cells };
+        match executor.execute_traced(&self.dag, &runner, Some(&self.recorder)) {
+            Ok(rep) => (rep, None),
+            Err(Error::SingularPivot { step }) => (ExecReport::default(), Some(step)),
+            Err(e) => panic!("unexpected distributed task failure: {e:?}"),
+        }
+    }
+
+    /// The tail both drivers share: drain the communicator, model the
+    /// schedule, assemble report and factors. `extra_expected` are exact
+    /// ledger terms only this run's communicator puts on the wire.
+    fn finish(
+        self,
+        comm: &dyn Communicator,
+        (exec, first_singular): (ExecReport, Option<usize>),
+        mch: &MachineConfig,
+        extra_expected: Vec<CommTerm>,
+    ) -> (DistRtReport, DistFactors<T>) {
+        // Success or cancellation, undelivered payloads end with the run:
+        // on success the last lookahead window's payloads are still
+        // resident, and after a cancellation payloads posted for tasks
+        // that never ran have no remaining reader. (Every `Communicator`
+        // lock site recovers from poisoning — the drain must not be
+        // blocked by a panicked task.)
+        let drained = comm.drain();
+        let residual = comm.residual_words();
+        self.ledger.set_drain(drained as u64, residual as u64);
+        if first_singular.is_none() {
+            assert_eq!(residual, 0, "{} mailbox leaked {residual} words", comm.name());
+        }
+        let Self { glayout, geom, alg, local, dag, locals, ipiv, ledger, recorder, .. } = self;
+        let model = DistCostModel {
+            geom,
+            alg,
+            recursive_panel: matches!(local, LocalLu::Recursive),
+            mch: mch.clone(),
+        };
+        let sched = simulate_dist_schedule(&dag, |t| model.cost(t), mch);
+        let mut expected_mailbox = expected_mailbox_comm(&dag, &geom, alg);
+        expected_mailbox.extend(extra_expected);
+        let report = DistRtReport {
+            sim: SimReport { per_rank: sched.per_rank },
+            traces: sched.traces,
+            exec,
+            critical_path: dag.critical_path(|t| model.cost(t).total(mch)),
+            makespan: sched.makespan,
+            tasks: dag.len(),
+            comm: ledger.report(),
+            expected_mailbox,
+            modeled_terms: modeled_comm_terms(&dag, &model),
+            spans: recorder.take(),
+            communicator: comm.name(),
+        };
+        let lu = assemble_2d(glayout, &locals);
+        (report, DistFactors { lu, ipiv, first_singular })
+    }
+}
+
+/// Sets the run up, drives it on the selected communicator, assembles it.
 fn run_dist<T: Scalar>(
     a: &Matrix<T>,
-    b: usize,
-    pr: usize,
-    pc: usize,
-    local: LocalLu,
-    alg: DistPanelAlg,
-    rt: DistRtOpts,
-    mch: &MachineConfig,
-) -> Result<(DistRtReport, DistFactors<T>)> {
-    match rt.communicator {
-        CommKind::InProcess => Ok(run_dist_in_process(a, b, pr, pc, local, alg, rt, mch)),
-        CommKind::Threaded => {
-            Ok(crate::dist_threaded::run_dist_threaded(a, b, pr, pc, local, alg, rt, mch))
-        }
-        CommKind::Mpi => {
-            let stub: Box<dyn Communicator> = Box::new(MpiComm::new());
-            stub.post(0, (PIV, 0, 0, 0), Vec::new(), &[])?;
-            unreachable!("the MPI stub refuses every post")
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_dist_in_process<T: Scalar>(
-    a: &Matrix<T>,
-    b: usize,
-    pr: usize,
-    pc: usize,
+    grid: (usize, usize, usize),
     local: LocalLu,
     alg: DistPanelAlg,
     rt: DistRtOpts,
     mch: &MachineConfig,
 ) -> (DistRtReport, DistFactors<T>) {
-    let (m, n) = (a.rows(), a.cols());
-    let kn = m.min(n);
-    assert!(b > 0 && pr > 0 && pc > 0, "block and grid must be positive");
-    let glayout = TileLayout::new(m, n, b, b).with_grid(pr, pc);
-    let mut locals: Vec<TileMatrix<T>> = (0..pr * pc)
-        .map(|rank| {
-            let (prow, pcol) = (rank % pr, rank / pr);
-            TileMatrix::from_fn(glayout.local_layout(prow, pcol), |li, lj| {
-                a[(glayout.global_row(prow, li), glayout.global_col(pcol, lj))]
-            })
-        })
-        .collect();
-    let shape = LuShape { m, n, nb: b };
-    let geom = DistGeom { shape, pr, pc };
-    let dag = LuDag::build_dist_with(shape, (pr, pc), rt.lookahead, alg);
-    let mut ipiv = vec![0usize; kn];
-    let runner = DistRunner {
-        geom,
-        glayout,
-        alg,
-        local,
-        lookahead: rt.lookahead,
-        cells: locals.iter_mut().map(RankCell::new).collect(),
-        ipiv: IpivCell { ptr: ipiv.as_mut_ptr(), len: kn },
-        comm: Box::new(InProcessComm::new()),
-        ledger: CommLedger::new(),
-    };
-    let communicator = runner.comm.name();
-    let recorder = Recorder::new();
-    let (exec, first_singular) = match rt.executor.execute_traced(&dag, &runner, Some(&recorder)) {
-        Ok(rep) => (rep, None),
-        Err(Error::SingularPivot { step }) => (ExecReport::default(), Some(step)),
-        Err(e) => panic!("unexpected distributed task failure: {e:?}"),
-    };
-    // Success or cancellation, undelivered payloads end with the run.
-    let drained = runner.drain_mailbox();
-    let residual = runner.mailbox_words();
-    runner.ledger.set_drain(drained as u64, residual as u64);
-    if first_singular.is_none() {
-        assert_eq!(residual, 0, "mailbox leaked {residual} words after the drain");
+    let run = DistRun::new(a, grid, local, alg, rt.lookahead);
+    match rt.communicator {
+        CommKind::InProcess => {
+            let comm = InProcessComm::new();
+            let out = run.run_on_executor(&comm, rt.executor);
+            run.finish(&comm, out, mch, Vec::new())
+        }
+        CommKind::Threaded => {
+            let comm = ThreadedComm::new(run.cells.len());
+            let out = crate::dist_threaded::run_rank_threads(&run, &comm);
+            // The blocked-fetch wait clocks ride next to the word counts
+            // they explain, per (rank, term).
+            for rank in 0..comm.ranks() {
+                for (term, nanos) in comm.wait_ns(rank) {
+                    run.ledger.record_wait(rank as u32, term, nanos);
+                }
+            }
+            // PDGETF2's picket fence is on the wire only here.
+            let getf2 = expected_threaded_getf2_comm(&run.dag, &run.geom, alg);
+            run.finish(&comm, out, mch, getf2)
+        }
     }
-    let comm = runner.ledger.report();
-    drop(runner);
-
-    let model = DistCostModel {
-        geom,
-        alg,
-        recursive_panel: matches!(local, LocalLu::Recursive),
-        mch: mch.clone(),
-    };
-    let sched = simulate_dist_schedule(&dag, |t| model.cost(t), mch);
-    let critical_path = dag.critical_path(|t| model.cost(t).total(mch));
-    let report = DistRtReport {
-        sim: SimReport { per_rank: sched.per_rank },
-        traces: sched.traces,
-        exec,
-        critical_path,
-        makespan: sched.makespan,
-        tasks: dag.len(),
-        comm,
-        expected_mailbox: expected_mailbox_comm(&dag, &geom, alg),
-        modeled_terms: modeled_comm_terms(&dag, &model),
-        spans: recorder.take(),
-        communicator,
-    };
-    let lu = assemble_2d(glayout, &locals);
-    (report, DistFactors { lu, ipiv, first_singular })
 }
 
 /// Runtime-driven 2D block-cyclic CALU: the per-rank step work of
@@ -981,23 +545,7 @@ pub fn dist_calu_factor_rt<T: Scalar>(
     rt: DistRtOpts,
     mch: MachineConfig,
 ) -> (DistRtReport, DistFactors<T>) {
-    try_dist_calu_factor_rt(a, cfg, rt, mch)
-        .expect("distributed CALU failed: the selected communicator is unavailable")
-}
-
-/// Fallible form of [`dist_calu_factor_rt`]: returns
-/// [`Error::Unsupported`] when the selected [`Communicator`] backend
-/// cannot run (the MPI stub) instead of panicking.
-///
-/// # Errors
-/// [`Error::Unsupported`] for [`CommKind::Mpi`].
-pub fn try_dist_calu_factor_rt<T: Scalar>(
-    a: &Matrix<T>,
-    cfg: DistCaluConfig,
-    rt: DistRtOpts,
-    mch: MachineConfig,
-) -> Result<(DistRtReport, DistFactors<T>)> {
-    run_dist(a, cfg.b, cfg.pr, cfg.pc, cfg.local, DistPanelAlg::Tslu, rt, &mch)
+    run_dist(a, (cfg.b, cfg.pr, cfg.pc), cfg.local, DistPanelAlg::Tslu, rt, &mch)
 }
 
 /// Runtime-driven ScaLAPACK-style `PDGETRF`: the `PDGETF2` panel runs as
@@ -1012,79 +560,88 @@ pub fn dist_pdgetrf_factor_rt<T: Scalar>(
     rt: DistRtOpts,
     mch: MachineConfig,
 ) -> (DistRtReport, DistFactors<T>) {
-    try_dist_pdgetrf_factor_rt(a, cfg, rt, mch)
-        .expect("distributed PDGETRF failed: the selected communicator is unavailable")
-}
-
-/// Fallible form of [`dist_pdgetrf_factor_rt`]: returns
-/// [`Error::Unsupported`] when the selected [`Communicator`] backend
-/// cannot run (the MPI stub) instead of panicking.
-///
-/// # Errors
-/// [`Error::Unsupported`] for [`CommKind::Mpi`].
-pub fn try_dist_pdgetrf_factor_rt<T: Scalar>(
-    a: &Matrix<T>,
-    cfg: DistPdgetrfConfig,
-    rt: DistRtOpts,
-    mch: MachineConfig,
-) -> Result<(DistRtReport, DistFactors<T>)> {
-    run_dist(a, cfg.b, cfg.pr, cfg.pc, LocalLu::Classic, DistPanelAlg::Getf2, rt, &mch)
+    run_dist(a, (cfg.b, cfg.pr, cfg.pc), LocalLu::Classic, DistPanelAlg::Getf2, rt, &mch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::{MailKey, MAIL_PAN};
     use crate::dist::{dist_calu_factor_spmd, dist_pdgetrf_factor_spmd};
     use calu_matrix::gen;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
-    fn executors() -> [ExecutorKind; 2] {
-        [ExecutorKind::Serial, ExecutorKind::Threaded { threads: 3 }]
+    /// The executors a communicator's runs are swept over: both under the
+    /// shared mailbox; one under rank threads, which *are* the parallelism
+    /// there (`DistRtOpts::executor` is ignored).
+    fn executors(comm: CommKind) -> &'static [ExecutorKind] {
+        match comm {
+            CommKind::InProcess => &[ExecutorKind::Serial, ExecutorKind::Threaded { threads: 3 }],
+            CommKind::Threaded => &[ExecutorKind::Serial],
+        }
     }
 
-    #[test]
-    fn dag_calu_matches_spmd_bitwise_on_grids_and_depths() {
+    /// Both algorithms on `a` over a `pr × pc` grid must reproduce their
+    /// SPMD references bitwise at every depth and executor, and leave no
+    /// payload behind.
+    fn assert_matches_spmd(comm: CommKind, a: &Matrix, b: usize, (pr, pc): (usize, usize)) {
+        let ideal = MachineConfig::ideal;
+        let tag = format!("{comm:?} {}x{} b={b} {pr}x{pc}", a.rows(), a.cols());
+        let calu = DistCaluConfig { b, pr, pc, local: LocalLu::Recursive };
+        let pdgetrf = DistPdgetrfConfig { b, pr, pc };
+        let (_r, want_calu) = dist_calu_factor_spmd(a, calu, ideal());
+        let (_r, want_pd) = dist_pdgetrf_factor_spmd(a, pdgetrf, ideal());
+        for depth in 1..=3 {
+            for &executor in executors(comm) {
+                let rt = DistRtOpts { lookahead: depth, executor, communicator: comm };
+                let runs = [
+                    ("calu", &want_calu, dist_calu_factor_rt(a, calu, rt, ideal())),
+                    ("pdgetrf", &want_pd, dist_pdgetrf_factor_rt(a, pdgetrf, rt, ideal())),
+                ];
+                for (alg, want, (rep, got)) in runs {
+                    let tag = format!("{alg} {tag} d={depth} {executor:?}");
+                    assert_eq!(rep.communicator, comm.label(), "{tag}");
+                    assert_eq!(want.ipiv, got.ipiv, "{tag}");
+                    assert_eq!(
+                        want.lu.max_abs_diff(&got.lu),
+                        0.0,
+                        "{tag}: factors must be bitwise identical to the SPMD reference"
+                    );
+                    assert_eq!(got.first_singular, None, "{tag}");
+                    assert_eq!(rep.comm.residual_words, 0, "{tag}");
+                }
+            }
+        }
+    }
+
+    fn matches_spmd_bitwise_on_grids_and_depths(comm: CommKind) {
         let mut rng = StdRng::seed_from_u64(7001);
-        for &(m, n, b) in &[(48usize, 48usize, 8usize), (52, 36, 8), (36, 52, 8)] {
+        for &(m, n, b) in &[(48usize, 48usize, 8usize), (52, 36, 8), (36, 52, 8), (44, 44, 8)] {
             let a: Matrix = gen::randn(&mut rng, m, n);
-            for &(pr, pc) in &[(1usize, 1usize), (2, 2), (2, 3), (3, 2)] {
-                let cfg = DistCaluConfig { b, pr, pc, local: LocalLu::Recursive };
-                let (_r, want) = dist_calu_factor_spmd(&a, cfg, MachineConfig::ideal());
-                for depth in 1..=3 {
-                    for executor in executors() {
-                        let rt = DistRtOpts { lookahead: depth, executor, ..Default::default() };
-                        let (_rep, got) = dist_calu_factor_rt(&a, cfg, rt, MachineConfig::ideal());
-                        assert_eq!(want.ipiv, got.ipiv, "{m}x{n} {pr}x{pc} d={depth}");
-                        assert_eq!(
-                            want.lu.max_abs_diff(&got.lu),
-                            0.0,
-                            "{m}x{n} {pr}x{pc} d={depth} {executor:?}: factors must be bitwise \
-                             identical to the SPMD reference"
-                        );
-                        assert_eq!(got.first_singular, None);
-                    }
-                }
+            for grid in [(1usize, 1usize), (2, 2), (2, 3), (3, 2), (2, 4)] {
+                assert_matches_spmd(comm, &a, b, grid);
             }
         }
+        // An empty process row: 3 block rows on 4 process rows, so row 3
+        // owns nothing from the start and rows drop out as steps advance.
+        let a: Matrix = gen::randn(&mut rng, 24, 24);
+        assert_matches_spmd(comm, &a, 8, (4, 1));
     }
 
+    /// The DAG on an executor reproduces both SPMD sweeps bitwise.
     #[test]
-    fn dag_pdgetrf_matches_spmd_bitwise() {
-        let mut rng = StdRng::seed_from_u64(7002);
-        let a: Matrix = gen::randn(&mut rng, 44, 44);
-        for &(pr, pc) in &[(1usize, 1usize), (2, 2), (3, 2), (2, 4)] {
-            let cfg = DistPdgetrfConfig { b: 8, pr, pc };
-            let (_r, want) = dist_pdgetrf_factor_spmd(&a, cfg, MachineConfig::ideal());
-            for depth in 1..=2 {
-                for executor in executors() {
-                    let rt = DistRtOpts { lookahead: depth, executor, ..Default::default() };
-                    let (_rep, got) = dist_pdgetrf_factor_rt(&a, cfg, rt, MachineConfig::ideal());
-                    assert_eq!(want.ipiv, got.ipiv, "{pr}x{pc} d={depth}");
-                    assert_eq!(want.lu.max_abs_diff(&got.lu), 0.0, "{pr}x{pc} d={depth}");
-                }
-            }
-        }
+    fn dag_matches_spmd_bitwise_on_grids_and_depths() {
+        matches_spmd_bitwise_on_grids_and_depths(CommKind::InProcess);
+    }
+
+    /// With ranks as real OS threads exchanging point-to-point messages —
+    /// no shared matrix state at all — both algorithms still produce
+    /// bitwise-identical factors to the SPMD references.
+    #[test]
+    fn threaded_communicator_matches_spmd_bitwise() {
+        matches_spmd_bitwise_on_grids_and_depths(CommKind::Threaded);
     }
 
     #[test]
@@ -1114,41 +671,50 @@ mod tests {
         assert!(gantt.contains("r0") && gantt.contains("r3"));
     }
 
-    /// The tentpole reconciliation property: on every grid × depth ×
-    /// algorithm × executor, the measured mailbox ledger equals the exact
-    /// per-term prediction — message counts and word counts both — and
-    /// the skeleton comparison shows agreeing message counts with a
-    /// quantified (never negative) word gap on the TSLU term.
-    #[test]
-    fn measured_comm_equals_exact_prediction_on_grids_and_depths() {
+    fn assert_mailbox_exact(rep: &DistRtReport, tag: &str) {
+        let deltas = rep.mailbox_deltas();
+        assert!(deltas.iter().any(|d| d.source == "mailbox_exact"), "{tag}");
+        for d in deltas.iter().filter(|d| d.source == "mailbox_exact") {
+            assert!(
+                d.exact(),
+                "{tag} term {}: measured {:?} vs expected {:?}",
+                d.term,
+                d.measured,
+                d.expected
+            );
+        }
+    }
+
+    /// The reconciliation property: on every grid × depth × algorithm ×
+    /// executor, the measured ledger equals the exact per-term prediction
+    /// — message counts and word counts both — and the skeleton
+    /// comparison shows agreeing message counts with a quantified (never
+    /// negative) word gap on the TSLU term. Under rank threads the
+    /// `panel_getf2` term — `PDGETF2`'s decomposed picket fence, which
+    /// only exists on the wire once ranks stop sharing panel storage — is
+    /// predicted and reconciles too.
+    fn measured_comm_equals_exact_prediction(comm: CommKind) {
         let mut rng = StdRng::seed_from_u64(7004);
         let a: Matrix = gen::randn(&mut rng, 48, 48);
-        for &(pr, pc) in &[(2usize, 2usize), (2, 4), (3, 2)] {
+        let mut cases: Vec<(usize, (usize, usize))> =
+            [(2, 2), (2, 4), (3, 2)].into_iter().map(|grid| (48, grid)).collect();
+        cases.push((24, (4, 1))); // an empty process row
+        for (n, (pr, pc)) in cases {
+            let a = a.view().submatrix(0, 0, n, n).to_matrix();
             for depth in 1..=3 {
-                for executor in executors() {
-                    let rt = DistRtOpts { lookahead: depth, executor, ..Default::default() };
+                for &executor in executors(comm) {
+                    let rt = DistRtOpts { lookahead: depth, executor, communicator: comm };
+                    let tag = format!("{comm:?} n={n} {pr}x{pc} d={depth} {executor:?}");
                     let cfg = DistCaluConfig { b: 8, pr, pc, local: LocalLu::Classic };
                     let (rep, f) = dist_calu_factor_rt(&a, cfg, rt, MachineConfig::ideal());
                     assert_eq!(f.first_singular, None);
-                    let deltas = rep.mailbox_deltas();
-                    assert!(deltas.iter().any(|d| d.source == "mailbox_exact"));
-                    for d in &deltas {
-                        if d.source == "mailbox_exact" {
-                            assert!(
-                                d.exact(),
-                                "{pr}x{pc} d={depth} {executor:?} term {}: measured {:?} vs \
-                                 expected {:?}",
-                                d.term,
-                                d.measured,
-                                d.expected
-                            );
-                        }
-                    }
+                    assert_mailbox_exact(&rep, &format!("calu {tag}"));
+                    assert_eq!(rep.comm.residual_words, 0, "{tag}");
                     // Skeleton: same message counts on the exact-modeled
                     // terms, word gap only from ragged-tail payloads.
                     for d in rep.skeleton_deltas() {
                         if d.term == "tslu_leg" {
-                            assert_eq!(d.msg_gap(), 0, "{pr}x{pc} d={depth}");
+                            assert_eq!(d.msg_gap(), 0, "{tag}");
                             assert!(d.word_gap() <= 0, "measured can never exceed the skeleton");
                         }
                     }
@@ -1156,127 +722,30 @@ mod tests {
                     let cfg = DistPdgetrfConfig { b: 8, pr, pc };
                     let (rep, f) = dist_pdgetrf_factor_rt(&a, cfg, rt, MachineConfig::ideal());
                     assert_eq!(f.first_singular, None);
-                    for d in rep.mailbox_deltas() {
-                        if d.source == "mailbox_exact" {
-                            assert!(
-                                d.exact(),
-                                "pdgetrf {pr}x{pc} d={depth} term {}: {:?} vs {:?}",
-                                d.term,
-                                d.measured,
-                                d.expected
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The tentpole's headline property: with ranks as real OS threads
-    /// exchanging point-to-point messages — no shared matrix state at
-    /// all — both algorithms still produce bitwise-identical factors to
-    /// the SPMD references, on every grid × depth.
-    #[test]
-    fn threaded_communicator_matches_spmd_bitwise() {
-        let mut rng = StdRng::seed_from_u64(7005);
-        for &(m, n, b) in &[(48usize, 48usize, 8usize), (52, 36, 8)] {
-            let a: Matrix = gen::randn(&mut rng, m, n);
-            for &(pr, pc) in &[(1usize, 1usize), (2, 2), (2, 3), (3, 2)] {
-                let calu_cfg = DistCaluConfig { b, pr, pc, local: LocalLu::Recursive };
-                let (_r, want) = dist_calu_factor_spmd(&a, calu_cfg, MachineConfig::ideal());
-                for depth in 1..=3 {
-                    let rt = DistRtOpts {
-                        lookahead: depth,
-                        communicator: CommKind::Threaded,
-                        ..Default::default()
-                    };
-                    let (rep, got) = dist_calu_factor_rt(&a, calu_cfg, rt, MachineConfig::ideal());
-                    assert_eq!(rep.communicator, "threaded");
-                    assert_eq!(want.ipiv, got.ipiv, "calu {m}x{n} {pr}x{pc} d={depth}");
+                    assert_mailbox_exact(&rep, &format!("pdgetrf {tag}"));
+                    assert_eq!(rep.comm.residual_words, 0, "{tag}");
+                    let getf2_on_the_wire = rep
+                        .mailbox_deltas()
+                        .iter()
+                        .any(|d| d.term == "panel_getf2" && d.source == "mailbox_exact");
                     assert_eq!(
-                        want.lu.max_abs_diff(&got.lu),
-                        0.0,
-                        "calu {m}x{n} {pr}x{pc} d={depth}: threaded ranks must reproduce the \
-                         SPMD factors bitwise"
+                        getf2_on_the_wire,
+                        comm == CommKind::Threaded,
+                        "{tag}: PDGETF2's picket fence is accounted exactly when it is messages"
                     );
-                    assert_eq!(got.first_singular, None);
-
-                    if m == n {
-                        let pd_cfg = DistPdgetrfConfig { b, pr, pc };
-                        let (_r, want) =
-                            dist_pdgetrf_factor_spmd(&a, pd_cfg, MachineConfig::ideal());
-                        let (rep, got) =
-                            dist_pdgetrf_factor_rt(&a, pd_cfg, rt, MachineConfig::ideal());
-                        assert_eq!(rep.communicator, "threaded");
-                        assert_eq!(want.ipiv, got.ipiv, "pdgetrf {pr}x{pc} d={depth}");
-                        assert_eq!(
-                            want.lu.max_abs_diff(&got.lu),
-                            0.0,
-                            "pdgetrf {pr}x{pc} d={depth}: threaded ranks must reproduce the \
-                             SPMD factors bitwise"
-                        );
-                    }
                 }
             }
         }
     }
 
-    /// Comm accounting stays exact when the messages are physically real:
-    /// under the threaded communicator every `mailbox_exact` term —
-    /// including the new `panel_getf2` term for `PDGETF2`'s decomposed
-    /// picket fence, which only exists on the wire once ranks stop
-    /// sharing panel storage — reconciles measured == expected.
+    #[test]
+    fn measured_comm_equals_exact_prediction_on_grids_and_depths() {
+        measured_comm_equals_exact_prediction(CommKind::InProcess);
+    }
+
     #[test]
     fn threaded_measured_comm_equals_exact_prediction() {
-        let mut rng = StdRng::seed_from_u64(7006);
-        let a: Matrix = gen::randn(&mut rng, 48, 48);
-        for &(pr, pc) in &[(2usize, 2usize), (2, 4), (3, 2)] {
-            for depth in 1..=3 {
-                let rt = DistRtOpts {
-                    lookahead: depth,
-                    communicator: CommKind::Threaded,
-                    ..Default::default()
-                };
-                let cfg = DistCaluConfig { b: 8, pr, pc, local: LocalLu::Classic };
-                let (rep, f) = dist_calu_factor_rt(&a, cfg, rt, MachineConfig::ideal());
-                assert_eq!(f.first_singular, None);
-                let deltas = rep.mailbox_deltas();
-                assert!(deltas.iter().any(|d| d.source == "mailbox_exact"));
-                for d in &deltas {
-                    if d.source == "mailbox_exact" {
-                        assert!(
-                            d.exact(),
-                            "threaded calu {pr}x{pc} d={depth} term {}: measured {:?} vs \
-                             expected {:?}",
-                            d.term,
-                            d.measured,
-                            d.expected
-                        );
-                    }
-                }
-
-                let cfg = DistPdgetrfConfig { b: 8, pr, pc };
-                let (rep, f) = dist_pdgetrf_factor_rt(&a, cfg, rt, MachineConfig::ideal());
-                assert_eq!(f.first_singular, None);
-                let deltas = rep.mailbox_deltas();
-                assert!(
-                    deltas.iter().any(|d| d.term == "panel_getf2" && d.source == "mailbox_exact"),
-                    "the decomposed PDGETF2 panel must be accounted term-for-term"
-                );
-                for d in &deltas {
-                    if d.source == "mailbox_exact" {
-                        assert!(
-                            d.exact(),
-                            "threaded pdgetrf {pr}x{pc} d={depth} term {}: measured {:?} vs \
-                             expected {:?}",
-                            d.term,
-                            d.measured,
-                            d.expected
-                        );
-                    }
-                }
-            }
-        }
+        measured_comm_equals_exact_prediction(CommKind::Threaded);
     }
 
     /// The threaded report is coherent: spans and wall-clock timings come
@@ -1332,16 +801,114 @@ mod tests {
         assert!(rep.comm.wait_total_ns() > 0);
     }
 
-    /// The MPI-shaped stub refuses to run, as a typed error — the public
-    /// fallible API surfaces it instead of panicking.
+    /// What `evict_completed_steps` rests on, checked on the DAG itself:
+    /// every task of every step `≤ k − d − 1` is an ancestor of every
+    /// `Swap(k, ·)`, on shapes where some process rows own no rows of the
+    /// late panels (there a panel task follows step `k − d − 1` only, and
+    /// tasks nothing consumes — another row's `PivRecv`, the far side of a
+    /// butterfly leg — can run arbitrarily late).
     #[test]
-    fn mpi_stub_reports_unsupported() {
+    fn swaps_follow_every_task_of_the_steps_they_evict() {
+        for (m, n, grid) in [(27, 25, (2, 4)), (24, 24, (4, 1)), (48, 48, (3, 2)), (36, 52, (2, 2))]
+        {
+            for alg in [DistPanelAlg::Tslu, DistPanelAlg::Getf2] {
+                for depth in 1..=3 {
+                    let dag = LuDag::build_dist_with(LuShape { m, n, nb: 8 }, grid, depth, alg);
+                    let tasks = dag.tasks();
+                    let mut preds = vec![Vec::new(); tasks.len()];
+                    for id in 0..tasks.len() {
+                        for &succ in dag.successors(id) {
+                            preds[succ].push(id);
+                        }
+                    }
+                    for (id, t) in tasks.iter().enumerate() {
+                        let Task::Dist(DistTask { kind: DistKind::Swap, k, .. }) = *t else {
+                            continue;
+                        };
+                        let Some(cutoff) = (k as usize).checked_sub(depth + 1) else { continue };
+                        let mut ancestor = vec![false; tasks.len()];
+                        let mut stack = vec![id];
+                        while let Some(x) = stack.pop() {
+                            for &p in &preds[x] {
+                                if !std::mem::replace(&mut ancestor[p], true) {
+                                    stack.push(p);
+                                }
+                            }
+                        }
+                        for (other, o) in tasks.iter().enumerate() {
+                            assert!(
+                                o.step() > cutoff || ancestor[other],
+                                "{m}x{n} {grid:?} {alg:?} d={depth}: {o} can still run after {t}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`ThreadedComm`] with one fault injected: rank `rank`'s fetch of
+    /// `key` panics.
+    struct PanicOnFetch {
+        inner: ThreadedComm,
+        rank: usize,
+        key: MailKey,
+    }
+
+    impl Communicator for PanicOnFetch {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn post(&self, from: usize, key: MailKey, data: Vec<f64>, dests: &[usize]) {
+            self.inner.post(from, key, data, dests);
+        }
+        fn fetch(&self, at: usize, key: MailKey) -> Result<Arc<Vec<f64>>> {
+            assert!(at != self.rank || key != self.key, "injected: rank {at} dies in {key:?}");
+            self.inner.fetch(at, key)
+        }
+        fn evict_before(&self, at: usize, cutoff: u32) {
+            self.inner.evict_before(at, cutoff);
+        }
+        fn cancel(&self, from: usize) {
+            self.inner.cancel(from);
+        }
+        fn drain(&self) -> usize {
+            self.inner.drain()
+        }
+        fn residual_words(&self) -> usize {
+            self.inner.residual_words()
+        }
+    }
+
+    /// A panicking rank thread must cancel the grid: its peers leave their
+    /// blocked fetches within a poll interval (not the 60 s stuck-fetch
+    /// timeout, once per rank) and the driver re-raises the original
+    /// panic, not a peer's "never delivered". A fresh run afterwards is
+    /// unaffected.
+    #[test]
+    fn panicking_rank_cancels_the_grid_and_reraises_its_panic() {
         let mut rng = StdRng::seed_from_u64(7008);
-        let a: Matrix = gen::randn(&mut rng, 16, 16);
+        let a: Matrix = gen::randn(&mut rng, 32, 32);
         let cfg = DistCaluConfig { b: 8, pr: 2, pc: 2, local: LocalLu::Classic };
-        let rt = DistRtOpts { communicator: CommKind::Mpi, ..Default::default() };
-        let err = try_dist_calu_factor_rt(&a, cfg, rt, MachineConfig::ideal())
-            .expect_err("the MPI stub must refuse to run");
-        assert!(matches!(err, Error::Unsupported { .. }), "got {err:?}");
+        let run = DistRun::new(&a, (cfg.b, cfg.pr, cfg.pc), cfg.local, DistPanelAlg::Tslu, 1);
+        // Rank 3 dies receiving step 1's packed panel, mid-run, while its
+        // three peers still have most of their queues ahead of them.
+        let comm = PanicOnFetch { inner: ThreadedComm::new(4), rank: 3, key: (MAIL_PAN, 1, 0, 1) };
+        let started = std::time::Instant::now();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::dist_threaded::run_rank_threads(&run, &comm)
+        }))
+        .expect_err("the rank's panic must reach the caller");
+        let took = started.elapsed();
+        assert!(took.as_secs() < 5, "peers must leave on cancel, not on the timeout ({took:?})");
+        let msg = panic.downcast_ref::<String>().expect("assert! panics with a String");
+        assert!(msg.starts_with("injected: rank 3 dies"), "not the original panic: {msg}");
+
+        let rt = DistRtOpts { communicator: CommKind::Threaded, ..Default::default() };
+        let (rep, got) = dist_calu_factor_rt(&a, cfg, rt, MachineConfig::ideal());
+        let (_r, want) = dist_calu_factor_spmd(&a, cfg, MachineConfig::ideal());
+        assert_eq!(want.ipiv, got.ipiv);
+        assert_eq!(want.lu.max_abs_diff(&got.lu), 0.0, "a healthy run after the panic");
+        assert_eq!(rep.comm.residual_words, 0);
     }
 }

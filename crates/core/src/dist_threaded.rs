@@ -3,20 +3,22 @@
 //! [`dist_calu_factor_rt`](crate::dist_rt::dist_calu_factor_rt) /
 //! [`dist_pdgetrf_factor_rt`](crate::dist_rt::dist_pdgetrf_factor_rt).
 //!
-//! Where the in-process path binds one runner over **all** ranks' tile
-//! storage (the shared-memory simulation), this driver spawns one thread
-//! per grid rank, each owning **only its own** block-cyclic
-//! [`TileMatrix`]. Cross-rank data crosses the [`Communicator`] seam as
-//! point-to-point [`ThreadedComm`] messages and nothing else — the first
-//! configuration in this repo where the communication the `CommLedger`
-//! counts is physically real.
+//! Where the in-process driver binds one runner over **all** ranks' tile
+//! storage (the shared-memory simulation), this one spawns one thread per
+//! grid rank, each holding one `RankTasks` — the same rank-local task
+//! bodies (`crate::dist_rank`) over **only its own** block-cyclic
+//! [`TileMatrix`](calu_matrix::TileMatrix). Cross-rank data crosses the
+//! [`Communicator`] seam as point-to-point messages and nothing else —
+//! the configuration in which the communication the `CommLedger` counts
+//! is physically real.
 //!
 //! # Per-rank schedules
 //!
 //! Each rank runs the projection of the DAG's deterministic
 //! [`serial_schedule`](LuDag::serial_schedule) onto its own tasks, with
 //! the two tasks whose in-process bodies touch several ranks' storage
-//! expanded into collectives over the participating ranks:
+//! run as collectives over the participating ranks — the only two bodies
+//! this module defines:
 //!
 //! * `Swap(k, j)` — every process row of `j`'s process column
 //!   participates; cross-owner pivot rows travel as paired `SWP`
@@ -28,23 +30,21 @@
 //!   combine), the winner's trailing row as `GUR`, and the pivot-row
 //!   exchange as paired `GRX` messages.
 //!
-//! All remaining tasks are rank-local; send tasks compute their
-//! destination sets from the same geometry/butterfly algebra the DAG
-//! builder uses. Every fetch is blocking with stash-first semantics
-//! (see [`ThreadedComm`]), which makes **any** per-rank topological
-//! projection deadlock-free: whichever task needs a payload first pulls
-//! it from the channel into the rank's stash, and later tasks re-read it
-//! there.
+//! Every fetch is blocking with stash-first semantics (see
+//! [`ThreadedComm`](crate::comm::ThreadedComm)), which makes **any**
+//! per-rank topological projection deadlock-free: whichever task needs a
+//! payload first pulls it from the channel into the rank's stash, and
+//! later tasks re-read it there.
 //!
 //! # Why the factors stay bitwise identical
 //!
 //! Payloads are `f64` words and `T ↔ f64` round trips are exact for
 //! every [`Scalar`]; the butterfly's ordered combine makes every process
-//! row's final accumulator bitwise identical (so each rank derives the
-//! same pivot list redundantly, no extra broadcast needed); and the
-//! decomposed `PDGETF2` folds candidates in the same ascending order as
-//! the in-process picket fence. The property tests assert equality
-//! against both the SPMD references and the in-process communicator.
+//! row's final accumulator bitwise identical (so each row derives the
+//! same pivot list, no extra broadcast needed); and the decomposed
+//! `PDGETF2` folds candidates in the same ascending order as the
+//! in-process picket fence. The property tests assert equality against
+//! both the SPMD references and the in-process communicator.
 //!
 //! # Failure semantics
 //!
@@ -53,32 +53,27 @@
 //! rank returns [`Error::Canceled`], rank threads unwind their queues,
 //! the driver joins them all (no hang), and the drain leaves
 //! `mailbox_residual_words == 0` — the failure-injection suite asserts
-//! exactly this.
+//! exactly this. A rank thread that **panics** (an assertion, an index
+//! bug) cancels the grid the same way from an unwind guard, so its peers
+//! leave with [`Error::Canceled`] within one poll interval instead of
+//! waiting out the stuck-fetch timeout, and the driver re-raises the
+//! original panic once every thread is joined.
 
-use std::sync::Arc;
+use std::ops::Range;
 use std::time::Instant;
 
 use crate::comm::{
-    Communicator, ThreadedComm, MAIL_ACC as ACC, MAIL_GCD as GCD, MAIL_GRX as GRX, MAIL_GUR as GUR,
-    MAIL_PAN as PAN, MAIL_PIV as PIV, MAIL_SWP as SWP, MAIL_U12 as U12, MAIL_WBK as WBK,
+    Communicator, MAIL_GCD as GCD, MAIL_GRX as GRX, MAIL_GUR as GUR, MAIL_PIV as PIV,
+    MAIL_SWP as SWP,
 };
-use crate::dist::{assemble_2d, DistFactors};
-use crate::dist_rt::{DistRtOpts, DistRtReport, IpivCell, RankCell};
-use crate::tournament::{reduce_pair, Candidates};
-use crate::tslu::{local_candidates, winners_to_ipiv, LocalLu};
+use crate::dist_rank::RankTasks;
+use crate::dist_rt::DistRun;
 use calu_matrix::blas1::scal;
 use calu_matrix::blas2::ger;
-use calu_matrix::blas3::{gemm, trsm};
-use calu_matrix::lapack::lu_nopiv;
 use calu_matrix::scalar::cast_slice;
-use calu_matrix::{Diag, Error, Matrix, NoObs, Result, Scalar, Side, TileLayout, TileMatrix, Uplo};
-use calu_netsim::{MachineConfig, SimReport};
-use calu_obs::{CommLedger, Recorder};
-use calu_runtime::{
-    expected_mailbox_comm, expected_threaded_getf2_comm, modeled_comm_terms,
-    simulate_dist_schedule, tslu_acc_slot, tslu_leg_count, tslu_leg_role, DistCostModel, DistGeom,
-    DistKind, DistPanelAlg, DistTask, ExecReport, LegRole, LuDag, LuShape, Task, TaskTiming,
-};
+use calu_matrix::{Error, Result, Scalar};
+use calu_obs::Recorder;
+use calu_runtime::{DistGeom, DistKind, DistTask, ExecReport, LuDag, Task, TaskTiming};
 
 /// Projects the DAG's deterministic serial schedule onto per-rank task
 /// queues, expanding the two multi-rank bodies into collectives: every
@@ -93,214 +88,63 @@ fn rank_queues(dag: &LuDag, geom: &DistGeom) -> Vec<Vec<Task>> {
         let Task::Dist(DistTask { kind, k, j, rank }) = t else {
             unreachable!("distributed DAGs contain only distributed tasks")
         };
-        match kind {
-            DistKind::Swap => {
-                let pcol = geom.pcol_of(j as usize);
-                for prow in 0..geom.pr {
-                    queues[geom.rank(prow, pcol)].push(t);
-                }
+        // A collective's participants: the whole process column of the
+        // swapped block column / of the panel.
+        let pcol = match kind {
+            DistKind::Swap => geom.pcol_of(j as usize),
+            DistKind::PanelGetf2 => geom.pcol_of(k as usize),
+            _ => {
+                queues[rank as usize].push(t);
+                continue;
             }
-            DistKind::PanelGetf2 => {
-                let cpcol = geom.pcol_of(k as usize);
-                for prow in 0..geom.pr {
-                    queues[geom.rank(prow, cpcol)].push(t);
-                }
-            }
-            _ => queues[rank as usize].push(t),
+        };
+        for prow in 0..geom.pr {
+            queues[geom.rank(prow, pcol)].push(t);
         }
     }
     queues
 }
 
-/// One rank's thread: its grid position, its own tile storage, and the
-/// shared seam objects (communicator, ledger, pivot vector).
-struct RankWorker<'a, T> {
+/// Cancels the grid when its rank thread unwinds from a panic, so peers
+/// blocked in a fetch leave with [`Error::Canceled`] instead of waiting
+/// for a payload that will never be posted.
+struct CancelOnPanic<'a> {
+    comm: &'a dyn Communicator,
     rank: usize,
-    prow: usize,
-    pcol: usize,
-    geom: DistGeom,
-    glayout: TileLayout,
-    alg: DistPanelAlg,
-    local: LocalLu,
-    lookahead: usize,
-    /// This rank's local tiles — the only matrix storage this thread
-    /// touches.
-    cell: RankCell<T>,
-    comm: &'a ThreadedComm,
-    ledger: &'a CommLedger,
-    ipiv: &'a IpivCell,
 }
 
-impl<T: Scalar> RankWorker<'_, T> {
-    fn nb(&self) -> usize {
-        self.geom.shape.nb
-    }
-
-    fn post(&self, class: u8, k: usize, j: usize, who: usize, data: Vec<f64>, dests: &[usize]) {
-        self.comm
-            .post(self.rank, (class, k as u32, j as u32, who as u32), data, dests)
-            .expect("the threaded communicator cannot refuse a post");
-    }
-
-    fn fetch(&self, class: u8, k: usize, j: usize, who: usize) -> Result<Arc<Vec<f64>>> {
-        self.comm.fetch(self.rank, (class, k as u32, j as u32, who as u32))
-    }
-
-    /// Ranks of this rank's whole process column (the panel collectives'
-    /// participant set).
-    fn col_ranks(&self) -> Vec<usize> {
-        (0..self.geom.pr).map(|r| self.geom.rank(r, self.pcol)).collect()
-    }
-
-    /// The other ranks of this rank's process row (row-broadcast
-    /// destinations).
-    fn row_peers(&self) -> Vec<usize> {
-        (0..self.geom.pc)
-            .filter(|&c| c != self.pcol)
-            .map(|c| self.geom.rank(self.prow, c))
-            .collect()
-    }
-
-    /// Destination ranks of an `ACC` post: who fetches butterfly slot
-    /// `slot` of owner `owner`? Self always (own next leg / `PivSend`
-    /// read it from the stash), plus every process row whose leg role
-    /// names `owner` as partner while `owner`'s accumulator sits in
-    /// `slot` — the same role/slot algebra the DAG builder's edges use,
-    /// so routing and edges cannot drift apart.
-    fn acc_dests(&self, slot: usize, owner: usize) -> Vec<usize> {
-        let pr = self.geom.pr;
-        let mut dests = vec![self.rank];
-        for leg in 0..tslu_leg_count(pr) {
-            if tslu_acc_slot(pr, leg, owner) != slot {
-                continue;
-            }
-            for r in 0..pr {
-                if r == owner {
-                    continue;
-                }
-                let reads = match tslu_leg_role(pr, leg, r) {
-                    LegRole::Exchange { partner }
-                    | LegRole::FoldCombine { partner }
-                    | LegRole::FoldRecv { partner } => partner == owner,
-                    _ => false,
-                };
-                if reads {
-                    let rk = self.geom.rank(r, self.pcol);
-                    if !dests.contains(&rk) {
-                        dests.push(rk);
-                    }
-                }
-            }
-        }
-        dests
-    }
-
-    /// Own butterfly accumulator after `l` legs — stash-resident (every
-    /// `ACC` post includes self in its destinations).
-    fn fetch_acc(&self, k: usize, l: usize) -> Result<Candidates<T>> {
-        let slot = tslu_acc_slot(self.geom.pr, l, self.prow);
-        Ok(Candidates::from_payload(&self.fetch(ACC, k, slot, self.prow)?))
-    }
-
-    /// A partner's accumulator — the one fetch in the butterfly that
-    /// crosses ranks. Ledgered at the consuming fetch and attributed to
-    /// the sender, exactly like the in-process runner, so per-rank totals
-    /// stay communicator-independent.
-    fn fetch_acc_wire(&self, k: usize, l: usize, partner: usize) -> Result<Candidates<T>> {
-        let slot = tslu_acc_slot(self.geom.pr, l, partner);
-        let raw = self.fetch(ACC, k, slot, partner)?;
-        let sender = self.geom.rank(partner, self.pcol);
-        self.ledger.record_send(sender as u32, "tslu_leg", raw.len() as u64);
-        Ok(Candidates::from_payload(&raw))
-    }
-
-    /// Packs own local elements column-major as `f64` words.
-    fn pack(&self, rows: std::ops::Range<usize>, cols: std::ops::Range<usize>) -> Vec<f64> {
-        let mut v = Vec::with_capacity(rows.len() * cols.len());
-        for lj in cols {
-            // SAFETY: this thread owns the whole local matrix.
-            v.extend(rows.clone().map(|li| unsafe { self.cell.get(li, lj) }.to_f64()));
-        }
-        v
-    }
-
-    /// Drops own stashed payloads of steps the lookahead throttle proves
-    /// complete. Safe at *every* task of step `k`: all step-`k` tasks sit
-    /// downstream of step `k`'s panel, whose throttle edges put every
-    /// step-`≤ k−d−1` task — on every rank — before it in the global
-    /// order, so this rank's consumers of those payloads have already
-    /// run.
-    fn maybe_evict(&self, k: usize) {
-        if k > self.lookahead {
-            self.comm.evict_before(self.rank, (k - self.lookahead - 1) as u32);
+impl Drop for CancelOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.comm.cancel(self.rank);
         }
     }
+}
 
-    /// Local column range of block column `j` touched by step `k`'s swap
-    /// (mirrors the in-process runner).
-    fn swap_cols(&self, k: usize, j: usize) -> std::ops::Range<usize> {
-        let b = self.nb();
-        let c0 = self.glayout.local_cols_below(self.pcol, j * b);
-        let wj = self.geom.wj(j);
-        match self.alg {
-            DistPanelAlg::Tslu => c0..c0 + wj,
-            DistPanelAlg::Getf2 => {
-                if j == k {
-                    c0 + self.geom.jb(k)..c0 + wj
-                } else {
-                    c0..c0 + wj
-                }
-            }
-        }
-    }
-
-    /// The local columns of block column `j` updated by step `k`, as
-    /// `(first local col, width, col tile, intra-tile col)`.
-    fn upd_cols(&self, k: usize, j: usize) -> (usize, usize, usize, usize) {
-        let b = self.nb();
-        let c0 = self.glayout.local_cols_below(self.pcol, j * b);
-        let skip = if j == k { self.geom.jb(k) } else { 0 };
-        let lo = c0 + skip;
-        let wid = self.geom.upd_width(k, j);
-        (lo, wid, c0 / b, lo - (c0 / b) * b)
-    }
-
-    /// Swaps two locally-owned global rows over local columns `cols`.
-    fn swap_local_rows(&self, r1: usize, r2: usize, cols: std::ops::Range<usize>) {
-        let (l1, l2) = (self.glayout.local_row(r1), self.glayout.local_row(r2));
-        for lj in cols {
-            // SAFETY: this thread owns the whole local matrix.
-            unsafe {
-                let a = self.cell.get(l1, lj);
-                self.cell.set(l1, lj, self.cell.get(l2, lj));
-                self.cell.set(l2, lj, a);
-            }
-        }
-    }
-
+/// The message forms of the two collectives, and the queue loop. The cell
+/// accesses below are sound because a rank thread is the only toucher of
+/// its cell.
+impl<T: Scalar> RankTasks<'_, T> {
     /// One side of a cross-owner row exchange: ship own global row `mine`
     /// over `cols` to `partner_prow`, blocking-fetch the partner's
-    /// segment, overwrite in place. `class`/`who` key the message pair.
+    /// segment, overwrite in place. `tag` = `(class, k, j, who_base)` keys
+    /// the message pair (`who` = `who_base` + the sender's process row).
     /// Both sides post before fetching, so the pair cannot deadlock; the
     /// `f64` round trip is exact, so the result is bitwise identical to
     /// the in-process direct copies.
-    #[allow(clippy::too_many_arguments)]
     fn exchange_row(
         &self,
-        class: u8,
-        k: usize,
-        j: usize,
-        who_base: usize,
+        (class, k, j, who_base): (u8, usize, usize, usize),
         mine: usize,
         partner_prow: usize,
-        cols: std::ops::Range<usize>,
+        cols: Range<usize>,
     ) -> Result<()> {
-        let lmine = self.glayout.local_row(mine);
+        let lmine = self.ctx.glayout.local_row(mine);
         // SAFETY: this thread owns the whole local matrix.
         let seg: Vec<f64> =
             cols.clone().map(|lj| unsafe { self.cell.get(lmine, lj) }.to_f64()).collect();
-        self.ledger.record_send(self.rank as u32, "swap", seg.len() as u64);
-        let partner_rank = self.geom.rank(partner_prow, self.pcol);
+        self.ctx.ledger.record_send(self.rank as u32, "swap", seg.len() as u64);
+        let partner_rank = self.ctx.geom.rank(partner_prow, self.pcol);
         self.post(class, k, j, who_base + self.prow, seg, &[partner_rank]);
         let theirs = self.fetch(class, k, j, who_base + partner_prow)?;
         for (lj, &v) in cols.zip(theirs.iter()) {
@@ -310,302 +154,86 @@ impl<T: Scalar> RankWorker<'_, T> {
         Ok(())
     }
 
-    // -- task bodies --------------------------------------------------------
-
-    fn run_cand(&self, k: usize) -> Result<()> {
-        let g = &self.geom;
-        let (gk, jb) = (k * self.nb(), g.jb(k));
-        let lr = self.cell.rows();
-        let lr_k = self.glayout.local_rows_below(self.prow, gk);
-        let pl0 = self.glayout.local_cols_below(self.pcol, gk);
-        // SAFETY: this thread owns the whole local matrix.
-        let block =
-            Matrix::from_fn(lr - lr_k, jb, |i, j| unsafe { self.cell.get(lr_k + i, pl0 + j) });
-        let idx: Vec<usize> =
-            (lr_k..lr).map(|li| self.glayout.global_row(self.prow, li) - gk).collect();
-        let cand = if lr > lr_k {
-            local_candidates(&block, &idx, self.local)
-        } else {
-            Candidates::<T>::new(Matrix::zeros(0, jb), vec![])
-        };
-        self.post(ACC, k, 0, self.prow, cand.to_payload(), &self.acc_dests(0, self.prow));
-        Ok(())
-    }
-
-    fn run_tslu_leg(&self, k: usize, leg: usize) -> Result<()> {
-        match tslu_leg_role(self.geom.pr, leg, self.prow) {
-            LegRole::Exchange { partner } => {
-                let mine = self.fetch_acc(k, leg)?;
-                let theirs = self.fetch_acc_wire(k, leg, partner)?;
-                let acc = if self.prow < partner {
-                    reduce_pair(&mine, &theirs)
-                } else {
-                    reduce_pair(&theirs, &mine)
-                };
-                self.post(
-                    ACC,
-                    k,
-                    leg + 1,
-                    self.prow,
-                    acc.to_payload(),
-                    &self.acc_dests(leg + 1, self.prow),
-                );
+    /// Swaps global rows `r1 != r2` over `cols` as seen from this process
+    /// row: in place if it owns both, one side of a message pair if it
+    /// owns one, nothing otherwise. `tag` as in [`Self::exchange_row`].
+    fn swap_rows(
+        &self,
+        tag: (u8, usize, usize, usize),
+        (r1, r2): (usize, usize),
+        cols: Range<usize>,
+    ) -> Result<()> {
+        let lay = &self.ctx.glayout;
+        let (o1, o2) = (lay.row_owner(r1), lay.row_owner(r2));
+        if o1 == o2 {
+            if o1 == self.prow {
+                let (l1, l2) = (lay.local_row(r1), lay.local_row(r2));
+                // SAFETY: this thread owns the whole local matrix.
+                unsafe { self.cell.swap_row_with(l1, self.cell, l2, cols) };
             }
-            LegRole::FoldCombine { partner } => {
-                let mine = self.fetch_acc(k, leg)?;
-                let theirs = self.fetch_acc_wire(k, leg, partner)?;
-                let acc = reduce_pair(&mine, &theirs);
-                self.post(
-                    ACC,
-                    k,
-                    leg + 1,
-                    self.prow,
-                    acc.to_payload(),
-                    &self.acc_dests(leg + 1, self.prow),
-                );
-            }
-            LegRole::FoldRecv { partner } => {
-                let theirs: Candidates<T> = self.fetch_acc_wire(k, leg, partner)?;
-                self.post(
-                    ACC,
-                    k,
-                    leg + 1,
-                    self.prow,
-                    theirs.to_payload(),
-                    &self.acc_dests(leg + 1, self.prow),
-                );
-            }
-            // Send halves: the producer's post already routed the payload
-            // to the partner; the task models the injection.
-            LegRole::FoldSend { .. } | LegRole::FoldOut { .. } => {}
-            LegRole::Idle => unreachable!("idle legs are not emitted"),
+        } else if self.prow == o1 {
+            self.exchange_row(tag, r1, o2, cols)?;
+        } else if self.prow == o2 {
+            self.exchange_row(tag, r2, o1, cols)?;
         }
         Ok(())
     }
 
-    fn run_piv_send(&self, k: usize) -> Result<()> {
-        let g = &self.geom;
-        let cprow = g.cprow(k);
-        if self.alg == DistPanelAlg::Getf2 {
-            // PDGETF2 computed and self-stashed the list; forward it to
-            // the row peers whose PivRecv consumes it.
-            let peers = self.row_peers();
-            if !peers.is_empty() {
-                let li = self.fetch(PIV, k, 0, cprow)?;
-                self.post(PIV, k, 0, cprow, (*li).clone(), &peers);
-            }
-            return Ok(());
-        }
-        let gk = k * self.nb();
-        // The ordered butterfly combine leaves every process row's final
-        // accumulator bitwise identical, so each rank derives the swap
-        // list redundantly from its own stash — no column broadcast.
-        let winners: Candidates<T> = self.fetch_acc(k, tslu_leg_count(g.pr))?;
-        let li = winners_to_ipiv(&winners.rows, g.shape.m - gk);
-        if self.prow == cprow {
-            // SAFETY: the diagonal PivSend of step k is the only writer.
-            unsafe { self.ipiv.publish(gk, &li) };
-        }
-        let mut dests = vec![self.rank];
-        dests.extend(self.row_peers());
-        self.post(PIV, k, 0, cprow, li.iter().map(|&x| x as f64).collect(), &dests);
-        Ok(())
-    }
-
-    fn run_piv_recv(&self, k: usize) -> Result<()> {
-        self.fetch(PIV, k, 0, self.geom.cprow(k))?;
-        self.ledger.record_recv(self.rank as u32, "piv_bcast", self.geom.jb(k) as u64);
-        Ok(())
-    }
-
+    /// `Swap(k, j)` as a collective over `j`'s process column: each rank
+    /// thread owns one cell, so a pivot row whose two owners differ
+    /// travels as a pair of `SWP` messages. (In one address space it is
+    /// one task copying between the cells.)
     fn run_swap(&self, k: usize, j: usize) -> Result<()> {
+        self.evict_completed_steps(k);
         let gk = k * self.nb();
         let cols = self.swap_cols(k, j);
         if cols.is_empty() {
             return Ok(());
         }
-        let li: Vec<usize> =
-            self.fetch(PIV, k, 0, self.geom.cprow(k))?.iter().map(|&x| x as usize).collect();
-        for (i, &p) in li.iter().enumerate() {
-            if p == i {
-                continue;
-            }
-            let (r1, r2) = (gk + i, gk + p);
-            let (o1, o2) = (self.glayout.row_owner(r1), self.glayout.row_owner(r2));
-            if o1 == o2 {
-                if o1 == self.prow {
-                    self.swap_local_rows(r1, r2, cols.clone());
-                }
-            } else if self.prow == o1 || self.prow == o2 {
-                let (mine, partner) = if self.prow == o1 { (r1, o2) } else { (r2, o1) };
-                // Every participant walks the pivot items in the same
-                // order and each exchange completes (blocking) before the
-                // next item starts, so chained pivots through one row see
-                // the same intermediate states as the in-process sweep.
-                self.exchange_row(SWP, k, j, i * self.geom.pr, mine, partner, cols.clone())?;
-            }
-            // Rows owned by other process rows: nothing local to touch.
-        }
-        Ok(())
-    }
-
-    fn run_w_send(&self, k: usize) -> Result<()> {
-        let g = &self.geom;
-        let (gk, jb) = (k * self.nb(), g.jb(k));
-        let d0 = self.glayout.local_rows_below(self.prow, gk);
-        let pl0 = self.glayout.local_cols_below(self.pcol, gk);
-        let w = self.pack(d0..d0 + jb, pl0..pl0 + jb);
-        self.post(WBK, k, 0, 0, w, &self.col_ranks());
-        Ok(())
-    }
-
-    fn run_second(&self, k: usize) -> Result<()> {
-        let g = &self.geom;
-        let b = self.nb();
-        let (gk, jb) = (k * b, g.jb(k));
-        let cprow = g.cprow(k);
-        let raw = self.fetch(WBK, k, 0, 0)?;
-        let mut w: Matrix<T> = Matrix::from_col_major(jb, jb, cast_slice(&raw));
-        if let Err(Error::SingularPivot { step }) = lu_nopiv(w.view_mut(), &mut NoObs) {
-            return Err(Error::SingularPivot { step: gk + step });
-        }
-        let pl0 = self.glayout.local_cols_below(self.pcol, gk);
-        if self.prow == cprow {
-            let d0 = self.glayout.local_rows_below(cprow, gk);
-            for lj in 0..jb {
-                for li in 0..jb {
-                    // SAFETY: this thread owns the whole local matrix.
-                    unsafe { self.cell.set(d0 + li, pl0 + lj, w[(li, lj)]) };
-                }
+        // Every participant walks the pivot items in the same order and
+        // each exchange completes (blocking) before the next item starts,
+        // so chained pivots through one row see the same intermediate
+        // states as the in-process sweep.
+        for (i, p) in self.swap_list(k)?.into_iter().enumerate() {
+            if p != i {
+                let tag = (SWP, k, j, i * self.ctx.geom.pr);
+                self.swap_rows(tag, (gk + i, gk + p), cols.clone())?;
             }
         }
-        let lb0 = self.glayout.local_rows_below(self.prow, gk + jb);
-        let lr = self.cell.rows();
-        if lr > lb0 {
-            let u11 = w.view().submatrix(0, 0, jb, jb);
-            let (tjc, jc) = (pl0 / b, pl0 % b);
-            for (ti, rr) in self.cell.lay.row_tile_span(lb0..lr) {
-                // SAFETY: this thread owns the whole local matrix.
-                let l21 = unsafe { self.cell.tile_block(ti, tjc, rr.start, jc, rr.len(), jb) };
-                trsm(Side::Right, Uplo::Upper, Diag::NonUnit, T::ONE, u11, l21);
-            }
-        }
-        if self.prow != cprow {
-            self.ledger.record_recv(self.rank as u32, "w_bcast", raw.len() as u64);
-        }
         Ok(())
     }
 
-    fn run_panel_send(&self, k: usize) -> Result<()> {
-        let g = &self.geom;
-        let (gk, jb) = (k * self.nb(), g.jb(k));
-        let lr = self.cell.rows();
-        let lr_k = self.glayout.local_rows_below(self.prow, gk);
-        let pl0 = self.glayout.local_cols_below(self.pcol, gk);
-        let v = self.pack(lr_k..lr, pl0..pl0 + jb);
-        let mut dests = vec![self.rank];
-        dests.extend(self.row_peers());
-        self.post(PAN, k, 0, self.prow, v, &dests);
-        Ok(())
-    }
-
-    fn run_panel_recv(&self, k: usize) -> Result<()> {
-        let v = self.fetch(PAN, k, 0, self.prow)?;
-        self.ledger.record_recv(self.rank as u32, "panel_bcast", v.len() as u64);
-        Ok(())
-    }
-
-    fn run_trsm(&self, k: usize, j: usize) -> Result<()> {
-        let g = &self.geom;
-        let b = self.nb();
-        let (gk, jb) = (k * b, g.jb(k));
-        let cprow = g.cprow(k);
-        let lr_panel = g.panel_rows(cprow, k);
-        let panel_l: Matrix<T> =
-            Matrix::from_col_major(lr_panel, jb, cast_slice(&self.fetch(PAN, k, 0, cprow)?));
-        let l11 = panel_l.view().submatrix(0, 0, jb, jb);
-        let d0 = self.glayout.local_rows_below(cprow, gk);
-        let (ti_d, i0) = (d0 / b, d0 % b);
-        let (_lo, wid, tj, cr0) = self.upd_cols(k, j);
-        // SAFETY: this thread owns the whole local matrix.
-        let u12 = unsafe { self.cell.tile_block(ti_d, tj, i0, cr0, jb, wid) };
-        trsm(Side::Left, Uplo::Lower, Diag::Unit, T::ONE, l11, u12);
-        Ok(())
-    }
-
-    fn run_u_send(&self, k: usize, j: usize) -> Result<()> {
-        let g = &self.geom;
-        let (gk, jb) = (k * self.nb(), g.jb(k));
-        let cprow = g.cprow(k);
-        let d0 = self.glayout.local_rows_below(cprow, gk);
-        let (lo, wid, _tj, _cr0) = self.upd_cols(k, j);
-        let v = self.pack(d0..d0 + jb, lo..lo + wid);
-        let mut dests = vec![self.rank];
-        for r in 0..g.pr {
-            if r != cprow && g.below_rows(r, k) > 0 {
-                dests.push(g.rank(r, self.pcol));
-            }
-        }
-        self.post(U12, k, j, 0, v, &dests);
-        Ok(())
-    }
-
-    fn run_u_recv(&self, k: usize, j: usize) -> Result<()> {
-        let v = self.fetch(U12, k, j, 0)?;
-        self.ledger.record_recv(self.rank as u32, "u_bcast", v.len() as u64);
-        Ok(())
-    }
-
-    fn run_gemm(&self, k: usize, j: usize) -> Result<()> {
-        let g = &self.geom;
-        let b = self.nb();
-        let (gk, jb) = (k * b, g.jb(k));
-        let lr = self.cell.rows();
-        let lr_k = self.glayout.local_rows_below(self.prow, gk);
-        let lr_panel = lr - lr_k;
-        let panel_l: Matrix<T> =
-            Matrix::from_col_major(lr_panel, jb, cast_slice(&self.fetch(PAN, k, 0, self.prow)?));
-        let (_lo, wid, tj, cr0) = self.upd_cols(k, j);
-        let u12: Matrix<T> =
-            Matrix::from_col_major(jb, wid, cast_slice(&self.fetch(U12, k, j, 0)?));
-        let lb0 = self.glayout.local_rows_below(self.prow, gk + jb);
-        for (ti, rr) in self.cell.lay.row_tile_span(lb0..lr) {
-            let l21 = panel_l.view().submatrix(ti * b + rr.start - lr_k, 0, rr.len(), jb);
-            // SAFETY: this thread owns the whole local matrix.
-            let a22 = unsafe { self.cell.tile_block(ti, tj, rr.start, cr0, rr.len(), wid) };
-            gemm(-T::ONE, l21, u12.view(), T::ONE, a22);
-        }
-        Ok(())
-    }
-
-    /// The decomposed `PDGETF2` collective: all process rows of the panel
-    /// column walk the picket fence together, column by column, with the
-    /// in-process body's cross-rank touches replaced by real messages.
-    /// Every fold runs in ascending process-row order with the exact
-    /// shared-mailbox comparison, so the elected pivots — and therefore
-    /// the factors — are bitwise identical.
+    /// `PanelGetf2(k)` as a collective: all process rows of the panel
+    /// column walk the picket fence together, column by column, and what
+    /// the in-process task reads straight out of the other ranks' cells
+    /// arrives here as real messages (ledgered as `panel_getf2`, the term
+    /// that exists only on this communicator). Every fold runs in
+    /// ascending process-row order with the exact shared-mailbox
+    /// comparison, so the elected pivots — and therefore the factors —
+    /// are bitwise identical.
     fn run_panel_getf2(&self, k: usize) -> Result<()> {
-        let g = &self.geom;
+        let (g, lay) = (&self.ctx.geom, &self.ctx.glayout);
         let b = self.nb();
         let (gk, jb) = (k * b, g.jb(k));
-        let (pr, cprow) = (g.pr, g.cprow(k));
-        let pl0 = self.glayout.local_cols_below(self.pcol, gk);
+        let pl0 = lay.local_cols_below(self.pcol, gk);
         let (tjc, jc) = (pl0 / b, pl0 % b);
-        let others: Vec<usize> =
-            (0..pr).filter(|&r| r != self.prow).map(|r| g.rank(r, self.pcol)).collect();
+        let others: Vec<usize> = self.col_ranks().into_iter().filter(|&r| r != self.rank).collect();
+        let recv = |raw: &[f64]| {
+            self.ctx.ledger.record_recv(self.rank as u32, "panel_getf2", raw.len() as u64)
+        };
         let mut li_piv = Vec::with_capacity(jb);
         for jj in 0..jb {
             let gc = gk + jj;
             // Local scan over own rows (first strict max in ascending
             // global order — identical arithmetic to the shared body).
-            let r0 = self.glayout.local_rows_below(self.prow, gc);
+            let r0 = lay.local_rows_below(self.prow, gc);
             let (mut ba, mut bg, mut bv) = (T::NEG_INFINITY, usize::MAX, T::ZERO);
             for li in r0..self.cell.rows() {
                 // SAFETY: this thread owns the whole local matrix.
                 let v = unsafe { self.cell.get(li, pl0 + jj) };
                 if v.abs() > ba {
                     ba = v.abs();
-                    bg = self.glayout.global_row(self.prow, li);
+                    bg = lay.global_row(self.prow, li);
                     bv = v;
                 }
             }
@@ -617,12 +245,12 @@ impl<T: Scalar> RankWorker<'_, T> {
             // Fold all candidates in ascending process-row order — the
             // associative linear fold the in-process picket fence runs.
             let (mut best, mut best_g, mut best_v) = (T::NEG_INFINITY, usize::MAX, T::ZERO);
-            for prow2 in 0..pr {
+            for prow2 in 0..g.pr {
                 let (ca, cg, cv) = if prow2 == self.prow {
                     (ba, bg, bv)
                 } else {
                     let raw = self.fetch(GCD, k, jj, prow2)?;
-                    self.ledger.record_recv(self.rank as u32, "panel_getf2", raw.len() as u64);
+                    recv(&raw);
                     let vals: Vec<T> = cast_slice(&raw);
                     let cg = if raw[1] < 0.0 { usize::MAX } else { raw[1] as usize };
                     (vals[0], cg, vals[2])
@@ -641,76 +269,51 @@ impl<T: Scalar> RankWorker<'_, T> {
                 return Err(Error::SingularPivot { step: gc });
             }
             // The winner's trailing row, captured before the exchange.
-            let ow = self.glayout.row_owner(best_g);
-            let urow: Vec<T> = if jj + 1 < jb {
-                if ow == self.prow {
-                    let lw = self.glayout.local_row(best_g);
-                    // SAFETY: this thread owns the whole local matrix.
-                    let row: Vec<T> =
-                        (jj + 1..jb).map(|c| unsafe { self.cell.get(lw, pl0 + c) }).collect();
-                    if !others.is_empty() {
-                        let payload: Vec<f64> = row.iter().map(|&v| v.to_f64()).collect();
-                        self.post(GUR, k, jj, 0, payload, &others);
-                    }
-                    row
-                } else {
-                    let raw = self.fetch(GUR, k, jj, 0)?;
-                    self.ledger.record_recv(self.rank as u32, "panel_getf2", raw.len() as u64);
-                    cast_slice(&raw)
-                }
-            } else {
+            let urow: Vec<T> = if jj + 1 == jb {
                 Vec::new()
+            } else if lay.row_owner(best_g) == self.prow {
+                let lw = lay.local_row(best_g);
+                // SAFETY: this thread owns the whole local matrix.
+                let row: Vec<T> =
+                    (jj + 1..jb).map(|c| unsafe { self.cell.get(lw, pl0 + c) }).collect();
+                if !others.is_empty() {
+                    self.post(GUR, k, jj, 0, row.iter().map(|&v| v.to_f64()).collect(), &others);
+                }
+                row
+            } else {
+                let raw = self.fetch(GUR, k, jj, 0)?;
+                recv(&raw);
+                cast_slice(&raw)
             };
             // Pivot-row exchange over the whole panel width.
             if best_g != gc {
-                let og = self.glayout.row_owner(gc);
-                if og == ow {
-                    if og == self.prow {
-                        self.swap_local_rows(gc, best_g, pl0..pl0 + jb);
-                    }
-                } else if self.prow == og || self.prow == ow {
-                    let (mine, partner) = if self.prow == og { (gc, ow) } else { (best_g, og) };
-                    self.exchange_row(GRX, k, jj, 0, mine, partner, pl0..pl0 + jb)?;
-                }
+                self.swap_rows((GRX, k, jj, 0), (gc, best_g), pl0..pl0 + jb)?;
             }
             // Scale + rank-1 update on own rows only.
             let inv = best_v.recip();
-            let r1 = self.glayout.local_rows_below(self.prow, gc + 1);
-            let lr = self.cell.rows();
-            if lr > r1 {
-                for (ti, rr) in self.cell.lay.row_tile_span(r1..lr) {
-                    // SAFETY: this thread owns the whole local matrix.
-                    let mut col =
-                        unsafe { self.cell.tile_block(ti, tjc, rr.start, jc + jj, rr.len(), 1) };
-                    scal(inv, col.col_mut(0));
-                }
+            let r1 = lay.local_rows_below(self.prow, gc + 1);
+            for (ti, rr) in self.cell.lay.row_tile_span(r1..self.cell.rows()) {
+                // SAFETY: this thread owns the whole local matrix; the
+                // scaled column and the trailing block are disjoint.
+                let mut col =
+                    unsafe { self.cell.tile_block(ti, tjc, rr.start, jc + jj, rr.len(), 1) };
+                scal(inv, col.col_mut(0));
                 if jj + 1 < jb {
-                    for (ti, rr) in self.cell.lay.row_tile_span(r1..lr) {
-                        let lview = unsafe {
-                            self.cell.tile_block(ti, tjc, rr.start, jc + jj, rr.len(), 1)
-                        };
-                        let trailing = unsafe {
-                            self.cell.tile_block(
-                                ti,
-                                tjc,
-                                rr.start,
-                                jc + jj + 1,
-                                rr.len(),
-                                jb - jj - 1,
-                            )
-                        };
-                        ger(-T::ONE, lview.as_view().col(0), &urow, trailing);
-                    }
+                    let trailing = unsafe {
+                        self.cell.tile_block(ti, tjc, rr.start, jc + jj + 1, rr.len(), jb - jj - 1)
+                    };
+                    ger(-T::ONE, col.as_view().col(0), &urow, trailing);
                 }
             }
         }
-        if self.prow == cprow {
+        if self.prow == g.cprow(k) {
             // SAFETY: the diagonal participant is the only writer.
-            unsafe { self.ipiv.publish(gk, &li_piv) };
+            unsafe { self.ctx.ipiv.publish(gk, &li_piv) };
         }
-        // Self-stash the swap list for this rank's Swap tasks; PivSend
-        // forwards it to the row peers.
-        self.post(PIV, k, 0, cprow, li_piv.iter().map(|&x| x as f64).collect(), &[self.rank]);
+        // This process row's copy of the swap list, along its row (its
+        // own Swap tasks and the row peers' PivRecv consume it).
+        let list = li_piv.iter().map(|&x| x as f64).collect();
+        self.post(PIV, k, 0, self.prow, list, &self.row_ranks(self.prow));
         Ok(())
     }
 
@@ -719,22 +322,10 @@ impl<T: Scalar> RankWorker<'_, T> {
             unreachable!("distributed runner received a shared-memory task")
         };
         let (k, j) = (k as usize, j as usize);
-        self.maybe_evict(k);
         match kind {
-            DistKind::Cand => self.run_cand(k),
-            DistKind::TsluLeg => self.run_tslu_leg(k, j),
-            DistKind::PanelGetf2 => self.run_panel_getf2(k),
-            DistKind::PivSend => self.run_piv_send(k),
-            DistKind::PivRecv => self.run_piv_recv(k),
             DistKind::Swap => self.run_swap(k, j),
-            DistKind::WSend => self.run_w_send(k),
-            DistKind::Second => self.run_second(k),
-            DistKind::PanelSend => self.run_panel_send(k),
-            DistKind::PanelRecv => self.run_panel_recv(k),
-            DistKind::Trsm => self.run_trsm(k, j),
-            DistKind::USend => self.run_u_send(k, j),
-            DistKind::URecv => self.run_u_recv(k, j),
-            DistKind::Gemm => self.run_gemm(k, j),
+            DistKind::PanelGetf2 => self.run_panel_getf2(k),
+            _ => self.run_local(kind, k, j),
         }
     }
 
@@ -748,20 +339,15 @@ impl<T: Scalar> RankWorker<'_, T> {
         recorder: &Recorder,
         epoch: Instant,
     ) -> (Vec<TaskTiming>, Option<usize>) {
+        let _guard = CancelOnPanic { comm: self.ctx.comm, rank: self.rank };
         let mut timings = Vec::with_capacity(queue.len());
         for &task in queue {
             let start = epoch.elapsed().as_secs_f64();
             match self.run_task(task) {
                 Ok(()) => {
                     let end = epoch.elapsed().as_secs_f64();
-                    recorder.record_interval(
-                        task.to_string(),
-                        task.cat(),
-                        self.rank as u32,
-                        self.rank as u32,
-                        start,
-                        end,
-                    );
+                    let id = self.rank as u32;
+                    recorder.record_interval(task.to_string(), task.cat(), id, id, start, end);
                     // Each rank replays its projection serially, so a task
                     // is "ready" the moment the rank reaches it: queue
                     // delay is zero by construction and the real waiting
@@ -769,7 +355,7 @@ impl<T: Scalar> RankWorker<'_, T> {
                     timings.push(TaskTiming { task, worker: self.rank, ready: start, start, end });
                 }
                 Err(Error::SingularPivot { step }) => {
-                    self.comm.cancel(self.rank);
+                    self.ctx.comm.cancel(self.rank);
                     return (timings, Some(step));
                 }
                 Err(Error::Canceled) => return (timings, None),
@@ -780,126 +366,49 @@ impl<T: Scalar> RankWorker<'_, T> {
     }
 }
 
-/// The [`CommKind::Threaded`](crate::comm::CommKind::Threaded) driver:
-/// spawns one OS thread per grid rank over a [`ThreadedComm`], runs the
-/// per-rank schedule projections end-to-end concurrently, and assembles
-/// the same [`DistRtReport`] / [`DistFactors`] the in-process path
-/// produces (factors bitwise identical; ledger terms identical, plus the
-/// exact `panel_getf2` term for the traffic that only exists once the
-/// `PDGETF2` panel's internals physically cross the seam).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_dist_threaded<T: Scalar>(
-    a: &Matrix<T>,
-    b: usize,
-    pr: usize,
-    pc: usize,
-    local: LocalLu,
-    alg: DistPanelAlg,
-    rt: DistRtOpts,
-    mch: &MachineConfig,
-) -> (DistRtReport, DistFactors<T>) {
-    let (m, n) = (a.rows(), a.cols());
-    let kn = m.min(n);
-    assert!(b > 0 && pr > 0 && pc > 0, "block and grid must be positive");
-    let glayout = TileLayout::new(m, n, b, b).with_grid(pr, pc);
-    let mut locals: Vec<TileMatrix<T>> = (0..pr * pc)
-        .map(|rank| {
-            let (prow, pcol) = (rank % pr, rank / pr);
-            TileMatrix::from_fn(glayout.local_layout(prow, pcol), |li, lj| {
-                a[(glayout.global_row(prow, li), glayout.global_col(pcol, lj))]
-            })
-        })
-        .collect();
-    let shape = LuShape { m, n, nb: b };
-    let geom = DistGeom { shape, pr, pc };
-    let dag = LuDag::build_dist_with(shape, (pr, pc), rt.lookahead, alg);
-    let queues = rank_queues(&dag, &geom);
-    let mut ipiv = vec![0usize; kn];
-    let ipiv_cell = IpivCell { ptr: ipiv.as_mut_ptr(), len: kn };
-    let comm = ThreadedComm::new(pr * pc);
-    let ledger = CommLedger::new();
-    let recorder = Recorder::new();
+/// The rank-thread driver: one scoped OS thread per grid rank, each
+/// running its queue of `run`'s DAG over its own cell with payloads on
+/// `comm`. Returns what the executor driver returns — the wall-clock
+/// record (collectives appear once per participant; empty when a singular
+/// pivot canceled the run) and the first singular step.
+///
+/// # Panics
+/// Re-raises a rank thread's panic after every thread is joined.
+pub(crate) fn run_rank_threads<T: Scalar>(
+    run: &DistRun<T>,
+    comm: &dyn Communicator,
+) -> (ExecReport, Option<usize>) {
+    let ctx = run.ctx(comm);
+    let (cells, recorder) = (&run.cells[..], &run.recorder);
+    let queues = rank_queues(&run.dag, &ctx.geom);
     let epoch = Instant::now();
-
-    let results: Vec<(Vec<TaskTiming>, Option<usize>)> = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(pr * pc);
-        for (rank, (mat, queue)) in locals.iter_mut().zip(queues.iter()).enumerate() {
-            let (comm, ledger, recorder, ipiv_ref) = (&comm, &ledger, &recorder, &ipiv_cell);
-            handles.push(s.spawn(move || {
-                let worker = RankWorker {
-                    rank,
-                    prow: rank % pr,
-                    pcol: rank / pr,
-                    geom,
-                    glayout,
-                    alg,
-                    local,
-                    lookahead: rt.lookahead,
-                    cell: RankCell::new(mat),
-                    comm,
-                    ledger,
-                    ipiv: ipiv_ref,
-                };
-                worker.run_queue(queue, recorder, epoch)
-            }));
-        }
-        handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
+    let joined: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = queues
+            .iter()
+            .enumerate()
+            .map(|(rank, queue)| {
+                s.spawn(move || RankTasks::new(ctx, cells, rank).run_queue(queue, recorder, epoch))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
     });
-
+    // Peers of a panicking rank left with `Canceled`, not a panic, so the
+    // first payload is the original one.
+    let results: Vec<_> = joined
+        .into_iter()
+        .map(|res| res.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+        .collect();
     let first_singular = results.iter().filter_map(|(_, f)| *f).min();
-    // Success or cancellation, undelivered payloads end with the run.
-    let drained = comm.drain();
-    let residual = comm.residual_words();
-    ledger.set_drain(drained as u64, residual as u64);
-    if first_singular.is_none() {
-        assert_eq!(residual, 0, "threaded mailboxes leaked {residual} words after the drain");
+    if first_singular.is_some() {
+        return (ExecReport::default(), first_singular);
     }
-    // Fold the communicator's blocked-fetch wait clocks into the ledger
-    // before the report snapshot: per-(rank, term) wait rows ride next to
-    // the word counts they explain.
-    for rank in 0..pr * pc {
-        for (term, nanos) in comm.wait_ns(rank) {
-            ledger.record_wait(rank as u32, term, nanos);
-        }
-    }
-    let comm_report = ledger.report();
-
-    let exec = if first_singular.is_some() {
-        ExecReport::default()
-    } else {
-        let mut timings: Vec<TaskTiming> = results.into_iter().flat_map(|(t, _)| t).collect();
-        timings.sort_by(|x, y| x.end.total_cmp(&y.end).then(x.start.total_cmp(&y.start)));
-        ExecReport {
-            order: timings.iter().map(|t| t.task).collect(),
-            timings,
-            workers: pr * pc,
-            wall: epoch.elapsed().as_secs_f64(),
-        }
+    let mut timings: Vec<TaskTiming> = results.into_iter().flat_map(|(t, _)| t).collect();
+    timings.sort_by(|x, y| x.end.total_cmp(&y.end).then(x.start.total_cmp(&y.start)));
+    let exec = ExecReport {
+        order: timings.iter().map(|t| t.task).collect(),
+        timings,
+        workers: queues.len(),
+        wall: epoch.elapsed().as_secs_f64(),
     };
-
-    let model = DistCostModel {
-        geom,
-        alg,
-        recursive_panel: matches!(local, LocalLu::Recursive),
-        mch: mch.clone(),
-    };
-    let sched = simulate_dist_schedule(&dag, |t| model.cost(t), mch);
-    let critical_path = dag.critical_path(|t| model.cost(t).total(mch));
-    let mut expected_mailbox = expected_mailbox_comm(&dag, &geom, alg);
-    expected_mailbox.extend(expected_threaded_getf2_comm(&dag, &geom, alg));
-    let report = DistRtReport {
-        sim: SimReport { per_rank: sched.per_rank },
-        traces: sched.traces,
-        exec,
-        critical_path,
-        makespan: sched.makespan,
-        tasks: dag.len(),
-        comm: comm_report,
-        expected_mailbox,
-        modeled_terms: modeled_comm_terms(&dag, &model),
-        spans: recorder.take(),
-        communicator: comm.name(),
-    };
-    let lu = assemble_2d(glayout, &locals);
-    (report, DistFactors { lu, ipiv, first_singular })
+    (exec, None)
 }

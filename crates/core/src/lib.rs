@@ -8,17 +8,21 @@
 //!   pivot rows by GEPP, a binary tournament elects the `b` winners, the
 //!   winners are swapped on top and the panel is factored *without*
 //!   pivoting; then the usual `trsm`/`gemm` trailing update.
-//! * **Shared-memory parallel** ([`par`], [`tiled`], [`rt`]) — both
-//!   front-ends schedule on the `calu-runtime` task DAG (work-stealing
-//!   executor, critical-path-first priorities); [`rt`] exposes the full
-//!   engine with any lookahead depth, so the next panels' TSLUs overlap
-//!   the bulk trailing updates (the paper's "multicore" future-work
-//!   direction and HPL's look-ahead technique, Section 4); bitwise
-//!   identical factors on every schedule.
-//! * **Simulated-distributed** ([`dist`]) — the paper's actual setting: the
-//!   2D block-cyclic layout on a `Pr x Pc` grid over `calu-netsim`, with
-//!   TSLU as a butterfly all-reduce, plus the ScaLAPACK `PDGETRF`/`PDGETF2`
-//!   baseline models, in both real-data and cost-skeleton modes.
+//! * **Shared-memory parallel** ([`rt`]) — the factorization scheduled on
+//!   the `calu-runtime` task DAG (work-stealing executor,
+//!   critical-path-first priorities) at any lookahead depth, so the next
+//!   panels' TSLUs overlap the bulk trailing updates (the paper's
+//!   "multicore" future-work direction and HPL's look-ahead technique,
+//!   Section 4), over flat or tile-major storage; bitwise identical
+//!   factors on every schedule.
+//! * **Simulated-distributed** ([`dist`], [`dist_rt`]) — the paper's actual
+//!   setting: the 2D block-cyclic layout on a `Pr x Pc` grid, with TSLU as
+//!   a butterfly all-reduce, plus the ScaLAPACK `PDGETRF`/`PDGETF2`
+//!   baseline. [`dist`] holds the SPMD reference loops over `calu-netsim`
+//!   (real-data and cost-skeleton modes); [`dist_rt`] runs the same
+//!   per-rank work as a task DAG, with one set of rank-local task bodies
+//!   over the [`comm`] seam (shared mailbox, or ranks as OS threads in
+//!   [`dist_threaded`]).
 //!
 //! [`instrument::PivotStats`] plugs into any of them to collect the growth
 //! factor, pivot thresholds, and `|L|` bounds of the stability study
@@ -35,28 +39,23 @@
 pub mod calu;
 pub mod comm;
 pub mod dist;
+mod dist_rank;
 pub mod dist_rt;
 pub mod dist_threaded;
 pub mod gepp;
 pub mod instrument;
-pub mod par;
 pub mod rt;
 pub mod serve;
 pub mod solve;
-pub mod tiled;
 pub mod tournament;
 pub mod tslu;
 
 pub use calu::{calu_factor, calu_inplace, CaluOpts, LuFactors};
 pub use calu_runtime::PanelMode;
-pub use comm::{CommKind, Communicator, InProcessComm, MpiComm, ThreadedComm};
-pub use dist_rt::{
-    dist_calu_factor_rt, dist_pdgetrf_factor_rt, try_dist_calu_factor_rt,
-    try_dist_pdgetrf_factor_rt, DistRtOpts, DistRtReport,
-};
+pub use comm::{CommKind, Communicator, InProcessComm, ThreadedComm};
+pub use dist_rt::{dist_calu_factor_rt, dist_pdgetrf_factor_rt, DistRtOpts, DistRtReport};
 pub use gepp::{gepp_factor, gepp_inplace};
 pub use instrument::PivotStats;
-pub use par::{par_calu_factor, par_calu_inplace};
 pub use rt::{
     runtime_calu_factor, runtime_calu_inplace, runtime_calu_tiles, runtime_calu_tiles_factor,
     RuntimeOpts,
@@ -66,6 +65,5 @@ pub use serve::{
     Ticket,
 };
 pub use solve::{ir_solve, ir_solve_batch, IrBatchReport, IrOpts, IrReport, IrStep, RefineInfo};
-pub use tiled::{tiled_calu_factor, tiled_calu_inplace, tiled_calu_tiles};
 pub use tournament::{reduce_pair, tournament, tournament_flat, Candidates};
 pub use tslu::{tslu_factor, tslu_pivots, LocalLu, TsluResult};

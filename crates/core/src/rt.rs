@@ -1,8 +1,9 @@
-//! CALU on the `calu-runtime` task DAG — the shared-memory execution
-//! engine behind [`tiled_calu_inplace`](crate::tiled::tiled_calu_inplace)
-//! and [`par_calu_inplace`](crate::par::par_calu_inplace), exposed
-//! directly as [`runtime_calu_inplace`] for callers that want to pick the
-//! executor and lookahead depth.
+//! CALU on the `calu-runtime` task DAG — the shared-memory parallel
+//! engine: [`runtime_calu_factor`] / [`runtime_calu_inplace`] over a flat
+//! matrix, [`runtime_calu_tiles`] over tile-major storage, each taking the
+//! executor and lookahead depth in [`RuntimeOpts`] (the default is the
+//! work-stealing threaded executor at depth 1 — HPL's look-ahead schedule,
+//! the paper's "multicore" future-work direction).
 //!
 //! The runtime schedules; this module supplies the kernels: a
 //! [`calu_runtime::TaskRunner`] whose task bodies are the *same* calls the
@@ -202,7 +203,10 @@ impl<T: Scalar> Storage<T> for SharedTiles<T> {
 /// read path hands out shared references only). Writes happen-before all
 /// reads via the `Swap ← PanelFinish` edges (the executor's pool lock
 /// carries the synchronization), and distinct panels own disjoint slots.
-struct SharedIpiv {
+/// The distributed runners publish through the same cell (their one
+/// designated panel task per step is the writer; their swap lists travel
+/// as messages, so nothing reads the slots back before assembly).
+pub(crate) struct SharedIpiv {
     ptr: *mut usize,
     len: usize,
 }
@@ -211,6 +215,11 @@ unsafe impl Send for SharedIpiv {}
 unsafe impl Sync for SharedIpiv {}
 
 impl SharedIpiv {
+    /// A cell over `ipiv`, which must outlive every task that uses it.
+    pub(crate) fn new(ipiv: &mut [usize]) -> Self {
+        Self { ptr: ipiv.as_mut_ptr(), len: ipiv.len() }
+    }
+
     /// Panel `k`'s pivot swaps, local to rows `k·nb..m`.
     ///
     /// # Safety
@@ -230,10 +239,10 @@ impl SharedIpiv {
     /// absolute slots.
     ///
     /// # Safety
-    /// Only the `PanelFinish` task owning the slots at `base` may call
-    /// this, and nothing else may access them meanwhile. (The DAG, not the
-    /// borrow checker, proves exclusivity.)
-    unsafe fn publish(&self, base: usize, local: &[usize]) {
+    /// Only the panel task owning the slots at `base` may call this, and
+    /// nothing else may access them meanwhile. (The DAG, not the borrow
+    /// checker, proves exclusivity.)
+    pub(crate) unsafe fn publish(&self, base: usize, local: &[usize]) {
         debug_assert!(base + local.len() <= self.len);
         let slots = unsafe { std::slice::from_raw_parts_mut(self.ptr.add(base), local.len()) };
         for (slot, &p) in slots.iter_mut().zip(local) {
@@ -440,7 +449,7 @@ fn run_lu<T: Scalar, S: Storage<T>, O: PivotObserver<T> + Send>(
     let plans = (0..shape.steps()).map(|k| dag.panel_plan(k));
     let runner = LuRunner {
         mat,
-        ipiv: SharedIpiv { ptr: ipiv.as_mut_ptr(), len: ipiv.len() },
+        ipiv: SharedIpiv::new(&mut ipiv),
         dag: &dag,
         local: opts.local,
         slots: plans
@@ -571,9 +580,11 @@ mod tests {
     /// `(m, n, block, p)`: square, ragged, wide, and — so that several
     /// leaves, a fold-in match (p = 3, 5) and several apply chunks are in
     /// play — tall-skinny shapes of more than 4096 rows per panel.
-    const SHAPES: [(usize, usize, usize, usize); 8] = [
+    const SHAPES: [(usize, usize, usize, usize); 10] = [
         (96, 96, 16, 4),
         (130, 130, 32, 8),
+        (64, 64, 64, 4), // single panel: no lookahead at all
+        (40, 40, 64, 4), // block bigger than the matrix
         (100, 60, 16, 4),
         (60, 100, 16, 4),
         (97, 97, 16, 3), // ragged edge tiles in both dimensions
@@ -725,29 +736,35 @@ mod tests {
 
     #[test]
     fn runtime_singular_reports_absolute_step_and_cancels() {
-        let n = 64;
         // Rank 20: every flavor must fail at absolute step 20 — the
         // failure surfaces inside PanelFinish's top-block elimination.
         let mut rng = StdRng::seed_from_u64(902);
-        let b = gen::randn(&mut rng, n, 20);
-        let a = Matrix::from_fn(n, n, |i, j| if j < 20 { b[(i, j)] } else { 0.0 });
-        for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
-            let opts = CaluOpts { block: 8, p: 4, panel_mode, ..Default::default() };
-            for depth in 1..=3 {
-                for executor in executors() {
-                    let rt = RuntimeOpts { lookahead: depth, executor };
-                    let err = runtime_calu_factor(&a, opts, rt).unwrap_err();
-                    assert_eq!(
-                        err,
-                        Error::SingularPivot { step: 20 },
-                        "flat {panel_mode:?} d={depth} {executor:?}: absolute step"
-                    );
-                    let err = runtime_calu_tiles_factor(&a, opts, rt).unwrap_err();
-                    assert_eq!(
-                        err,
-                        Error::SingularPivot { step: 20 },
-                        "tiles {panel_mode:?} d={depth} {executor:?}: absolute step"
-                    );
+        let b = gen::randn(&mut rng, 64, 20);
+        let rank20 = Matrix::from_fn(64, 64, |i, j| if j < 20 { b[(i, j)] } else { 0.0 });
+        // Rank 1 with exactly representable multipliers (the elected first
+        // pivot is the last row, 32·(j+1)): the second elimination step
+        // must fail whether it is discovered in the first panel or a
+        // looked-ahead one.
+        let rank1 = Matrix::from_fn(32, 32, |i, j| ((i + 1) * (j + 1)) as f64);
+        for (a, step) in [(rank20, 20), (rank1, 1)] {
+            for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
+                let opts = CaluOpts { block: 8, p: 4, panel_mode, ..Default::default() };
+                for depth in 1..=3 {
+                    for executor in executors() {
+                        let rt = RuntimeOpts { lookahead: depth, executor };
+                        let err = runtime_calu_factor(&a, opts, rt).unwrap_err();
+                        assert_eq!(
+                            err,
+                            Error::SingularPivot { step },
+                            "flat {panel_mode:?} d={depth} {executor:?}: absolute step"
+                        );
+                        let err = runtime_calu_tiles_factor(&a, opts, rt).unwrap_err();
+                        assert_eq!(
+                            err,
+                            Error::SingularPivot { step },
+                            "tiles {panel_mode:?} d={depth} {executor:?}: absolute step"
+                        );
+                    }
                 }
             }
         }

@@ -27,13 +27,6 @@ pub enum Error {
     /// Carriers of this variant are collateral, not root causes: the
     /// originating failure is reported separately.
     Canceled,
-    /// The requested backend or feature is not available in this build
-    /// (for example the MPI communicator stub, which documents the
-    /// off-box path without linking an MPI library).
-    Unsupported {
-        /// Human-readable description of what is missing.
-        what: &'static str,
-    },
 }
 
 impl fmt::Display for Error {
@@ -44,7 +37,6 @@ impl fmt::Display for Error {
             }
             Error::BadShape { what } => write!(f, "bad matrix shape: {what}"),
             Error::Canceled => write!(f, "canceled: a cooperating task failed"),
-            Error::Unsupported { what } => write!(f, "unsupported: {what}"),
         }
     }
 }

@@ -1,13 +1,14 @@
 //! Shared-memory CALU scaling: the paper's future-work question ("the
 //! suitability of the new ca-pivoting strategy for parallel LU on multicore
-//! architectures"). Factors the same matrix with 1..N rayon threads and
-//! reports wall-clock speedup of parallel CALU over sequential CALU and
-//! GEPP.
+//! architectures"). Factors the same matrix on the task runtime's threaded
+//! executor with 1..N workers and reports wall-clock speedup of parallel
+//! CALU over sequential CALU and GEPP.
 //!
 //! Run: `cargo run --release --example multicore_scaling [n]`
 
-use calu_repro::core::{calu_factor, gepp_factor, par_calu_factor, CaluOpts};
+use calu_repro::core::{calu_factor, gepp_factor, runtime_calu_factor, CaluOpts, RuntimeOpts};
 use calu_repro::matrix::{gen, Matrix};
+use calu_repro::runtime::ExecutorKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -42,21 +43,19 @@ fn main() {
 
     let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
     for threads in [1usize, 2, cores.max(2)] {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let t_par = pool.install(|| {
-            time(|| {
-                par_calu_factor(&a, opts).unwrap();
-            })
+        let rt = RuntimeOpts { lookahead: 1, executor: ExecutorKind::Threaded { threads } };
+        let t_par = time(|| {
+            runtime_calu_factor(&a, opts, rt).unwrap();
         });
         println!(
-            "  CALU rayon x{threads}:          {t_par:.3}s  ({:.2}x vs sequential CALU)",
+            "  CALU runtime x{threads}:        {t_par:.3}s  ({:.2}x vs sequential CALU)",
             t_seq / t_par
         );
     }
 
     // Factors are identical regardless of thread count (deterministic tree).
     let f1 = calu_factor(&a, opts).unwrap();
-    let f2 = par_calu_factor(&a, opts).unwrap();
+    let (f2, _report) = runtime_calu_factor(&a, opts, RuntimeOpts::default()).unwrap();
     assert_eq!(f1.ipiv, f2.ipiv);
     assert_eq!(f1.lu.max_abs_diff(&f2.lu), 0.0);
     println!("  (parallel factors bitwise identical to sequential: verified)");

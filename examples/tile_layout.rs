@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release --example tile_layout`
 
-use calu_repro::core::{calu_factor, tiled_calu_tiles, CaluOpts};
+use calu_repro::core::{calu_factor, runtime_calu_tiles, CaluOpts, RuntimeOpts};
 use calu_repro::matrix::{gen, Matrix, NoObs, TileLayout, TileMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,7 +56,8 @@ fn main() {
     let a: Matrix = gen::randn(&mut rng, m, n);
     let opts = CaluOpts { block: b, p: 4, ..Default::default() };
     let mut work = TileMatrix::from_matrix(&a, b, b);
-    let ipiv = tiled_calu_tiles(&mut work, opts, &mut NoObs).expect("nonsingular");
+    let (ipiv, _report) = runtime_calu_tiles(&mut work, opts, RuntimeOpts::default(), &mut NoObs)
+        .expect("nonsingular");
     let seq = calu_factor(&a, opts).expect("nonsingular");
     let diff = work.to_matrix().max_abs_diff(&seq.lu);
     println!("\n{m}x{m} tile-backed runtime CALU vs sequential: max diff = {diff:e} (bitwise)");

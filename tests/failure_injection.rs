@@ -5,8 +5,7 @@
 
 use calu_repro::core::{
     calu_factor, calu_inplace, gepp_factor, runtime_calu_factor, runtime_calu_inplace,
-    runtime_calu_tiles_factor, tiled_calu_factor, tslu_factor, CaluOpts, LocalLu, PanelMode,
-    RuntimeOpts,
+    runtime_calu_tiles_factor, tslu_factor, CaluOpts, LocalLu, PanelMode, RuntimeOpts,
 };
 use calu_repro::matrix::blas3::{gemm, trsm};
 use calu_repro::matrix::lapack::{getf2, getf2_info, getrf, GetrfOpts};
@@ -31,7 +30,7 @@ fn all_flavors_report_singularity_at_the_same_step() {
         let opts = CaluOpts { block: 8, p: 4, ..Default::default() };
 
         let e_calu = calu_factor(&a, opts).unwrap_err();
-        let e_tiled = tiled_calu_factor(&a, opts).unwrap_err();
+        let e_tiled = runtime_calu_factor(&a, opts, RuntimeOpts::default()).unwrap_err();
         let e_gepp = gepp_factor(&a, 8).unwrap_err();
 
         // Zero columns make the first dead pivot exactly step r for every

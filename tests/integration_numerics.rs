@@ -2,7 +2,8 @@
 //! shapes, ensembles, and execution flavors.
 
 use calu_repro::core::{
-    calu_factor, calu_inplace, gepp_factor, par_calu_factor, CaluOpts, LocalLu, PivotStats,
+    calu_factor, calu_inplace, gepp_factor, runtime_calu_factor, CaluOpts, LocalLu, PivotStats,
+    RuntimeOpts,
 };
 use calu_repro::matrix::blas3::gemm;
 use calu_repro::matrix::perm::{ipiv_to_perm, is_permutation, permute_rows};
@@ -79,7 +80,7 @@ fn threshold_bound_holds_across_tournament_heights() {
 
 #[test]
 fn all_three_flavors_agree() {
-    // Sequential, rayon-parallel: identical factors. (The simulated
+    // Sequential, task-runtime parallel: identical factors. (The simulated
     // distributed flavor is exercised in integration_dist.rs.)
     let mut rng = StdRng::seed_from_u64(1004);
     let a: Matrix = gen::randn(&mut rng, 150, 150);
@@ -91,7 +92,7 @@ fn all_three_flavors_agree() {
         ..Default::default()
     };
     let f_seq = calu_factor(&a, opts).unwrap();
-    let f_par = par_calu_factor(&a, opts).unwrap();
+    let (f_par, _report) = runtime_calu_factor(&a, opts, RuntimeOpts::default()).unwrap();
     assert_eq!(f_seq.ipiv, f_par.ipiv);
     assert_eq!(f_seq.lu.max_abs_diff(&f_par.lu), 0.0);
 }

@@ -214,12 +214,14 @@ proptest! {
         b in 2usize..20,
         p in 1usize..6,
     ) {
+        use calu_repro::core::{runtime_calu_factor, RuntimeOpts};
         // The lookahead schedule must be a pure reordering: identical
         // pivots and bitwise identical factors on every shape.
         let a = randn_mat(seed, m, n);
         let opts = CaluOpts { block: b, p, ..Default::default() };
         let seq = calu_factor(&a, opts).unwrap();
-        let tiled = calu_repro::core::tiled_calu_factor(&a, opts).unwrap();
+        let (tiled, _report) =
+            runtime_calu_factor(&a, opts, RuntimeOpts::default()).unwrap();
         prop_assert_eq!(&seq.ipiv, &tiled.ipiv, "pivots differ (m={} n={} b={} p={})", m, n, b, p);
         prop_assert_eq!(seq.lu.max_abs_diff(&tiled.lu), 0.0);
     }
