@@ -2,7 +2,9 @@
 //!
 //! One regenerator binary per table/figure of the paper (see
 //! `DESIGN.md`'s per-experiment index and `EXPERIMENTS.md` for recorded
-//! results):
+//! results), plus one tool over the observability layer. The *engine's*
+//! wall-clock performance is not measured here: that is `benchmark/` at
+//! the repository root (own package, repetitions, noise bounds).
 //!
 //! | binary | paper artifact |
 //! |---|---|
@@ -21,10 +23,10 @@
 //! | `ablation_tree_stability` | tournament tree shape vs pivot quality |
 //! | `fig_scaling` | strong/weak scaling curves, incl. a modern cluster |
 //! | `section5_comparison` | Section 5's term-by-term cost comparison |
-//! | `runtime_calu` | Section 7 multicore: serial vs threaded task-graph runtime, `BENCH_runtime.json` perf record |
+//! | `bench_report` | tooling: `--trace` profiles a Chrome trace (sum-to-wall, measured critical path); `--history` appends a `benchmark/` run to `BENCH_history.jsonl` |
 //!
-//! Numerics binaries accept `--full` (paper-scale sizes; slow) and default
-//! to a reduced sweep; all accept `--csv`.
+//! The regenerators accept `--full` (paper-scale sizes; slow) and default
+//! to a reduced sweep; all of them accept `--csv`.
 //!
 //! The `benches/` directory holds criterion microbenchmarks of the real
 //! (wall-clock) kernels on the host machine.
@@ -35,8 +37,6 @@
 pub mod calu_table;
 pub mod stability_table;
 pub mod tslu_table;
-
-use calu_obs::{JsonValue, Metrics};
 
 /// Command-line options shared by the regenerator binaries.
 #[derive(Debug, Clone, Copy, Default)]
@@ -135,67 +135,6 @@ pub fn paper_grids() -> Vec<(usize, usize, usize)> {
     vec![(4, 2, 2), (8, 2, 4), (16, 4, 4), (32, 4, 8), (64, 8, 8)]
 }
 
-/// Host-parallelism detection shared by every `BENCH_*.json` regenerator.
-///
-/// The container running CI may be single-core, in which case a
-/// "threaded vs serial" wall-clock ratio measures executor overhead, not
-/// a parallel win. Each perf-record binary used to re-derive this flag
-/// by hand; this is the one place the rule lives now: a measured speedup
-/// is valid only when the executor actually gets more than one thread
-/// *and* the host has more than one core to run them on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostInfo {
-    /// Cores reported by `available_parallelism` (1 when unknown).
-    pub host_threads: usize,
-    /// Threads the threaded executor actually gets: the explicit request,
-    /// or the host parallelism when the request is 0 ("use all cores").
-    pub exec_threads: usize,
-    /// Whether a threaded-vs-serial wall-clock ratio means anything here.
-    pub measured_speedup_valid: bool,
-}
-
-impl HostInfo {
-    /// Detects the host, resolving a `--threads` flag (0 = all cores).
-    pub fn detect(threads_flag: usize) -> Self {
-        let host_threads = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
-        let exec_threads = if threads_flag == 0 { host_threads } else { threads_flag };
-        HostInfo {
-            host_threads,
-            exec_threads,
-            measured_speedup_valid: exec_threads > 1 && host_threads > 1,
-        }
-    }
-
-    /// Stamps the host fields onto a `BENCH_*.json` record object.
-    pub fn stamp(&self, record: JsonValue) -> JsonValue {
-        record
-            .set("host_threads", self.host_threads)
-            .set("executor_threads", self.exec_threads)
-            .set("measured_speedup_valid", self.measured_speedup_valid)
-    }
-
-    /// Records the same facts as gauges on a metrics registry, so a
-    /// snapshot taken later carries the host context alongside the
-    /// benchmark's own counters.
-    pub fn record(&self, metrics: &Metrics) {
-        metrics.gauge_set("host.threads", self.host_threads as f64);
-        metrics.gauge_set("host.executor_threads", self.exec_threads as f64);
-        metrics.gauge_set(
-            "host.measured_speedup_valid",
-            if self.measured_speedup_valid { 1.0 } else { 0.0 },
-        );
-    }
-}
-
-/// Writes a `BENCH_*.json` / `TRACE_*.json` record to `path` (pretty,
-/// newline-terminated — the committed-artifact convention) and logs it.
-pub fn write_record(path: &str, record: &JsonValue) {
-    let mut text = record.pretty();
-    text.push('\n');
-    std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,35 +164,5 @@ mod tests {
         let g = paper_grids();
         assert_eq!(g[0], (4, 2, 2));
         assert_eq!(g[4], (64, 8, 8));
-    }
-
-    #[test]
-    fn host_info_resolves_thread_flags() {
-        let host = HostInfo::detect(0);
-        assert!(host.host_threads >= 1);
-        assert_eq!(host.exec_threads, host.host_threads);
-        assert_eq!(host.measured_speedup_valid, host.exec_threads > 1 && host.host_threads > 1);
-
-        let pinned = HostInfo::detect(1);
-        assert_eq!(pinned.exec_threads, 1);
-        assert!(!pinned.measured_speedup_valid, "one executor thread is never a parallel win");
-    }
-
-    #[test]
-    fn host_info_stamps_record_and_metrics() {
-        let host = HostInfo { host_threads: 4, exec_threads: 2, measured_speedup_valid: true };
-        let rec = host.stamp(JsonValue::obj().set("bench", "t"));
-        assert_eq!(rec.get("host_threads").and_then(JsonValue::as_u64), Some(4));
-        assert_eq!(rec.get("executor_threads").and_then(JsonValue::as_u64), Some(2));
-        assert_eq!(rec.get("measured_speedup_valid").and_then(JsonValue::as_bool), Some(true));
-
-        let m = Metrics::new();
-        host.record(&m);
-        assert_eq!(m.gauge("host.threads"), Some(4.0));
-        assert_eq!(m.gauge("host.measured_speedup_valid"), Some(1.0));
-
-        // Round-trip through the deterministic writer/parser.
-        let parsed = JsonValue::parse(&rec.pretty()).expect("own output parses");
-        assert_eq!(parsed, rec);
     }
 }

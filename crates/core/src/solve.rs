@@ -213,9 +213,8 @@ impl IrReport {
 /// precision on the runtime DAG with tournament pivoting, while each
 /// refinement step costs only `O(n²)`. For matrices with
 /// `κ(A) « 1/ε_f32 ≈ 10⁷` a handful of steps recovers full `f64`
-/// accuracy; the per-iteration trajectory is reported so callers (and the
-/// `precision_calu` bench) can see the convergence rate of ~`ε_f32` per
-/// step.
+/// accuracy; the per-iteration trajectory is reported so callers can see
+/// the convergence rate of ~`ε_f32` per step.
 ///
 /// # Errors
 /// [`calu_matrix::Error::SingularPivot`] when the rounded-to-`f32` matrix

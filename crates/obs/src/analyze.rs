@@ -41,7 +41,8 @@
 //!
 //! `dag_span_chain_ns ≤ longest_chain_ns ≤ wall`
 //!
-//! — the sandwich CI asserts on real rank-threaded runs.
+//! — the sandwich `tests/observability.rs` asserts on live distributed
+//! runs under both communicators.
 
 use std::collections::BTreeMap;
 
@@ -290,160 +291,6 @@ impl Profile {
     }
 }
 
-/// Normalizes intervals into sorted, disjoint, non-empty form (touching
-/// intervals merge) — the representation [`intersection_ns`] expects.
-pub fn merge_intervals(intervals: &[(u64, u64)]) -> Vec<(u64, u64)> {
-    let mut sorted: Vec<(u64, u64)> = intervals.iter().copied().filter(|&(s, e)| e > s).collect();
-    sorted.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(sorted.len());
-    for (s, e) in sorted {
-        match out.last_mut() {
-            Some((_, le)) if s <= *le => *le = (*le).max(e),
-            _ => out.push((s, e)),
-        }
-    }
-    out
-}
-
-/// Total overlap length between two merged interval sets (both as
-/// returned by [`merge_intervals`]). Linear two-pointer sweep.
-pub fn intersection_ns(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
-    let (mut i, mut j, mut total) = (0usize, 0usize, 0u64);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if hi > lo {
-            total += hi - lo;
-        }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    total
-}
-
-/// **Phase wait**: total worker idle time that overlaps a phase of
-/// interest — e.g. how long lanes sit empty *while some lane is inside a
-/// panel task*, the quantity the panel task subgraph exists to shrink.
-///
-/// For each `(pid, tid)` lane, idle is the complement of the lane's span
-/// union within `[0, wall]` (`wall` = `max(wall_ns, latest span end)`);
-/// the returned value sums, across lanes, the overlap of that idle set
-/// with the union of spans whose category satisfies `is_phase`. Queue
-/// delay is *not* subtracted here — this is the coarse "lanes had nothing
-/// to do during the phase" measure, an upper bound on schedulable loss;
-/// the exact per-lane partition stays [`Profile::build`]'s job.
-pub fn idle_overlap_ns(
-    spans: &[Span],
-    mut is_phase: impl FnMut(&str) -> bool,
-    wall_ns: u64,
-) -> u64 {
-    let mut phase: Vec<(u64, u64)> = Vec::new();
-    let mut lanes: BTreeMap<(u32, u32), Vec<(u64, u64)>> = BTreeMap::new();
-    let mut wall = wall_ns;
-    for s in spans {
-        let iv = span_interval_ns(s);
-        wall = wall.max(iv.1);
-        if is_phase(s.cat) {
-            phase.push(iv);
-        }
-        lanes.entry((s.pid, s.tid)).or_default().push(iv);
-    }
-    let phase = merge_intervals(&phase);
-    lanes
-        .values()
-        .map(|ivs| {
-            let busy = merge_intervals(ivs);
-            // Complement of busy within [0, wall].
-            let mut idle = Vec::with_capacity(busy.len() + 1);
-            let mut cursor = 0u64;
-            for &(s, e) in &busy {
-                if s > cursor {
-                    idle.push((cursor, s));
-                }
-                cursor = cursor.max(e);
-            }
-            if wall > cursor {
-                idle.push((cursor, wall));
-            }
-            intersection_ns(&idle, &phase)
-        })
-        .sum()
-}
-
-/// Measured nanoseconds per phase (span category), sorted by phase name.
-/// Spans with an empty category (e.g. parsed Chrome traces, which do not
-/// preserve categories) are skipped.
-pub fn measured_phase_ns(spans: &[Span]) -> Vec<(String, u64)> {
-    let mut totals: BTreeMap<String, u64> = BTreeMap::new();
-    for s in spans {
-        if s.cat.is_empty() {
-            continue;
-        }
-        let (st, en) = span_interval_ns(s);
-        *totals.entry(s.cat.to_string()).or_default() += en - st;
-    }
-    totals.into_iter().collect()
-}
-
-/// One phase of the model-vs-measured reconciliation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseRatio {
-    /// Phase name (a task-category slug such as `gemm` or `tslu_leg`).
-    pub phase: String,
-    /// Measured seconds in this phase (summed span time).
-    pub measured_s: f64,
-    /// Modeled seconds in this phase (cost-model total).
-    pub modeled_s: f64,
-}
-
-impl PhaseRatio {
-    /// `measured / modeled`; infinite when the model has no time for a
-    /// measured phase, and 1 when both sides are zero.
-    pub fn ratio(&self) -> f64 {
-        if self.measured_s == 0.0 && self.modeled_s == 0.0 {
-            1.0
-        } else {
-            self.measured_s / self.modeled_s
-        }
-    }
-
-    /// JSON row (non-finite ratios serialize as `null`).
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj()
-            .set("phase", self.phase.as_str())
-            .set("measured_s", self.measured_s)
-            .set("modeled_s", self.modeled_s)
-            .set("ratio", self.ratio())
-    }
-}
-
-/// Reconciles measured per-phase time against a cost model's per-phase
-/// totals: one [`PhaseRatio`] per phase named on *either* side (absent
-/// sides read as zero — nothing is allowed to hide), sorted by phase.
-pub fn reconcile_phases(
-    measured_ns: &[(String, u64)],
-    modeled_s: &[(String, f64)],
-) -> Vec<PhaseRatio> {
-    let mut phases: BTreeMap<&str, (f64, f64)> = BTreeMap::new();
-    for (p, ns) in measured_ns {
-        phases.entry(p).or_default().0 += *ns as f64 / 1e9;
-    }
-    for (p, s) in modeled_s {
-        phases.entry(p).or_default().1 += s;
-    }
-    phases
-        .into_iter()
-        .map(|(p, (measured_s, modeled_s))| PhaseRatio {
-            phase: p.to_string(),
-            measured_s,
-            modeled_s,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,54 +382,5 @@ mod tests {
         assert!(p.workers[0].partition_exact());
         let empty = Profile::build(&[], ProfileInputs::default());
         assert_eq!((empty.wall_ns, empty.spans, empty.workers.len()), (0, 0, 0));
-    }
-
-    #[test]
-    fn merge_and_intersect_are_exact() {
-        assert_eq!(merge_intervals(&[]), vec![]);
-        assert_eq!(
-            merge_intervals(&[(5, 20), (0, 10), (30, 40), (40, 50), (2, 2)]),
-            vec![(0, 20), (30, 50)],
-            "overlaps and touching intervals merge; empty intervals drop"
-        );
-        assert_eq!(intersection_ns(&[(0, 20), (30, 50)], &[(10, 35)]), 10 + 5);
-        assert_eq!(intersection_ns(&[(0, 10)], &[(10, 20)]), 0, "touching is not overlap");
-        assert_eq!(intersection_ns(&[], &[(0, 10)]), 0);
-    }
-
-    #[test]
-    fn idle_overlap_measures_waiting_during_a_phase() {
-        // Lane (0,0) runs a panel span [0,40); lane (0,1) runs a gemm
-        // [10,20) and is otherwise idle. Idle-during-panel for (0,1) is
-        // [0,10) + [20,40) = 30us; lane (0,0) is never idle inside it.
-        let mut panel = span(0, 0, 0.0, 40.0);
-        panel.cat = "panel_finish";
-        let spans = vec![panel, span(0, 1, 10.0, 10.0)];
-        let wait = idle_overlap_ns(&spans, |c| c.starts_with("panel"), 100_000);
-        // Lane (0,1): 30us inside the panel window. Lane (0,0): 0.
-        assert_eq!(wait, 30_000);
-        // No phase spans -> no wait, regardless of idle time.
-        assert_eq!(idle_overlap_ns(&spans, |c| c == "nope", 100_000), 0);
-        // Wall extends to the latest span end even if wall_ns is smaller.
-        assert_eq!(idle_overlap_ns(&spans, |c| c.starts_with("panel"), 0), 30_000);
-    }
-
-    #[test]
-    fn phase_reconciliation_covers_both_sides() {
-        let spans = vec![span(0, 0, 0.0, 10.0), span(0, 1, 0.0, 20.0), span(1, 0, 0.0, 5.0)];
-        let mut with_cats = spans.clone();
-        with_cats[2].cat = "gemm";
-        let measured = measured_phase_ns(&with_cats);
-        assert_eq!(measured, vec![("gemm".into(), 5_000), ("test".into(), 30_000)]);
-        let modeled = [("gemm".to_string(), 10e-6), ("panel".to_string(), 1e-6)];
-        let ratios = reconcile_phases(&measured, &modeled);
-        assert_eq!(ratios.len(), 3, "union of measured and modeled phases");
-        let gemm = ratios.iter().find(|r| r.phase == "gemm").unwrap();
-        assert!((gemm.ratio() - 0.5).abs() < 1e-12);
-        let panel = ratios.iter().find(|r| r.phase == "panel").unwrap();
-        assert_eq!(panel.measured_s, 0.0);
-        let test = ratios.iter().find(|r| r.phase == "test").unwrap();
-        assert!(test.ratio().is_infinite(), "unmodeled measured phase is flagged, not hidden");
-        assert_eq!(PhaseRatio { phase: "x".into(), measured_s: 0.0, modeled_s: 0.0 }.ratio(), 1.0);
     }
 }

@@ -3,7 +3,7 @@
 //! The workspace builds in a container with no registry access, so there
 //! is no serde; the observability layer needs exactly two things from
 //! JSON — a *deterministic* writer (same data ⇒ byte-identical output,
-//! so committed `BENCH_*.json` / trace files diff cleanly) and a small
+//! so exported traces and reports diff cleanly) and a small
 //! parser so tests, examples, and CI can validate what was emitted
 //! without shelling out. Objects preserve insertion order (they are a
 //! `Vec` of pairs, not a map), which is what makes the writer

@@ -15,8 +15,8 @@
 //!   round trips in tests and CI.
 //! * [`metrics`] — counters, gauges, and **deterministic** log-bucketed
 //!   histograms behind one [`Metrics`] registry with a canonical
-//!   [`Metrics::snapshot`] → JSON path; the bench binaries and the
-//!   serving layer all report through it.
+//!   [`Metrics::snapshot`] → JSON path; the serving layer reports
+//!   through it.
 //! * [`ledger`] — the [`CommLedger`]: per-rank, per-term message/word
 //!   counters recorded at the `dist_rt` mailbox boundary, reconciled
 //!   against the paper's cost skeletons ([`CommLedgerReport::reconcile`])
@@ -29,8 +29,7 @@
 //!   wall-clock partitioned into compute / comm-wait / overhead / idle
 //!   with an *exact* sum-to-wall invariant — alongside the measured
 //!   critical path ([`analyze::longest_chain_ns`], optionally restricted
-//!   to DAG edges via [`analyze::dag_span_chain_ns`]) and per-phase
-//!   model-vs-measured reconciliation ([`analyze::reconcile_phases`]).
+//!   to DAG edges via [`analyze::dag_span_chain_ns`]).
 //! * [`json`] — the minimal [`JsonValue`] writer/parser everything above
 //!   serializes through (the container has no serde; determinism is the
 //!   point, not convenience).
@@ -48,10 +47,7 @@ pub mod ledger;
 pub mod metrics;
 pub mod trace;
 
-pub use analyze::{
-    idle_overlap_ns, intersection_ns, merge_intervals, PhaseRatio, Profile, ProfileInputs,
-    WorkerProfile,
-};
+pub use analyze::{Profile, ProfileInputs, WorkerProfile};
 pub use json::JsonValue;
 pub use ledger::{CommCounts, CommDelta, CommLedger, CommLedgerReport, CommRow, CommTerm, WaitRow};
 pub use metrics::{Histogram, Metrics, MetricsSnapshot};

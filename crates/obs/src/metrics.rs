@@ -3,8 +3,7 @@
 //! One [`Metrics`] registry unifies the scattered telemetry of the
 //! workspace — serve-layer queue depth and ticket latency, runtime task
 //! counts and idle time, dist-layer communication totals — behind a
-//! single [`Metrics::snapshot`] → JSON path that every bench binary
-//! emits.
+//! single [`Metrics::snapshot`] → JSON path.
 //!
 //! **Determinism invariant.** A histogram's quantile estimates are a
 //! pure function of the multiset of observed values: buckets are fixed
@@ -212,7 +211,7 @@ impl Metrics {
     /// The canonical JSON snapshot: `{"counters": {...}, "gauges": {...},
     /// "histograms": {name: {count, min, max, mean, p50, p95, p99}}}`,
     /// every object sorted by name. This is the one serialization path
-    /// all bench binaries and the serve layer use.
+    /// the serve layer and the distributed report use.
     pub fn snapshot(&self) -> JsonValue {
         let s = self.read();
         JsonValue::obj()

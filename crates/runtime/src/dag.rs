@@ -823,131 +823,6 @@ impl LuDag {
     }
 }
 
-/// Which storage layout the matrix behind a DAG's tasks uses — the knob
-/// of the cache-traffic model ([`modeled_cache_traffic`] /
-/// [`modeled_time_layout`]).
-///
-/// Cache misses are memory-hierarchy communication: a flat column-major
-/// matrix makes every `Gemm(k,i,j)` operand a strided block (leading
-/// dimension `m`), while tile-major storage keeps each operand one
-/// contiguous tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TileLocality {
-    /// Flat column-major storage: task operands are strided sub-blocks
-    /// with leading dimension `m`.
-    Flat,
-    /// Tile-major storage: every task operand is a contiguous tile or a
-    /// run of them.
-    TileMajor,
-}
-
-/// Modeled bytes moved between memory and cache by one task's operand
-/// sweeps, at 64-byte cache-line granularity, under the given storage
-/// layout and a [`MachineConfig`]'s cache capacity.
-///
-/// First-order model: each operand is swept once per read and once per
-/// write. A contiguous operand touches `ceil(bytes / 64)` lines. When the
-/// whole factorization's footprint (`m·n·8` bytes) exceeds
-/// [`MachineConfig::cache_bytes`], operands cannot persist between tasks
-/// and every flat strided operand re-streams with whole lines per column
-/// — `ceil(rows·8 / 64) + 1`, the partial-line waste at both ends of
-/// every column. On top of that, a flat leading dimension whose byte
-/// stride is a multiple of 4 KiB (the classic power-of-two-`ld`
-/// pathology — exactly the 512/1024/2048 benchmark sizes) maps all
-/// columns of an operand onto the same cache sets, so a spilled strided
-/// operand also cannot stay resident *within* a task between kernel
-/// passes: its sweeps are charged twice. A matrix that fits in cache
-/// streams once either way, so both layouts charge contiguous bytes. Row
-/// swaps touch one line per element in either layout (rows are
-/// orthogonal to column-major storage) and cost the same.
-///
-/// The panel subgraph charges its main-matrix operand sweeps: the elect
-/// reads its leaf once (into its working copy), the finish read+writes the
-/// top block, each apply read+writes its chunk in place. `jb`-scale scratch
-/// — candidate sets folded by the reduces, the `U₁₁` block every apply
-/// re-reads — stays uncharged. Three panel sweeps in either layout; no
-/// layout gathers or scatters the panel.
-///
-/// The net effect matches the tiled-algorithms literature: tile-major
-/// wins on the `gemm`-dominated trailing updates — the modeled difference
-/// `layout_calu` records next to its measured times.
-pub fn modeled_cache_traffic(
-    dag: &LuDag,
-    task: Task,
-    mch: &MachineConfig,
-    locality: TileLocality,
-) -> f64 {
-    let shape = dag.shape();
-    const LINE: f64 = 64.0;
-    const B: usize = 8; // modeled element bytes (the f64 calibration)
-    let spills = ((shape.m * shape.n * B) as f64) > mch.cache_bytes;
-    let aliased = spills && (shape.m * B).is_multiple_of(4096);
-    let block_bytes = |r: usize, c: usize, sweeps: f64| -> f64 {
-        if r == 0 || c == 0 {
-            return 0.0;
-        }
-        let contiguous = ((r * c * B) as f64 / LINE).ceil();
-        let lines = match locality {
-            TileLocality::TileMajor => contiguous,
-            TileLocality::Flat if !spills => contiguous,
-            TileLocality::Flat => {
-                let strided = c as f64 * (((r * B) as f64 / LINE).ceil() + 1.0);
-                if aliased {
-                    2.0 * strided
-                } else {
-                    strided
-                }
-            }
-        };
-        sweeps * lines * LINE
-    };
-    match task {
-        Task::PanelElect { k, leaf } => {
-            block_bytes(dag.panel_plan(k).leaves()[leaf].len(), shape.panel_width(k), 1.0)
-        }
-        Task::PanelReduce { .. } => 0.0,
-        Task::PanelFinish { k } => block_bytes(shape.panel_width(k), shape.panel_width(k), 2.0),
-        Task::PanelApply { k, chunk } => {
-            block_bytes(dag.panel_plan(k).chunk(chunk).len(), shape.panel_width(k), 2.0)
-        }
-        Task::Swap { k, j } => {
-            let jb = shape.panel_width(k);
-            let w = shape.update_col_range(k, j).len();
-            2.0 * (jb * w) as f64 * LINE
-        }
-        Task::Trsm { k, j } => {
-            let jb = shape.panel_width(k);
-            let w = shape.update_col_range(k, j).len();
-            block_bytes(jb, jb, 1.0) + block_bytes(jb, w, 2.0)
-        }
-        Task::Gemm { k, i, j } => {
-            let jb = shape.panel_width(k);
-            let h = shape.row_range(i).len();
-            let w = shape.col_range(j).len();
-            block_bytes(h, jb, 1.0) + block_bytes(jb, w, 1.0) + block_bytes(h, w, 2.0)
-        }
-        // Distributed tasks are costed by `dist::DistCostModel` (their
-        // operands live in per-rank tile storage, never flat); solve-phase
-        // tasks are O(n²) work the serve bench measures rather than models.
-        Task::Dist(_) | Task::Solve(_) => 0.0,
-    }
-}
-
-/// [`modeled_time`] plus the memory time of [`modeled_cache_traffic`],
-/// streamed at the machine's BLAS-2 rate (γ₂ is calibrated as 2 flops per
-/// 16 bytes streamed, i.e. 8 bytes per flop-second — the memory-bound
-/// face of the same [`MachineConfig`]).
-pub fn modeled_time_layout(
-    dag: &LuDag,
-    task: Task,
-    mch: &MachineConfig,
-    locality: TileLocality,
-) -> f64 {
-    let stream_bytes_per_s = 8.0 / mch.gamma2;
-    modeled_time(dag, task, mch)
-        + modeled_cache_traffic(dag, task, mch, locality) / stream_bytes_per_s
-}
-
 /// Modeled execution time of one task under a [`MachineConfig`]'s γ-class
 /// kernel rates (the same model `calu-netsim` charges simulated ranks).
 /// Panel tasks are charged what their bodies run: a recursive (`rgetf2`)
@@ -982,8 +857,8 @@ pub fn modeled_time(dag: &LuDag, task: Task, mch: &MachineConfig) -> f64 {
             mch.t_gemm(shape.row_range(i).len(), shape.col_range(j).len(), shape.panel_width(k))
         }
         // Distributed tasks are costed by `dist::DistCostModel` (compute
-        // plus α/β message terms); solve-phase tasks are measured by the
-        // serve bench, not modeled.
+        // plus α/β message terms); solve-phase tasks are O(n²) work the
+        // benchmark's `serve_mixed` workload measures, not modeled.
         Task::Dist(_) | Task::Solve(_) => 0.0,
     }
 }
@@ -1152,65 +1027,6 @@ mod tests {
         let g = LuDag::build(shape, 2);
         let total = g.total_cost(|t| modeled_time(&g, t, &mch));
         assert!(total / c2 > 2.0, "modeled parallelism {}", total / c2);
-    }
-
-    #[test]
-    fn tile_major_traffic_beats_flat_on_updates() {
-        // 1024^2 doubles (8 MB) spill the XT4's 2 MB cache.
-        let shape = LuShape { m: 1024, n: 1024, nb: 64 };
-        let mch = MachineConfig::xt4();
-        let dag = LuDag::build(shape, 1);
-        let gemm = Task::Gemm { k: 0, i: 5, j: 7 };
-        let flat = modeled_cache_traffic(&dag, gemm, &mch, TileLocality::Flat);
-        let tiled = modeled_cache_traffic(&dag, gemm, &mch, TileLocality::TileMajor);
-        assert!(tiled < flat, "tile gemm traffic {tiled} must beat flat {flat}");
-        // Exact useful bytes for the tile gemm: A + B read once, C
-        // read+write, all contiguous.
-        assert_eq!(tiled, (4 * 64 * 64 * 8) as f64);
-
-        // The panel subgraph sweeps the panel three times in tile-major
-        // storage (elect read, finish/apply read+write); nothing is gathered.
-        let panel0: f64 = dag
-            .tasks()
-            .iter()
-            .filter(|t| t.step() == 0 && t.cat().starts_with("panel_"))
-            .map(|&t| modeled_cache_traffic(&dag, t, &mch, TileLocality::TileMajor))
-            .sum();
-        assert_eq!(panel0, (3 * 1024 * 64 * 8) as f64);
-
-        // Whole-DAG traffic is gemm-dominated, so tile-major wins net.
-        let total = |loc| -> f64 {
-            dag.tasks().iter().map(|&t| modeled_cache_traffic(&dag, t, &mch, loc)).sum()
-        };
-        assert!(
-            total(TileLocality::TileMajor) < total(TileLocality::Flat),
-            "net modeled traffic must favor the tile layout"
-        );
-        // And the layout-aware time model orders the same way while never
-        // undercutting the pure compute model.
-        let t = |loc| -> f64 {
-            dag.tasks().iter().map(|&t| modeled_time_layout(&dag, t, &mch, loc)).sum()
-        };
-        let compute: f64 = dag.tasks().iter().map(|&t| modeled_time(&dag, t, &mch)).sum();
-        assert!(t(TileLocality::TileMajor) < t(TileLocality::Flat));
-        assert!(t(TileLocality::TileMajor) > compute);
-    }
-
-    #[test]
-    fn cache_resident_flat_blocks_are_not_penalized() {
-        // A matrix whose whole strided span fits in cache streams like a
-        // contiguous one: no layout difference on Trsm/Gemm operands.
-        let mch = MachineConfig::power5(); // 16 MB cache >> 32 KB matrix
-        let dag = dag(64, 64, 16, 1);
-        for t in dag.tasks() {
-            if matches!(t, Task::Trsm { .. } | Task::Gemm { .. }) {
-                assert_eq!(
-                    modeled_cache_traffic(&dag, *t, &mch, TileLocality::Flat),
-                    modeled_cache_traffic(&dag, *t, &mch, TileLocality::TileMajor),
-                    "{t}"
-                );
-            }
-        }
     }
 
     #[test]

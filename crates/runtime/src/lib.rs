@@ -37,8 +37,7 @@ pub mod panel;
 pub mod solve;
 
 pub use dag::{
-    modeled_cache_traffic, modeled_time, modeled_time_layout, DistKind, DistTask, LuDag, LuShape,
-    SolveKind, SolveTask, Task, TaskId, TileLocality,
+    modeled_time, DistKind, DistTask, LuDag, LuShape, SolveKind, SolveTask, Task, TaskId,
 };
 pub use dist::{
     dist_comm_term, expected_mailbox_comm, expected_threaded_getf2_comm, modeled_comm_terms,

@@ -1,8 +1,8 @@
 //! Trace-export tour, self-validating (CI runs it): serve a burst of
 //! requests through [`SolverService`], export the service's span trace as
 //! Chrome trace-event JSON plus the unified metrics snapshot, then parse
-//! both back and assert the round trip — the same path `serve_calu` uses
-//! to produce the committed `TRACE_serve.json`.
+//! both back and assert the round trip. The file it writes is the input
+//! of `bench_report --trace`.
 //!
 //! Open the emitted file in `chrome://tracing` or <https://ui.perfetto.dev>:
 //! pid lanes are ranks (0 for the shared-memory runtime), tid lanes are
@@ -10,6 +10,7 @@
 //! `process` pass around the task spans it executed.
 //!
 //! Run: `cargo run --release --example trace_export [OUT.json]`
+//! (default `target/TRACE_example.json`, a path `.gitignore` covers).
 
 use calu_repro::core::{CaluOpts, RuntimeOpts, ServeOpts, SolverService};
 use calu_repro::matrix::gen;
@@ -19,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let out = std::env::args().nth(1).unwrap_or_else(|| "TRACE_example.json".into());
+    let out = std::env::args().nth(1).unwrap_or_else(|| "target/TRACE_example.json".into());
     let n = 192;
     let mut rng = StdRng::seed_from_u64(2008);
     let a = gen::diag_dominant(&mut rng, n);
@@ -51,6 +52,9 @@ fn main() {
     // Export: every span the service recorded, as Chrome trace events.
     let spans = svc.spans();
     let trace = chrome_trace(&spans);
+    if let Some(dir) = std::path::Path::new(&out).parent() {
+        std::fs::create_dir_all(dir).expect("create the output directory");
+    }
     std::fs::write(&out, &trace).expect("write trace");
     println!("wrote {out}: {} spans", spans.len());
 
