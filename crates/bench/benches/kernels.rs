@@ -1,12 +1,12 @@
 //! Criterion microbenchmarks of the dense substrate kernels on the host:
-//! `gemm` (serial and parallel, at the shapes the repository benchmark
-//! probes, `f64` and `f32`), `trsm`, the two panel factorization kernels
-//! whose speed gap drives Tables 3-4 (`getf2` vs `rgetf2`), and the panel's
-//! rows below its top block as an unblocked sweep (`lu_nopiv`) against the
-//! recursive `gemm`-based `lu_rows` — the BLAS-2 → BLAS-3 step of the
-//! unpivoted half of TSLU.
+//! `gemm` (at the shapes the repository benchmark probes, `f64` and `f32`),
+//! `trsm`, the two panel factorization kernels whose speed gap drives
+//! Tables 3-4 (`getf2` vs `rgetf2`), and the panel's rows below its top
+//! block as an unblocked sweep (`lu_nopiv`) against the recursive
+//! `gemm`-based `lu_rows` — the BLAS-2 → BLAS-3 step of the unpivoted half
+//! of TSLU.
 
-use calu_matrix::blas3::{gemm, par_gemm, trsm, Arm};
+use calu_matrix::blas3::{gemm, trsm, Arm};
 use calu_matrix::lapack::{getf2, lu_nopiv, lu_rows, rgetf2};
 use calu_matrix::{gen, Diag, Matrix, NoObs, Scalar, Side, Uplo};
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion};
@@ -32,11 +32,6 @@ fn bench_gemm_at<T: Scalar>(g: &mut BenchmarkGroup<'_>) {
                 }
             })
         });
-        if calls == 1 {
-            g.bench_function(format!("{name}_{}_rayon", T::NAME), |bench| {
-                bench.iter(|| par_gemm(-T::ONE, a.view(), b.view(), T::ONE, c.view_mut()))
-            });
-        }
     }
 }
 

@@ -60,7 +60,7 @@ fn main() {
                 let mut w = a.clone();
                 calu_inplace(
                     w.view_mut(),
-                    CaluOpts { block: b, p, parallel_update: true, ..Default::default() },
+                    CaluOpts { block: b, p, ..Default::default() },
                     &mut stats,
                 )
                 .unwrap();

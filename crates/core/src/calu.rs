@@ -11,7 +11,7 @@
 //! stability study.
 
 use crate::tslu::{tslu_factor_plan, LocalLu};
-use calu_matrix::blas3::{gemm, par_gemm, trsm};
+use calu_matrix::blas3::{gemm, trsm};
 use calu_matrix::perm::apply_ipiv;
 use calu_matrix::{Diag, MatViewMut, Matrix, NoObs, PivotObserver, Result, Scalar, Side, Uplo};
 use calu_runtime::{PanelMode, PanelPlan, DEFAULT_TOURNAMENT_LEAVES};
@@ -27,8 +27,6 @@ pub struct CaluOpts {
     pub p: usize,
     /// Local LU used inside TSLU's preprocessing.
     pub local: LocalLu,
-    /// Run trailing updates on the rayon pool.
-    pub parallel_update: bool,
     /// Which rows each panel's tournament leaves cover:
     /// [`PanelMode::Gathered`] cuts `p` block rows, [`PanelMode::Resident`]
     /// one leaf per `block`-high tile row (and ignores `p`). Every engine —
@@ -43,7 +41,6 @@ impl Default for CaluOpts {
             block: 64,
             p: DEFAULT_TOURNAMENT_LEAVES,
             local: LocalLu::Recursive,
-            parallel_update: false,
             panel_mode: PanelMode::Gathered,
         }
     }
@@ -144,11 +141,7 @@ pub fn calu_inplace<T: Scalar, O: PivotObserver<T>>(
             trsm(Side::Left, Uplo::Lower, Diag::Unit, T::ONE, l11, u12.rb_mut());
             if k + jb < m {
                 let l21 = left.submatrix(k + jb, k, m - k - jb, jb);
-                if opts.parallel_update {
-                    par_gemm(-T::ONE, l21, u12.as_view(), T::ONE, a22.rb_mut());
-                } else {
-                    gemm(-T::ONE, l21, u12.as_view(), T::ONE, a22.rb_mut());
-                }
+                gemm(-T::ONE, l21, u12.as_view(), T::ONE, a22.rb_mut());
                 obs.on_stage(&a22.as_view());
             }
         }
@@ -255,24 +248,6 @@ mod tests {
         let g_calu = s_calu.growth_factor(1.0);
         let g_gepp = s_gepp.growth_factor(1.0);
         assert!(g_calu < 8.0 * g_gepp, "CALU growth {g_calu} wildly exceeds GEPP growth {g_gepp}");
-    }
-
-    #[test]
-    fn parallel_update_bitwise_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(95);
-        let a0: Matrix = gen::randn(&mut rng, 150, 150);
-        let f1 = calu_factor(
-            &a0,
-            CaluOpts { block: 32, p: 4, parallel_update: false, ..Default::default() },
-        )
-        .unwrap();
-        let f2 = calu_factor(
-            &a0,
-            CaluOpts { block: 32, p: 4, parallel_update: true, ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(f1.ipiv, f2.ipiv);
-        assert!(f1.lu.max_abs_diff(&f2.lu) < 1e-13);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub fn gepp_inplace<T: Scalar, O: PivotObserver<T>>(
 ) -> Result<Vec<usize>> {
     let kn = a.rows().min(a.cols());
     let mut ipiv = vec![0usize; kn];
-    getrf(a, &mut ipiv, GetrfOpts { block, panel: PanelAlg::Classic, parallel: false }, obs)?;
+    getrf(a, &mut ipiv, GetrfOpts { block, panel: PanelAlg::Classic }, obs)?;
     Ok(ipiv)
 }
 

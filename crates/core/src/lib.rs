@@ -9,7 +9,7 @@
 //!   winners are swapped on top and the panel is factored *without*
 //!   pivoting; then the usual `trsm`/`gemm` trailing update.
 //! * **Shared-memory parallel** ([`rt`]) — the factorization scheduled on
-//!   the `calu-runtime` task DAG (work-stealing executor,
+//!   the `calu-runtime` task DAG (threaded executor,
 //!   critical-path-first priorities) at any lookahead depth, so the next
 //!   panels' TSLUs overlap the bulk trailing updates (the paper's
 //!   "multicore" future-work direction and HPL's look-ahead technique,

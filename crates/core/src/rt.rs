@@ -2,7 +2,7 @@
 //! engine: [`runtime_calu_factor`] / [`runtime_calu_inplace`] over a flat
 //! matrix, [`runtime_calu_tiles`] over tile-major storage, each taking the
 //! executor and lookahead depth in [`RuntimeOpts`] (the default is the
-//! work-stealing threaded executor at depth 1 — HPL's look-ahead schedule,
+//! threaded executor at depth 1 — HPL's look-ahead schedule,
 //! the paper's "multicore" future-work direction).
 //!
 //! The runtime schedules; this module supplies the kernels: a

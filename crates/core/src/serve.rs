@@ -485,10 +485,8 @@ impl<T: Scalar> SolverService<T> {
 
     /// The unified observability snapshot: every serve-layer signal —
     /// request counters, queue-depth gauge, cache counters, ticket-latency
-    /// / batch-size / task-queue-delay histograms (p50/p95/p99), and the
-    /// work-stealing pool's wait-state counters (steals, failed-steal
-    /// spins, parked nanoseconds) — as one JSON object, ready to embed in
-    /// a bench report or dump to a file.
+    /// / batch-size / task-queue-delay histograms (p50/p95/p99) — as one
+    /// JSON object, ready to embed in a bench report or dump to a file.
     pub fn metrics_snapshot(&self) -> JsonValue {
         let stats = self.cache.stats();
         let sync = |name: &str, v: u64| {
@@ -500,14 +498,6 @@ impl<T: Scalar> SolverService<T> {
         sync("serve.cache.hits", stats.hits);
         sync("serve.cache.misses", stats.misses);
         sync("serve.cache.evictions", stats.evictions);
-        // The shared-memory parallel paths (panel factorization etc.) run
-        // on the global work-stealing pool; its counters are monotone, so
-        // the same delta-sync keeps repeated snapshots idempotent.
-        let pool = rayon::global_pool_stats();
-        sync("serve.pool.steals", pool.iter().map(|s| s.steals).sum());
-        sync("serve.pool.failed_steals", pool.iter().map(|s| s.failed_steals).sum());
-        sync("serve.pool.park_ns", pool.iter().map(|s| s.park_ns).sum());
-        self.metrics.gauge_set("serve.pool.workers", pool.len() as f64);
         self.metrics.gauge_set("serve.cache.entries", stats.entries as f64);
         self.metrics.gauge_set("serve.cache.bytes", stats.bytes as f64);
         self.metrics.gauge_set("serve.queue_depth", self.queue.len() as f64);
@@ -846,6 +836,32 @@ mod tests {
             svc.process();
 
             let snap = svc.metrics_snapshot();
+            // The metrics vocabulary, pinned by name: nothing but the
+            // service's own signals (no `serve.pool.*`).
+            let keys = |section: &str| -> Vec<&str> {
+                let obj = snap.get(section).and_then(|v| v.as_object()).expect(section);
+                obj.iter().map(|(k, _)| k.as_str()).collect()
+            };
+            assert_eq!(
+                keys("counters"),
+                [
+                    "serve.batches",
+                    "serve.cache.evictions",
+                    "serve.cache.hits",
+                    "serve.cache.misses",
+                    "serve.completed",
+                    "serve.factored",
+                    "serve.submitted",
+                ]
+            );
+            assert_eq!(
+                keys("gauges"),
+                ["serve.cache.bytes", "serve.cache.entries", "serve.queue_depth"]
+            );
+            assert_eq!(
+                keys("histograms"),
+                ["serve.batch_size", "serve.task_queue_delay_s", "serve.ticket_latency_s"]
+            );
             let counters = snap.get("counters").expect("counters section");
             let c = |name: &str| counters.get(name).and_then(|v| v.as_u64()).unwrap_or(0);
             assert_eq!(c("serve.submitted"), 8, "{executor:?}");
@@ -862,14 +878,13 @@ mod tests {
             assert_eq!(hist.get("count").and_then(|v| v.as_u64()), Some(8));
             assert!(hist.get("p99").and_then(|v| v.as_f64()).unwrap() >= 0.0);
             // Wait-state signals: one queue-delay observation per executed
-            // task (factor DAG + batched solves), and pool gauges present.
+            // task (factor DAG + batched solves).
             let qd = snap
                 .get("histograms")
                 .and_then(|h| h.get("serve.task_queue_delay_s"))
                 .expect("queue-delay histogram");
             assert!(qd.get("count").and_then(|v| v.as_u64()).unwrap() > 0, "{executor:?}");
             assert!(qd.get("min").and_then(|v| v.as_f64()).unwrap() >= 0.0);
-            assert!(gauges.get("serve.pool.workers").and_then(|v| v.as_f64()).unwrap() >= 1.0);
             // Snapshots are idempotent: syncing twice must not double-count.
             let again = svc.metrics_snapshot();
             assert_eq!(

@@ -1,6 +1,5 @@
-//! Level-3 kernels: a packed, register-blocked `gemm` (serial and
-//! rayon-parallel) and the four no-transpose `trsm` cases LU factorization
-//! needs.
+//! Level-3 kernels: a packed, register-blocked `gemm` and the four
+//! no-transpose `trsm` cases LU factorization needs.
 //!
 //! # `gemm`
 //!
@@ -36,8 +35,8 @@
 //! a register tile or cache block, or how the caller cut `C` into pieces:
 //! `gemm` on a whole matrix equals `gemm` tile by tile over any partition
 //! of its rows and columns, bit for bit. That is what keeps the per-tile
-//! task-graph runtime, the distributed runtime, both storage layouts and
-//! [`par_gemm`] bitwise equal to the sequential whole-matrix update.
+//! task-graph runtime, the distributed runtime and both storage layouts
+//! bitwise equal to the sequential whole-matrix update.
 //! **Bits are a function of (input, arm) and nothing else**: the two arms
 //! round differently, so factors are reproducible across runs, schedules
 //! and thread counts on one host, not across hosts that take different arms.
@@ -194,57 +193,6 @@ fn pack_b<T: Scalar, const NR: usize>(b: MatView<'_, T>, buf: &mut [T]) {
             }
         }
     }
-}
-
-/// Fewest multiply-adds [`par_gemm`] splits: below 4 M of them (8 Mflop) the
-/// spawn overhead dominates on small core counts.
-const PAR_MIN_WORK: u64 = 4_000_000;
-/// Columns per parallel task, before rounding down to a multiple of `NR`.
-const PAR_COLS: usize = 128;
-
-/// `C = alpha * A * B + beta * C`, splitting columns of `C` across the rayon
-/// thread pool. Falls back to the serial path for small problems. Bitwise
-/// equal to [`gemm`] (position independence).
-pub fn par_gemm<T: Scalar>(
-    alpha: T,
-    a: MatView<'_, T>,
-    b: MatView<'_, T>,
-    beta: T,
-    c: MatViewMut<'_, T>,
-) {
-    let n = b.cols();
-    let work = (a.rows() as u64) * (a.cols() as u64) * (n as u64);
-    // Split on whole column panels, so that no panel is packed (and padded)
-    // by two tasks.
-    let nr = T::gemm_ukernel(Arm::detect()).nr();
-    let quantum = PAR_COLS / nr * nr;
-    if work < PAR_MIN_WORK || n < 2 * quantum {
-        gemm(alpha, a, b, beta, c);
-        return;
-    }
-    par_gemm_cols(quantum, alpha, a, b, beta, c);
-}
-
-fn par_gemm_cols<T: Scalar>(
-    quantum: usize,
-    alpha: T,
-    a: MatView<'_, T>,
-    b: MatView<'_, T>,
-    beta: T,
-    c: MatViewMut<'_, T>,
-) {
-    let n = c.cols();
-    if n <= quantum {
-        gemm(alpha, a, b, beta, c);
-        return;
-    }
-    let half = (n / 2 / quantum).max(1) * quantum;
-    let (b_l, b_r) = b.split_at_col(half);
-    let (c_l, c_r) = c.split_at_col_mut(half);
-    rayon::join(
-        || par_gemm_cols(quantum, alpha, a, b_l, beta, c_l),
-        || par_gemm_cols(quantum, alpha, a, b_r, beta, c_r),
-    );
 }
 
 fn scale<T: Scalar>(beta: T, mut c: MatViewMut<'_, T>) {
@@ -421,20 +369,6 @@ mod tests {
             gemm_naive(1.5, a.view(), b.view(), -0.5, c2.view_mut());
             assert_close(&c1, &c2, 1e-10 * (k as f64));
         }
-    }
-
-    #[test]
-    fn par_gemm_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let (m, k, n) = (150, 90, 310);
-        let a = gen::randn(&mut rng, m, k);
-        let b = gen::randn(&mut rng, k, n);
-        let c0 = gen::randn(&mut rng, m, n);
-        let mut c1 = c0.clone();
-        let mut c2 = c0;
-        gemm(1.0, a.view(), b.view(), 1.0, c1.view_mut());
-        par_gemm(1.0, a.view(), b.view(), 1.0, c2.view_mut());
-        assert_eq!(c1, c2, "position independence makes the column split invisible");
     }
 
     /// Both arms where the host has AVX2+FMA, the portable one elsewhere.

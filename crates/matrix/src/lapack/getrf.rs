@@ -2,7 +2,7 @@
 //! baseline. Its distributed analogue is ScaLAPACK's `PDGETRF`, which the
 //! paper compares CALU against.
 
-use crate::blas3::{gemm, par_gemm, trsm};
+use crate::blas3::{gemm, trsm};
 use crate::error::Result;
 use crate::observer::PivotObserver;
 use crate::perm::apply_ipiv;
@@ -26,13 +26,11 @@ pub struct GetrfOpts {
     pub block: usize,
     /// Panel factorization algorithm.
     pub panel: PanelAlg,
-    /// Run the trailing `gemm` on the rayon pool.
-    pub parallel: bool,
 }
 
 impl Default for GetrfOpts {
     fn default() -> Self {
-        Self { block: 64, panel: PanelAlg::Classic, parallel: false }
+        Self { block: 64, panel: PanelAlg::Classic }
     }
 }
 
@@ -106,11 +104,7 @@ pub fn getrf<T: Scalar, O: PivotObserver<T>>(
             if k + jb < m {
                 // A22 -= L21 * U12.
                 let l21 = left.submatrix(k + jb, k, m - k - jb, jb);
-                if opts.parallel {
-                    par_gemm(-T::ONE, l21, u12.as_view(), T::ONE, a22.rb_mut());
-                } else {
-                    gemm(-T::ONE, l21, u12.as_view(), T::ONE, a22.rb_mut());
-                }
+                gemm(-T::ONE, l21, u12.as_view(), T::ONE, a22.rb_mut());
                 obs.on_stage(&a22.as_view());
             }
         }
@@ -174,45 +168,19 @@ mod tests {
         getrf(
             a1.view_mut(),
             &mut ip1,
-            GetrfOpts { block: 24, panel: PanelAlg::Classic, parallel: false },
+            GetrfOpts { block: 24, panel: PanelAlg::Classic },
             &mut NoObs,
         )
         .unwrap();
         getrf(
             a2.view_mut(),
             &mut ip2,
-            GetrfOpts { block: 24, panel: PanelAlg::Recursive, parallel: false },
+            GetrfOpts { block: 24, panel: PanelAlg::Recursive },
             &mut NoObs,
         )
         .unwrap();
         assert_eq!(ip1, ip2);
         assert!(a1.max_abs_diff(&a2) < 1e-10);
-    }
-
-    #[test]
-    fn parallel_update_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let a0: Matrix = gen::randn(&mut rng, 160, 160);
-        let mut a1 = a0.clone();
-        let mut a2 = a0.clone();
-        let mut ip1 = vec![0; 160];
-        let mut ip2 = vec![0; 160];
-        getrf(
-            a1.view_mut(),
-            &mut ip1,
-            GetrfOpts { block: 32, parallel: false, ..Default::default() },
-            &mut NoObs,
-        )
-        .unwrap();
-        getrf(
-            a2.view_mut(),
-            &mut ip2,
-            GetrfOpts { block: 32, parallel: true, ..Default::default() },
-            &mut NoObs,
-        )
-        .unwrap();
-        assert_eq!(ip1, ip2);
-        assert!(a1.max_abs_diff(&a2) < 1e-11);
     }
 
     #[test]

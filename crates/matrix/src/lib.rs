@@ -10,8 +10,7 @@
 //!   sub-blocks without copying (the shape ScaLAPACK-style algorithms need).
 //! * BLAS level 1/2/3: [`blas1`], [`blas2`], [`blas3`] (`iamax`, `axpy`,
 //!   `ger`, `gemv`, a packed register-blocked `gemm` with AVX2+FMA and
-//!   portable micro-kernels, the four no-transpose `trsm` cases used by LU,
-//!   with optional rayon-parallel `gemm`).
+//!   portable micro-kernels, the four no-transpose `trsm` cases used by LU).
 //! * LAPACK-style factorizations in [`lapack`]: `getf2` (classic partial
 //!   pivoting, the paper's `DGETF2`), `rgetf2` (recursive, the paper's
 //!   `RGETF2` from Gustavson/Toledo), blocked `getrf` (GEPP baseline),

@@ -314,8 +314,8 @@ proptest! {
         let mut a2 = a0.clone();
         let mut i1 = vec![0usize; n];
         let mut i2 = vec![0usize; n];
-        getrf(a1.view_mut(), &mut i1, GetrfOpts { block: nb, panel: PanelAlg::Classic, parallel: false }, &mut NoObs).unwrap();
-        getrf(a2.view_mut(), &mut i2, GetrfOpts { block: nb, panel: PanelAlg::Recursive, parallel: false }, &mut NoObs).unwrap();
+        getrf(a1.view_mut(), &mut i1, GetrfOpts { block: nb, panel: PanelAlg::Classic }, &mut NoObs).unwrap();
+        getrf(a2.view_mut(), &mut i2, GetrfOpts { block: nb, panel: PanelAlg::Recursive }, &mut NoObs).unwrap();
         prop_assert_eq!(i1, i2);
         prop_assert!(a1.max_abs_diff(&a2) < 1e-9);
     }

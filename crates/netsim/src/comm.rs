@@ -1,7 +1,7 @@
 //! Per-rank simulated communicator with a virtual clock.
 //!
 //! Every simulated process runs on a real OS thread; numerical payloads flow
-//! through crossbeam channels, so distributed algorithms execute their
+//! through `mpsc` channels, so distributed algorithms execute their
 //! *actual* data flow. Time, however, is virtual: each rank carries a clock
 //! that advances by modeled compute time ([`SimComm::compute`]) and by the
 //! α-β cost of every message. A receive waits until the message's modeled
@@ -13,9 +13,9 @@
 //! sends in any order without deadlocking the virtual schedule.
 
 use crate::machine::{Link, MachineConfig};
-use crossbeam::channel::{Receiver, Sender};
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -3,7 +3,7 @@
 use crate::comm::{Envelope, RankStats, SimComm};
 use crate::machine::MachineConfig;
 use crate::trace::RankTrace;
-use crossbeam::channel::unbounded;
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 
 /// Outcome of a simulation: per-rank accounting plus aggregates.
@@ -115,7 +115,7 @@ where
     let mut senders = Vec::with_capacity(p);
     let mut inboxes = Vec::with_capacity(p);
     for _ in 0..p {
-        let (tx, rx) = unbounded::<Envelope>();
+        let (tx, rx) = channel::<Envelope>();
         senders.push(tx);
         inboxes.push(rx);
     }

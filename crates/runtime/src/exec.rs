@@ -7,13 +7,12 @@
 //!   [`LuDag::serial_schedule`]. Run-to-run deterministic (same DAG ⇒ same
 //!   task sequence), which the property tests assert; the baseline every
 //!   speedup is measured against.
-//! * [`ThreadedExecutor`] — `std::thread` workers stealing from one shared
+//! * [`ThreadedExecutor`] — `std::thread` workers pulling from one shared
 //!   critical-path-ordered ready pool, with per-task completion events
-//!   carried back over a `crossbeam` channel. As soon as a leaf of panel
+//!   carried back over an `mpsc` channel. As soon as a leaf of panel
 //!   `k+1`'s column slice is updated, its election outranks every bulk
 //!   `gemm` in the pool, so panels hide behind trailing updates at any
-//!   lookahead depth —
-//!   the generalization of the old hardwired depth-1 `rayon::join`.
+//!   lookahead depth.
 //!   (A single shared pool rather than per-worker deques: at panel/tile
 //!   granularity the pool lock is touched a few thousand times per
 //!   factorization, far below contention levels that would repay deques.)
@@ -274,10 +273,9 @@ struct Pool {
     canceled: bool,
 }
 
-/// Work-stealing threaded executor: `threads` OS workers (0 ⇒ the host's
-/// available parallelism) pull the highest-priority ready task from a
-/// shared pool; completions flow back to the caller over a crossbeam
-/// channel.
+/// Threaded executor: `threads` OS workers (0 ⇒ the host's available
+/// parallelism) pull the highest-priority ready task from a shared pool;
+/// completions flow back to the caller over an `mpsc` channel.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadedExecutor {
     /// Worker count; 0 uses `std::thread::available_parallelism`.
@@ -355,7 +353,7 @@ impl Executor for ThreadedExecutor {
             canceled: false,
         });
         let bell = Condvar::new();
-        let (events_tx, events_rx) = crossbeam::channel::unbounded::<Event>();
+        let (events_tx, events_rx) = std::sync::mpsc::channel::<Event>();
 
         let t0 = Instant::now();
         std::thread::scope(|s| {
@@ -473,7 +471,7 @@ impl Executor for ThreadedExecutor {
 pub enum ExecutorKind {
     /// Deterministic priority replay on the calling thread.
     Serial,
-    /// Work-stealing OS threads (0 ⇒ host parallelism).
+    /// OS threads over one shared pool (0 ⇒ host parallelism).
     Threaded {
         /// Worker count; 0 uses the host's available parallelism.
         threads: usize,

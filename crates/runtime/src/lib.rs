@@ -1,12 +1,11 @@
 //! # calu-runtime — dataflow task-graph runtime for tiled CALU
 //!
 //! The paper's future-work question (Section 7) — does ca-pivoting suit
-//! parallel LU on multicore machines? — needs more schedule than a
-//! hardwired `rayon::join`: HPL-style executions overlap the panel
-//! factorization (the critical path of right-looking LU) with trailing
-//! updates at a configurable *lookahead depth*. This crate supplies that
-//! layer, between the machine layer (`calu-netsim`) and the algorithms
-//! (`calu-core`):
+//! parallel LU on multicore machines? — needs a schedule: HPL-style
+//! executions overlap the panel factorization (the critical path of
+//! right-looking LU) with trailing updates at a configurable *lookahead
+//! depth*. This crate supplies that layer, between the machine layer
+//! (`calu-netsim`) and the algorithms (`calu-core`):
 //!
 //! * [`dag`] — [`LuDag::build`] emits the dependency DAG of blocked
 //!   right-looking LU for any `(m, n, nb)`: the TSLU panel subgraph
@@ -16,8 +15,8 @@
 //!   throttle for any lookahead depth `d ≥ 1`;
 //! * [`exec`] — two executors behind the [`Executor`] trait: a
 //!   deterministic [`SerialExecutor`] (priority-ordered replay) and a
-//!   work-stealing [`ThreadedExecutor`] (`std::thread` workers over a
-//!   shared critical-path-first pool, crossbeam completion channel), both
+//!   [`ThreadedExecutor`] (`std::thread` workers over a shared
+//!   critical-path-first pool, `mpsc` completion channel), both
 //!   recording per-task timings that convert into `calu-netsim` Gantt
 //!   traces.
 //!

@@ -24,7 +24,7 @@
 //! is a serial chain. Within a column, *write chains* (`GemmL(k-1,i,j) →
 //! GemmL(k,i,j)` and the `TrsmL` counterparts) serialize every writer of
 //! each tile in a fixed order, so any topological execution — serial or
-//! work-stealing — produces bitwise identical solutions.
+//! threaded — produces bitwise identical solutions.
 
 use crate::dag::{LuDag, LuShape, SolveKind, SolveTask, Task, TaskId};
 

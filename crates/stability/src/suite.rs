@@ -109,12 +109,9 @@ fn aggregate(
 pub fn run_calu_case(n: usize, p: usize, b: usize, samples: usize, seed0: u64) -> StabilityRow {
     aggregate(n, p, b, samples, seed0, |a, stats| {
         let mut lu = a.clone();
-        let ipiv = calu_inplace(
-            lu.view_mut(),
-            CaluOpts { block: b, p, parallel_update: true, ..Default::default() },
-            stats,
-        )
-        .expect("random normal matrices are numerically nonsingular");
+        let ipiv =
+            calu_inplace(lu.view_mut(), CaluOpts { block: b, p, ..Default::default() }, stats)
+                .expect("random normal matrices are numerically nonsingular");
         LuFactors { lu, ipiv }
     })
 }
@@ -185,12 +182,9 @@ pub fn run_calu_ensemble_case(
 ) -> StabilityRow {
     let factor = move |a: &Matrix, stats: &mut PivotStats| {
         let mut lu = a.clone();
-        let ipiv = calu_inplace(
-            lu.view_mut(),
-            CaluOpts { block: b, p, parallel_update: true, ..Default::default() },
-            stats,
-        )
-        .expect("nonsingular");
+        let ipiv =
+            calu_inplace(lu.view_mut(), CaluOpts { block: b, p, ..Default::default() }, stats)
+                .expect("nonsingular");
         LuFactors { lu, ipiv }
     };
     let mut row = aggregate_ens(ens, n, p, b, samples, seed0, factor);

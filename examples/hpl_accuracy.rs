@@ -24,7 +24,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let ipiv = calu_inplace(
         lu.view_mut(),
-        CaluOpts { block: 64.min(n / 4).max(1), p: 8, parallel_update: true, ..Default::default() },
+        CaluOpts { block: 64.min(n / 4).max(1), p: 8, ..Default::default() },
         &mut stats,
     )
     .expect("nonsingular");

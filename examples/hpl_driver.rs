@@ -64,13 +64,7 @@ fn main() {
     acceptance("CALU (ca-pivoting, 8-way tournament)", &a, &rhs, || {
         calu_factor(
             &a,
-            CaluOpts {
-                block: b,
-                p: 8,
-                local: LocalLu::Recursive,
-                parallel_update: true,
-                ..Default::default()
-            },
+            CaluOpts { block: b, p: 8, local: LocalLu::Recursive, ..Default::default() },
         )
         .unwrap()
     });

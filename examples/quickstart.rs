@@ -19,13 +19,7 @@ fn main() {
     let b = gen::rhs_for_solution(&a, &x_true);
 
     // CALU: panels of width 64, 8-way tournament, recursive local LU.
-    let opts = CaluOpts {
-        block: 64,
-        p: 8,
-        local: LocalLu::Recursive,
-        parallel_update: true,
-        ..Default::default()
-    };
+    let opts = CaluOpts { block: 64, p: 8, local: LocalLu::Recursive, ..Default::default() };
     let f = calu_factor(&a, opts).expect("random normal matrices are nonsingular");
 
     // Solve and validate.

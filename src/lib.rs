@@ -23,11 +23,12 @@
 //!   collectives, event tracing with Gantt rendering, and a deferred-
 //!   compute overlap model for look-ahead studies.
 //! * [`runtime`] — the dataflow task-graph runtime: the dependency DAG of
-//!   blocked right-looking LU (`Panel`/`Swap`/`Trsm`/`Gemm` tasks at any
-//!   lookahead depth) with a deterministic serial executor and a
-//!   work-stealing threaded executor, feeding the netsim Gantt machinery.
-//! * [`core`] — TSLU and CALU (sequential, rayon-parallel, lookahead-tiled
-//!   multicore — both scheduled by [`runtime`] — and simulated-distributed),
+//!   blocked right-looking LU (the TSLU panel subgraph and
+//!   `Swap`/`Trsm`/`Gemm` tasks at any lookahead depth) with a
+//!   deterministic serial executor and a threaded executor over one shared
+//!   critical-path-first pool, feeding the netsim Gantt machinery.
+//! * [`core`] — TSLU and CALU (the sequential reference, the multicore
+//!   task-graph run scheduled by [`runtime`], and simulated-distributed),
 //!   plus the GEPP / ScaLAPACK `PDGETRF`/`PDGETF2` baselines in real-data
 //!   and cost-skeleton form.
 //! * [`stability`] — the paper's numerical-stability laboratory: growth

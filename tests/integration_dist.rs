@@ -80,13 +80,7 @@ fn dist_calu_matches_sequential_when_layout_is_contiguous() {
     );
     let f = calu_repro::core::calu_factor(
         &a,
-        CaluOpts {
-            block: 16,
-            p: 1,
-            local: LocalLu::Classic,
-            parallel_update: false,
-            ..Default::default()
-        },
+        CaluOpts { block: 16, p: 1, local: LocalLu::Classic, ..Default::default() },
     )
     .unwrap();
     assert_eq!(d.ipiv, f.ipiv);

@@ -84,13 +84,7 @@ fn all_three_flavors_agree() {
     // distributed flavor is exercised in integration_dist.rs.)
     let mut rng = StdRng::seed_from_u64(1004);
     let a: Matrix = gen::randn(&mut rng, 150, 150);
-    let opts = CaluOpts {
-        block: 25,
-        p: 5,
-        local: LocalLu::Recursive,
-        parallel_update: false,
-        ..Default::default()
-    };
+    let opts = CaluOpts { block: 25, p: 5, local: LocalLu::Recursive, ..Default::default() };
     let f_seq = calu_factor(&a, opts).unwrap();
     let (f_par, _report) = runtime_calu_factor(&a, opts, RuntimeOpts::default()).unwrap();
     assert_eq!(f_seq.ipiv, f_par.ipiv);

@@ -139,13 +139,7 @@ fn f32_runtime_calu_bitwise_matches_sequential_all_depths_and_executors() {
         &[(96usize, 96usize, 16usize, 4usize), (100, 60, 16, 4), (60, 100, 16, 4), (97, 97, 16, 3)]
     {
         let a: Matrix<f32> = gen::randn(&mut rng, m, n);
-        let opts = CaluOpts {
-            block: b,
-            p,
-            local: LocalLu::Recursive,
-            parallel_update: false,
-            ..Default::default()
-        };
+        let opts = CaluOpts { block: b, p, local: LocalLu::Recursive, ..Default::default() };
         let seq = calu_factor(&a, opts).unwrap();
         for depth in 1..=3 {
             for executor in [

@@ -165,7 +165,7 @@ proptest! {
         exec_sel in 0usize..2,
     ) {
         // Any schedule the runtime can produce — serial replay or
-        // work-stealing threads, lookahead depths 1..3, ragged shapes —
+        // executor threads, lookahead depths 1..3, ragged shapes —
         // must be a pure reordering: identical pivots, bitwise identical
         // factors.
         use calu_repro::core::{runtime_calu_factor, RuntimeOpts};
