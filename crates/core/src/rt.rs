@@ -805,6 +805,36 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_and_nested_factorizations_stay_bitwise_sequential() {
+        // Eight callers share the process's helper threads, and one more
+        // factorization runs from inside a task body of another executor
+        // run: all terminate, each on the sequential sweep's bits.
+        let mut rng = StdRng::seed_from_u64(912);
+        let a0: Matrix = gen::randn(&mut rng, 160, 160);
+        let opts = CaluOpts { block: 16, p: 4, ..Default::default() };
+        let seq = calu_factor(&a0, opts).unwrap();
+        let rt = RuntimeOpts { lookahead: 2, executor: ExecutorKind::Threaded { threads: 4 } };
+        let check = || {
+            let (f, _) = runtime_calu_factor(&a0, opts, rt).unwrap();
+            assert_eq!(seq, f);
+        };
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| (0..10).for_each(|_| check()));
+            }
+            let outer = LuDag::build(LuShape { m: 64, n: 64, nb: 32 }, 1);
+            let nested = |t: Task| {
+                if t == (Task::PanelFinish { k: 0 }) {
+                    check();
+                }
+                Ok(())
+            };
+            let rep = rt.executor.execute(&outer, &nested).unwrap();
+            assert_eq!(rep.order.len(), outer.len());
+        });
+    }
+
+    #[test]
     fn bits_do_not_depend_on_the_thread_count_or_the_run() {
         let mut rng = StdRng::seed_from_u64(911);
         let a0: Matrix = gen::randn(&mut rng, 2050, 48);

@@ -478,9 +478,8 @@ impl<T: Scalar> SolverService<T> {
     /// `serve.task_queue_delay_s` histogram — the wait-state signal
     /// (scheduler overhead) riding next to the latency histograms.
     fn observe_queue_delays(&self, exec: &ExecReport) {
-        for t in &exec.timings {
-            self.metrics.observe("serve.task_queue_delay_s", t.queue_delay());
-        }
+        let delays = exec.timings.iter().map(|t| t.queue_delay());
+        self.metrics.observe_all("serve.task_queue_delay_s", delays);
     }
 
     /// The unified observability snapshot: every serve-layer signal —

@@ -126,9 +126,10 @@ pub fn gemm_on<T: Scalar>(
 
 /// Pack buffers of one precision, shared by the whole process. A `gemm` call
 /// takes one for its duration and puts it back, so at most one buffer exists
-/// per concurrently running call, each at most `MC·KC + KC·NC` elements. The
-/// executors spawn their workers per operation; buffers owned by threads
-/// would be allocated and freed with every one of them.
+/// per concurrently running call, each at most `MC·KC + KC·NC` elements. Not
+/// `thread_local!`: the thread that calls an executor works in it, so every
+/// thread that ever factored would keep a buffer for life, and two
+/// uncontended lock operations per call are not measurable.
 type PackPool<T> = Mutex<Vec<Vec<T>>>;
 
 /// Runs `body` on a pack buffer of `len` elements from `pool`.

@@ -167,19 +167,37 @@ impl Metrics {
     /// Adds `delta` to the counter `name` (creating it at 0).
     pub fn counter_add(&self, name: &str, delta: u64) {
         let mut inner = self.inner.lock().expect("metrics poisoned");
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        // The key almost always exists: look it up before allocating one.
+        match inner.counters.get_mut(name) {
+            Some(c) => *c += delta,
+            None => drop(inner.counters.insert(name.to_string(), delta)),
+        }
     }
 
     /// Sets the gauge `name`.
     pub fn gauge_set(&self, name: &str, value: f64) {
         let mut inner = self.inner.lock().expect("metrics poisoned");
-        inner.gauges.insert(name.to_string(), value);
+        match inner.gauges.get_mut(name) {
+            Some(g) => *g = value,
+            None => drop(inner.gauges.insert(name.to_string(), value)),
+        }
     }
 
     /// Adds a sample to the histogram `name` (creating it empty).
     pub fn observe(&self, name: &str, value: f64) {
+        self.observe_all(name, std::iter::once(value));
+    }
+
+    /// Adds every sample of `values` to the histogram `name` under one
+    /// lock (creating it on the first sample).
+    pub fn observe_all(&self, name: &str, values: impl Iterator<Item = f64>) {
         let mut inner = self.inner.lock().expect("metrics poisoned");
-        inner.hists.entry(name.to_string()).or_default().observe(value);
+        for v in values {
+            match inner.hists.get_mut(name) {
+                Some(h) => h.observe(v),
+                None => inner.hists.entry(name.to_string()).or_default().observe(v),
+            }
+        }
     }
 
     /// Current value of a counter (0 if absent).
@@ -306,6 +324,17 @@ mod tests {
         for q in [0.0, 0.5, 0.95, 1.0] {
             assert_eq!(h.quantile(q), 0.0125, "clamping to [min,max] pins a single sample");
         }
+    }
+
+    #[test]
+    fn observe_all_equals_one_observe_per_sample() {
+        let (one, all) = (Metrics::new(), Metrics::new());
+        let samples = [0.0, 3.0, 5.0, 1e-6];
+        samples.iter().for_each(|&v| one.observe("lat", v));
+        all.observe_all("lat", samples.iter().copied());
+        all.observe_all("never", std::iter::empty());
+        assert_eq!(one.histogram("lat"), all.histogram("lat"));
+        assert_eq!(one.snapshot().to_json(), all.snapshot().to_json(), "no key for no sample");
     }
 
     #[test]

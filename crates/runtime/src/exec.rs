@@ -7,15 +7,41 @@
 //!   [`LuDag::serial_schedule`]. Run-to-run deterministic (same DAG ⇒ same
 //!   task sequence), which the property tests assert; the baseline every
 //!   speedup is measured against.
-//! * [`ThreadedExecutor`] — `std::thread` workers pulling from one shared
-//!   critical-path-ordered ready pool, with per-task completion events
-//!   carried back over an `mpsc` channel. As soon as a leaf of panel
-//!   `k+1`'s column slice is updated, its election outranks every bulk
-//!   `gemm` in the pool, so panels hide behind trailing updates at any
-//!   lookahead depth.
+//! * [`ThreadedExecutor`] — the calling thread plus long-lived helper
+//!   threads pulling from one shared critical-path-ordered ready pool. As
+//!   soon as a leaf of panel `k+1`'s column slice is updated, its election
+//!   outranks every bulk `gemm` in the pool, so panels hide behind
+//!   trailing updates at any lookahead depth.
 //!   (A single shared pool rather than per-worker deques: at panel/tile
 //!   granularity the pool lock is touched a few thousand times per
 //!   factorization, far below contention levels that would repay deques.)
+//!
+//! # Threads of the threaded executor
+//!
+//! Nothing is spawned per call. Helper threads live in one process-wide
+//! registry, grown to the largest `threads − 1` ever requested, and park
+//! there between jobs. `execute` posts its claim loop to the registry and
+//! then runs that same loop as worker 0, so a job never waits for a helper
+//! to show up: concurrent `execute` calls and an `execute` issued from
+//! inside a task body share the helpers, and one that gets none is simply
+//! run by its caller. A helper that finds nothing ready leaves the job
+//! (the caller therefore never waits on a sleeping thread when the job
+//! ends); only the caller parks inside a job, when every remaining task is
+//! running elsewhere or blocked behind one that is.
+//!
+//! Wake-ups follow the ready set: a claim wakes one thread — the parked
+//! caller, else a parked helper if the job has a free seat — only when it
+//! leaves ready tasks behind; the last completion, an error or a panic
+//! wakes the parked caller. A chain-shaped DAG (the solve DAG of a cache
+//! hit) is finished by its caller before any helper is awake, with no size
+//! threshold involved. Timings and the first error are pushed into the job
+//! under the pool lock a completion takes anyway; spans reach the
+//! [`Recorder`] after the run, in completion order.
+//!
+//! The borrowed claim loop reaches the helpers through the module's one
+//! `unsafe` (a lifetime-erasing transmute in `run_job`), upheld by the
+//! `Posted` guard: on return and on unwind it closes the job to joiners
+//! and blocks until no helper is inside.
 //!
 //! Both record per-task wall-clock timings; [`ExecReport::traces`] converts
 //! them into `calu-netsim` [`RankTrace`]s (one simulated "rank" per worker)
@@ -29,10 +55,16 @@
 //! error is the same error the sequential sweep would hit; on error the
 //! executors cancel every not-yet-started task and surface the error (the
 //! runner is responsible for reporting the **absolute** elimination step).
+//! A panicking task body cancels the job the same way; the worker that
+//! caught it hands the payload to the caller, which re-raises it exactly
+//! once, and a helper goes back to the registry alive.
 
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Condvar, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use calu_matrix::{Error, Result};
@@ -203,8 +235,8 @@ pub trait Executor {
     /// [`Executor::execute`] that additionally records one [`Span`] per
     /// completed task into `recorder` (`pid` = owning rank, `tid` =
     /// worker). Recording happens off the worker hot path — in the serial
-    /// replay loop, or on the threaded coordinator as completion events
-    /// arrive — so tracing costs one lock and one push per task.
+    /// replay loop, or after the threaded run — so tracing costs one lock
+    /// and one push per task.
     ///
     /// # Errors
     /// The first task failure (see the module docs on cancellation).
@@ -260,7 +292,24 @@ impl Executor for SerialExecutor {
     }
 }
 
-/// Shared scheduler state behind the pool lock.
+/// The host's available parallelism, resolved once per process
+/// (`std::thread::available_parallelism` is a `sched_getaffinity` plus
+/// cgroup file reads on Linux, ≈ 14 µs — more than a whole cache-hit solve
+/// DAG costs to run).
+pub fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |v| v.get()))
+}
+
+/// Locks `m`, ignoring poison: every update below leaves the guarded state
+/// valid at each unlock and cancellation is flag-based, so the poison bit
+/// carries no information — and an `expect` here would fan one panic out
+/// into one per worker.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One `execute` call's scheduler state, behind its pool lock.
 struct Pool {
     ready: BinaryHeap<Reverse<(Prio, TaskId)>>,
     deps: Vec<usize>,
@@ -271,14 +320,141 @@ struct Pool {
     /// Tasks not yet claimed by a worker.
     unclaimed: usize,
     canceled: bool,
+    /// The caller found nothing ready and waits on the job's bell.
+    caller_parked: bool,
+    /// Finished tasks, in completion order.
+    timings: Vec<TaskTiming>,
+    /// The earliest-step task error (panels are chained, so in practice
+    /// at most one task can fail first).
+    failure: Option<(usize, Error)>,
+    /// Payload of the first panicking task body; the caller re-raises it.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
-/// Threaded executor: `threads` OS workers (0 ⇒ the host's available
-/// parallelism) pull the highest-priority ready task from a shared pool;
-/// completions flow back to the caller over an `mpsc` channel.
+/// A job the registry's helpers may join: the claim loop of one `execute`.
+struct Posting {
+    id: u64,
+    run: &'static (dyn Fn(usize) + Sync),
+    /// Worker indices (`1..workers`) no helper holds right now.
+    seats: Vec<usize>,
+    workers: usize,
+    /// A claim left ready tasks behind and no helper has answered yet
+    /// (implies a free seat; never set once `closing`).
+    wanted: bool,
+    /// The caller is done and waits for the last helper to leave.
+    closing: bool,
+}
+
+struct Registry {
+    jobs: Vec<Posting>,
+    /// Helper threads spawned so far: the largest `workers − 1` requested.
+    helpers: usize,
+    /// Helpers parked on [`WORK`].
+    parked: usize,
+}
+
+/// The process-wide helper threads' shared state. Helpers are spawned on
+/// demand, never per call, and detached: they park on [`WORK`] between
+/// jobs for the life of the process.
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry { jobs: Vec::new(), helpers: 0, parked: 0 });
+/// Helpers with no job to join park here.
+static WORK: Condvar = Condvar::new();
+/// Callers closing a job wait here until its helpers have left.
+static LEFT: Condvar = Condvar::new();
+static NEXT_JOB: AtomicU64 = AtomicU64::new(0);
+
+impl Registry {
+    fn job(&mut self, id: u64) -> &mut Posting {
+        self.jobs
+            .iter_mut()
+            .find(|j| j.id == id)
+            .expect("a job stays posted while a worker is in it")
+    }
+}
+
+/// A helper thread: joins whichever posted job wants one, runs its claim
+/// loop until nothing is ready, gives the seat back.
+fn helper() {
+    let mut reg = lock(&REGISTRY);
+    loop {
+        let Some(job) = reg.jobs.iter_mut().find(|j| j.wanted) else {
+            reg.parked += 1;
+            reg = WORK.wait(reg).unwrap_or_else(PoisonError::into_inner);
+            reg.parked -= 1;
+            continue;
+        };
+        job.wanted = false;
+        let seat = job.seats.pop().expect("a wanted job has a free seat");
+        let (id, run) = (job.id, job.run);
+        drop(reg);
+        run(seat); // never unwinds: the claim loop catches task-body panics
+        reg = lock(&REGISTRY);
+        let job = reg.job(id);
+        job.seats.push(seat);
+        if job.closing && job.seats.len() + 1 == job.workers {
+            LEFT.notify_all();
+        }
+    }
+}
+
+/// Asks for one more helper on job `id`; wakes one only if one is parked.
+fn offer(id: u64) {
+    let mut reg = lock(&REGISTRY);
+    let parked = reg.parked;
+    let job = reg.job(id);
+    if !job.wanted && !job.closing && !job.seats.is_empty() {
+        job.wanted = true;
+        if parked > 0 {
+            WORK.notify_one();
+        }
+    }
+}
+
+/// Closes a posted job on drop — on return *and* on unwind: no helper may
+/// join any more, and the drop blocks until none is left inside.
+struct Posted(u64);
+
+impl Drop for Posted {
+    fn drop(&mut self) {
+        let mut reg = lock(&REGISTRY);
+        let job = reg.job(self.0);
+        (job.wanted, job.closing) = (false, true);
+        let helpers = job.workers - 1;
+        while reg.job(self.0).seats.len() < helpers {
+            reg = LEFT.wait(reg).unwrap_or_else(PoisonError::into_inner);
+        }
+        reg.jobs.retain(|j| j.id != self.0);
+    }
+}
+
+/// Runs `work(0)` on the calling thread while up to `workers − 1` helpers
+/// run `work(1..workers)`; returns once no thread is inside `work`.
+fn run_job<'a>(id: u64, workers: usize, work: &'a (dyn Fn(usize) + Sync + 'a)) {
+    // SAFETY: the `'static` reference lives only in this job's `Posting`,
+    // and `Posted`'s drop — which runs before this function returns or
+    // unwinds, hence while `'a` is live — removes that posting after
+    // blocking until every helper that copied `run` out of it has come
+    // back from its call. Nothing else hands `run` out.
+    let run: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(work) };
+    let mut reg = lock(&REGISTRY);
+    while reg.helpers + 1 < workers
+        && std::thread::Builder::new().name("calu-helper".into()).spawn(helper).is_ok()
+    {
+        reg.helpers += 1;
+    }
+    let seats = (1..workers).collect();
+    reg.jobs.push(Posting { id, run, seats, workers, wanted: false, closing: false });
+    drop(reg);
+    let _posted = Posted(id);
+    work(0);
+}
+
+/// Threaded executor: the calling thread plus up to `threads − 1`
+/// long-lived helper threads (0 ⇒ the host's available parallelism) pull
+/// the highest-priority ready task from a shared pool.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadedExecutor {
-    /// Worker count; 0 uses `std::thread::available_parallelism`.
+    /// Worker count; 0 uses [`host_parallelism`].
     pub threads: usize,
 }
 
@@ -289,39 +465,8 @@ impl ThreadedExecutor {
     }
 
     fn resolved_threads(&self, tasks: usize) -> usize {
-        let t = if self.threads == 0 {
-            std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1)
-        } else {
-            self.threads
-        };
+        let t = if self.threads == 0 { host_parallelism() } else { self.threads };
         t.clamp(1, tasks.max(1))
-    }
-}
-
-/// A worker's report of one finished task, sent over the event channel.
-enum Event {
-    Done(TaskTiming),
-    Failed(Task, Error),
-}
-
-/// Cancels the pool if the holder unwinds: a panicking task body must wake
-/// the parked workers (so they exit and drop their event senders) instead
-/// of leaving the whole executor deadlocked; the panic itself then
-/// propagates through `std::thread::scope`'s implicit join.
-struct CancelOnUnwind<'a> {
-    pool: &'a Mutex<Pool>,
-    bell: &'a Condvar,
-    armed: bool,
-}
-
-impl Drop for CancelOnUnwind<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            // Reach the flag even if a sibling panic already poisoned the
-            // lock — a double panic here would abort the process.
-            self.pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner).canceled = true;
-            self.bell.notify_all();
-        }
     }
 }
 
@@ -351,117 +496,101 @@ impl Executor for ThreadedExecutor {
             ready_at: vec![0.0; total],
             unclaimed: total,
             canceled: false,
+            caller_parked: false,
+            timings: Vec::with_capacity(total),
+            failure: None,
+            panic: None,
         });
         let bell = Condvar::new();
-        let (events_tx, events_rx) = std::sync::mpsc::channel::<Event>();
+        let job = NEXT_JOB.fetch_add(1, Ordering::Relaxed);
 
         let t0 = Instant::now();
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let pool = &pool;
-                let bell = &bell;
-                let tx = events_tx.clone();
-                // If the pool mutex is ever poisoned (a panic originating
-                // under the lock — debug dep-count checks, allocator
-                // failure growing the heap), the poison flag carries no
-                // meaning: the pool's invariants hold at every unlock and
-                // cancellation is flag-based. Every lock recovers with
-                // `into_inner` rather than cascading the sibling workers
-                // into a secondary panic per worker.
-                s.spawn(move || loop {
-                    let (id, ready) = {
-                        let mut p = pool.lock().expect("runtime pool poisoned");
-                        loop {
-                            if p.canceled || p.unclaimed == 0 {
-                                return;
-                            }
-                            if let Some(Reverse((_, id))) = p.ready.pop() {
-                                p.unclaimed -= 1;
-                                break (id, p.ready_at[id]);
-                            }
-                            p = bell.wait(p).expect("runtime pool poisoned");
-                        }
-                    };
-                    let task = dag.tasks()[id];
-                    let start = t0.elapsed().as_secs_f64();
-                    let mut guard = CancelOnUnwind { pool, bell, armed: true };
-                    let result = runner.run(task);
-                    guard.armed = false;
-                    let end = t0.elapsed().as_secs_f64();
-                    match result {
-                        Ok(()) => {
-                            let mut p = pool.lock().expect("runtime pool poisoned");
-                            for &succ in dag.successors(id) {
-                                p.deps[succ] -= 1;
-                                if p.deps[succ] == 0 {
-                                    p.ready_at[succ] = end;
-                                    p.ready.push(Reverse((dag.priority(succ), succ)));
-                                }
-                            }
-                            drop(p);
-                            bell.notify_all();
-                            let _ = tx.send(Event::Done(TaskTiming {
-                                task,
-                                worker: w,
-                                ready,
-                                start,
-                                end,
-                            }));
-                        }
-                        Err(e) => {
-                            pool.lock().expect("runtime pool poisoned").canceled = true;
-                            bell.notify_all();
-                            let _ = tx.send(Event::Failed(task, e));
-                            return;
+        // The claim loop, the same for worker 0 (the caller) and helpers.
+        let work = |w: usize| loop {
+            let (id, ready, wake_caller, wake_helper) = {
+                let mut p = lock(&pool);
+                loop {
+                    if p.canceled || p.unclaimed == 0 {
+                        return;
+                    }
+                    if let Some(Reverse((_, id))) = p.ready.pop() {
+                        p.unclaimed -= 1;
+                        // Wake-ups follow the ready set: one more thread,
+                        // and only if this claim left it something.
+                        let surplus = !p.ready.is_empty();
+                        let wake_caller = surplus && p.caller_parked;
+                        break (id, p.ready_at[id], wake_caller, surplus && workers > 1);
+                    }
+                    if w != 0 {
+                        return; // a helper with nothing to claim goes home
+                    }
+                    p.caller_parked = true;
+                    p = bell.wait(p).unwrap_or_else(PoisonError::into_inner);
+                    p.caller_parked = false;
+                }
+            };
+            if wake_caller {
+                bell.notify_one();
+            } else if wake_helper {
+                offer(job);
+            }
+            let task = dag.tasks()[id];
+            let start = t0.elapsed().as_secs_f64();
+            let result = catch_unwind(AssertUnwindSafe(|| runner.run(task)));
+            let end = t0.elapsed().as_secs_f64();
+            let mut p = lock(&pool);
+            match result {
+                Ok(Ok(())) => {
+                    for &succ in dag.successors(id) {
+                        p.deps[succ] -= 1;
+                        if p.deps[succ] == 0 {
+                            p.ready_at[succ] = end;
+                            p.ready.push(Reverse((dag.priority(succ), succ)));
                         }
                     }
-                });
+                    p.timings.push(TaskTiming { task, worker: w, ready, start, end });
+                }
+                Ok(Err(e)) => {
+                    if p.failure.as_ref().is_none_or(|(k, _)| task.step() < *k) {
+                        p.failure = Some((task.step(), e));
+                    }
+                    p.canceled = true;
+                }
+                Err(payload) => {
+                    p.panic.get_or_insert(payload);
+                    p.canceled = true;
+                }
             }
-            drop(events_tx);
+            // The caller sleeps through completions that leave it nothing
+            // to claim; only the end of the job must reach it.
+            let over = p.caller_parked && (p.canceled || p.timings.len() == total);
+            drop(p);
+            if over {
+                bell.notify_all();
+            }
+        };
+        if workers == 1 {
+            work(0);
+        } else {
+            run_job(job, workers, &work);
+        }
 
-            // The submitting thread collects completion events; the scope
-            // joins the workers before we leave.
-            let mut report = ExecReport { workers, ..Default::default() };
-            let mut failure: Option<(usize, Error)> = None;
-            while let Ok(ev) = events_rx.recv() {
-                match ev {
-                    Event::Done(t) => {
-                        if let Some(rec) = recorder {
-                            record_timing(rec, &t);
-                        }
-                        report.order.push(t.task);
-                        report.timings.push(t);
-                    }
-                    Event::Failed(task, e) => {
-                        // Keep the earliest-step failure for determinism
-                        // (in practice panels are chained, so at most one
-                        // task can fail first).
-                        let key = task.step();
-                        if failure.as_ref().is_none_or(|(k, _)| key < *k) {
-                            failure = Some((key, e));
-                        }
-                    }
-                }
+        let p = pool.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let wall = t0.elapsed().as_secs_f64();
+        if let Some(payload) = p.panic {
+            resume_unwind(payload);
+        }
+        if let Some(rec) = recorder {
+            p.timings.iter().for_each(|t| record_timing(rec, t));
+        }
+        match p.failure {
+            Some((_, e)) => Err(e),
+            None => {
+                debug_assert_eq!(p.timings.len(), total, "all tasks must complete");
+                let order = p.timings.iter().map(|t| t.task).collect();
+                Ok(ExecReport { order, timings: p.timings, workers, wall })
             }
-            report.wall = t0.elapsed().as_secs_f64();
-            match failure {
-                Some((_, e)) => Err(e),
-                None => {
-                    // A shortfall without a recorded failure means a task
-                    // body panicked; the scope join below re-raises it, so
-                    // this (possibly partial) report is discarded.
-                    debug_assert!(
-                        report.order.len() == total
-                            || pool
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .canceled,
-                        "all tasks must complete"
-                    );
-                    Ok(report)
-                }
-            }
-        })
+        }
     }
 }
 
@@ -511,7 +640,9 @@ impl ExecutorKind {
 mod tests {
     use super::*;
     use crate::dag::LuShape;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread::{scope, ThreadId};
 
     fn dag(m: usize, n: usize, nb: usize, d: usize) -> LuDag {
         LuDag::build(LuShape { m, n, nb }, d)
@@ -682,6 +813,139 @@ mod tests {
             0,
             "sibling workers must recover from the poisoned pool, not cascade"
         );
+    }
+
+    /// Runner that notes every thread it runs on and holds each of the
+    /// four leaf elections of panel 0 (all ready at submission) until
+    /// `hands` distinct threads are inside one — so a job cannot end
+    /// before that many workers have joined it. `after` is the election's
+    /// result on a thread other than the caller, once the hands are in.
+    struct AllHands<F> {
+        hands: usize,
+        seen: Mutex<HashSet<ThreadId>>,
+        arrived: Condvar,
+        caller: ThreadId,
+        after: F,
+    }
+
+    impl<F: Fn() -> Result<()> + Sync> AllHands<F> {
+        fn new(hands: usize, after: F) -> Self {
+            let (seen, arrived) = (Mutex::default(), Condvar::new());
+            Self { hands, seen, arrived, caller: std::thread::current().id(), after }
+        }
+
+        fn threads(self) -> HashSet<ThreadId> {
+            self.seen.into_inner().unwrap()
+        }
+    }
+
+    impl<F: Fn() -> Result<()> + Sync> TaskRunner for AllHands<F> {
+        fn run(&self, task: Task) -> Result<()> {
+            let me = std::thread::current().id();
+            let mut seen = self.seen.lock().unwrap();
+            seen.insert(me);
+            if !matches!(task, Task::PanelElect { k: 0, .. }) {
+                return Ok(());
+            }
+            self.arrived.notify_all();
+            while seen.len() < self.hands {
+                let (guard, wait) =
+                    self.arrived.wait_timeout(seen, std::time::Duration::from_secs(60)).unwrap();
+                assert!(
+                    !wait.timed_out(),
+                    "only {} of {} workers arrived",
+                    guard.len(),
+                    self.hands
+                );
+                seen = guard;
+            }
+            drop(seen);
+            if me == self.caller {
+                Ok(())
+            } else {
+                (self.after)()
+            }
+        }
+    }
+
+    // The next two tests read thread ids against a worker count of 4: no
+    // test of this binary may ask the registry for more than 3 helpers.
+
+    #[test]
+    fn helpers_are_spawned_once_not_per_execute() {
+        let (small, large) = (dag(64, 64, 32, 1), dag(192, 192, 32, 2));
+        let seen = Mutex::new(HashSet::new());
+        let note = |_t: Task| -> Result<()> {
+            seen.lock().unwrap().insert(std::thread::current().id());
+            Ok(())
+        };
+        for _ in 0..100 {
+            for g in [&small, &large] {
+                let rep = ThreadedExecutor::new(4).execute(g, &note).unwrap();
+                assert_eq!(rep.order.len(), g.len());
+            }
+        }
+        let threads = seen.into_inner().unwrap().len();
+        assert!(threads <= 4, "200 executes at 4 workers ran on {threads} threads");
+    }
+
+    #[test]
+    fn helpers_survive_a_panicking_body_and_a_cancel() {
+        let g = dag(160, 160, 32, 2);
+        assert_eq!(g.dep_counts().iter().filter(|&&d| d == 0).count(), 4, "four leaves");
+        let all_hands = || {
+            let r = AllHands::new(4, || Ok(()));
+            let rep = ThreadedExecutor::new(4).execute(&g, &r).unwrap();
+            assert_eq!(rep.order.len(), g.len());
+            r.threads()
+        };
+        let before = all_hands();
+        assert_eq!(before.len(), 4, "the caller and three helpers");
+
+        // Both failures happen on helper threads, two of them inside the job.
+        let r = AllHands::new(3, || panic!("injected helper panic"));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ThreadedExecutor::new(4).execute(&g, &r)
+        }));
+        assert!(unwound.is_err(), "the helper's panic must reach the caller");
+        let r = AllHands::new(3, || Err(Error::SingularPivot { step: 7 }));
+        let err = ThreadedExecutor::new(4).execute(&g, &r).unwrap_err();
+        assert_eq!(err, Error::SingularPivot { step: 7 });
+
+        assert_eq!(all_hands(), before, "the same four threads must still be serving");
+    }
+
+    #[test]
+    fn concurrent_and_nested_executes_keep_the_dependence_order() {
+        // Eight callers share three helpers; the ninth job is issued from
+        // inside a task body of the first. Every one must terminate with
+        // every task run after its predecessors.
+        let g = dag(160, 160, 32, 2);
+        let inner = dag(96, 96, 32, 1);
+        let run_checked = |g: &LuDag| {
+            let r = CheckRunner::new(g);
+            let rep = ThreadedExecutor::new(4).execute(g, &r).unwrap();
+            assert_eq!(r.count.load(Ordering::SeqCst), g.len());
+            assert_eq!(rep.order.len(), g.len());
+        };
+        scope(|s| {
+            s.spawn(|| {
+                let r = CheckRunner::new(&g);
+                let nesting = |t: Task| {
+                    if t == (Task::PanelFinish { k: 1 }) {
+                        run_checked(&inner);
+                    }
+                    r.run(t)
+                };
+                for _ in 0..20 {
+                    ThreadedExecutor::new(4).execute(&g, &nesting).unwrap();
+                    r.done.iter().for_each(|d| d.store(false, Ordering::SeqCst));
+                }
+            });
+            for _ in 1..8 {
+                s.spawn(|| (0..20).for_each(|_| run_checked(&g)));
+            }
+        });
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!   throttle for any lookahead depth `d ≥ 1`;
 //! * [`exec`] — two executors behind the [`Executor`] trait: a
 //!   deterministic [`SerialExecutor`] (priority-ordered replay) and a
-//!   [`ThreadedExecutor`] (`std::thread` workers over a shared
-//!   critical-path-first pool, `mpsc` completion channel), both
-//!   recording per-task timings that convert into `calu-netsim` Gantt
-//!   traces.
+//!   [`ThreadedExecutor`] (the caller as worker 0 plus process-wide
+//!   long-lived helper threads over a shared critical-path-first pool,
+//!   woken only when a claim leaves ready tasks behind), both recording
+//!   per-task timings that convert into `calu-netsim` Gantt traces.
 //!
 //! The runtime is algorithm-agnostic: it schedules; a [`TaskRunner`]
 //! implemented by the caller supplies the kernels. `calu-core`'s
@@ -28,6 +28,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod dag;
 pub mod dist;
@@ -44,7 +45,8 @@ pub use dist::{
     DistPanelAlg, DistSchedule, DistTaskCost, LegRole,
 };
 pub use exec::{
-    ExecReport, Executor, ExecutorKind, SerialExecutor, TaskRunner, TaskTiming, ThreadedExecutor,
+    host_parallelism, ExecReport, Executor, ExecutorKind, SerialExecutor, TaskRunner, TaskTiming,
+    ThreadedExecutor,
 };
 pub use panel::{
     partition_rows, tournament_tree, PanelMode, PanelPlan, TreeMatch, DEFAULT_TOURNAMENT_LEAVES,

@@ -8,7 +8,7 @@
 
 use calu_repro::core::{calu_factor, gepp_factor, runtime_calu_factor, CaluOpts, RuntimeOpts};
 use calu_repro::matrix::{gen, Matrix};
-use calu_repro::runtime::ExecutorKind;
+use calu_repro::runtime::{host_parallelism, ExecutorKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -41,8 +41,7 @@ fn main() {
     println!("  GEPP (blocked getrf):   {t_gepp:.3}s");
     println!("  CALU sequential:        {t_seq:.3}s  ({:.2}x vs GEPP)", t_gepp / t_seq);
 
-    let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    for threads in [1usize, 2, cores.max(2)] {
+    for threads in [1usize, 2, host_parallelism().max(2)] {
         let rt = RuntimeOpts { lookahead: 1, executor: ExecutorKind::Threaded { threads } };
         let t_par = time(|| {
             runtime_calu_factor(&a, opts, rt).unwrap();
