@@ -14,8 +14,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The two shapes the repository benchmark probes (`matrix.blas3.*` in
-/// `benchmark/`): the 64^3 update of one tile, which is a `Gemm` task of the
-/// runtime, and the rank-64 trailing update of sequential CALU at n = 1024.
+/// `benchmark/`) — the 64^3 update of one contiguous tile and the rank-64
+/// trailing update of sequential CALU at n = 1024 — and the two shapes a
+/// `Gemm` task of the runtime is cut from, as windows of a flat `ld = 1536`
+/// matrix (`square_factor`'s): one 64-row tile and one 256-row update chunk
+/// of a block column. The last two decide the register-tile shape and the
+/// chunk height (`UPDATE_CHUNK_ROWS` in `calu-runtime`).
 fn bench_gemm_at<T: Scalar>(g: &mut BenchmarkGroup<'_>) {
     let mut rng = StdRng::seed_from_u64(1);
     // (label, m, k, n, calls per timed iteration: 200 tile updates, as there).
@@ -29,6 +33,25 @@ fn bench_gemm_at<T: Scalar>(g: &mut BenchmarkGroup<'_>) {
             bench.iter(|| {
                 for _ in 0..calls {
                     gemm(-T::ONE, a.view(), b.view(), T::ONE, c.view_mut());
+                }
+            })
+        });
+    }
+    // One block column of step 0's trailing update: L21 is rows 64.. of
+    // block column 0, U12 the top tile of block column 1, C the rows below
+    // it, swept in windows of `rows` rows.
+    let (ld, nb) = (1536, 64);
+    let mut flat = gen::randn::<T>(&mut rng, ld, 2 * nb);
+    for (name, rows) in [("flat_tile_64x64x64", 64), ("flat_chunk_256x64x64", 256)] {
+        g.bench_function(format!("{name}_ld{ld}_{}", T::NAME), |bench| {
+            bench.iter(|| {
+                let (left, right) = flat.view_mut().split_at_col_mut(nb);
+                let (u12, mut c) = right.split_at_row_mut(nb);
+                let l21 = left.submatrix(nb, 0, ld - nb, nb);
+                for r in (0..ld - nb).step_by(rows) {
+                    let h = rows.min(ld - nb - r);
+                    let window = c.submatrix_mut(r, 0, h, nb);
+                    gemm(-T::ONE, l21.submatrix(r, 0, h, nb), u12.as_view(), T::ONE, window);
                 }
             })
         });

@@ -7,7 +7,7 @@
 //!
 //! The runtime schedules; this module supplies the kernels: a
 //! [`calu_runtime::TaskRunner`] whose task bodies are the *same* calls the
-//! sequential sweep makes, carved into leaf / chunk / block-column / tile
+//! sequential sweep makes, carved into leaf / chunk / block-column
 //! granularity. Why the factors are **bitwise identical** to
 //! [`calu_inplace`](crate::calu::calu_inplace) under *any* topological
 //! execution order:
@@ -26,7 +26,8 @@
 //!   column split changes nothing;
 //! * `gemm` accumulates every `C(i,j)` along the inner (panel-width)
 //!   dimension in a fixed order regardless of how `C` is partitioned, so
-//!   tile splits of the trailing update are exact;
+//!   cutting the trailing update into row chunks of block columns (and, on
+//!   tile storage, each chunk into its tiles) is exact;
 //! * every read/write overlap between tasks is ordered by a DAG edge
 //!   (see `calu_runtime::dag`), so there are no racy interleavings to
 //!   reorder arithmetic.
@@ -34,11 +35,11 @@
 //! One runner serves both storage layouts: task bodies address the matrix
 //! through `Storage`, which hands out blocks of a flat column-major
 //! matrix (`SharedMat`) or of single tiles of a [`TileMatrix`]
-//! (`SharedTiles`); operands that span tiles (a leaf, an apply chunk) are
-//! walked run by run.
+//! (`SharedTiles`); operands that span tiles (a leaf, an apply chunk, an
+//! update chunk) are walked run by run.
 //!
 //! The observer is shared behind a mutex, locked per callback (so a
-//! concurrent tile's `on_stage` never waits out a panel task); its
+//! concurrent update's `on_stage` never waits out a panel task); its
 //! statistics are order-free (documented on
 //! [`crate::instrument::PivotStats`]). The only ordered events, the
 //! `on_pivot` thresholds, are assembled per panel in a
@@ -83,8 +84,8 @@ impl Default for RuntimeOpts {
 pub(crate) trait Storage<T: Scalar>: Sync {
     /// A mutable view of the `nr × nc` block at `(i, j)`, which must lie
     /// inside one run of the storage: anywhere in a flat matrix, within one
-    /// tile of a tile-major one (every `Trsm`/`Gemm` operand and every panel
-    /// top block does; see [`Storage::row_runs`] for operands that do not).
+    /// tile of a tile-major one (every `Trsm` operand and every panel top
+    /// block does; see [`Storage::row_runs`] for operands that do not).
     ///
     /// # Safety
     /// The caller must hold (via DAG ordering) exclusive access to the
@@ -147,9 +148,9 @@ impl<T: Scalar> Storage<T> for SharedMat<T> {
 }
 
 /// Shared-mutable handle to a [`TileMatrix`] — the tile-major counterpart
-/// of [`SharedMat`]. Every operand of `Trsm`/`Gemm` lives inside one tile,
-/// which is the point of the layout; only the cross-tile row swaps and the
-/// panel's leaves and apply chunks walk several tiles.
+/// of [`SharedMat`]. Every operand of a `gemm`/`trsm` call lives inside one
+/// tile, which is the point of the layout; the cross-tile row swaps and the
+/// panel's leaves, apply chunks and update chunks walk several tiles.
 struct SharedTiles<T> {
     ptr: *mut T,
     layout: TileLayout,
@@ -261,8 +262,8 @@ fn rebase_singular(base: usize) -> impl Fn(Error) -> Error {
 }
 
 /// Forwards observer callbacks through the shared mutex, locking per
-/// event rather than per task — a concurrent `Gemm` tile's `on_stage`
-/// never waits out a whole panel task, only one callback.
+/// event rather than per task — a concurrent `Gemm`'s `on_stage` never
+/// waits out a whole panel task, only one callback.
 struct MutexObs<'a, 'o, O>(&'a Mutex<&'o mut O>);
 
 impl<T: Scalar, O: PivotObserver<T> + Send> PivotObserver<T> for MutexObs<'_, '_, O> {
@@ -413,17 +414,19 @@ where
                 Ok(())
             }
             Task::Gemm { i, j, .. } => {
-                let rows = shape.row_range(i);
+                let rows = self.dag.panel_plan(k).update_chunk(i);
                 let cols = shape.col_range(j);
-                // SAFETY: Gemm(k,i,j) owns its trailing tile; L₂₁ and U₁₂
-                // are stable until the swaps that are DAG-ordered after
-                // every gemm of step k.
-                let l21 = unsafe { self.mat.block(rows.start, base, rows.len(), jb) };
+                // SAFETY: Gemm(k,i,j) owns its chunk's rows of block column
+                // j; L₂₁ and U₁₂ are stable until the swaps that are
+                // DAG-ordered after every gemm of step k.
                 let u12 = unsafe { self.mat.block(base, cols.start, jb, cols.len()) };
-                let mut tile =
-                    unsafe { self.mat.block(rows.start, cols.start, rows.len(), cols.len()) };
-                gemm(-T::ONE, l21.as_view(), u12.as_view(), T::ONE, tile.rb_mut());
-                self.obs.lock().expect("observer mutex poisoned").on_stage(&tile.as_view());
+                for run in self.mat.row_runs(base + rows.start..base + rows.end) {
+                    let l21 = unsafe { self.mat.block(run.start, base, run.len(), jb) };
+                    let mut c =
+                        unsafe { self.mat.block(run.start, cols.start, run.len(), cols.len()) };
+                    gemm(-T::ONE, l21.as_view(), u12.as_view(), T::ONE, c.rb_mut());
+                    self.obs.lock().expect("observer mutex poisoned").on_stage(&c.as_view());
+                }
                 Ok(())
             }
             Task::Dist(_) | Task::Solve(_) => {
@@ -475,9 +478,9 @@ fn run_lu<T: Scalar, S: Storage<T>, O: PivotObserver<T> + Send>(
 /// ran where.
 ///
 /// The observer sees the same events as the sequential sweep; only their
-/// order differs (trailing-update stages arrive per tile, concurrent with
-/// later panels; the per-step pivot thresholds arrive after the run, in
-/// step order), so order-free implementations like
+/// order differs (trailing-update stages arrive per update chunk, concurrent
+/// with later panels; the per-step pivot thresholds arrive after the run,
+/// in step order), so order-free implementations like
 /// [`PivotStats`](crate::instrument::PivotStats) record identical
 /// statistics.
 ///
@@ -511,8 +514,8 @@ pub fn runtime_calu_factor<T: Scalar>(
 /// In-place CALU over **tile-major** storage, scheduled by the task-graph
 /// runtime: the same DAG, task bodies, executors, priorities, and
 /// bitwise-vs-sequential guarantee as [`runtime_calu_inplace`], with
-/// operand addressing moved to cache-contained tiles — every `Trsm`/`Gemm`
-/// body touches single contiguous tiles of the [`TileMatrix`], row swaps
+/// operand addressing moved to cache-contained tiles — every `trsm`/`gemm`
+/// call touches single contiguous tiles of the [`TileMatrix`], row swaps
 /// cross tile boundaries element-for-element, and the panel's elections
 /// and `L₂₁` rows are read and formed tile by tile in place (no panel is
 /// gathered or scattered).
@@ -580,9 +583,13 @@ mod tests {
     /// `(m, n, block, p)`: square, ragged, wide, and — so that several
     /// leaves, a fold-in match (p = 3, 5) and several apply chunks are in
     /// play — tall-skinny shapes of more than 4096 rows per panel.
-    const SHAPES: [(usize, usize, usize, usize); 10] = [
+    const SHAPES: [(usize, usize, usize, usize); 12] = [
         (96, 96, 16, 4),
         (130, 130, 32, 8),
+        // 256-row update chunks and a ragged last one, a tile fewer per step.
+        (300, 300, 16, 4),
+        // 280-row update chunks, one straddling the two 4080-row apply chunks.
+        (4400, 80, 40, 5),
         (64, 64, 64, 4), // single panel: no lookahead at all
         (40, 40, 64, 4), // block bigger than the matrix
         (100, 60, 16, 4),

@@ -15,10 +15,11 @@
 //!   apart and map to eight L1 sets — stop evicting one another.
 //! * The micro-kernel ([`Ukernel`]) keeps a whole `MR × NR` tile of `C` in
 //!   registers across the `k` loop. It is reached through one hook,
-//!   [`Scalar::gemm_ukernel`], with exactly two arms ([`Arm`]): `std::arch`
-//!   AVX2+FMA kernels for `f64` (8×6) and `f32` (16×6), chosen once per
-//!   process when the host has both features, and one generic portable
-//!   kernel otherwise. Nothing else selects an arm.
+//!   [`Scalar::gemm_ukernel`], with three arms ([`Arm`]): `std::arch`
+//!   AVX-512 kernels for `f64` (16×8) and `f32` (32×8) and AVX2+FMA kernels
+//!   (8×6, 16×6) — one macro, four expansions — the widest the host has
+//!   chosen once per process, and one generic portable kernel otherwise.
+//!   Nothing else selects an arm.
 //! * Pack buffers come from a process-wide pool, one buffer per concurrently
 //!   running call, each grown to the largest block it has held and never
 //!   beyond `MC·KC + KC·NC` elements; once warm, no `gemm` call allocates.
@@ -28,18 +29,20 @@
 //! Every element of `C` is computed as `c ← β·c`, then for each `KC`-block
 //! of `k` in order `c ← c + α·(Σ_l a_il·b_lj)`, the sum accumulated from
 //! zero in increasing `l` with one operation per step — a fused multiply-add
-//! on the AVX2+FMA arm, a multiply then an add on the portable arm. The `KC`
-//! splits depend on `k` alone, and a ragged tile is computed as a full
+//! on the two SIMD arms, a multiply then an add on the portable arm. The
+//! `KC` splits depend on `k` alone, and a ragged tile is computed as a full
 //! padded tile of which only the valid part is stored. So an element's bits
-//! do not depend on `m`, `n`, leading dimensions, where the element sits in
-//! a register tile or cache block, or how the caller cut `C` into pieces:
-//! `gemm` on a whole matrix equals `gemm` tile by tile over any partition
-//! of its rows and columns, bit for bit. That is what keeps the per-tile
-//! task-graph runtime, the distributed runtime and both storage layouts
-//! bitwise equal to the sequential whole-matrix update.
-//! **Bits are a function of (input, arm) and nothing else**: the two arms
-//! round differently, so factors are reproducible across runs, schedules
-//! and thread counts on one host, not across hosts that take different arms.
+//! do not depend on `m`, `n`, leading dimensions, the register-tile shape,
+//! where the element sits in a register tile or cache block, or how the
+//! caller cut `C` into pieces: `gemm` on a whole matrix equals `gemm` piece
+//! by piece over any partition of its rows and columns, bit for bit. That
+//! is what keeps the task-graph runtime's row chunks, the distributed
+//! runtime and both storage layouts bitwise equal to the sequential
+//! whole-matrix update.
+//! **Bits are a function of (input, fused or not) and nothing else**: the
+//! AVX-512 arm produces the AVX2+FMA arm's bits, the portable arm rounds
+//! twice per step. Factors are reproducible across runs, schedules, thread
+//! counts and AVX2/AVX-512 hosts, not between a SIMD host and a portable one.
 
 mod ukernel;
 
@@ -52,13 +55,15 @@ use crate::{Diag, Side, Uplo};
 use std::sync::{Mutex, PoisonError};
 
 /// Columns of `B`/`C` per outermost block: a multiple of every kernel's
-/// `NR`, so only the last panel of a matrix is ever padded.
-const NC: usize = 510;
+/// `NR` (checked in `Ukernel::for_arm`), so only the last panel of a matrix
+/// is ever padded.
+const NC: usize = 504;
 /// Depth of one packed block: an `MR × KC` and a `KC × NR` panel together
 /// stay in L1 across a micro-kernel call.
 const KC: usize = 256;
-/// Rows of `A`/`C` per packed block (a multiple of every kernel's `MR`): the
-/// `MC × KC` block of packed `A` stays in L2 while `B`'s panels stream by.
+/// Rows of `A`/`C` per packed block (a multiple of every kernel's `MR`,
+/// checked in `Ukernel::for_arm`): the `MC × KC` block of packed `A` stays in
+/// L2 while `B`'s panels stream by.
 const MC: usize = 192;
 
 /// `C = alpha * A * B + beta * C` (BLAS `DGEMM`, no transposes), serial.
@@ -80,7 +85,7 @@ pub fn gemm<T: Scalar>(
 }
 
 /// [`gemm`] on a stated micro-kernel arm. `gemm` is this with
-/// [`Arm::detect`]; tests call it to hold both arms to one contract on one
+/// [`Arm::detect`]; tests call it to hold every arm to one contract on one
 /// host.
 ///
 /// # Panics
@@ -372,9 +377,28 @@ mod tests {
         }
     }
 
-    /// Both arms where the host has AVX2+FMA, the portable one elsewhere.
+    /// Every arm the host can run: the portable one, and each SIMD arm
+    /// whose features it has.
     fn arms() -> impl Iterator<Item = Arm> {
-        [Some(Arm::portable()), Arm::avx2_fma()].into_iter().flatten()
+        [Some(Arm::portable()), Arm::avx2_fma(), Arm::avx512()].into_iter().flatten()
+    }
+
+    #[test]
+    fn detect_takes_the_widest_arm_the_host_offers() {
+        let offered = |arm: Option<Arm>| if arm.is_some() { "yes" } else { "no" };
+        // CI runs this with --nocapture so the log says which arm was tested.
+        println!(
+            "gemm arm: {} (host offers avx512: {}, avx2+fma: {})",
+            Arm::detect().name(),
+            offered(Arm::avx512()),
+            offered(Arm::avx2_fma())
+        );
+        let want = match (Arm::avx512(), Arm::avx2_fma()) {
+            (Some(_), _) => "avx512",
+            (None, Some(_)) => "avx2+fma",
+            (None, None) => "portable",
+        };
+        assert_eq!(Arm::detect().name(), want);
     }
 
     /// `gemm_on(arm)` against `gemm_naive` on one shape: non-finite entries
@@ -443,7 +467,8 @@ mod tests {
         // beta = 0 must overwrite even NaN garbage in C, in full and in
         // ragged register tiles.
         for arm in arms() {
-            for n in [2, 9, 17] {
+            let mr = f64::gemm_ukernel(arm).mr();
+            for n in [2, mr + 1, 2 * mr + 1] {
                 let a = Matrix::identity(n);
                 let b = Matrix::identity(n);
                 let mut c = Matrix::from_fn(n, n, |_, _| f64::NAN);

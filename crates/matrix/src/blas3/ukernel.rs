@@ -8,10 +8,12 @@
 //! panel (`kc` groups of `NR`). The whole tile is accumulated from zero in
 //! registers over `l = 0, 1, …, kc − 1`, then folded into `C` once.
 //!
-//! There are exactly two arms ([`Arm`]):
+//! There are three arms ([`Arm`]), two of them expansions of one macro:
 //!
-//! * **AVX2+FMA** — `std::arch` kernels for `f64` (8×6) and `f32` (16×6),
-//!   twelve `ymm` accumulators, every step a fused multiply-add.
+//! * **AVX-512** — `std::arch` kernels for `f64` (16×8) and `f32` (32×8),
+//!   sixteen `zmm` accumulators, every step a fused multiply-add.
+//! * **AVX2+FMA** — the same kernel at `f64` 8×6 and `f32` 16×6, twelve
+//!   `ymm` accumulators.
 //! * **portable** — one generic kernel, `a * b + c` with two roundings, for
 //!   every other host. It never calls `mul_add`, which without the `fma`
 //!   target feature is a libm call.
@@ -19,25 +21,28 @@
 //! Within one arm every element of `C` sees the same operations in the same
 //! order whatever its position in a tile, and ragged tiles are computed as
 //! full padded tiles in a scratch tile of which only the valid part is
-//! copied back — so the bits of `gemm` depend on the input and on the arm,
-//! and on nothing else (see `super`'s module documentation).
+//! copied back. Both SIMD arms accumulate with one fused multiply-add per
+//! `l` from zero and fold with `fma(α, Σ, c)`, so they produce the same
+//! bits — the bits of `gemm` depend on the input and on whether the arm
+//! fuses, and on nothing else (see `super`'s module documentation).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use super::PackPool;
+use super::{PackPool, MC, NC};
 use crate::scalar::Scalar;
 use crate::view::{MatView, MatViewMut};
 use std::sync::OnceLock;
 
-/// Largest `MR · NR` of any kernel below; sizes the ragged-tile scratch.
-const MAX_TILE: usize = 16 * 6;
+/// Largest `MR · NR` of any kernel below (`f32` on AVX-512); sizes the
+/// ragged-tile scratch.
+const MAX_TILE: usize = 32 * 8;
 
 /// Which micro-kernel implementation runs: the instruction-set arm.
 ///
 /// [`Arm::detect`] is what [`super::gemm`] uses. The other constructors exist
-/// so that tests can hold both arms to the same contract on one host; an
-/// `Arm` naming the AVX2+FMA kernels can only be obtained on a host that has
-/// both features.
+/// so that tests can hold every arm to the same contract on one host; an
+/// `Arm` naming SIMD kernels can only be obtained on a host that has their
+/// features.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arm(Isa);
 
@@ -46,14 +51,17 @@ enum Isa {
     Portable,
     #[cfg(target_arch = "x86_64")]
     Avx2Fma,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Arm {
-    /// The arm this process runs `gemm` on: AVX2+FMA when the host has both
-    /// features, the portable arm otherwise. Detected once per process.
+    /// The arm this process runs `gemm` on: AVX-512 when the host has
+    /// `avx512f`, else AVX2+FMA when it has both features, else the portable
+    /// arm. Detected once per process.
     pub fn detect() -> Arm {
         static ARM: OnceLock<Arm> = OnceLock::new();
-        *ARM.get_or_init(|| Arm::avx2_fma().unwrap_or(Arm::portable()))
+        *ARM.get_or_init(|| Arm::avx512().or(Arm::avx2_fma()).unwrap_or(Arm::portable()))
     }
 
     /// The portable arm (runs everywhere).
@@ -70,12 +78,23 @@ impl Arm {
         None
     }
 
-    /// Short name for reports (`"portable"` / `"avx2+fma"`).
+    /// The AVX-512 arm, or `None` on a host without `avx512f`.
+    pub fn avx512() -> Option<Arm> {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") {
+            return Some(Arm(Isa::Avx512));
+        }
+        None
+    }
+
+    /// Short name for reports (`"portable"` / `"avx2+fma"` / `"avx512"`).
     pub fn name(self) -> &'static str {
         match self.0 {
             Isa::Portable => "portable",
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2Fma => "avx2+fma",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => "avx512",
         }
     }
 }
@@ -97,8 +116,8 @@ type KernelFn<T> = unsafe fn(alpha: T, a: &[T], b: &[T], c: *mut T, ldc: usize);
 /// that shape, the pool the pack buffers come from, and the kernel itself.
 ///
 /// Values are built only by [`Ukernel::for_arm`], which is what makes the
-/// macro-kernel safe to call: the shape matches the function, and an
-/// AVX2+FMA function implies a detected feature.
+/// macro-kernel safe to call: the shape matches the function, and a SIMD
+/// function implies its features were detected.
 #[derive(Clone, Copy)]
 pub struct Ukernel<T: 'static> {
     mr: usize,
@@ -113,34 +132,47 @@ pub struct Ukernel<T: 'static> {
 /// `super::pack_b` at a kernel's `MR`/`NR`).
 type PackFn<T> = fn(MatView<'_, T>, &mut [T]);
 
-/// `Ukernel::<$t>::for_arm` at tile shape `$mr x $nr`, with `$simd` as the
-/// AVX2+FMA kernel.
+/// `Ukernel::<$t>::for_arm`: per arm, the tile shape `$mr x $nr` and the
+/// kernel of that shape.
 macro_rules! impl_for_arm {
-    ($t:ty, $mr:literal x $nr:literal, $simd:path) => {
+    ($t:ty, $($(#[$cfg:meta])? $isa:pat => $mr:literal x $nr:literal, $run:expr;)+) => {
         impl Ukernel<$t> {
             /// The micro-kernel of `arm` at this precision.
             pub fn for_arm(arm: Arm) -> Self {
-                const { assert!($mr * $nr <= MAX_TILE) };
                 static POOL: PackPool<$t> = PackPool::new(Vec::new());
-                Ukernel {
-                    mr: $mr,
-                    nr: $nr,
-                    pack_a: super::pack_a::<$t, $mr>,
-                    pack_b: super::pack_b::<$t, $nr>,
-                    pool: &POOL,
-                    run: match arm.0 {
-                        Isa::Portable => portable_kernel::<$t, $mr, $nr>,
-                        #[cfg(target_arch = "x86_64")]
-                        Isa::Avx2Fma => $simd,
-                    },
+                match arm.0 {
+                    $($(#[$cfg])? $isa => {
+                        // The scratch tile holds a whole register tile, and
+                        // the cache blocks are cut on register-tile
+                        // boundaries, so that only the last panel of a
+                        // matrix is ever padded.
+                        const { assert!($mr * $nr <= MAX_TILE) };
+                        const { assert!(MC % $mr == 0 && NC % $nr == 0) };
+                        Ukernel {
+                            mr: $mr,
+                            nr: $nr,
+                            pack_a: super::pack_a::<$t, $mr>,
+                            pack_b: super::pack_b::<$t, $nr>,
+                            pool: &POOL,
+                            run: $run,
+                        }
+                    })+
                 }
             }
         }
     };
 }
 
-impl_for_arm!(f64, 8 x 6, avx2::kernel_f64_8x6);
-impl_for_arm!(f32, 16 x 6, avx2::kernel_f32_16x6);
+impl_for_arm!(f64,
+    Isa::Portable => 8 x 6, portable_kernel::<f64, 8, 6>;
+    #[cfg(target_arch = "x86_64")] Isa::Avx2Fma => 8 x 6, simd::avx2_f64_8x6;
+    #[cfg(target_arch = "x86_64")] Isa::Avx512 => 16 x 8, simd::avx512_f64_16x8;
+);
+impl_for_arm!(f32,
+    Isa::Portable => 16 x 6, portable_kernel::<f32, 16, 6>;
+    #[cfg(target_arch = "x86_64")] Isa::Avx2Fma => 16 x 6, simd::avx2_f32_16x6;
+    #[cfg(target_arch = "x86_64")] Isa::Avx512 => 32 x 8, simd::avx512_f32_32x8;
+);
 
 impl<T: Scalar> Ukernel<T> {
     /// Rows of the register tile (`A` is packed in panels of this many rows).
@@ -271,67 +303,100 @@ unsafe fn portable_kernel<T: Scalar, const MR: usize, const NR: usize>(
 }
 
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
+mod simd {
     use std::arch::x86_64::*;
 
-    /// Generates one AVX2+FMA kernel: `MR = 2 · lanes` rows held in two `ymm`
-    /// registers per column, six columns, twelve accumulators; two loads of
-    /// `A` and six broadcasts of `B` feed twelve FMAs per step.
-    macro_rules! avx2_fma_kernel {
-        ($name:ident, $t:ty, $lanes:literal, $zero:ident, $load:ident, $store:ident,
-         $set1:ident, $fmadd:ident) => {
+    /// Generates one fused multiply-add kernel: `MR = vecs · lanes` rows held
+    /// in `$vecs` vector registers per column, `$nr` columns, `vecs · nr`
+    /// accumulators; `$vecs` loads of `A` and `$nr` broadcasts of `B` feed
+    /// that many FMAs per step.
+    macro_rules! fma_kernel {
+        ($name:ident, $features:literal, $t:ty, $lanes:literal x $vecs:literal, $nr:literal,
+         $zero:ident, $load:ident, $store:ident, $set1:ident, $fmadd:ident) => {
             /// # Safety
-            /// See [`super::KernelFn`]; the CPU must support AVX2 and FMA.
-            #[target_feature(enable = "avx2,fma")]
+            /// See [`super::KernelFn`]; the CPU must support the kernel's
+            /// target features.
+            #[target_feature(enable = $features)]
             pub(super) unsafe fn $name(alpha: $t, a: &[$t], b: &[$t], c: *mut $t, ldc: usize) {
-                const MR: usize = 2 * $lanes;
-                const NR: usize = 6;
+                const MR: usize = $vecs * $lanes;
+                const NR: usize = $nr;
                 debug_assert_eq!(a.len() % MR, 0);
                 debug_assert_eq!(a.len() / MR, b.len() / NR);
-                let mut acc = [[$zero(); 2]; NR];
+                let mut acc = [[$zero(); $vecs]; NR];
                 for (ar, br) in a.chunks_exact(MR).zip(b.chunks_exact(NR)) {
-                    // SAFETY: `ar` is `MR = 2·lanes` elements long, so both
-                    // unaligned vector loads are inside it.
-                    let (a0, a1) = unsafe { ($load(ar.as_ptr()), $load(ar.as_ptr().add($lanes))) };
+                    // SAFETY: `ar` is `MR = vecs·lanes` elements long, so
+                    // every unaligned vector load is inside it.
+                    let av: [_; $vecs] =
+                        std::array::from_fn(|v| unsafe { $load(ar.as_ptr().add(v * $lanes)) });
                     for j in 0..NR {
                         let bj = $set1(br[j]);
-                        acc[j][0] = $fmadd(a0, bj, acc[j][0]);
-                        acc[j][1] = $fmadd(a1, bj, acc[j][1]);
+                        for v in 0..$vecs {
+                            acc[j][v] = $fmadd(av[v], bj, acc[j][v]);
+                        }
                     }
                 }
                 let va = $set1(alpha);
                 for (j, col) in acc.iter().enumerate() {
-                    // SAFETY: the caller guarantees `[c + j·ldc, +MR)` is
-                    // valid and exclusive for each `j < NR`; the two vectors
-                    // cover exactly those `MR` elements.
-                    unsafe {
-                        let p = c.add(j * ldc);
-                        $store(p, $fmadd(va, col[0], $load(p)));
-                        $store(p.add($lanes), $fmadd(va, col[1], $load(p.add($lanes))));
+                    for (v, &s) in col.iter().enumerate() {
+                        // SAFETY: the caller guarantees `[c + j·ldc, +MR)` is
+                        // valid and exclusive for each `j < NR`; the `vecs`
+                        // vectors cover exactly those `MR` elements.
+                        unsafe {
+                            let p = c.add(j * ldc + v * $lanes);
+                            $store(p, $fmadd(va, s, $load(p)));
+                        }
                     }
                 }
             }
         };
     }
 
-    avx2_fma_kernel!(
-        kernel_f64_8x6,
+    fma_kernel!(
+        avx2_f64_8x6,
+        "avx2,fma",
         f64,
-        4,
+        4 x 2,
+        6,
         _mm256_setzero_pd,
         _mm256_loadu_pd,
         _mm256_storeu_pd,
         _mm256_set1_pd,
         _mm256_fmadd_pd
     );
-    avx2_fma_kernel!(
-        kernel_f32_16x6,
+    fma_kernel!(
+        avx2_f32_16x6,
+        "avx2,fma",
         f32,
-        8,
+        8 x 2,
+        6,
         _mm256_setzero_ps,
         _mm256_loadu_ps,
         _mm256_storeu_ps,
         _mm256_set1_ps,
         _mm256_fmadd_ps
+    );
+    fma_kernel!(
+        avx512_f64_16x8,
+        "avx512f",
+        f64,
+        8 x 2,
+        8,
+        _mm512_setzero_pd,
+        _mm512_loadu_pd,
+        _mm512_storeu_pd,
+        _mm512_set1_pd,
+        _mm512_fmadd_pd
+    );
+    fma_kernel!(
+        avx512_f32_32x8,
+        "avx512f",
+        f32,
+        16 x 2,
+        8,
+        _mm512_setzero_ps,
+        _mm512_loadu_ps,
+        _mm512_storeu_ps,
+        _mm512_set1_ps,
+        _mm512_fmadd_ps
     );
 }

@@ -64,7 +64,7 @@ pub fn lu_rows<T: Scalar, O: PivotObserver<T>>(
     lu_rows_on(Arm::detect(), u11, rows, col_max, obs)
 }
 
-/// [`lu_rows`] on a stated `gemm` arm; tests hold both arms to the
+/// [`lu_rows`] on a stated `gemm` arm; tests hold every arm to the
 /// row-independence contract on one host.
 ///
 /// # Errors

@@ -9,8 +9,9 @@
 //!   borrowed, leading-dimension strided views so every kernel operates on
 //!   sub-blocks without copying (the shape ScaLAPACK-style algorithms need).
 //! * BLAS level 1/2/3: [`blas1`], [`blas2`], [`blas3`] (`iamax`, `axpy`,
-//!   `ger`, `gemv`, a packed register-blocked `gemm` with AVX2+FMA and
-//!   portable micro-kernels, the four no-transpose `trsm` cases used by LU).
+//!   `ger`, `gemv`, a packed register-blocked `gemm` with AVX-512, AVX2+FMA
+//!   and portable micro-kernels, the four no-transpose `trsm` cases used by
+//!   LU).
 //! * LAPACK-style factorizations in [`lapack`]: `getf2` (classic partial
 //!   pivoting, the paper's `DGETF2`), `rgetf2` (recursive, the paper's
 //!   `RGETF2` from Gustavson/Toledo), blocked `getrf` (GEPP baseline),

@@ -99,6 +99,28 @@ proptest! {
             prop_assert!(bits(&whole) == bits(&pieces), "f32 differs on the {} arm", arm.name());
         }
     }
+
+    #[test]
+    fn fused_arms_agree_bitwise(
+        seed in 0u64..1_000_000,
+        m in 1usize..200, n in 1usize..200, k in 1usize..300,
+        alpha in 0usize..3, beta in 0usize..3, pad in 1usize..9,
+    ) {
+        // Both SIMD arms accumulate with one fused multiply-add per step
+        // from zero and fold with fma(alpha, sum, c): different register
+        // tiles, same bits — whole or piece by piece.
+        let (Some(wide), Some(narrow)) = (Arm::avx512(), Arm::avx2_fma()) else {
+            println!("fused_arms_agree_bitwise skipped: no avx512f");
+            return Ok(());
+        };
+        let scale = ([1.0, -1.0, 1.5][alpha], [0.0, 1.0, -0.5][beta]);
+        let (whole, pieces) = whole_and_pieces::<f64>(wide, seed, (m, n, k), scale, pad);
+        let (want, _) = whole_and_pieces::<f64>(narrow, seed, (m, n, k), scale, pad);
+        prop_assert!(bits(&whole) == bits(&want) && bits(&pieces) == bits(&want), "f64 differs");
+        let (whole, pieces) = whole_and_pieces::<f32>(wide, seed, (m, n, k), scale, pad);
+        let (want, _) = whole_and_pieces::<f32>(narrow, seed, (m, n, k), scale, pad);
+        prop_assert!(bits(&whole) == bits(&want) && bits(&pieces) == bits(&want), "f32 differs");
+    }
 }
 
 /// Panel widths the `lu_rows` properties run at: one column, one short of,
@@ -106,9 +128,9 @@ proptest! {
 /// benchmark's 64.
 const PANEL_WIDTHS: [usize; 6] = [1, 7, 8, 9, 63, 64];
 
-/// Both `gemm` arms this host can run.
+/// Every `gemm` arm this host can run.
 fn arms() -> impl Iterator<Item = Arm> {
-    [Some(Arm::portable()), Arm::avx2_fma()].into_iter().flatten()
+    [Some(Arm::portable()), Arm::avx2_fma(), Arm::avx512()].into_iter().flatten()
 }
 
 /// A `(jb + h) × jb` panel whose top block is diagonally dominant — the

@@ -14,17 +14,21 @@
 //! * [`Task::Swap`]`(k, j)` — apply panel `k`'s pivot sequence to block
 //!   column `j ≠ k` (rows `k·nb..m`);
 //! * [`Task::Trsm`]`(k, j)` — `U₁₂ = L₁₁⁻¹ A₁₂` on block column `j > k`;
-//! * [`Task::Gemm`]`(k, i, j)` — `A(i,j) -= L₂₁(i) · U₁₂(j)` on the
-//!   trailing tile at block row `i`, block column `j`.
+//! * [`Task::Gemm`]`(k, i, j)` — `A(i,j) -= L₂₁(i) · U₁₂(j)` on the rows
+//!   of update chunk `i` ([`PanelPlan::update_chunk`]: a run of whole tiles
+//!   of about 256 rows) in block column `j`. One `gemm` per task and run of
+//!   storage, not one per tile: the arithmetic intensity of the task is
+//!   raised, not the count of tasks.
 //!
 //! The edge set encodes exactly the data flow of the *sequential* sweep
 //! (`calu_inplace`), including the orderings that are easy to miss:
 //!
 //! * **per-leaf gates**: `PanelElect(k, leaf)` waits only for the step
-//!   `k − 1` updates of the tiles its rows touch, so elections start as the
+//!   `k − 1` update chunks its rows overlap, so elections start as the
 //!   column drains; `PanelFinish(k)` — the first writer of the column — is
 //!   ordered after every elect through the reduce tree, and each
-//!   `Gemm(k, i, ·)` after the one apply chunk that forms tile row `i`;
+//!   `Gemm(k, i, ·)` after every apply chunk that forms rows of update
+//!   chunk `i`;
 //! * **anti-dependence on `L`**: `Swap(k+1, k)` permutes rows of column
 //!   block `k`, which every `Gemm(k, ·, ·)` still reads as `L₂₁` and every
 //!   `PanelApply(k, ·)` writes — so the first left-swap of a column waits
@@ -37,7 +41,7 @@
 //!
 //! Any topological execution of the DAG produces **bitwise identical**
 //! factors to the sequential sweep run with the same [`PanelMode`] and `p`:
-//! every read/write overlap is ordered by an edge, tile splits of
+//! every read/write overlap is ordered by an edge, row and column splits of
 //! `gemm`/`trsm`/row-swaps are per-element reorderings that do not change
 //! the fixed k-accumulation order of the kernels, candidate sets are folded
 //! in the tree's fixed order, and `L₂₁` rows are bitwise independent of one
@@ -108,12 +112,12 @@ pub enum Task {
         /// Target block column.
         j: usize,
     },
-    /// Trailing update of the tile at block row `i`, block column `j` for
-    /// step `k` (`i > k`, `j > k`).
+    /// Trailing update of step `k` on the rows of update chunk `i` in block
+    /// column `j` (`j > k`).
     Gemm {
         /// Panel step providing `L₂₁` and `U₁₂`.
         k: usize,
-        /// Target block row.
+        /// Update chunk index into step `k`'s [`PanelPlan::update_chunk`].
         i: usize,
         /// Target block column.
         j: usize,
@@ -380,11 +384,6 @@ impl LuShape {
         j * self.nb..self.n.min((j + 1) * self.nb)
     }
 
-    /// Row range of block row `i`.
-    pub fn row_range(&self, i: usize) -> std::ops::Range<usize> {
-        i * self.nb..self.m.min((i + 1) * self.nb)
-    }
-
     /// The columns a `Swap(k, j)`/`Trsm(k, j)`/`Gemm(k, ·, j)` task
     /// touches: the whole block column for `j ≠ k`, or — when a ragged
     /// final panel leaves its block column partially unfactored — the
@@ -526,7 +525,6 @@ impl LuDag {
         assert!(lookahead > 0, "lookahead depth must be at least 1");
         let steps = shape.steps();
         let cb = shape.col_blocks();
-        let rb = shape.row_blocks();
         let nb = shape.nb;
         let plans: Vec<PanelPlan> = (0..steps)
             .map(|k| PanelPlan::new(shape.m - k * nb, shape.panel_width(k), nb, p, mode))
@@ -572,8 +570,8 @@ impl LuDag {
                 push(Task::Swap { k, j }, &mut tasks, &mut by_step);
             }
             // Right of the panel: swap, trsm, and (when trailing rows
-            // exist) one gemm per trailing block row. Whenever a step has
-            // both trailing rows and columns its width is exactly nb, so
+            // exist) one gemm per update chunk. Whenever a step has both
+            // trailing rows and columns its width is exactly nb, so
             // trailing rows start on the block grid at row (k+1)·nb.
             let jb = shape.panel_width(k);
             if jb < nb && k * nb + jb < shape.n {
@@ -588,7 +586,7 @@ impl LuDag {
                 push(Task::Trsm { k, j }, &mut tasks, &mut by_step);
                 if has_rows_below {
                     debug_assert_eq!(jb, nb, "ragged panels have no trailing block");
-                    for i in k + 1..rb {
+                    for i in 0..plan.update_chunks() {
                         push(Task::Gemm { k, i, j }, &mut tasks, &mut by_step);
                     }
                 }
@@ -599,12 +597,12 @@ impl LuDag {
         for (tid, &t) in tasks.iter().enumerate() {
             match t {
                 Task::PanelElect { k, leaf } => {
-                    // Only the tiles this leaf's rows touch must be updated
-                    // through step k-1.
+                    // Only the update chunks this leaf's rows overlap must
+                    // be done through step k-1, whose panel starts one tile
+                    // above this one.
                     if k > 0 {
                         let rows = &plans[k].leaves()[leaf];
-                        let base = k * nb;
-                        for i in (base + rows.start) / nb..(base + rows.end).div_ceil(nb) {
+                        for i in plans[k - 1].update_chunks_of(nb + rows.start..nb + rows.end) {
                             edges.push((id(Task::Gemm { k: k - 1, i, j: k }), tid));
                         }
                     }
@@ -622,7 +620,7 @@ impl LuDag {
                     edges.push((id(Task::PanelFinish { k }), tid));
                     if k > 0 {
                         // Column j fully updated through step k-1 first.
-                        for i in k..rb {
+                        for i in 0..plans[k - 1].update_chunks() {
                             edges.push((id(Task::Gemm { k: k - 1, i, j }), tid));
                         }
                     }
@@ -651,11 +649,13 @@ impl LuDag {
                 }
                 Task::Gemm { k, i, j } => {
                     // Trsm(k,j) produced U₁₂; Swap(k,j) (last writer of the
-                    // tile) is transitive. L₂₁ of tile row i comes from the
-                    // apply chunk that covers it.
+                    // rows) is transitive. L₂₁ of update chunk i comes from
+                    // every apply chunk its rows overlap.
                     edges.push((id(Task::Trsm { k, j }), tid));
-                    let chunk = plans[k].chunk_of((i - k) * nb);
-                    edges.push((id(Task::PanelApply { k, chunk }), tid));
+                    let rows = plans[k].update_chunk(i);
+                    for chunk in plans[k].chunk_of(rows.start)..=plans[k].chunk_of(rows.end - 1) {
+                        edges.push((id(Task::PanelApply { k, chunk }), tid));
+                    }
                 }
                 Task::Dist(_) | Task::Solve(_) => {
                     unreachable!("factorization builder emits no dist/solve tasks")
@@ -853,9 +853,11 @@ pub fn modeled_time(dag: &LuDag, task: Task, mch: &MachineConfig) -> f64 {
         Task::Trsm { k, j } => {
             mch.t_trsm_left(shape.panel_width(k), shape.update_col_range(k, j).len())
         }
-        Task::Gemm { k, i, j } => {
-            mch.t_gemm(shape.row_range(i).len(), shape.col_range(j).len(), shape.panel_width(k))
-        }
+        Task::Gemm { k, i, j } => mch.t_gemm(
+            dag.panel_plan(k).update_chunk(i).len(),
+            shape.col_range(j).len(),
+            shape.panel_width(k),
+        ),
         // Distributed tasks are costed by `dist::DistCostModel` (compute
         // plus α/β message terms); solve-phase tasks are O(n²) work the
         // benchmark's `serve_mixed` workload measures, not modeled.
@@ -883,22 +885,60 @@ mod tests {
         g.tasks().iter().filter(|t| t.cat() == cat).count()
     }
 
+    const CATS: [&str; 7] =
+        ["panel_elect", "panel_reduce", "panel_finish", "panel_apply", "swap", "trsm", "gemm"];
+
+    fn census(g: &LuDag) -> [usize; 7] {
+        CATS.map(|cat| count(g, cat))
+    }
+
+    /// The census (in `CATS` order) the shape and the step plans call for:
+    /// per step the plan's leaves, matches and apply chunks and one finish;
+    /// `k` left swaps; a swap and a trsm per block column right of the panel
+    /// (and for the remainder of a ragged final panel's own block column);
+    /// a gemm per update chunk and block column right of the panel.
+    fn planned_census(g: &LuDag) -> [usize; 7] {
+        let shape = g.shape();
+        let mut c = [0; 7];
+        for k in 0..shape.steps() {
+            let plan = g.panel_plan(k);
+            let right = shape.col_blocks() - (k + 1);
+            let remainder = usize::from(!shape.update_col_range(k, k).is_empty());
+            c[0] += plan.leaves().len();
+            c[1] += plan.tree().len();
+            c[2] += 1;
+            c[3] += plan.chunks().len();
+            c[4] += k + right + remainder;
+            c[5] += right + remainder;
+            c[6] += right * plan.update_chunks();
+        }
+        c
+    }
+
     #[test]
     fn counts_match_closed_form_square() {
-        // 4 block columns, square: per step k < 3 there are (cb-1-k)
-        // right-swaps/trsm and (rb-1-k)(cb-1-k) gemms, plus k left swaps.
-        // Each step's panel is min(4, rows) elects, one reduce fewer, one
-        // finish, and one apply chunk whenever rows remain below the top
-        // block (4096-row chunks: one covers everything here).
-        let d = dag(128, 128, 32, 1);
-        assert_eq!(count(&d, "panel_elect"), 4 * 4);
-        assert_eq!(count(&d, "panel_reduce"), 4 * 3);
-        assert_eq!(count(&d, "panel_finish"), 4);
-        assert_eq!(count(&d, "panel_apply"), 3);
-        assert_eq!(count(&d, "trsm"), 3 + 2 + 1);
-        assert_eq!(count(&d, "swap"), (3 + 2 + 1) + (1 + 2 + 3)); // right + left
-        assert_eq!(count(&d, "gemm"), 9 + 4 + 1);
-        assert_eq!(d.len(), 16 + 12 + 4 + 3 + 6 + 12 + 14);
+        // Square, s block columns, update chunks of t tiles: step k has
+        // r = s-1-k block rows and columns left, so r right-swaps, r trsms,
+        // k left swaps and r * ceil(r/t) gemms. Each step's panel is
+        // min(4, rows) elects, one reduce fewer, one finish, and one apply
+        // chunk whenever rows remain below the top block (4096-row chunks:
+        // one covers everything here).
+        for (n, nb) in [(128, 32), (640, 64), (1536, 64)] {
+            let d = dag(n, n, nb, 1);
+            let (s, t) = (n / nb, d.panel_plan(0).update_chunk(0).len().div_ceil(nb));
+            let pairs = s * (s - 1) / 2;
+            let gemms: usize = (1..s).map(|r| r * r.div_ceil(t)).sum();
+            assert_eq!(census(&d), [4 * s, 3 * s, s, s - 1, 2 * pairs, pairs, gemms], "n={n}");
+            assert_eq!(census(&d), planned_census(&d), "n={n}");
+            assert_eq!(d.len(), census(&d).iter().sum::<usize>());
+        }
+        // One 256-row chunk covers a 96-row trailing matrix; 64-row tiles
+        // come four to a chunk.
+        assert_eq!(count(&dag(128, 128, 32, 1), "gemm"), 3 + 2 + 1);
+        assert_eq!(dag(640, 640, 64, 1).panel_plan(0).update_chunks(), 3);
+        // The benchmark's `square_factor`: 1043 panel, swap and trsm tasks
+        // and 1186 gemms (4324 when a gemm was a tile).
+        assert_eq!(dag(1536, 1536, 64, 1).len(), 2229);
     }
 
     #[test]
@@ -906,21 +946,40 @@ mod tests {
         // Tile-height leaves: t = 4-k elects and t-1 reduces per step;
         // everything else as gathered.
         let d = rdag(128, 128, 32, 1);
-        assert_eq!(count(&d, "panel_elect"), 4 + 3 + 2 + 1);
-        assert_eq!(count(&d, "panel_reduce"), 3 + 2 + 1);
-        assert_eq!(count(&d, "panel_finish"), 4);
-        assert_eq!(count(&d, "panel_apply"), 3);
-        assert_eq!(count(&d, "gemm"), 9 + 4 + 1);
+        assert_eq!(census(&d), [4 + 3 + 2 + 1, 3 + 2 + 1, 4, 3, 12, 6, 3 + 2 + 1]);
+        assert_eq!(census(&d), planned_census(&d));
+    }
+
+    #[test]
+    fn tall_and_ragged_counts_derive_from_the_plans() {
+        for &(m, n, nb, p) in &[
+            (65536, 128, 64, 4),
+            (4400, 120, 40, 5), // update chunks of 7 tiles, apply chunks of 102
+            (100, 40, 16, 3),   // ragged final panel, nothing right of it
+            (60, 100, 16, 4),   // wide: the final panel's own block column has a remainder
+            (97, 97, 16, 3),
+            (700, 300, 24, 2),
+        ] {
+            for mode in [PanelMode::Gathered, PanelMode::Resident] {
+                let g = LuDag::build_panels(LuShape { m, n, nb }, 2, mode, p);
+                assert_eq!(census(&g), planned_census(&g), "{m}x{n} nb={nb} {mode:?}");
+                assert_eq!(g.len(), census(&g).iter().sum::<usize>());
+            }
+        }
     }
 
     #[test]
     fn tall_panel_counts_derive_from_the_plan() {
         // 65536 x 128, nb 64: two steps of 4 elects + 3 reduces + 1 finish
-        // + 16 apply chunks, beside the 1026 swap/trsm/gemm tasks.
+        // + 16 apply chunks, beside step 0's swap, trsm and one gemm per
+        // 256-row update chunk, and step 1's left swap.
         let d = dag(65536, 128, 64, 1);
-        assert_eq!(d.len(), 1026 + 2 * (4 + 3 + 1 + 16));
+        let gemms = d.panel_plan(0).update_chunks();
+        assert_eq!(gemms, (65536usize - 64).div_ceil(256));
+        assert_eq!(d.len(), 3 + gemms + 2 * (4 + 3 + 1 + 16));
+        assert_eq!(d.len(), 307, "the benchmark's `tall_panel` (1074 when a gemm was a tile)");
         let r = rdag(65536, 128, 64, 1);
-        assert_eq!(r.len(), 1026 + (1024 + 1023 + 1 + 16) + (1023 + 1022 + 1 + 16));
+        assert_eq!(r.len(), 3 + gemms + (1024 + 1023 + 1 + 16) + (1023 + 1022 + 1 + 16));
     }
 
     #[test]
@@ -1067,47 +1126,163 @@ mod tests {
         assert!(g.successors(r01).contains(&root));
         assert!(g.successors(r23).contains(&root));
         assert!(g.successors(root).contains(&fin));
-        // Applies hang off the finish and feed their tile rows' gemms.
+        // Applies hang off the finish and feed their rows' gemms.
         let a0 = find(&g, Task::PanelApply { k: 0, chunk: 0 });
         assert!(g.successors(fin).contains(&a0));
-        assert!(g.successors(a0).contains(&find(&g, Task::Gemm { k: 0, i: 2, j: 1 })));
+        assert!(g.successors(a0).contains(&find(&g, Task::Gemm { k: 0, i: 0, j: 1 })));
     }
 
     #[test]
     fn elects_gate_on_the_tiles_their_rows_touch() {
-        // Step 1 of a 160-row matrix, nb 32: panel rows 32..160, p = 3
-        // leaves of 43/43/42 rows = absolute 32..75, 75..118, 118..160,
-        // i.e. tiles {1,2}, {2,3}, {3,4}.
-        let g = LuDag::build_panels(LuShape { m: 160, n: 160, nb: 32 }, 1, PanelMode::Gathered, 3);
-        let gates = |leaf: usize| -> Vec<usize> {
-            let e = find(&g, Task::PanelElect { k: 1, leaf });
-            (1..5)
-                .filter(|&i| g.successors(find(&g, Task::Gemm { k: 0, i, j: 1 })).contains(&e))
+        // Step 1 of a 900-row matrix, nb 32: panel rows 32..900, p = 3
+        // leaves of 290/289/289 rows = absolute 32..322, 322..611, 611..900.
+        // Step 0's update chunks are 256 rows (8 tiles) from row 32:
+        // 32..288, 288..544, 544..800, 800..900.
+        let g = LuDag::build_panels(LuShape { m: 900, n: 160, nb: 32 }, 1, PanelMode::Gathered, 3);
+        assert_eq!(g.panel_plan(0).update_chunks(), 4);
+        let gates = |g: &LuDag, leaf: usize| -> Vec<usize> {
+            let e = find(g, Task::PanelElect { k: 1, leaf });
+            (0..4)
+                .filter(|&i| g.successors(find(g, Task::Gemm { k: 0, i, j: 1 })).contains(&e))
                 .collect()
         };
-        assert_eq!(gates(0), vec![1, 2]);
-        assert_eq!(gates(1), vec![2, 3]);
-        assert_eq!(gates(2), vec![3, 4]);
-        // Resident leaves are tiles: one gate each.
-        let r = rdag(160, 160, 32, 1);
-        let e13 = find(&r, Task::PanelElect { k: 1, leaf: 2 });
-        assert!(r.successors(find(&r, Task::Gemm { k: 0, i: 3, j: 1 })).contains(&e13));
-        assert!(!r.successors(find(&r, Task::Gemm { k: 0, i: 2, j: 1 })).contains(&e13));
+        assert_eq!(gates(&g, 0), vec![0, 1]);
+        assert_eq!(gates(&g, 1), vec![1, 2]);
+        assert_eq!(gates(&g, 2), vec![2, 3]);
+        // Resident leaves are tiles, each inside one chunk: leaf 7 is rows
+        // 256..288, the last tile of chunk 0; leaf 8 the first of chunk 1.
+        let r = rdag(900, 160, 32, 1);
+        assert_eq!(gates(&r, 7), vec![0]);
+        assert_eq!(gates(&r, 8), vec![1]);
+        assert_eq!(gates(&r, 27), vec![3]);
         // Finish is the panel boundary: swaps on both sides hang off it.
         let fin = find(&g, Task::PanelFinish { k: 1 });
         assert!(g.successors(fin).contains(&find(&g, Task::Swap { k: 1, j: 2 })));
         assert!(g.successors(fin).contains(&find(&g, Task::Swap { k: 1, j: 0 })));
     }
 
+    /// The apply chunks `Gemm(0, i, 1)` waits for directly.
+    fn applies_before(g: &LuDag, i: usize) -> Vec<usize> {
+        let gemm = find(g, Task::Gemm { k: 0, i, j: 1 });
+        (0..g.panel_plan(0).chunks().len())
+            .filter(|&chunk| {
+                g.successors(find(g, Task::PanelApply { k: 0, chunk })).contains(&gemm)
+            })
+            .collect()
+    }
+
     #[test]
     fn gemms_wait_for_the_apply_chunk_covering_their_tile_row() {
-        // 9000 rows, nb 32: chunks are 4096 rows = 128 tiles, starting at
-        // tile 1.
+        // 9000 rows, nb 32: apply chunks are 4096 rows, update chunks 256,
+        // both from row 32 — sixteen update chunks to an apply chunk.
         let g = dag(9000, 64, 32, 1);
         assert_eq!(g.panel_plan(0).chunks().len(), 3);
-        for (i, chunk) in [(1, 0), (128, 0), (129, 1), (256, 1), (257, 2), (281, 2)] {
-            let a = find(&g, Task::PanelApply { k: 0, chunk });
-            assert!(g.successors(a).contains(&find(&g, Task::Gemm { k: 0, i, j: 1 })), "tile {i}");
+        assert_eq!(g.panel_plan(0).update_chunks(), 36);
+        for (i, chunk) in [(0, 0), (15, 0), (16, 1), (31, 1), (32, 2), (35, 2)] {
+            assert_eq!(applies_before(&g, i), vec![chunk], "update chunk {i}");
+        }
+        // nb 40: apply chunks are 102 tiles (4080 rows), update chunks 7
+        // tiles (280 rows), so update chunk 14 — panel rows 3960..4240 —
+        // straddles the apply boundary at row 4120 and waits for both.
+        let g = dag(4400, 80, 40, 1);
+        let plan = g.panel_plan(0);
+        assert_eq!(plan.chunks().collect::<Vec<_>>(), vec![40..4120, 4120..4400]);
+        assert_eq!(plan.update_chunk(14), 3960..4240);
+        assert_eq!(plan.update_chunks(), 16);
+        assert_eq!(applies_before(&g, 13), vec![0]);
+        assert_eq!(applies_before(&g, 14), vec![0, 1]);
+        assert_eq!(applies_before(&g, 15), vec![1]);
+    }
+
+    /// Predecessor lists: the inverse of [`LuDag::successors`].
+    fn predecessors(g: &LuDag) -> Vec<Vec<TaskId>> {
+        let mut preds = vec![Vec::new(); g.len()];
+        for id in 0..g.len() {
+            for &s in g.successors(id) {
+                preds[s].push(id);
+            }
+        }
+        preds
+    }
+
+    /// `anc[id]` for every task that must finish before `target` starts.
+    fn ancestors(preds: &[Vec<TaskId>], target: TaskId) -> Vec<bool> {
+        let mut anc = vec![false; preds.len()];
+        let mut stack = vec![target];
+        while let Some(id) = stack.pop() {
+            for &p in &preds[id] {
+                if !std::mem::replace(&mut anc[p], true) {
+                    stack.push(p);
+                }
+            }
+        }
+        anc
+    }
+
+    #[test]
+    fn every_writer_of_a_leafs_rows_and_reader_of_l21_is_an_ancestor() {
+        // The data flow the chunked update must preserve, checked on row
+        // ranges and not through the builder's own chunk lookup: whatever
+        // wrote a leaf's rows of block column k in step k-1 precedes the
+        // leaf's elect; whatever formed rows of L21(k) an update chunk
+        // reads precedes its gemm; whatever reads or forms L21(k-1)
+        // precedes the first swap that permutes it.
+        let overlap = |a: &std::ops::Range<usize>, b: &std::ops::Range<usize>| {
+            a.start < b.end && b.start < a.end
+        };
+        for &(m, n, nb, p, mode) in &[
+            (4400, 120, 40, 5, PanelMode::Gathered),
+            (900, 160, 32, 3, PanelMode::Gathered),
+            (1000, 200, 40, 4, PanelMode::Resident),
+            (333, 333, 24, 3, PanelMode::Gathered),
+        ] {
+            let g = LuDag::build_panels(LuShape { m, n, nb }, 2, mode, p);
+            // Absolute rows of a panel-local range of step k.
+            let abs = |k: usize, r: std::ops::Range<usize>| k * nb + r.start..k * nb + r.end;
+            let preds = predecessors(&g);
+            for (id, &t) in g.tasks().iter().enumerate() {
+                let anc = ancestors(&preds, id);
+                let must = |before: Task| {
+                    assert!(anc[find(&g, before)], "{m}x{n} nb={nb}: {before} must precede {t}")
+                };
+                match t {
+                    Task::PanelElect { k, leaf } if k > 0 => {
+                        let rows = abs(k, g.panel_plan(k).leaves()[leaf].clone());
+                        let prev = g.panel_plan(k - 1);
+                        for i in 0..prev.update_chunks() {
+                            if overlap(&abs(k - 1, prev.update_chunk(i)), &rows) {
+                                must(Task::Gemm { k: k - 1, i, j: k });
+                            }
+                        }
+                        must(Task::Swap { k: k - 1, j: k });
+                    }
+                    Task::Gemm { k, i, j } => {
+                        let plan = g.panel_plan(k);
+                        for (chunk, rows) in plan.chunks().enumerate() {
+                            if overlap(&rows, &plan.update_chunk(i)) {
+                                must(Task::PanelApply { k, chunk });
+                            }
+                        }
+                        must(Task::Trsm { k, j });
+                        must(Task::Swap { k, j });
+                    }
+                    Task::Swap { k, j } if k > 0 && j == k - 1 => {
+                        for &before in g.tasks() {
+                            let touches_l21 = matches!(before, Task::Gemm { k: s, .. } | Task::PanelApply { k: s, .. } if s == k - 1);
+                            if touches_l21 {
+                                must(before);
+                            }
+                        }
+                    }
+                    Task::Swap { k, j } if k > 0 && j >= k => {
+                        // Column j is fully updated through step k-1.
+                        for i in 0..g.panel_plan(k - 1).update_chunks() {
+                            must(Task::Gemm { k: k - 1, i, j });
+                        }
+                    }
+                    _ => {}
+                }
+            }
         }
     }
 

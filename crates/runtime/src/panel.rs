@@ -1,13 +1,15 @@
 //! The shape of one TSLU panel: which rows each tournament leaf elects
-//! over, in which order candidate sets are combined, and which row chunks
-//! `L₂₁` is formed in.
+//! over, in which order candidate sets are combined, which row chunks `L₂₁`
+//! is formed in, and which row chunks of it the trailing update reads.
 //!
 //! A panel is factored by one task subgraph — [`Task::PanelElect`] per leaf,
 //! [`Task::PanelReduce`] per tournament match, one [`Task::PanelFinish`],
-//! [`Task::PanelApply`] per row chunk — and everything about that subgraph's
-//! geometry comes from a [`PanelPlan`]: the DAG builder reads it for edge
-//! endpoints, the algorithm layer's task bodies read it for row ranges, the
-//! sequential sweep walks it in order. The plan is a pure function of
+//! [`Task::PanelApply`] per row chunk — and the rows below its top block are
+//! then read by [`Task::Gemm`], one per update chunk and trailing block
+//! column. Everything about that geometry comes from a [`PanelPlan`]: the DAG
+//! builder reads it for edge endpoints, the algorithm layer's task bodies
+//! read it for row ranges, the cost model for task heights, the sequential
+//! sweep walks it in order. The plan is a pure function of
 //! `(panel rows, jb, nb, p, mode)` — never of the worker count — so pivots
 //! and factors do not depend on where or how wide a factorization runs.
 //!
@@ -15,6 +17,7 @@
 //! [`Task::PanelReduce`]: crate::Task::PanelReduce
 //! [`Task::PanelFinish`]: crate::Task::PanelFinish
 //! [`Task::PanelApply`]: crate::Task::PanelApply
+//! [`Task::Gemm`]: crate::Task::Gemm
 
 use calu_netsim::collectives::prev_pow2;
 use std::ops::Range;
@@ -32,6 +35,20 @@ pub const DEFAULT_TOURNAMENT_LEAVES: usize = 4;
 /// tiles share cache lines and a tall flat panel aliases a tile's columns to
 /// one cache set — so an apply task is a run of tiles.
 const APPLY_CHUNK_ROWS: usize = 4096;
+
+/// Rows of the trailing matrix one [`Task::Gemm`](crate::Task::Gemm) updates
+/// in one block column (rounded up to whole tiles). A `gemm` call packs its
+/// `L₂₁` rows and the whole `nb × nb` block of `U₁₂`, and on a flat matrix
+/// touches `C` as `nb` column stubs a leading dimension apart; per-tile
+/// tasks pay that once per 64 rows. Swept single-threaded over the 23
+/// trailing updates of a 1536² factorization at `nb = 64`, 64-row tasks take
+/// 1.4–1.5× the time of whole-column updates and 256-row tasks 1.2×; end to
+/// end 128 rows read slower and 512 or 1024 rows no faster than 256, which
+/// keeps several tasks per block column until the last few steps
+/// (EXPERIMENTS.md "Trailing update"). A constant, not a function of the
+/// worker count: the DAG, and with it the schedule the serial executor
+/// replays, depends on the shape alone.
+const UPDATE_CHUNK_ROWS: usize = 256;
 
 /// Which rows a panel's tournament leaves cover.
 ///
@@ -125,6 +142,7 @@ pub struct PanelPlan {
     jb: usize,
     leaves: Vec<Range<usize>>,
     chunk_rows: usize,
+    update_rows: usize,
 }
 
 impl PanelPlan {
@@ -141,7 +159,13 @@ impl PanelPlan {
             PanelMode::Gathered => partition_rows(rows, p),
             PanelMode::Resident => (0..rows).step_by(nb).map(|r| r..rows.min(r + nb)).collect(),
         };
-        Self { rows, jb, leaves, chunk_rows: (APPLY_CHUNK_ROWS / nb).max(1) * nb }
+        Self {
+            rows,
+            jb,
+            leaves,
+            chunk_rows: (APPLY_CHUNK_ROWS / nb).max(1) * nb,
+            update_rows: UPDATE_CHUNK_ROWS.div_ceil(nb) * nb,
+        }
     }
 
     /// Panel height.
@@ -181,6 +205,29 @@ impl PanelPlan {
     pub fn chunk_of(&self, row: usize) -> usize {
         debug_assert!((self.jb..self.rows).contains(&row));
         (row - self.jb) / self.chunk_rows
+    }
+
+    /// Number of update chunks: the rows `jb..rows` below the top block —
+    /// the rows of `L₂₁`, and of the trailing matrix it updates — in runs of
+    /// whole tiles of about 256 rows.
+    pub fn update_chunks(&self) -> usize {
+        (self.rows - self.jb).div_ceil(self.update_rows)
+    }
+
+    /// Row range of update chunk `i` — what the `i` of a
+    /// [`Task::Gemm`](crate::Task::Gemm) refers to. When `jb == nb` (always,
+    /// when a step has a trailing matrix) every boundary is a tile boundary.
+    pub fn update_chunk(&self, i: usize) -> Range<usize> {
+        let start = self.jb + i * self.update_rows;
+        debug_assert!(start < self.rows, "update chunk {i} out of range");
+        start..self.rows.min(start + self.update_rows)
+    }
+
+    /// The update chunks whose rows meet `rows` (non-empty, inside
+    /// `jb..rows`).
+    pub fn update_chunks_of(&self, rows: Range<usize>) -> Range<usize> {
+        debug_assert!(self.jb <= rows.start && rows.start < rows.end && rows.end <= self.rows);
+        (rows.start - self.jb) / self.update_rows..(rows.end - 1 - self.jb) / self.update_rows + 1
     }
 }
 
@@ -254,8 +301,39 @@ mod tests {
                     at = chunk.end;
                 }
                 assert_eq!(at, rows);
+                let mut at = jb;
+                for i in 0..plan.update_chunks() {
+                    let chunk = plan.update_chunk(i);
+                    assert_eq!(chunk.start, at);
+                    assert!(!chunk.is_empty());
+                    assert_eq!(plan.update_chunks_of(chunk.clone()), i..i + 1);
+                    if jb == nb {
+                        assert_eq!(chunk.start % nb, 0, "update chunks are runs of whole tiles");
+                    }
+                    at = chunk.end;
+                }
+                assert_eq!(at, rows);
+                if rows > jb {
+                    assert_eq!(plan.update_chunks_of(jb..rows), 0..plan.update_chunks());
+                }
             }
         }
+    }
+
+    #[test]
+    fn update_chunks_are_whole_tiles_of_at_least_256_rows() {
+        // (nb, tiles per chunk): 256 rows rounded up to whole tiles.
+        for (nb, tiles) in [(8, 32), (16, 16), (40, 7), (64, 4), (100, 3), (256, 1), (300, 1)] {
+            let plan = PanelPlan::new(10 * tiles * nb + nb + 5, nb, nb, 4, PanelMode::Gathered);
+            assert_eq!(plan.update_chunk(0), nb..nb + tiles * nb, "nb={nb}");
+            assert_eq!(plan.update_chunks(), 11, "ten whole chunks and five ragged rows");
+            assert_eq!(plan.update_chunk(10).len(), 5);
+            // A range across a boundary meets both neighbours.
+            let cut = nb + 3 * tiles * nb;
+            assert_eq!(plan.update_chunks_of(cut - 1..cut + 1), 2..4);
+        }
+        // No rows below the top block, no update.
+        assert_eq!(PanelPlan::new(16, 16, 16, 4, PanelMode::Gathered).update_chunks(), 0);
     }
 
     #[test]

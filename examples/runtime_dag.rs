@@ -14,12 +14,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let (m, n, nb) = (256usize, 256usize, 64usize);
+    let (m, n, nb) = (384usize, 384usize, 64usize);
     let shape = LuShape { m, n, nb };
 
     // --- 1. The DAG itself: per step a TSLU panel subgraph laid out by that
     // step's PanelPlan (one elect per leaf, one reduce per tournament match,
-    // one finish, one apply per chunk of L21 rows), then swap/trsm/gemm.
+    // one finish, one apply per chunk of L21 rows), then swap/trsm per block
+    // column and one gemm per update chunk (a run of tiles of about 256 rows)
+    // and block column.
     let dag = LuDag::build(shape, 2);
     let count = |dag: &LuDag, cat: &str| dag.tasks().iter().filter(|t| t.cat() == cat).count();
     let census = |dag: &LuDag| {
@@ -29,17 +31,26 @@ fn main() {
     // What the plans say the census must be.
     let planned = |dag: &LuDag| {
         let plans = (0..shape.steps()).map(|k| dag.panel_plan(k));
-        let (mut elect, mut reduce, mut apply) = (0, 0, 0);
-        for plan in plans {
+        let (mut elect, mut reduce, mut apply, mut gemm) = (0, 0, 0, 0);
+        for (k, plan) in plans.enumerate() {
             elect += plan.leaves().len();
             reduce += plan.tree().len();
             apply += plan.chunks().len();
+            gemm += plan.update_chunks() * (shape.col_blocks() - 1 - k);
         }
-        [elect, reduce, shape.steps(), apply]
+        [elect, reduce, shape.steps(), apply, gemm]
     };
     let [elect, reduce, finish, apply, swaps, trsms, gemms] = census(&dag);
-    assert_eq!([elect, reduce, finish, apply], planned(&dag), "DAG and PanelPlan census differ");
-    assert_eq!([elect, reduce, finish, apply], [16, 12, 4, 3], "4 leaves/step; one 4096-row chunk");
+    assert_eq!(
+        [elect, reduce, finish, apply, gemms],
+        planned(&dag),
+        "DAG and PanelPlan census differ"
+    );
+    assert_eq!([elect, reduce, finish, apply], [24, 18, 6, 5], "4 leaves/step; one 4096-row chunk");
+    // Step 0 updates 320 rows as chunks of 256 and 64 in each of 5 block
+    // columns; from step 1 on one chunk covers the trailing rows. Per tile
+    // it would be 25 + 16 + 9 + 4 + 1 = 55 tasks.
+    assert_eq!(gemms, 5 * 2 + 4 + 3 + 2 + 1);
     assert_eq!(dag.len(), elect + reduce + finish + apply + swaps + trsms + gemms);
     println!("LU task DAG for {m}x{n}, nb={nb}, lookahead depth 2");
     println!(
@@ -49,17 +60,18 @@ fn main() {
     );
     let plan = dag.panel_plan(0);
     println!(
-        "  step 0 plan: leaves {:?}, tree {:?}, L21 chunks {:?}",
+        "  step 0 plan: leaves {:?}, tree {:?}, L21 chunks {:?}, update chunks {:?}",
         plan.leaves(),
         plan.tree().iter().map(|t| (t.lo, t.hi)).collect::<Vec<_>>(),
-        plan.chunks().collect::<Vec<_>>()
+        plan.chunks().collect::<Vec<_>>(),
+        (0..plan.update_chunks()).map(|i| plan.update_chunk(i)).collect::<Vec<_>>()
     );
 
     // Resident mode is the same subgraph with one leaf per tile row.
     let resident = LuDag::build_with(shape, 2, PanelMode::Resident);
-    let [elect, reduce, finish, apply, ..] = census(&resident);
-    assert_eq!([elect, reduce, finish, apply], planned(&resident));
-    assert_eq!([elect, reduce, finish, apply], [4 + 3 + 2 + 1, 3 + 2 + 1, 4, 3]);
+    let [elect, reduce, finish, apply, .., gemms] = census(&resident);
+    assert_eq!([elect, reduce, finish, apply, gemms], planned(&resident));
+    assert_eq!([elect, reduce, finish, apply], [6 + 5 + 4 + 3 + 2 + 1, 5 + 4 + 3 + 2 + 1, 6, 5]);
     println!(
         "  resident (tile-height leaves): {} tasks ({elect} elect, {reduce} reduce, \
          {finish} finish, {apply} apply)\n",
