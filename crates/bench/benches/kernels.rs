@@ -1,14 +1,19 @@
 //! Criterion microbenchmarks of the dense substrate kernels on the host:
 //! `gemm` (at the shapes the repository benchmark probes, `f64` and `f32`),
-//! `trsm`, the two panel factorization kernels whose speed gap drives
-//! Tables 3-4 (`getf2` vs `rgetf2`), and the panel's rows below its top
-//! block as an unblocked sweep (`lu_nopiv`) against the recursive
+//! the blocked `trsm` and the column-ordered row interchanges at the shapes
+//! the factorization tasks issue them, the block-cyclic scatter and gather
+//! around a distributed run, the two panel factorization kernels whose speed
+//! gap drives Tables 3-4 (`getf2` vs `rgetf2`), and the panel's rows below
+//! its top block as an unblocked sweep (`lu_nopiv`) against the recursive
 //! `gemm`-based `lu_rows` — the BLAS-2 → BLAS-3 step of the unpivoted half
-//! of TSLU.
+//! of TSLU. The `gemm` and `trsm` groups are named after the arm they ran
+//! on.
 
+use calu_core::dist::{assemble_2d, scatter_2d};
 use calu_matrix::blas3::{gemm, trsm, Arm};
 use calu_matrix::lapack::{getf2, lu_nopiv, lu_rows, rgetf2};
-use calu_matrix::{gen, Diag, Matrix, NoObs, Scalar, Side, Uplo};
+use calu_matrix::perm::apply_ipiv;
+use calu_matrix::{gen, Diag, Matrix, NoObs, Scalar, Side, TileLayout, Uplo};
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,22 +71,104 @@ fn bench_gemm(c: &mut Criterion) {
     g.finish();
 }
 
+/// `trsm` and the row interchanges at the shapes the factorization tasks
+/// issue them: the `U₁₂` solve of one `Trsm` task — a 64 × 64 block of a flat
+/// `ld = 1536` matrix (`square_factor`'s) and the same block as a contiguous
+/// tile (tile storage, a distributed rank's cell) —, the `L₂₁` rows of a
+/// distributed rank's `Second` task (512 × 64), the benchmark probe's
+/// 64 × 1536 block row, and one `Swap` task's interchanges (`apply_ipiv` on
+/// a 1536 × 64 block column at `ld = 1536`). Each timed iteration restores
+/// the right-hand side first, so the solves never compound.
 fn bench_trsm(c: &mut Criterion) {
-    let mut g = c.benchmark_group("trsm");
+    let mut g = c.benchmark_group(format!("trsm_{}", Arm::detect().name()));
     g.sample_size(10);
     let mut rng = StdRng::seed_from_u64(2);
-    let n = 192;
-    let mut l = gen::randn(&mut rng, n, n);
-    for i in 0..n {
-        l[(i, i)] = 1.0;
+    let (ld, nb) = (1536, 64);
+    // A packed `L\U` block as the factorization leaves it: multipliers below
+    // the diagonal, a safely invertible `U` on and above it.
+    let mut lu = gen::randn::<f64>(&mut rng, nb, nb);
+    for j in 0..nb {
+        for i in 0..nb {
+            lu[(i, j)] *= 0.1;
+        }
+        lu[(j, j)] += 2.0;
     }
-    let b0 = gen::randn(&mut rng, n, n);
-    g.bench_function("left_lower_unit_192", |bench| {
+    const CALLS: usize = 100;
+    let rhs = gen::randn::<f64>(&mut rng, nb, nb);
+    let mut flat = gen::randn::<f64>(&mut rng, ld, nb);
+    let mut tile = rhs.clone();
+    g.bench_function(format!("left_lower_unit_64x64_ld{ld}_x{CALLS}"), |bench| {
+        bench.iter(|| {
+            for _ in 0..CALLS {
+                let mut u12 = flat.view_mut().into_submatrix(nb, 0, nb, nb);
+                u12.copy_from(rhs.view());
+                trsm(Side::Left, Uplo::Lower, Diag::Unit, 1.0, lu.view(), u12);
+            }
+        })
+    });
+    g.bench_function(format!("left_lower_unit_64x64_ld{nb}_x{CALLS}"), |bench| {
+        bench.iter(|| {
+            for _ in 0..CALLS {
+                tile.view_mut().copy_from(rhs.view());
+                trsm(Side::Left, Uplo::Lower, Diag::Unit, 1.0, lu.view(), tile.view_mut());
+            }
+        })
+    });
+    let wide0 = gen::randn::<f64>(&mut rng, nb, ld);
+    g.bench_function(format!("left_lower_unit_64x{ld}"), |bench| {
         bench.iter_batched(
-            || b0.clone(),
-            |mut bb| trsm(Side::Left, Uplo::Lower, Diag::Unit, 1.0, l.view(), bb.view_mut()),
+            || wide0.clone(),
+            |mut x| trsm(Side::Left, Uplo::Lower, Diag::Unit, 1.0, lu.view(), x.view_mut()),
             BatchSize::LargeInput,
         )
+    });
+    let rows0 = gen::randn::<f64>(&mut rng, 512, nb);
+    let mut rows = rows0.clone();
+    g.bench_function("right_upper_nonunit_512x64_x10", |bench| {
+        bench.iter(|| {
+            for _ in 0..10 {
+                rows.view_mut().copy_from(rows0.view());
+                trsm(Side::Right, Uplo::Upper, Diag::NonUnit, 1.0, lu.view(), rows.view_mut());
+            }
+        })
+    });
+    // A panel's worth of interchanges with far-away rows, as tournament
+    // pivoting elects them.
+    let ipiv: Vec<usize> = (0..nb).map(|i| i + (i * 211) % (ld - i)).collect();
+    g.bench_function(format!("apply_ipiv_{ld}x64_ld{ld}_x10"), |bench| {
+        bench.iter(|| {
+            for _ in 0..10 {
+                apply_ipiv(flat.view_mut(), &ipiv);
+            }
+        })
+    });
+    g.finish();
+}
+
+/// The block-cyclic scatter and gather around every distributed run, at
+/// `dist_grid`'s shape: n = 1024 in 64 × 64 tiles over a 2 × 2 grid. Each
+/// reads the matrix once and writes it once (8 MiB each way); the GB/s line
+/// is those 16 MiB over the mean of twenty calls.
+fn bench_dist_movement(c: &mut Criterion) {
+    let mut g = c.benchmark_group("dist_movement");
+    g.sample_size(10);
+    let (n, b, pr, pc) = (1024, 64, 2, 2);
+    let a = gen::randn::<f64>(&mut StdRng::seed_from_u64(4), n, n);
+    let layout = TileLayout::new(n, n, b, b).with_grid(pr, pc);
+    let scatter =
+        || -> Vec<_> { (0..pr * pc).map(|r| scatter_2d(layout, &a, r % pr, r / pr)).collect() };
+    let parts = scatter();
+    let gbs = |name: &str, call: &dyn Fn()| {
+        let t0 = std::time::Instant::now();
+        (0..20).for_each(|_| call());
+        let secs = t0.elapsed().as_secs_f64() / 20.0;
+        println!("{name}: {:.1} GB/s read + written", 2.0 * (n * n * 8) as f64 / secs / 1e9);
+    };
+    gbs("scatter_2d", &|| drop(scatter()));
+    g.bench_function(format!("scatter_2d_{n}_{pr}x{pc}"), |bench| bench.iter(scatter));
+    gbs("assemble_2d", &|| drop(assemble_2d(layout, &parts)));
+    g.bench_function(format!("assemble_2d_{n}_{pr}x{pc}"), |bench| {
+        bench.iter(|| assemble_2d(layout, &parts))
     });
     g.finish();
 }
@@ -143,5 +230,5 @@ fn bench_panel_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_gemm, bench_trsm, bench_panel_kernels);
+criterion_group!(benches, bench_gemm, bench_trsm, bench_dist_movement, bench_panel_kernels);
 criterion_main!(benches);

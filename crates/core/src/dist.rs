@@ -447,9 +447,7 @@ impl<T: Scalar> Rank2d<T> {
         let grid = Grid::new(pr, pc);
         let (prow, pcol) = grid.coords(rank);
         let layout = TileLayout::new(a.rows(), a.cols(), b, b).with_grid(pr, pc);
-        let local = TileMatrix::from_fn(layout.local_layout(prow, pcol), |li, lj| {
-            a[(layout.global_row(prow, li), layout.global_col(pcol, lj))]
-        });
+        let local = scatter_2d(layout, a, prow, pcol);
         Self { prow, pcol, b, layout, local }
     }
 
@@ -624,14 +622,55 @@ fn assemble_factors<T: Scalar>(
     DistFactors { lu, ipiv, first_singular }
 }
 
-/// Assembles per-rank block-cyclic pieces into one global matrix, reading
-/// owners and local indices off the layout's ownership map (shared with
-/// the runtime-driven drivers in [`crate::dist_rt`]).
-pub(crate) fn assemble_2d<T: Scalar>(layout: TileLayout, parts: &[TileMatrix<T>]) -> Matrix<T> {
-    Matrix::from_fn(layout.rows(), layout.cols(), |i, j| {
-        let owner = layout.owner(i / layout.mb(), j / layout.nb());
-        parts[owner][(layout.local_row(i), layout.local_col(j))]
+/// Process `(prow, pcol)`'s share of `a` under `layout`'s block-cyclic deal,
+/// as the rank stores it: local tile `(ti, tj)` is a copy of global tile
+/// `(ti·Pr + prow, tj·Pc + pcol)`, moved whole. The inverse of
+/// [`assemble_2d`]; every distributed driver sets its ranks up with it.
+///
+/// # Panics
+/// If `layout` has no process grid or is not `a`'s shape.
+pub fn scatter_2d<T: Scalar>(
+    layout: TileLayout,
+    a: &Matrix<T>,
+    prow: usize,
+    pcol: usize,
+) -> TileMatrix<T> {
+    assert_eq!((layout.rows(), layout.cols()), (a.rows(), a.cols()), "layout is not a's shape");
+    let (pr, pc) = layout.grid().expect("scatter needs a process grid");
+    TileMatrix::from_tiles(layout.local_layout(prow, pcol), |ti, tj| {
+        let (gi, gj) = (ti * pr + prow, tj * pc + pcol);
+        let (h, w) = (layout.tile_height(gi), layout.tile_width(gj));
+        a.view().submatrix(gi * layout.mb(), gj * layout.nb(), h, w)
     })
+}
+
+/// Assembles per-rank block-cyclic pieces (`parts[rank]`, flat ranks
+/// column-major over the grid) into one global matrix, tile by tile — the
+/// inverse of [`scatter_2d`].
+///
+/// # Panics
+/// If `layout` has no process grid or a part is not its rank's share.
+pub fn assemble_2d<T: Scalar>(layout: TileLayout, parts: &[TileMatrix<T>]) -> Matrix<T> {
+    let (pr, pc) = layout.grid().expect("assembly needs a process grid");
+    assert_eq!(parts.len(), pr * pc, "one part per rank");
+    for (rank, part) in parts.iter().enumerate() {
+        assert_eq!(part.layout(), layout.local_layout(rank % pr, rank / pr), "rank {rank}'s share");
+    }
+    // One pass over the output in storage order (nothing is zeroed first):
+    // the tiles of a global tile column are resolved once, then every
+    // column of it is the concatenation of one contiguous segment per tile.
+    let mut data = Vec::with_capacity(layout.rows() * layout.cols());
+    for gj in 0..layout.tile_cols() {
+        let tiles: Vec<_> = (0..layout.tile_rows())
+            .map(|gi| parts[layout.owner(gi, gj)].tile(gi / pr, gj / pc))
+            .collect();
+        for c in 0..layout.tile_width(gj) {
+            for tile in &tiles {
+                data.extend_from_slice(tile.col(c));
+            }
+        }
+    }
+    Matrix::from_col_major(layout.rows(), layout.cols(), data)
 }
 
 /// Runtime-driven distributed CALU — the default path: delegates to
@@ -1444,6 +1483,55 @@ mod tests {
             MachineConfig::ideal(),
         );
         assert_eq!(d.first_singular, None);
+    }
+
+    /// The block-cyclic deal by its elementwise definition — what
+    /// `scatter_2d` replaced.
+    fn scatter_elementwise<T: Scalar>(
+        layout: TileLayout,
+        a: &Matrix<T>,
+        (prow, pcol): (usize, usize),
+    ) -> TileMatrix<T> {
+        TileMatrix::from_fn(layout.local_layout(prow, pcol), |li, lj| {
+            a[(layout.global_row(prow, li), layout.global_col(pcol, lj))]
+        })
+    }
+
+    fn scatter_then_assemble_is_the_identity<T: Scalar>() {
+        let mut rng = StdRng::seed_from_u64(90);
+        // Ragged in both dimensions on 2 × 2 and 3 × 2; one process row, one
+        // process column; a single tile on 2 × 2 (three ranks own nothing);
+        // a process column with no columns; an empty matrix.
+        for (m, n, b, pr, pc) in [
+            (50, 37, 8, 2, 2),
+            (45, 29, 6, 3, 2),
+            (37, 50, 8, 1, 4),
+            (41, 41, 8, 4, 1),
+            (8, 8, 8, 2, 2),
+            (20, 5, 8, 2, 3),
+            (0, 0, 4, 2, 2),
+        ] {
+            let a = gen::randn::<T>(&mut rng, m, n);
+            let layout = TileLayout::new(m, n, b, b).with_grid(pr, pc);
+            let parts: Vec<TileMatrix<T>> =
+                (0..pr * pc).map(|rank| scatter_2d(layout, &a, rank % pr, rank / pr)).collect();
+            for (rank, part) in parts.iter().enumerate() {
+                let want = scatter_elementwise(layout, &a, (rank % pr, rank / pr));
+                assert_eq!(part, &want, "{m}x{n} b={b} {pr}x{pc}: rank {rank}'s share");
+            }
+            let elementwise = Matrix::from_fn(m, n, |i, j| {
+                let owner = layout.owner(i / layout.mb(), j / layout.nb());
+                parts[owner][(layout.local_row(i), layout.local_col(j))]
+            });
+            assert_eq!(elementwise, a, "{m}x{n} b={b} {pr}x{pc}: the shares hold the matrix");
+            assert_eq!(assemble_2d(layout, &parts), a, "{m}x{n} b={b} {pr}x{pc}: round trip");
+        }
+    }
+
+    #[test]
+    fn scatter_then_assemble_is_the_identity_and_each_is_its_elementwise_form() {
+        scatter_then_assemble_is_the_identity::<f64>();
+        scatter_then_assemble_is_the_identity::<f32>();
     }
 
     #[test]

@@ -18,6 +18,25 @@
 //! collective over several rank threads: `Swap` and `PanelGetf2` live next
 //! to their drivers, one version per communicator.
 //!
+//! # Blocks and segments
+//!
+//! A rank's storage is tile-major, so nothing here addresses an element by
+//! `(row, column)`. A body asks its cell for **blocks**:
+//! [`RankCell::tile_block`] hands out one block of one tile as a view, the
+//! operand of every `gemm`, `trsm` and `lu_nopiv` below, and
+//! [`RankCell::rect`] a local rectangle that may span tiles, as a [`Rect`].
+//! Everything that moves data in or out of a cell is a method of `Rect`,
+//! resolves each tile once, and then moves a block's contiguous column
+//! **segments** — [`Rect::gather`] (the payloads, the candidate block, a
+//! pivot row), [`Rect::scatter`], [`Rect::col_amax`] (`PDGETF2`'s scan) —
+//! or strides along one row of a tile ([`Rect::swap_row_with`]). The two
+//! accessors are the only `unsafe fn`s of the cell: the promise that the
+//! DAG's edges (or the rank thread's queue order) grant the elements is
+//! made where a block or a rectangle is taken, and what is done with it is
+//! safe code. Payloads arrive as `f64` words and are read in place at
+//! `T = f64` ([`Scalar::from_words`]); an `f32` run rounds them into a copy,
+//! exactly.
+//!
 //! # Aliasing
 //!
 //! A cell is shared-mutable: under the in-process runner several tasks of
@@ -25,6 +44,8 @@
 //! edges prove they touch disjoint elements; on a rank thread the queue
 //! order is that proof (one thread is the cell's only toucher). Each
 //! `// SAFETY:` below names the edges that give the body its elements.
+
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -38,9 +59,9 @@ use crate::tournament::{reduce_pair, Candidates};
 use crate::tslu::{local_candidates, winners_to_ipiv, LocalLu};
 use calu_matrix::blas3::{gemm, trsm};
 use calu_matrix::lapack::lu_nopiv;
-use calu_matrix::scalar::cast_slice;
 use calu_matrix::{
-    Diag, Error, MatViewMut, Matrix, NoObs, Result, Scalar, Side, TileLayout, TileMatrix, Uplo,
+    Diag, Error, MatView, MatViewMut, Matrix, NoObs, Result, Scalar, Side, TileLayout, TileMatrix,
+    Uplo,
 };
 use calu_obs::CommLedger;
 use calu_runtime::{
@@ -72,38 +93,16 @@ impl<T: Scalar> RankCell<T> {
         self.lay.rows()
     }
 
-    /// # Safety
-    /// The caller's task must hold (via DAG ordering) access to the
-    /// element.
-    pub(crate) unsafe fn get(&self, li: usize, lj: usize) -> T {
-        unsafe { *self.ptr.add(self.lay.elem_offset(li, lj)) }
-    }
-
-    /// # Safety
-    /// The caller's task must hold exclusive access to the element.
-    pub(crate) unsafe fn set(&self, li: usize, lj: usize, v: T) {
-        unsafe { *self.ptr.add(self.lay.elem_offset(li, lj)) = v };
-    }
-
-    /// Swaps local row `l1` of this cell with local row `l2` of `other`
-    /// (possibly this same cell) over local columns `cols`.
+    /// The local rectangle `rows × cols` as a handle whose (safe) methods
+    /// move its elements a contiguous segment at a time.
     ///
     /// # Safety
-    /// The caller's task must hold exclusive access to both row segments.
-    pub(crate) unsafe fn swap_row_with(
-        &self,
-        l1: usize,
-        other: &Self,
-        l2: usize,
-        cols: Range<usize>,
-    ) {
-        for lj in cols {
-            unsafe {
-                let a = self.get(l1, lj);
-                self.set(l1, lj, other.get(l2, lj));
-                other.set(l2, lj, a);
-            }
-        }
+    /// For as long as the handle lives, the caller's task must hold access
+    /// to the rectangle's elements — via DAG ordering, or as its cell's
+    /// only thread — and hold it exclusively if it calls a method that
+    /// writes.
+    pub(crate) unsafe fn rect(&self, rows: Range<usize>, cols: Range<usize>) -> Rect<'_, T> {
+        Rect { cell: self, rows, cols }
     }
 
     /// Mutable view of the `nr × nc` block at `(i0, j0)` inside tile
@@ -126,6 +125,117 @@ impl<T: Scalar> RankCell<T> {
         debug_assert!(i0 + nr <= h && j0 + nc <= self.lay.tile_width(tj));
         let off = self.lay.tile_offset(ti, tj) + j0 * h + i0;
         unsafe { MatViewMut::from_raw_parts(self.ptr.add(off), nr, nc, h) }
+    }
+}
+
+/// A local rectangle of a [`RankCell`] that its holder may touch
+/// ([`RankCell::rect`] is the promise). The rectangle may span tiles; every
+/// method resolves each tile once and then moves contiguous column
+/// segments, or strides along one row of a tile.
+pub(crate) struct Rect<'a, T> {
+    cell: &'a RankCell<T>,
+    rows: Range<usize>,
+    cols: Range<usize>,
+}
+
+impl<T: Scalar> Rect<'_, T> {
+    /// Calls `f(row offset, col offset, block)` for every tile block of
+    /// the rectangle, offsets counted from its corner. (The blocks are
+    /// writable views whoever asks; only the `&mut self` methods write.)
+    pub(crate) fn for_each_block(&self, mut f: impl FnMut(usize, usize, MatViewMut<'_, T>)) {
+        let lay = &self.cell.lay;
+        let row_runs = lay.row_tile_span(self.rows.clone());
+        for (tj, cr) in lay.col_tile_span(self.cols.clone()) {
+            for (ti, rr) in &row_runs {
+                // SAFETY: the block lies inside the rectangle, whose
+                // elements the holder of this handle was granted.
+                let block = unsafe {
+                    self.cell.tile_block(*ti, tj, rr.start, cr.start, rr.len(), cr.len())
+                };
+                let at = (ti * lay.mb() + rr.start, tj * lay.nb() + cr.start);
+                f(at.0 - self.rows.start, at.1 - self.cols.start, block);
+            }
+        }
+    }
+
+    /// The elements column-major, each through `map`: the `f64` words of a
+    /// payload ([`Scalar::to_f64`], exactly like the SPMD payloads), or the
+    /// values themselves — of a one-row rectangle, that row.
+    pub(crate) fn gather<U: Copy + Default>(&self, map: impl Fn(T) -> U) -> Vec<U> {
+        let nr = self.rows.len();
+        let mut out = vec![U::default(); nr * self.cols.len()];
+        self.for_each_block(|ro, co, block| {
+            for c in 0..block.cols() {
+                let at = (co + c) * nr + ro;
+                for (o, &x) in out[at..at + block.rows()].iter_mut().zip(block.col(c)) {
+                    *o = map(x);
+                }
+            }
+        });
+        out
+    }
+
+    /// Overwrites the elements from `vals`, column-major: the inverse of
+    /// [`Self::gather`].
+    pub(crate) fn scatter(&mut self, vals: &[T]) {
+        let nr = self.rows.len();
+        assert_eq!(vals.len(), nr * self.cols.len(), "one value per element");
+        self.for_each_block(|ro, co, mut block| {
+            let h = block.rows();
+            for c in 0..block.cols() {
+                let at = (co + c) * nr + ro;
+                block.col_mut(c).copy_from_slice(&vals[at..at + h]);
+            }
+        });
+    }
+
+    /// The rectangle as a flat matrix.
+    pub(crate) fn to_matrix(&self) -> Matrix<T> {
+        let (nr, nc) = (self.rows.len(), self.cols.len());
+        Matrix::from_col_major(nr, nc, self.gather(|x| x))
+    }
+
+    /// The partial-pivoting scan of a one-column rectangle: the first
+    /// strict maximum of `|v|` in ascending row order, as `(|v|, local row,
+    /// v)` — `(−∞, usize::MAX, 0)` over no rows.
+    pub(crate) fn col_amax(&self) -> (T, usize, T) {
+        debug_assert_eq!(self.cols.len(), 1);
+        let first = self.rows.start;
+        let mut best = (T::NEG_INFINITY, usize::MAX, T::ZERO);
+        self.for_each_block(|ro, _, block| {
+            for (i, &v) in block.col(0).iter().enumerate() {
+                if v.abs() > best.0 {
+                    best = (v.abs(), first + ro + i, v);
+                }
+            }
+        });
+        best
+    }
+
+    /// Swaps this one-row rectangle with `other`, a row over the same
+    /// local columns of a cell of the same process column (possibly the
+    /// same cell, a different row).
+    pub(crate) fn swap_row_with(&mut self, other: &mut Self) {
+        debug_assert!(self.rows.len() == 1 && other.rows.len() == 1 && self.cols == other.cols);
+        debug_assert_eq!(self.cell.lay.cols(), other.cell.lay.cols());
+        let mb = self.cell.lay.mb();
+        let (l1, l2) = (self.rows.start, other.rows.start);
+        for (tj, cr) in self.cell.lay.col_tile_span(self.cols.clone()) {
+            // SAFETY: each row segment was granted to the holder of its
+            // handle, and the two are distinct rows, so the views are
+            // disjoint.
+            let (mut r1, mut r2) = unsafe {
+                (
+                    self.cell.tile_block(l1 / mb, tj, l1 % mb, cr.start, 1, cr.len()),
+                    other.cell.tile_block(l2 / mb, tj, l2 % mb, cr.start, 1, cr.len()),
+                )
+            };
+            for c in 0..cr.len() {
+                let v = r1.get(0, c);
+                r1.set(0, c, r2.get(0, c));
+                r2.set(0, c, v);
+            }
+        }
     }
 }
 
@@ -251,18 +361,11 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         Ok(Candidates::from_payload(&raw))
     }
 
-    /// Packs local elements column-major as `f64` words, exactly like the
-    /// SPMD payloads.
-    ///
-    /// # Safety
-    /// The calling task must be ordered after the last writer of the
-    /// range.
-    unsafe fn pack(&self, rows: Range<usize>, cols: Range<usize>) -> Vec<f64> {
-        let mut v = Vec::with_capacity(rows.len() * cols.len());
-        for lj in cols {
-            v.extend(rows.clone().map(|li| unsafe { self.cell.get(li, lj) }.to_f64()));
-        }
-        v
+    /// A fetched payload of `rows × cols` column-major words as a matrix of
+    /// this precision: a view of the words themselves at `f64`, of `words`'
+    /// rounded copy at `f32`.
+    fn payload(words: &[T], rows: usize, cols: usize) -> MatView<'_, T> {
+        MatView::from_slice(words, rows, cols, rows.max(1))
     }
 
     /// Drops the payloads of steps the lookahead throttle proves complete;
@@ -320,8 +423,7 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let pl0 = lay.local_cols_below(self.pcol, gk);
         // SAFETY: ordered after step k-1's gemms on this rank's panel rows
         // and before Swap(k,k), their next writer.
-        let block =
-            Matrix::from_fn(lr - lr_k, jb, |i, j| unsafe { self.cell.get(lr_k + i, pl0 + j) });
+        let block = unsafe { self.cell.rect(lr_k..lr, pl0..pl0 + jb) }.to_matrix();
         let idx: Vec<usize> = (lr_k..lr).map(|li| lay.global_row(self.prow, li) - gk).collect();
         let cand = if lr > lr_k {
             local_candidates(&block, &idx, self.ctx.local)
@@ -388,7 +490,7 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let d0 = self.ctx.glayout.local_rows_below(self.prow, gk);
         let pl0 = self.ctx.glayout.local_cols_below(self.pcol, gk);
         // SAFETY: ordered after Swap(k,k), before every Second(k,·).
-        let w = unsafe { self.pack(d0..d0 + jb, pl0..pl0 + jb) };
+        let w = unsafe { self.cell.rect(d0..d0 + jb, pl0..pl0 + jb) }.gather(T::to_f64);
         self.post(WBK, k, 0, 0, w, &self.col_ranks());
         Ok(())
     }
@@ -399,7 +501,7 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let (gk, jb) = (k * b, self.ctx.geom.jb(k));
         let cprow = self.ctx.geom.cprow(k);
         let raw = self.fetch(WBK, k, 0, 0)?;
-        let mut w: Matrix<T> = Matrix::from_col_major(jb, jb, cast_slice(&raw));
+        let mut w = Matrix::from_col_major(jb, jb, T::from_words(&raw).into_owned());
         // A genuinely singular panel cancels all dependents across ranks;
         // the driver reports the absolute step (the SPMD loop records the
         // same step INFO-style and marches on).
@@ -407,18 +509,15 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
             return Err(Error::SingularPivot { step: gk + step });
         }
         let pl0 = lay.local_cols_below(self.pcol, gk);
+        let (tjc, jc) = (pl0 / b, pl0 % b);
         if self.prow == cprow {
             let d0 = lay.local_rows_below(cprow, gk);
-            for lj in 0..jb {
-                for li in 0..jb {
-                    // SAFETY: Second(k, cprow) exclusively owns the W rows.
-                    unsafe { self.cell.set(d0 + li, pl0 + lj, w[(li, lj)]) };
-                }
-            }
+            // SAFETY: Second(k, cprow) exclusively owns the W rows — the
+            // top `jb` rows of the diagonal tile.
+            unsafe { self.cell.tile_block(d0 / b, tjc, d0 % b, jc, jb, jb) }.copy_from(w.view());
         }
         let lb0 = lay.local_rows_below(self.prow, gk + jb);
-        let u11 = w.view().submatrix(0, 0, jb, jb);
-        let (tjc, jc) = (pl0 / b, pl0 % b);
+        let u11 = w.view();
         for (ti, rr) in self.cell.lay.row_tile_span(lb0..self.cell.rows()) {
             // SAFETY: Second(k, rank) owns its rank's L₂₁ rows.
             let l21 = unsafe { self.cell.tile_block(ti, tjc, rr.start, jc, rr.len(), jb) };
@@ -436,7 +535,7 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let pl0 = self.ctx.glayout.local_cols_below(self.pcol, gk);
         // SAFETY: ordered after Second(k, rank) / PanelGetf2(k) — the
         // last writers of this rank's panel rows.
-        let v = unsafe { self.pack(lr_k..self.cell.rows(), pl0..pl0 + jb) };
+        let v = unsafe { self.cell.rect(lr_k..self.cell.rows(), pl0..pl0 + jb) }.gather(T::to_f64);
         self.post(PAN, k, 0, self.prow, v, &self.row_ranks(self.prow));
         Ok(())
     }
@@ -446,9 +545,9 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let (gk, jb) = (k * b, self.ctx.geom.jb(k));
         // Trsm(k, j) runs on the diagonal process row.
         let lr_panel = self.ctx.geom.panel_rows(self.prow, k);
-        let panel_l: Matrix<T> =
-            Matrix::from_col_major(lr_panel, jb, cast_slice(&self.fetch(PAN, k, 0, self.prow)?));
-        let l11 = panel_l.view().submatrix(0, 0, jb, jb);
+        let raw = self.fetch(PAN, k, 0, self.prow)?;
+        let words = T::from_words(&raw);
+        let l11 = Self::payload(&words, lr_panel, jb).submatrix(0, 0, jb, jb);
         let d0 = self.ctx.glayout.local_rows_below(self.prow, gk);
         let (_lo, wid, tj, cr0) = self.upd_cols(k, j);
         // SAFETY: Trsm(k,j) owns rows d0..d0+jb of these columns.
@@ -463,7 +562,7 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let d0 = self.ctx.glayout.local_rows_below(self.prow, gk);
         let (lo, wid, _tj, _cr0) = self.upd_cols(k, j);
         // SAFETY: ordered after Trsm(k,j).
-        let v = unsafe { self.pack(d0..d0 + jb, lo..lo + wid) };
+        let v = unsafe { self.cell.rect(d0..d0 + jb, lo..lo + wid) }.gather(T::to_f64);
         // Itself (its own gemm) and the process rows with trailing rows.
         let dests: Vec<usize> = (0..g.pr)
             .filter(|&r| r == self.prow || g.below_rows(r, k) > 0)
@@ -478,18 +577,18 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let (gk, jb) = (k * b, self.ctx.geom.jb(k));
         let lr = self.cell.rows();
         let lr_k = self.ctx.glayout.local_rows_below(self.prow, gk);
-        let panel_l: Matrix<T> =
-            Matrix::from_col_major(lr - lr_k, jb, cast_slice(&self.fetch(PAN, k, 0, self.prow)?));
+        let (raw_l, raw_u) = (self.fetch(PAN, k, 0, self.prow)?, self.fetch(U12, k, j, 0)?);
+        let (words_l, words_u) = (T::from_words(&raw_l), T::from_words(&raw_u));
         let (_lo, wid, tj, cr0) = self.upd_cols(k, j);
-        let u12: Matrix<T> =
-            Matrix::from_col_major(jb, wid, cast_slice(&self.fetch(U12, k, j, 0)?));
+        let panel_l = Self::payload(&words_l, lr - lr_k, jb);
+        let u12 = Self::payload(&words_u, jb, wid);
         let lb0 = self.ctx.glayout.local_rows_below(self.prow, gk + jb);
         for (ti, rr) in self.cell.lay.row_tile_span(lb0..lr) {
-            let l21 = panel_l.view().submatrix(ti * b + rr.start - lr_k, 0, rr.len(), jb);
+            let l21 = panel_l.submatrix(ti * b + rr.start - lr_k, 0, rr.len(), jb);
             // SAFETY: Gemm(k,j,rank) owns its rank's trailing rows of
             // these columns.
             let a22 = unsafe { self.cell.tile_block(ti, tj, rr.start, cr0, rr.len(), wid) };
-            gemm(-T::ONE, l21, u12.view(), T::ONE, a22);
+            gemm(-T::ONE, l21, u12, T::ONE, a22);
         }
         Ok(())
     }
@@ -534,5 +633,89 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
                 unreachable!("{kind:?} has one body per communicator, run by its driver")
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use calu_matrix::gen;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A rank's local storage: ragged 50 × 37 in 8 × 8 tiles.
+    fn local<T: Scalar>(seed: u64) -> TileMatrix<T> {
+        let a = gen::randn::<T>(&mut StdRng::seed_from_u64(seed), 50, 37);
+        TileMatrix::from_matrix(&a, 8, 8)
+    }
+
+    /// Rectangles that sit inside one tile, straddle tiles in one or both
+    /// dimensions, end in the ragged last tiles, or are empty.
+    const RECTS: [(Range<usize>, Range<usize>); 6] = [
+        (9..14, 17..22),
+        (5..29, 3..4),
+        (19..20, 3..30),
+        (5..29, 3..21),
+        (40..50, 30..37),
+        (7..7, 2..9),
+    ];
+
+    fn segment_moves_equal_their_elementwise_forms<T: Scalar>() {
+        let mut store = local::<T>(31);
+        let original = store.clone();
+        let mut other_store = local::<T>(32);
+        let (mut want, mut want_other) = (original.clone(), other_store.clone());
+        let (cell, other) = (RankCell::new(&mut store), RankCell::new(&mut other_store));
+        // SAFETY: one thread, the only toucher of both cells.
+        let rect = |c, rows: &Range<usize>, cols: &Range<usize>| unsafe {
+            RankCell::rect(c, rows.clone(), cols.clone())
+        };
+        for (rows, cols) in &RECTS {
+            let at = cols.clone().flat_map(|lj| rows.clone().map(move |li| (li, lj)));
+            let want: Vec<T> = at.map(|at| original[at]).collect();
+            assert_eq!(rect(&cell, rows, cols).gather(|x| x), want, "{rows:?} x {cols:?}");
+            let words: Vec<f64> = want.iter().map(|x| x.to_f64()).collect();
+            assert_eq!(rect(&cell, rows, cols).gather(T::to_f64), words, "payload words");
+            let flat = Matrix::from_col_major(rows.len(), cols.len(), want);
+            assert_eq!(rect(&cell, rows, cols).to_matrix(), flat);
+            for lj in cols.clone() {
+                let mut want = (T::NEG_INFINITY, usize::MAX, T::ZERO);
+                for li in rows.clone() {
+                    let v = original[(li, lj)];
+                    if v.abs() > want.0 {
+                        want = (v.abs(), li, v);
+                    }
+                }
+                assert_eq!(rect(&cell, rows, &(lj..lj + 1)).col_amax(), want, "scan of {lj}");
+            }
+        }
+
+        // Row swaps inside one cell and between two cells of a process
+        // column, and a rectangle overwritten from received values.
+        for (l1, l2, cols) in [(5, 19, 3..30), (49, 0, 0..37), (12, 13, 8..16), (3, 4, 20..20)] {
+            let row = |c, l: usize| rect(c, &(l..l + 1), &cols);
+            row(&cell, l1).swap_row_with(&mut row(&cell, l2));
+            want.swap_rows_in_cols(l1, l2, cols.clone());
+            row(&cell, l2).swap_row_with(&mut row(&other, l1));
+            for lj in cols.clone() {
+                std::mem::swap(&mut want[(l2, lj)], &mut want_other[(l1, lj)]);
+            }
+            let rows = l1.min(l2)..l1.min(l2) + 9.min(50 - l1.min(l2));
+            let vals: Vec<T> = (0..rows.len() * cols.len()).map(T::from_usize).collect();
+            rect(&other, &rows, &cols).scatter(&vals);
+            for (n, at) in
+                cols.clone().flat_map(|lj| rows.clone().map(move |li| (li, lj))).enumerate()
+            {
+                want_other[at] = vals[n];
+            }
+        }
+        assert_eq!(store, want);
+        assert_eq!(other_store, want_other);
+    }
+
+    #[test]
+    fn segment_moves_equal_their_elementwise_forms_at_both_precisions() {
+        segment_moves_equal_their_elementwise_forms::<f64>();
+        segment_moves_equal_their_elementwise_forms::<f32>();
     }
 }

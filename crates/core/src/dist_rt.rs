@@ -54,9 +54,10 @@
 //! whichever driver actually ran the tasks.
 
 use std::ops::Range;
+use std::time::Instant;
 
 use crate::comm::{CommKind, Communicator, InProcessComm, ThreadedComm, MAIL_PIV as PIV};
-use crate::dist::{assemble_2d, DistCaluConfig, DistFactors, DistPdgetrfConfig};
+use crate::dist::{assemble_2d, scatter_2d, DistCaluConfig, DistFactors, DistPdgetrfConfig};
 use crate::dist_rank::{RankCell, RankTasks, RunCtx};
 use crate::rt::SharedIpiv;
 use crate::tslu::LocalLu;
@@ -133,15 +134,24 @@ pub struct DistRtReport {
     /// [`DistCostModel`] word/message counts the paper's closed forms
     /// price. [`Self::skeleton_deltas`] quantifies the gap to the wire.
     pub modeled_terms: Vec<CommTerm>,
-    /// Wall-clock spans of every executed task (pid = rank, tid =
-    /// worker), ready for [`calu_obs::chrome_trace`] export. On a
-    /// canceled run (singular pivot) the tasks that completed before
-    /// cancellation are still present.
+    /// Wall-clock spans of the whole call on one timeline whose origin is
+    /// the call's start, ready for [`calu_obs::chrome_trace`] export: one
+    /// span per executed task (pid = rank, tid = worker; on a canceled run
+    /// the tasks that completed before cancellation are still present),
+    /// and the four phases of [`DIST_PHASES`] on a lane of their own
+    /// (pid = the number of ranks), back to back — block-cyclic scatter and
+    /// set-up, the executor or rank-thread run, the in-call cost model
+    /// (mailbox drain, simulated schedule, critical path, expected and
+    /// modeled terms), and the assembly of the factors.
     pub spans: Vec<Span>,
     /// Stable name of the [`Communicator`] that moved the payloads
     /// (`"in_process"` or `"threaded"`).
     pub communicator: &'static str,
 }
+
+/// Names of the four phase spans of [`DistRtReport::spans`], in the order
+/// they run; together they cover the call.
+pub const DIST_PHASES: [&str; 4] = ["dist.scatter", "dist.execute", "dist.model", "dist.assemble"];
 
 impl DistRtReport {
     /// Measured mailbox ledger vs the exact predictor — every delta whose
@@ -214,8 +224,11 @@ impl<T: Scalar> DistRunner<'_, T> {
         debug_assert!(r1 != r2);
         let lay = &self.ctx.glayout;
         let (c1, c2) = (self.cell(lay.row_owner(r1), pcol), self.cell(lay.row_owner(r2), pcol));
+        let (l1, l2) = (lay.local_row(r1), lay.local_row(r2));
         // SAFETY: the caller owns both row segments (this function's contract).
-        unsafe { c1.swap_row_with(lay.local_row(r1), c2, lay.local_row(r2), cols) };
+        let (mut row1, mut row2) =
+            unsafe { (c1.rect(l1..l1 + 1, cols.clone()), c2.rect(l2..l2 + 1, cols)) };
+        row1.swap_row_with(&mut row2);
     }
 
     /// `Swap(k, j)` in one address space: one task walks the swap list and
@@ -281,16 +294,10 @@ impl<T: Scalar> DistRunner<'_, T> {
             for prow in 0..pr {
                 let cell = self.cell(prow, cpcol);
                 let r0 = lay.local_rows_below(prow, gc);
-                let (mut ba, mut bg, mut bv) = (T::NEG_INFINITY, usize::MAX, T::ZERO);
-                for li in r0..cell.rows() {
-                    // SAFETY: PanelGetf2(k) owns the whole panel column.
-                    let v = unsafe { cell.get(li, pl0 + jj) };
-                    if v.abs() > ba {
-                        ba = v.abs();
-                        bg = lay.global_row(prow, li);
-                        bv = v;
-                    }
-                }
+                // SAFETY: PanelGetf2(k) owns the whole panel column.
+                let (ba, li, bv) =
+                    unsafe { cell.rect(r0..cell.rows(), pl0 + jj..pl0 + jj + 1) }.col_amax();
+                let bg = if li == usize::MAX { li } else { lay.global_row(prow, li) };
                 if ba > best || (ba == best && bg < best_g) {
                     best = ba;
                     best_g = bg;
@@ -309,7 +316,7 @@ impl<T: Scalar> DistRunner<'_, T> {
                 let cell = self.cell(lay.row_owner(best_g), cpcol);
                 let lw = lay.local_row(best_g);
                 // SAFETY: PanelGetf2(k) owns the panel column rows.
-                (jj + 1..jb).map(|c| unsafe { cell.get(lw, pl0 + c) }).collect()
+                unsafe { cell.rect(lw..lw + 1, pl0 + jj + 1..pl0 + jb) }.gather(|v| v)
             } else {
                 Vec::new()
             };
@@ -382,7 +389,11 @@ pub(crate) struct DistRun<T> {
     ipiv: Vec<usize>,
     ipiv_cell: SharedIpiv,
     ledger: CommLedger,
+    /// Task spans, on the driver's own clock (it starts when the driver
+    /// does); [`Self::finish`] moves them onto the call's timeline.
     pub(crate) recorder: Recorder,
+    /// The call's start: the origin of the report's timeline.
+    started: Instant,
 }
 
 impl<T: Scalar> DistRun<T> {
@@ -393,17 +404,12 @@ impl<T: Scalar> DistRun<T> {
         alg: DistPanelAlg,
         lookahead: usize,
     ) -> Self {
+        let started = Instant::now();
         let (m, n) = (a.rows(), a.cols());
         assert!(b > 0 && pr > 0 && pc > 0, "block and grid must be positive");
         let glayout = TileLayout::new(m, n, b, b).with_grid(pr, pc);
-        let mut locals: Vec<TileMatrix<T>> = (0..pr * pc)
-            .map(|rank| {
-                let (prow, pcol) = (rank % pr, rank / pr);
-                TileMatrix::from_fn(glayout.local_layout(prow, pcol), |li, lj| {
-                    a[(glayout.global_row(prow, li), glayout.global_col(pcol, lj))]
-                })
-            })
-            .collect();
+        let mut locals: Vec<TileMatrix<T>> =
+            (0..pr * pc).map(|rank| scatter_2d(glayout, a, rank % pr, rank / pr)).collect();
         let shape = LuShape { m, n, nb: b };
         let mut ipiv = vec![0usize; m.min(n)];
         Self {
@@ -418,6 +424,7 @@ impl<T: Scalar> DistRun<T> {
             ipiv,
             ledger: CommLedger::new(),
             recorder: Recorder::new(),
+            started,
         }
     }
 
@@ -450,15 +457,23 @@ impl<T: Scalar> DistRun<T> {
         }
     }
 
+    /// Seconds into the call.
+    fn elapsed(&self) -> f64 {
+        self.started.elapsed().as_secs_f64()
+    }
+
     /// The tail both drivers share: drain the communicator, model the
     /// schedule, assemble report and factors. `extra_expected` are exact
-    /// ledger terms only this run's communicator puts on the wire.
+    /// ledger terms only this run's communicator puts on the wire;
+    /// `(begun, ended)` are the seconds into the call at which the driver
+    /// started and returned.
     fn finish(
         self,
         comm: &dyn Communicator,
         (exec, first_singular): (ExecReport, Option<usize>),
         mch: &MachineConfig,
         extra_expected: Vec<CommTerm>,
+        (begun, ended): (f64, f64),
     ) -> (DistRtReport, DistFactors<T>) {
         // Success or cancellation, undelivered payloads end with the run:
         // on success the last lookahead window's payloads are still
@@ -472,7 +487,9 @@ impl<T: Scalar> DistRun<T> {
         if first_singular.is_none() {
             assert_eq!(residual, 0, "{} mailbox leaked {residual} words", comm.name());
         }
-        let Self { glayout, geom, alg, local, dag, locals, ipiv, ledger, recorder, .. } = self;
+        let Self {
+            glayout, geom, alg, local, dag, locals, ipiv, ledger, recorder, started, ..
+        } = self;
         let model = DistCostModel {
             geom,
             alg,
@@ -482,20 +499,38 @@ impl<T: Scalar> DistRun<T> {
         let sched = simulate_dist_schedule(&dag, |t| model.cost(t), mch);
         let mut expected_mailbox = expected_mailbox_comm(&dag, &geom, alg);
         expected_mailbox.extend(extra_expected);
+        let critical_path = dag.critical_path(|t| model.cost(t).total(mch));
+        let modeled_terms = modeled_comm_terms(&dag, &model);
+        let modeled = started.elapsed().as_secs_f64();
+        let lu = assemble_2d(glayout, &locals);
+        let assembled = started.elapsed().as_secs_f64();
+        // One timeline for the whole call: the task spans move from the
+        // driver's clock onto the call's, the phases go on a lane of their
+        // own, each starting where the last one ended.
+        let mut spans = recorder.take();
+        for span in &mut spans {
+            span.ts_us += begun * 1e6;
+        }
+        let lane = (geom.pr * geom.pc) as u32;
+        let mut start = 0.0;
+        for (name, end) in DIST_PHASES.into_iter().zip([begun, ended, modeled, assembled]) {
+            recorder.record_interval(name.to_string(), "dist_phase", lane, 0, start, end);
+            start = end;
+        }
+        spans.extend(recorder.take());
         let report = DistRtReport {
             sim: SimReport { per_rank: sched.per_rank },
             traces: sched.traces,
             exec,
-            critical_path: dag.critical_path(|t| model.cost(t).total(mch)),
+            critical_path,
             makespan: sched.makespan,
             tasks: dag.len(),
             comm: ledger.report(),
             expected_mailbox,
-            modeled_terms: modeled_comm_terms(&dag, &model),
-            spans: recorder.take(),
+            modeled_terms,
+            spans,
             communicator: comm.name(),
         };
-        let lu = assemble_2d(glayout, &locals);
         (report, DistFactors { lu, ipiv, first_singular })
     }
 }
@@ -510,15 +545,18 @@ fn run_dist<T: Scalar>(
     mch: &MachineConfig,
 ) -> (DistRtReport, DistFactors<T>) {
     let run = DistRun::new(a, grid, local, alg, rt.lookahead);
+    let begun = run.elapsed();
     match rt.communicator {
         CommKind::InProcess => {
             let comm = InProcessComm::new();
             let out = run.run_on_executor(&comm, rt.executor);
-            run.finish(&comm, out, mch, Vec::new())
+            let ended = run.elapsed();
+            run.finish(&comm, out, mch, Vec::new(), (begun, ended))
         }
         CommKind::Threaded => {
             let comm = ThreadedComm::new(run.cells.len());
             let out = crate::dist_threaded::run_rank_threads(&run, &comm);
+            let ended = run.elapsed();
             // The blocked-fetch wait clocks ride next to the word counts
             // they explain, per (rank, term).
             for rank in 0..comm.ranks() {
@@ -528,7 +566,7 @@ fn run_dist<T: Scalar>(
             }
             // PDGETF2's picket fence is on the wire only here.
             let getf2 = expected_threaded_getf2_comm(&run.dag, &run.geom, alg);
-            run.finish(&comm, out, mch, getf2)
+            run.finish(&comm, out, mch, getf2, (begun, ended))
         }
     }
 }
@@ -662,8 +700,9 @@ mod tests {
         // end of a successful run; the driver drains them all.
         assert!(rep.comm.drained_words > 0);
         assert_eq!(rep.comm.residual_words, 0);
-        // One wall-clock span per executed task, pids spanning the grid.
-        assert_eq!(rep.spans.len(), rep.tasks);
+        // One wall-clock span per executed task, pids spanning the grid,
+        // and the call's four phases on the lane after the last rank.
+        assert_eq!(rep.spans.len(), rep.tasks + DIST_PHASES.len());
         assert!(rep.spans.iter().any(|s| s.pid == 3));
         calu_obs::parse_chrome_trace(&calu_obs::chrome_trace(&rep.spans))
             .expect("executor spans must export as valid chrome trace");
@@ -763,7 +802,7 @@ mod tests {
         assert_eq!(rep.communicator, "threaded");
         assert_eq!(rep.exec.workers, 4);
         assert!(rep.exec.order.len() >= rep.tasks);
-        assert_eq!(rep.spans.len(), rep.exec.order.len());
+        assert_eq!(rep.spans.len(), rep.exec.order.len() + DIST_PHASES.len());
         for pid in 0..4 {
             assert!(
                 rep.spans.iter().any(|s| s.pid == pid && s.tid == pid),

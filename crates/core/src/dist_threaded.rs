@@ -141,16 +141,13 @@ impl<T: Scalar> RankTasks<'_, T> {
     ) -> Result<()> {
         let lmine = self.ctx.glayout.local_row(mine);
         // SAFETY: this thread owns the whole local matrix.
-        let seg: Vec<f64> =
-            cols.clone().map(|lj| unsafe { self.cell.get(lmine, lj) }.to_f64()).collect();
+        let mut row = unsafe { self.cell.rect(lmine..lmine + 1, cols) };
+        let seg = row.gather(T::to_f64);
         self.ctx.ledger.record_send(self.rank as u32, "swap", seg.len() as u64);
         let partner_rank = self.ctx.geom.rank(partner_prow, self.pcol);
         self.post(class, k, j, who_base + self.prow, seg, &[partner_rank]);
         let theirs = self.fetch(class, k, j, who_base + partner_prow)?;
-        for (lj, &v) in cols.zip(theirs.iter()) {
-            // SAFETY: this thread owns the whole local matrix.
-            unsafe { self.cell.set(lmine, lj, T::from_f64(v)) };
-        }
+        row.scatter(&T::from_words(&theirs));
         Ok(())
     }
 
@@ -169,7 +166,10 @@ impl<T: Scalar> RankTasks<'_, T> {
             if o1 == self.prow {
                 let (l1, l2) = (lay.local_row(r1), lay.local_row(r2));
                 // SAFETY: this thread owns the whole local matrix.
-                unsafe { self.cell.swap_row_with(l1, self.cell, l2, cols) };
+                let (mut row1, mut row2) = unsafe {
+                    (self.cell.rect(l1..l1 + 1, cols.clone()), self.cell.rect(l2..l2 + 1, cols))
+                };
+                row1.swap_row_with(&mut row2);
             }
         } else if self.prow == o1 {
             self.exchange_row(tag, r1, o2, cols)?;
@@ -227,16 +227,10 @@ impl<T: Scalar> RankTasks<'_, T> {
             // Local scan over own rows (first strict max in ascending
             // global order — identical arithmetic to the shared body).
             let r0 = lay.local_rows_below(self.prow, gc);
-            let (mut ba, mut bg, mut bv) = (T::NEG_INFINITY, usize::MAX, T::ZERO);
-            for li in r0..self.cell.rows() {
-                // SAFETY: this thread owns the whole local matrix.
-                let v = unsafe { self.cell.get(li, pl0 + jj) };
-                if v.abs() > ba {
-                    ba = v.abs();
-                    bg = lay.global_row(self.prow, li);
-                    bv = v;
-                }
-            }
+            // SAFETY: this thread owns the whole local matrix.
+            let (ba, li, bv) =
+                unsafe { self.cell.rect(r0..self.cell.rows(), pl0 + jj..pl0 + jj + 1) }.col_amax();
+            let bg = if li == usize::MAX { li } else { lay.global_row(self.prow, li) };
             if !others.is_empty() {
                 // 3-word candidate: [|v|, global row (−1 = no rows), v].
                 let enc = if bg == usize::MAX { -1.0 } else { bg as f64 };
@@ -274,8 +268,8 @@ impl<T: Scalar> RankTasks<'_, T> {
             } else if lay.row_owner(best_g) == self.prow {
                 let lw = lay.local_row(best_g);
                 // SAFETY: this thread owns the whole local matrix.
-                let row: Vec<T> =
-                    (jj + 1..jb).map(|c| unsafe { self.cell.get(lw, pl0 + c) }).collect();
+                let row =
+                    unsafe { self.cell.rect(lw..lw + 1, pl0 + jj + 1..pl0 + jb) }.gather(|v| v);
                 if !others.is_empty() {
                     self.post(GUR, k, jj, 0, row.iter().map(|&v| v.to_f64()).collect(), &others);
                 }

@@ -53,7 +53,9 @@ pub mod tslu;
 pub use calu::{calu_factor, calu_inplace, CaluOpts, LuFactors};
 pub use calu_runtime::PanelMode;
 pub use comm::{CommKind, Communicator, InProcessComm, ThreadedComm};
-pub use dist_rt::{dist_calu_factor_rt, dist_pdgetrf_factor_rt, DistRtOpts, DistRtReport};
+pub use dist_rt::{
+    dist_calu_factor_rt, dist_pdgetrf_factor_rt, DistRtOpts, DistRtReport, DIST_PHASES,
+};
 pub use gepp::{gepp_factor, gepp_inplace};
 pub use instrument::PivotStats;
 pub use rt::{

@@ -21,9 +21,12 @@
 //!   row of `L₂₁` depend on that row and `U₁₁` only
 //!   ([`lu_rows`]), so any chunking of the apply is exact;
 //! * row swaps applied per block column are the same element swaps as one
-//!   whole-matrix `apply_ipiv`;
-//! * `trsm` forward-substitutes each column of `U₁₂` independently, so a
-//!   column split changes nothing;
+//!   whole-matrix `apply_ipiv` — on flat storage literally `apply_ipiv` on
+//!   the block column, all of a panel's interchanges applied to one column
+//!   before the next (`Storage::apply_swaps`);
+//! * the bits of a column of `U₁₂` are a function of that column, `L₁₁` and
+//!   the `gemm` arm — the blocked `trsm`'s contract
+//!   ([`calu_matrix::blas3`]) — so a column split changes nothing;
 //! * `gemm` accumulates every `C(i,j)` along the inner (panel-width)
 //!   dimension in a fixed order regardless of how `C` is partitioned, so
 //!   cutting the trailing update into row chunks of block columns (and, on
@@ -48,6 +51,7 @@
 
 use calu_matrix::blas3::{gemm, trsm};
 use calu_matrix::lapack::lu_rows;
+use calu_matrix::perm::apply_ipiv;
 use calu_matrix::{
     Diag, Error, MatView, MatViewMut, Matrix, NoObs, PivotObserver, Result, Scalar, Side,
     TileLayout, TileMatrix, Uplo,
@@ -93,13 +97,15 @@ pub(crate) trait Storage<T: Scalar>: Sync {
     /// only reads — and the block must be in range.
     unsafe fn block(&self, i: usize, j: usize, nr: usize, nc: usize) -> MatViewMut<'_, T>;
 
-    /// Swaps rows `r1` and `r2` across the columns `cols` — the element
-    /// swaps of a flat `swap_rows`, whatever the layout.
+    /// Applies a panel's interchanges to the columns `cols`: for `i` in
+    /// order, swaps rows `base + i` and `base + local[i]` — the element
+    /// moves of [`apply_ipiv`] on rows `base..` of those columns, whatever
+    /// the layout.
     ///
     /// # Safety
-    /// The caller's task must own both rows over `cols` (DAG-ordered
+    /// The caller's task must own rows `base..` of `cols` (DAG-ordered
     /// against every other toucher).
-    unsafe fn swap_rows(&self, r1: usize, r2: usize, cols: Range<usize>);
+    unsafe fn apply_swaps(&self, base: usize, local: &[usize], cols: Range<usize>);
 
     /// Cuts a row range into the runs [`Storage::block`] can address as one
     /// view, in order.
@@ -137,9 +143,11 @@ impl<T: Scalar> Storage<T> for SharedMat<T> {
         unsafe { MatViewMut::from_raw_parts(self.ptr.add(j * self.ld + i), nr, nc, self.ld) }
     }
 
-    unsafe fn swap_rows(&self, r1: usize, r2: usize, cols: Range<usize>) {
-        let (lo, hi) = (r1.min(r2), r1.max(r2));
-        unsafe { self.block(lo, cols.start, hi - lo + 1, cols.len()) }.swap_rows(0, hi - lo);
+    /// Column by column (see [`apply_ipiv`]): a flat column is contiguous.
+    unsafe fn apply_swaps(&self, base: usize, local: &[usize], cols: Range<usize>) {
+        // SAFETY: the caller owns rows `base..` of `cols`, which is this block.
+        let block = unsafe { self.block(base, cols.start, self.rows - base, cols.len()) };
+        apply_ipiv(block, local);
     }
 
     fn row_runs(&self, rows: Range<usize>) -> Vec<Range<usize>> {
@@ -178,12 +186,18 @@ impl<T: Scalar> Storage<T> for SharedTiles<T> {
         unsafe { MatViewMut::from_raw_parts(self.ptr.add(off), nr, nc, h) }
     }
 
-    unsafe fn swap_rows(&self, r1: usize, r2: usize, cols: Range<usize>) {
-        for j in cols {
-            unsafe {
-                let a = self.ptr.add(self.layout.elem_offset(r1, j));
-                let b = self.ptr.add(self.layout.elem_offset(r2, j));
-                std::ptr::swap(a, b);
+    /// Element by element: a column of the rows below `base` is cut into
+    /// one segment per tile row.
+    unsafe fn apply_swaps(&self, base: usize, local: &[usize], cols: Range<usize>) {
+        for (i, &p) in local.iter().enumerate().filter(|&(i, &p)| p != i) {
+            for j in cols.clone() {
+                // SAFETY: both elements are in rows `base..` of `cols`, which
+                // the caller owns.
+                unsafe {
+                    let a = self.ptr.add(self.layout.elem_offset(base + i, j));
+                    let b = self.ptr.add(self.layout.elem_offset(base + p, j));
+                    std::ptr::swap(a, b);
+                }
             }
         }
     }
@@ -363,11 +377,7 @@ where
                 // reduce tree, every apply and swap after it) and the
                 // step's ipiv slots. The Swap tasks handle all other
                 // columns.
-                for (i, &p) in local.iter().enumerate() {
-                    if p != i {
-                        unsafe { self.mat.swap_rows(base + i, base + p, base..base + jb) };
-                    }
-                }
+                unsafe { self.mat.apply_swaps(base, &local, base..base + jb) };
                 // The top block's rows fully determine their own
                 // elimination — where a genuinely singular panel surfaces.
                 let top = unsafe { self.mat.block(base, base, jb, jb) };
@@ -396,11 +406,7 @@ where
                 let local = unsafe { self.ipiv.read_local(shape, k) };
                 let cols = shape.update_col_range(k, j);
                 // SAFETY: Swap(k,j) owns rows base..m of these columns.
-                for (i, &p) in local.iter().enumerate() {
-                    if p != i {
-                        unsafe { self.mat.swap_rows(base + i, base + p, cols.clone()) };
-                    }
-                }
+                unsafe { self.mat.apply_swaps(base, &local, cols) };
                 Ok(())
             }
             Task::Trsm { j, .. } => {

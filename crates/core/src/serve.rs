@@ -36,8 +36,8 @@ use calu_runtime::{ExecReport, ExecutorKind, LuDag, SolveKind, SolveShape, Task,
 
 use crate::calu::{CaluOpts, LuFactors};
 use crate::rt::{runtime_calu_factor, RuntimeOpts, SharedMat, Storage};
-use calu_matrix::blas3::trsm;
-use calu_matrix::{Diag, Side, Uplo};
+use calu_matrix::blas2::trsv;
+use calu_matrix::{Diag, Uplo};
 
 /// Cache key of a registered matrix: the caller-chosen id plus a
 /// generation that [`SolverService::register`] bumps on every
@@ -531,7 +531,7 @@ impl<T: Scalar> SolverService<T> {
 }
 
 /// Shared-memory runner of the solve-phase DAG: binds [`Task::Solve`]
-/// kinds to pivot application, diagonal `trsm`s, and the off-diagonal
+/// kinds to pivot application, diagonal `trsv` solves, and the off-diagonal
 /// block updates. The DAG's write chains order every pair of tasks
 /// touching the same tile, which is the disjointness invariant
 /// [`Storage::block`] requires — and they fix the floating-point
@@ -558,15 +558,20 @@ impl<T: Scalar> TaskRunner for SolveRunner<'_, T> {
             SolveKind::TrsmL | SolveKind::TrsmU => {
                 let rk = self.shape.row_range(s.k as usize);
                 let diag = self.lu.submatrix(rk.start, rk.start, rk.len(), rk.len());
-                let xk = unsafe { self.x.block(rk.start, cj.start, rk.len(), cj.len()) };
-                if s.kind == SolveKind::TrsmL {
-                    trsm(Side::Left, Uplo::Lower, Diag::Unit, T::ONE, diag, xk);
+                let mut xk = unsafe { self.x.block(rk.start, cj.start, rk.len(), cj.len()) };
+                // Column by column on `trsv`, like `getrs_mat`: the served
+                // bits are `getrs`' (the blocked `trsm` rounds differently).
+                let (uplo, unit_or_not) = if s.kind == SolveKind::TrsmL {
+                    (Uplo::Lower, Diag::Unit)
                 } else {
-                    trsm(Side::Left, Uplo::Upper, Diag::NonUnit, T::ONE, diag, xk);
+                    (Uplo::Upper, Diag::NonUnit)
+                };
+                for c in 0..xk.cols() {
+                    trsv(uplo, unit_or_not, diag, xk.col_mut(c));
                 }
             }
             // The block updates replay the scalar substitution loops of
-            // `getrs`' full-matrix trsms exactly — one axpy per pivot
+            // `getrs`' full-matrix substitutions exactly — one axpy per pivot
             // element `t`, `t` ascending (forward) or descending
             // (backward), with the same skip-zero guard — rather than
             // calling the rank-grouped `gemm` kernel, whose different

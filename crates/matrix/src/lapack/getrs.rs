@@ -1,11 +1,10 @@
 //! Solves from packed LU factors (`DGETRS`, both transpose modes).
 
 use crate::blas2::{trsv, trsv_t};
-use crate::blas3::trsm;
 use crate::perm::{apply_ipiv, apply_ipiv_vec};
 use crate::scalar::Scalar;
 use crate::view::{MatView, MatViewMut};
-use crate::{Diag, Side, Uplo};
+use crate::{Diag, Uplo};
 
 /// Solves `A x = b` in place given the packed factors and pivots of
 /// `A = P L U` (as produced by `getf2`/`rgetf2`/`getrf`).
@@ -42,7 +41,11 @@ pub fn getrs_t<T: Scalar>(lu: MatView<'_, T>, ipiv: &[usize], b: &mut [T]) {
     }
 }
 
-/// Multi-RHS version of [`getrs`]: solves `A X = B` in place.
+/// Multi-RHS version of [`getrs`]: solves `A X = B` in place, each column
+/// bit for bit the [`getrs`] solution of that column (the interchanges
+/// applied to the block, then the two `trsv` substitutions per column —
+/// served solutions are pinned to those bits, so the solve phase does not
+/// run the blocked [`trsm`](crate::blas3::trsm)).
 ///
 /// # Panics
 /// If shapes mismatch.
@@ -51,8 +54,10 @@ pub fn getrs_mat<T: Scalar>(lu: MatView<'_, T>, ipiv: &[usize], mut b: MatViewMu
     assert_eq!(lu.cols(), n, "getrs_mat: factors must be square");
     assert_eq!(b.rows(), n, "getrs_mat: rhs rows mismatch");
     apply_ipiv(b.rb_mut(), ipiv);
-    trsm(Side::Left, Uplo::Lower, Diag::Unit, T::ONE, lu, b.rb_mut());
-    trsm(Side::Left, Uplo::Upper, Diag::NonUnit, T::ONE, lu, b);
+    for j in 0..b.cols() {
+        trsv(Uplo::Lower, Diag::Unit, lu, b.col_mut(j));
+        trsv(Uplo::Upper, Diag::NonUnit, lu, b.col_mut(j));
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,10 @@
 //! halve the columns, left half, one `gemm` update of the right half against
 //! `U₁₁`'s off-diagonal block, right half — so almost all of it runs in the
 //! packed `gemm`, where the unblocked sweep is `b` memory-bound rank-1
-//! updates.
+//! updates. That recursion is [`trsm`](crate::blas3::trsm)'s
+//! `Right`/`Upper`/`NonUnit` case itself; `lu_rows` adds what a panel wants
+//! to know on the way (the singular-pivot check, the column maxima, the
+//! observer's events) and produces `trsm`'s bits.
 //!
 //! # Row independence
 //!
@@ -23,19 +26,13 @@
 //! last place (a `gemm` subtracts a finished sum where `ger` subtracts term
 //! by term).
 
-use crate::blas1::{amax, scal};
-use crate::blas2::ger;
-use crate::blas3::{gemm_on, Arm};
+use crate::blas1::amax;
+use crate::blas3::{solve_right, Arm, Watch};
 use crate::error::{Error, Result};
 use crate::observer::PivotObserver;
 use crate::scalar::Scalar;
 use crate::view::{MatView, MatViewMut};
-
-/// Width at which the recursion bottoms out into `scal` + `ger`.
-const BASE_WIDTH: usize = 8;
-/// Rows eliminated at a time: a `ROW_BLOCK × 64` block of `f64` is 512 KiB
-/// and stays in L2 across the whole column recursion.
-const ROW_BLOCK: usize = 1024;
+use crate::{Diag, Uplo};
 
 /// Forms `rows ← rows · U₁₁⁻¹` in place: the rows of `L₂₁` for a panel whose
 /// top block has been factored into `u11` (only the upper triangle of `u11`
@@ -75,7 +72,7 @@ pub fn lu_rows<T: Scalar, O: PivotObserver<T>>(
 pub fn lu_rows_on<T: Scalar, O: PivotObserver<T>>(
     arm: Arm,
     u11: MatView<'_, T>,
-    mut rows: MatViewMut<'_, T>,
+    rows: MatViewMut<'_, T>,
     col_max: &mut [T],
     obs: &mut O,
 ) -> Result<()> {
@@ -88,48 +85,29 @@ pub fn lu_rows_on<T: Scalar, O: PivotObserver<T>>(
             return Err(Error::SingularPivot { step: j });
         }
     }
-    let m = rows.rows();
-    for i in (0..m).step_by(ROW_BLOCK) {
-        let block = rows.submatrix_mut(i, 0, ROW_BLOCK.min(m - i), b);
-        eliminate(arm, u11, block, &mut col_max[..b], obs);
-    }
+    solve_right(arm, Uplo::Upper, Diag::NonUnit, u11, rows, &mut Panel { col_max, obs });
     Ok(())
 }
 
-/// One row block against the `w × w` upper-triangular `u` (`w = a.cols()`).
-fn eliminate<T: Scalar, O: PivotObserver<T>>(
-    arm: Arm,
-    u: MatView<'_, T>,
-    mut a: MatViewMut<'_, T>,
-    col_max: &mut [T],
-    obs: &mut O,
-) {
-    let w = a.cols();
-    if w <= BASE_WIDTH {
-        let mut urow = [T::ZERO; BASE_WIDTH];
-        for (j, max) in col_max.iter_mut().enumerate() {
-            *max = max.max(amax(a.col(j)));
-            scal(u.get(j, j).recip(), a.col_mut(j));
-            obs.on_multipliers(a.col(j));
-            let width = w - j - 1;
-            if width > 0 {
-                for (c, t) in urow[..width].iter_mut().enumerate() {
-                    *t = u.get(j, j + 1 + c);
-                }
-                let (left, mut right) = a.rb_mut().split_at_col_mut(j + 1);
-                ger(-T::ONE, left.col(j), &urow[..width], right.rb_mut());
-                obs.on_stage(&right.as_view());
-            }
-        }
-        return;
+/// What `lu_rows` records as the solve eliminates each column: the rows'
+/// share of the column maximum, and the observer's events.
+struct Panel<'a, T, O> {
+    col_max: &'a mut [T],
+    obs: &'a mut O,
+}
+
+impl<T: Scalar, O: PivotObserver<T>> Watch<T> for Panel<'_, T, O> {
+    fn column(&mut self, j: usize, col: &[T]) {
+        self.col_max[j] = self.col_max[j].max(amax(col));
     }
-    let w1 = w / 2;
-    let (mut left, mut right) = a.split_at_col_mut(w1);
-    let (max_left, max_right) = col_max.split_at_mut(w1);
-    eliminate(arm, u.submatrix(0, 0, w1, w1), left.rb_mut(), max_left, obs);
-    gemm_on(arm, -T::ONE, left.as_view(), u.submatrix(0, w1, w1, w - w1), T::ONE, right.rb_mut());
-    obs.on_stage(&right.as_view());
-    eliminate(arm, u.submatrix(w1, w1, w - w1, w - w1), right, max_right, obs);
+
+    fn multipliers(&mut self, col: &[T]) {
+        self.obs.on_multipliers(col);
+    }
+
+    fn stage(&mut self, changed: &MatView<'_, T>) {
+        self.obs.on_stage(changed);
+    }
 }
 
 #[cfg(test)]

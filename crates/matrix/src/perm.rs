@@ -13,20 +13,28 @@ use crate::view::MatViewMut;
 /// Applies the transposition sequence `ipiv` to the rows of `a`
 /// (LAPACK `DLASWP` with increment +1): for `i` in order, swap rows
 /// `i` and `ipiv[i]`.
+///
+/// Column by column — every interchange applied to one column before the
+/// next is touched — so a column is walked while it is in cache; a row swap
+/// at a time strides across columns that, in a matrix whose leading dimension
+/// is a multiple of 512, all map to one L1 set. The element moves are the
+/// same either way.
 pub fn apply_ipiv<T: Scalar>(mut a: MatViewMut<'_, T>, ipiv: &[usize]) {
-    for (i, &p) in ipiv.iter().enumerate() {
-        if p != i {
-            a.swap_rows(i, p);
-        }
+    for j in 0..a.cols() {
+        apply_ipiv_vec(a.col_mut(j), ipiv);
     }
 }
 
 /// Applies the inverse of the transposition sequence (LAPACK `DLASWP` with
 /// increment -1): for `i` in reverse order, swap rows `i` and `ipiv[i]`.
+/// Column by column, like [`apply_ipiv`].
 pub fn apply_ipiv_inv<T: Scalar>(mut a: MatViewMut<'_, T>, ipiv: &[usize]) {
-    for (i, &p) in ipiv.iter().enumerate().rev() {
-        if p != i {
-            a.swap_rows(i, p);
+    for j in 0..a.cols() {
+        let col = a.col_mut(j);
+        for (i, &p) in ipiv.iter().enumerate().rev() {
+            if p != i {
+                col.swap(i, p);
+            }
         }
     }
 }

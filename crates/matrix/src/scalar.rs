@@ -18,6 +18,7 @@
 //! the netsim (`f64` words) bitwise faithful.
 
 use crate::blas3::{Arm, Ukernel};
+use std::borrow::Cow;
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -87,6 +88,10 @@ pub trait Scalar:
     fn from_f64(v: f64) -> Self;
     /// Widens to `f64` (exact for both implementations).
     fn to_f64(self) -> f64;
+    /// `f64` wire words as elements of this precision: the words themselves
+    /// at `f64`, a rounded copy at `f32` (exact when the words were widened
+    /// from `f32`, as every payload of an `f32` run was).
+    fn from_words(words: &[f64]) -> Cow<'_, [Self]>;
 
     /// The register-tile micro-kernel of [`crate::blas3::gemm`] at this
     /// precision on `arm` — the one place the kernels stop being generic
@@ -103,7 +108,7 @@ pub trait Scalar:
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $name:literal) => {
+    ($t:ty, $name:literal, $from_words:expr) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -153,6 +158,9 @@ macro_rules! impl_scalar {
             fn to_f64(self) -> f64 {
                 self as f64
             }
+            fn from_words(words: &[f64]) -> Cow<'_, [Self]> {
+                $from_words(words)
+            }
             #[inline(always)]
             fn gemm_ukernel(arm: Arm) -> Ukernel<Self> {
                 Ukernel::<$t>::for_arm(arm)
@@ -161,8 +169,8 @@ macro_rules! impl_scalar {
     };
 }
 
-impl_scalar!(f32, "f32");
-impl_scalar!(f64, "f64");
+impl_scalar!(f32, "f32", |words| Cow::Owned(cast_slice(words)));
+impl_scalar!(f64, "f64", Cow::Borrowed);
 
 /// Rounds a slice into another precision (`f64 → f32` demotion and
 /// `f32 → f64` exact promotion; used by the mixed-precision solver).
@@ -209,6 +217,13 @@ mod tests {
         fn T_from_usize<T: Scalar>(n: usize) -> T {
             T::from_usize(n)
         }
+    }
+
+    #[test]
+    fn wire_words_are_borrowed_at_f64_and_rounded_at_f32() {
+        let words = [1.0f64, 0.1, -2.5];
+        assert!(matches!(f64::from_words(&words), Cow::Borrowed(w) if w == words));
+        assert_eq!(f32::from_words(&words).as_ref(), [1.0f32, 0.1, -2.5]);
     }
 
     #[test]

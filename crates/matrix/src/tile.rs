@@ -351,18 +351,32 @@ impl<T: Scalar> TileMatrix<T> {
     /// Converts any strided view into tile-major storage.
     pub fn from_view(a: MatView<'_, T>, mb: usize, nb: usize) -> Self {
         let layout = TileLayout::new(a.rows(), a.cols(), mb, nb);
-        let mut out = Self { layout, data: Vec::with_capacity(a.rows() * a.cols()) };
+        Self::from_tiles(layout, |ti, tj| {
+            a.submatrix(ti * mb, tj * nb, layout.tile_height(ti), layout.tile_width(tj))
+        })
+    }
+
+    /// Builds a tile matrix by copying one source block per tile, in storage
+    /// order: `src(ti, tj)` is what tile `(ti, tj)` holds.
+    ///
+    /// # Panics
+    /// If a source block does not have its tile's shape.
+    pub fn from_tiles<'a>(
+        layout: TileLayout,
+        mut src: impl FnMut(usize, usize) -> MatView<'a, T>,
+    ) -> Self {
+        let mut data = Vec::with_capacity(layout.rows() * layout.cols());
         for tj in 0..layout.tile_cols() {
-            let (j0, w) = (tj * nb, layout.tile_width(tj));
             for ti in 0..layout.tile_rows() {
-                let (i0, h) = (ti * mb, layout.tile_height(ti));
-                let src = a.submatrix(i0, j0, h, w);
-                for j in 0..w {
-                    out.data.extend_from_slice(src.col(j));
+                let block = src(ti, tj);
+                let shape = (layout.tile_height(ti), layout.tile_width(tj));
+                assert_eq!((block.rows(), block.cols()), shape, "tile ({ti},{tj}) source shape");
+                for j in 0..block.cols() {
+                    data.extend_from_slice(block.col(j));
                 }
             }
         }
-        out
+        Self { layout, data }
     }
 
     /// Converts back to a flat column-major [`Matrix`] (the exact inverse

@@ -3,14 +3,14 @@
 //! inequalities over randomized shapes.
 
 use calu_matrix::blas2::{gemv, gemv_t, trmv, trsv_t};
-use calu_matrix::blas3::{gemm, gemm_on, trsm, Arm};
+use calu_matrix::blas3::{gemm, gemm_on, trsm, trsm_on, Arm};
 use calu_matrix::lapack::{
     gecon, geequ, getf2, getf2_info, getrf, getri, getrs, getrs_t, laqge, lu_nopiv, lu_rows_on,
     rgetf2, rgetf2_info, GetrfOpts, PanelAlg,
 };
 use calu_matrix::norms::{mat_norm_1, mat_norm_fro, mat_norm_inf};
 use calu_matrix::perm::{apply_ipiv, apply_ipiv_inv, ipiv_to_perm, permute_rows};
-use calu_matrix::{gen, Diag, Error, Matrix, NoObs, Scalar, Side, Uplo};
+use calu_matrix::{gen, Diag, Error, MatView, Matrix, NoObs, Scalar, Side, Uplo};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -296,6 +296,311 @@ proptest! {
             if let Err(why) = check_lu_rows::<f32>(arm, seed, jb, h, pad) {
                 prop_assert!(false, "f32, {} arm, jb={jb} h={h}: {why}", arm.name());
             }
+        }
+    }
+}
+
+/// Triangle orders the `trsm` properties run at: one row, one short of,
+/// exactly and one past the width at which the recursion bottoms out, the
+/// same around the benchmark's 64, and an order that is no power of two.
+const TRIANGLE_ORDERS: [usize; 8] = [1, 7, 8, 9, 63, 64, 65, 100];
+
+/// A packed `n × n` block holding a well-conditioned triangle of either
+/// kind: both strict triangles populated (small), the diagonal away from
+/// zero — `trsm` must read the named one only, and not the diagonal under
+/// `Diag::Unit`.
+fn packed_triangles<T: Scalar>(rng: &mut StdRng, n: usize) -> Matrix<T> {
+    let mut a = gen::randn::<T>(rng, n, n);
+    for j in 0..n {
+        for i in 0..n {
+            a[(i, j)] *= T::from_f64(0.5 / n as f64);
+        }
+        a[(j, j)] += T::from_f64(1.5);
+    }
+    a
+}
+
+/// `alpha · op(A)⁻¹ B` (`Left`) or `alpha · B · op(A)⁻¹` (`Right`) by plain
+/// substitution, one right-hand column (row) at a time, each unknown as one
+/// running difference divided by the diagonal.
+fn trsm_naive<T: Scalar>(
+    (side, uplo, diag): (Side, Uplo, Diag),
+    alpha: T,
+    a: MatView<'_, T>,
+    b: &Matrix<T>,
+) -> Matrix<T> {
+    let n = a.rows();
+    let mut x = Matrix::<T>::zeros(b.rows(), b.cols());
+    let order: Vec<usize> = match (side, uplo) {
+        (Side::Left, Uplo::Lower) | (Side::Right, Uplo::Upper) => (0..n).collect(),
+        _ => (0..n).rev().collect(),
+    };
+    let free = if side == Side::Left { b.cols() } else { b.rows() };
+    for f in 0..free {
+        // Unknown `t` of this column (row) and the triangle entry coupling
+        // it to unknown `u`.
+        let at = |t: usize| if side == Side::Left { (t, f) } else { (f, t) };
+        let coupling =
+            |t: usize, u: usize| if side == Side::Left { a.get(t, u) } else { a.get(u, t) };
+        for (done, &t) in order.iter().enumerate() {
+            let mut s = alpha * b[at(t)];
+            for &u in &order[..done] {
+                s -= coupling(t, u) * x[at(u)];
+            }
+            x[at(t)] = if diag == Diag::NonUnit { s / a.get(t, t) } else { s };
+        }
+    }
+    x
+}
+
+/// One `trsm_on` call per piece of `pieces` (consecutive `(start, size)`
+/// over the free dimension of the right-hand block, which sits at
+/// `(off, 0)` of `store`).
+fn solve_in_pieces<T: Scalar>(
+    arm: Arm,
+    (side, uplo, diag): (Side, Uplo, Diag),
+    alpha: T,
+    a: MatView<'_, T>,
+    store: &mut Matrix<T>,
+    (off, rows, cols): (usize, usize, usize),
+    pieces: &[(usize, usize)],
+) {
+    let mut b = store.view_mut().into_submatrix(off, 0, rows, cols);
+    for &(at, size) in pieces {
+        let piece = match side {
+            Side::Left => b.submatrix_mut(0, at, rows, size),
+            Side::Right => b.submatrix_mut(at, 0, size, cols),
+        };
+        trsm_on(arm, side, uplo, diag, alpha, a, piece);
+    }
+}
+
+/// The `trsm` contract on one case, at one precision on one arm: agreement
+/// with the naive reference, independence of the right-hand columns (rows)
+/// from how they are cut into calls and from the leading dimension, and
+/// containment of non-finite values; `Err` names the property that failed.
+fn check_trsm<T: Scalar>(
+    arm: Arm,
+    seed: u64,
+    what: (Side, Uplo, Diag),
+    n: usize,
+    free: usize,
+    alpha: f64,
+) -> Result<(), String> {
+    let (side, uplo, _) = what;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let alpha = T::from_f64(alpha);
+    // The triangle as a window of a taller store, like a diagonal block of
+    // a flat matrix.
+    let a_store = {
+        let mut s = gen::randn::<T>(&mut rng, n + 5, n);
+        let tri = packed_triangles::<T>(&mut rng, n);
+        s.view_mut().into_submatrix(3, 0, n, n).copy_from(tri.view());
+        s
+    };
+    let a = a_store.view().submatrix(3, 0, n, n);
+    let (rows, cols) = if side == Side::Left { (n, free) } else { (free, n) };
+    let b0 = gen::randn::<T>(&mut rng, rows, cols);
+    let in_store = |ld: usize, off: usize, b: &Matrix<T>| {
+        let mut store =
+            Matrix::from_fn(ld, cols, |i, j| T::from_f64(((i * 31 + j * 17) % 13) as f64));
+        store.view_mut().into_submatrix(off, 0, rows, cols).copy_from(b.view());
+        store
+    };
+    let block =
+        |store: &Matrix<T>, off: usize| store.view().submatrix(off, 0, rows, cols).to_matrix();
+
+    // One call on a contiguous block: the reference bits, and within
+    // c·n·eps of the naive substitution.
+    let mut whole = b0.clone();
+    trsm_on(arm, side, what.1, what.2, alpha, a, whole.view_mut());
+    let want = trsm_naive(what, alpha, a, &b0);
+    let tol = 16.0 * (n as f64 + 1.0) * T::EPSILON.to_f64() * want.max_abs().to_f64().max(1.0);
+    let err = whole.max_abs_diff(&want).to_f64();
+    if err.is_nan() || err > tol {
+        return Err(format!("differs from the naive solve by {err} > {tol}"));
+    }
+
+    // Any partition of the free dimension into calls, through a tile-like, a
+    // flat-matrix-like and a ragged leading dimension, gives those bits —
+    // and leaves the rest of the store alone.
+    let singles = free.min(3);
+    let mut ones: Vec<(usize, usize)> = (0..singles).map(|i| (i, 1)).collect();
+    if singles < free {
+        ones.push((singles, free - singles));
+    }
+    for ld in [rows.max(64), rows.max(1536), rows + 1 + (seed % 7) as usize] {
+        let off = (ld - rows) / 2;
+        let store0 = in_store(ld, off, &b0);
+        for pieces in [vec![(0, free)], partition(&mut rng, free), ones.clone()] {
+            let mut store = store0.clone();
+            solve_in_pieces(arm, what, alpha, a, &mut store, (off, rows, cols), &pieces);
+            if bits(&block(&store, off)) != bits(&whole) {
+                return Err(format!("bits depend on ld={ld} or the chunking {pieces:?}"));
+            }
+            store.view_mut().into_submatrix(off, 0, rows, cols).copy_from(b0.view());
+            if bits(&store) != bits(&store0) {
+                return Err(format!("wrote outside the block at ld={ld}"));
+            }
+        }
+    }
+    if alpha == T::ZERO {
+        return Ok(());
+    }
+
+    // A NaN or an infinity in B stays in its right-hand column (row).
+    let line = |m: &Matrix<T>, f: usize| -> Vec<u64> {
+        let (r, c) = if side == Side::Left { (0..rows, f..f + 1) } else { (f..f + 1, 0..cols) };
+        bits(&m.view().submatrix(r.start, c.start, r.len(), c.len()).to_matrix())
+    };
+    for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].map(T::from_f64) {
+        let (f, t) = (rng.gen_range(0..free), rng.gen_range(0..n));
+        let mut dirty = b0.clone();
+        dirty[if side == Side::Left { (t, f) } else { (f, t) }] = poison;
+        trsm_on(arm, side, what.1, what.2, alpha, a, dirty.view_mut());
+        if (0..free).any(|g| g != f && line(&dirty, g) != line(&whole, g)) {
+            return Err(format!("a non-finite entry of B in line {f} reached another line"));
+        }
+        if line(&dirty, f) == line(&whole, f) {
+            return Err(format!("the non-finite entry of B in line {f} vanished"));
+        }
+    }
+
+    // A non-finite entry of the strict triangle reaches the unknown it
+    // couples and nothing that is solved before it, and does not panic.
+    if n > 1 {
+        let (lo, hi) = {
+            let x = rng.gen_range(0..n - 1);
+            (x, rng.gen_range(x + 1..n))
+        };
+        let at = if uplo == Uplo::Lower { (hi, lo) } else { (lo, hi) };
+        // The unknown whose equation holds the entry, and the ones solved
+        // before it.
+        let (hit, before): (usize, Vec<usize>) = match (side, uplo) {
+            (Side::Left, Uplo::Lower) | (Side::Right, Uplo::Upper) => (hi, (0..hi).collect()),
+            _ => (lo, (lo + 1..n).collect()),
+        };
+        for poison in [f64::NAN, f64::INFINITY].map(T::from_f64) {
+            let mut bad = a_store.clone();
+            bad[(3 + at.0, at.1)] = poison;
+            let mut dirty = b0.clone();
+            trsm_on(
+                arm,
+                side,
+                what.1,
+                what.2,
+                alpha,
+                bad.view().submatrix(3, 0, n, n),
+                dirty.view_mut(),
+            );
+            for f in 0..free {
+                let cell = |t: usize| if side == Side::Left { (t, f) } else { (f, t) };
+                if dirty[cell(hit)].is_finite() {
+                    return Err(format!("a non-finite a{at:?} did not reach unknown {hit}"));
+                }
+                if before.iter().any(|&t| {
+                    dirty[cell(t)].to_f64().to_bits() != whole[cell(t)].to_f64().to_bits()
+                }) {
+                    return Err(format!("a non-finite a{at:?} reached an unknown solved earlier"));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Zero-sized right-hand sides come back untouched, whatever the triangle.
+#[test]
+fn trsm_of_nothing_touches_nothing() {
+    let a = packed_triangles::<f64>(&mut StdRng::seed_from_u64(1), 9);
+    let store0 = randn_mat(2, 20, 9);
+    for arm in arms() {
+        for side in [Side::Left, Side::Right] {
+            for uplo in [Uplo::Lower, Uplo::Upper] {
+                for diag in [Diag::Unit, Diag::NonUnit] {
+                    let mut store = store0.clone();
+                    let (r, c) = if side == Side::Left { (9, 0) } else { (0, 9) };
+                    let empty = store.view_mut().into_submatrix(5, 0, r, c);
+                    trsm_on(arm, side, uplo, diag, 2.0, a.view(), empty);
+                    // An empty triangle solves an empty system.
+                    let (r, c) = if side == Side::Left { (0, 7) } else { (7, 0) };
+                    let none = store.view_mut().into_submatrix(5, 0, r, c);
+                    trsm_on(arm, side, uplo, diag, 2.0, a.view().submatrix(0, 0, 0, 0), none);
+                    assert_eq!(store, store0, "{} {side:?} {uplo:?} {diag:?}", arm.name());
+                }
+            }
+        }
+    }
+}
+
+/// The eight `side × uplo × diag` cases of `trsm`.
+fn trsm_cases() -> impl Iterator<Item = (Side, Uplo, Diag)> {
+    [Side::Left, Side::Right].into_iter().flat_map(|side| {
+        [Uplo::Lower, Uplo::Upper].into_iter().flat_map(move |uplo| {
+            [Diag::Unit, Diag::NonUnit].into_iter().map(move |diag| (side, uplo, diag))
+        })
+    })
+}
+
+/// [`check_trsm`] at both precisions on every arm this host can run,
+/// naming the arms it cannot.
+fn check_trsm_on_every_arm(
+    seed: u64,
+    what: (Side, Uplo, Diag),
+    n: usize,
+    free: usize,
+    alpha: f64,
+) -> Result<(), String> {
+    for arm in arms() {
+        let at =
+            |t: &str| format!("{t}, {} arm, {what:?} n={n} free={free} alpha={alpha}", arm.name());
+        check_trsm::<f64>(arm, seed, what, n, free, alpha)
+            .map_err(|why| format!("{}: {why}", at("f64")))?;
+        check_trsm::<f32>(arm, seed, what, n, free, alpha)
+            .map_err(|why| format!("{}: {why}", at("f32")))?;
+    }
+    Ok(())
+}
+
+/// Every case × every triangle order × every `alpha`, on a few right-hand
+/// lines: the recursion's split is a function of the triangle's order
+/// alone, on every arm the host offers.
+#[test]
+fn trsm_contract_holds_for_every_case_order_and_alpha() {
+    for (missing, arm) in [("avx512f", Arm::avx512()), ("avx2+fma", Arm::avx2_fma())] {
+        if arm.is_none() {
+            println!("trsm on that arm skipped: no {missing}");
+        }
+    }
+    let mut seed = 0;
+    for what in trsm_cases() {
+        for n in TRIANGLE_ORDERS {
+            for alpha in [0.0, 1.0, -2.0] {
+                seed += 1;
+                let free = 1 + (seed as usize * 7) % 13;
+                check_trsm_on_every_arm(seed, what, n, free, alpha)
+                    .unwrap_or_else(|why| panic!("{why}"));
+            }
+        }
+    }
+}
+
+proptest! {
+    // A case is fifteen solves of a thousand lines per arm and precision;
+    // the sweep above covers the cases and orders, this the cache blocks.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn prop_trsm_is_independent_per_line_across_its_cache_blocks(
+        seed in 0u64..1_000_000,
+        order in 0usize..TRIANGLE_ORDERS.len(),
+        case in 0usize..8,
+        free in 1000usize..1100,
+    ) {
+        // `free` straddles the 1024-row cache blocks of a `Right` solve.
+        let what = trsm_cases().nth(case).expect("eight cases");
+        if let Err(why) = check_trsm_on_every_arm(seed, what, TRIANGLE_ORDERS[order], free, 1.0) {
+            prop_assert!(false, "{why}");
         }
     }
 }

@@ -5,12 +5,13 @@
 //! the modeled per-rank schedule of the distributed algorithm (compute,
 //! communication, idle of every rank under the POWER5 α-β-γ model) stacked
 //! above the wall-clock timeline of the runtime workers that actually
-//! executed the tasks.
+//! executed the tasks — and, under it, the call's four phase spans (scatter,
+//! execute, model, assemble), which account for the whole call.
 //!
 //! Run: `cargo run --release --example dist_runtime`
 
 use calu_repro::core::dist::{dist_calu_factor_spmd, DistCaluConfig};
-use calu_repro::core::{dist_calu_factor_rt, DistRtOpts, LocalLu};
+use calu_repro::core::{dist_calu_factor_rt, DistRtOpts, LocalLu, DIST_PHASES};
 use calu_repro::matrix::{gen, Matrix};
 use calu_repro::netsim::{render_gantt_labeled, MachineConfig, SegKind};
 use calu_repro::runtime::ExecutorKind;
@@ -74,6 +75,22 @@ fn main() {
         rep.exec.wall * 1e3
     );
     print!("{}", render_gantt_labeled(&worker_traces, &worker_labels, 96));
+
+    // Where the whole call went: the run above is `dist.execute`; scatter,
+    // the in-call cost model and assembly are the rest of it.
+    println!("\n── the call, phase by phase ──");
+    let phases: Vec<_> =
+        rep.spans.iter().filter(|s| DIST_PHASES.contains(&s.name.as_str())).collect();
+    let call_us: f64 = phases.iter().map(|s| s.dur_us).sum();
+    for s in &phases {
+        println!(
+            "  {:<14} {:8.3} ms  {:5.1} %",
+            s.name,
+            s.dur_us / 1e3,
+            100.0 * s.dur_us / call_us
+        );
+    }
+    println!("  {:<14} {:8.3} ms", "call", call_us / 1e3);
 
     println!(
         "\nper-rank modeled accounting: {} msgs, {} words, {:.2} modeled GFLOP/s aggregate",

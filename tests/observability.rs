@@ -17,7 +17,7 @@
 use calu_repro::core::dist::DistCaluConfig;
 use calu_repro::core::{
     dist_calu_factor_rt, runtime_calu_factor, CaluOpts, CommKind, DistRtOpts, LocalLu, RuntimeOpts,
-    ServeOpts, SolverService,
+    ServeOpts, SolverService, DIST_PHASES,
 };
 use calu_repro::matrix::{gen, Matrix};
 use calu_repro::netsim::MachineConfig;
@@ -245,6 +245,63 @@ fn committed_dist_record_reconciles_comm_exactly() {
         }
     }
     assert!(exact_terms >= 4, "tslu/pivot/panel/u terms all present, got {exact_terms}");
+}
+
+/// A distributed call explains all of its own time: the four phase spans
+/// (scatter and set-up, the run, the in-call model, assembly) sit on a lane
+/// of their own, back to back from the call's start, every task span falls
+/// inside `dist.execute`, and together the phases are the call's wall clock
+/// to within 5 % — under both communicators.
+#[test]
+fn dist_phase_spans_account_for_the_whole_call_on_both_communicators() {
+    let mut rng = StdRng::seed_from_u64(2024);
+    let a: Matrix = gen::randn(&mut rng, 256, 256);
+    let cfg = DistCaluConfig { b: 32, pr: 2, pc: 2, local: LocalLu::Recursive };
+    for communicator in [CommKind::InProcess, CommKind::Threaded] {
+        let rt = DistRtOpts {
+            lookahead: 2,
+            executor: ExecutorKind::Threaded { threads: 2 },
+            communicator,
+        };
+        let started = std::time::Instant::now();
+        let (rep, d) = dist_calu_factor_rt(&a, cfg, rt, MachineConfig::power5());
+        let wall_us = started.elapsed().as_secs_f64() * 1e6;
+        assert!(d.first_singular.is_none());
+
+        let (phases, tasks): (Vec<&Span>, Vec<&Span>) =
+            rep.spans.iter().partition(|s| DIST_PHASES.contains(&s.name.as_str()));
+        let names: Vec<&str> = phases.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, DIST_PHASES, "{communicator:?}: one span per phase, in order");
+        assert_eq!(tasks.len(), rep.exec.order.len(), "{communicator:?}: the rest are tasks");
+        let lane = (cfg.pr * cfg.pc) as u32;
+        assert!(phases.iter().all(|s| (s.pid, s.tid) == (lane, 0)));
+        assert!(tasks.iter().all(|s| s.pid < lane), "the phase lane holds no task");
+
+        // Disjoint and ordered: each phase starts where the last one ended.
+        let end = |s: &Span| s.ts_us + s.dur_us;
+        assert_eq!(phases[0].ts_us, 0.0, "the timeline starts with the call");
+        for pair in phases.windows(2) {
+            assert!(
+                (end(pair[0]) - pair[1].ts_us).abs() < 1e-3,
+                "{} then {}",
+                pair[0].name,
+                pair[1].name
+            );
+        }
+        let execute = phases[1];
+        for s in &tasks {
+            assert!(
+                s.ts_us >= execute.ts_us - 1e-3 && end(s) <= end(execute) + 1e-3,
+                "{communicator:?}: {} runs outside dist.execute",
+                s.name
+            );
+        }
+        let covered: f64 = phases.iter().map(|s| s.dur_us).sum();
+        assert!(
+            covered <= wall_us && covered >= 0.95 * wall_us,
+            "{communicator:?}: phases cover {covered:.0} us of a {wall_us:.0} us call"
+        );
+    }
 }
 
 /// The analyzer's two invariants on one run: the per-lane partition of
