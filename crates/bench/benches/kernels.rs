@@ -74,7 +74,7 @@ fn bench_gemm(c: &mut Criterion) {
 /// `trsm` and the row interchanges at the shapes the factorization tasks
 /// issue them: the `U₁₂` solve of one `Trsm` task — a 64 × 64 block of a flat
 /// `ld = 1536` matrix (`square_factor`'s) and the same block as a contiguous
-/// tile (tile storage, a distributed rank's cell) —, the `L₂₁` rows of a
+/// tile (a distributed rank's cell) —, the `L₂₁` rows of a
 /// distributed rank's `Second` task (512 × 64), the benchmark probe's
 /// 64 × 1536 block row, and one `Swap` task's interchanges (`apply_ipiv` on
 /// a 1536 × 64 block column at `ld = 1536`). Each timed iteration restores

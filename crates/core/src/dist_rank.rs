@@ -144,9 +144,9 @@ impl<T: Scalar> Rect<'_, T> {
     /// writable views whoever asks; only the `&mut self` methods write.)
     pub(crate) fn for_each_block(&self, mut f: impl FnMut(usize, usize, MatViewMut<'_, T>)) {
         let lay = &self.cell.lay;
-        let row_runs = lay.row_tile_span(self.rows.clone());
+        let row_span = lay.row_tile_span(self.rows.clone());
         for (tj, cr) in lay.col_tile_span(self.cols.clone()) {
-            for (ti, rr) in &row_runs {
+            for (ti, rr) in &row_span {
                 // SAFETY: the block lies inside the rectangle, whose
                 // elements the holder of this handle was granted.
                 let block = unsafe {

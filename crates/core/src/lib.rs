@@ -13,7 +13,7 @@
 //!   critical-path-first priorities) at any lookahead depth, so the next
 //!   panels' TSLUs overlap the bulk trailing updates (the paper's
 //!   "multicore" future-work direction and HPL's look-ahead technique,
-//!   Section 4), over flat or tile-major storage; bitwise identical
+//!   Section 4), over flat column-major storage; bitwise identical
 //!   factors on every schedule.
 //! * **Simulated-distributed** ([`dist`], [`dist_rt`]) — the paper's actual
 //!   setting: the 2D block-cyclic layout on a `Pr x Pc` grid, with TSLU as
@@ -58,10 +58,7 @@ pub use dist_rt::{
 };
 pub use gepp::{gepp_factor, gepp_inplace};
 pub use instrument::PivotStats;
-pub use rt::{
-    runtime_calu_factor, runtime_calu_inplace, runtime_calu_tiles, runtime_calu_tiles_factor,
-    RuntimeOpts,
-};
+pub use rt::{runtime_calu_factor, runtime_calu_inplace, runtime_calu_tiles_factor, RuntimeOpts};
 pub use serve::{
     runtime_solve_mat, CacheStats, MatrixKey, ProcessReport, ServeOpts, SolverService, SubmitError,
     Ticket,

@@ -1,9 +1,8 @@
 //! CALU on the `calu-runtime` task DAG — the shared-memory parallel
 //! engine: [`runtime_calu_factor`] / [`runtime_calu_inplace`] over a flat
-//! matrix, [`runtime_calu_tiles`] over tile-major storage, each taking the
-//! executor and lookahead depth in [`RuntimeOpts`] (the default is the
-//! threaded executor at depth 1 — HPL's look-ahead schedule,
-//! the paper's "multicore" future-work direction).
+//! column-major matrix, taking the executor and lookahead depth in
+//! [`RuntimeOpts`] (the default is the threaded executor at depth 1 — HPL's
+//! look-ahead schedule, the paper's "multicore" future-work direction).
 //!
 //! The runtime schedules; this module supplies the kernels: a
 //! [`calu_runtime::TaskRunner`] whose task bodies are the *same* calls the
@@ -21,25 +20,26 @@
 //!   row of `L₂₁` depend on that row and `U₁₁` only
 //!   ([`lu_rows`]), so any chunking of the apply is exact;
 //! * row swaps applied per block column are the same element swaps as one
-//!   whole-matrix `apply_ipiv` — on flat storage literally `apply_ipiv` on
-//!   the block column, all of a panel's interchanges applied to one column
-//!   before the next (`Storage::apply_swaps`);
+//!   whole-matrix `apply_ipiv` — literally `apply_ipiv` on the block
+//!   column, all of a panel's interchanges applied to one column before the
+//!   next (`SharedMat::apply_swaps`);
 //! * the bits of a column of `U₁₂` are a function of that column, `L₁₁` and
 //!   the `gemm` arm — the blocked `trsm`'s contract
 //!   ([`calu_matrix::blas3`]) — so a column split changes nothing;
 //! * `gemm` accumulates every `C(i,j)` along the inner (panel-width)
 //!   dimension in a fixed order regardless of how `C` is partitioned, so
-//!   cutting the trailing update into row chunks of block columns (and, on
-//!   tile storage, each chunk into its tiles) is exact;
+//!   cutting the trailing update into row chunks of block columns is exact;
 //! * every read/write overlap between tasks is ordered by a DAG edge
 //!   (see `calu_runtime::dag`), so there are no racy interleavings to
 //!   reorder arithmetic.
 //!
-//! One runner serves both storage layouts: task bodies address the matrix
-//! through `Storage`, which hands out blocks of a flat column-major
-//! matrix (`SharedMat`) or of single tiles of a [`TileMatrix`]
-//! (`SharedTiles`); operands that span tiles (a leaf, an apply chunk, an
-//! update chunk) are walked run by run.
+//! Task bodies address the matrix through `SharedMat`, which hands out
+//! strided blocks of it: every operand — a leaf, an apply chunk, an update
+//! chunk, a `U₁₂` block column — is one block and one kernel call.
+//! (Tile-major storage is the distributed ranks' layout only: a tile-backed
+//! runner lost to this one by 6–10 % once the blocked `trsm` and the
+//! column-ordered swaps had landed, EXPERIMENTS.md "One shared-memory
+//! storage".)
 //!
 //! The observer is shared behind a mutex, locked per callback (so a
 //! concurrent update's `on_stage` never waits out a panel task); its
@@ -54,7 +54,7 @@ use calu_matrix::lapack::lu_rows;
 use calu_matrix::perm::apply_ipiv;
 use calu_matrix::{
     Diag, Error, MatView, MatViewMut, Matrix, NoObs, PivotObserver, Result, Scalar, Side,
-    TileLayout, TileMatrix, Uplo,
+    TileMatrix, Uplo,
 };
 use calu_runtime::{ExecReport, ExecutorKind, LuDag, LuShape, Task, TaskRunner};
 use std::ops::Range;
@@ -81,38 +81,11 @@ impl Default for RuntimeOpts {
     }
 }
 
-/// The matrix being factored, as task bodies address it. Tasks carve
-/// disjoint views out of it; the DAG's edges are the proof of disjointness
-/// among concurrently running tasks (every overlapping pair is ordered),
-/// which is exactly the invariant `MatViewMut` requires.
-pub(crate) trait Storage<T: Scalar>: Sync {
-    /// A mutable view of the `nr × nc` block at `(i, j)`, which must lie
-    /// inside one run of the storage: anywhere in a flat matrix, within one
-    /// tile of a tile-major one (every `Trsm` operand and every panel top
-    /// block does; see [`Storage::row_runs`] for operands that do not).
-    ///
-    /// # Safety
-    /// The caller must hold (via DAG ordering) exclusive access to the
-    /// block's *elements* for the view's lifetime — shared access if it
-    /// only reads — and the block must be in range.
-    unsafe fn block(&self, i: usize, j: usize, nr: usize, nc: usize) -> MatViewMut<'_, T>;
-
-    /// Applies a panel's interchanges to the columns `cols`: for `i` in
-    /// order, swaps rows `base + i` and `base + local[i]` — the element
-    /// moves of [`apply_ipiv`] on rows `base..` of those columns, whatever
-    /// the layout.
-    ///
-    /// # Safety
-    /// The caller's task must own rows `base..` of `cols` (DAG-ordered
-    /// against every other toucher).
-    unsafe fn apply_swaps(&self, base: usize, local: &[usize], cols: Range<usize>);
-
-    /// Cuts a row range into the runs [`Storage::block`] can address as one
-    /// view, in order.
-    fn row_runs(&self, rows: Range<usize>) -> Vec<Range<usize>>;
-}
-
-/// Shared-mutable handle to a flat column-major matrix.
+/// Shared-mutable handle to the flat column-major matrix being factored
+/// (or, in [`crate::serve`], the right-hand sides being solved). Tasks
+/// carve disjoint views out of it; the DAG's edges are the proof of
+/// disjointness among concurrently running tasks (every overlapping pair is
+/// ordered), which is exactly the invariant `MatViewMut` requires.
 pub(crate) struct SharedMat<T> {
     ptr: *mut T,
     rows: usize,
@@ -132,83 +105,39 @@ impl<T: Scalar> SharedMat<T> {
             if rows == 0 || cols == 0 { std::ptr::null_mut() } else { a.col_mut(0).as_mut_ptr() };
         Self { ptr, rows, cols, ld }
     }
-}
 
-impl<T: Scalar> Storage<T> for SharedMat<T> {
-    /// Built from raw parts so that logically disjoint blocks whose strided
-    /// spans interleave never materialize overlapping `&mut` slices.
-    unsafe fn block(&self, i: usize, j: usize, nr: usize, nc: usize) -> MatViewMut<'_, T> {
+    /// A mutable view of the `nr × nc` block at `(i, j)`, built from raw
+    /// parts so that logically disjoint blocks whose strided spans
+    /// interleave never materialize overlapping `&mut` slices.
+    ///
+    /// # Safety
+    /// The caller must hold (via DAG ordering) exclusive access to the
+    /// block's *elements* for the view's lifetime — shared access if it
+    /// only reads — and the block must be in range.
+    pub(crate) unsafe fn block(
+        &self,
+        i: usize,
+        j: usize,
+        nr: usize,
+        nc: usize,
+    ) -> MatViewMut<'_, T> {
         debug_assert!(i + nr <= self.rows && j + nc <= self.cols);
         debug_assert!(nr > 0 && nc > 0, "tasks never touch empty blocks");
         unsafe { MatViewMut::from_raw_parts(self.ptr.add(j * self.ld + i), nr, nc, self.ld) }
     }
 
-    /// Column by column (see [`apply_ipiv`]): a flat column is contiguous.
-    unsafe fn apply_swaps(&self, base: usize, local: &[usize], cols: Range<usize>) {
+    /// Applies a panel's interchanges to the columns `cols`: for `i` in
+    /// order, swaps rows `base + i` and `base + local[i]` — [`apply_ipiv`]
+    /// on rows `base..` of those columns, all of the interchanges applied
+    /// to one column before the next (a flat column is contiguous).
+    ///
+    /// # Safety
+    /// The caller's task must own rows `base..` of `cols` (DAG-ordered
+    /// against every other toucher).
+    pub(crate) unsafe fn apply_swaps(&self, base: usize, local: &[usize], cols: Range<usize>) {
         // SAFETY: the caller owns rows `base..` of `cols`, which is this block.
         let block = unsafe { self.block(base, cols.start, self.rows - base, cols.len()) };
         apply_ipiv(block, local);
-    }
-
-    fn row_runs(&self, rows: Range<usize>) -> Vec<Range<usize>> {
-        vec![rows]
-    }
-}
-
-/// Shared-mutable handle to a [`TileMatrix`] — the tile-major counterpart
-/// of [`SharedMat`]. Every operand of a `gemm`/`trsm` call lives inside one
-/// tile, which is the point of the layout; the cross-tile row swaps and the
-/// panel's leaves, apply chunks and update chunks walk several tiles.
-struct SharedTiles<T> {
-    ptr: *mut T,
-    layout: TileLayout,
-}
-
-unsafe impl<T: Send> Send for SharedTiles<T> {}
-unsafe impl<T: Sync> Sync for SharedTiles<T> {}
-
-impl<T: Scalar> SharedTiles<T> {
-    fn new(a: &mut TileMatrix<T>) -> Self {
-        Self { ptr: a.as_mut_slice().as_mut_ptr(), layout: a.layout() }
-    }
-}
-
-impl<T: Scalar> Storage<T> for SharedTiles<T> {
-    /// The view's leading dimension is the tile height, so the block is
-    /// cache-contained.
-    unsafe fn block(&self, i: usize, j: usize, nr: usize, nc: usize) -> MatViewMut<'_, T> {
-        let (ti, tj) = (i / self.layout.mb(), j / self.layout.nb());
-        let (i0, j0) = (i % self.layout.mb(), j % self.layout.nb());
-        let h = self.layout.tile_height(ti);
-        debug_assert!(i0 + nr <= h && j0 + nc <= self.layout.tile_width(tj), "block spans tiles");
-        debug_assert!(nr > 0 && nc > 0, "tasks never touch empty blocks");
-        let off = self.layout.tile_offset(ti, tj) + j0 * h + i0;
-        unsafe { MatViewMut::from_raw_parts(self.ptr.add(off), nr, nc, h) }
-    }
-
-    /// Element by element: a column of the rows below `base` is cut into
-    /// one segment per tile row.
-    unsafe fn apply_swaps(&self, base: usize, local: &[usize], cols: Range<usize>) {
-        for (i, &p) in local.iter().enumerate().filter(|&(i, &p)| p != i) {
-            for j in cols.clone() {
-                // SAFETY: both elements are in rows `base..` of `cols`, which
-                // the caller owns.
-                unsafe {
-                    let a = self.ptr.add(self.layout.elem_offset(base + i, j));
-                    let b = self.ptr.add(self.layout.elem_offset(base + p, j));
-                    std::ptr::swap(a, b);
-                }
-            }
-        }
-    }
-
-    fn row_runs(&self, rows: Range<usize>) -> Vec<Range<usize>> {
-        let mb = self.layout.mb();
-        self.layout
-            .row_tile_span(rows)
-            .into_iter()
-            .map(|(ti, r)| ti * mb + r.start..ti * mb + r.end)
-            .collect()
     }
 }
 
@@ -315,9 +244,9 @@ fn put_slot<T>(slots: &CandidateSlots<T>, i: usize, cand: Candidates<T>) {
     debug_assert!(prev.is_none(), "candidate slot overwritten before it was read");
 }
 
-/// Binds the LU kernels to runtime tasks over one matrix in storage `S`.
-struct LuRunner<'a, T, S, O> {
-    mat: S,
+/// Binds the LU kernels to runtime tasks over one flat matrix.
+struct LuRunner<'a, T, O> {
+    mat: SharedMat<T>,
     ipiv: SharedIpiv,
     dag: &'a LuDag,
     local: LocalLu,
@@ -329,10 +258,9 @@ struct LuRunner<'a, T, S, O> {
     obs: Mutex<&'a mut O>,
 }
 
-impl<T, S, O> TaskRunner for LuRunner<'_, T, S, O>
+impl<T, O> TaskRunner for LuRunner<'_, T, O>
 where
     T: Scalar,
-    S: Storage<T>,
     O: PivotObserver<T> + Send,
 {
     fn run(&self, task: Task) -> Result<()> {
@@ -344,22 +272,20 @@ where
         match task {
             Task::PanelElect { leaf, .. } => {
                 let rows = &self.dag.panel_plan(k).leaves()[leaf];
-                let first = base + rows.start;
-                // The leaf's one copy: the working matrix of its local LU.
                 // SAFETY: the elect only reads its leaf's rows of block
                 // column k (their step k-1 updates are done; the next
                 // writer, PanelFinish, is DAG-ordered after it through the
                 // reduce tree).
-                let mut work = Matrix::zeros(rows.len(), jb);
-                for run in self.mat.row_runs(first..first + rows.len()) {
-                    let src = unsafe { self.mat.block(run.start, base, run.len(), jb) };
-                    work.view_mut()
-                        .into_submatrix(run.start - first, 0, run.len(), jb)
-                        .copy_from(src.as_view());
-                }
-                let original =
-                    |i, j| unsafe { self.mat.block(first + i, base + j, 1, 1) }.get(0, 0);
-                let cand = elect_candidates(work, self.local, original, |i| rows.start + i);
+                let src = unsafe { self.mat.block(base + rows.start, base, rows.len(), jb) };
+                let src = src.as_view();
+                // The leaf's one copy is the working matrix of its local LU;
+                // the winners' rows are gathered from the unfactored source.
+                let cand = elect_candidates(
+                    src.to_matrix(),
+                    self.local,
+                    |i, j| src.get(i, j),
+                    |i| rows.start + i,
+                );
                 put_slot(&self.slots[k], leaf, cand);
                 Ok(())
             }
@@ -393,12 +319,10 @@ where
                 // k; U₁₁ is stable under concurrent readers (sibling
                 // applies and this step's trsms all read the top block).
                 let u11 = unsafe { self.mat.block(base, base, jb, jb) };
+                let l21 = unsafe { self.mat.block(base + rows.start, base, rows.len(), jb) };
                 let mut col_max = vec![T::ZERO; jb];
-                for run in self.mat.row_runs(base + rows.start..base + rows.end) {
-                    let block = unsafe { self.mat.block(run.start, base, run.len(), jb) };
-                    lu_rows(u11.as_view(), block, &mut col_max, &mut MutexObs(&self.obs))
-                        .map_err(rebase_singular(base))?;
-                }
+                lu_rows(u11.as_view(), l21, &mut col_max, &mut MutexObs(&self.obs))
+                    .map_err(rebase_singular(base))?;
                 self.taus[k].lock().expect("tau mutex").merge(&col_max);
                 Ok(())
             }
@@ -425,14 +349,12 @@ where
                 // SAFETY: Gemm(k,i,j) owns its chunk's rows of block column
                 // j; L₂₁ and U₁₂ are stable until the swaps that are
                 // DAG-ordered after every gemm of step k.
+                let (r0, nr) = (base + rows.start, rows.len());
                 let u12 = unsafe { self.mat.block(base, cols.start, jb, cols.len()) };
-                for run in self.mat.row_runs(base + rows.start..base + rows.end) {
-                    let l21 = unsafe { self.mat.block(run.start, base, run.len(), jb) };
-                    let mut c =
-                        unsafe { self.mat.block(run.start, cols.start, run.len(), cols.len()) };
-                    gemm(-T::ONE, l21.as_view(), u12.as_view(), T::ONE, c.rb_mut());
-                    self.obs.lock().expect("observer mutex poisoned").on_stage(&c.as_view());
-                }
+                let l21 = unsafe { self.mat.block(r0, base, nr, jb) };
+                let mut c = unsafe { self.mat.block(r0, cols.start, nr, cols.len()) };
+                gemm(-T::ONE, l21.as_view(), u12.as_view(), T::ONE, c.rb_mut());
+                self.obs.lock().expect("observer mutex poisoned").on_stage(&c.as_view());
                 Ok(())
             }
             Task::Dist(_) | Task::Solve(_) => {
@@ -440,41 +362,6 @@ where
             }
         }
     }
-}
-
-/// Factors the `m × n` matrix behind `mat` on the runtime: builds the DAG
-/// for `opts`, runs it, then reports every panel's pivot thresholds.
-fn run_lu<T: Scalar, S: Storage<T>, O: PivotObserver<T> + Send>(
-    mat: S,
-    (m, n): (usize, usize),
-    opts: CaluOpts,
-    rt: RuntimeOpts,
-    obs: &mut O,
-) -> Result<(Vec<usize>, ExecReport)> {
-    assert!(opts.block > 0 && opts.p > 0, "block and p must be positive");
-    let shape = LuShape { m, n, nb: opts.block };
-    let mut ipiv = vec![0usize; m.min(n)];
-    let dag = LuDag::build_panels(shape, rt.lookahead, opts.panel_mode, opts.p);
-    let plans = (0..shape.steps()).map(|k| dag.panel_plan(k));
-    let runner = LuRunner {
-        mat,
-        ipiv: SharedIpiv::new(&mut ipiv),
-        dag: &dag,
-        local: opts.local,
-        slots: plans
-            .clone()
-            .map(|p| p.leaves().iter().map(|_| Mutex::new(None)).collect())
-            .collect(),
-        taus: plans.map(|p| Mutex::new(PanelTau::new(p.jb()))).collect(),
-        obs: Mutex::new(obs),
-    };
-    let report = rt.executor.execute(&dag, &runner)?;
-    let LuRunner { taus, obs, .. } = runner;
-    let obs = obs.into_inner().expect("observer mutex poisoned");
-    for tau in taus {
-        tau.into_inner().expect("tau mutex").emit(obs);
-    }
-    Ok((ipiv, report))
 }
 
 /// In-place CALU scheduled by the task-graph runtime; same numerical
@@ -499,8 +386,30 @@ pub fn runtime_calu_inplace<T: Scalar, O: PivotObserver<T> + Send>(
     rt: RuntimeOpts,
     obs: &mut O,
 ) -> Result<(Vec<usize>, ExecReport)> {
-    let dims = (a.rows(), a.cols());
-    run_lu(SharedMat::new(&mut a), dims, opts, rt, obs)
+    assert!(opts.block > 0 && opts.p > 0, "block and p must be positive");
+    let shape = LuShape { m: a.rows(), n: a.cols(), nb: opts.block };
+    let mut ipiv = vec![0usize; shape.m.min(shape.n)];
+    let dag = LuDag::build_panels(shape, rt.lookahead, opts.panel_mode, opts.p);
+    let plans = (0..shape.steps()).map(|k| dag.panel_plan(k));
+    let runner = LuRunner {
+        mat: SharedMat::new(&mut a),
+        ipiv: SharedIpiv::new(&mut ipiv),
+        dag: &dag,
+        local: opts.local,
+        slots: plans
+            .clone()
+            .map(|p| p.leaves().iter().map(|_| Mutex::new(None)).collect())
+            .collect(),
+        taus: plans.map(|p| Mutex::new(PanelTau::new(p.jb()))).collect(),
+        obs: Mutex::new(obs),
+    };
+    let report = rt.executor.execute(&dag, &runner)?;
+    let LuRunner { taus, obs, .. } = runner;
+    let obs = obs.into_inner().expect("observer mutex poisoned");
+    for tau in taus {
+        tau.into_inner().expect("tau mutex").emit(obs);
+    }
+    Ok((ipiv, report))
 }
 
 /// Factors a copy of `a` on the runtime; see [`runtime_calu_inplace`].
@@ -517,44 +426,12 @@ pub fn runtime_calu_factor<T: Scalar>(
     Ok((LuFactors { lu, ipiv }, report))
 }
 
-/// In-place CALU over **tile-major** storage, scheduled by the task-graph
-/// runtime: the same DAG, task bodies, executors, priorities, and
-/// bitwise-vs-sequential guarantee as [`runtime_calu_inplace`], with
-/// operand addressing moved to cache-contained tiles — every `trsm`/`gemm`
-/// call touches single contiguous tiles of the [`TileMatrix`], row swaps
-/// cross tile boundaries element-for-element, and the panel's elections
-/// and `L₂₁` rows are read and formed tile by tile in place (no panel is
-/// gathered or scattered).
-///
-/// The tile dimensions must both equal `opts.block` (the DAG's block
-/// geometry *is* the storage geometry — that 1:1 mapping is the point of
-/// the layout). Converting the result back with
-/// [`TileMatrix::to_matrix`] yields factors bitwise identical to
-/// [`calu_inplace`](crate::calu::calu_inplace) on the flat copy.
-///
-/// # Panics
-/// If `a`'s tile dimensions differ from `opts.block`.
-///
-/// # Errors
-/// [`Error::SingularPivot`] with the absolute elimination step; tasks that
-/// had not started are canceled.
-pub fn runtime_calu_tiles<T: Scalar, O: PivotObserver<T> + Send>(
-    a: &mut TileMatrix<T>,
-    opts: CaluOpts,
-    rt: RuntimeOpts,
-    obs: &mut O,
-) -> Result<(Vec<usize>, ExecReport)> {
-    let layout = a.layout();
-    assert_eq!(
-        (layout.mb(), layout.nb()),
-        (opts.block, opts.block),
-        "tile dims must equal the runtime block size"
-    );
-    run_lu(SharedTiles::new(a), (a.rows(), a.cols()), opts, rt, obs)
-}
-
-/// Factors a tile-major copy of `a` on the runtime (convenience wrapper:
-/// converts, runs [`runtime_calu_tiles`], returns the factored tiles).
+/// [`runtime_calu_factor`], its factors returned in `opts.block`-square
+/// tiles. There is no tile-backed execution path: the runtime factors the
+/// flat copy and the result is converted after the run. This wrapper is
+/// kept only because the repository benchmark's `Variant::Tiles`
+/// (`core.rt.tiles_op_ms`) calls it; the `benchmark`-only PR of ROADMAP
+/// item 0(b) removes that variant, and this function with it.
 ///
 /// # Errors
 /// Singular pivot (exact zero) at the reported absolute step.
@@ -563,9 +440,8 @@ pub fn runtime_calu_tiles_factor<T: Scalar>(
     opts: CaluOpts,
     rt: RuntimeOpts,
 ) -> Result<(TileMatrix<T>, Vec<usize>, ExecReport)> {
-    let mut tiles = TileMatrix::from_matrix(a, opts.block, opts.block);
-    let (ipiv, report) = runtime_calu_tiles(&mut tiles, opts, rt, &mut NoObs)?;
-    Ok((tiles, ipiv, report))
+    let (f, report) = runtime_calu_factor(a, opts, rt)?;
+    Ok((TileMatrix::from_matrix(&f.lu, opts.block, opts.block), f.ipiv, report))
 }
 
 #[cfg(test)]
@@ -607,13 +483,10 @@ mod tests {
     ];
 
     /// Every shape x mode x depth x executor against the sequential sweep,
-    /// bitwise; `factor` runs the runtime on one storage and returns the
-    /// factors as a flat matrix, the pivots and the report.
-    fn assert_matches_sequential(
-        seed: u64,
-        factor: impl Fn(&Matrix, CaluOpts, RuntimeOpts) -> (Matrix, Vec<usize>, ExecReport),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
+    /// bitwise.
+    #[test]
+    fn runtime_matches_sequential_bitwise_all_depths_and_executors() {
+        let mut rng = StdRng::seed_from_u64(900);
         for &(m, n, b, p) in &SHAPES {
             let a0: Matrix = gen::randn(&mut rng, m, n);
             for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
@@ -624,10 +497,10 @@ mod tests {
                         let rt = RuntimeOpts { lookahead: depth, executor };
                         let what =
                             format!("{m}x{n} b={b} p={p} {panel_mode:?} d={depth} {executor:?}");
-                        let (lu, ipiv, rep) = factor(&a0, opts, rt);
-                        assert_eq!(seq.ipiv, ipiv, "{what}");
+                        let (f, rep) = runtime_calu_factor(&a0, opts, rt).unwrap();
+                        assert_eq!(seq.ipiv, f.ipiv, "{what}");
                         assert_eq!(
-                            seq.lu.max_abs_diff(&lu),
+                            seq.lu.max_abs_diff(&f.lu),
                             0.0,
                             "{what}: factors must be bitwise identical to sequential"
                         );
@@ -638,24 +511,27 @@ mod tests {
         }
     }
 
+    /// The benchmark's `Variant::Tiles` entry: the flat factors, bit for
+    /// bit, in `block`-square tiles.
     #[test]
-    fn runtime_matches_sequential_bitwise_all_depths_and_executors() {
-        assert_matches_sequential(900, |a, opts, rt| {
-            let (f, rep) = runtime_calu_factor(a, opts, rt).unwrap();
-            (f.lu, f.ipiv, rep)
-        });
+    fn tiles_factor_is_the_flat_factor_in_tiles() {
+        let mut rng = StdRng::seed_from_u64(905);
+        for &(m, n, b, p) in
+            &[(97usize, 97usize, 16usize, 3usize), (100, 60, 16, 4), (4100, 40, 16, 5)]
+        {
+            let a0: Matrix = gen::randn(&mut rng, m, n);
+            let opts = CaluOpts { block: b, p, ..Default::default() };
+            let seq = calu_factor(&a0, opts).unwrap();
+            let (tiles, ipiv, _) =
+                runtime_calu_tiles_factor(&a0, opts, RuntimeOpts::default()).unwrap();
+            assert_eq!((tiles.layout().mb(), tiles.layout().nb()), (b, b));
+            assert_eq!(seq.ipiv, ipiv, "{m}x{n}");
+            assert_eq!(seq.lu, tiles.to_matrix(), "{m}x{n}: bitwise");
+        }
     }
 
     #[test]
-    fn tile_runtime_matches_sequential_bitwise_all_depths_and_executors() {
-        assert_matches_sequential(905, |a, opts, rt| {
-            let (tiles, ipiv, rep) = runtime_calu_tiles_factor(a, opts, rt).unwrap();
-            (tiles.to_matrix(), ipiv, rep)
-        });
-    }
-
-    #[test]
-    fn f32_runtime_matches_sequential_bitwise_on_both_storages() {
+    fn f32_runtime_matches_sequential_bitwise() {
         let mut rng = StdRng::seed_from_u64(914);
         for &(m, n, b, p) in &[(97usize, 97usize, 16usize, 3usize), (4100, 40, 16, 5)] {
             let a0: Matrix<f32> = gen::randn(&mut rng, m, n);
@@ -666,40 +542,22 @@ mod tests {
                     let rt = RuntimeOpts { lookahead: 2, executor };
                     let (f, _) = runtime_calu_factor(&a0, opts, rt).unwrap();
                     assert_eq!(seq, f, "{m}x{n} {panel_mode:?} {executor:?}");
-                    let (tiles, ipiv, _) = runtime_calu_tiles_factor(&a0, opts, rt).unwrap();
-                    assert_eq!(seq.ipiv, ipiv);
-                    assert_eq!(seq.lu, tiles.to_matrix(), "{m}x{n} {panel_mode:?} {executor:?}");
                 }
             }
         }
     }
 
-    /// Sequential and runtime statistics of one matrix under `opts`, the
-    /// runtime on flat or tile storage.
-    fn stats_pair(a0: &Matrix, opts: CaluOpts, tiles: bool) -> (PivotStats, PivotStats) {
+    /// Sequential and runtime statistics of one matrix under `opts`.
+    fn stats_pair(a0: &Matrix, opts: CaluOpts) -> (PivotStats, PivotStats) {
         let mut s_seq = PivotStats::new(a0.max_abs());
         let mut w = a0.clone();
         calu_inplace(w.view_mut(), opts, &mut s_seq).unwrap();
 
         let mut s_rt = PivotStats::new(a0.max_abs());
         let rt = RuntimeOpts { lookahead: 2, ..Default::default() };
-        if tiles {
-            let mut t = TileMatrix::from_matrix(a0, opts.block, opts.block);
-            runtime_calu_tiles(&mut t, opts, rt, &mut s_rt).unwrap();
-        } else {
-            let mut w2 = a0.clone();
-            runtime_calu_inplace(w2.view_mut(), opts, rt, &mut s_rt).unwrap();
-        }
+        let mut w2 = a0.clone();
+        runtime_calu_inplace(w2.view_mut(), opts, rt, &mut s_rt).unwrap();
         (s_seq, s_rt)
-    }
-
-    fn assert_stats_equal(s_seq: &PivotStats, s_rt: &PivotStats, what: &str) {
-        assert_eq!(s_seq.steps(), s_rt.steps(), "{what}");
-        assert_eq!(s_seq.thresholds, s_rt.thresholds, "{what}: threshold vector");
-        assert_eq!(s_seq.tau_min(), s_rt.tau_min(), "{what}");
-        assert_eq!(s_seq.tau_ave(), s_rt.tau_ave(), "{what}");
-        assert_eq!(s_seq.max_elem, s_rt.max_elem, "{what}");
-        assert_eq!(s_seq.max_l, s_rt.max_l, "{what}");
     }
 
     #[test]
@@ -709,22 +567,15 @@ mod tests {
             let a0 = gen::randn(&mut rng, m, n);
             for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
                 let opts = CaluOpts { block: b, p, panel_mode, ..Default::default() };
-                let (s_seq, s_rt) = stats_pair(&a0, opts, false);
+                let (s_seq, s_rt) = stats_pair(&a0, opts);
+                let what = format!("{m}x{n} {panel_mode:?}");
                 assert_eq!(s_seq.steps(), m.min(n), "one threshold per elimination step");
-                assert_stats_equal(&s_seq, &s_rt, &format!("{m}x{n} {panel_mode:?}"));
-            }
-        }
-    }
-
-    #[test]
-    fn tile_runtime_observer_stats_match_sequential() {
-        let mut rng = StdRng::seed_from_u64(906);
-        for &(m, n, b, p) in &[(120usize, 120usize, 24usize, 4usize), (4100, 40, 16, 3)] {
-            let a0 = gen::randn(&mut rng, m, n);
-            for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
-                let opts = CaluOpts { block: b, p, panel_mode, ..Default::default() };
-                let (s_seq, s_rt) = stats_pair(&a0, opts, true);
-                assert_stats_equal(&s_seq, &s_rt, &format!("tiles {m}x{n} {panel_mode:?}"));
+                assert_eq!(s_seq.steps(), s_rt.steps(), "{what}");
+                assert_eq!(s_seq.thresholds, s_rt.thresholds, "{what}: threshold vector");
+                assert_eq!(s_seq.tau_min(), s_rt.tau_min(), "{what}");
+                assert_eq!(s_seq.tau_ave(), s_rt.tau_ave(), "{what}");
+                assert_eq!(s_seq.max_elem, s_rt.max_elem, "{what}");
+                assert_eq!(s_seq.max_l, s_rt.max_l, "{what}");
             }
         }
     }
@@ -740,7 +591,7 @@ mod tests {
         let a0 = gen::randn(&mut rng, 4100, 16);
         for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
             let opts = CaluOpts { block: 16, p: 4, panel_mode, ..Default::default() };
-            let (_, s) = stats_pair(&a0, opts, false);
+            let (_, s) = stats_pair(&a0, opts);
             assert!(s.max_l > 1.0, "tournament pivoting leaves some |l_ij| > 1 at this height");
             let ratio = s.tau_min() * s.max_l;
             assert!((ratio - 1.0).abs() < 1e-12, "{panel_mode:?}: tau_min * max|L| = {ratio}");
@@ -771,25 +622,10 @@ mod tests {
                             Error::SingularPivot { step },
                             "flat {panel_mode:?} d={depth} {executor:?}: absolute step"
                         );
-                        let err = runtime_calu_tiles_factor(&a, opts, rt).unwrap_err();
-                        assert_eq!(
-                            err,
-                            Error::SingularPivot { step },
-                            "tiles {panel_mode:?} d={depth} {executor:?}: absolute step"
-                        );
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "tile dims must equal the runtime block size")]
-    fn tile_runtime_rejects_mismatched_tile_size() {
-        let a: Matrix = Matrix::identity(32);
-        let mut tiles = calu_matrix::TileMatrix::from_matrix(&a, 16, 16);
-        let opts = CaluOpts { block: 8, p: 2, ..Default::default() };
-        let _ = runtime_calu_tiles(&mut tiles, opts, RuntimeOpts::default(), &mut NoObs);
     }
 
     #[test]

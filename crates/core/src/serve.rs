@@ -29,13 +29,12 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::time::Instant;
 
-use calu_matrix::perm::apply_ipiv;
 use calu_matrix::{Error, MatView, MatViewMut, Matrix, Result, Scalar};
 use calu_obs::{JsonValue, Metrics, Recorder, Span};
 use calu_runtime::{ExecReport, ExecutorKind, LuDag, SolveKind, SolveShape, Task, TaskRunner};
 
 use crate::calu::{CaluOpts, LuFactors};
-use crate::rt::{runtime_calu_factor, RuntimeOpts, SharedMat, Storage};
+use crate::rt::{runtime_calu_factor, RuntimeOpts, SharedMat};
 use calu_matrix::blas2::trsv;
 use calu_matrix::{Diag, Uplo};
 
@@ -534,7 +533,7 @@ impl<T: Scalar> SolverService<T> {
 /// kinds to pivot application, diagonal `trsv` solves, and the off-diagonal
 /// block updates. The DAG's write chains order every pair of tasks
 /// touching the same tile, which is the disjointness invariant
-/// [`Storage::block`] requires — and they fix the floating-point
+/// `SharedMat::block` requires — and they fix the floating-point
 /// reduction order, so every schedule reproduces the sequential
 /// [`calu_matrix::lapack::getrs_mat`] bitwise.
 struct SolveRunner<'a, T> {
@@ -551,10 +550,9 @@ impl<T: Scalar> TaskRunner for SolveRunner<'_, T> {
         };
         let cj = self.shape.rhs_range(s.j as usize);
         match s.kind {
-            SolveKind::Piv => {
-                let mut xj = unsafe { self.x.block(0, cj.start, self.shape.n, cj.len()) };
-                apply_ipiv(xj.rb_mut(), self.ipiv);
-            }
+            // SAFETY: Piv(j) owns every row of RHS block column j; the
+            // solve tasks of that column are DAG-ordered after it.
+            SolveKind::Piv => unsafe { self.x.apply_swaps(0, self.ipiv, cj) },
             SolveKind::TrsmL | SolveKind::TrsmU => {
                 let rk = self.shape.row_range(s.k as usize);
                 let diag = self.lu.submatrix(rk.start, rk.start, rk.len(), rk.len());

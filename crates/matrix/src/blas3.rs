@@ -36,9 +36,8 @@
 //! where the element sits in a register tile or cache block, or how the
 //! caller cut `C` into pieces: `gemm` on a whole matrix equals `gemm` piece
 //! by piece over any partition of its rows and columns, bit for bit. That
-//! is what keeps the task-graph runtime's row chunks, the distributed
-//! runtime and both storage layouts bitwise equal to the sequential
-//! whole-matrix update.
+//! is what keeps the task-graph runtime's row chunks and the distributed
+//! runtime's tiles bitwise equal to the sequential whole-matrix update.
 //! **Bits are a function of (input, fused or not) and nothing else**: the
 //! AVX-512 arm produces the AVX2+FMA arm's bits, the portable arm rounds
 //! twice per step. Factors are reproducible across runs, schedules, thread
@@ -74,8 +73,8 @@
 //! independent. So any partition of the free dimension into calls gives the
 //! bits of one call. That is the contract every factorization path leans on
 //! — the runtime's `Trsm` tasks per block column, the tile-by-tile solves of
-//! tile storage and of the distributed ranks, `getrf`'s full-width block
-//! row — and what keeps them bitwise equal to one another.
+//! the distributed ranks, `getrf`'s full-width block row — and what keeps
+//! them bitwise equal to one another.
 //! [`lu_rows`](crate::lapack::lu_rows) *is* the `Right`/`Upper`/`NonUnit`
 //! recursion, watched (column maxima, observer events), not a second one.
 //! The bits are not those of column-by-column substitution

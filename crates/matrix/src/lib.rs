@@ -19,8 +19,9 @@
 //!   and triangular solves `getrs`.
 //! * [`tile`] — tile-major storage: [`TileLayout`] (tile geometry plus the
 //!   ScaLAPACK block-cyclic ownership map) and [`TileMatrix`] (tiles
-//!   contiguous in memory, cross-tile `laswp`), the cache-contained layout
-//!   the task-graph runtime and the distributed layer share.
+//!   contiguous in memory, cross-tile row swaps), the layout of a
+//!   distributed rank's cells; the shared-memory runtime factors flat
+//!   [`Matrix`]es.
 //! * [`gen`] — seeded matrix ensembles used by the paper's experiments
 //!   (normal, uniform, Toeplitz, plus worst-case growth matrices).
 //! * [`perm`] — pivot-vector (`ipiv`) and permutation algebra.

@@ -1,6 +1,5 @@
 //! Tile-major storage: [`TileLayout`] geometry/ownership maps and the
-//! [`TileMatrix`] container backing the task-graph runtime and the
-//! block-cyclic distributed layer.
+//! [`TileMatrix`] container backing the block-cyclic distributed layer.
 //!
 //! The paper organizes both computation and data movement around `b x b`
 //! blocks; a tile-major layout is the storage-side half of that bargain.
@@ -12,8 +11,9 @@
 //! map: with an optional `(Pr, Pc)` grid attached, [`TileLayout`] answers
 //! every owner / local-index / local-count question the distributed layer
 //! asks (the math of `NUMROC` and friends), so a rank's local storage is
-//! itself a `TileMatrix` of the tiles it owns and the shared-memory
-//! runtime and the simulated-distributed runs address data the same way.
+//! itself a `TileMatrix` of the tiles it owns. (The shared-memory runtime
+//! factors flat matrices: with a packed `gemm` and a blocked `trsm`, tiles
+//! no longer paid for themselves there.)
 //!
 //! Storage order: tiles are laid out column-major *by tile* (tile column
 //! `tj` before `tj+1`, and within a tile column, tile row `ti` before
@@ -274,8 +274,7 @@ impl TileLayout {
     /// rows and columns packed dense, same tile dimensions, no grid.
     /// Local tile `(lti, ltj)` is global tile `(lti·Pr + prow, ltj·Pc +
     /// pcol)`, so the block-cyclic deal *is* a re-indexing of tiles —
-    /// the 1:1 storage correspondence between the shared-memory runtime
-    /// and a distributed rank.
+    /// scatter and assembly are whole-tile copies.
     pub fn local_layout(&self, prow: usize, pcol: usize) -> TileLayout {
         TileLayout::new(self.local_rows(prow), self.local_cols(pcol), self.mb, self.nb)
     }
@@ -469,30 +468,6 @@ impl<T: Scalar> TileMatrix<T> {
         }
     }
 
-    /// Swaps global rows `i1` and `i2` across all columns.
-    pub fn swap_rows(&mut self, i1: usize, i2: usize) {
-        self.swap_rows_in_cols(i1, i2, 0..self.cols());
-    }
-
-    /// Applies a LAPACK transposition sequence to the whole matrix: for
-    /// `i` in order, swap rows `i` and `ipiv[i]` (cross-tile
-    /// [`crate::perm::apply_ipiv`], aka `laswp` with increment +1).
-    pub fn laswp(&mut self, ipiv: &[usize]) {
-        self.laswp_in_cols(0, ipiv, 0..self.cols());
-    }
-
-    /// Applies a transposition sequence offset by `base` to columns
-    /// `cols` only: for `i` in order, swap rows `base + i` and
-    /// `base + ipiv[i]`. This is the per-block-column swap the runtime's
-    /// `Swap(k, j)` tasks perform.
-    pub fn laswp_in_cols(&mut self, base: usize, ipiv: &[usize], cols: Range<usize>) {
-        for (i, &p) in ipiv.iter().enumerate() {
-            if p != i {
-                self.swap_rows_in_cols(base + i, base + p, cols.clone());
-            }
-        }
-    }
-
     /// Calls `f(global_row_start, segment)` for each contiguous piece of
     /// column `j` restricted to `rows`, walking down the tile rows — the
     /// cross-tile analogue of `&mut matrix.col_mut(j)[rows]`.
@@ -623,18 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_tile_laswp_matches_flat_apply_ipiv() {
-        let a = numbered(11, 9);
-        let ipiv = vec![5usize, 8, 2, 10, 4, 7];
-        let mut flat = a.clone();
-        apply_ipiv(flat.view_mut(), &ipiv);
-        let mut tiled = TileMatrix::from_matrix(&a, 4, 4);
-        tiled.laswp(&ipiv);
-        assert_eq!(tiled.to_matrix(), flat);
-    }
-
-    #[test]
-    fn ranged_laswp_touches_only_requested_columns() {
+    fn ranged_cross_tile_swaps_touch_only_requested_columns() {
         let a = numbered(8, 8);
         let local = vec![3usize, 2];
         let mut flat = a.clone();
@@ -642,7 +606,9 @@ mod tests {
         let sub = flat.view_mut().into_submatrix(4, 2, 4, 5);
         apply_ipiv(sub, &local);
         let mut tiled = TileMatrix::from_matrix(&a, 4, 4);
-        tiled.laswp_in_cols(4, &local, 2..7);
+        for (i, &p) in local.iter().enumerate() {
+            tiled.swap_rows_in_cols(4 + i, 4 + p, 2..7);
+        }
         assert_eq!(tiled.to_matrix(), flat);
     }
 

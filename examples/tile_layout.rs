@@ -1,12 +1,13 @@
 //! Tile-major storage tour: convert a matrix to tiles, iterate per tile,
-//! print the block-cyclic ownership map, factor on the tile-backed
-//! runtime path, and round-trip back — the storage layer the task-graph
-//! runtime and the simulated-distributed layer now share.
+//! print the block-cyclic ownership map, then deal the matrix out to the
+//! ranks of that grid and assemble it back — tile-major is the layout of a
+//! distributed rank's cells (the shared-memory runtime factors flat
+//! matrices).
 //!
 //! Run: `cargo run --release --example tile_layout`
 
-use calu_repro::core::{calu_factor, runtime_calu_tiles, CaluOpts, RuntimeOpts};
-use calu_repro::matrix::{gen, Matrix, NoObs, TileLayout, TileMatrix};
+use calu_repro::core::dist::{assemble_2d, scatter_2d};
+use calu_repro::matrix::{gen, Matrix, TileLayout, TileMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -50,17 +51,15 @@ fn main() {
         owned.local_cols(0)
     );
 
-    // Factor on the tile-backed runtime path; factors convert back
-    // bitwise identical to the sequential sweep on flat storage.
-    let (m, n, b) = (256usize, 256usize, 32usize);
-    let a: Matrix = gen::randn(&mut rng, m, n);
-    let opts = CaluOpts { block: b, p: 4, ..Default::default() };
-    let mut work = TileMatrix::from_matrix(&a, b, b);
-    let (ipiv, _report) = runtime_calu_tiles(&mut work, opts, RuntimeOpts::default(), &mut NoObs)
-        .expect("nonsingular");
-    let seq = calu_factor(&a, opts).expect("nonsingular");
-    let diff = work.to_matrix().max_abs_diff(&seq.lu);
-    println!("\n{m}x{m} tile-backed runtime CALU vs sequential: max diff = {diff:e} (bitwise)");
-    assert_eq!(diff, 0.0);
-    assert_eq!(ipiv, seq.ipiv);
+    // Where tile storage executes: each rank's share of the 2x2 deal is a
+    // TileMatrix of whole copied tiles, and assembly inverts it exactly.
+    let parts: Vec<TileMatrix> =
+        (0..4).map(|rank| scatter_2d(owned, &a, rank % 2, rank / 2)).collect();
+    let back = assemble_2d(owned, &parts);
+    println!(
+        "scatter_2d -> assemble_2d on the 2x2 grid: {} rank cells, identity = {}",
+        parts.len(),
+        back == a
+    );
+    assert_eq!(back, a);
 }

@@ -4,8 +4,8 @@
 //! or panics (panics are reserved for API misuse).
 
 use calu_repro::core::{
-    calu_factor, calu_inplace, gepp_factor, runtime_calu_factor, runtime_calu_inplace,
-    runtime_calu_tiles_factor, tslu_factor, CaluOpts, LocalLu, PanelMode, RuntimeOpts,
+    calu_factor, calu_inplace, gepp_factor, runtime_calu_factor, runtime_calu_inplace, tslu_factor,
+    CaluOpts, LocalLu, PanelMode, RuntimeOpts,
 };
 use calu_repro::matrix::blas3::{gemm, trsm};
 use calu_repro::matrix::lapack::{getf2, getf2_info, getrf, GetrfOpts};
@@ -58,8 +58,8 @@ fn panel_subgraph_cancels_on_singularity_and_reports_absolute_step() {
     // and reductions always elect *some* rows), so the dead pivot surfaces
     // in PanelFinish's top-block elimination. It must be rebased to the
     // *absolute* elimination step the sequential sweep reports, cancel all
-    // dependents, and never hang — with either kind of leaves, on flat and
-    // tile storage, on both executors, at every lookahead depth.
+    // dependents, and never hang — with either kind of leaves, on both
+    // executors, at every lookahead depth.
     let n = 48;
     for &r in &[1usize, 7, 24, 47] {
         let a = rank_deficient(500 + r as u64, n, r);
@@ -73,8 +73,6 @@ fn panel_subgraph_cancels_on_singularity_and_reports_absolute_step() {
                     let what = format!("rank {r} {panel_mode:?} d={lookahead} {executor:?}");
                     let e = runtime_calu_factor(&a, opts, rt).unwrap_err();
                     assert_eq!(e, want, "flat {what}: wrong singular step");
-                    let e = runtime_calu_tiles_factor(&a, opts, rt).unwrap_err();
-                    assert_eq!(e, want, "tiles {what}: wrong singular step");
                 }
             }
         }
@@ -127,8 +125,6 @@ fn tall_rank_deficient_panel_fails_in_finish_and_leaves_applies_and_gemms_unrun(
                 for executor in EXECUTORS {
                     let rt = RuntimeOpts { lookahead, executor };
                     let what = format!("rank {r} {panel_mode:?} d={lookahead} {executor:?}");
-                    let e = runtime_calu_tiles_factor(&a, opts, rt).unwrap_err();
-                    assert_eq!(e, want, "tiles {what}");
                     let mut w = a.clone();
                     let e = runtime_calu_inplace(w.view_mut(), opts, rt, &mut NoObs).unwrap_err();
                     assert_eq!(e, want, "flat {what}");

@@ -1,56 +1,15 @@
 //! Tile-storage integration tests: lossless `from_matrix`/`to_matrix`
-//! round trips (including ragged shapes), cross-tile `laswp` equivalence
-//! with the flat pivot application, and bitwise identity of tile-backed
-//! runtime CALU against the sequential sweep at both precisions, on both
-//! executors, at lookahead depths 1–3.
+//! round trips (including ragged shapes), cross-tile row swaps equivalent
+//! to the flat pivot application, and the precision cast. Tile-major is the
+//! distributed ranks' layout; the shared-memory runtime factors flat
+//! matrices (its bitwise suites are `rt::runtime_matches_sequential_*`,
+//! `tests/proptests.rs` and `tests/precision.rs`).
 
-use calu_repro::core::{calu_factor, runtime_calu_tiles, CaluOpts, RuntimeOpts};
 use calu_repro::matrix::perm::apply_ipiv;
-use calu_repro::matrix::{gen, Matrix, NoObs, Scalar, TileMatrix};
-use calu_repro::runtime::ExecutorKind;
+use calu_repro::matrix::{gen, Matrix, TileMatrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn executors() -> [ExecutorKind; 2] {
-    [ExecutorKind::Serial, ExecutorKind::Threaded { threads: 3 }]
-}
-
-/// Tile-backed runtime CALU vs sequential `calu_inplace`, bitwise, at one
-/// precision across executors and depths.
-fn check_tile_runtime_bitwise<T: Scalar>(seed: u64, m: usize, n: usize, b: usize, p: usize) {
-    let a: Matrix<T> = gen::randn(&mut StdRng::seed_from_u64(seed), m, n);
-    let opts = CaluOpts { block: b, p, ..Default::default() };
-    let seq = calu_factor(&a, opts).expect("random normal matrices are nonsingular");
-    for depth in 1..=3 {
-        for executor in executors() {
-            let rt = RuntimeOpts { lookahead: depth, executor };
-            let mut tiles = TileMatrix::from_matrix(&a, b, b);
-            let (ipiv, _rep) = runtime_calu_tiles(&mut tiles, opts, rt, &mut NoObs).unwrap();
-            assert_eq!(seq.ipiv, ipiv, "{} {m}x{n} b={b} d={depth} {executor:?}", T::NAME);
-            assert_eq!(
-                seq.lu.max_abs_diff(&tiles.to_matrix()),
-                T::ZERO,
-                "{} {m}x{n} b={b} d={depth} {executor:?}: tile factors must be bitwise identical",
-                T::NAME
-            );
-        }
-    }
-}
-
-#[test]
-fn tile_runtime_bitwise_f64_all_depths_and_executors() {
-    for &(m, n, b, p) in &[(96usize, 96usize, 16usize, 4usize), (97, 97, 16, 3), (60, 100, 16, 4)] {
-        check_tile_runtime_bitwise::<f64>(7101, m, n, b, p);
-    }
-}
-
-#[test]
-fn tile_runtime_bitwise_f32_all_depths_and_executors() {
-    for &(m, n, b, p) in &[(96usize, 96usize, 16usize, 4usize), (97, 97, 16, 3), (100, 60, 16, 4)] {
-        check_tile_runtime_bitwise::<f32>(7102, m, n, b, p);
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -74,8 +33,9 @@ proptest! {
         }
     }
 
-    /// Cross-tile laswp == flat apply_ipiv for random transposition
-    /// sequences, including swaps that cross tile boundaries.
+    /// A transposition sequence applied with the cross-tile
+    /// `swap_rows_in_cols` (the primitive `core::dist` uses) == flat
+    /// `apply_ipiv`, including swaps that cross tile boundaries.
     #[test]
     fn tile_laswp_matches_flat(
         m in 2usize..40,
@@ -92,7 +52,9 @@ proptest! {
         let mut flat = a.clone();
         apply_ipiv(flat.view_mut(), &ipiv);
         let mut tiled = TileMatrix::from_matrix(&a, mb, nb);
-        tiled.laswp(&ipiv);
+        for (i, &p) in ipiv.iter().enumerate() {
+            tiled.swap_rows_in_cols(i, p, 0..n);
+        }
         prop_assert_eq!(tiled.to_matrix(), flat);
     }
 
