@@ -2,16 +2,18 @@
 //!
 //! Two modes over `calu-netsim`:
 //!
-//! * **Real-data** ([`dist_calu_factor`], [`dist_pdgetrf_factor`],
-//!   [`sim_tslu_panel`], [`sim_pdgetf2_panel`]) — the distributed algorithm
-//!   executes its actual data flow (2D block-cyclic `Pr x Pc` layout, TSLU
-//!   as a butterfly all-reduce of [`Candidates`]), so the factors can be
-//!   checked against the sequential references — bitwise for the
-//!   partial-pivoting baselines, and to rounding for CALU. The default
-//!   entry points are **runtime-driven**: each rank's per-step work runs
-//!   as a `calu-runtime` task DAG (see [`crate::dist_rt`], which also
-//!   exposes lookahead depth and executor choice); the hand-written SPMD
-//!   step loops are kept verbatim as [`dist_calu_factor_spmd`] /
+//! * **Real-data** ([`sim_tslu_panel`], [`sim_pdgetf2_panel`], and the
+//!   full factorizations) — the distributed algorithm executes its actual
+//!   data flow (2D block-cyclic `Pr x Pc` layout, TSLU as a butterfly
+//!   all-reduce of [`Candidates`]), so the factors can be checked against
+//!   the sequential references — bitwise for the partial-pivoting
+//!   baselines, and to rounding for CALU. The full factorizations are
+//!   **runtime-driven**: [`crate::dist_rt::dist_calu_factor_rt`] /
+//!   [`crate::dist_rt::dist_pdgetrf_factor_rt`] run each rank's per-step
+//!   work as a `calu-runtime` task DAG at any lookahead depth, on either
+//!   executor and communicator (`DistRtOpts::default()` is depth 1 on the
+//!   serial executor over the in-process mailbox). This module keeps the
+//!   hand-written SPMD step loops verbatim as [`dist_calu_factor_spmd`] /
 //!   [`dist_pdgetrf_factor_spmd`] — the pre-refactor references the DAG
 //!   path is asserted bitwise equal to.
 //! * **Cost-skeleton** ([`skeleton_tslu`], [`skeleton_pdgetf2`],
@@ -673,35 +675,6 @@ pub fn assemble_2d<T: Scalar>(layout: TileLayout, parts: &[TileMatrix<T>]) -> Ma
     Matrix::from_col_major(layout.rows(), layout.cols(), data)
 }
 
-/// Runtime-driven distributed CALU — the default path: delegates to
-/// [`crate::dist_rt::dist_calu_factor_rt`] at lookahead depth 1 on the
-/// deterministic serial executor, returning the modeled per-rank
-/// accounting in the familiar [`SimReport`] form. Factors are bitwise
-/// identical to the SPMD reference [`dist_calu_factor_spmd`] (the
-/// pre-refactor implementation, kept as the equality baseline).
-pub fn dist_calu_factor<T: Scalar>(
-    a: &Matrix<T>,
-    cfg: DistCaluConfig,
-    mch: MachineConfig,
-) -> (SimReport, DistFactors<T>) {
-    let (rep, f) = crate::dist_rt::dist_calu_factor_rt(a, cfg, Default::default(), mch);
-    (rep.sim, f)
-}
-
-/// Runtime-driven ScaLAPACK-style `PDGETRF` — the default path: delegates
-/// to [`crate::dist_rt::dist_pdgetrf_factor_rt`] (depth 1, serial
-/// executor). Factors stay bitwise identical to the sequential blocked
-/// [`calu_matrix::lapack::getrf`] and to the SPMD reference
-/// [`dist_pdgetrf_factor_spmd`].
-pub fn dist_pdgetrf_factor<T: Scalar>(
-    a: &Matrix<T>,
-    cfg: DistPdgetrfConfig,
-    mch: MachineConfig,
-) -> (SimReport, DistFactors<T>) {
-    let (rep, f) = crate::dist_rt::dist_pdgetrf_factor_rt(a, cfg, Default::default(), mch);
-    (rep.sim, f)
-}
-
 /// Real-data distributed CALU on a 2D block-cyclic `Pr x Pc` grid: per
 /// panel, TSLU over the owning process column (butterfly all-reduce of
 /// [`Candidates`]), a global pairwise row interchange, redundant
@@ -712,7 +685,8 @@ pub fn dist_pdgetrf_factor<T: Scalar>(
 /// This is the hand-written SPMD step loop over `calu-netsim` ranks — the
 /// **pre-refactor reference implementation**, kept verbatim so the
 /// runtime-driven path ([`crate::dist_rt`]) can be asserted bitwise equal
-/// to it. New code should call [`dist_calu_factor`].
+/// to it. New code should call
+/// [`dist_calu_factor_rt`](crate::dist_rt::dist_calu_factor_rt).
 ///
 /// With `pr == 1` the elected pivots equal sequential CALU's with `p == 1`
 /// (both are one local election over the whole panel) — asserted in the
@@ -867,7 +841,8 @@ pub fn dist_calu_factor_spmd<T: Scalar>(
 /// (`PDLASWP`) and the `trsm`/`gemm` trailing update runs.
 ///
 /// The hand-written SPMD step loop — the **pre-refactor reference**; see
-/// [`dist_calu_factor_spmd`]. New code should call [`dist_pdgetrf_factor`].
+/// [`dist_calu_factor_spmd`]. New code should call
+/// [`dist_pdgetrf_factor_rt`](crate::dist_rt::dist_pdgetrf_factor_rt).
 ///
 /// Bitwise identical to the sequential blocked
 /// [`calu_matrix::lapack::getrf`] — asserted by the property tests.
@@ -1313,6 +1288,7 @@ pub fn skeleton_pdgetrf(cfg: SkelCfg, mch: MachineConfig) -> SimReport {
 mod tests {
     use super::*;
     use crate::calu::{calu_factor, CaluOpts};
+    use crate::dist_rt::{dist_calu_factor_rt, dist_pdgetrf_factor_rt, DistRtOpts};
     use crate::tslu::tslu_pivots;
     use calu_matrix::gen;
     use calu_matrix::lapack::{getf2, getrf, GetrfOpts};
@@ -1365,8 +1341,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(304);
         let a: Matrix = gen::randn(&mut rng, 40, 40);
         for &(pr, pc) in &[(1usize, 1usize), (2, 2), (2, 1), (1, 3), (3, 2)] {
-            let (_rep, d) =
-                dist_pdgetrf_factor(&a, DistPdgetrfConfig { b: 8, pr, pc }, MachineConfig::ideal());
+            let (_rep, d) = dist_pdgetrf_factor_rt(
+                &a,
+                DistPdgetrfConfig { b: 8, pr, pc },
+                DistRtOpts::default(),
+                MachineConfig::ideal(),
+            );
             let mut lu = a.clone();
             let mut ipiv = vec![0usize; 40];
             getrf(
@@ -1387,9 +1367,10 @@ mod tests {
         let n = 48;
         let a = gen::randn(&mut rng, n, n);
         for &(pr, pc) in &[(1usize, 1usize), (2, 2), (4, 1), (2, 3)] {
-            let (_rep, d) = dist_calu_factor(
+            let (_rep, d) = dist_calu_factor_rt(
                 &a,
                 DistCaluConfig { b: 8, pr, pc, local: LocalLu::Recursive },
+                DistRtOpts::default(),
                 MachineConfig::ideal(),
             );
             let perm = ipiv_to_perm(&d.ipiv, n);
@@ -1406,9 +1387,10 @@ mod tests {
     fn dist_calu_pr1_matches_sequential_p1() {
         let mut rng = StdRng::seed_from_u64(306);
         let a: Matrix = gen::randn(&mut rng, 32, 32);
-        let (_rep, d) = dist_calu_factor(
+        let (_rep, d) = dist_calu_factor_rt(
             &a,
             DistCaluConfig { b: 8, pr: 1, pc: 2, local: LocalLu::Classic },
+            DistRtOpts::default(),
             MachineConfig::ideal(),
         );
         let f = calu_factor(
@@ -1451,16 +1433,18 @@ mod tests {
             }
         };
 
-        let (_rep, d) = dist_pdgetrf_factor(
+        let (_rep, d) = dist_pdgetrf_factor_rt(
             &a,
             DistPdgetrfConfig { b: 4, pr: 2, pc: 2 },
+            DistRtOpts::default(),
             MachineConfig::ideal(),
         );
         assert_eq!(d.first_singular, Some(seq_getrf_step));
 
-        let (_rep, d) = dist_calu_factor(
+        let (_rep, d) = dist_calu_factor_rt(
             &a,
             DistCaluConfig { b: 4, pr: 2, pc: 2, local: LocalLu::Classic },
+            DistRtOpts::default(),
             MachineConfig::ideal(),
         );
         assert_eq!(d.first_singular, Some(seq_calu_step));
@@ -1477,9 +1461,10 @@ mod tests {
 
         // And nonsingular inputs report None.
         let good: Matrix = gen::randn(&mut rng, n, n);
-        let (_rep, d) = dist_pdgetrf_factor(
+        let (_rep, d) = dist_pdgetrf_factor_rt(
             &good,
             DistPdgetrfConfig { b: 4, pr: 2, pc: 2 },
+            DistRtOpts::default(),
             MachineConfig::ideal(),
         );
         assert_eq!(d.first_singular, None);

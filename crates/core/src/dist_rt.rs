@@ -48,10 +48,11 @@
 //!
 //! Execution is instant shared-memory compute; the *communication* story
 //! is modeled: [`DistRtReport`] carries the per-rank modeled schedule
-//! ([`simulate_dist_schedule`] under a [`DistCostModel`]) as netsim
-//! [`RankTrace`]s — compute and communication of all ranks in one Gantt —
-//! plus a synthesized [`SimReport`] and the wall-clock [`ExecReport`] of
-//! whichever driver actually ran the tasks.
+//! ([`simulate_dist_schedule`] under a [`DistCostModel`]) as `calu_obs`
+//! [`Span`]s — compute and communication of all ranks in one Gantt, the
+//! same span type as the measured timeline beside it — plus a synthesized
+//! [`SimReport`] and the wall-clock [`ExecReport`] of whichever driver
+//! actually ran the tasks.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -64,7 +65,7 @@ use crate::tslu::LocalLu;
 use calu_matrix::blas1::scal;
 use calu_matrix::blas2::ger;
 use calu_matrix::{Error, Matrix, Result, Scalar, TileLayout, TileMatrix};
-use calu_netsim::{MachineConfig, RankTrace, SimReport};
+use calu_netsim::{MachineConfig, SimReport};
 use calu_obs::{CommDelta, CommLedger, CommLedgerReport, CommTerm, Recorder, Span};
 use calu_runtime::{
     expected_mailbox_comm, expected_threaded_getf2_comm, modeled_comm_terms,
@@ -105,9 +106,11 @@ pub struct DistRtReport {
     /// Synthesized per-rank accounting (modeled compute / α / β / idle
     /// times, message and word counts) in `run_sim` report form.
     pub sim: SimReport,
-    /// Modeled per-rank timelines — compute, communication, and idle of
-    /// all ranks in one trace, ready for `calu_netsim::render_gantt`.
-    pub traces: Vec<RankTrace>,
+    /// **Modeled** per-rank timelines (`DistSchedule::spans`): compute and
+    /// send spans of all ranks in modeled seconds as microseconds, idle the
+    /// gaps — ready for [`calu_obs::render_gantt`]. [`Self::spans`] is the
+    /// measured timeline.
+    pub modeled: Vec<Span>,
     /// Wall-clock record of the executor run (empty when a singular pivot
     /// canceled the run).
     pub exec: ExecReport,
@@ -520,7 +523,7 @@ impl<T: Scalar> DistRun<T> {
         spans.extend(recorder.take());
         let report = DistRtReport {
             sim: SimReport { per_rank: sched.per_rank },
-            traces: sched.traces,
+            modeled: sched.spans,
             exec,
             critical_path,
             makespan: sched.makespan,
@@ -689,7 +692,6 @@ mod tests {
         let cfg = DistCaluConfig { b: 16, pr: 2, pc: 2, local: LocalLu::Classic };
         let (rep, _f) =
             dist_calu_factor_rt(&a, cfg, DistRtOpts::default(), MachineConfig::power5());
-        assert_eq!(rep.traces.len(), 4);
         assert_eq!(rep.sim.per_rank.len(), 4);
         assert!(rep.makespan > 0.0 && rep.critical_path > 0.0);
         assert!(rep.makespan + 1e-15 >= rep.critical_path * 0.999);
@@ -706,8 +708,9 @@ mod tests {
         assert!(rep.spans.iter().any(|s| s.pid == 3));
         calu_obs::parse_chrome_trace(&calu_obs::chrome_trace(&rep.spans))
             .expect("executor spans must export as valid chrome trace");
-        let gantt = calu_netsim::render_gantt(&rep.traces, 60);
+        let gantt = calu_obs::render_gantt(&rep.modeled, 60);
         assert!(gantt.contains("r0") && gantt.contains("r3"));
+        assert!(rep.modeled.iter().all(|s| s.pid < 4 && s.tid == 0));
     }
 
     fn assert_mailbox_exact(rep: &DistRtReport, tag: &str) {

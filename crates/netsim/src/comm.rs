@@ -13,6 +13,7 @@
 //! sends in any order without deadlocking the virtual schedule.
 
 use crate::machine::{Link, MachineConfig};
+use calu_obs::Recorder;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender};
@@ -97,9 +98,9 @@ pub struct SimComm {
     inbox: Receiver<Envelope>,
     parked: HashMap<(usize, u64), VecDeque<Envelope>>,
     stats: RankStats,
-    /// Timeline of this rank's segments, recorded only under
+    /// Where this rank's compute and send spans go, only under
     /// [`run_sim_traced`](crate::runner::run_sim_traced).
-    trace: Option<Vec<crate::trace::TraceEvent>>,
+    trace: Option<Arc<Recorder>>,
     /// Deferrable compute (seconds) that may fill receive-wait gaps — the
     /// look-ahead overlap model. See [`SimComm::defer_compute`].
     deferred_secs: f64,
@@ -120,6 +121,7 @@ impl SimComm {
         machine: Arc<MachineConfig>,
         senders: Vec<Sender<Envelope>>,
         inbox: Receiver<Envelope>,
+        trace: Option<Arc<Recorder>>,
     ) -> Self {
         Self {
             rank,
@@ -130,27 +132,20 @@ impl SimComm {
             inbox,
             parked: HashMap::new(),
             stats: RankStats::default(),
-            trace: None,
+            trace,
             deferred_secs: 0.0,
             deferred_flops: 0.0,
         }
     }
 
-    /// Enables trace recording for this rank (used by
-    /// [`run_sim_traced`](crate::runner::run_sim_traced)).
-    pub(crate) fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    pub(crate) fn take_trace(&mut self) -> Vec<crate::trace::TraceEvent> {
-        self.trace.take().unwrap_or_default()
-    }
-
+    /// Records a `"compute"` or `"send"` span over virtual seconds
+    /// `start..end` in this rank's lane (pid = rank, tid 0). A wait records
+    /// nothing: idle is the gap.
     #[inline]
-    fn record(&mut self, kind: crate::trace::SegKind, start: f64, end: f64) {
-        if let Some(tr) = self.trace.as_mut() {
+    fn record(&self, cat: &'static str, start: f64, end: f64) {
+        if let Some(rec) = &self.trace {
             if end > start {
-                tr.push(crate::trace::TraceEvent { kind, start, end });
+                rec.record_interval(cat.to_string(), cat, self.rank as u32, 0, start, end);
             }
         }
     }
@@ -199,7 +194,7 @@ impl SimComm {
         self.clock += seconds;
         self.stats.compute_time += seconds;
         self.stats.flops += flops;
-        self.record(crate::trace::SegKind::Compute, t0, self.clock);
+        self.record("compute", t0, self.clock);
     }
 
     /// Sends `payload` to `to` with matching `tag`, charging `words` 8-byte
@@ -216,7 +211,7 @@ impl SimComm {
         self.stats.beta_time += words as f64 * self.machine.beta(link);
         self.stats.msgs_sent += 1;
         self.stats.words_sent += words as u64;
-        self.record(crate::trace::SegKind::Send, t0, self.clock);
+        self.record("send", t0, self.clock);
         let env = Envelope { src: self.rank, tag, arrive: self.clock, words, payload };
         self.senders[to]
             .send(env)
@@ -244,11 +239,10 @@ impl SimComm {
                 self.deferred_flops -= flops;
                 self.stats.compute_time += used;
                 self.stats.flops += flops;
-                self.record(crate::trace::SegKind::Compute, t0, t0 + used);
+                self.record("compute", t0, t0 + used);
             }
             self.stats.idle_time += gap - used;
             self.clock = env.arrive;
-            self.record(crate::trace::SegKind::Idle, t0 + used, self.clock);
         }
         (env.payload, env.words)
     }
@@ -319,7 +313,7 @@ impl SimComm {
         self.stats.beta_time += (rounds * words) as f64 * self.machine.beta(link);
         self.stats.msgs_sent += rounds as u64;
         self.stats.words_sent += (rounds * words) as u64;
-        self.record(crate::trace::SegKind::Send, t0, self.clock);
+        self.record("send", t0, self.clock);
     }
 
     /// Exchange with a partner (both directions, same tag/size class):

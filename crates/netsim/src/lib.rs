@@ -15,7 +15,12 @@
 //! * [`collectives::Group`] provides binomial broadcast/reduce and the
 //!   butterfly all-reduce that *is* TSLU's communication pattern;
 //! * [`grid::Grid`] provides the `Pr x Pc` process grid and block-cyclic
-//!   ownership maps (`numroc` and friends) of the ScaLAPACK layout.
+//!   ownership maps (`numroc` and friends) of the ScaLAPACK layout;
+//! * [`run_sim_traced`] records each rank's compute and sends as
+//!   `calu_obs` spans in virtual time — the one span type measured runs
+//!   use too, so `calu_obs::render_gantt` and `calu_obs::chrome_trace`
+//!   draw both — and [`TimeBreakdown`] splits a report into compute /
+//!   latency / bandwidth / idle shares.
 //!
 //! Performance tables are regenerated by running the *algorithm skeletons*
 //! (full control flow, `Payload::Empty` messages with modeled word counts)
@@ -37,7 +42,4 @@ pub use comm::{Payload, RankStats, SimComm};
 pub use grid::Grid;
 pub use machine::{Link, MachineConfig, Precision};
 pub use runner::{run_sim, run_sim_traced, SimReport};
-pub use trace::{
-    render_gantt, render_gantt_labeled, spans_to_traces, traces_to_spans, RankTrace, SegKind,
-    TimeBreakdown, TraceEvent,
-};
+pub use trace::TimeBreakdown;

@@ -2,7 +2,7 @@
 
 use crate::comm::{Envelope, RankStats, SimComm};
 use crate::machine::MachineConfig;
-use crate::trace::RankTrace;
+use calu_obs::{Recorder, Span};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 
@@ -76,14 +76,16 @@ where
     F: Fn(&mut SimComm) -> R + Sync,
     R: Send,
 {
-    let (report, _traces, results) = run_sim_inner(p, machine, f, false);
+    let (report, _spans, results) = run_sim_inner(p, machine, f, None);
     (report, results)
 }
 
-/// [`run_sim`] with per-rank event tracing enabled; additionally returns
-/// each rank's timeline for [`render_gantt`](crate::trace::render_gantt)
-/// and attribution. Tracing allocates one segment per clock advance — use
-/// it on presentation-sized configurations, not paper-scale sweeps.
+/// [`run_sim`] with tracing enabled; additionally returns every rank's
+/// compute and send spans (pid = rank, tid 0, cat `"compute"`/`"send"`,
+/// virtual seconds as microseconds), sorted by start, for
+/// [`calu_obs::render_gantt`] and [`calu_obs::chrome_trace`]. A wait records
+/// nothing: idle is the gap. Tracing allocates one span per clock advance —
+/// use it on presentation-sized configurations, not paper-scale sweeps.
 ///
 /// # Panics
 /// Propagates panics from rank closures (the first one observed).
@@ -91,20 +93,20 @@ pub fn run_sim_traced<F, R>(
     p: usize,
     machine: MachineConfig,
     f: F,
-) -> (SimReport, Vec<RankTrace>, Vec<R>)
+) -> (SimReport, Vec<Span>, Vec<R>)
 where
     F: Fn(&mut SimComm) -> R + Sync,
     R: Send,
 {
-    run_sim_inner(p, machine, f, true)
+    run_sim_inner(p, machine, f, Some(Arc::new(Recorder::new())))
 }
 
 fn run_sim_inner<F, R>(
     p: usize,
     machine: MachineConfig,
     f: F,
-    traced: bool,
-) -> (SimReport, Vec<RankTrace>, Vec<R>)
+    trace: Option<Arc<Recorder>>,
+) -> (SimReport, Vec<Span>, Vec<R>)
 where
     F: Fn(&mut SimComm) -> R + Sync,
     R: Send,
@@ -123,23 +125,21 @@ where
     let mut comms: Vec<SimComm> = inboxes
         .into_iter()
         .enumerate()
-        .map(|(rank, inbox)| SimComm::new(rank, p, Arc::clone(&machine), senders.clone(), inbox))
+        .map(|(rank, inbox)| {
+            SimComm::new(rank, p, Arc::clone(&machine), senders.clone(), inbox, trace.clone())
+        })
         .collect();
     // Drop the original senders so channels close when comms drop.
     drop(senders);
 
     let f = &f;
-    let mut out: Vec<Option<(RankStats, RankTrace, R)>> = (0..p).map(|_| None).collect();
+    let mut out: Vec<Option<(RankStats, R)>> = (0..p).map(|_| None).collect();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
         for mut cm in comms.drain(..) {
             handles.push(scope.spawn(move || {
-                if traced {
-                    cm.enable_trace();
-                }
                 let r = f(&mut cm);
-                let trace = RankTrace { events: cm.take_trace() };
-                (cm.into_stats(), trace, r)
+                (cm.into_stats(), r)
             }));
         }
         for (slot, h) in out.iter_mut().zip(handles) {
@@ -151,15 +151,14 @@ where
     });
 
     let mut per_rank = Vec::with_capacity(p);
-    let mut traces = Vec::with_capacity(p);
     let mut results = Vec::with_capacity(p);
     for slot in out {
-        let (stats, trace, r) = slot.expect("rank produced no result");
+        let (stats, r) = slot.expect("rank produced no result");
         per_rank.push(stats);
-        traces.push(trace);
         results.push(r);
     }
-    (SimReport { per_rank }, traces, results)
+    let spans = trace.map(|rec| rec.take()).unwrap_or_default();
+    (SimReport { per_rank }, spans, results)
 }
 
 #[cfg(test)]

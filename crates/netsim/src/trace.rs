@@ -1,70 +1,17 @@
-//! Event tracing and time attribution for simulated runs.
+//! Time attribution for simulated runs.
 //!
-//! A traced run ([`run_sim_traced`](crate::runner::run_sim_traced)) records
-//! every rank's timeline as a sequence of [`TraceEvent`] segments —
-//! compute, message injection, idle wait — in virtual time. Two consumers:
-//!
-//! * [`render_gantt`] draws the timelines as a fixed-width text chart, which
-//!   makes the paper's latency argument *visible*: under `PDGETF2` the
-//!   panel column is a picket fence of sends and idles, under TSLU it is a
-//!   handful of exchanges around solid compute.
-//! * [`TimeBreakdown`] attributes a run's makespan to compute / latency (α)
-//!   / bandwidth (β) / idle shares — the quantities the paper's Equations
-//!   (1)-(3) separate, and the evidence for "the effect is significant when
-//!   the latency time is an important factor of the overall time"
-//!   (Abstract).
+//! [`TimeBreakdown`] attributes a run's makespan to compute / latency (α) /
+//! bandwidth (β) / idle shares — the quantities the paper's Equations
+//! (1)-(3) separate, and the evidence for "the effect is significant when
+//! the latency time is an important factor of the overall time"
+//! (Abstract). The timelines themselves are `calu_obs` spans
+//! ([`run_sim_traced`](crate::runner::run_sim_traced)), drawn by
+//! [`calu_obs::render_gantt`]: under `PDGETF2` the panel column is a picket
+//! fence of sends and idles, under TSLU a handful of exchanges around solid
+//! compute.
 
 use crate::comm::RankStats;
 use crate::runner::SimReport;
-use calu_obs::Span;
-
-/// What a rank was doing during a trace segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegKind {
-    /// Modeled kernel time ([`SimComm::compute`](crate::SimComm::compute)).
-    Compute,
-    /// Message injection (`α + w·β` per message, including charged rounds).
-    Send,
-    /// Blocked waiting for an arrival.
-    Idle,
-}
-
-/// One contiguous segment of a rank's virtual timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceEvent {
-    /// Segment class.
-    pub kind: SegKind,
-    /// Virtual start time, seconds.
-    pub start: f64,
-    /// Virtual end time, seconds (`end > start`).
-    pub end: f64,
-}
-
-impl TraceEvent {
-    /// Segment duration in virtual seconds.
-    pub fn duration(&self) -> f64 {
-        self.end - self.start
-    }
-}
-
-/// A whole rank's recorded timeline.
-#[derive(Debug, Clone, Default)]
-pub struct RankTrace {
-    /// Segments in non-decreasing start order.
-    pub events: Vec<TraceEvent>,
-}
-
-impl RankTrace {
-    /// Total traced duration per kind.
-    pub fn total(&self, kind: SegKind) -> f64 {
-        self.events.iter().filter(|e| e.kind == kind).map(TraceEvent::duration).sum()
-    }
-
-    /// End of the last segment (0 for an empty trace).
-    pub fn end(&self) -> f64 {
-        self.events.iter().fold(0.0_f64, |m, e| m.max(e.end))
-    }
-}
 
 /// Attribution of a run's time to the paper's cost classes.
 ///
@@ -123,147 +70,23 @@ impl TimeBreakdown {
     }
 }
 
-/// Glyphs used by [`render_gantt`], by dominant [`SegKind`] in each cell:
-/// `#` compute, `>` send, `.` idle, ` ` nothing recorded.
-const GLYPHS: [(SegKind, char); 3] =
-    [(SegKind::Compute, '#'), (SegKind::Send, '>'), (SegKind::Idle, '.')];
-
-/// Renders per-rank timelines as a text Gantt chart `width` characters
-/// wide. Each cell shows the kind that occupied most of that cell's time
-/// span; the header carries the time scale and a legend. Rows are labeled
-/// `r0`, `r1`, … — use [`render_gantt_labeled`] for custom row labels
-/// (e.g. grid coordinates next to runtime workers in a dual-layer chart).
-///
-/// # Panics
-/// If `width == 0`.
-pub fn render_gantt(traces: &[RankTrace], width: usize) -> String {
-    let labels: Vec<String> = (0..traces.len()).map(|r| format!("r{r}")).collect();
-    render_gantt_labeled(traces, &labels, width)
-}
-
-/// [`render_gantt`] with caller-supplied row labels (padded to the longest
-/// label), so timelines from different layers — simulated grid ranks,
-/// modeled distributed-DAG ranks, runtime executor workers — can stack in
-/// one legible chart.
-///
-/// # Panics
-/// If `width == 0` or the label count differs from the trace count.
-pub fn render_gantt_labeled(traces: &[RankTrace], labels: &[String], width: usize) -> String {
-    assert!(width > 0, "gantt width must be positive");
-    assert_eq!(labels.len(), traces.len(), "one label per trace");
-    let t_end = traces.iter().map(RankTrace::end).fold(0.0_f64, f64::max);
-    let pad = labels.iter().map(String::len).max().unwrap_or(0).max(3);
-    let mut out = String::new();
-    out.push_str(&format!("time 0 .. {:.3e} s   ('#' compute, '>' send, '.' idle)\n", t_end));
-    if t_end <= 0.0 {
-        return out;
-    }
-    let cell = t_end / width as f64;
-    for (rank, tr) in traces.iter().enumerate() {
-        let mut occupancy = vec![[0.0_f64; 3]; width];
-        for e in &tr.events {
-            let k = GLYPHS.iter().position(|(g, _)| *g == e.kind).expect("known kind");
-            // Clip the segment onto each overlapped cell.
-            let first = ((e.start / cell) as usize).min(width - 1);
-            let last = ((e.end / cell) as usize).min(width - 1);
-            for (c, occ) in occupancy.iter_mut().enumerate().take(last + 1).skip(first) {
-                let lo = (c as f64) * cell;
-                let hi = lo + cell;
-                let overlap = (e.end.min(hi) - e.start.max(lo)).max(0.0);
-                occ[k] += overlap;
-            }
-        }
-        let mut row = String::with_capacity(width);
-        for occ in &occupancy {
-            let (best, val) =
-                occ.iter().enumerate().fold((0usize, 0.0_f64), |(bi, bv), (i, &v)| {
-                    if v > bv {
-                        (i, v)
-                    } else {
-                        (bi, bv)
-                    }
-                });
-            row.push(if val > 0.0 { GLYPHS[best].1 } else { ' ' });
-        }
-        out.push_str(&format!("{:<pad$} |{row}|\n", labels[rank]));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Obs interop: Gantt timelines ↔ structured spans
-// ---------------------------------------------------------------------------
-
-/// Converts per-rank Gantt timelines into [`calu_obs`] spans (pid = rank
-/// index, tid = 0, virtual seconds → µs), ready for Chrome-trace export
-/// alongside real executor spans. `Idle` segments are dropped — a span
-/// records work; idle is the gap between spans, which trace viewers show
-/// natively. Output is sorted by start time, as
-/// [`calu_obs::chrome_trace`] expects.
-pub fn traces_to_spans(traces: &[RankTrace]) -> Vec<Span> {
-    let mut out: Vec<Span> = traces
-        .iter()
-        .enumerate()
-        .flat_map(|(rank, tr)| {
-            tr.events.iter().filter(|e| e.kind != SegKind::Idle).map(move |e| Span {
-                name: match e.kind {
-                    SegKind::Compute => "compute".to_string(),
-                    SegKind::Send => "send".to_string(),
-                    SegKind::Idle => unreachable!("idle segments are filtered"),
-                },
-                cat: "sim",
-                pid: rank as u32,
-                tid: 0,
-                ts_us: e.start * 1e6,
-                dur_us: e.duration() * 1e6,
-            })
-        })
-        .collect();
-    out.sort_by(|a, b| a.ts_us.total_cmp(&b.ts_us).then(a.pid.cmp(&b.pid)).then(a.tid.cmp(&b.tid)));
-    out
-}
-
-/// The reverse direction: buckets spans into one [`RankTrace`] lane per
-/// `(pid, tid)` — so *measured* executor timelines can reuse the text
-/// Gantt renderer that normally draws modeled simulator time. Returns the
-/// lanes with `"r<pid>.w<tid>"` labels for [`render_gantt_labeled`], in
-/// `(pid, tid)` order. Spans whose name or category mentions a send
-/// render as `>` segments, everything else as compute; gaps stay blank.
-pub fn spans_to_traces(spans: &[Span]) -> (Vec<RankTrace>, Vec<String>) {
-    let mut lanes: Vec<(u32, u32)> = spans.iter().map(|s| (s.pid, s.tid)).collect();
-    lanes.sort_unstable();
-    lanes.dedup();
-    let mut traces = vec![RankTrace::default(); lanes.len()];
-    for s in spans {
-        let lane = lanes.binary_search(&(s.pid, s.tid)).expect("lane recorded");
-        let kind = if s.cat.contains("send") || s.name.contains("send") || s.name.contains("Send") {
-            SegKind::Send
-        } else {
-            SegKind::Compute
-        };
-        traces[lane].events.push(TraceEvent {
-            kind,
-            start: s.ts_us / 1e6,
-            end: (s.ts_us + s.dur_us) / 1e6,
-        });
-    }
-    for tr in &mut traces {
-        tr.events.sort_by(|a, b| a.start.total_cmp(&b.start));
-    }
-    let labels = lanes.iter().map(|&(p, t)| format!("r{p}.w{t}")).collect();
-    (traces, labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::{Link, MachineConfig};
     use crate::runner::run_sim_traced;
     use crate::Payload;
+    use calu_obs::Span;
+
+    /// Seconds of `rank`'s spans of category `cat` (`None`: all of them).
+    fn total(spans: &[Span], rank: u32, cat: Option<&str>) -> f64 {
+        let lane = spans.iter().filter(|s| s.pid == rank && cat.is_none_or(|c| s.cat == c));
+        lane.map(|s| s.dur_us).sum::<f64>() / 1e6
+    }
 
     #[test]
-    fn traced_run_records_all_segment_kinds() {
-        let (report, traces, _) = run_sim_traced(2, MachineConfig::power5(), |cm| {
+    fn traced_spans_agree_with_the_stats_per_kind() {
+        let (report, spans, _) = run_sim_traced(2, MachineConfig::power5(), |cm| {
             if cm.rank() == 0 {
                 cm.compute(1e-3, 100.0);
                 cm.send(1, 0, 10, Payload::Empty, Link::Col);
@@ -272,37 +95,21 @@ mod tests {
                 cm.compute(5e-4, 50.0);
             }
         });
-        assert_eq!(traces.len(), 2);
-        let t0 = &traces[0];
-        let t1 = &traces[1];
-        assert!(t0.total(SegKind::Compute) > 0.0);
-        assert!(t0.total(SegKind::Send) > 0.0);
-        assert!(t1.total(SegKind::Idle) > 9e-4, "rank 1 must idle about 1 ms");
-        // Trace totals agree with the stats counters.
-        assert!((t0.total(SegKind::Compute) - report.per_rank[0].compute_time).abs() < 1e-15);
-        assert!((t1.total(SegKind::Idle) - report.per_rank[1].idle_time).abs() < 1e-15);
-    }
-
-    #[test]
-    fn segments_are_ordered_and_positive() {
-        let (_r, traces, _) = run_sim_traced(2, MachineConfig::power5(), |cm| {
-            for i in 0..5 {
-                cm.compute(1e-6 * (i + 1) as f64, 1.0);
-                if cm.rank() == 0 {
-                    cm.send(1, i, 4, Payload::Empty, Link::Row);
-                } else {
-                    cm.recv(0, i);
-                }
-            }
-        });
-        for tr in &traces {
-            for w in tr.events.windows(2) {
-                assert!(w[0].end <= w[1].start + 1e-15, "segments must not overlap");
-            }
-            for e in &tr.events {
-                assert!(e.duration() > 0.0);
-            }
+        assert!(spans.iter().all(|s| s.tid == 0 && s.name == s.cat && s.dur_us > 0.0));
+        assert!(spans.iter().any(|s| s.cat == "send" && s.pid == 0));
+        assert!(spans.windows(2).all(|w| w[0].ts_us <= w[1].ts_us), "sorted for export");
+        calu_obs::parse_chrome_trace(&calu_obs::chrome_trace(&spans)).expect("valid trace");
+        for (rank, st) in report.per_rank.iter().enumerate() {
+            let r = rank as u32;
+            let lane: Vec<&Span> = spans.iter().filter(|s| s.pid == r).collect();
+            assert!(lane.windows(2).all(|w| w[0].ts_us + w[0].dur_us <= w[1].ts_us + 1e-9));
+            let end = lane.last().map_or(0.0, |s| (s.ts_us + s.dur_us) / 1e6);
+            assert!((total(&spans, r, Some("compute")) - st.compute_time).abs() < 1e-15);
+            assert!((total(&spans, r, Some("send")) - st.send_time).abs() < 1e-15);
+            // Idle is the gap: whatever of the lane no span covers.
+            assert!((end - total(&spans, r, None) - st.idle_time).abs() < 1e-15);
         }
+        assert!(report.per_rank[1].idle_time > 9e-4, "rank 1 must idle about 1 ms");
     }
 
     #[test]
@@ -324,58 +131,16 @@ mod tests {
 
     #[test]
     fn gantt_renders_rows_for_all_ranks() {
-        let (_r, traces, _) = run_sim_traced(3, MachineConfig::ideal(), |cm| {
+        let (_r, spans, _) = run_sim_traced(3, MachineConfig::ideal(), |cm| {
             cm.compute(1.0, 0.0);
         });
-        let g = render_gantt(&traces, 20);
+        let g = calu_obs::render_gantt(&spans, 20);
         assert_eq!(g.lines().count(), 4, "header + 3 ranks");
         for rank in 0..3 {
             assert!(g.contains(&format!("r{rank}")));
         }
         // The ideal machine computes the whole time: rows are all '#'.
         assert!(g.contains("|####################|"));
-    }
-
-    #[test]
-    fn gantt_empty_trace_is_benign() {
-        let g = render_gantt(&[RankTrace::default()], 10);
-        assert!(g.starts_with("time 0"));
-    }
-
-    #[test]
-    fn traces_convert_to_spans_and_back() {
-        let (_r, traces, _) = run_sim_traced(2, MachineConfig::power5(), |cm| {
-            if cm.rank() == 0 {
-                cm.compute(1e-3, 100.0);
-                cm.send(1, 0, 10, Payload::Empty, Link::Col);
-            } else {
-                cm.recv(0, 0);
-                cm.compute(5e-4, 50.0);
-            }
-        });
-        let spans = traces_to_spans(&traces);
-        // Work segments survive, idle is dropped, time scales to µs.
-        let work: usize = traces
-            .iter()
-            .map(|t| t.events.iter().filter(|e| e.kind != SegKind::Idle).count())
-            .sum();
-        assert_eq!(spans.len(), work);
-        assert!(spans.iter().all(|s| s.dur_us > 0.0));
-        assert!(spans.windows(2).all(|w| w[0].ts_us <= w[1].ts_us), "sorted for export");
-        assert!(spans.iter().any(|s| s.name == "send" && s.pid == 0));
-        calu_obs::parse_chrome_trace(&calu_obs::chrome_trace(&spans)).expect("valid trace");
-
-        // Back to lanes: per-kind totals survive the round trip.
-        let (back, labels) = spans_to_traces(&spans);
-        assert_eq!(labels, vec!["r0.w0".to_string(), "r1.w0".to_string()]);
-        for (orig, got) in traces.iter().zip(&back) {
-            for kind in [SegKind::Compute, SegKind::Send] {
-                assert!((orig.total(kind) - got.total(kind)).abs() < 1e-12);
-            }
-            assert_eq!(got.total(SegKind::Idle), 0.0);
-        }
-        let g = render_gantt_labeled(&back, &labels, 40);
-        assert!(g.contains("r0.w0") && g.contains('#'));
     }
 
     #[test]

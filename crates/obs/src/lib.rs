@@ -10,9 +10,10 @@
 //! * [`trace`] — a lock-cheap [`Recorder`] of typed [`Span`]s (task name,
 //!   rank, worker, wall-clock interval) with export to the Chrome
 //!   `trace_events` JSON format (one *pid* per rank, one *tid* per
-//!   worker), so any real or modeled schedule opens in `chrome://tracing`
-//!   / Perfetto. A parser ([`trace::parse_chrome_trace`]) validates
-//!   round trips in tests and CI.
+//!   worker), so any real, modeled or simulated schedule opens in
+//!   `chrome://tracing` / Perfetto, and to a text Gantt chart
+//!   ([`render_gantt`]) for the terminal. A parser
+//!   ([`trace::parse_chrome_trace`]) validates round trips in tests and CI.
 //! * [`metrics`] — counters, gauges, and **deterministic** log-bucketed
 //!   histograms behind one [`Metrics`] registry with a canonical
 //!   [`Metrics::snapshot`] → JSON path; the serving layer reports
@@ -51,4 +52,4 @@ pub use analyze::{Profile, ProfileInputs, WorkerProfile};
 pub use json::JsonValue;
 pub use ledger::{CommCounts, CommDelta, CommLedger, CommLedgerReport, CommRow, CommTerm, WaitRow};
 pub use metrics::{Histogram, Metrics, MetricsSnapshot};
-pub use trace::{chrome_trace, parse_chrome_trace, Recorder, Span};
+pub use trace::{chrome_trace, parse_chrome_trace, render_gantt, Recorder, Span};

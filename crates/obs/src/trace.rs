@@ -14,7 +14,9 @@
 //! `chrome://tracing`, Perfetto, and Speedscope all open directly.
 //! [`parse_chrome_trace`] is the inverse, used by tests, the
 //! `trace_export` example, and CI to prove the export round-trips.
+//! [`render_gantt`] draws the same spans as a text chart.
 
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use crate::json::JsonValue;
@@ -135,6 +137,75 @@ pub fn chrome_trace(spans: &[Span]) -> String {
         })
         .collect();
     JsonValue::obj().set("traceEvents", events).set("displayTimeUnit", "ms").pretty()
+}
+
+/// Renders spans as a text Gantt chart `width` characters wide, one row per
+/// `(pid, tid)` lane: the view of the same timeline [`chrome_trace`]
+/// exports, for a terminal. Simulated, modeled and measured runs all draw
+/// alike — under `PDGETF2` a panel column is a picket fence of sends and
+/// idles, under TSLU a handful of exchanges around solid compute.
+///
+/// Each cell shows what occupied most of its time: `>` spans of category
+/// `"send"`, `#` spans of any other category, `.` a gap (idle is the
+/// time between 0 and the lane's last end that no span covers), ` `
+/// nothing. Rows are labeled `r<pid>` when every span has tid 0, and
+/// `r<pid>.w<tid>` otherwise; the header carries the time scale.
+///
+/// # Panics
+/// If `width == 0`.
+pub fn render_gantt(spans: &[Span], width: usize) -> String {
+    assert!(width > 0, "gantt width must be positive");
+    let end_us = |s: &Span| s.ts_us + s.dur_us;
+    let t_end = spans.iter().map(end_us).fold(0.0_f64, f64::max);
+    let mut out = format!("time 0 .. {:.3e} s   ('#' compute, '>' send, '.' idle)\n", t_end / 1e6);
+    if t_end <= 0.0 {
+        return out;
+    }
+    let mut lanes: BTreeMap<(u32, u32), Vec<&Span>> = BTreeMap::new();
+    for s in spans {
+        lanes.entry((s.pid, s.tid)).or_default().push(s);
+    }
+    let threads = spans.iter().any(|s| s.tid != 0);
+    let label = |(p, t): (u32, u32)| if threads { format!("r{p}.w{t}") } else { format!("r{p}") };
+    let pad = lanes.keys().map(|&lane| label(lane).len()).max().unwrap_or(0).max(3);
+    let cell = t_end / width as f64;
+    for (lane, mut lane_spans) in lanes {
+        lane_spans.sort_by(|a, b| a.ts_us.total_cmp(&b.ts_us));
+        // Occupancy per cell: [compute, send, gap].
+        let mut occupancy = vec![[0.0_f64; 3]; width];
+        let mut add = |k: usize, start: f64, end: f64| {
+            // Clip the interval onto each overlapped cell.
+            let first = ((start / cell) as usize).min(width - 1);
+            let last = ((end / cell) as usize).min(width - 1);
+            for (c, occ) in occupancy.iter_mut().enumerate().take(last + 1).skip(first) {
+                let lo = (c as f64) * cell;
+                let hi = lo + cell;
+                occ[k] += (end.min(hi) - start.max(lo)).max(0.0);
+            }
+        };
+        let mut clock = 0.0_f64;
+        for s in lane_spans {
+            if s.ts_us > clock {
+                add(2, clock, s.ts_us);
+            }
+            add(usize::from(s.cat == "send"), s.ts_us, end_us(s));
+            clock = clock.max(end_us(s));
+        }
+        let row: String = occupancy
+            .iter()
+            .map(|occ| {
+                // The first of the largest: ties go to compute, then send.
+                let best = (1..3).fold(0, |b, i| if occ[i] > occ[b] { i } else { b });
+                if occ[best] > 0.0 {
+                    ['#', '>', '.'][best]
+                } else {
+                    ' '
+                }
+            })
+            .collect();
+        out.push_str(&format!("{:<pad$} |{row}|\n", label(lane)));
+    }
+    out
 }
 
 /// Parses and validates a Chrome `trace_events` document produced by
@@ -260,6 +331,21 @@ mod tests {
         ] {
             assert!(parse_chrome_trace(bad).is_err(), "{why} must be rejected");
         }
+    }
+
+    #[test]
+    fn gantt_draws_sends_work_and_gaps_per_lane() {
+        let send = Span { cat: "send", ..span("s", 0, 0, 0.0, 5.0) };
+        let spans = [span("b", 1, 0, 0.0, 20.0), span("a", 0, 0, 10.0, 10.0), send];
+        let g = render_gantt(&spans, 4);
+        let rows: Vec<&str> = g.lines().skip(1).collect();
+        assert_eq!(rows, ["r0  |>.##|", "r1  |####|"]);
+        // A second worker in any lane labels every lane by rank and worker;
+        // a lane ends where its last span does.
+        let g = render_gantt(&[span("b", 1, 0, 0.0, 20.0), span("c", 0, 1, 0.0, 5.0)], 4);
+        let rows: Vec<&str> = g.lines().skip(1).collect();
+        assert_eq!(rows, ["r0.w1 |#   |", "r1.w0 |####|"]);
+        assert!(render_gantt(&[], 10).starts_with("time 0"));
     }
 
     #[test]

@@ -22,17 +22,18 @@
 //!   α-β-γ terms (compute for kernel tasks, `α + w·β` per message leg for
 //!   comm tasks), giving [`LuDag::critical_path`] a distributed cost;
 //! * [`simulate_dist_schedule`] list-schedules the DAG with one processor
-//!   per rank, producing per-rank [`RankTrace`] timelines (compute /
-//!   send / idle) for `render_gantt` and synthesized [`RankStats`] — the
-//!   modeled counterpart of a `run_sim` report.
+//!   per rank, producing per-rank timelines as `calu_obs` [`Span`]s
+//!   (compute and send; idle is the gap) for `calu_obs::render_gantt` and
+//!   synthesized [`RankStats`] — the modeled counterpart of a `run_sim`
+//!   report.
 
 use std::collections::{BTreeMap, HashMap};
 
 use calu_netsim::collectives::{ceil_log2, prev_pow2};
 use calu_netsim::grid::numroc;
 use calu_netsim::machine::{flops_gemm, flops_ger, flops_getf2, flops_trsm_left, flops_trsm_right};
-use calu_netsim::{Link, MachineConfig, RankStats, RankTrace, SegKind, TraceEvent};
-use calu_obs::CommTerm;
+use calu_netsim::{Link, MachineConfig, RankStats};
+use calu_obs::{CommTerm, Span};
 
 use crate::dag::{DistKind, DistTask, LuDag, LuShape, Task, TaskId};
 
@@ -813,9 +814,12 @@ impl DistCostModel {
 /// per-rank accounting, and the makespan.
 #[derive(Debug, Clone)]
 pub struct DistSchedule {
-    /// One timeline per rank (send / compute / idle segments) — ready for
-    /// `calu_netsim::render_gantt`.
-    pub traces: Vec<RankTrace>,
+    /// Every rank's modeled timeline in schedule order (pid = rank, tid 0,
+    /// modeled seconds as microseconds): per task a `"send"` span for its
+    /// counted injections and a span of category [`Task::cat`] for its
+    /// kernel, both named by the task. Idle is the gap — ready for
+    /// `calu_obs::render_gantt`.
+    pub spans: Vec<Span>,
     /// Synthesized per-rank accounting in `run_sim` report form.
     pub per_rank: Vec<RankStats>,
     /// Completion time of the modeled schedule.
@@ -824,9 +828,9 @@ pub struct DistSchedule {
 
 /// List-schedules a distributed DAG with one processor per rank: each rank
 /// runs its own tasks, taking the highest-priority ready task whenever it
-/// is free (the same critical-path-first policy the executors use). Comm
-/// portions of a task are recorded as `Send` segments, kernel portions as
-/// `Compute`, gaps as `Idle`. Deterministic.
+/// is free (the same critical-path-first policy the executors use). A task
+/// occupies its rank for its wire transit (a gap, accounted as idle), then
+/// its counted injections (a `"send"` span), then its kernel. Deterministic.
 pub fn simulate_dist_schedule(
     dag: &LuDag,
     cost: impl Fn(Task) -> DistTaskCost,
@@ -847,7 +851,7 @@ pub fn simulate_dist_schedule(
     let mut running: Vec<Option<(f64, TaskId)>> = vec![None; ranks];
     let mut free_since = vec![0.0_f64; ranks];
     let mut stats: Vec<RankStats> = vec![RankStats::default(); ranks];
-    let mut traces: Vec<RankTrace> = vec![RankTrace::default(); ranks];
+    let mut spans = Vec::new();
     let mut now = 0.0_f64;
     let mut done = 0usize;
 
@@ -856,34 +860,30 @@ pub fn simulate_dist_schedule(
         for r in 0..ranks {
             if running[r].is_none() {
                 if let Some(std::cmp::Reverse((_, id))) = pools[r].pop() {
-                    let c = cost(dag.tasks()[id]);
+                    let task = dag.tasks()[id];
+                    let c = cost(task);
                     let send = c.send_time(mch);
-                    // Communication occupancy = counted injections plus
-                    // uncounted wire transit; transit is accounted as
-                    // waiting time, like a netsim recv.
-                    let comm = send + c.transit;
-                    if now > free_since[r] {
-                        traces[r].events.push(TraceEvent {
-                            kind: SegKind::Idle,
-                            start: free_since[r],
-                            end: now,
+                    // Communication occupancy = uncounted wire transit, then
+                    // the counted injections. Transit is waiting, like a
+                    // netsim recv: a gap in the timeline, not a span.
+                    let sent = now + (send + c.transit);
+                    let mut span = |cat: &'static str, start: f64, end: f64| {
+                        spans.push(Span {
+                            name: task.to_string(),
+                            cat,
+                            pid: r as u32,
+                            tid: 0,
+                            ts_us: start * 1e6,
+                            dur_us: (end - start) * 1e6,
                         });
-                        stats[r].idle_time += now - free_since[r];
-                    }
-                    if comm > 0.0 {
-                        traces[r].events.push(TraceEvent {
-                            kind: SegKind::Send,
-                            start: now,
-                            end: now + comm,
-                        });
+                    };
+                    if send > 0.0 {
+                        span("send", sent - send, sent);
                     }
                     if c.compute > 0.0 {
-                        traces[r].events.push(TraceEvent {
-                            kind: SegKind::Compute,
-                            start: now + comm,
-                            end: now + comm + c.compute,
-                        });
+                        span(task.cat(), sent, sent + c.compute);
                     }
+                    stats[r].idle_time += now - free_since[r];
                     stats[r].compute_time += c.compute;
                     stats[r].send_time += send;
                     stats[r].idle_time += c.transit;
@@ -892,7 +892,7 @@ pub fn simulate_dist_schedule(
                     stats[r].msgs_sent += c.msgs;
                     stats[r].words_sent += c.words;
                     stats[r].flops += c.flops;
-                    running[r] = Some((now + comm + c.compute, id));
+                    running[r] = Some((sent + c.compute, id));
                 }
             }
         }
@@ -920,7 +920,7 @@ pub fn simulate_dist_schedule(
         }
     }
     let makespan = stats.iter().fold(0.0_f64, |m, s| m.max(s.time));
-    DistSchedule { traces, per_rank: stats, makespan }
+    DistSchedule { spans, per_rank: stats, makespan }
 }
 
 // ---------------------------------------------------------------------------
@@ -1243,42 +1243,61 @@ mod tests {
     fn schedule_simulator_is_consistent_and_deterministic() {
         let shape = LuShape { m: 256, n: 256, nb: 32 };
         let mch = MachineConfig::power5();
-        let dag = LuDag::build_dist(shape, (2, 2), 2);
-        let model = DistCostModel {
-            geom: DistGeom { shape, pr: 2, pc: 2 },
-            alg: DistPanelAlg::Tslu,
-            recursive_panel: false,
-            mch: mch.clone(),
-        };
-        let run = || simulate_dist_schedule(&dag, |t| model.cost(t), &mch);
-        let s1 = run();
-        let s2 = run();
-        assert_eq!(s1.makespan, s2.makespan, "modeled schedule must be deterministic");
-        assert_eq!(s1.traces.len(), 4);
-        // The rank schedule can never beat the infinite-parallelism CP,
-        // and can never beat the per-rank serial bound either.
-        let cp = dag.critical_path(|t| model.cost(t).total(&mch));
-        assert!(s1.makespan >= cp - 1e-12, "makespan {} vs cp {cp}", s1.makespan);
-        for (r, (tr, st)) in s1.traces.iter().zip(&s1.per_rank).enumerate() {
-            // Send segments cover counted injections plus wire transit;
-            // transit is accounted as idle, so the cross-kind sums match.
-            assert!(
-                (tr.total(SegKind::Compute) - st.compute_time).abs() < 1e-9,
-                "rank {r}: compute trace/stats disagree"
-            );
-            let comm_plus_wait = tr.total(SegKind::Send) + tr.total(SegKind::Idle);
-            assert!(
-                (comm_plus_wait - (st.send_time + st.idle_time)).abs() < 1e-9,
-                "rank {r}: comm+wait trace/stats disagree"
-            );
-            assert!((st.alpha_time + st.beta_time - st.send_time).abs() < 1e-12);
-            assert!(st.time <= s1.makespan + 1e-15);
-            for w in tr.events.windows(2) {
-                assert!(w[0].end <= w[1].start + 1e-12, "rank {r}: overlapping segments");
+        for grid in [(2usize, 2usize), (2, 4)] {
+            let model = DistCostModel {
+                geom: DistGeom { shape, pr: grid.0, pc: grid.1 },
+                alg: DistPanelAlg::Tslu,
+                recursive_panel: false,
+                mch: mch.clone(),
+            };
+            for depth in 1..=3 {
+                let tag = format!("{grid:?} depth {depth}");
+                let dag = LuDag::build_dist(shape, grid, depth);
+                let run = || simulate_dist_schedule(&dag, |t| model.cost(t), &mch);
+                let s1 = run();
+                let s2 = run();
+                assert_eq!(
+                    s1.makespan, s2.makespan,
+                    "{tag}: modeled schedule must be deterministic"
+                );
+                assert_eq!(s1.spans, s2.spans, "{tag}");
+                assert_eq!(s1.per_rank.len(), grid.0 * grid.1);
+                // The rank schedule can never beat the infinite-parallelism
+                // CP.
+                let cp = dag.critical_path(|t| model.cost(t).total(&mch));
+                assert!(s1.makespan >= cp - 1e-12, "{tag}: makespan {} vs cp {cp}", s1.makespan);
+                for (r, st) in s1.per_rank.iter().enumerate() {
+                    // Per rank and per kind, the timeline is the accounting:
+                    // compute spans sum to compute time, send spans to send
+                    // time, and what no span covers to idle time.
+                    let mut lane: Vec<&Span> =
+                        s1.spans.iter().filter(|s| s.pid == r as u32).collect();
+                    lane.sort_by(|a, b| a.ts_us.total_cmp(&b.ts_us));
+                    let secs = |send: bool| -> f64 {
+                        let kind = lane.iter().filter(|s| (s.cat == "send") == send);
+                        kind.map(|s| s.dur_us).sum::<f64>() / 1e6
+                    };
+                    let end = lane.last().map_or(0.0, |s| (s.ts_us + s.dur_us) / 1e6);
+                    let (compute, send) = (secs(false), secs(true));
+                    assert!((compute - st.compute_time).abs() < 1e-9, "{tag} rank {r}: compute");
+                    assert!((send - st.send_time).abs() < 1e-9, "{tag} rank {r}: send");
+                    assert!(
+                        (end - compute - send - st.idle_time).abs() < 1e-9,
+                        "{tag} rank {r}: idle {} vs gaps {}",
+                        st.idle_time,
+                        end - compute - send
+                    );
+                    assert!((st.alpha_time + st.beta_time - st.send_time).abs() < 1e-12);
+                    assert!(st.time <= s1.makespan + 1e-15);
+                    for w in lane.windows(2) {
+                        let prev_end = w[0].ts_us + w[0].dur_us;
+                        assert!(prev_end <= w[1].ts_us + 1e-6, "{tag} rank {r}: overlapping spans");
+                    }
+                }
+                assert!(s1.per_rank.iter().map(|s| s.flops).sum::<f64>() > 0.0);
+                assert!(s1.per_rank.iter().map(|s| s.msgs_sent).sum::<u64>() > 0);
             }
         }
-        assert!(s1.per_rank.iter().map(|s| s.flops).sum::<f64>() > 0.0);
-        assert!(s1.per_rank.iter().map(|s| s.msgs_sent).sum::<u64>() > 0);
     }
 
     #[test]

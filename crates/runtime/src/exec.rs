@@ -43,10 +43,11 @@
 //! `Posted` guard: on return and on unwind it closes the job to joiners
 //! and blocks until no helper is inside.
 //!
-//! Both record per-task wall-clock timings; [`ExecReport::traces`] converts
-//! them into `calu-netsim` [`RankTrace`]s (one simulated "rank" per worker)
-//! so the existing Gantt renderer and time-attribution machinery draw real
-//! executions exactly like simulated ones.
+//! Both record per-task wall-clock timings; [`ExecReport::record_into`]
+//! replays them as `calu_obs` spans (pid = rank, tid = worker), the span
+//! type simulated and modeled runs use too, so `calu_obs::render_gantt` and
+//! `calu_obs::chrome_trace` draw real executions exactly like simulated
+//! ones.
 //!
 //! # Failure semantics
 //!
@@ -68,7 +69,6 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use calu_matrix::{Error, Result};
-use calu_netsim::{RankTrace, SegKind, TraceEvent};
 use calu_obs::Recorder;
 
 use crate::dag::{LuDag, Prio, Task, TaskId};
@@ -130,37 +130,6 @@ pub struct ExecReport {
 }
 
 impl ExecReport {
-    /// Per-worker timelines in `calu-netsim` trace form: one rank per
-    /// worker, `Compute` segments for tasks, explicit `Idle` segments for
-    /// the gaps — ready for [`calu_netsim::render_gantt`].
-    pub fn traces(&self) -> Vec<RankTrace> {
-        let mut per: Vec<Vec<TaskTiming>> = vec![Vec::new(); self.workers];
-        for &t in &self.timings {
-            per[t.worker].push(t);
-        }
-        per.into_iter()
-            .map(|mut ts| {
-                ts.sort_by(|a, b| a.start.total_cmp(&b.start));
-                let mut events = Vec::with_capacity(2 * ts.len());
-                let mut clock = 0.0_f64;
-                for t in ts {
-                    if t.start > clock {
-                        events.push(TraceEvent { kind: SegKind::Idle, start: clock, end: t.start });
-                    }
-                    if t.end > t.start {
-                        events.push(TraceEvent {
-                            kind: SegKind::Compute,
-                            start: t.start,
-                            end: t.end,
-                        });
-                    }
-                    clock = clock.max(t.end);
-                }
-                RankTrace { events }
-            })
-            .collect()
-    }
-
     /// Seconds spent computing, summed over workers.
     pub fn busy(&self) -> f64 {
         self.timings.iter().map(|t| t.end - t.start).sum()
@@ -949,7 +918,7 @@ mod tests {
     }
 
     #[test]
-    fn traces_cover_workers_and_fill_idle_gaps() {
+    fn replayed_spans_cover_workers_without_overlap() {
         let g = dag(96, 96, 32, 1);
         let rep = ThreadedExecutor::new(2)
             .execute(&g, &|_t| {
@@ -957,15 +926,23 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        let traces = rep.traces();
-        assert_eq!(traces.len(), 2);
-        let busy: f64 = traces.iter().map(|t| t.total(SegKind::Compute)).sum();
-        assert!((busy - rep.busy()).abs() < 1e-12);
-        for tr in &traces {
-            for w in tr.events.windows(2) {
-                assert!(w[0].end <= w[1].start + 1e-12, "segments must not overlap");
+        let rec = Recorder::new();
+        rep.record_into(&rec, 0.0);
+        let spans = rec.take();
+        assert_eq!(spans.len(), g.len());
+        let busy: f64 = spans.iter().map(|s| s.dur_us).sum::<f64>() / 1e6;
+        assert!((busy - rep.busy()).abs() < 1e-9);
+        let mut lanes: Vec<u32> = spans.iter().map(|s| s.tid).collect();
+        lanes.sort_unstable();
+        lanes.dedup();
+        for &w in &lanes {
+            let lane: Vec<_> = spans.iter().filter(|s| s.tid == w).collect();
+            for p in lane.windows(2) {
+                assert!(p[0].ts_us + p[0].dur_us <= p[1].ts_us + 1e-6, "spans must not overlap");
             }
         }
+        // One Gantt row per worker that ran a task.
+        assert_eq!(calu_obs::render_gantt(&spans, 40).lines().count(), 1 + lanes.len());
     }
 
     #[test]

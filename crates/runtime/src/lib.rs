@@ -18,7 +18,7 @@
 //!   [`ThreadedExecutor`] (the caller as worker 0 plus process-wide
 //!   long-lived helper threads over a shared critical-path-first pool,
 //!   woken only when a claim leaves ready tasks behind), both recording
-//!   per-task timings that convert into `calu-netsim` Gantt traces.
+//!   per-task timings that replay as `calu_obs` spans.
 //!
 //! The runtime is algorithm-agnostic: it schedules; a [`TaskRunner`]
 //! implemented by the caller supplies the kernels. `calu-core`'s

@@ -3,17 +3,20 @@
 //! the per-rank `calu-runtime` DAG, verifies the factors bitwise against
 //! the pre-refactor SPMD reference, and prints the **dual-layer Gantt** —
 //! the modeled per-rank schedule of the distributed algorithm (compute,
-//! communication, idle of every rank under the POWER5 α-β-γ model) stacked
-//! above the wall-clock timeline of the runtime workers that actually
-//! executed the tasks — and, under it, the call's four phase spans (scatter,
-//! execute, model, assemble), which account for the whole call.
+//! communication, idle of every rank under the POWER5 α-β-γ model, with the
+//! per-rank accounting behind it) stacked above the wall-clock timeline of
+//! the runtime workers that actually executed the tasks. Both layers are
+//! `calu_obs` spans drawn by one renderer. Under them come the call's four
+//! phase spans (scatter, execute, model, assemble), which account for the
+//! whole call.
 //!
 //! Run: `cargo run --release --example dist_runtime`
 
 use calu_repro::core::dist::{dist_calu_factor_spmd, DistCaluConfig};
 use calu_repro::core::{dist_calu_factor_rt, DistRtOpts, LocalLu, DIST_PHASES};
 use calu_repro::matrix::{gen, Matrix};
-use calu_repro::netsim::{render_gantt_labeled, MachineConfig, SegKind};
+use calu_repro::netsim::MachineConfig;
+use calu_repro::obs::{render_gantt, Recorder};
 use calu_repro::runtime::ExecutorKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,29 +55,29 @@ fn main() {
     // Layer 1: the distributed algorithm — every rank's modeled timeline,
     // compute and communication in one trace.
     println!("── distributed layer (modeled {} ranks, {}) ──", pr * pc, mch.name);
-    let rank_labels: Vec<String> =
-        (0..pr * pc).map(|r| format!("rank({},{})", r % pr, r / pr)).collect();
-    print!("{}", render_gantt_labeled(&rep.traces, &rank_labels, 96));
-    for (label, tr) in rank_labels.iter().zip(&rep.traces) {
+    print!("{}", render_gantt(&rep.modeled, 96));
+    for (r, st) in rep.sim.per_rank.iter().enumerate() {
         println!(
-            "  {label}: compute {:.2e}s  comm {:.2e}s  idle {:.2e}s",
-            tr.total(SegKind::Compute),
-            tr.total(SegKind::Send),
-            tr.total(SegKind::Idle)
+            "  r{r} = rank({},{}): compute {:.2e}s  comm {:.2e}s  idle {:.2e}s",
+            r % pr,
+            r / pr,
+            st.compute_time,
+            st.send_time,
+            st.idle_time
         );
     }
 
     // Layer 2: the runtime — the wall-clock schedule of the executor
-    // workers that ran the same DAG's task bodies on this host.
-    let worker_traces = rep.exec.traces();
-    let worker_labels: Vec<String> =
-        (0..worker_traces.len()).map(|w| format!("worker{w}")).collect();
+    // workers (lane r<rank>.w<worker>) that ran the same DAG's task bodies
+    // on this host.
+    let measured = Recorder::new();
+    rep.exec.record_into(&measured, 0.0);
     println!(
         "\n── runtime layer ({} workers, wall-clock {:.1} ms) ──",
         rep.exec.workers,
         rep.exec.wall * 1e3
     );
-    print!("{}", render_gantt_labeled(&worker_traces, &worker_labels, 96));
+    print!("{}", render_gantt(&measured.take(), 96));
 
     // Where the whole call went: the run above is `dist.execute`; scatter,
     // the in-call cost model and assembly are the rest of it.

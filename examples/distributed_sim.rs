@@ -6,8 +6,8 @@
 //!
 //! Run: `cargo run --release --example distributed_sim`
 
-use calu_repro::core::dist::{dist_calu_factor, DistCaluConfig};
-use calu_repro::core::{LocalLu, LuFactors};
+use calu_repro::core::dist::DistCaluConfig;
+use calu_repro::core::{dist_calu_factor_rt, DistRtOpts, LocalLu, LuFactors};
 use calu_repro::matrix::{gen, Matrix};
 use calu_repro::netsim::MachineConfig;
 use calu_repro::stability::backward_error_inf;
@@ -27,7 +27,8 @@ fn main() {
     let a: Matrix = gen::randn(&mut rng, n, n);
     let b_rhs = gen::hpl_rhs(&mut rng, n);
 
-    let (report, d) = dist_calu_factor(&a, cfg, machine);
+    let (rep, d) = dist_calu_factor_rt(&a, cfg, DistRtOpts::default(), machine);
+    let report = rep.sim;
 
     println!("rank  virtual_time  compute      idle         msgs   words");
     for (r, s) in report.per_rank.iter().enumerate() {

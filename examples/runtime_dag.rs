@@ -2,13 +2,14 @@
 //! a small factorization, prints the deterministic critical-path-first
 //! schedule the serial executor replays, shows how lookahead depth changes
 //! the modeled critical path, then runs the threaded executor on real data
-//! and renders the per-worker Gantt chart with the netsim tracer.
+//! and renders its per-worker Gantt chart from the run's `calu_obs` spans.
 //!
 //! Run: `cargo run --release --example runtime_dag`
 
 use calu_repro::core::{calu_factor, runtime_calu_factor, CaluOpts, RuntimeOpts};
 use calu_repro::matrix::{gen, Matrix};
-use calu_repro::netsim::{render_gantt, MachineConfig};
+use calu_repro::netsim::MachineConfig;
+use calu_repro::obs::{render_gantt, Recorder};
 use calu_repro::runtime::{modeled_time, ExecutorKind, LuDag, LuShape, PanelMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -121,6 +122,8 @@ fn main() {
         report.busy() * 1e3,
         report.order.len()
     );
-    println!("{}", render_gantt(&report.traces(), 100));
+    let spans = Recorder::new();
+    report.record_into(&spans, 0.0);
+    println!("{}", render_gantt(&spans.take(), 100));
     println!("factors verified bitwise identical to sequential CALU.");
 }

@@ -1,14 +1,18 @@
 //! Renders per-rank timelines of the distributed panel factorizations on
 //! the simulated IBM POWER5: TSLU's handful of exchanges versus PDGETF2's
 //! per-column picket fence of messages — the paper's latency argument,
-//! made visible.
+//! made visible. The timelines are `calu_obs` spans, the type measured runs
+//! record too: the TSLU run's spans are also written as a Chrome trace to
+//! `target/TRACE_sim.json`, which `bench_report --trace` profiles like a
+//! measured one.
 //!
 //! Run: `cargo run --release --example trace_gantt`
 
 use calu_repro::core::dist::{sim_pdgetf2_panel, sim_tslu_panel};
 use calu_repro::core::LocalLu;
 use calu_repro::matrix::gen;
-use calu_repro::netsim::{render_gantt_labeled, MachineConfig, TimeBreakdown};
+use calu_repro::netsim::{MachineConfig, TimeBreakdown};
+use calu_repro::obs::{chrome_trace, render_gantt, Span};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -19,16 +23,15 @@ fn main() {
     let mch = MachineConfig::power5();
 
     println!("Panel factorization of a {m}x{b} panel over {p} simulated POWER5 ranks\n");
-    let rank_labels: Vec<String> = (0..p).map(|r| format!("rank{r}")).collect();
 
-    let (rep_t, traces_t) = sim_tslu_panel_traced(&a, p, &mch);
+    let (rep_t, spans_t) = sim_tslu_panel_traced(&a, p, &mch);
     println!("== TSLU (tournament pivoting): {:.3} ms makespan", rep_t_ms(&rep_t));
-    println!("{}", render_gantt_labeled(&traces_t, &rank_labels, 100));
+    println!("{}", render_gantt(&spans_t, 100));
     println!("   attribution: {}\n", TimeBreakdown::from_report(&rep_t).one_line());
 
-    let (rep_p, traces_p) = sim_pdgetf2_panel_traced(&a, p, &mch);
+    let (rep_p, spans_p) = sim_pdgetf2_panel_traced(&a, p, &mch);
     println!("== PDGETF2 (per-column pivoting): {:.3} ms makespan", rep_t_ms(&rep_p));
-    println!("{}", render_gantt_labeled(&traces_p, &rank_labels, 100));
+    println!("{}", render_gantt(&spans_p, 100));
     println!("   attribution: {}\n", TimeBreakdown::from_report(&rep_p).one_line());
 
     println!(
@@ -40,6 +43,11 @@ fn main() {
         rep_t.total_msgs(),
         rep_p.total_msgs()
     );
+
+    let path = "target/TRACE_sim.json";
+    std::fs::create_dir_all("target").expect("create target/");
+    std::fs::write(path, chrome_trace(&spans_t)).expect("write the simulated trace");
+    println!("wrote {path} ({} spans, virtual seconds as microseconds)", spans_t.len());
 }
 
 fn rep_t_ms(r: &calu_repro::netsim::SimReport) -> f64 {
@@ -54,7 +62,7 @@ fn sim_tslu_panel_traced(
     a: &calu_repro::matrix::Matrix,
     p: usize,
     mch: &MachineConfig,
-) -> (calu_repro::netsim::SimReport, Vec<calu_repro::netsim::RankTrace>) {
+) -> (calu_repro::netsim::SimReport, Vec<Span>) {
     let (rep, _) = sim_tslu_panel(a, p, LocalLu::Classic, mch.clone());
     let skel = skeleton_traced(a.rows(), a.cols(), p, mch, true);
     (rep, skel)
@@ -64,26 +72,20 @@ fn sim_pdgetf2_panel_traced(
     a: &calu_repro::matrix::Matrix,
     p: usize,
     mch: &MachineConfig,
-) -> (calu_repro::netsim::SimReport, Vec<calu_repro::netsim::RankTrace>) {
+) -> (calu_repro::netsim::SimReport, Vec<Span>) {
     let (rep, _) = sim_pdgetf2_panel(a, p, mch.clone());
     let skel = skeleton_traced(a.rows(), a.cols(), p, mch, false);
     (rep, skel)
 }
 
-fn skeleton_traced(
-    m: usize,
-    b: usize,
-    p: usize,
-    mch: &MachineConfig,
-    tslu: bool,
-) -> Vec<calu_repro::netsim::RankTrace> {
+fn skeleton_traced(m: usize, b: usize, p: usize, mch: &MachineConfig, tslu: bool) -> Vec<Span> {
     use calu_repro::core::tslu::partition_rows;
     use calu_repro::netsim::machine::{flops_ger, flops_getf2, flops_trsm_right};
     use calu_repro::netsim::{run_sim_traced, Group, Link, Payload};
 
     let parts = partition_rows(m, p);
     let p_eff = parts.len();
-    let (_rep, traces, _) = run_sim_traced(p_eff, mch.clone(), |cm| {
+    let (_rep, spans, _) = run_sim_traced(p_eff, mch.clone(), |cm| {
         let rows = parts[cm.rank()].len();
         let group = Group::new((0..p_eff).collect(), cm.rank(), Link::Col, 42);
         let mach = cm.machine().clone();
@@ -115,5 +117,5 @@ fn skeleton_traced(
             }
         }
     });
-    traces
+    spans
 }

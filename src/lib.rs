@@ -12,21 +12,22 @@
 //! * [`matrix`] — dense column-major substrate: BLAS-1/2/3 kernels and
 //!   LAPACK-style routines written from scratch (factorizations, solves,
 //!   inverse, condition estimation, equilibration, matrix ensembles).
-//! * [`obs`] — the observability layer: structured tracing (typed spans
-//!   from both executors, Chrome-trace/Perfetto export), a deterministic
+//! * [`obs`] — the observability layer: structured tracing (one span type
+//!   for measured, simulated and modeled runs alike, with Chrome-trace/
+//!   Perfetto export and a text Gantt renderer), a deterministic
 //!   metrics registry (counters, gauges, log-bucketed histograms), and
 //!   the communication ledger that reconciles measured traffic against
 //!   the paper's skeleton predictions — all dependency-free.
 //! * [`netsim`] — a discrete-event message-passing simulator with per-rank
 //!   virtual clocks and an α-β-γ cost model (machine presets for the
 //!   paper's IBM POWER5 and Cray XT4 systems plus a modern cluster),
-//!   collectives, event tracing with Gantt rendering, and a deferred-
-//!   compute overlap model for look-ahead studies.
+//!   collectives, event tracing into [`obs`] spans, and a deferred-compute
+//!   overlap model for look-ahead studies.
 //! * [`runtime`] — the dataflow task-graph runtime: the dependency DAG of
 //!   blocked right-looking LU (the TSLU panel subgraph and
 //!   `Swap`/`Trsm`/`Gemm` tasks at any lookahead depth) with a
 //!   deterministic serial executor and a threaded executor over one shared
-//!   critical-path-first pool, feeding the netsim Gantt machinery.
+//!   critical-path-first pool, whose task timings replay as [`obs`] spans.
 //! * [`core`] — TSLU and CALU (the sequential reference, the multicore
 //!   task-graph run scheduled by [`runtime`], and simulated-distributed),
 //!   plus the GEPP / ScaLAPACK `PDGETRF`/`PDGETF2` baselines in real-data

@@ -193,6 +193,35 @@ fn one_by_one_matrices() {
 }
 
 #[test]
+fn degenerate_shapes_factor_on_every_path() {
+    // Empty, single-row, single-column and 1x1 matrices: the sequential
+    // factor, the runtime on both executors and the distributed runtime on
+    // a 2x2 grid all succeed, with one pivot per eliminated column.
+    use calu_repro::core::dist::DistCaluConfig;
+    use calu_repro::core::{dist_calu_factor_rt, DistRtOpts};
+    use calu_repro::netsim::MachineConfig;
+    let mut rng = StdRng::seed_from_u64(950);
+    for (m, n) in [(0, 0), (0, 5), (5, 0), (1, 1), (1, 7), (7, 1), (1, 100), (100, 1)] {
+        let a: Matrix = gen::randn(&mut rng, m, n);
+        let opts = CaluOpts::default();
+        let seq = calu_factor(&a, opts).unwrap_or_else(|e| panic!("{m}x{n} sequential: {e:?}"));
+        assert_eq!(seq.ipiv.len(), m.min(n), "{m}x{n} sequential");
+        for executor in [ExecutorKind::Serial, ExecutorKind::Threaded { threads: 3 }] {
+            let rt = RuntimeOpts { lookahead: 2, executor };
+            let (f, _) = runtime_calu_factor(&a, opts, rt)
+                .unwrap_or_else(|e| panic!("{m}x{n} {executor:?}: {e:?}"));
+            assert_eq!(f.ipiv, seq.ipiv, "{m}x{n} {executor:?}");
+            let bits = |lu: &Matrix| lu.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&f.lu), bits(&seq.lu), "{m}x{n} {executor:?}: runtime == sequential");
+        }
+        let cfg = DistCaluConfig { b: 4, pr: 2, pc: 2, local: LocalLu::Recursive };
+        let (_rep, d) = dist_calu_factor_rt(&a, cfg, DistRtOpts::default(), MachineConfig::ideal());
+        assert_eq!(d.ipiv.len(), m.min(n), "{m}x{n} distributed");
+        assert_eq!(d.first_singular, None, "{m}x{n} distributed");
+    }
+}
+
+#[test]
 fn nan_input_is_reported_not_propagated_silently() {
     let mut rng = StdRng::seed_from_u64(321);
     let mut a = gen::randn(&mut rng, 24, 24);

@@ -3,10 +3,12 @@
 //! claims (the paper's headline shapes) end to end.
 
 use calu_repro::core::dist::{
-    dist_calu_factor, sim_pdgetf2_panel, sim_tslu_panel, skeleton_calu, skeleton_pdgetf2,
-    skeleton_pdgetrf, skeleton_tslu, DistCaluConfig, RowSwapScheme, SkelCfg,
+    sim_pdgetf2_panel, sim_tslu_panel, skeleton_calu, skeleton_pdgetf2, skeleton_pdgetrf,
+    skeleton_tslu, DistCaluConfig, RowSwapScheme, SkelCfg,
 };
-use calu_repro::core::{tslu_pivots, CaluOpts, LocalLu, LuFactors};
+use calu_repro::core::{
+    dist_calu_factor_rt, tslu_pivots, CaluOpts, DistRtOpts, LocalLu, LuFactors,
+};
 use calu_repro::matrix::blas3::gemm;
 use calu_repro::matrix::perm::{ipiv_to_perm, permute_rows};
 use calu_repro::matrix::{gen, Matrix};
@@ -44,9 +46,10 @@ fn dist_calu_full_stack_solves() {
     let mut rng = StdRng::seed_from_u64(2003);
     let n = 128;
     let a = gen::randn(&mut rng, n, n);
-    let (_rep, d) = dist_calu_factor(
+    let (_rep, d) = dist_calu_factor_rt(
         &a,
         DistCaluConfig { b: 16, pr: 4, pc: 2, local: LocalLu::Recursive },
+        DistRtOpts::default(),
         MachineConfig::power5(),
     );
     // Reconstruction.
@@ -73,9 +76,10 @@ fn dist_calu_matches_sequential_when_layout_is_contiguous() {
     // with p=1 (both are partial pivoting).
     let mut rng = StdRng::seed_from_u64(2004);
     let a: Matrix = gen::randn(&mut rng, 64, 64);
-    let (_rep, d) = dist_calu_factor(
+    let (_rep, d) = dist_calu_factor_rt(
         &a,
         DistCaluConfig { b: 16, pr: 1, pc: 4, local: LocalLu::Classic },
+        DistRtOpts::default(),
         MachineConfig::ideal(),
     );
     let f = calu_repro::core::calu_factor(

@@ -234,14 +234,16 @@ proptest! {
         pr in 1usize..4,
         pc in 1usize..4,
     ) {
-        use calu_repro::core::dist::{dist_pdgetrf_factor, DistPdgetrfConfig};
+        use calu_repro::core::dist::DistPdgetrfConfig;
+        use calu_repro::core::{dist_pdgetrf_factor_rt, DistRtOpts};
         use calu_repro::matrix::lapack::{getrf, GetrfOpts};
         use calu_repro::matrix::NoObs;
         let n = nblocks * b;
         let a = randn_mat(seed, n, n);
-        let (_rep, d) = dist_pdgetrf_factor(
+        let (_rep, d) = dist_pdgetrf_factor_rt(
             &a,
             DistPdgetrfConfig { b, pr, pc },
+            DistRtOpts::default(),
             calu_repro::netsim::MachineConfig::ideal(),
         );
         let mut lu = a.clone();
