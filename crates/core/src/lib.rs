@@ -60,8 +60,7 @@ pub use gepp::{gepp_factor, gepp_inplace};
 pub use instrument::PivotStats;
 pub use rt::{runtime_calu_factor, runtime_calu_inplace, runtime_calu_tiles_factor, RuntimeOpts};
 pub use serve::{
-    runtime_solve_mat, CacheStats, MatrixKey, ProcessReport, ServeOpts, SolverService, SubmitError,
-    Ticket,
+    CacheStats, MatrixKey, ProcessReport, ServeOpts, SolverService, SubmitError, Ticket,
 };
 pub use solve::{ir_solve, ir_solve_batch, IrBatchReport, IrOpts, IrReport, IrStep, RefineInfo};
 pub use tournament::{reduce_pair, tournament, tournament_flat, Candidates};

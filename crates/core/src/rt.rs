@@ -81,12 +81,11 @@ impl Default for RuntimeOpts {
     }
 }
 
-/// Shared-mutable handle to the flat column-major matrix being factored
-/// (or, in [`crate::serve`], the right-hand sides being solved). Tasks
-/// carve disjoint views out of it; the DAG's edges are the proof of
+/// Shared-mutable handle to the flat column-major matrix being factored.
+/// Tasks carve disjoint views out of it; the DAG's edges are the proof of
 /// disjointness among concurrently running tasks (every overlapping pair is
 /// ordered), which is exactly the invariant `MatViewMut` requires.
-pub(crate) struct SharedMat<T> {
+struct SharedMat<T> {
     ptr: *mut T,
     rows: usize,
     cols: usize,
@@ -97,7 +96,7 @@ unsafe impl<T: Send> Send for SharedMat<T> {}
 unsafe impl<T: Sync> Sync for SharedMat<T> {}
 
 impl<T: Scalar> SharedMat<T> {
-    pub(crate) fn new(a: &mut MatViewMut<'_, T>) -> Self {
+    fn new(a: &mut MatViewMut<'_, T>) -> Self {
         let rows = a.rows();
         let cols = a.cols();
         let ld = a.ld();
@@ -114,13 +113,7 @@ impl<T: Scalar> SharedMat<T> {
     /// The caller must hold (via DAG ordering) exclusive access to the
     /// block's *elements* for the view's lifetime — shared access if it
     /// only reads — and the block must be in range.
-    pub(crate) unsafe fn block(
-        &self,
-        i: usize,
-        j: usize,
-        nr: usize,
-        nc: usize,
-    ) -> MatViewMut<'_, T> {
+    unsafe fn block(&self, i: usize, j: usize, nr: usize, nc: usize) -> MatViewMut<'_, T> {
         debug_assert!(i + nr <= self.rows && j + nc <= self.cols);
         debug_assert!(nr > 0 && nc > 0, "tasks never touch empty blocks");
         unsafe { MatViewMut::from_raw_parts(self.ptr.add(j * self.ld + i), nr, nc, self.ld) }
@@ -134,7 +127,7 @@ impl<T: Scalar> SharedMat<T> {
     /// # Safety
     /// The caller's task must own rows `base..` of `cols` (DAG-ordered
     /// against every other toucher).
-    pub(crate) unsafe fn apply_swaps(&self, base: usize, local: &[usize], cols: Range<usize>) {
+    unsafe fn apply_swaps(&self, base: usize, local: &[usize], cols: Range<usize>) {
         // SAFETY: the caller owns rows `base..` of `cols`, which is this block.
         let block = unsafe { self.block(base, cols.start, self.rows - base, cols.len()) };
         apply_ipiv(block, local);

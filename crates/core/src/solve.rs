@@ -5,7 +5,6 @@
 
 use crate::calu::{CaluOpts, LuFactors};
 use crate::rt::{runtime_calu_factor, RuntimeOpts};
-use crate::serve::runtime_solve_mat;
 use calu_matrix::blas2::gemv;
 use calu_matrix::lapack::{gecon, getri, getrs, getrs_mat, getrs_t};
 use calu_matrix::norms::{
@@ -321,15 +320,16 @@ pub struct IrBatchReport {
 
 /// Batched [`ir_solve`]: one `f32` CALU factorization on the runtime DAG
 /// shared across all columns of `B`, with the initial solves and every
-/// refinement correction executed as blocked multi-RHS task DAGs
-/// ([`crate::serve::runtime_solve_mat`]) instead of per-column
-/// substitutions. Columns converge (or diverge) independently: finished
-/// columns are frozen and drop out of subsequent correction batches.
+/// refinement correction executed as one blocked multi-RHS
+/// [`LuFactors::solve_mat`] instead of per-column solves. Columns converge
+/// (or diverge) independently: finished columns are frozen and drop out of
+/// subsequent correction batches.
 ///
 /// Each column's solution and its [`IrReport`] trajectory are **bitwise
-/// identical** to a standalone [`ir_solve`] of that column — the batched
-/// triangular solves reproduce the per-column substitution order exactly,
-/// so amortizing the factorization is free of numerical drift.
+/// identical** to a standalone [`ir_solve`] of that column — by the blocked
+/// `trsm`'s line-independence contract a column's bits do not depend on
+/// the batch that carried it, so amortizing the factorization is free of
+/// numerical drift.
 ///
 /// # Errors
 /// [`calu_matrix::Error::SingularPivot`] from the shared factorization,
@@ -362,10 +362,9 @@ pub fn ir_solve_batch(
         return Ok((x, report));
     }
 
-    // Initial solves, all columns in one blocked runtime pass.
-    let rhs_nb = 8;
+    // Initial solves, all columns in one blocked pass.
     let mut x32: Matrix<f32> = b.cast();
-    runtime_solve_mat(&f32_factors, x32.view_mut(), opts.calu.block, rhs_nb, opts.rt.executor);
+    f32_factors.solve_mat(x32.view_mut());
     for c in 0..k {
         let promoted: Vec<f64> = cast_slice(x32.col(c));
         x.col_mut(c).copy_from_slice(&promoted);
@@ -444,7 +443,7 @@ pub fn ir_solve_batch(
         }
         // Batched correction: D = A⁻¹ R for the active columns only.
         let mut d32 = Matrix::from_col_major(n, active.len(), r32);
-        runtime_solve_mat(&f32_factors, d32.view_mut(), opts.calu.block, rhs_nb, opts.rt.executor);
+        f32_factors.solve_mat(d32.view_mut());
         for (slot, &c) in active.iter().enumerate() {
             let d: Vec<f64> = cast_slice(d32.col(slot));
             for (xi, di) in x.col_mut(c).iter_mut().zip(&d) {

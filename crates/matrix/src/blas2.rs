@@ -1,4 +1,4 @@
-//! Level-2 kernels (matrix-vector): `ger`, `gemv`, `trsv`, `trmv`.
+//! Level-2 kernels (matrix-vector): `ger`, `gemv`, `trsv_t`, `trmv`.
 
 use crate::blas1::axpy;
 use crate::scalar::Scalar;
@@ -49,47 +49,6 @@ pub fn gemv_t<T: Scalar>(alpha: T, a: MatView<'_, T>, x: &[T], beta: T, y: &mut 
     for (j, yj) in y.iter_mut().enumerate() {
         let s = crate::blas1::dot(a.col(j), x);
         *yj = alpha * s + beta * *yj;
-    }
-}
-
-/// Triangular solve with a single right-hand side: `x := op(A)^{-1} x`
-/// (BLAS `DTRSV`, no transpose).
-///
-/// # Panics
-/// If `A` is not square or sizes mismatch.
-pub fn trsv<T: Scalar>(uplo: Uplo, diag: Diag, a: MatView<'_, T>, x: &mut [T]) {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "trsv: A must be square");
-    assert_eq!(x.len(), n, "trsv: x length != n");
-    match uplo {
-        Uplo::Lower => {
-            for k in 0..n {
-                if let Diag::NonUnit = diag {
-                    x[k] /= a.get(k, k);
-                }
-                let xk = x[k];
-                if xk != T::ZERO {
-                    let col = a.col(k);
-                    for i in k + 1..n {
-                        x[i] -= col[i] * xk;
-                    }
-                }
-            }
-        }
-        Uplo::Upper => {
-            for k in (0..n).rev() {
-                if let Diag::NonUnit = diag {
-                    x[k] /= a.get(k, k);
-                }
-                let xk = x[k];
-                if xk != T::ZERO {
-                    let col = a.col(k);
-                    for (i, xi) in x.iter_mut().enumerate().take(k) {
-                        *xi -= col[i] * xk;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -207,38 +166,6 @@ mod tests {
         let mut y = vec![0.0, 0.0];
         gemv_t(1.0, a.view(), &[1.0, 1.0], 0.0, &mut y);
         assert_eq!(y, vec![4.0, 6.0]);
-    }
-
-    #[test]
-    fn trsv_lower_unit_forward_substitution() {
-        // L = [1 0; 0.5 1], b = [2, 3] => x = [2, 2]
-        let l = Matrix::from_rows(&[&[1.0, 0.0], &[0.5, 1.0]]);
-        let mut x = vec![2.0, 3.0];
-        trsv(Uplo::Lower, Diag::Unit, l.view(), &mut x);
-        assert_eq!(x, vec![2.0, 2.0]);
-    }
-
-    #[test]
-    fn trsv_upper_nonunit_back_substitution() {
-        // U = [2 1; 0 4], b = [4, 8] => x = [1, 2]
-        let u = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, 4.0]]);
-        let mut x = vec![4.0, 8.0];
-        trsv(Uplo::Upper, Diag::NonUnit, u.view(), &mut x);
-        assert_eq!(x, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn trsv_round_trip_against_gemv() {
-        // Solve then multiply back.
-        let l = Matrix::from_rows(&[&[3.0, 0.0, 0.0], &[1.0, 2.0, 0.0], &[4.0, 5.0, 6.0]]);
-        let b = vec![3.0, 5.0, 32.0];
-        let mut x = b.clone();
-        trsv(Uplo::Lower, Diag::NonUnit, l.view(), &mut x);
-        let mut back = vec![0.0; 3];
-        gemv(1.0, l.view(), &x, 0.0, &mut back);
-        for (bi, bb) in b.iter().zip(&back) {
-            assert!((bi - bb).abs() < 1e-12);
-        }
     }
 
     #[test]

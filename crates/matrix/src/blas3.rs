@@ -12,7 +12,11 @@
 //!   `MC × KC` block of `A` into `MR`-row panels, both zero-padded at ragged
 //!   edges. Packed panels are contiguous and read front to back, so the
 //!   64 × 64 tiles of a flat `ld = 1536` matrix — whose columns are 12 KiB
-//!   apart and map to eight L1 sets — stop evicting one another.
+//!   apart and map to eight L1 sets — stop evicting one another. A packed
+//!   `A` pays off by being reread once per panel of `B`; when `B` is one
+//!   panel (at most `NR` columns: the right-hand sides of a solve), `A` is
+//!   read once, so its whole `MR`-row panels are read where they lie and
+//!   only a ragged last one is packed. Same elements, same order, same bits.
 //! * The micro-kernel ([`Ukernel`]) keeps a whole `MR × NR` tile of `C` in
 //!   registers across the `k` loop. It is reached through one hook,
 //!   [`Scalar::gemm_ukernel`], with three arms ([`Arm`]): `std::arch`
@@ -77,11 +81,10 @@
 //! them bitwise equal to one another.
 //! [`lu_rows`](crate::lapack::lu_rows) *is* the `Right`/`Upper`/`NonUnit`
 //! recursion, watched (column maxima, observer events), not a second one.
-//! The bits are not those of column-by-column substitution
-//! ([`trsv`](crate::blas2::trsv)): a `gemm` subtracts a finished sum where
-//! substitution subtracts term by term. The solve phase
-//! ([`getrs_mat`](crate::lapack::getrs_mat), the runtime's solve DAG) is
-//! pinned to `trsv`'s bits and calls `trsv`.
+//! The solve phase ([`getrs`](crate::lapack::getrs),
+//! [`getrs_mat`](crate::lapack::getrs_mat)) is two `Left` calls, so a
+//! right-hand side solved alone has the bits of the same column solved in
+//! any batch.
 
 mod trsm;
 mod ukernel;
@@ -150,8 +153,12 @@ pub fn gemm_on<T: Scalar>(
     }
 
     let kernel = T::gemm_ukernel(arm);
-    let a_len = MC.min(m).next_multiple_of(kernel.mr()) * KC.min(k);
-    let b_len = KC.min(k) * NC.min(n).next_multiple_of(kernel.nr());
+    let (mr, nr) = (kernel.mr(), kernel.nr());
+    // One panel of `B` reads each element of `A` once: packing it would only
+    // copy it (module documentation).
+    let pack_a = n > nr;
+    let a_len = if pack_a { MC.min(m).next_multiple_of(mr) } else { mr } * KC.min(k);
+    let b_len = KC.min(k) * NC.min(n).next_multiple_of(nr);
     with_pack_buffer(kernel.pool(), a_len + b_len, |buf| {
         let (a_pack, b_pack) = buf.split_at_mut(a_len);
         for jc in (0..n).step_by(NC) {
@@ -161,8 +168,23 @@ pub fn gemm_on<T: Scalar>(
                 kernel.pack_b(b.submatrix(pc, jc, kb, nb), b_pack);
                 for ic in (0..m).step_by(MC) {
                     let mb = MC.min(m - ic);
-                    kernel.pack_a(a.submatrix(ic, pc, mb, kb), a_pack);
-                    kernel.macro_kernel(alpha, kb, a_pack, b_pack, c.submatrix_mut(ic, jc, mb, nb));
+                    let a_blk = a.submatrix(ic, pc, mb, kb);
+                    // Rows of `a_blk` read in place: whole panels, unpacked.
+                    let in_place = if pack_a { 0 } else { mb - mb % mr };
+                    if in_place < mb {
+                        let rest = mb - in_place;
+                        kernel.pack_a(a_blk.submatrix(in_place, 0, rest, kb), a_pack);
+                    }
+                    let a_pack = &*a_pack;
+                    let panel = |i: usize| {
+                        if i < in_place {
+                            a_blk.submatrix(i, 0, mr, kb)
+                        } else {
+                            let at = (i - in_place) * kb;
+                            MatView::from_slice(&a_pack[at..at + mr * kb], mr, kb, mr)
+                        }
+                    };
+                    kernel.macro_kernel(alpha, kb, panel, b_pack, c.submatrix_mut(ic, jc, mb, nb));
                 }
             }
         }
@@ -269,11 +291,10 @@ fn scale<T: Scalar>(beta: T, mut c: MatViewMut<'_, T>) {
 /// Only the named triangle of `A` is read (and not its diagonal under
 /// `Diag::Unit`), so a packed `L\U` block can be passed as is. A `B` with
 /// no rows or no columns is returned untouched; `alpha == 0` zeroes `B`
-/// without reading `A`. The skip-zero guards of the scalar substitution
-/// this kernel replaced are gone: a zero in `B` times an infinity in the
-/// triangle is a NaN, as in [`gemm`] and `lu_rows`, where
-/// [`crate::blas2::trsv`] still skips the product (only the `Right` base
-/// case's `ger` still passes over a triangle entry that is exactly zero).
+/// without reading `A`. There is no skip-zero guard: a zero in `B` times
+/// an infinity in the triangle is a NaN, as in [`gemm`] and `lu_rows` (only
+/// the `Right` base case's `ger` passes over a triangle entry that is
+/// exactly zero).
 /// A non-finite value in `B` stays in its right-hand column (row); one in
 /// the strict triangle reaches the unknown it couples and those solved
 /// after it, in every column (row), and nothing solved before.

@@ -3,10 +3,11 @@
 //! packed `gemm` lives in this file.
 //!
 //! A micro-kernel computes `C ← C + α·(A_p · B_p)` for one `MR × NR` tile of
-//! `C`, where `A_p` is an `MR`-row packed panel (`kc` groups of `MR`
-//! consecutive elements, one group per `l`) and `B_p` an `NR`-column packed
-//! panel (`kc` groups of `NR`). The whole tile is accumulated from zero in
-//! registers over `l = 0, 1, …, kc − 1`, then folded into `C` once.
+//! `C`, where `A_p` is an `MR × kc` panel of `A` — packed, or read where it
+//! lies; column `l` is the `MR` consecutive elements step `l` reads — and
+//! `B_p` an `NR`-column packed panel (`kc` groups of `NR`). The whole tile
+//! is accumulated from zero in registers over `l = 0, 1, …, kc − 1`, then
+//! folded into `C` once.
 //!
 //! There are three arms ([`Arm`]), two of them expansions of one macro:
 //!
@@ -100,16 +101,17 @@ impl Arm {
 }
 
 /// `C ← C + α·(A_p · B_p)` on the full `MR × NR` tile at `c` (column stride
-/// `ldc`), for the `a.len() / MR` steps the two panels hold. The panels are
-/// walked as whole `MR`- and `NR`-chunks, so their lengths matter for the
-/// result, not for memory safety.
+/// `ldc`), for the steps both panels hold: the columns of the `MR`-row view
+/// `a`, the `NR`-chunks of `b`. Each step's column is sliced to `MR` and the
+/// chunks are whole, so the panels' shapes matter for the result, not for
+/// memory safety.
 ///
 /// # Safety
 /// For every `j < NR` the range `[c + j·ldc, c + j·ldc + MR)` is valid for
 /// reads and writes and not accessed by anyone else during the call, and the
 /// instruction-set features the kernel was compiled for are present on the
 /// running CPU.
-type KernelFn<T> = unsafe fn(alpha: T, a: &[T], b: &[T], c: *mut T, ldc: usize);
+type KernelFn<T> = unsafe fn(alpha: T, a: MatView<'_, T>, b: &[T], c: *mut T, ldc: usize);
 
 /// Everything `gemm` needs that depends on the precision and the arm: the
 /// register-tile shape, the packing routines that lay `A` and `B` out for
@@ -208,34 +210,35 @@ impl<T: Scalar> Ukernel<T> {
         (self.pack_b)(b, buf);
     }
 
-    /// `C ← C + α·(A_blk · B_blk)` for one cache block: `a_pack` holds
-    /// `⌈m/MR⌉` packed `MR`-row panels of depth `kc`, `b_pack` holds
-    /// `⌈n/NR⌉` packed `NR`-column panels of depth `kc`, zero-padded at the
-    /// ragged edges, and `c` is the `m × n` block they update.
+    /// `C ← C + α·(A_blk · B_blk)` for one cache block: `a_panel(i)` is the
+    /// `MR × kc` panel of `A` for rows `i..i + MR` (zero-padded past the
+    /// block), `b_pack` holds `⌈n/NR⌉` packed `NR`-column panels of depth
+    /// `kc`, zero-padded at the ragged edge, and `c` is the `m × n` block
+    /// they update.
     ///
     /// # Panics
-    /// If a pack buffer is shorter than the panels `c`'s shape requires.
-    pub(super) fn macro_kernel(
+    /// If `b_pack` is shorter than the panels `c`'s shape requires, or a
+    /// panel of `A` has fewer than `MR` rows.
+    pub(super) fn macro_kernel<'a>(
         &self,
         alpha: T,
         kc: usize,
-        a_pack: &[T],
+        a_panel: impl Fn(usize) -> MatView<'a, T>,
         b_pack: &[T],
         mut c: MatViewMut<'_, T>,
     ) {
         let (mr, nr) = (self.mr, self.nr);
         let (m, n, ldc) = (c.rows(), c.cols(), c.ld());
-        let (a_panel, b_panel) = (kc * mr, kc * nr);
+        let b_panel = kc * nr;
         // The panel slicing below is bounds-checked either way.
-        debug_assert!(a_pack.len() >= m.div_ceil(mr) * a_panel, "gemm: packed A too short");
         debug_assert!(b_pack.len() >= n.div_ceil(nr) * b_panel, "gemm: packed B too short");
         let c_ptr = c.as_mut_ptr();
 
         for (jp, j) in (0..n).step_by(nr).enumerate() {
             let b = &b_pack[jp * b_panel..(jp + 1) * b_panel];
             let w = nr.min(n - j);
-            for (ip, i) in (0..m).step_by(mr).enumerate() {
-                let a = &a_pack[ip * a_panel..(ip + 1) * a_panel];
+            for i in (0..m).step_by(mr) {
+                let a = a_panel(i);
                 let h = mr.min(m - i);
                 if h == mr && w == nr {
                     debug_assert!(i + mr <= m && j + nr <= n);
@@ -275,15 +278,15 @@ impl<T: Scalar> Ukernel<T> {
 /// See [`KernelFn`]; needs no CPU feature.
 unsafe fn portable_kernel<T: Scalar, const MR: usize, const NR: usize>(
     alpha: T,
-    a: &[T],
+    a: MatView<'_, T>,
     b: &[T],
     c: *mut T,
     ldc: usize,
 ) {
-    debug_assert_eq!(a.len() % MR, 0);
-    debug_assert_eq!(a.len() / MR, b.len() / NR);
+    debug_assert_eq!(a.cols(), b.len() / NR);
     let mut acc = [[T::ZERO; MR]; NR];
-    for (ar, br) in a.chunks_exact(MR).zip(b.chunks_exact(NR)) {
+    for (l, br) in (0..a.cols()).zip(b.chunks_exact(NR)) {
+        let ar = &a.col(l)[..MR];
         for j in 0..NR {
             for i in 0..MR {
                 acc[j][i] = ar[i] * br[j] + acc[j][i];
@@ -304,6 +307,7 @@ unsafe fn portable_kernel<T: Scalar, const MR: usize, const NR: usize>(
 
 #[cfg(target_arch = "x86_64")]
 mod simd {
+    use crate::view::MatView;
     use std::arch::x86_64::*;
 
     /// Generates one fused multiply-add kernel: `MR = vecs · lanes` rows held
@@ -317,13 +321,19 @@ mod simd {
             /// See [`super::KernelFn`]; the CPU must support the kernel's
             /// target features.
             #[target_feature(enable = $features)]
-            pub(super) unsafe fn $name(alpha: $t, a: &[$t], b: &[$t], c: *mut $t, ldc: usize) {
+            pub(super) unsafe fn $name(
+                alpha: $t,
+                a: MatView<'_, $t>,
+                b: &[$t],
+                c: *mut $t,
+                ldc: usize,
+            ) {
                 const MR: usize = $vecs * $lanes;
                 const NR: usize = $nr;
-                debug_assert_eq!(a.len() % MR, 0);
-                debug_assert_eq!(a.len() / MR, b.len() / NR);
+                debug_assert_eq!(a.cols(), b.len() / NR);
                 let mut acc = [[$zero(); $vecs]; NR];
-                for (ar, br) in a.chunks_exact(MR).zip(b.chunks_exact(NR)) {
+                for (l, br) in (0..a.cols()).zip(b.chunks_exact(NR)) {
+                    let ar = &a.col(l)[..MR];
                     // SAFETY: `ar` is `MR = vecs·lanes` elements long, so
                     // every unaligned vector load is inside it.
                     let av: [_; $vecs] =

@@ -1,23 +1,23 @@
 //! Solves from packed LU factors (`DGETRS`, both transpose modes).
 
-use crate::blas2::{trsv, trsv_t};
-use crate::perm::{apply_ipiv, apply_ipiv_vec};
+use crate::blas2::trsv_t;
+use crate::blas3::trsm;
+use crate::perm::apply_ipiv;
 use crate::scalar::Scalar;
 use crate::view::{MatView, MatViewMut};
-use crate::{Diag, Uplo};
+use crate::{Diag, Side, Uplo};
 
 /// Solves `A x = b` in place given the packed factors and pivots of
-/// `A = P L U` (as produced by `getf2`/`rgetf2`/`getrf`).
+/// `A = P L U` (as produced by `getf2`/`rgetf2`/`getrf`): [`getrs_mat`] on
+/// `b` as a one-column block, so its bits are those of any column of a
+/// [`getrs_mat`] block that carries `b`.
 ///
 /// # Panics
 /// If shapes mismatch.
 pub fn getrs<T: Scalar>(lu: MatView<'_, T>, ipiv: &[usize], b: &mut [T]) {
     let n = lu.rows();
-    assert_eq!(lu.cols(), n, "getrs: factors must be square");
     assert_eq!(b.len(), n, "getrs: rhs length mismatch");
-    apply_ipiv_vec(b, ipiv);
-    trsv(Uplo::Lower, Diag::Unit, lu, b);
-    trsv(Uplo::Upper, Diag::NonUnit, lu, b);
+    getrs_mat(lu, ipiv, MatViewMut::from_slice(b, n, 1, n.max(1)));
 }
 
 /// Solves the transposed system `A^T x = b` in place from the same factors:
@@ -41,11 +41,12 @@ pub fn getrs_t<T: Scalar>(lu: MatView<'_, T>, ipiv: &[usize], b: &mut [T]) {
     }
 }
 
-/// Multi-RHS version of [`getrs`]: solves `A X = B` in place, each column
-/// bit for bit the [`getrs`] solution of that column (the interchanges
-/// applied to the block, then the two `trsv` substitutions per column —
-/// served solutions are pinned to those bits, so the solve phase does not
-/// run the blocked [`trsm`](crate::blas3::trsm)).
+/// Multi-RHS version of [`getrs`]: solves `A X = B` in place — the
+/// interchanges applied to the block, then two blocked
+/// [`trsm`](crate::blas3::trsm) calls on the whole of it (`L`, unit
+/// diagonal, then `U`). By `trsm`'s line-independence contract each
+/// column's bits depend on that column and the factors only, so a column
+/// solved in any batch equals its [`getrs`] solution bit for bit.
 ///
 /// # Panics
 /// If shapes mismatch.
@@ -54,10 +55,8 @@ pub fn getrs_mat<T: Scalar>(lu: MatView<'_, T>, ipiv: &[usize], mut b: MatViewMu
     assert_eq!(lu.cols(), n, "getrs_mat: factors must be square");
     assert_eq!(b.rows(), n, "getrs_mat: rhs rows mismatch");
     apply_ipiv(b.rb_mut(), ipiv);
-    for j in 0..b.cols() {
-        trsv(Uplo::Lower, Diag::Unit, lu, b.col_mut(j));
-        trsv(Uplo::Upper, Diag::NonUnit, lu, b.col_mut(j));
-    }
+    trsm(Side::Left, Uplo::Lower, Diag::Unit, T::ONE, lu, b.rb_mut());
+    trsm(Side::Left, Uplo::Upper, Diag::NonUnit, T::ONE, lu, b);
 }
 
 #[cfg(test)]
@@ -87,26 +86,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn multi_rhs_matches_single() {
+    fn multi_rhs_matches_single_in<T: Scalar>() {
         let mut rng = StdRng::seed_from_u64(52);
         let n = 24;
-        let a0 = gen::randn(&mut rng, n, n);
+        let a0: Matrix<T> = gen::randn(&mut rng, n, n);
         let mut lu = a0.clone();
         let mut ipiv = vec![0; n];
         getrf(lu.view_mut(), &mut ipiv, GetrfOpts { block: 8, ..Default::default() }, &mut NoObs)
             .unwrap();
 
-        let b0 = gen::randn(&mut rng, n, 3);
+        let b0: Matrix<T> = gen::randn(&mut rng, n, 3);
         let mut bm = b0.clone();
         getrs_mat(lu.view(), &ipiv, bm.view_mut());
         for j in 0..3 {
-            let mut bv: Vec<f64> = b0.col(j).to_vec();
+            let mut bv: Vec<T> = b0.col(j).to_vec();
             getrs(lu.view(), &ipiv, &mut bv);
-            for (a, b) in bv.iter().zip(bm.col(j)) {
-                assert!((a - b).abs() < 1e-12);
-            }
+            assert_eq!(bv, bm.col(j), "column {j}");
         }
+    }
+
+    #[test]
+    fn multi_rhs_matches_single() {
+        multi_rhs_matches_single_in::<f64>();
+        multi_rhs_matches_single_in::<f32>();
     }
 
     #[test]

@@ -47,15 +47,17 @@ fn bits<T: Scalar>(m: &Matrix<T>) -> Vec<u64> {
 }
 
 /// `gemm` on the whole of `C` against `gemm` piece by piece over an arbitrary
-/// partition of `C`'s rows and columns, on one arm, through strided windows
-/// (`ld = rows + pad`) of larger matrices. Returns the two results.
+/// partition of `C`'s rows and columns, and against `gemm` one column of `C`
+/// at a time (a one-panel `B`, whose `A` is read in place), on one arm,
+/// through strided windows (`ld = rows + pad`) of larger matrices. Returns
+/// the three results.
 fn whole_and_pieces<T: Scalar>(
     arm: Arm,
     seed: u64,
     (m, n, k): (usize, usize, usize),
     (alpha, beta): (f64, f64),
     pad: usize,
-) -> (Matrix<T>, Matrix<T>) {
+) -> (Matrix<T>, Matrix<T>, Matrix<T>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
     let a_store = gen::randn::<T>(&mut rng, m + pad, k);
@@ -67,7 +69,7 @@ fn whole_and_pieces<T: Scalar>(
     let mut whole = c0.clone();
     gemm_on(arm, alpha, a, b, beta, whole.view_mut().into_submatrix(pad / 2, 0, m, n));
 
-    let mut pieces = c0;
+    let mut pieces = c0.clone();
     let cols = partition(&mut rng, n);
     for (i, h) in partition(&mut rng, m) {
         for &(j, w) in &cols {
@@ -75,7 +77,13 @@ fn whole_and_pieces<T: Scalar>(
             gemm_on(arm, alpha, a.submatrix(i, 0, h, k), b.submatrix(0, j, k, w), beta, c);
         }
     }
-    (whole, pieces)
+
+    let mut columns = c0;
+    for j in 0..n {
+        let c = columns.view_mut().into_submatrix(pad / 2, j, m, 1);
+        gemm_on(arm, alpha, a, b.submatrix(0, j, k, 1), beta, c);
+    }
+    (whole, pieces, columns)
 }
 
 proptest! {
@@ -93,10 +101,12 @@ proptest! {
         // and a general scale; the windows have ld > rows.
         let scale = ([1.0, -1.0, 1.5][alpha], [0.0, 1.0, -0.5][beta]);
         for arm in arms() {
-            let (whole, pieces) = whole_and_pieces::<f64>(arm, seed, (m, n, k), scale, pad);
+            let (whole, pieces, cols) = whole_and_pieces::<f64>(arm, seed, (m, n, k), scale, pad);
             prop_assert!(bits(&whole) == bits(&pieces), "f64 differs on the {} arm", arm.name());
-            let (whole, pieces) = whole_and_pieces::<f32>(arm, seed, (m, n, k), scale, pad);
+            prop_assert!(bits(&whole) == bits(&cols), "f64 columns differ on {}", arm.name());
+            let (whole, pieces, cols) = whole_and_pieces::<f32>(arm, seed, (m, n, k), scale, pad);
             prop_assert!(bits(&whole) == bits(&pieces), "f32 differs on the {} arm", arm.name());
+            prop_assert!(bits(&whole) == bits(&cols), "f32 columns differ on {}", arm.name());
         }
     }
 
@@ -114,11 +124,11 @@ proptest! {
             return Ok(());
         };
         let scale = ([1.0, -1.0, 1.5][alpha], [0.0, 1.0, -0.5][beta]);
-        let (whole, pieces) = whole_and_pieces::<f64>(wide, seed, (m, n, k), scale, pad);
-        let (want, _) = whole_and_pieces::<f64>(narrow, seed, (m, n, k), scale, pad);
+        let (whole, pieces, _) = whole_and_pieces::<f64>(wide, seed, (m, n, k), scale, pad);
+        let (want, _, _) = whole_and_pieces::<f64>(narrow, seed, (m, n, k), scale, pad);
         prop_assert!(bits(&whole) == bits(&want) && bits(&pieces) == bits(&want), "f64 differs");
-        let (whole, pieces) = whole_and_pieces::<f32>(wide, seed, (m, n, k), scale, pad);
-        let (want, _) = whole_and_pieces::<f32>(narrow, seed, (m, n, k), scale, pad);
+        let (whole, pieces, _) = whole_and_pieces::<f32>(wide, seed, (m, n, k), scale, pad);
+        let (want, _, _) = whole_and_pieces::<f32>(narrow, seed, (m, n, k), scale, pad);
         prop_assert!(bits(&whole) == bits(&want) && bits(&pieces) == bits(&want), "f32 differs");
     }
 }

@@ -1,7 +1,7 @@
 //! Serving tour: register a matrix with [`SolverService`], submit a burst
 //! of right-hand sides, let one `process` pass coalesce them into batched
-//! solves on the runtime DAG, and watch the factor cache amortize the
-//! O(n³) work across requests.
+//! blocked solves, and watch the factor cache amortize the O(n³) work
+//! across requests.
 //!
 //! Run: `cargo run --release --example serve`
 
