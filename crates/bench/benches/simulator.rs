@@ -1,5 +1,5 @@
 //! Criterion benchmark for the discrete-event simulator itself: how fast
-//! the table regenerators can sweep (one Table 5 cell = one `skeleton_calu`
+//! `repro`'s tables can sweep (one Table 5 cell = one `skeleton_calu`
 //! + one `skeleton_pdgetrf` run).
 
 use calu_core::dist::{skeleton_calu, skeleton_pdgetf2, skeleton_tslu, RowSwapScheme, SkelCfg};

@@ -21,7 +21,9 @@ pub fn cell_valid(m: usize, b: usize, pr: usize, pc: usize) -> bool {
     m / b >= pr && m / b >= pc
 }
 
-/// Simulated times for one cell: `(t_calu, t_pdgetrf)`.
+/// Simulated times for one CALU-vs-PDGETRF cell: `(t_calu, t_pdgetrf)`.
+/// Every such cell `repro` prints (Tables 5-7, `fig_scaling`,
+/// `model_check`'s Eqs. 2-3) is this function.
 pub fn cell_times(machine: &MachineConfig, m: usize, b: usize, pr: usize, pc: usize) -> (f64, f64) {
     let calu_cfg =
         SkelCfg { m, n: m, b, pr, pc, local: LocalLu::Recursive, swap: RowSwapScheme::ReduceBcast };
@@ -118,31 +120,5 @@ mod tests {
         assert!(!cell_valid(1_000, 150, 4, 8));
         assert!(cell_valid(1_000, 100, 8, 8));
         assert!(cell_valid(10_000, 150, 8, 8));
-    }
-
-    #[test]
-    fn improvements_have_paper_shape_power5() {
-        let mch = MachineConfig::power5();
-        // m=10^3 on 64 procs: the paper's best regime (2.29x there).
-        let (tc, tp) = cell_times(&mch, 1_000, 50, 8, 8);
-        let small = tp / tc;
-        assert!(small > 1.4, "small-matrix improvement {small}");
-        // m=10^4 on 4 procs: compute-dominated, ratio near 1 (paper: 1.00).
-        let (tc, tp) = cell_times(&mch, 10_000, 50, 2, 2);
-        let large = tp / tc;
-        assert!((0.9..1.35).contains(&large), "compute-bound ratio {large}");
-        assert!(small > large);
-    }
-
-    #[test]
-    fn best_vs_best_monotone_shape() {
-        let mch = MachineConfig::power5();
-        let (s1k, _, _) = best_vs_best(&mch, 1_000);
-        let (s10k, bc10k, _) = best_vs_best(&mch, 10_000);
-        assert!(s1k > 1.2, "{s1k}");
-        assert!(s10k >= 0.95, "{s10k}");
-        assert!(s1k > s10k);
-        // Paper: best CALU at m=10^4 uses 64 procs.
-        assert_eq!(bc10k.p, 64);
     }
 }

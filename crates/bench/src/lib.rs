@@ -1,32 +1,20 @@
 //! # calu-bench — the paper's evaluation harness
 //!
-//! One regenerator binary per table/figure of the paper (see
-//! `DESIGN.md`'s per-experiment index and `EXPERIMENTS.md` for recorded
-//! results), plus one tool over the observability layer. The *engine's*
-//! wall-clock performance is not measured here: that is `benchmark/` at
-//! the repository root (own package, repetitions, noise bounds).
+//! One binary, `repro`, regenerates the paper's tables and figures, one
+//! subcommand each; its `SUBCOMMANDS` table (`src/bin/repro.rs`, printed
+//! by `repro --help`) names every subcommand, the paper artifact it
+//! regenerates, and whether it has a reduced sweep. `DESIGN.md`'s
+//! per-experiment index and `EXPERIMENTS.md` hold the recorded results.
+//! The one other binary, `bench_report`, is tooling over the
+//! observability layer: `--trace` profiles a Chrome trace (sum-to-wall,
+//! measured critical path), `--history` appends a `benchmark/` run to
+//! `BENCH_history.jsonl`. The *engine's* wall-clock performance is not
+//! measured here: that is `benchmark/` at the repository root (own
+//! package, repetitions, noise bounds).
 //!
-//! | binary | paper artifact |
-//! |---|---|
-//! | `fig2_growth` | Figure 2: growth factor + minimum threshold |
-//! | `table1_hpl_calu` | Table 1: HPL accuracy tests for ca-pivoting |
-//! | `table2_hpl_gepp` | Table 2: HPL accuracy tests for GEPP |
-//! | `table3_tslu_power5` | Table 3: PDGETF2/TSLU ratios, IBM POWER5 |
-//! | `table4_tslu_xt4` | Table 4: PDGETF2/TSLU ratios, Cray XT4 |
-//! | `table5_calu_power5` | Table 5: PDGETRF/CALU ratios + GFLOP/s, POWER5 |
-//! | `table6_calu_xt4` | Table 6: PDGETRF/CALU ratios + GFLOP/s, XT4 |
-//! | `table7_best` | Table 7: best-vs-best speedups |
-//! | `model_check` | Eqs. 1-3 vs simulator + row-swap ablation |
-//! | `table_ensembles` | Section 6.1 remark: five-ensemble stability sweep |
-//! | `fig_trend` | Introduction: future-architecture speedup trend |
-//! | `ablation_lookahead` | Section 4: HPL-style look-ahead gain |
-//! | `ablation_tree_stability` | tournament tree shape vs pivot quality |
-//! | `fig_scaling` | strong/weak scaling curves, incl. a modern cluster |
-//! | `section5_comparison` | Section 5's term-by-term cost comparison |
-//! | `bench_report` | tooling: `--trace` profiles a Chrome trace (sum-to-wall, measured critical path); `--history` appends a `benchmark/` run to `BENCH_history.jsonl` |
-//!
-//! The regenerators accept `--full` (paper-scale sizes; slow) and default
-//! to a reduced sweep; all of them accept `--csv`.
+//! A subcommand with a reduced sweep runs it by default and the paper's
+//! sizes with `--full` (slow); the others always run the paper's sweep,
+//! in seconds, and reject `--full`. All accept `--csv`.
 //!
 //! The `benches/` directory holds criterion microbenchmarks of the real
 //! (wall-clock) kernels on the host machine.
@@ -38,7 +26,7 @@ pub mod calu_table;
 pub mod stability_table;
 pub mod tslu_table;
 
-/// Command-line options shared by the regenerator binaries.
+/// Options of a `repro` subcommand.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Cli {
     /// Run the paper-scale sweep (hours) instead of the reduced one.
@@ -48,15 +36,18 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parses `--full` / `--csv` from `std::env::args`.
-    pub fn parse() -> Self {
+    /// Parses a subcommand's options. `--full` is one only where the
+    /// subcommand has a reduced sweep (`has_full`); elsewhere it is an
+    /// unknown option. Exits 0 after `--help`, 2 on an unknown option.
+    pub fn parse(args: impl IntoIterator<Item = String>, has_full: bool) -> Self {
         let mut cli = Cli::default();
-        for a in std::env::args().skip(1) {
+        for a in args {
             match a.as_str() {
-                "--full" => cli.full = true,
+                "--full" if has_full => cli.full = true,
                 "--csv" => cli.csv = true,
                 "--help" | "-h" => {
-                    eprintln!("options: --full (paper-scale sweep), --csv");
+                    let full = if has_full { "--full (paper-scale sweep), " } else { "" };
+                    eprintln!("options: {full}--csv");
                     std::process::exit(0);
                 }
                 other => {

@@ -80,27 +80,4 @@ mod tests {
         assert!(!cell_valid(1_000, 50, 32));
         assert!(cell_valid(5_000, 50, 64));
     }
-
-    #[test]
-    fn headline_cells_have_paper_shape() {
-        // POWER5: large panels, recursive local LU -> clear TSLU wins;
-        // classic on huge panels loses (ratio < 1) because TSLU-Cl does 2x
-        // the BLAS-2 flops.
-        let mch = MachineConfig::power5();
-        let rec_big = ratio(&mch, 1_000_000, 150, 16, LocalLu::Recursive);
-        let cl_big = ratio(&mch, 1_000_000, 150, 16, LocalLu::Classic);
-        assert!(rec_big > 2.0, "Rec at m=10^6: {rec_big}");
-        assert!(cl_big < 1.1, "Cl at m=10^6: {cl_big}");
-        // Small panel, many procs: both variants win on latency.
-        let rec_small = ratio(&mch, 1_000, 50, 16, LocalLu::Recursive);
-        assert!(rec_small > 1.3, "latency-bound cell: {rec_small}");
-    }
-
-    #[test]
-    fn gflops_sane() {
-        let mch = MachineConfig::power5();
-        let g = tslu_gflops(&mch, 1_000_000, 150, 64, LocalLu::Recursive);
-        // 64 procs x 6.5 GF peak = 416 GF; TSLU should land well inside.
-        assert!(g > 20.0 && g < 416.0, "TSLU GFLOP/s {g}");
-    }
 }

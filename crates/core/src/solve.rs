@@ -213,7 +213,8 @@ impl IrReport {
 /// refinement step costs only `O(n²)`. For matrices with
 /// `κ(A) « 1/ε_f32 ≈ 10⁷` a handful of steps recovers full `f64`
 /// accuracy; the per-iteration trajectory is reported so callers can see
-/// the convergence rate of ~`ε_f32` per step.
+/// the convergence rate of ~`ε_f32` per step. It is [`ir_solve_batch`] on
+/// a one-column `B`.
 ///
 /// # Errors
 /// [`calu_matrix::Error::SingularPivot`] when the rounded-to-`f32` matrix
@@ -227,79 +228,8 @@ pub fn ir_solve(a: &Matrix<f64>, b: &[f64], opts: IrOpts) -> Result<(Vec<f64>, I
     let n = a.rows();
     assert_eq!(a.cols(), n, "ir_solve: A must be square");
     assert_eq!(b.len(), n, "ir_solve: rhs length mismatch");
-
-    // Factor at low precision on the runtime DAG.
-    let a32: Matrix<f32> = a.cast();
-    let (f32_factors, _exec) = runtime_calu_factor(&a32, opts.calu, opts.rt)?;
-
-    // Initial solve: x₀ = U⁻¹ L⁻¹ P b, all in f32, promoted exactly.
-    let b32: Vec<f32> = cast_slice(b);
-    let mut x: Vec<f64> = cast_slice(&f32_factors.solve(&b32));
-
-    // Matrix norms are fixed across the loop; hoist the O(n²) scans so a
-    // refinement step stays one gemv + one pair of triangular solves.
-    let norm_a1 = mat_norm_1(a.view());
-    let norm_ainf = mat_norm_inf(a.view());
-    let norm_b = vec_norm_inf(b);
-    let mut r = vec![0.0_f64; n];
-    let mut steps: Vec<IrStep> = Vec::with_capacity(opts.max_iter + 1);
-    let mut converged = false;
-    let mut diverged = false;
-    let mut non_improving = 0usize;
-
-    for it in 0..=opts.max_iter {
-        // Full-precision residual r = b − A x.
-        r.copy_from_slice(b);
-        gemv(-1.0, a.view(), &x, 1.0, &mut r);
-        let r_inf = vec_norm_inf(&r);
-        let denom = norm_ainf * vec_norm_inf(&x) + norm_b;
-        let backward_error = if denom > 0.0 { r_inf / denom } else { 0.0 };
-        let hpl = hpl_residuals_from_norms(
-            n,
-            r_inf,
-            norm_a1,
-            norm_ainf,
-            vec_norm_1(&x),
-            vec_norm_inf(&x),
-            f64::EPSILON,
-        );
-        let step = IrStep { backward_error, hpl };
-        let passed = step.passes_hpl();
-        // Divergence watch: when κ(A)·ε_f32 ≳ 1 the f32 factors can't
-        // reduce the residual and each "correction" random-walks or grows
-        // the error; two consecutive steps that fail to improve on their
-        // predecessor end the loop instead of burning the remaining
-        // budget (one flat step alone is common near convergence, so a
-        // single miss is tolerated and the streak resets on improvement).
-        if let Some(prev) = steps.last() {
-            if backward_error >= prev.backward_error {
-                non_improving += 1;
-            } else {
-                non_improving = 0;
-            }
-        }
-        steps.push(step);
-        if passed {
-            converged = true;
-            break;
-        }
-        if non_improving >= 2 {
-            diverged = true;
-            break;
-        }
-        if it == opts.max_iter {
-            break;
-        }
-        // Correction at low precision: d = A⁻¹ r via the f32 factors.
-        let r32: Vec<f32> = cast_slice(&r);
-        let d: Vec<f64> = cast_slice(&f32_factors.solve(&r32));
-        for (xi, di) in x.iter_mut().zip(&d) {
-            *xi += di;
-        }
-    }
-
-    let iterations = steps.len() - 1;
-    Ok((x, IrReport { iterations, steps, converged, diverged }))
+    let (x, mut report) = ir_solve_batch(a, &Matrix::from_col_major(n, 1, b.to_vec()), opts)?;
+    Ok((x.col(0).to_vec(), report.per_rhs.swap_remove(0)))
 }
 
 /// Report from [`ir_solve_batch`]: the whole-batch outcome plus one full
@@ -307,8 +237,8 @@ pub fn ir_solve(a: &Matrix<f64>, b: &[f64], opts: IrOpts) -> Result<(Vec<f64>, I
 #[derive(Debug, Clone, PartialEq)]
 pub struct IrBatchReport {
     /// Per-column refinement reports, in `B`'s column order. Each is
-    /// **bitwise identical** to what [`ir_solve`] would report for that
-    /// column alone — batching changes the cost, not the numbers.
+    /// **bitwise identical** to what [`ir_solve`] reports for that column
+    /// alone — batching changes the cost, not the numbers.
     pub per_rhs: Vec<IrReport>,
     /// Refinement steps of the slowest column.
     pub iterations: usize,
@@ -416,6 +346,13 @@ pub fn ir_solve_batch(
             );
             let step = IrStep { backward_error, hpl };
             let passed = step.passes_hpl();
+            // Divergence watch: when κ(A)·ε_f32 ≳ 1 the f32 factors can't
+            // reduce the residual and each "correction" random-walks or
+            // grows the error; two consecutive steps that fail to improve
+            // on their predecessor stop the column instead of burning the
+            // remaining budget (one flat step alone is common near
+            // convergence, so a single miss is tolerated and the streak
+            // resets on improvement).
             if let Some(prev) = st.steps.last() {
                 if backward_error >= prev.backward_error {
                     st.non_improving += 1;

@@ -154,7 +154,7 @@ pub fn tournament<T: Scalar>(blocks: Vec<Candidates<T>>) -> Candidates<T> {
 /// winners with a single GEPP — the pivots a gather-to-root scheme would
 /// produce. The binary tree and the flat stack may elect different (both
 /// valid) pivot sets; the stability ablation
-/// (`bench/src/bin/ablation_tree_stability.rs`) compares their threshold
+/// (`repro ablation_tree_stability`) compares their threshold
 /// and growth statistics, and `dist::skeleton`'s [`TsluTree::Flat`]
 /// models the corresponding communication cost.
 ///

@@ -185,7 +185,7 @@ impl MachineConfig {
     /// to the POWER5 this machine has ~150x the flops but only ~8x the
     /// bandwidth and ~2x better latency — exactly the drift the paper's
     /// introduction predicts, which is why CALU's advantage is *larger*
-    /// here (see `fig_trend` / `latency_trends`).
+    /// here (see `repro fig_trend`).
     pub fn modern_cluster() -> Self {
         Self {
             name: "modern cluster",

@@ -7,7 +7,7 @@
 //! are omitted exactly where the paper omits them.
 //!
 //! For `γ` we take the machine's BLAS-3 rate (`gamma3`), since the paper's
-//! estimates fold all arithmetic into one rate; `model_check` quantifies
+//! estimates fold all arithmetic into one rate; `repro model_check` quantifies
 //! the gap against the multi-rate discrete-event simulation.
 
 use calu_netsim::MachineConfig;

@@ -16,7 +16,7 @@
 //!
 //! The equations use the paper's single-γ flop model; the discrete-event
 //! simulator in `calu-core::dist::skeleton` refines this with per-BLAS-level
-//! rates. `bench/src/bin/model_check.rs` quantifies the agreement.
+//! rates. `repro model_check` (`calu-bench`) quantifies the agreement.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

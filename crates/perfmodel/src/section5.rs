@@ -16,8 +16,8 @@
 //!   `O(n/b)`).
 //!
 //! [`compare`] evaluates every pair of terms for a concrete configuration,
-//! and the `section5_comparison` test-suite + `model_check` binary verify
-//! each of the paper's five claims numerically.
+//! and the tests below verify each of the paper's five claims numerically;
+//! `repro section5_comparison` prices them on both machine models.
 
 use calu_netsim::MachineConfig;
 

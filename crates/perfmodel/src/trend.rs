@@ -9,7 +9,7 @@
 //! module evolves a [`MachineConfig`] forward in time under those
 //! per-component exponential rates and re-evaluates Equations (2)/(3) at
 //! each point, so the claim becomes a curve
-//! (`bench/src/bin/fig_trend.rs` prints it).
+//! (`repro fig_trend` prints it).
 
 use crate::equations::{t_calu, t_pdgetrf};
 use calu_netsim::MachineConfig;

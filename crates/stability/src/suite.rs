@@ -46,83 +46,16 @@ pub fn hpl_sample_size(n: usize) -> usize {
     (s as usize).max(3)
 }
 
-fn one_case(
-    n: usize,
-    seed: u64,
-    factor: impl Fn(&Matrix, &mut PivotStats) -> LuFactors,
-) -> (PivotStats, f64, HplReport) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let a = gen::randn(&mut rng, n, n);
-    let b = gen::hpl_rhs(&mut rng, n);
-    let mut stats = PivotStats::new(a.max_abs());
-    let f = factor(&a, &mut stats);
-    let x = f.solve(&b);
-    let wb = componentwise_backward_error(&a, &x, &b);
-    let hpl = hpl_tests(&a, &x, &b);
-    (stats, wb, hpl)
-}
-
-fn aggregate(
-    n: usize,
-    p: usize,
-    b: usize,
-    samples: usize,
-    seed0: u64,
-    factor: impl Fn(&Matrix, &mut PivotStats) -> LuFactors,
-) -> StabilityRow {
-    let mut g_t = 0.0;
-    let mut tau_ave = 0.0;
-    let mut tau_min = f64::INFINITY;
-    let mut wb_sum = 0.0;
-    let mut h1 = 0.0;
-    let mut h2 = 0.0;
-    let mut h3 = 0.0;
-    let mut max_l = 0.0_f64;
-    for s in 0..samples {
-        let (stats, wb, hpl) = one_case(n, seed0 + s as u64, &factor);
-        g_t += stats.growth_factor(1.0);
-        tau_ave += stats.tau_ave();
-        tau_min = tau_min.min(stats.tau_min());
-        max_l = max_l.max(stats.max_l);
-        wb_sum += wb;
-        h1 += hpl.hpl1;
-        h2 += hpl.hpl2;
-        h3 += hpl.hpl3;
-    }
-    let sf = samples as f64;
-    StabilityRow {
-        n,
-        p,
-        b,
-        samples,
-        g_t: g_t / sf,
-        tau_ave: tau_ave / sf,
-        tau_min,
-        wb: wb_sum / sf,
-        hpl: HplReport { hpl1: h1 / sf, hpl2: h2 / sf, hpl3: h3 / sf },
-        max_l,
-    }
-}
-
 /// Runs one Table 1 cell: CALU with ca-pivoting at `(n, Pr = p, b)` over
-/// `samples` seeded instances.
+/// `samples` seeded random normal instances.
 pub fn run_calu_case(n: usize, p: usize, b: usize, samples: usize, seed0: u64) -> StabilityRow {
-    aggregate(n, p, b, samples, seed0, |a, stats| {
-        let mut lu = a.clone();
-        let ipiv =
-            calu_inplace(lu.view_mut(), CaluOpts { block: b, p, ..Default::default() }, stats)
-                .expect("random normal matrices are numerically nonsingular");
-        LuFactors { lu, ipiv }
-    })
+    run_calu_ensemble_case(Ensemble::Normal, n, p, b, samples, seed0)
 }
 
-/// Runs one Table 2 cell: GEPP at order `n` over `samples` instances.
+/// Runs one Table 2 cell: GEPP at order `n` over `samples` random normal
+/// instances.
 pub fn run_gepp_case(n: usize, b: usize, samples: usize, seed0: u64) -> StabilityRow {
-    aggregate(n, 0, b, samples, seed0, |a, stats| {
-        let mut lu = a.clone();
-        let ipiv = gepp_inplace(lu.view_mut(), b, stats).expect("nonsingular");
-        LuFactors { lu, ipiv }
-    })
+    run_gepp_ensemble_case(Ensemble::Normal, n, b, samples, seed0)
 }
 
 /// Matrix ensemble for [`run_calu_ensemble_case`] — the paper reports
@@ -170,8 +103,9 @@ impl Ensemble {
     }
 }
 
-/// Like [`run_calu_case`] but over a chosen ensemble. Growth factors are
-/// normalized by the ensemble's element standard deviation.
+/// CALU with ca-pivoting at `(n, Pr = p, b)` over `samples` draws of a
+/// chosen ensemble ([`run_calu_case`] is its `Normal` case). Growth factors
+/// are normalized by the ensemble's element standard deviation.
 pub fn run_calu_ensemble_case(
     ens: Ensemble,
     n: usize,
@@ -187,13 +121,11 @@ pub fn run_calu_ensemble_case(
                 .expect("nonsingular");
         LuFactors { lu, ipiv }
     };
-    let mut row = aggregate_ens(ens, n, p, b, samples, seed0, factor);
-    row.g_t /= ens.sigma();
-    row
+    aggregate_ens(ens, n, p, b, samples, seed0, factor)
 }
 
 /// GEPP over a chosen ensemble — the Table-2-style baseline for
-/// [`run_calu_ensemble_case`].
+/// [`run_calu_ensemble_case`] ([`run_gepp_case`] is its `Normal` case).
 pub fn run_gepp_ensemble_case(
     ens: Ensemble,
     n: usize,
@@ -206,9 +138,7 @@ pub fn run_gepp_ensemble_case(
         let ipiv = gepp_inplace(lu.view_mut(), b, stats).expect("nonsingular");
         LuFactors { lu, ipiv }
     };
-    let mut row = aggregate_ens(ens, n, 0, b, samples, seed0, factor);
-    row.g_t /= ens.sigma();
-    row
+    aggregate_ens(ens, n, 0, b, samples, seed0, factor)
 }
 
 /// Like [`run_calu_ensemble_case`] but factoring on the task-graph
@@ -235,11 +165,13 @@ pub fn run_resident_ensemble_case(
         .expect("nonsingular");
         LuFactors { lu, ipiv }
     };
-    let mut row = aggregate_ens(ens, n, n.div_ceil(b), b, samples, seed0, factor);
-    row.g_t /= ens.sigma();
-    row
+    aggregate_ens(ens, n, n.div_ceil(b), b, samples, seed0, factor)
 }
 
+/// The one sampling loop: `samples` draws of `ens` seeded `seed0`,
+/// `seed0 + 1`, …, each followed by an HPL right-hand side from the same
+/// stream, factored by `factor` and solved; means, minima and maxima in
+/// sample order, `gT` normalized by the ensemble's σ.
 fn aggregate_ens(
     ens: Ensemble,
     n: usize,
@@ -279,7 +211,7 @@ fn aggregate_ens(
         p,
         b,
         samples,
-        g_t: g_t / sf,
+        g_t: g_t / sf / ens.sigma(),
         tau_ave: tau_ave / sf,
         tau_min,
         wb: wb_sum / sf,
