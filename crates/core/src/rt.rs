@@ -41,6 +41,17 @@
 //! column-ordered swaps had landed, EXPERIMENTS.md "One shared-memory
 //! storage".)
 //!
+//! [`runtime_calu_factor`] does not clone its input up front. Its output
+//! starts out zeroed (untouched pages for `f32`/`f64`) and each step-0
+//! `PanelElect` copies its leaf's whole rows, all `n` columns, from the
+//! input before electing on them — as in the paper's TSLU, each processor
+//! reads its own block of rows. The copy is sound by existing edges: step
+//! 0's leaves partition the rows, and every other task that touches a row
+//! (bar the step's reduces, which touch only candidate slots) descends
+//! from the elect whose leaf holds it, through `PanelFinish(0)`. So the
+//! copy runs on the leaves in parallel and leaves the rows cache-warm for
+//! the election; [`runtime_calu_inplace`] copies nothing.
+//!
 //! The observer is shared behind a mutex, locked per callback (so a
 //! concurrent update's `on_stage` never waits out a panel task); its
 //! statistics are order-free (documented on
@@ -240,6 +251,9 @@ fn put_slot<T>(slots: &CandidateSlots<T>, i: usize, cand: Candidates<T>) {
 /// Binds the LU kernels to runtime tasks over one flat matrix.
 struct LuRunner<'a, T, O> {
     mat: SharedMat<T>,
+    /// The input, when `mat` starts out unwritten: each step-0 elect copies
+    /// its leaf's whole rows from here before electing on them.
+    src: Option<MatView<'a, T>>,
     ipiv: SharedIpiv,
     dag: &'a LuDag,
     local: LocalLu,
@@ -265,12 +279,27 @@ where
         match task {
             Task::PanelElect { leaf, .. } => {
                 let rows = &self.dag.panel_plan(k).leaves()[leaf];
-                // SAFETY: the elect only reads its leaf's rows of block
-                // column k (their step k-1 updates are done; the next
-                // writer, PanelFinish, is DAG-ordered after it through the
-                // reduce tree).
-                let src = unsafe { self.mat.block(base + rows.start, base, rows.len(), jb) };
-                let src = src.as_view();
+                let (r0, nr) = (base + rows.start, rows.len());
+                // Under a source, step 0's elect first writes its leaf's
+                // whole rows (base = 0, so columns 0..n); otherwise it
+                // only reads its rows of block column k.
+                let copy_from = self.src.filter(|_| k == 0);
+                let nc = if copy_from.is_some() { shape.n } else { jb };
+                // SAFETY: at step 0 the leaves partition rows 0..m, and
+                // every task that touches row r in any column other than
+                // this step's elects and reduces (which read only their
+                // slots) descends from the elect whose leaf holds r:
+                // PanelFinish(0) follows every elect through the reduce
+                // tree, and every other task of step 0 and of later steps
+                // follows PanelFinish(0). So the copy owns the leaf's whole
+                // rows. Without a copy the elect only reads its leaf's
+                // rows of block column k (their step k-1 updates are done;
+                // the next writer, PanelFinish, is DAG-ordered after it).
+                let mut leaf_rows = unsafe { self.mat.block(r0, base, nr, nc) };
+                if let Some(a) = copy_from {
+                    leaf_rows.copy_from(a.submatrix(r0, 0, nr, nc));
+                }
+                let src = leaf_rows.as_view().submatrix(0, 0, nr, jb);
                 // The leaf's one copy is the working matrix of its local LU;
                 // the winners' rows are gathered from the unfactored source.
                 let cand = elect_candidates(
@@ -374,18 +403,32 @@ where
 /// [`Error::SingularPivot`] with the **absolute** elimination step; all
 /// tasks that had not started are canceled.
 pub fn runtime_calu_inplace<T: Scalar, O: PivotObserver<T> + Send>(
+    a: MatViewMut<'_, T>,
+    opts: CaluOpts,
+    rt: RuntimeOpts,
+    obs: &mut O,
+) -> Result<(Vec<usize>, ExecReport)> {
+    factor_into(a, None, opts, rt, obs)
+}
+
+/// Factors into `a` on the runtime. With `src` (same shape) `a` may start
+/// out unwritten: the step-0 elects copy `src` into it, leaf by leaf.
+fn factor_into<T: Scalar, O: PivotObserver<T> + Send>(
     mut a: MatViewMut<'_, T>,
+    src: Option<MatView<'_, T>>,
     opts: CaluOpts,
     rt: RuntimeOpts,
     obs: &mut O,
 ) -> Result<(Vec<usize>, ExecReport)> {
     assert!(opts.block > 0 && opts.p > 0, "block and p must be positive");
+    debug_assert!(src.is_none_or(|s| (s.rows(), s.cols()) == (a.rows(), a.cols())));
     let shape = LuShape { m: a.rows(), n: a.cols(), nb: opts.block };
     let mut ipiv = vec![0usize; shape.m.min(shape.n)];
     let dag = LuDag::build_panels(shape, rt.lookahead, opts.panel_mode, opts.p);
     let plans = (0..shape.steps()).map(|k| dag.panel_plan(k));
     let runner = LuRunner {
         mat: SharedMat::new(&mut a),
+        src,
         ipiv: SharedIpiv::new(&mut ipiv),
         dag: &dag,
         local: opts.local,
@@ -407,6 +450,11 @@ pub fn runtime_calu_inplace<T: Scalar, O: PivotObserver<T> + Send>(
 
 /// Factors a copy of `a` on the runtime; see [`runtime_calu_inplace`].
 ///
+/// There is no up-front clone: each step-0 `PanelElect` copies its leaf's
+/// whole rows from `a` into the zeroed output before electing on them, so
+/// the copy runs on the leaves in parallel (the module doc says why that
+/// is sound).
+///
 /// # Errors
 /// Singular pivot (exact zero) at the reported absolute step.
 pub fn runtime_calu_factor<T: Scalar>(
@@ -414,8 +462,8 @@ pub fn runtime_calu_factor<T: Scalar>(
     opts: CaluOpts,
     rt: RuntimeOpts,
 ) -> Result<(LuFactors<T>, ExecReport)> {
-    let mut lu = a.clone();
-    let (ipiv, report) = runtime_calu_inplace(lu.view_mut(), opts, rt, &mut NoObs)?;
+    let mut lu = Matrix::zeros(a.rows(), a.cols());
+    let (ipiv, report) = factor_into(lu.view_mut(), Some(a.view()), opts, rt, &mut NoObs)?;
     Ok((LuFactors { lu, ipiv }, report))
 }
 
@@ -498,6 +546,64 @@ mod tests {
                             "{what}: factors must be bitwise identical to sequential"
                         );
                         assert_eq!(rep.order.len(), rep.timings.len());
+                    }
+                }
+            }
+        }
+    }
+
+    /// `runtime_calu_factor` copies its input inside step 0's elects: the
+    /// result must be bit for bit the in-place runtime on a clone and the
+    /// sequential sweep — the same pivots and factor bits, or the same
+    /// error — with `-0.0`, subnormals and a non-finite entry in the input,
+    /// on every shape, fewer rows than leaves, single rows and columns, and
+    /// empty matrices.
+    #[test]
+    fn step0_copy_is_bitwise_the_inplace_and_sequential_factor() {
+        type Bits = Result<(Vec<usize>, Vec<u64>)>;
+        let bits = |lu: &Matrix, ipiv: Vec<usize>| -> (Vec<usize>, Vec<u64>) {
+            (ipiv, lu.as_slice().iter().map(|x| x.to_bits()).collect())
+        };
+        let degenerate = [
+            (3, 10, 4, 8), // fewer rows than leaves
+            (1, 40, 16, 4),
+            (40, 1, 16, 4),
+            (0, 12, 8, 4),
+            (12, 0, 8, 4),
+            (0, 0, 8, 4),
+        ];
+        let finite = [-0.0, 5e-324, -1e-310, f64::MIN_POSITIVE / 3.0];
+        let non_finite = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let mut rng = StdRng::seed_from_u64(915);
+        for (s, &(m, n, b, p)) in SHAPES.iter().chain(&degenerate).enumerate() {
+            let mut a0: Matrix = gen::randn(&mut rng, m, n);
+            let len = m * n;
+            // Special values spread over the rows and columns; one
+            // non-finite entry more in the second input.
+            if len > 0 {
+                for (t, &v) in finite.iter().enumerate() {
+                    a0.as_mut_slice()[(t * len / finite.len() + t).min(len - 1)] = v;
+                }
+            }
+            let mut a1 = a0.clone();
+            if len > 0 {
+                a1.as_mut_slice()[(s * 7919) % len] = non_finite[s % non_finite.len()];
+            }
+            for a in [&a0, &a1] {
+                for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
+                    let opts = CaluOpts { block: b, p, panel_mode, ..Default::default() };
+                    let seq: Bits = calu_factor(a, opts).map(|f| bits(&f.lu, f.ipiv));
+                    for executor in executors() {
+                        let rt = RuntimeOpts { lookahead: 2, executor };
+                        let what = format!("{m}x{n} b={b} p={p} {panel_mode:?} {executor:?}");
+                        let copied: Bits =
+                            runtime_calu_factor(a, opts, rt).map(|(f, _)| bits(&f.lu, f.ipiv));
+                        let mut w = a.clone();
+                        let inplace: Bits =
+                            runtime_calu_inplace(w.view_mut(), opts, rt, &mut NoObs)
+                                .map(|(ipiv, _)| bits(&w, ipiv));
+                        assert_eq!(copied, seq, "{what}: copy path vs sequential");
+                        assert_eq!(inplace, seq, "{what}: in place vs sequential");
                     }
                 }
             }

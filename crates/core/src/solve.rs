@@ -4,14 +4,14 @@
 //! accuracy gate passes.
 
 use crate::calu::{CaluOpts, LuFactors};
-use crate::rt::{runtime_calu_factor, RuntimeOpts};
+use crate::rt::{runtime_calu_inplace, RuntimeOpts};
 use calu_matrix::blas2::gemv;
 use calu_matrix::lapack::{gecon, getri, getrs, getrs_mat, getrs_t};
 use calu_matrix::norms::{
     hpl_residuals_from_norms, mat_norm_1, mat_norm_inf, vec_norm_1, vec_norm_inf,
 };
 use calu_matrix::scalar::cast_slice;
-use calu_matrix::{MatViewMut, Matrix, Result, Scalar};
+use calu_matrix::{MatViewMut, Matrix, NoObs, Result, Scalar};
 
 /// Report from [`LuFactors::solve_refined`].
 #[derive(Debug, Clone, PartialEq)]
@@ -277,9 +277,11 @@ pub fn ir_solve_batch(
     assert_eq!(a.cols(), n, "ir_solve_batch: A must be square");
     assert_eq!(b.rows(), n, "ir_solve_batch: rhs rows mismatch");
 
-    // One factorization for the whole batch — the amortized O(n³) part.
-    let a32: Matrix<f32> = a.cast();
-    let (f32_factors, _exec) = runtime_calu_factor(&a32, opts.calu, opts.rt)?;
+    // One factorization for the whole batch — the amortized O(n³) part —
+    // in place on the cast, which is already a fresh copy.
+    let mut lu: Matrix<f32> = a.cast();
+    let (ipiv, _exec) = runtime_calu_inplace(lu.view_mut(), opts.calu, opts.rt, &mut NoObs)?;
+    let f32_factors = LuFactors { lu, ipiv };
 
     let mut report = IrBatchReport {
         per_rhs: Vec::with_capacity(k),

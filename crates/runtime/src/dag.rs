@@ -1287,6 +1287,77 @@ mod tests {
     }
 
     #[test]
+    fn every_toucher_of_a_row_descends_from_the_step0_elect_holding_it() {
+        // What lets step 0's elects write their leaves' whole rows (the
+        // runtime's input copy): step 0's leaves partition 0..m, and every
+        // task other than a step-0 elect or reduce has, for every row it
+        // touches in any column, the step-0 elect whose leaf holds that
+        // row as an ancestor. Rows are taken from the task definitions,
+        // not from the builder's edge lookups.
+        let overlap = |a: &std::ops::Range<usize>, b: &std::ops::Range<usize>| {
+            a.start < b.end && b.start < a.end
+        };
+        let shapes = [
+            (4400, 120, 40, 5), // tall, several apply chunks
+            (300, 300, 16, 4),  // square
+            (60, 100, 16, 4),   // wide
+            (40, 100, 64, 4),   // wide, one panel with a remainder column
+            (97, 97, 16, 3),    // ragged in both dimensions
+            (100, 60, 16, 4),   // tall and ragged
+            (40, 40, 64, 4),    // block bigger than the matrix
+            (5, 5, 8, 8),       // fewer rows than leaves
+        ];
+        for &(m, n, nb, p) in &shapes {
+            for mode in [PanelMode::Gathered, PanelMode::Resident] {
+                for depth in 1..=3 {
+                    let what = format!("{m}x{n} nb={nb} p={p} {mode:?} d={depth}");
+                    let g = LuDag::build_panels(LuShape { m, n, nb }, depth, mode, p);
+                    let shape = g.shape();
+                    let leaves = g.panel_plan(0).leaves().to_vec();
+                    assert_eq!(leaves[0].start, 0, "{what}");
+                    assert!(leaves.windows(2).all(|w| w[0].end == w[1].start), "{what}");
+                    assert_eq!(leaves.last().unwrap().end, m, "{what}");
+                    let elects: Vec<TaskId> = (0..leaves.len())
+                        .map(|leaf| find(&g, Task::PanelElect { k: 0, leaf }))
+                        .collect();
+                    let preds = predecessors(&g);
+                    for (id, &t) in g.tasks().iter().enumerate() {
+                        let k = t.step();
+                        let (base, jb) = (k * nb, shape.panel_width(k));
+                        let abs = |r: std::ops::Range<usize>| base + r.start..base + r.end;
+                        let plan = g.panel_plan(k);
+                        let top = base..base + jb;
+                        // Up to two row ranges; `0..0` overlaps nothing.
+                        let touched = match t {
+                            Task::PanelElect { k: 0, .. } | Task::PanelReduce { k: 0, .. } => {
+                                continue
+                            }
+                            Task::PanelElect { leaf, .. } => {
+                                [abs(plan.leaves()[leaf].clone()), 0..0]
+                            }
+                            Task::PanelReduce { .. } => [0..0, 0..0],
+                            Task::PanelFinish { .. } | Task::Swap { .. } => [base..m, 0..0],
+                            Task::PanelApply { chunk, .. } => [top, abs(plan.chunk(chunk))],
+                            Task::Trsm { .. } => [top, 0..0],
+                            Task::Gemm { i, .. } => [top, abs(plan.update_chunk(i))],
+                            Task::Dist(_) | Task::Solve(_) => unreachable!("factor DAG"),
+                        };
+                        let anc = ancestors(&preds, id);
+                        for (leaf, rows) in leaves.iter().enumerate() {
+                            if touched.iter().any(|r| overlap(r, rows)) {
+                                assert!(
+                                    anc[elects[leaf]],
+                                    "{what}: elect(0,{leaf}) must precede {t}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn model_orders_gathered_and_tile_leaf_plans_like_the_stopwatch() {
         // `tall_panel` (65536 x 128, nb 64) on the benchmark's two workers:
         // the stopwatch puts gathered (4 leaves, 3 matches per panel) ahead

@@ -11,7 +11,7 @@ use calu_repro::matrix::blas3::{gemm, trsm};
 use calu_repro::matrix::lapack::{getf2, getf2_info, getrf, GetrfOpts};
 use calu_repro::matrix::perm::apply_ipiv;
 use calu_repro::matrix::{gen, Diag, Error, Matrix, NoObs, Side, Uplo};
-use calu_repro::runtime::ExecutorKind;
+use calu_repro::runtime::{ExecutorKind, PanelPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -140,6 +140,40 @@ fn tall_rank_deficient_panel_fails_in_finish_and_leaves_applies_and_gemms_unrun(
                     for i in c1..m {
                         assert!(held.contains(&row(&w, i)), "{what}: row {i} was eliminated");
                     }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn singularity_in_the_rows_step0_copies_matches_sequential_on_every_executor() {
+    // `runtime_calu_factor` copies its input inside step 0's elects, so the
+    // hazards sit in the rows those elects copy: one step-0 leaf's rows
+    // exactly zero (they stay zero, so the factor dies once only they
+    // remain), and an exactly zero column in the leading block column (the
+    // leading block is singular; PanelFinish(0) fails right after the
+    // copies). Every executor and depth reports the sequential sweep's
+    // step and returns, so no task is left waiting on a canceled one.
+    let (n, b, p) = (48, 8, 4);
+    let mut rng = StdRng::seed_from_u64(781);
+    let base = gen::randn(&mut rng, n, n);
+    for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
+        let leaf = PanelPlan::new(n, b, b, p, panel_mode).leaves()[1].clone();
+        let zero_leaf =
+            Matrix::from_fn(n, n, |i, j| if leaf.contains(&i) { 0.0 } else { base[(i, j)] });
+        let zero_col = Matrix::from_fn(n, n, |i, j| if j == 5 { 0.0 } else { base[(i, j)] });
+        for (name, a, step) in
+            [("zero leaf", zero_leaf, n - leaf.len()), ("singular leading block", zero_col, 5)]
+        {
+            let opts = CaluOpts { block: b, p, panel_mode, ..Default::default() };
+            let want = calu_factor(&a, opts).unwrap_err();
+            assert_eq!(want, Error::SingularPivot { step }, "{name} {panel_mode:?}: sequential");
+            for lookahead in 1..=3 {
+                for executor in EXECUTORS {
+                    let rt = RuntimeOpts { lookahead, executor };
+                    let e = runtime_calu_factor(&a, opts, rt).unwrap_err();
+                    assert_eq!(e, want, "{name} {panel_mode:?} d={lookahead} {executor:?}");
                 }
             }
         }
