@@ -66,7 +66,7 @@ use crate::comm::{
 use crate::rt::SharedIpiv;
 use crate::tournament::{reduce_pair, Candidates};
 use crate::tslu::{local_candidates, winners_to_ipiv, LocalLu};
-use calu_matrix::blas1::scal;
+use calu_matrix::blas1::{iamax, scal};
 use calu_matrix::blas2::ger;
 use calu_matrix::blas3::{gemm, trsm};
 use calu_matrix::lapack::lu_nopiv;
@@ -195,16 +195,20 @@ impl<T: Scalar> Rect<'_, T> {
 
     /// The partial-pivoting scan of a one-column rectangle: the first
     /// strict maximum of `|v|` in ascending row order, as `(|v|, local row,
-    /// v)` — `(−∞, usize::MAX, 0)` over no rows.
+    /// v)` — `(−∞, usize::MAX, 0)` over no rows or only NaNs. Each tile
+    /// block is one [`iamax`], and the blocks fold by the same strict `>`.
     pub(crate) fn col_amax(&self) -> (T, usize, T) {
         debug_assert_eq!(self.cols.len(), 1);
         let first = self.rows.start;
         let mut best = (T::NEG_INFINITY, usize::MAX, T::ZERO);
         self.for_each_block(|ro, _, block| {
-            for (i, &v) in block.col(0).iter().enumerate() {
-                if v.abs() > best.0 {
-                    best = (v.abs(), first + ro + i, v);
-                }
+            let col = block.col(0);
+            if col.is_empty() {
+                return;
+            }
+            let i = iamax(col);
+            if col[i].abs() > best.0 {
+                best = (col[i].abs(), first + ro + i, col[i]);
             }
         });
         best

@@ -214,6 +214,8 @@ fn rebase_singular(base: usize) -> impl Fn(Error) -> Error {
 struct MutexObs<'a, 'o, O>(&'a Mutex<&'o mut O>);
 
 impl<T: Scalar, O: PivotObserver<T> + Send> PivotObserver<T> for MutexObs<'_, '_, O> {
+    const WATCHES_VALUES: bool = O::WATCHES_VALUES;
+
     fn on_pivot(&mut self, step: usize, pivot: T, col_max: T) {
         self.0.lock().expect("observer mutex poisoned").on_pivot(step, pivot, col_max);
     }
@@ -675,6 +677,48 @@ mod tests {
                 assert_eq!(s_seq.tau_ave(), s_rt.tau_ave(), "{what}");
                 assert_eq!(s_seq.max_elem, s_rt.max_elem, "{what}");
                 assert_eq!(s_seq.max_l, s_rt.max_l, "{what}");
+            }
+        }
+    }
+
+    /// Factors and pivots of `calu_inplace`, `runtime_calu_inplace` and
+    /// `tslu_factor` (on the first panel) under one observer, as bits.
+    fn factors_under<O: PivotObserver + Send>(
+        a0: &Matrix,
+        opts: CaluOpts,
+        obs: &mut O,
+    ) -> [(Vec<usize>, Vec<u64>); 3] {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut seq = a0.clone();
+        let seq_ipiv = calu_inplace(seq.view_mut(), opts, obs).unwrap();
+        let mut rt = a0.clone();
+        let rt_opts = RuntimeOpts { lookahead: 2, ..Default::default() };
+        let (rt_ipiv, _) = runtime_calu_inplace(rt.view_mut(), opts, rt_opts, obs).unwrap();
+        let width = opts.block.min(a0.cols()).min(a0.rows());
+        let mut panel = a0.view().submatrix(0, 0, a0.rows(), width).to_matrix();
+        let r = crate::tslu::tslu_factor(panel.view_mut(), opts.p, opts.local, obs).unwrap();
+        let mut tslu_rows = r.ipiv;
+        tslu_rows.extend(r.pivot_rows);
+        [(seq_ipiv, bits(&seq)), (rt_ipiv, bits(&rt)), (tslu_rows, bits(&panel))]
+    }
+
+    /// `PivotStats` watches values, so every kernel under it keeps its
+    /// column-by-column path; `NoObs` does not, so the kernels take their
+    /// SIMD arm where the host has one. Same factors and pivots either way.
+    #[test]
+    fn observed_and_unobserved_factors_are_bitwise_equal() {
+        let mut rng = StdRng::seed_from_u64(914);
+        for &(m, n, b, p) in &SHAPES {
+            let a0: Matrix = gen::randn(&mut rng, m, n);
+            for panel_mode in [PanelMode::Gathered, PanelMode::Resident] {
+                let opts = CaluOpts { block: b, p, panel_mode, ..Default::default() };
+                let observed = factors_under(&a0, opts, &mut PivotStats::new(a0.max_abs()));
+                let plain = factors_under(&a0, opts, &mut NoObs);
+                for (what, (o, q)) in
+                    ["calu", "runtime", "tslu"].iter().zip(observed.iter().zip(&plain))
+                {
+                    assert!(o == q, "{what} {m}x{n} b={b} p={p} {panel_mode:?}");
+                }
             }
         }
     }

@@ -145,6 +145,8 @@ struct TopBlockObs<'a, T, O> {
 }
 
 impl<T: Scalar, O: PivotObserver<T>> PivotObserver<T> for TopBlockObs<'_, T, O> {
+    const WATCHES_VALUES: bool = O::WATCHES_VALUES;
+
     fn on_pivot(&mut self, step: usize, pivot: T, col_max: T) {
         debug_assert_eq!(step, self.tau.pivot.len());
         self.tau.pivot.push(pivot);

@@ -2,26 +2,48 @@
 //! routine of the same name exists. Generic over [`Scalar`] (`IDAMAX`
 //! becomes `ISAMAX` at `T = f32`, and so on).
 
+use crate::blas3::Arm;
 use crate::scalar::Scalar;
 
 /// Index of the first element of maximum absolute value (BLAS `IDAMAX`
 /// semantics: ties resolve to the smallest index; NaNs are ignored unless
 /// every entry is NaN, in which case 0 is returned).
 ///
+/// One pass on the arm [`gemm`](crate::blas3::gemm) runs on: on a SIMD arm
+/// each lane keeps its best `|x|` and where it saw it, by strict `>`, and
+/// the lanes fold to the smallest index of the largest value; the portable
+/// arm compares element by element. Same index on every arm.
+///
 /// # Panics
 /// If `x` is empty.
 pub fn iamax<T: Scalar>(x: &[T]) -> usize {
+    iamax_on(Arm::detect(), x)
+}
+
+/// [`iamax`] on a stated arm; tests hold every arm to one contract on one
+/// host.
+///
+/// # Panics
+/// If `x` is empty.
+pub fn iamax_on<T: Scalar>(arm: Arm, x: &[T]) -> usize {
     assert!(!x.is_empty(), "iamax of empty vector");
-    let mut best_i = 0;
-    let mut best = T::NEG_INFINITY;
-    for (i, &v) in x.iter().enumerate() {
+    match T::panel_kernel(arm) {
+        Some(kernel) => kernel.iamax(x),
+        None => first_max(x, 0, (T::NEG_INFINITY, 0)).1,
+    }
+}
+
+/// The portable arm of [`iamax`], and the scan its SIMD arms finish with:
+/// from `start` on, the first `|x_i|` strictly above `best.0`, as
+/// `(|x_i|, i)`.
+pub(crate) fn first_max<T: Scalar>(x: &[T], start: usize, mut best: (T, usize)) -> (T, usize) {
+    for (i, &v) in x.iter().enumerate().skip(start) {
         let a = v.abs();
-        if a > best {
-            best = a;
-            best_i = i;
+        if a > best.0 {
+            best = (a, i);
         }
     }
-    best_i
+    best
 }
 
 /// `y += alpha * x` (BLAS `DAXPY`).

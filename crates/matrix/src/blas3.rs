@@ -53,10 +53,13 @@
 //! nothing else: halve the triangle, solve the half the other depends on,
 //! subtract its contribution from the other half's right-hand sides with one
 //! packed [`gemm_on`], solve the other half. At order 16 (`Side::Left`) or 8
-//! (`Side::Right`) it bottoms out in scalar substitution on the diagonal
-//! block — for `Left` sixteen right-hand columns side by side, so that a
+//! (`Side::Right`) it bottoms out in substitution on the diagonal block —
+//! for `Left` sixteen right-hand columns side by side, so that a
 //! substitution step is one vector operation and not sixteen dependent
-//! scalar chains; for `Right` a `scal` and a `ger` down the columns of `B`.
+//! scalar chains; for `Right` a `scal` and a `ger` down the columns of `B`
+//! on the portable arm, and on a SIMD arm one vector of rows eliminated
+//! across all the block's columns at once (`panel_kernel.rs`), with the
+//! same unfused operations in the same order.
 //! Three quarters (`Left`) or seven eighths (`Right`) of the arithmetic of a
 //! 64 × 64 triangle is `gemm`'s. The rows of a `Right` solve are walked in
 //! cache blocks of 1024 (512 KiB of a 64-column panel, resident in L2 across
@@ -73,7 +76,8 @@
 //! and the `gemm` arm, and of nothing else** — not of how many other lines
 //! the call carried, of where the line sat among them, of the leading
 //! dimensions, or of the cache blocks: the split depends on the triangle's
-//! order only, the base cases are per element, and `gemm` is position
+//! order only, the base cases are per element (on a SIMD arm too: a row's
+//! lane in a vector sees what the scalar loop does), and `gemm` is position
 //! independent. So any partition of the free dimension into calls gives the
 //! bits of one call. That is the contract every factorization path leans on
 //! — the runtime's `Trsm` tasks per block column, the tile-by-tile solves of
@@ -81,14 +85,25 @@
 //! them bitwise equal to one another.
 //! [`lu_rows`](crate::lapack::lu_rows) *is* the `Right`/`Upper`/`NonUnit`
 //! recursion, watched (column maxima, observer events), not a second one.
+//!
+//! # Which kernels fuse
+//!
+//! [`Arm`] picks the vector width of every kernel under a panel task, not
+//! only of `gemm`: the SIMD arms also carry `iamax`, `getf2`'s column step
+//! and the `Side::Right` base above (`panel_kernel.rs`). `gemm`'s
+//! micro-kernels fuse the multiply-add on the SIMD arms, so their bits
+//! depend on the arm being fused or not; the panel kernels never fuse, so
+//! theirs are the portable loops' bits on every arm.
 //! The solve phase ([`getrs`](crate::lapack::getrs),
 //! [`getrs_mat`](crate::lapack::getrs_mat)) is two `Left` calls, so a
 //! right-hand side solved alone has the bits of the same column solved in
 //! any batch.
 
+mod panel_kernel;
 mod trsm;
 mod ukernel;
 
+pub use panel_kernel::PanelKernel;
 pub(crate) use trsm::{solve_right, Watch};
 pub use ukernel::{Arm, Ukernel};
 

@@ -3,16 +3,17 @@
 //! packed `gemm` for every off-diagonal update (contract and shape: the
 //! `trsm` section of `super`'s module documentation).
 
+use super::panel_kernel::Triangle;
 use super::{gemm_on, scale, Arm};
-use crate::blas1::scal;
+use crate::blas1::{amax, scal};
 use crate::blas2::ger;
 use crate::scalar::Scalar;
 use crate::view::{MatView, MatViewMut};
 use crate::{Diag, Side, Uplo};
 
 /// `Side::Right`: triangle order at which the recursion bottoms out into
-/// `scal` + `ger`.
-const BASE: usize = 8;
+/// `scal` + `ger` (or the SIMD arm's register-tile elimination).
+pub(super) const BASE: usize = 8;
 /// `Side::Left`: triangle order at which the recursion bottoms out into
 /// scalar substitution.
 const LEFT_BASE: usize = 16;
@@ -27,17 +28,26 @@ const GROUP: usize = 16;
 /// as column maxima and to its pivot observer. `trsm` itself watches
 /// nothing (`()`), and the calls vanish.
 pub(crate) trait Watch<T: Scalar> {
-    /// Column `j` of the triangle is about to be eliminated; `col` is that
-    /// column of the row block, every earlier update applied, not yet
-    /// divided by the diagonal.
-    fn column(&mut self, _j: usize, _col: &[T]) {}
+    /// Whether [`Self::multipliers`] and [`Self::stage`] read the values
+    /// they are shown. When not, the base case may run on the SIMD arm,
+    /// which eliminates a row tile across all its columns at once and
+    /// reports neither.
+    const WATCHES_VALUES: bool = true;
+    /// The column maxima to raise, one per column of the triangle: entry
+    /// `j` to the largest `|b_ij|` of column `j` just before it is divided
+    /// by the diagonal, every earlier update applied. `None`: not watched.
+    fn col_max(&mut self) -> Option<&mut [T]> {
+        None
+    }
     /// The same column after the division: the block's entries of `X`.
     fn multipliers(&mut self, _col: &[T]) {}
     /// A block of `B` that an update just rewrote.
     fn stage(&mut self, _changed: &MatView<'_, T>) {}
 }
 
-impl<T: Scalar> Watch<T> for () {}
+impl<T: Scalar> Watch<T> for () {
+    const WATCHES_VALUES: bool = false;
+}
 
 /// [`super::trsm`] on a stated `gemm` arm.
 pub(super) fn trsm_on<T: Scalar>(
@@ -164,7 +174,13 @@ fn right<T: Scalar, W: Watch<T>>(
 ) {
     let w = b.cols();
     if w <= BASE {
-        eliminate(uplo, diag, a, b, j0, watch);
+        match T::panel_kernel(arm) {
+            Some(kernel) if !W::WATCHES_VALUES => {
+                let col_max = watch.col_max().map(|c| &mut c[j0..j0 + w]);
+                kernel.eliminate(&Triangle::new(uplo, diag, a), b, col_max);
+            }
+            _ => eliminate(uplo, diag, a, b, j0, watch),
+        }
         return;
     }
     let w1 = w / 2;
@@ -188,9 +204,10 @@ fn right<T: Scalar, W: Watch<T>>(
     }
 }
 
-/// The base of [`right`]: column by column — left to right for `Upper`,
-/// right to left for `Lower` — divide by the diagonal, then one rank-1
-/// update of the columns still to come.
+/// The base of [`right`] on the portable arm, and wherever the values are
+/// watched: column by column — left to right for `Upper`, right to left
+/// for `Lower` — divide by the diagonal, then one rank-1 update of the
+/// columns still to come.
 fn eliminate<T: Scalar, W: Watch<T>>(
     uplo: Uplo,
     diag: Diag,
@@ -202,7 +219,9 @@ fn eliminate<T: Scalar, W: Watch<T>>(
     let w = b.cols();
     let mut arow = [T::ZERO; BASE];
     let mut step = |j: usize, rest: std::ops::Range<usize>| {
-        watch.column(j0 + j, b.col(j));
+        if let Some(col_max) = watch.col_max() {
+            col_max[j0 + j] = col_max[j0 + j].max(amax(b.col(j)));
+        }
         if let Diag::NonUnit = diag {
             scal(a.get(j, j).recip(), b.col_mut(j));
         }
@@ -226,5 +245,61 @@ fn eliminate<T: Scalar, W: Watch<T>>(
     match uplo {
         Uplo::Upper => (0..w).for_each(|j| step(j, j + 1..w)),
         Uplo::Lower => (0..w).rev().for_each(|j| step(j, 0..j)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{gen, Matrix};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A watch that sees values (the trait's default): every base case it
+    /// takes part in stays column by column.
+    struct Stepwise;
+
+    impl<T: Scalar> Watch<T> for Stepwise {}
+
+    fn both_paths_agree<T: Scalar>() {
+        let mut rng = StdRng::seed_from_u64(343);
+        let arms = [Some(Arm::portable()), Arm::avx2_fma(), Arm::avx512()];
+        let special = [-0.0, 1e-40, f64::INFINITY, f64::NEG_INFINITY, f64::NAN].map(T::from_f64);
+        for (w, m) in [(9, 67), (16, 1030), (64, 131), (65, 17)] {
+            let mut a = gen::randn::<T>(&mut rng, w, w);
+            for j in 0..w {
+                a[(j, j)] += T::from_f64(2.0 * w as f64);
+                a[(rng.gen_range(0..w), j)] = T::ZERO;
+            }
+            let mut b0 = gen::randn::<T>(&mut rng, m, w);
+            for v in special {
+                b0[(rng.gen_range(0..m), rng.gen_range(0..w))] = v;
+            }
+            for arm in arms.into_iter().flatten() {
+                for uplo in [Uplo::Upper, Uplo::Lower] {
+                    for diag in [Diag::NonUnit, Diag::Unit] {
+                        let (mut fast, mut stepwise) = (b0.clone(), b0.clone());
+                        solve_right(arm, uplo, diag, a.view(), fast.view_mut(), &mut ());
+                        solve_right(arm, uplo, diag, a.view(), stepwise.view_mut(), &mut Stepwise);
+                        let bits = |x: &Matrix<T>| -> Vec<u64> {
+                            x.as_slice()
+                                .iter()
+                                .map(|v| if v.is_nan() { 0 } else { v.to_f64().to_bits() })
+                                .collect()
+                        };
+                        let at = format!("{} {} {uplo:?} {diag:?} {m}x{w}", arm.name(), T::NAME);
+                        assert!(bits(&fast) == bits(&stepwise), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Above the base order the recursion runs `gemm`, so the arms differ;
+    /// on each arm the register-tile base gives the column-by-column bits.
+    #[test]
+    fn right_base_gives_the_stepwise_bits_on_every_arm() {
+        both_paths_agree::<f64>();
+        both_paths_agree::<f32>();
     }
 }

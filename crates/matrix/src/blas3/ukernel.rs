@@ -26,6 +26,12 @@
 //! `l` from zero and fold with `fma(α, Σ, c)`, so they produce the same
 //! bits — the bits of `gemm` depend on the input and on whether the arm
 //! fuses, and on nothing else (see `super`'s module documentation).
+//!
+//! An [`Arm`] also selects the panel kernels of `panel_kernel.rs` — `iamax`,
+//! `getf2`'s column step and `trsm`'s `Side::Right` base — at the same
+//! vector width (its AVX-512 and AVX2 instances; the portable arm keeps the
+//! scalar loops). Those never fuse: they multiply, then add, so their bits
+//! are the portable arm's on every arm. Only `gemm`'s micro-kernels fuse.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -45,10 +51,10 @@ const MAX_TILE: usize = 32 * 8;
 /// `Arm` naming SIMD kernels can only be obtained on a host that has their
 /// features.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Arm(Isa);
+pub struct Arm(pub(super) Isa);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Isa {
+pub(super) enum Isa {
     Portable,
     #[cfg(target_arch = "x86_64")]
     Avx2Fma,

@@ -1,7 +1,10 @@
-//! Classic unblocked LU with partial pivoting (`DGETF2`).
+//! Classic unblocked LU with partial pivoting (`DGETF2`), column by column
+//! as LAPACK writes it, and in one pass over the rows per step on a SIMD
+//! arm (the same bits; [`getf2_info_on`]).
 
-use crate::blas1::{iamax, scal};
+use crate::blas1::{iamax_on, scal};
 use crate::blas2::ger;
+use crate::blas3::{Arm, PanelKernel};
 use crate::error::{Error, Result};
 use crate::observer::PivotObserver;
 use crate::scalar::Scalar;
@@ -44,23 +47,51 @@ pub fn getf2<T: Scalar, O: PivotObserver<T>>(
 /// tournament uses this variant and only the final no-pivot panel
 /// factorization enforces non-singularity.
 pub fn getf2_info<T: Scalar, O: PivotObserver<T>>(
+    a: MatViewMut<'_, T>,
+    ipiv: &mut [usize],
+    obs: &mut O,
+) -> Option<usize> {
+    getf2_info_on(Arm::detect(), a, ipiv, obs)
+}
+
+/// [`getf2_info`] on a stated arm: one pass over the rows per step on a
+/// SIMD arm (for an observer that does not watch values), column by column
+/// on the portable arm. Same factors, pivots and `info` on every arm; tests
+/// hold every arm to that on one host.
+///
+/// # Panics
+/// As [`getf2_info`].
+pub fn getf2_info_on<T: Scalar, O: PivotObserver<T>>(
+    arm: Arm,
+    a: MatViewMut<'_, T>,
+    ipiv: &mut [usize],
+    obs: &mut O,
+) -> Option<usize> {
+    let (m, n) = (a.rows(), a.cols());
+    assert_eq!(ipiv.len(), m.min(n), "getf2: ipiv length must be min(m,n)");
+    match T::panel_kernel(arm) {
+        Some(kernel) if !O::WATCHES_VALUES => by_passes(kernel, a, ipiv, obs),
+        _ => column_by_column(arm, a, ipiv, obs),
+    }
+}
+
+/// `DGETF2` as LAPACK writes it: per column, the pivot search, the swap,
+/// the scaling of the multipliers and one rank-1 update, each its own
+/// sweep, reporting every event to `obs`.
+fn column_by_column<T: Scalar, O: PivotObserver<T>>(
+    arm: Arm,
     mut a: MatViewMut<'_, T>,
     ipiv: &mut [usize],
     obs: &mut O,
 ) -> Option<usize> {
     let (m, n) = (a.rows(), a.cols());
-    let kn = m.min(n);
-    assert_eq!(ipiv.len(), kn, "getf2: ipiv length must be min(m,n)");
-    if kn == 0 {
-        return None;
-    }
     let mut info = None;
     // Scratch for the U row gathered once per step (rows are strided).
     let mut urow = vec![T::ZERO; n.saturating_sub(1)];
 
     #[allow(clippy::needless_range_loop)] // LAPACK-style column sweep
-    for j in 0..kn {
-        let p = j + iamax(&a.col(j)[j..]);
+    for j in 0..ipiv.len() {
+        let p = j + iamax_on(arm, &a.col(j)[j..]);
         let col_max = a.get(p, j).abs();
         // Partial pivoting uses the column max itself as pivot.
         obs.on_pivot(j, col_max, col_max);
@@ -95,6 +126,50 @@ pub fn getf2_info<T: Scalar, O: PivotObserver<T>>(
             }
             obs.on_stage(&right.submatrix(j + 1, 0, m - j - 1, width));
         }
+    }
+    info
+}
+
+/// The same steps on a SIMD arm, reporting only `on_pivot`: after the swap,
+/// one pass over the rows below the pivot per block of trailing columns
+/// scales the multipliers, applies the rank-1 update (`ger`'s operations,
+/// its zero skips) and finds the next column's pivot among the new values
+/// ([`PanelKernel::step`](crate::blas3::PanelKernel)).
+fn by_passes<T: Scalar, O: PivotObserver<T>>(
+    kernel: PanelKernel<T>,
+    mut a: MatViewMut<'_, T>,
+    ipiv: &mut [usize],
+    obs: &mut O,
+) -> Option<usize> {
+    let (m, n) = (a.rows(), a.cols());
+    let mut info = None;
+    // `ger`'s coefficients `−1 · u_c` of the step's trailing columns.
+    let mut s = vec![T::ZERO; n.saturating_sub(1)];
+    // Column `j`'s pivot among rows `j..`, when step `j − 1`'s pass found it.
+    let mut next = None;
+    #[allow(clippy::needless_range_loop)] // LAPACK-style column sweep
+    for j in 0..ipiv.len() {
+        let p = j + next.take().unwrap_or_else(|| kernel.iamax(&a.col(j)[j..]));
+        let col_max = a.get(p, j).abs();
+        obs.on_pivot(j, col_max, col_max);
+        ipiv[j] = p;
+        if col_max == T::ZERO || !col_max.is_finite() {
+            info = info.or(Some(j));
+        }
+        if col_max == T::ZERO || j + 1 == m {
+            continue;
+        }
+        if p != j {
+            a.swap_rows(j, p);
+        }
+        let inv = a.get(j, j).recip();
+        let width = n - j - 1;
+        for (t, c) in s.iter_mut().zip(j + 1..n) {
+            *t = -T::ONE * a.get(j, c);
+        }
+        let (mut left, right) = a.rb_mut().split_at_col_mut(j + 1);
+        let trailing = right.into_submatrix(j + 1, 0, m - j - 1, width);
+        next = kernel.step(&mut left.col_mut(j)[j + 1..], inv, trailing, &s[..width]);
     }
     info
 }

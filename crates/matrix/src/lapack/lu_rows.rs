@@ -18,15 +18,20 @@
 //!
 //! **The bits of an output row are a function of that row, `U₁₁` and the
 //! `gemm` arm, and nothing else.** The recursion splits on the column count
-//! only; `scal` and `ger` are per element; `gemm` is position independent
-//! (see [`blas3`](crate::blas3)). So any partition of the rows into calls —
+//! only; `gemm` is position independent (see [`blas3`](crate::blas3)); and
+//! the base case of at most eight columns is per element on every arm. On
+//! the portable arm, and under an observer that watches values, it is
+//! `scal` and `ger` column by column; on a SIMD arm it eliminates a vector
+//! of rows across all its columns at once with the column maxima held in
+//! registers — the same multiplies and adds, never fused, in the same
+//! order, with the same skipped zero coefficients, so the same bits. So
+//! any partition of the rows into calls —
 //! one call, one per tile, one per task chunk, the cache blocks this kernel
 //! walks internally — through views of any leading dimension gives the same
 //! factors bit for bit. The result differs from the unblocked sweep in the
 //! last place (a `gemm` subtracts a finished sum where `ger` subtracts term
 //! by term).
 
-use crate::blas1::amax;
 use crate::blas3::{solve_right, Arm, Watch};
 use crate::error::{Error, Result};
 use crate::observer::PivotObserver;
@@ -97,8 +102,10 @@ struct Panel<'a, T, O> {
 }
 
 impl<T: Scalar, O: PivotObserver<T>> Watch<T> for Panel<'_, T, O> {
-    fn column(&mut self, j: usize, col: &[T]) {
-        self.col_max[j] = self.col_max[j].max(amax(col));
+    const WATCHES_VALUES: bool = O::WATCHES_VALUES;
+
+    fn col_max(&mut self) -> Option<&mut [T]> {
+        Some(self.col_max)
     }
 
     fn multipliers(&mut self, col: &[T]) {
@@ -113,6 +120,7 @@ impl<T: Scalar, O: PivotObserver<T>> Watch<T> for Panel<'_, T, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blas1::amax;
     use crate::lapack::lu_nopiv;
     use crate::{gen, Matrix, NoObs};
     use rand::rngs::StdRng;

@@ -34,10 +34,10 @@ mod rgetf2;
 
 pub use gecon::{gecon, inv_norm1_est};
 pub use geequ::{geequ, laqge, unscale_solution, Equilibration};
-pub use getf2::{getf2, getf2_info};
+pub use getf2::{getf2, getf2_info, getf2_info_on};
 pub use getrf::{getrf, GetrfOpts, PanelAlg};
 pub use getri::{getri, trtri_upper};
 pub use getrs::{getrs, getrs_mat, getrs_t};
 pub use lu_nopiv::{lu_nopiv, lu_nopiv_blocked};
 pub use lu_rows::{lu_rows, lu_rows_on};
-pub use rgetf2::{rgetf2, rgetf2_info};
+pub use rgetf2::{rgetf2, rgetf2_info, rgetf2_info_on};

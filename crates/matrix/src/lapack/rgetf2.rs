@@ -4,8 +4,15 @@
 //! The recursion turns almost all of the panel work into `trsm`/`gemm`
 //! (BLAS-3), which is why the paper's TSLU-with-recursive-local-LU wins big
 //! on large matrices (Tables 3-4) while classic `getf2` stays memory bound.
+//! What is left is the base case, `getf2` on at most four columns of the
+//! full height (16384 × 4 on a `tall_panel` leaf): on a SIMD arm each of
+//! its steps is one pass over the rows that scales the multipliers,
+//! updates the trailing columns and finds the next pivot, so the base
+//! streams its columns once per step instead of three times. Every level
+//! runs on one arm ([`rgetf2_info_on`]); the factors are those of the
+//! portable `getf2` loops under that arm's `gemm`.
 
-use crate::blas3::{gemm, trsm};
+use crate::blas3::{gemm_on, trsm_on, Arm};
 use crate::error::Result;
 use crate::observer::PivotObserver;
 use crate::perm::apply_ipiv;
@@ -47,6 +54,20 @@ pub fn rgetf2<T: Scalar, O: PivotObserver<T>>(
 /// # Panics
 /// If `m < n` (panels in LU are always tall) or `ipiv.len() != n`.
 pub fn rgetf2_info<T: Scalar, O: PivotObserver<T>>(
+    a: MatViewMut<'_, T>,
+    ipiv: &mut [usize],
+    obs: &mut O,
+) -> Option<usize> {
+    rgetf2_info_on(Arm::detect(), a, ipiv, obs)
+}
+
+/// [`rgetf2_info`] on a stated arm, for `gemm`, `trsm` and the `getf2` base
+/// alike; tests hold every arm to one contract on one host.
+///
+/// # Panics
+/// As [`rgetf2_info`].
+pub fn rgetf2_info_on<T: Scalar, O: PivotObserver<T>>(
+    arm: Arm,
     mut a: MatViewMut<'_, T>,
     ipiv: &mut [usize],
     obs: &mut O,
@@ -58,7 +79,7 @@ pub fn rgetf2_info<T: Scalar, O: PivotObserver<T>>(
         return None;
     }
     if n <= BASE_WIDTH {
-        return crate::lapack::getf2_info(a, ipiv, obs);
+        return crate::lapack::getf2_info_on(arm, a, ipiv, obs);
     }
 
     let n1 = n / 2;
@@ -67,7 +88,7 @@ pub fn rgetf2_info<T: Scalar, O: PivotObserver<T>>(
     // Factor the left half A[:, :n1] recursively (full height).
     let left_info = {
         let left = a.submatrix_mut(0, 0, m, n1);
-        rgetf2_info(left, &mut ipiv[..n1], obs)
+        rgetf2_info_on(arm, left, &mut ipiv[..n1], obs)
     };
 
     // Apply the left half's swaps to the right half, then split.
@@ -81,18 +102,18 @@ pub fn rgetf2_info<T: Scalar, O: PivotObserver<T>>(
         let (left, right) = a.rb_mut().split_at_col_mut(n1);
         let (mut r_top, mut r_bot) = right.split_at_row_mut(n1);
         let l11 = left.submatrix(0, 0, n1, n1);
-        trsm(Side::Left, Uplo::Lower, Diag::Unit, T::ONE, l11, r_top.rb_mut());
+        trsm_on(arm, Side::Left, Uplo::Lower, Diag::Unit, T::ONE, l11, r_top.rb_mut());
 
         // A22 -= L21 * U12.
         let l21 = left.submatrix(n1, 0, m - n1, n1);
-        gemm(-T::ONE, l21, r_top.as_view(), T::ONE, r_bot.rb_mut());
+        gemm_on(arm, -T::ONE, l21, r_top.as_view(), T::ONE, r_bot.rb_mut());
         obs.on_stage(&r_bot.as_view());
     }
 
     // Factor the trailing block recursively.
     let right_info = {
         let trailing = a.submatrix_mut(n1, n1, m - n1, n2);
-        rgetf2_info(trailing, &mut ipiv[n1..], obs)
+        rgetf2_info_on(arm, trailing, &mut ipiv[n1..], obs)
     };
 
     // The trailing factorization's swaps are local to rows n1..m; apply them
@@ -110,6 +131,7 @@ pub fn rgetf2_info<T: Scalar, O: PivotObserver<T>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blas3::gemm;
     use crate::gen;
     use crate::lapack::getf2;
     use crate::{Matrix, NoObs};

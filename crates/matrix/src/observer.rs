@@ -18,6 +18,15 @@ use crate::view::MatView;
 /// `on_stage` to be called with the sub-block that changed at each stage
 /// (after a rank-1 update or after a blocked trailing update).
 pub trait PivotObserver<T: Scalar = f64> {
+    /// Whether this observer reads the intermediate values it is shown
+    /// ([`Self::on_stage`], [`Self::on_multipliers`]). Kernels keep their
+    /// column-by-column path, which reports every such event, for an
+    /// observer that does; for one that does not (false: [`NoObs`]) they
+    /// may take their SIMD arm, which gives the same bits and pivots but
+    /// reports only [`Self::on_pivot`]. A wrapper forwards its inner
+    /// observer's value.
+    const WATCHES_VALUES: bool = true;
+
     /// A pivot was selected at global elimination step `step`.
     ///
     /// * `pivot` — absolute value of the pivot actually used,
@@ -49,9 +58,13 @@ pub trait PivotObserver<T: Scalar = f64> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoObs;
 
-impl<T: Scalar> PivotObserver<T> for NoObs {}
+impl<T: Scalar> PivotObserver<T> for NoObs {
+    const WATCHES_VALUES: bool = false;
+}
 
 impl<T: Scalar, O: PivotObserver<T> + ?Sized> PivotObserver<T> for &mut O {
+    const WATCHES_VALUES: bool = O::WATCHES_VALUES;
+
     #[inline(always)]
     fn on_pivot(&mut self, step: usize, pivot: T, col_max: T) {
         (**self).on_pivot(step, pivot, col_max)

@@ -17,7 +17,7 @@
 //! which is what makes the mixed-precision payload round trips through
 //! the netsim (`f64` words) bitwise faithful.
 
-use crate::blas3::{Arm, Ukernel};
+use crate::blas3::{Arm, PanelKernel, Ukernel};
 use std::borrow::Cow;
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
@@ -99,6 +99,12 @@ pub trait Scalar:
     #[doc(hidden)]
     fn gemm_ukernel(arm: Arm) -> Ukernel<Self>;
 
+    /// The SIMD panel kernels (`iamax`, `getf2`'s column step, `trsm`'s
+    /// `Side::Right` base) at this precision on `arm`; `None` on the
+    /// portable arm, whose kernels are the scalar loops.
+    #[doc(hidden)]
+    fn panel_kernel(arm: Arm) -> Option<PanelKernel<Self>>;
+
     /// `n` as a scalar (exact up to 2⁵³ for `f64`, 2²⁴ for `f32` — fine
     /// for the dimension-sized factors the kernels use).
     #[inline(always)]
@@ -164,6 +170,10 @@ macro_rules! impl_scalar {
             #[inline(always)]
             fn gemm_ukernel(arm: Arm) -> Ukernel<Self> {
                 Ukernel::<$t>::for_arm(arm)
+            }
+            #[inline(always)]
+            fn panel_kernel(arm: Arm) -> Option<PanelKernel<Self>> {
+                PanelKernel::<$t>::for_arm(arm)
             }
         }
     };

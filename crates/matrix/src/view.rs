@@ -16,8 +16,9 @@
 //! * distinct `MatViewMut`s never alias.
 //!
 //! The `unsafe` of the view machinery is confined to this module (the only
-//! other `unsafe` in the crate is the `gemm` micro-kernel file,
-//! `blas3/ukernel.rs`); the public splitting/sub-view API only hands out
+//! other `unsafe` in the crate is in the two SIMD kernel files,
+//! `blas3/ukernel.rs` for `gemm` and `blas3/panel_kernel.rs` for the panel
+//! kernels, and the huge-page advice in `mat.rs`); the public splitting/sub-view API only hands out
 //! views that preserve the invariants, so kernels built on top are safe
 //! code. Element accesses are bounds-checked with `debug_assert!` (tests run
 //! with debug assertions on).

@@ -2,15 +2,16 @@
 //! triangular-solve round trips, pivot-kernel equivalences, and norm
 //! inequalities over randomized shapes.
 
+use calu_matrix::blas1::iamax_on;
 use calu_matrix::blas2::{gemv, gemv_t, trmv, trsv_t};
 use calu_matrix::blas3::{gemm, gemm_on, trsm, trsm_on, Arm};
 use calu_matrix::lapack::{
-    gecon, geequ, getf2, getf2_info, getrf, getri, getrs, getrs_t, laqge, lu_nopiv, lu_rows_on,
-    rgetf2, rgetf2_info, GetrfOpts, PanelAlg,
+    gecon, geequ, getf2, getf2_info, getf2_info_on, getrf, getri, getrs, getrs_t, laqge, lu_nopiv,
+    lu_rows_on, rgetf2, rgetf2_info, rgetf2_info_on, GetrfOpts, PanelAlg,
 };
 use calu_matrix::norms::{mat_norm_1, mat_norm_fro, mat_norm_inf};
 use calu_matrix::perm::{apply_ipiv, apply_ipiv_inv, ipiv_to_perm, permute_rows};
-use calu_matrix::{gen, Diag, Error, MatView, Matrix, NoObs, Scalar, Side, Uplo};
+use calu_matrix::{gen, Diag, Error, MatView, Matrix, NoObs, PivotObserver, Scalar, Side, Uplo};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -877,4 +878,290 @@ proptest! {
         // The leading r columns still factor exactly: reconstruct them.
         prop_assert!(plu_error(&a, &w1, &ip1) < 1e-9, "completed factors must reconstruct");
     }
+}
+
+// The panel kernels — `iamax`, `getf2`'s column step and `trsm`'s
+// `Side::Right` base under `lu_rows` — on every arm: the SIMD arms give the
+// portable arm's bits, pivots and column maxima, NaN at the same positions.
+
+/// An observer that watches values (the trait's default) and records
+/// nothing: every kernel keeps its column-by-column path for it.
+struct Stepwise;
+
+impl<T: Scalar> PivotObserver<T> for Stepwise {}
+
+/// The SIMD arms this host offers; prints a `skipped` line for each it
+/// lacks.
+fn simd_arms(test: &str) -> Vec<Arm> {
+    [("avx2+fma", Arm::avx2_fma()), ("avx512", Arm::avx512())]
+        .into_iter()
+        .filter_map(|(name, arm)| {
+            if arm.is_none() {
+                println!("{test} on the {name} arm skipped: the host lacks it");
+            }
+            arm
+        })
+        .collect()
+}
+
+/// Bit patterns with every NaN as one pattern: payloads may differ between
+/// arms, positions may not.
+fn nan_bits<T: Scalar>(xs: &[T]) -> Vec<u64> {
+    xs.iter().map(|v| if v.is_nan() { u64::MAX } else { v.to_f64().to_bits() }).collect()
+}
+
+/// `−0.0`, both signs of a subnormal, `±∞` and NaN at this precision.
+fn specials<T: Scalar>() -> [T; 6] {
+    let tiny = if T::BYTES == 4 { 1e-40 } else { 1e-310 };
+    [-0.0, tiny, -tiny, f64::INFINITY, f64::NEG_INFINITY, f64::NAN].map(T::from_f64)
+}
+
+/// A random `m × n` matrix with about one entry in `every` replaced by one
+/// of [`specials`] and as many by an exact zero.
+fn spiced<T: Scalar>(rng: &mut StdRng, m: usize, n: usize, every: usize) -> Matrix<T> {
+    let mut a = gen::randn::<T>(rng, m, n);
+    let sp = specials::<T>();
+    for _ in 0..(m * n).div_ceil(every) {
+        let (i, j) = (rng.gen_range(0..m), rng.gen_range(0..n));
+        a[(i, j)] = sp[rng.gen_range(0..sp.len())];
+        let (i, j) = (rng.gen_range(0..m), rng.gen_range(0..n));
+        a[(i, j)] = T::ZERO;
+    }
+    a
+}
+
+/// `iamax` by its definition: the first index of the largest `|x_i|`
+/// among the non-NaN entries, 0 when there are none.
+fn iamax_by_definition<T: Scalar>(x: &[T]) -> usize {
+    let top = x.iter().filter(|v| !v.is_nan()).map(|v| v.abs()).fold(None, |m: Option<T>, a| {
+        Some(match m {
+            Some(m) if m >= a => m,
+            _ => a,
+        })
+    });
+    top.map_or(0, |top| x.iter().position(|v| v.abs() == top).unwrap())
+}
+
+fn iamax_contract<T: Scalar>(arm: Arm) {
+    let (nan, inf) = (T::from_f64(f64::NAN), T::INFINITY);
+    let at = |len: usize, pairs: &[(usize, T)]| {
+        let mut x = vec![T::from_f64(0.5); len];
+        for &(i, v) in pairs {
+            x[i % len] = v;
+        }
+        x
+    };
+    let mut rng = StdRng::seed_from_u64(34);
+    for len in 1..=33 {
+        let last = len - 1;
+        let cases = [
+            at(len, &[]),                                                       // all tied
+            at(len, &[(last, T::from_f64(-2.0)), (len / 2, T::from_f64(2.0))]), // tie across signs
+            at(len, &[(0, nan), (last, T::from_f64(3.0))]),                     // NaN first
+            vec![nan; len],                                                     // all NaN
+            at(len, &[(len / 3, -inf), (last, inf)]),                           // −∞ before +∞
+            at(len, &[(last, nan), (len / 2, T::ZERO)]),
+            gen::randn::<T>(&mut rng, len, 1).col(0).to_vec(),
+            spiced::<T>(&mut rng, len, 1, 3).col(0).to_vec(),
+        ];
+        for x in &cases {
+            let want = iamax_by_definition(x);
+            assert_eq!(iamax_on(arm, x), want, "{} {} len {len}: {x:?}", arm.name(), T::NAME);
+        }
+    }
+    for len in [16384, 16383, 1001] {
+        let x = spiced::<T>(&mut rng, len, 1, 50).col(0).to_vec();
+        assert_eq!(
+            iamax_on(arm, &x),
+            iamax_by_definition(&x),
+            "{} {} len {len}",
+            arm.name(),
+            T::NAME
+        );
+        let x = gen::randn::<T>(&mut rng, len, 1).col(0).to_vec();
+        assert_eq!(
+            iamax_on(arm, &x),
+            iamax_by_definition(&x),
+            "{} {} len {len}",
+            arm.name(),
+            T::NAME
+        );
+    }
+}
+
+#[test]
+fn iamax_keeps_its_contract_on_every_arm() {
+    simd_arms("iamax_keeps_its_contract_on_every_arm");
+    for arm in arms() {
+        iamax_contract::<f64>(arm);
+        iamax_contract::<f32>(arm);
+    }
+}
+
+/// Row counts that are a multiple of no lane count (4, 8, 16) but one, and
+/// the widths around `trsm`'s base, `getf2`'s column blocks and a panel.
+const PANEL_ROWS: [usize; 7] = [1, 3, 5, 17, 33, 67, 131];
+const PANEL_COLS: [usize; 10] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 64];
+
+/// What a factorization returns, in comparable form: `info`, pivots, bits.
+type Outcome = (Option<usize>, Vec<usize>, Vec<u64>);
+
+fn getf2_outcome<T: Scalar, O: PivotObserver<T>>(arm: Arm, a0: &Matrix<T>, obs: &mut O) -> Outcome {
+    let mut a = a0.clone();
+    let mut ipiv = vec![0; a0.rows().min(a0.cols())];
+    let info = getf2_info_on(arm, a.view_mut(), &mut ipiv, obs);
+    (info, ipiv, nan_bits(a.as_slice()))
+}
+
+fn rgetf2_outcome<T: Scalar, O: PivotObserver<T>>(
+    arm: Arm,
+    a0: &Matrix<T>,
+    obs: &mut O,
+) -> Outcome {
+    let mut a = a0.clone();
+    let mut ipiv = vec![0; a0.cols()];
+    let info = rgetf2_info_on(arm, a.view_mut(), &mut ipiv, obs);
+    (info, ipiv, nan_bits(a.as_slice()))
+}
+
+/// The inputs the `getf2` properties run on at one shape: plain, spiced
+/// with special values and exact zeros (zeros in a pivot row are skipped
+/// updates), and with an exactly zero column (a skipped elimination and
+/// its `info`).
+fn getf2_inputs<T: Scalar>(rng: &mut StdRng, m: usize, n: usize) -> Vec<Matrix<T>> {
+    let mut zero_col = gen::randn::<T>(rng, m, n);
+    zero_col.col_mut(n / 2).fill(T::ZERO);
+    vec![gen::randn::<T>(rng, m, n), spiced(rng, m, n, 7), zero_col]
+}
+
+fn getf2_agrees_across_arms<T: Scalar>(simd: &[Arm]) {
+    let mut rng = StdRng::seed_from_u64(341);
+    let shapes = PANEL_ROWS.iter().flat_map(|&m| PANEL_COLS.iter().map(move |&n| (m, n))).chain([
+        (128, 64),
+        (16384, 4),
+        (1000, 9),
+    ]);
+    for (m, n) in shapes {
+        for a0 in getf2_inputs::<T>(&mut rng, m, n) {
+            let want = getf2_outcome(Arm::portable(), &a0, &mut NoObs);
+            for &arm in simd {
+                let at = format!("{} {} getf2 {m}x{n}", arm.name(), T::NAME);
+                assert!(getf2_outcome(arm, &a0, &mut NoObs) == want, "{at}");
+                assert!(getf2_outcome(arm, &a0, &mut Stepwise) == want, "{at}, observed");
+            }
+            if m < n {
+                continue;
+            }
+            // Above a width of 4 `rgetf2` runs `gemm`, whose bits are the
+            // arm's: the observed path on the same arm is the reference.
+            for arm in arms() {
+                let at = format!("{} {} rgetf2 {m}x{n}", arm.name(), T::NAME);
+                let want = rgetf2_outcome(arm, &a0, &mut Stepwise);
+                assert!(rgetf2_outcome(arm, &a0, &mut NoObs) == want, "{at}");
+                if n <= 4 {
+                    assert!(
+                        rgetf2_outcome(Arm::portable(), &a0, &mut NoObs) == want,
+                        "{at}, portable"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn getf2_and_rgetf2_give_the_portable_bits_on_every_arm() {
+    let simd = simd_arms("getf2_and_rgetf2_give_the_portable_bits_on_every_arm");
+    getf2_agrees_across_arms::<f64>(&simd);
+    getf2_agrees_across_arms::<f32>(&simd);
+}
+
+/// An upper triangle with a dominant diagonal and exact zeros above it
+/// (skipped updates), in a `w × w` block whose lower part is noise.
+fn triangle_with_zeros<T: Scalar>(rng: &mut StdRng, w: usize) -> Matrix<T> {
+    let mut u = gen::randn::<T>(rng, w, w);
+    for j in 0..w {
+        u[(j, j)] += T::from_f64(2.0 * w as f64);
+        for i in 0..j {
+            if rng.gen_range(0..4) == 0 {
+                u[(i, j)] = T::ZERO;
+            }
+        }
+    }
+    u
+}
+
+fn lu_rows_outcome<T: Scalar, O: PivotObserver<T>>(
+    arm: Arm,
+    u: &Matrix<T>,
+    rows0: &Matrix<T>,
+    obs: &mut O,
+) -> (Vec<u64>, Vec<u64>) {
+    let mut rows = rows0.clone();
+    let mut col_max = vec![T::ZERO; u.cols()];
+    lu_rows_on(arm, u.view(), rows.view_mut(), &mut col_max, obs).expect("nonsingular U11");
+    (nan_bits(rows.as_slice()), nan_bits(&col_max))
+}
+
+fn trsm_right_outcome<T: Scalar>(
+    arm: Arm,
+    uplo: Uplo,
+    diag: Diag,
+    a: &Matrix<T>,
+    b0: &Matrix<T>,
+) -> Vec<u64> {
+    let mut b = b0.clone();
+    trsm_on(arm, Side::Right, uplo, diag, T::from_f64(1.5), a.view(), b.view_mut());
+    nan_bits(b.as_slice())
+}
+
+fn right_base_agrees_across_arms<T: Scalar>(simd: &[Arm]) {
+    let mut rng = StdRng::seed_from_u64(342);
+    let rows = PANEL_ROWS.iter().copied().chain([1000, 1030, 2100]);
+    for (m, w) in rows.flat_map(|m| PANEL_COLS.iter().map(move |&w| (m, w))) {
+        let u = triangle_with_zeros::<T>(&mut rng, w);
+        for rows0 in [gen::randn::<T>(&mut rng, m, w), spiced(&mut rng, m, w, 7)] {
+            // Above a width of 8 the recursion runs `gemm`: the observed
+            // path on the same arm is the reference there.
+            for arm in arms() {
+                let at = format!("{} {} lu_rows {m}x{w}", arm.name(), T::NAME);
+                let want = lu_rows_outcome(arm, &u, &rows0, &mut Stepwise);
+                assert!(lu_rows_outcome(arm, &u, &rows0, &mut NoObs) == want, "{at}");
+                if w <= 8 {
+                    assert!(
+                        lu_rows_outcome(Arm::portable(), &u, &rows0, &mut NoObs) == want,
+                        "{at}, portable"
+                    );
+                }
+            }
+            if w > 8 {
+                continue;
+            }
+            let a = triangle_with_zeros::<T>(&mut rng, w);
+            let lower = Matrix::from_fn(w, w, |i, j| a[(j, i)]);
+            for (uplo, diag) in [(Uplo::Upper, Diag::NonUnit), (Uplo::Upper, Diag::Unit)]
+                .into_iter()
+                .chain([(Uplo::Lower, Diag::NonUnit), (Uplo::Lower, Diag::Unit)])
+            {
+                let tri = if uplo == Uplo::Upper { &a } else { &lower };
+                let want = trsm_right_outcome(Arm::portable(), uplo, diag, tri, &rows0);
+                for &arm in simd {
+                    let got = trsm_right_outcome(arm, uplo, diag, tri, &rows0);
+                    assert!(
+                        got == want,
+                        "{} {} trsm {uplo:?} {diag:?} {m}x{w}",
+                        arm.name(),
+                        T::NAME
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn lu_rows_and_trsm_right_give_the_portable_bits_on_every_arm() {
+    let simd = simd_arms("lu_rows_and_trsm_right_give_the_portable_bits_on_every_arm");
+    right_base_agrees_across_arms::<f64>(&simd);
+    right_base_agrees_across_arms::<f32>(&simd);
 }
