@@ -52,15 +52,33 @@
 //! copy runs on the leaves in parallel and leaves the rows cache-warm for
 //! the election; [`runtime_calu_inplace`] copies nothing.
 //!
+//! Each update chunk of a step's `L₂₁` is packed once for `gemm` and
+//! shared by the chunk's `Gemm` tasks, one per block column right of the
+//! panel (23 at the first step of a 1536² factor with 64-wide panels),
+//! instead of being repacked by every one of them. The first of
+//! them to run packs it into a [`PackedA`] and leaves it in the step's slot
+//! for that chunk, the last to start takes it out, and its buffer goes back
+//! to `gemm`'s pack pool when the last one running drops it; a chunk with
+//! one `Gemm` task (every chunk of a two-panel factor) is packed inside its
+//! `gemm` call as before. The copy is sound by existing edges: every
+//! `Gemm(k, i, ·)` follows the apply chunks that form chunk `i` of step
+//! `k`'s `L₂₁`, and nothing writes those rows of block column `k` again
+//! until `Swap(k + 1, k)`, which follows every `Gemm(k, ·, ·)`. The slot's
+//! mutex publishes the packed copy across workers; no edge is added. The
+//! lookahead throttle bounds the live chunks: at depth `d` only the
+//! updates of `d + 1` steps are ever in flight.
+//!
 //! The observer is shared behind a mutex, locked per callback (so a
-//! concurrent update's `on_stage` never waits out a panel task); its
+//! concurrent update's `on_stage` never waits out a panel task) and not at
+//! all for `on_stage` when the observer does not watch values
+//! ([`PivotObserver::WATCHES_VALUES`]); its
 //! statistics are order-free (documented on
 //! [`crate::instrument::PivotStats`]). The only ordered events, the
 //! `on_pivot` thresholds, are assembled per panel in a
 //! `PanelTau` and reported after the run, in step order — the order the
 //! sequential sweep reports them in.
 
-use calu_matrix::blas3::{gemm, trsm};
+use calu_matrix::blas3::{gemm, gemm_packed, trsm, PackedA};
 use calu_matrix::lapack::lu_rows;
 use calu_matrix::perm::apply_ipiv;
 use calu_matrix::{
@@ -69,7 +87,7 @@ use calu_matrix::{
 };
 use calu_runtime::{ExecReport, ExecutorKind, LuDag, LuShape, Task, TaskRunner};
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::calu::{CaluOpts, LuFactors};
 use crate::tournament::{reduce_pair, Candidates};
@@ -250,8 +268,107 @@ fn put_slot<T>(slots: &CandidateSlots<T>, i: usize, cand: Candidates<T>) {
     debug_assert!(prev.is_none(), "candidate slot overwritten before it was read");
 }
 
+/// One update chunk of one step's `L₂₁`, packed once for the `Gemm` tasks
+/// that read it (module documentation).
+struct ChunkSlot<T: Scalar> {
+    packed: Option<Arc<PackedA<T>>>,
+    /// The chunk's `Gemm` tasks that have not started.
+    left: usize,
+}
+
+/// The packed `L₂₁` chunks of every step: slot `[k][i]` is update chunk
+/// `i` of step `k`.
+struct SharedChunks<T: Scalar> {
+    slots: Vec<Vec<Mutex<ChunkSlot<T>>>>,
+    /// Every chunk packed so far, and the most that were live at once.
+    #[cfg(test)]
+    census: Mutex<(Vec<std::sync::Weak<PackedA<T>>>, usize)>,
+}
+
+impl<T: Scalar> SharedChunks<T> {
+    /// A slot per update chunk of every step, counting the chunk's `Gemm`
+    /// tasks in `dag`.
+    fn new(dag: &LuDag) -> Self {
+        let mut slots: Vec<Vec<Mutex<ChunkSlot<T>>>> = (0..dag.shape().steps())
+            .map(|k| {
+                let chunks = dag.panel_plan(k).update_chunks();
+                (0..chunks).map(|_| Mutex::new(ChunkSlot { packed: None, left: 0 })).collect()
+            })
+            .collect();
+        for &task in dag.tasks() {
+            if let Task::Gemm { k, i, .. } = task {
+                slots[k][i].get_mut().expect("chunk mutex").left += 1;
+            }
+        }
+        Self {
+            slots,
+            #[cfg(test)]
+            census: Mutex::default(),
+        }
+    }
+
+    /// Update chunk `i` of step `k`, whose rows of `L₂₁` are `l21`, for one
+    /// of its `Gemm` tasks: packed by the first of them to ask, taken out
+    /// of its slot by the last, so the buffer goes back to the pack pool
+    /// when the last running task drops it. `None` when nothing is packed
+    /// and this is the last task: a chunk with one `Gemm` task is never
+    /// packed here (`gemm` packs it inside the call).
+    fn take(&self, k: usize, i: usize, l21: MatView<'_, T>) -> Option<Arc<PackedA<T>>> {
+        let mut slot = self.slots[k][i].lock().expect("chunk mutex");
+        slot.left -= 1;
+        if slot.left == 0 {
+            return slot.packed.take();
+        }
+        let packed = slot.packed.get_or_insert_with(|| {
+            let packed = Arc::new(PackedA::new(l21));
+            #[cfg(test)]
+            self.count(&packed);
+            packed
+        });
+        Some(Arc::clone(packed))
+    }
+
+    /// Records a newly packed chunk and raises the high-water mark of live
+    /// ones.
+    #[cfg(test)]
+    fn count(&self, packed: &Arc<PackedA<T>>) {
+        let mut census = self.census.lock().expect("census mutex");
+        census.0.push(Arc::downgrade(packed));
+        let live = census.0.iter().filter(|w| w.strong_count() > 0).count();
+        census.1 = census.1.max(live);
+    }
+
+    /// Drops every slot, and with them any chunk whose `Gemm` tasks were
+    /// canceled. Under test, records the high-water mark of live chunks and
+    /// how many were live before and after the drop
+    /// ([`tests::chunk_census`]).
+    fn release(self) {
+        #[cfg(test)]
+        {
+            let (packed, high) = self.census.into_inner().expect("census mutex");
+            let live = || packed.iter().filter(|w| w.strong_count() > 0).count();
+            let held = live();
+            drop(self.slots);
+            tests::CHUNK_CENSUS.set(Some(ChunkCensus { high, held, left: live() }));
+        }
+    }
+}
+
+/// What [`SharedChunks::release`] saw, under test.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+struct ChunkCensus {
+    /// The most packed chunks live at once during the call.
+    high: usize,
+    /// Chunks still held when the executor returned: none unless the run
+    /// was canceled.
+    held: usize,
+    /// Chunks live after the slots were dropped.
+    left: usize,
+}
+
 /// Binds the LU kernels to runtime tasks over one flat matrix.
-struct LuRunner<'a, T, O> {
+struct LuRunner<'a, T: Scalar, O> {
     mat: SharedMat<T>,
     /// The input, when `mat` starts out unwritten: each step-0 elect copies
     /// its leaf's whole rows from here before electing on them.
@@ -264,6 +381,8 @@ struct LuRunner<'a, T, O> {
     /// Every step's pivots and full-column maxima, for the `on_pivot`
     /// events reported after the run.
     taus: Vec<Mutex<PanelTau<T>>>,
+    /// Every step's `L₂₁` update chunks, packed once per chunk.
+    chunks: SharedChunks<T>,
     obs: Mutex<&'a mut O>,
 }
 
@@ -372,13 +491,21 @@ where
                 let cols = shape.col_range(j);
                 // SAFETY: Gemm(k,i,j) owns its chunk's rows of block column
                 // j; L₂₁ and U₁₂ are stable until the swaps that are
-                // DAG-ordered after every gemm of step k.
+                // DAG-ordered after every gemm of step k — so is the packed
+                // copy of the chunk's L₂₁ that the first of them makes.
                 let (r0, nr) = (base + rows.start, rows.len());
                 let u12 = unsafe { self.mat.block(base, cols.start, jb, cols.len()) };
                 let l21 = unsafe { self.mat.block(r0, base, nr, jb) };
                 let mut c = unsafe { self.mat.block(r0, cols.start, nr, cols.len()) };
-                gemm(-T::ONE, l21.as_view(), u12.as_view(), T::ONE, c.rb_mut());
-                self.obs.lock().expect("observer mutex poisoned").on_stage(&c.as_view());
+                match self.chunks.take(k, i, l21.as_view()) {
+                    Some(packed) => {
+                        gemm_packed(-T::ONE, &packed, u12.as_view(), T::ONE, c.rb_mut())
+                    }
+                    None => gemm(-T::ONE, l21.as_view(), u12.as_view(), T::ONE, c.rb_mut()),
+                }
+                if O::WATCHES_VALUES {
+                    self.obs.lock().expect("observer mutex poisoned").on_stage(&c.as_view());
+                }
                 Ok(())
             }
             Task::Dist(_) | Task::Solve(_) => {
@@ -439,10 +566,13 @@ fn factor_into<T: Scalar, O: PivotObserver<T> + Send>(
             .map(|p| p.leaves().iter().map(|_| Mutex::new(None)).collect())
             .collect(),
         taus: plans.map(|p| Mutex::new(PanelTau::new(p.jb()))).collect(),
+        chunks: SharedChunks::new(&dag),
         obs: Mutex::new(obs),
     };
-    let report = rt.executor.execute(&dag, &runner)?;
-    let LuRunner { taus, obs, .. } = runner;
+    let run = rt.executor.execute(&dag, &runner);
+    let LuRunner { taus, chunks, obs, .. } = runner;
+    chunks.release();
+    let report = run?;
     let obs = obs.into_inner().expect("observer mutex poisoned");
     for tau in taus {
         tau.into_inner().expect("tau mutex").emit(obs);
@@ -496,6 +626,20 @@ mod tests {
     use calu_runtime::PanelMode;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// What the last factorization on this thread recorded in
+        /// [`SharedChunks::release`].
+        pub(super) static CHUNK_CENSUS: Cell<Option<ChunkCensus>> = const { Cell::new(None) };
+    }
+
+    /// The census of the factorization `f` runs on this thread.
+    fn chunk_census<R>(f: impl FnOnce() -> R) -> (R, ChunkCensus) {
+        CHUNK_CENSUS.set(None);
+        let out = f();
+        (out, CHUNK_CENSUS.take().expect("a runtime factorization ran"))
+    }
 
     fn executors() -> [ExecutorKind; 3] {
         [
@@ -610,6 +754,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A packed `L₂₁` chunk lives from the first of its `Gemm` tasks to the
+    /// last, and the lookahead throttle keeps at most `depth + 1` steps'
+    /// updates in flight: no more than that many steps' chunks are ever
+    /// live, none is held when a run completes (the last `Gemm` of each
+    /// chunk released it), none is live after the call — also when a zero
+    /// column in block column 3 cancels the run while chunks are held — and
+    /// the factors (or the error) are the sequential ones, at every depth on
+    /// both executors.
+    fn check_chunk_census(rng: &mut StdRng, (m, n, b, p): (usize, usize, usize, usize)) {
+        let a0: Matrix = gen::randn(rng, m, n);
+        let mut singular = a0.clone();
+        if 3 * b < n {
+            singular.view_mut().submatrix_mut(0, 3 * b, m, 1).fill(0.0);
+        }
+        let opts = CaluOpts { block: b, p, ..Default::default() };
+        for a in [&a0, &singular] {
+            let seq = calu_factor(a, opts);
+            for depth in 1..=3 {
+                let dag = LuDag::build_panels(LuShape { m, n, nb: b }, depth, opts.panel_mode, p);
+                let widest = (0..dag.shape().steps()).map(|k| dag.panel_plan(k).update_chunks());
+                let bound = (depth + 1) * widest.max().unwrap_or(0);
+                for executor in [ExecutorKind::Serial, ExecutorKind::Threaded { threads: 2 }] {
+                    let rt = RuntimeOpts { lookahead: depth, executor };
+                    let what = format!("{m}x{n} b={b} d={depth} {executor:?}");
+                    let (f, census) =
+                        chunk_census(|| runtime_calu_factor(a, opts, rt).map(|(f, _)| f));
+                    assert_eq!(f, seq, "{what}");
+                    assert!(census.high <= bound, "{what}: {census:?} > {bound} at once");
+                    if f.is_ok() {
+                        assert_eq!(census.held, 0, "{what}: chunks held after a full run");
+                    }
+                    assert_eq!(census.left, 0, "{what}: chunks live after the call");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_chunks_are_bounded_and_released() {
+        let mut rng = StdRng::seed_from_u64(916);
+        for &shape in &SHAPES {
+            check_chunk_census(&mut rng, shape);
+        }
+    }
+
+    /// The benchmark's `square_factor` shape, where six chunks per step
+    /// share 22 or fewer `Gemm` tasks each.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "about a minute unoptimized; CI runs it in release")]
+    fn packed_chunks_are_bounded_and_released_at_1536() {
+        check_chunk_census(&mut StdRng::seed_from_u64(917), (1536, 1536, 64, 4));
     }
 
     /// The benchmark's `Variant::Tiles` entry: the flat factors, bit for

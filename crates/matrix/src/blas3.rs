@@ -12,11 +12,21 @@
 //!   `MC × KC` block of `A` into `MR`-row panels, both zero-padded at ragged
 //!   edges. Packed panels are contiguous and read front to back, so the
 //!   64 × 64 tiles of a flat `ld = 1536` matrix — whose columns are 12 KiB
-//!   apart and map to eight L1 sets — stop evicting one another. A packed
-//!   `A` pays off by being reread once per panel of `B`; when `B` is one
-//!   panel (at most `NR` columns: the right-hand sides of a solve), `A` is
-//!   read once, so its whole `MR`-row panels are read where they lie and
-//!   only a ragged last one is packed. Same elements, same order, same bits.
+//!   apart and map to eight L1 sets — stop evicting one another.
+//! * A packed `A` pays off by being reread once per panel of `B`, so a
+//!   narrow `B` reads `A` where it lies. When `B` is one panel (2 to `NR`
+//!   columns: a batch of right-hand sides), `A`'s whole `MR`-row panels are
+//!   read in place and only a ragged last one is packed. When `B` is one
+//!   column (every one-right-hand-side solve), the **one-column loop**
+//!   beside the micro-kernels (`ukernel.rs`) streams each column of `A`
+//!   front to back in row blocks, instead of walking `MR`-row panels that
+//!   touch a cache line or two per column. Same elements, same order, same
+//!   bits: the loop does the micro-kernel's operations on every element.
+//! * An `A` that several calls multiply — one update chunk of `L₂₁` against
+//!   every block column of `U₁₂` in the task-graph runtime — is packed once
+//!   into a [`PackedA`] and passed to [`gemm_packed`], which runs
+//!   [`gemm_on`]'s loop nest without packing `A` again. `B` is still packed
+//!   per call: packing `U₁₂` once measured no gain.
 //! * The micro-kernel ([`Ukernel`]) keeps a whole `MR × NR` tile of `C` in
 //!   registers across the `k` loop. It is reached through one hook,
 //!   [`Scalar::gemm_ukernel`], with three arms ([`Arm`]): `std::arch`
@@ -24,10 +34,13 @@
 //!   (8×6, 16×6) — one macro, four expansions — the widest the host has
 //!   chosen once per process, and one generic portable kernel otherwise.
 //!   Nothing else selects an arm.
-//! * Pack buffers come from a process-wide pool, one buffer per concurrently
-//!   running call, each grown to the largest block it has held and never
-//!   beyond `MC·KC + KC·NC` elements; once warm, no `gemm` call allocates.
-//!
+//! * Pack buffers come from a process-wide pool: one buffer per running
+//!   call, each at most `MC·KC + KC·NC` elements for the call's blocks, plus
+//!   one per live [`PackedA`], which holds all of its `A`. A request takes
+//!   the smallest buffer that holds it (else grows the largest), and a
+//!   buffer keeps the largest size it has held; once warm, neither a `gemm`
+//!   call nor a `PackedA` allocates.
+
 //! ## Position independence
 //!
 //! Every element of `C` is computed as `c ← β·c`, then for each `KC`-block
@@ -37,11 +50,12 @@
 //! `KC` splits depend on `k` alone, and a ragged tile is computed as a full
 //! padded tile of which only the valid part is stored. So an element's bits
 //! do not depend on `m`, `n`, leading dimensions, the register-tile shape,
-//! where the element sits in a register tile or cache block, or how the
-//! caller cut `C` into pieces: `gemm` on a whole matrix equals `gemm` piece
-//! by piece over any partition of its rows and columns, bit for bit. That
-//! is what keeps the task-graph runtime's row chunks and the distributed
-//! runtime's tiles bitwise equal to the sequential whole-matrix update.
+//! where the element sits in a register tile or cache block, whether `A`
+//! was packed before the call, or how the caller cut `C` into pieces:
+//! `gemm` on a whole matrix equals `gemm` piece by piece over any partition
+//! of its rows and columns, bit for bit. That is what keeps the task-graph
+//! runtime's row chunks and the distributed runtime's tiles bitwise equal
+//! to the sequential whole-matrix update.
 //! **Bits are a function of (input, fused or not) and nothing else**: the
 //! AVX-512 arm produces the AVX2+FMA arm's bits, the portable arm rounds
 //! twice per step. Factors are reproducible across runs, schedules, thread
@@ -91,9 +105,9 @@
 //! [`Arm`] picks the vector width of every kernel under a panel task, not
 //! only of `gemm`: the SIMD arms also carry `iamax`, `getf2`'s column step
 //! and the `Side::Right` base above (`panel_kernel.rs`). `gemm`'s
-//! micro-kernels fuse the multiply-add on the SIMD arms, so their bits
-//! depend on the arm being fused or not; the panel kernels never fuse, so
-//! theirs are the portable loops' bits on every arm.
+//! micro-kernels and its one-column loop fuse the multiply-add on the SIMD
+//! arms, so their bits depend on the arm being fused or not; the panel
+//! kernels never fuse, so theirs are the portable loops' bits on every arm.
 //! The solve phase ([`getrs`](crate::lapack::getrs),
 //! [`getrs_mat`](crate::lapack::getrs_mat)) is two `Left` calls, so a
 //! right-hand side solved alone has the bits of the same column solved in
@@ -166,13 +180,124 @@ pub fn gemm_on<T: Scalar>(
     if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
         return;
     }
-
     let kernel = T::gemm_ukernel(arm);
+    if n == 1 {
+        kernel.column(alpha, a, b.col(0), c.col_mut(0));
+    } else {
+        gemm_nest(kernel, alpha, OperandA::InPlace(a), b, c);
+    }
+}
+
+/// `A` packed once for many [`gemm_packed`] calls against different `B`
+/// and `C`: every `KC`-column block of `A` in the zero-padded `MR`-row
+/// panels `gemm_on` packs per call, on one arm. The buffer comes from the
+/// arm's pack pool and goes back to it on drop.
+pub struct PackedA<T: Scalar> {
+    kernel: Ukernel<T>,
+    rows: usize,
+    cols: usize,
+    buf: Vec<T>,
+}
+
+impl<T: Scalar> PackedA<T> {
+    /// `a` packed for the arm [`gemm`] runs on.
+    pub fn new(a: MatView<'_, T>) -> Self {
+        Self::new_on(Arm::detect(), a)
+    }
+
+    /// `a` packed for `arm`'s micro-kernel.
+    pub fn new_on(arm: Arm, a: MatView<'_, T>) -> Self {
+        let kernel = T::gemm_ukernel(arm);
+        let (rows, cols) = (a.rows(), a.cols());
+        let padded = rows.next_multiple_of(kernel.mr());
+        let mut buf = take_buffer(kernel.pool(), padded * cols);
+        for pc in (0..cols).step_by(KC) {
+            let kb = KC.min(cols - pc);
+            let block = &mut buf[pc * padded..(pc + kb) * padded];
+            kernel.pack_a(a.submatrix(0, pc, rows, kb), block);
+        }
+        PackedA { kernel, rows, cols, buf }
+    }
+
+    /// Rows of `A`.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns of `A`.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The `MR`-row panel of the `KC` block at column `pc` (of depth `kb`)
+    /// that starts at row `i`, a multiple of `MR`.
+    fn panel(&self, i: usize, pc: usize, kb: usize) -> MatView<'_, T> {
+        let mr = self.kernel.mr();
+        debug_assert!(i.is_multiple_of(mr) && i < self.rows);
+        let at = pc * self.rows.next_multiple_of(mr) + i * kb;
+        MatView::from_slice(&self.buf[at..at + mr * kb], mr, kb, mr)
+    }
+}
+
+impl<T: Scalar> Drop for PackedA<T> {
+    fn drop(&mut self) {
+        give_back(self.kernel.pool(), std::mem::take(&mut self.buf));
+    }
+}
+
+/// [`gemm`] with a pre-packed `A`, on the arm it was packed for: the bits
+/// of `gemm_on` on that arm, without packing `A` again. `B` is packed per
+/// call as `gemm_on` packs it.
+///
+/// # Panics
+/// On dimension mismatch.
+pub fn gemm_packed<T: Scalar>(
+    alpha: T,
+    a: &PackedA<T>,
+    b: MatView<'_, T>,
+    beta: T,
+    mut c: MatViewMut<'_, T>,
+) {
+    let (m, k, n) = (a.rows, a.cols, b.cols());
+    assert_eq!(b.rows(), k, "gemm: inner dimension mismatch");
+    assert_eq!(c.rows(), m, "gemm: C rows mismatch");
+    assert_eq!(c.cols(), n, "gemm: C cols mismatch");
+
+    scale(beta, c.rb_mut());
+    if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    gemm_nest(a.kernel, alpha, OperandA::Packed(a), b, c);
+}
+
+/// Where the cache blocks of `A` come from.
+#[derive(Clone, Copy)]
+enum OperandA<'a, T: Scalar> {
+    /// A view, packed per block when `B` has several panels, else read where
+    /// it lies (module documentation).
+    InPlace(MatView<'a, T>),
+    /// Packed already.
+    Packed(&'a PackedA<T>),
+}
+
+/// The loop nest of [`gemm_on`] and [`gemm_packed`] after `C ← β·C`:
+/// `C ← C + α·(A·B)` for non-empty operands.
+fn gemm_nest<T: Scalar>(
+    kernel: Ukernel<T>,
+    alpha: T,
+    a: OperandA<'_, T>,
+    b: MatView<'_, T>,
+    mut c: MatViewMut<'_, T>,
+) {
+    let (m, k, n) = (c.rows(), b.rows(), c.cols());
     let (mr, nr) = (kernel.mr(), kernel.nr());
     // One panel of `B` reads each element of `A` once: packing it would only
     // copy it (module documentation).
-    let pack_a = n > nr;
-    let a_len = if pack_a { MC.min(m).next_multiple_of(mr) } else { mr } * KC.min(k);
+    let a_len = match a {
+        OperandA::Packed(_) => 0,
+        OperandA::InPlace(_) if n > nr => MC.min(m).next_multiple_of(mr) * KC.min(k),
+        OperandA::InPlace(_) => mr * KC.min(k),
+    };
     let b_len = KC.min(k) * NC.min(n).next_multiple_of(nr);
     with_pack_buffer(kernel.pool(), a_len + b_len, |buf| {
         let (a_pack, b_pack) = buf.split_at_mut(a_len);
@@ -183,18 +308,22 @@ pub fn gemm_on<T: Scalar>(
                 kernel.pack_b(b.submatrix(pc, jc, kb, nb), b_pack);
                 for ic in (0..m).step_by(MC) {
                     let mb = MC.min(m - ic);
-                    let a_blk = a.submatrix(ic, pc, mb, kb);
-                    // Rows of `a_blk` read in place: whole panels, unpacked.
-                    let in_place = if pack_a { 0 } else { mb - mb % mr };
-                    if in_place < mb {
-                        let rest = mb - in_place;
-                        kernel.pack_a(a_blk.submatrix(in_place, 0, rest, kb), a_pack);
+                    // Rows of the block read in place: whole panels, unpacked.
+                    let in_place = match a {
+                        OperandA::InPlace(_) if n <= nr => mb - mb % mr,
+                        _ => 0,
+                    };
+                    if let OperandA::InPlace(a) = a {
+                        if in_place < mb {
+                            let rest = a.submatrix(ic + in_place, pc, mb - in_place, kb);
+                            kernel.pack_a(rest, a_pack);
+                        }
                     }
                     let a_pack = &*a_pack;
-                    let panel = |i: usize| {
-                        if i < in_place {
-                            a_blk.submatrix(i, 0, mr, kb)
-                        } else {
+                    let panel = |i: usize| match a {
+                        OperandA::Packed(a) => a.panel(ic + i, pc, kb),
+                        OperandA::InPlace(a) if i < in_place => a.submatrix(ic + i, pc, mr, kb),
+                        OperandA::InPlace(_) => {
                             let at = (i - in_place) * kb;
                             MatView::from_slice(&a_pack[at..at + mr * kb], mr, kb, mr)
                         }
@@ -207,8 +336,9 @@ pub fn gemm_on<T: Scalar>(
 }
 
 /// Pack buffers of one precision, shared by the whole process. A `gemm` call
-/// takes one for its duration and puts it back, so at most one buffer exists
-/// per concurrently running call, each at most `MC·KC + KC·NC` elements. Not
+/// takes one for its duration and a [`PackedA`] for its life, and each puts
+/// it back, so at most one buffer exists per concurrently running call and
+/// per live `PackedA`. Not
 /// `thread_local!`: the thread that calls an executor works in it, so every
 /// thread that ever factored would keep a buffer for life, and two
 /// uncontended lock operations per call are not measurable.
@@ -220,15 +350,38 @@ fn with_pack_buffer<T: Scalar, R>(
     len: usize,
     body: impl FnOnce(&mut [T]) -> R,
 ) -> R {
-    // A pop or a push leaves the pool valid at every step, so a poisoned
-    // lock has nothing to protect.
-    let mut buf = pool.lock().unwrap_or_else(PoisonError::into_inner).pop().unwrap_or_default();
+    let mut buf = take_buffer(pool, len);
+    let out = body(&mut buf[..len]);
+    give_back(pool, buf);
+    out
+}
+
+/// A buffer of at least `len` elements from `pool`: the smallest that
+/// holds `len`, else the largest, grown. Best fit leaves the large buffers
+/// to the requests that need them; handing out the last buffer pushed let
+/// the small requests of [`gemm_packed`] calls (which pack only `B`) take
+/// them, and the next [`PackedA`] grow a small one, until every buffer had
+/// the largest size any user needed.
+fn take_buffer<T: Scalar>(pool: &PackPool<T>, len: usize) -> Vec<T> {
+    let mut buf = {
+        // A removal or a push leaves the pool valid at every step, so a
+        // poisoned lock has nothing to protect.
+        let mut pool = pool.lock().unwrap_or_else(PoisonError::into_inner);
+        let fit = (0..pool.len())
+            .filter(|&i| pool[i].len() >= len)
+            .min_by_key(|&i| pool[i].len())
+            .or_else(|| (0..pool.len()).max_by_key(|&i| pool[i].len()));
+        fit.map(|i| pool.swap_remove(i)).unwrap_or_default()
+    };
     if buf.len() < len {
         buf.resize(len, T::ZERO);
     }
-    let out = body(&mut buf[..len]);
+    buf
+}
+
+/// Puts a buffer taken by [`take_buffer`] back into `pool`.
+fn give_back<T: Scalar>(pool: &PackPool<T>, buf: Vec<T>) {
     pool.lock().unwrap_or_else(PoisonError::into_inner).push(buf);
-    out
 }
 
 /// Packs the block `a` into `MR`-row panels: panel `p` holds rows

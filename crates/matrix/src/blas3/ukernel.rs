@@ -27,15 +27,28 @@
 //! bits — the bits of `gemm` depend on the input and on whether the arm
 //! fuses, and on nothing else (see `super`'s module documentation).
 //!
+//! Beside the micro-kernels, each arm has a **one-column loop** for a `B`
+//! of one column, where a register tile would multiply `NR − 1` columns of
+//! padding and walk `A` an `MR`-row panel at a time. It streams `A` instead:
+//! per block of `ROW_BLOCK` rows, whose partial sums stay in L1, and per
+//! `KC` block of `k`, it reads the block's columns of `A` front to back,
+//! accumulates each row's sum from zero in increasing `l` and folds it into
+//! `C` as the micro-kernel does. It is one generic loop instantiated once
+//! per arm and precision: the portable instance multiplies then adds, the
+//! SIMD instances are compiled for their arm's features and fuse every step
+//! and the fold (`mul_add`), exactly as the micro-kernels of their arm do —
+//! so a one-column call has the bits of its column in any wider call.
+//!
 //! An [`Arm`] also selects the panel kernels of `panel_kernel.rs` — `iamax`,
 //! `getf2`'s column step and `trsm`'s `Side::Right` base — at the same
 //! vector width (its AVX-512 and AVX2 instances; the portable arm keeps the
 //! scalar loops). Those never fuse: they multiply, then add, so their bits
-//! are the portable arm's on every arm. Only `gemm`'s micro-kernels fuse.
+//! are the portable arm's on every arm. Only `gemm`'s micro-kernels and its
+//! one-column loop fuse.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use super::{PackPool, MC, NC};
+use super::{PackPool, KC, MC, NC};
 use crate::scalar::Scalar;
 use crate::view::{MatView, MatViewMut};
 use std::sync::OnceLock;
@@ -119,9 +132,18 @@ impl Arm {
 /// running CPU.
 type KernelFn<T> = unsafe fn(alpha: T, a: MatView<'_, T>, b: &[T], c: *mut T, ldc: usize);
 
+/// `c ← c + α·(A · b)` for a one-column `b` (the one-column loop): `c` has
+/// `A`'s rows, `b` its columns.
+///
+/// # Safety
+/// The instruction-set features the function was compiled for are present
+/// on the running CPU.
+type ColumnFn<T> = unsafe fn(alpha: T, a: MatView<'_, T>, b: &[T], c: &mut [T]);
+
 /// Everything `gemm` needs that depends on the precision and the arm: the
 /// register-tile shape, the packing routines that lay `A` and `B` out for
-/// that shape, the pool the pack buffers come from, and the kernel itself.
+/// that shape, the pool the pack buffers come from, the kernel itself and
+/// the one-column loop beside it.
 ///
 /// Values are built only by [`Ukernel::for_arm`], which is what makes the
 /// macro-kernel safe to call: the shape matches the function, and a SIMD
@@ -134,16 +156,17 @@ pub struct Ukernel<T: 'static> {
     pack_b: PackFn<T>,
     pool: &'static PackPool<T>,
     run: KernelFn<T>,
+    column: ColumnFn<T>,
 }
 
 /// Packs one cache block into the front of the buffer (`super::pack_a`,
 /// `super::pack_b` at a kernel's `MR`/`NR`).
 type PackFn<T> = fn(MatView<'_, T>, &mut [T]);
 
-/// `Ukernel::<$t>::for_arm`: per arm, the tile shape `$mr x $nr` and the
-/// kernel of that shape.
+/// `Ukernel::<$t>::for_arm`: per arm, the tile shape `$mr x $nr`, the
+/// kernel of that shape and the arm's one-column loop.
 macro_rules! impl_for_arm {
-    ($t:ty, $($(#[$cfg:meta])? $isa:pat => $mr:literal x $nr:literal, $run:expr;)+) => {
+    ($t:ty, $($(#[$cfg:meta])? $isa:pat => $mr:literal x $nr:literal, $run:expr, $column:expr;)+) => {
         impl Ukernel<$t> {
             /// The micro-kernel of `arm` at this precision.
             pub fn for_arm(arm: Arm) -> Self {
@@ -163,6 +186,7 @@ macro_rules! impl_for_arm {
                             pack_b: super::pack_b::<$t, $nr>,
                             pool: &POOL,
                             run: $run,
+                            column: $column,
                         }
                     })+
                 }
@@ -172,14 +196,18 @@ macro_rules! impl_for_arm {
 }
 
 impl_for_arm!(f64,
-    Isa::Portable => 8 x 6, portable_kernel::<f64, 8, 6>;
-    #[cfg(target_arch = "x86_64")] Isa::Avx2Fma => 8 x 6, simd::avx2_f64_8x6;
-    #[cfg(target_arch = "x86_64")] Isa::Avx512 => 16 x 8, simd::avx512_f64_16x8;
+    Isa::Portable => 8 x 6, portable_kernel::<f64, 8, 6>, portable_column::<f64>;
+    #[cfg(target_arch = "x86_64")]
+    Isa::Avx2Fma => 8 x 6, simd::avx2_f64_8x6, simd::avx2_f64_column;
+    #[cfg(target_arch = "x86_64")]
+    Isa::Avx512 => 16 x 8, simd::avx512_f64_16x8, simd::avx512_f64_column;
 );
 impl_for_arm!(f32,
-    Isa::Portable => 16 x 6, portable_kernel::<f32, 16, 6>;
-    #[cfg(target_arch = "x86_64")] Isa::Avx2Fma => 16 x 6, simd::avx2_f32_16x6;
-    #[cfg(target_arch = "x86_64")] Isa::Avx512 => 32 x 8, simd::avx512_f32_32x8;
+    Isa::Portable => 16 x 6, portable_kernel::<f32, 16, 6>, portable_column::<f32>;
+    #[cfg(target_arch = "x86_64")]
+    Isa::Avx2Fma => 16 x 6, simd::avx2_f32_16x6, simd::avx2_f32_column;
+    #[cfg(target_arch = "x86_64")]
+    Isa::Avx512 => 32 x 8, simd::avx512_f32_32x8, simd::avx512_f32_column;
 );
 
 impl<T: Scalar> Ukernel<T> {
@@ -214,6 +242,19 @@ impl<T: Scalar> Ukernel<T> {
     #[inline(always)]
     pub(super) fn pack_b(&self, b: MatView<'_, T>, buf: &mut [T]) {
         (self.pack_b)(b, buf);
+    }
+
+    /// `c ← c + α·(A · b)` for a one-column `b`, streaming `A` (the
+    /// one-column loop of the module documentation).
+    ///
+    /// # Panics
+    /// If `b` does not have `A`'s columns or `c` its rows.
+    pub(super) fn column(&self, alpha: T, a: MatView<'_, T>, b: &[T], c: &mut [T]) {
+        assert_eq!(b.len(), a.cols(), "gemm: one-column B length");
+        assert_eq!(c.len(), a.rows(), "gemm: one-column C length");
+        // SAFETY: `self` was built by `for_arm`, so a SIMD loop implies its
+        // features were detected on this CPU.
+        unsafe { (self.column)(alpha, a, b, c) }
     }
 
     /// `C ← C + α·(A_blk · B_blk)` for one cache block: `a_panel(i)` is the
@@ -311,10 +352,81 @@ unsafe fn portable_kernel<T: Scalar, const MR: usize, const NR: usize>(
     }
 }
 
+/// Rows of `C` one pass of the one-column loop holds: the partial sums of a
+/// row block, 4 KiB at `f64`, stay in L1 while `A`'s columns stream by.
+const ROW_BLOCK: usize = 512;
+
+/// The one-column loop, written once: `madd(x, y, s)` is `x·y + s`, fused
+/// or not as the arm's micro-kernel is. Per row block and per `KC` block of
+/// `k`, the sums start from zero and add `a_il · b_l` in increasing `l` —
+/// four columns of `A` per pass over the block, each element still in
+/// order — and are folded in as `c ← madd(α, Σ, c)`: the micro-kernel's
+/// operations on every element, so the bits are the same.
+#[inline(always)]
+fn column_loop<T: Scalar>(
+    alpha: T,
+    a: MatView<'_, T>,
+    b: &[T],
+    c: &mut [T],
+    madd: impl Fn(T, T, T) -> T,
+) {
+    let (m, k) = (a.rows(), a.cols());
+    let mut sums = [T::ZERO; ROW_BLOCK];
+    for i0 in (0..m).step_by(ROW_BLOCK) {
+        let h = ROW_BLOCK.min(m - i0);
+        let (sums, c) = (&mut sums[..h], &mut c[i0..i0 + h]);
+        let col = |l: usize| &a.col(l)[i0..i0 + h];
+        for pc in (0..k).step_by(KC) {
+            sums.fill(T::ZERO);
+            let mut quads = b[pc..pc + KC.min(k - pc)].chunks_exact(4);
+            let mut l = pc;
+            for bq in &mut quads {
+                let (a0, a1, a2, a3) = (col(l), col(l + 1), col(l + 2), col(l + 3));
+                for i in 0..h {
+                    let s = madd(a1[i], bq[1], madd(a0[i], bq[0], sums[i]));
+                    sums[i] = madd(a3[i], bq[3], madd(a2[i], bq[2], s));
+                }
+                l += 4;
+            }
+            for (l, &bl) in (l..).zip(quads.remainder()) {
+                for (s, &x) in sums.iter_mut().zip(col(l)) {
+                    *s = madd(x, bl, *s);
+                }
+            }
+            for (ci, &s) in c.iter_mut().zip(sums.iter()) {
+                *ci = madd(alpha, s, *ci);
+            }
+        }
+    }
+}
+
+/// The portable arm's one-column loop: a multiply then an add, as
+/// [`portable_kernel`].
+fn portable_column<T: Scalar>(alpha: T, a: MatView<'_, T>, b: &[T], c: &mut [T]) {
+    column_loop(alpha, a, b, c, |x, y, s| x * y + s);
+}
+
 #[cfg(target_arch = "x86_64")]
 mod simd {
     use crate::view::MatView;
     use std::arch::x86_64::*;
+
+    /// Generates one arm's fused one-column loop: `super::column_loop` with
+    /// a fused multiply-add, compiled for the arm's features so that it
+    /// runs at their vector width.
+    macro_rules! fma_column {
+        ($name:ident, $features:literal, $t:ty) => {
+            #[target_feature(enable = $features)]
+            pub(super) fn $name(alpha: $t, a: MatView<'_, $t>, b: &[$t], c: &mut [$t]) {
+                super::column_loop(alpha, a, b, c, <$t>::mul_add);
+            }
+        };
+    }
+
+    fma_column!(avx2_f64_column, "avx2,fma", f64);
+    fma_column!(avx2_f32_column, "avx2,fma", f32);
+    fma_column!(avx512_f64_column, "avx512f", f64);
+    fma_column!(avx512_f32_column, "avx512f", f32);
 
     /// Generates one fused multiply-add kernel: `MR = vecs · lanes` rows held
     /// in `$vecs` vector registers per column, `$nr` columns, `vecs · nr`

@@ -4,7 +4,7 @@
 
 use calu_matrix::blas1::iamax_on;
 use calu_matrix::blas2::{gemv, gemv_t, trmv, trsv_t};
-use calu_matrix::blas3::{gemm, gemm_on, trsm, trsm_on, Arm};
+use calu_matrix::blas3::{gemm, gemm_on, gemm_packed, trsm, trsm_on, Arm, PackedA};
 use calu_matrix::lapack::{
     gecon, geequ, getf2, getf2_info, getf2_info_on, getrf, getri, getrs, getrs_t, laqge, lu_nopiv,
     lu_rows_on, rgetf2, rgetf2_info, rgetf2_info_on, GetrfOpts, PanelAlg,
@@ -131,6 +131,107 @@ proptest! {
         let (whole, pieces, _) = whole_and_pieces::<f32>(wide, seed, (m, n, k), scale, pad);
         let (want, _, _) = whole_and_pieces::<f32>(narrow, seed, (m, n, k), scale, pad);
         prop_assert!(bits(&whole) == bits(&want) && bits(&pieces) == bits(&want), "f32 differs");
+    }
+}
+
+/// `gemm_packed` against `gemm_on` on the arm `A` was packed for, bit for
+/// bit: one packed `A` (cut from a strided window) per shape, reused against
+/// every `B` and `C`, across ragged and whole register panels, `MC` and
+/// `KC` blocks, one-column and multi-panel `B`. The six `(α, β)` pairs take
+/// turns over the calls; five widths of `B` per `A` and six pairs put every
+/// width with every pair within 30 calls.
+fn packed_is_gemm_on<T: Scalar>(arm: Arm, rng: &mut StdRng) {
+    let kernel = T::gemm_ukernel(arm);
+    let (mr, nr) = (kernel.mr(), kernel.nr());
+    let scalars = [-1.0, 1.5].map(|x| [(x, 0.0), (x, 1.0), (x, -0.5)]).concat();
+    let mut turn = 0;
+    for m in [1, mr - 1, mr, mr + 1, 191, 192, 193, 256, 300] {
+        for k in [1, 63, 64, 256, 257, 600] {
+            let a_store = gen::randn::<T>(rng, m + 3, k);
+            let a = a_store.view().submatrix(1, 0, m, k);
+            let packed = PackedA::new_on(arm, a);
+            assert_eq!((packed.rows(), packed.cols()), (m, k));
+            for n in [1, nr - 1, nr, nr + 1, 64] {
+                let b = gen::randn::<T>(rng, k, n);
+                let c0 = gen::randn::<T>(rng, m, n);
+                let (alpha, beta) = scalars[turn % scalars.len()];
+                turn += 1;
+                let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
+                let mut want = c0.clone();
+                gemm_on(arm, alpha, a, b.view(), beta, want.view_mut());
+                let mut got = c0.clone();
+                gemm_packed(alpha, &packed, b.view(), beta, got.view_mut());
+                let at =
+                    format!("{} {} {m}x{k}x{n} alpha={alpha} beta={beta}", arm.name(), T::NAME);
+                assert!(bits(&got) == bits(&want), "{at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn gemm_packed_is_gemm_on_on_every_arm() {
+    simd_arms("gemm_packed_is_gemm_on_on_every_arm");
+    let mut rng = StdRng::seed_from_u64(35);
+    for arm in arms() {
+        packed_is_gemm_on::<f64>(arm, &mut rng);
+        packed_is_gemm_on::<f32>(arm, &mut rng);
+    }
+}
+
+/// The one-column loop (`gemm_on` with one column of `B`) against the same
+/// column of a multi-column call — `A` read in place (two columns) and
+/// packed (`NR + 1`) — over several row blocks and `KC` blocks, with
+/// `−0.0`, subnormals, `±∞`, NaN and exact zeros in `A`, `B` and `C`, and an
+/// all-zero column of `B`: the same bits, NaN where the batch has NaN. Under
+/// `α = 0` and `β = 1` the column is left untouched.
+fn one_column_is_its_batch_column<T: Scalar>(arm: Arm, rng: &mut StdRng) {
+    let nr = T::gemm_ukernel(arm).nr();
+    for (m, k) in [(1, 1), (7, 3), (511, 5), (512, 256), (513, 257), (1100, 64), (2100, 800)] {
+        let a = spiced::<T>(rng, m, k, (m * k / 4).max(1));
+        for n in [2, nr + 1] {
+            let mut b = spiced::<T>(rng, k, n, 2 * k);
+            b.view_mut().submatrix_mut(0, n - 1, k, 1).fill(T::ZERO);
+            let c0 = spiced::<T>(rng, m, n, 64);
+            for (alpha, beta) in [(-1.0, 1.0), (1.5, -0.5), (1.0, 0.0), (0.0, 1.0)] {
+                let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
+                let mut batch = c0.clone();
+                gemm_on(arm, alpha, a.view(), b.view(), beta, batch.view_mut());
+                for j in 0..n {
+                    let mut col = c0.view().submatrix(0, j, m, 1).to_matrix();
+                    gemm_on(
+                        arm,
+                        alpha,
+                        a.view(),
+                        b.view().submatrix(0, j, k, 1),
+                        beta,
+                        col.view_mut(),
+                    );
+                    let at = format!(
+                        "{} {} {m}x{k} column {j} of {n} alpha={alpha} beta={beta}",
+                        arm.name(),
+                        T::NAME
+                    );
+                    assert!(nan_bits(col.col(0)) == nan_bits(batch.col(j)), "{at}");
+                    if alpha == T::ZERO && beta == T::ONE {
+                        assert!(
+                            bits(&col) == bits(&c0.view().submatrix(0, j, m, 1).to_matrix()),
+                            "{at}: C touched"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn one_column_gemm_is_its_batch_column_on_every_arm() {
+    simd_arms("one_column_gemm_is_its_batch_column_on_every_arm");
+    let mut rng = StdRng::seed_from_u64(36);
+    for arm in arms() {
+        one_column_is_its_batch_column::<f64>(arm, &mut rng);
+        one_column_is_its_batch_column::<f32>(arm, &mut rng);
     }
 }
 
