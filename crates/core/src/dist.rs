@@ -12,10 +12,11 @@
 //!   [`crate::dist_rt::dist_pdgetrf_factor_rt`] run each rank's per-step
 //!   work as a `calu-runtime` task DAG at any lookahead depth, on either
 //!   executor and communicator (`DistRtOpts::default()` is depth 1 on the
-//!   serial executor over the in-process mailbox). This module keeps the
-//!   hand-written SPMD step loops verbatim as [`dist_calu_factor_spmd`] /
-//!   [`dist_pdgetrf_factor_spmd`] — the pre-refactor references the DAG
-//!   path is asserted bitwise equal to.
+//!   serial executor over the in-process mailbox). This module keeps
+//!   CALU's hand-written SPMD step loop as [`dist_calu_factor_spmd`], the
+//!   reference the DAG path is asserted bitwise equal to on grids with
+//!   more than one process row (`PDGETRF`'s reference is the sequential
+//!   [`calu_matrix::lapack::getrf`]).
 //! * **Cost-skeleton** ([`skeleton_tslu`], [`skeleton_pdgetf2`],
 //!   [`skeleton_calu`], [`skeleton_pdgetrf`], [`skeleton_calu_lookahead`])
 //!   — full control flow with [`Payload::Empty`] messages and modeled word
@@ -34,7 +35,7 @@ use calu_matrix::blas3::{gemm, trsm};
 use calu_matrix::lapack::lu_nopiv;
 use calu_matrix::perm::ipiv_to_perm;
 use calu_matrix::scalar::cast_slice;
-use calu_matrix::{Diag, Matrix, NoObs, Scalar, Side, TileLayout, TileMatrix, Uplo};
+use calu_matrix::{Diag, Matrix, NoObs, Scalar, Side, TileLayout, Uplo};
 use calu_netsim::collectives::ceil_log2;
 use calu_netsim::machine::{flops_gemm, flops_ger, flops_getf2, flops_trsm_left, flops_trsm_right};
 use calu_netsim::{run_sim, Grid, Group, Link, MachineConfig, Payload, SimComm, SimReport};
@@ -423,25 +424,20 @@ pub fn sim_pdgetf2_panel<T: Scalar>(
 // Real-data 2D block-cyclic factorizations
 // ---------------------------------------------------------------------------
 
-/// Per-rank state for the 2D real-data sweeps.
+/// Per-rank state for the 2D real-data sweep.
 ///
-/// Local storage is a [`TileMatrix`]: the tiles this rank owns under the
-/// block-cyclic deal, packed dense — local tile `(lti, ltj)` *is* global
-/// tile `(lti·Pr + prow, ltj·Pc + pcol)`, so the data a `Gemm(k,i,j)`
-/// runtime task would touch in shared memory and the data this rank
-/// updates in the distributed sweep are the same contiguous tiles. All
-/// owner / local-index arithmetic goes through the global
-/// [`TileLayout`]'s ownership map (one source of truth with the
-/// shared-memory layer; the hand-rolled copies this module used to carry
-/// are gone).
+/// Local storage is ScaLAPACK's local array: the rows and columns this rank
+/// owns under the block-cyclic deal, packed into one column-major matrix
+/// (local row `li` is global row `global_row(prow, li)`, local column `lj`
+/// global column `global_col(pcol, lj)`). All owner / local-index
+/// arithmetic goes through the global [`TileLayout`]'s ownership map.
 struct Rank2d<T> {
     prow: usize,
     pcol: usize,
-    b: usize,
-    /// Global tile layout with the block-cyclic `(Pr, Pc)` ownership map.
+    /// Global block layout with the block-cyclic `(Pr, Pc)` ownership map.
     layout: TileLayout,
-    /// Local block-cyclic storage (owned rows x owned cols, `b x b` tiles).
-    local: TileMatrix<T>,
+    /// Local block-cyclic storage (owned rows x owned cols).
+    local: Matrix<T>,
 }
 
 impl<T: Scalar> Rank2d<T> {
@@ -450,7 +446,7 @@ impl<T: Scalar> Rank2d<T> {
         let (prow, pcol) = grid.coords(rank);
         let layout = TileLayout::new(a.rows(), a.cols(), b, b).with_grid(pr, pc);
         let local = scatter_2d(layout, a, prow, pcol);
-        Self { prow, pcol, b, layout, local }
+        Self { prow, pcol, layout, local }
     }
 
     /// Local index of the first owned row with global index `>= g`.
@@ -489,7 +485,8 @@ impl<T: Scalar> Rank2d<T> {
         if o1 == o2 {
             if self.prow == o1 {
                 let (l1, l2) = (self.layout.local_row(r1), self.layout.local_row(r2));
-                self.local.swap_rows_in_cols(l1, l2, c0..c1);
+                let lr = self.local.rows();
+                self.local.view_mut().into_submatrix(0, c0, lr, c1 - c0).swap_rows(l1, l2);
             }
             return;
         }
@@ -512,15 +509,13 @@ impl<T: Scalar> Rank2d<T> {
         }
     }
 
-    /// Shared trailing update for both real-data 2D sweeps: broadcast the
-    /// packed panel along process rows, `trsm` the `U12` block row on the
-    /// diagonal process row, broadcast it down process columns, and `gemm`
-    /// the local trailing block — tile by tile. The per-tile loops are
-    /// element-for-element the flat kernels' arithmetic: column splits of
-    /// the left `trsm` solve each right-hand-side column independently,
-    /// and `gemm`'s per-element accumulation over the shared inner
-    /// dimension `jb` is unchanged by any `m`/`n` partition, so the
-    /// factors stay bitwise identical to the flat-storage sweeps.
+    /// The trailing update: broadcast the packed panel along process rows,
+    /// `trsm` the `U12` block row on the diagonal process row, broadcast it
+    /// down process columns, and `gemm` the local trailing block — one call
+    /// each. Both kernels are position independent (a column of the left
+    /// `trsm` and an element of `gemm` do not depend on the rest of the
+    /// call), so the factors are those of the flat sequential sweep's
+    /// calls.
     #[allow(clippy::too_many_arguments)]
     fn trailing_update(
         &mut self,
@@ -559,19 +554,14 @@ impl<T: Scalar> Rank2d<T> {
         if lc_right == 0 {
             return;
         }
-        let lay = self.local.layout();
 
-        // U12 on the diagonal process row, one column tile at a time.
+        // U12 on the diagonal process row.
         let diag_l0 = self.lrow_at(k); // first jb local rows are k..k+jb on cprow
         if self.prow == cprow {
             cm.compute(mach.t_trsm_left(jb, lc_right), flops_trsm_left(jb, lc_right));
             let l11 = panel_l.view().submatrix(0, 0, jb, jb);
-            let (ti_d, i0) = (diag_l0 / self.b, diag_l0 % self.b);
-            for (tj, cr) in lay.col_tile_span(lc_right0..lc) {
-                let mut t = self.local.tile_mut(ti_d, tj);
-                let u12 = t.submatrix_mut(i0, cr.start, jb, cr.len());
-                trsm(Side::Left, Uplo::Lower, Diag::Unit, T::ONE, l11, u12);
-            }
+            let u12 = self.local.view_mut().into_submatrix(diag_l0, lc_right0, jb, lc_right);
+            trsm(Side::Left, Uplo::Lower, Diag::Unit, T::ONE, l11, u12);
         }
 
         // Broadcast U12 down process columns.
@@ -591,21 +581,14 @@ impl<T: Scalar> Rank2d<T> {
             cast_slice(&colg.bcast(cm, cprow, mine, u_words).into_data()),
         );
 
-        // Local trailing gemm, tile by tile: rows with global >= k + jb.
+        // Local trailing gemm: rows with global >= k + jb.
         let lr_b0 = self.lrow_at(k + jb);
         let lr_below = lr - lr_b0;
         if lr_below > 0 {
             cm.compute(mach.t_gemm(lr_below, lc_right, jb), flops_gemm(lr_below, lc_right, jb));
-            for (ti, rr) in lay.row_tile_span(lr_b0..lr) {
-                let l21 = panel_l.view().submatrix(ti * self.b + rr.start - lr_k, 0, rr.len(), jb);
-                for (tj, cr) in lay.col_tile_span(lc_right0..lc) {
-                    let u12v =
-                        u12.view().submatrix(0, tj * self.b + cr.start - lc_right0, jb, cr.len());
-                    let mut t = self.local.tile_mut(ti, tj);
-                    let a22 = t.submatrix_mut(rr.start, cr.start, rr.len(), cr.len());
-                    gemm(-T::ONE, l21, u12v, T::ONE, a22);
-                }
-            }
+            let l21 = panel_l.view().submatrix(lr_b0 - lr_k, 0, lr_below, jb);
+            let a22 = self.local.view_mut().into_submatrix(lr_b0, lc_right0, lr_below, lc_right);
+            gemm(-T::ONE, l21, u12.view(), T::ONE, a22);
         }
     }
 }
@@ -615,19 +598,22 @@ impl<T: Scalar> Rank2d<T> {
 /// observes a given panel's zero pivot, so rank 0 alone is not enough.
 fn assemble_factors<T: Scalar>(
     layout: TileLayout,
-    results: Vec<(TileMatrix<T>, Vec<usize>, Option<usize>)>,
+    results: Vec<(Matrix<T>, Vec<usize>, Option<usize>)>,
 ) -> DistFactors<T> {
     let first_singular = results.iter().filter_map(|r| r.2).min();
     let ipiv = results[0].1.clone();
-    let parts: Vec<TileMatrix<T>> = results.into_iter().map(|r| r.0).collect();
+    let parts: Vec<Matrix<T>> = results.into_iter().map(|r| r.0).collect();
     let lu = assemble_2d(layout, &parts);
     DistFactors { lu, ipiv, first_singular }
 }
 
 /// Process `(prow, pcol)`'s share of `a` under `layout`'s block-cyclic deal,
-/// as the rank stores it: local tile `(ti, tj)` is a copy of global tile
-/// `(ti·Pr + prow, tj·Pc + pcol)`, moved whole. The inverse of
-/// [`assemble_2d`]; every distributed driver sets its ranks up with it.
+/// as the rank stores it — ScaLAPACK's local array: local row `li` is global
+/// row `global_row(prow, li)`, local column `lj` global column
+/// `global_col(pcol, lj)`, column-major with the local row count as leading
+/// dimension. Each local column is its global column's owned `mb`-row
+/// segments, copied in order. The inverse of [`assemble_2d`]; every
+/// distributed driver sets its ranks up with it.
 ///
 /// # Panics
 /// If `layout` has no process grid or is not `a`'s shape.
@@ -636,40 +622,42 @@ pub fn scatter_2d<T: Scalar>(
     a: &Matrix<T>,
     prow: usize,
     pcol: usize,
-) -> TileMatrix<T> {
+) -> Matrix<T> {
     assert_eq!((layout.rows(), layout.cols()), (a.rows(), a.cols()), "layout is not a's shape");
-    let (pr, pc) = layout.grid().expect("scatter needs a process grid");
-    TileMatrix::from_tiles(layout.local_layout(prow, pcol), |ti, tj| {
-        let (gi, gj) = (ti * pr + prow, tj * pc + pcol);
-        let (h, w) = (layout.tile_height(gi), layout.tile_width(gj));
-        a.view().submatrix(gi * layout.mb(), gj * layout.nb(), h, w)
-    })
+    let pr = layout.grid().expect("scatter needs a process grid").0;
+    let (lr, lc, mb) = (layout.local_rows(prow), layout.local_cols(pcol), layout.mb());
+    // Nothing is zeroed first: the output is written once, in storage order.
+    let mut data = Vec::with_capacity(lr * lc);
+    for lj in 0..lc {
+        let col = a.col(layout.global_col(pcol, lj));
+        for gi in (prow..layout.tile_rows()).step_by(pr) {
+            data.extend_from_slice(&col[gi * mb..][..layout.tile_height(gi)]);
+        }
+    }
+    Matrix::from_col_major(lr, lc, data)
 }
 
 /// Assembles per-rank block-cyclic pieces (`parts[rank]`, flat ranks
-/// column-major over the grid) into one global matrix, tile by tile — the
-/// inverse of [`scatter_2d`].
+/// column-major over the grid, each as [`scatter_2d`] lays it out) into one
+/// global matrix, `mb`-row column segments in storage order — the inverse
+/// of [`scatter_2d`].
 ///
 /// # Panics
 /// If `layout` has no process grid or a part is not its rank's share.
-pub fn assemble_2d<T: Scalar>(layout: TileLayout, parts: &[TileMatrix<T>]) -> Matrix<T> {
+pub fn assemble_2d<T: Scalar>(layout: TileLayout, parts: &[Matrix<T>]) -> Matrix<T> {
     let (pr, pc) = layout.grid().expect("assembly needs a process grid");
     assert_eq!(parts.len(), pr * pc, "one part per rank");
     for (rank, part) in parts.iter().enumerate() {
-        assert_eq!(part.layout(), layout.local_layout(rank % pr, rank / pr), "rank {rank}'s share");
+        let shape = (layout.local_rows(rank % pr), layout.local_cols(rank / pr));
+        assert_eq!((part.rows(), part.cols()), shape, "rank {rank}'s share");
     }
-    // One pass over the output in storage order (nothing is zeroed first):
-    // the tiles of a global tile column are resolved once, then every
-    // column of it is the concatenation of one contiguous segment per tile.
+    let mb = layout.mb();
     let mut data = Vec::with_capacity(layout.rows() * layout.cols());
-    for gj in 0..layout.tile_cols() {
-        let tiles: Vec<_> = (0..layout.tile_rows())
-            .map(|gi| parts[layout.owner(gi, gj)].tile(gi / pr, gj / pc))
-            .collect();
-        for c in 0..layout.tile_width(gj) {
-            for tile in &tiles {
-                data.extend_from_slice(tile.col(c));
-            }
+    for j in 0..layout.cols() {
+        let (pcol, lj) = (layout.col_owner(j), layout.local_col(j));
+        for gi in 0..layout.tile_rows() {
+            let col = parts[pcol * pr + gi % pr].col(lj);
+            data.extend_from_slice(&col[(gi / pr) * mb..][..layout.tile_height(gi)]);
         }
     }
     Matrix::from_col_major(layout.rows(), layout.cols(), data)
@@ -683,14 +671,14 @@ pub fn assemble_2d<T: Scalar>(layout: TileLayout, parts: &[TileMatrix<T>]) -> Ma
 /// broadcasts.
 ///
 /// This is the hand-written SPMD step loop over `calu-netsim` ranks — the
-/// **pre-refactor reference implementation**, kept verbatim so the
-/// runtime-driven path ([`crate::dist_rt`]) can be asserted bitwise equal
-/// to it. New code should call
+/// **reference implementation** the runtime-driven path
+/// ([`crate::dist_rt`]) is asserted bitwise equal to on grids with more
+/// than one process row. New code should call
 /// [`dist_calu_factor_rt`](crate::dist_rt::dist_calu_factor_rt).
 ///
-/// With `pr == 1` the elected pivots equal sequential CALU's with `p == 1`
-/// (both are one local election over the whole panel) — asserted in the
-/// integration tests.
+/// With `pr == 1` the factors equal sequential CALU's with `p == 1`, bit
+/// for bit (both are one local election over the whole panel) — asserted
+/// in the tests.
 pub fn dist_calu_factor_spmd<T: Scalar>(
     a: &Matrix<T>,
     cfg: DistCaluConfig,
@@ -723,7 +711,7 @@ pub fn dist_calu_factor_spmd<T: Scalar>(
                 let lr_k = st.lrow_at(k);
                 let lrows = st.local.rows() - lr_k;
                 let pl0 = st.lcol_at(k);
-                let block = st.local.submatrix_copy(lr_k, pl0, lrows, jb);
+                let block = st.local.view().submatrix(lr_k, pl0, lrows, jb).to_matrix();
                 let idx: Vec<usize> = (lr_k..st.local.rows()).map(|li| st.grow(li) - k).collect();
                 cm.compute(t_local_lu(&mach, local, lrows.max(1), jb), flops_getf2(lrows, jb));
                 let cand = if lrows > 0 {
@@ -808,199 +796,12 @@ pub fn dist_calu_factor_spmd<T: Scalar>(
                 let lb0 = st.lrow_at(k + jb);
                 let lr_below = st.local.rows() - lb0;
                 cm.compute(mach.t_trsm_right(lr_below, jb), flops_trsm_right(lr_below, jb));
-                if lr_below > 0 {
-                    // Per row tile: a right-side solve works row by row,
-                    // so row splits are element-exact.
-                    let u11 = w.view().submatrix(0, 0, jb, jb);
-                    let lay = st.local.layout();
-                    let (tjc, jc) = (pl0 / b, pl0 % b);
-                    for (ti, rr) in lay.row_tile_span(lb0..st.local.rows()) {
-                        let mut t = st.local.tile_mut(ti, tjc);
-                        let l21 = t.submatrix_mut(rr.start, jc, rr.len(), jb);
-                        trsm(Side::Right, Uplo::Upper, Diag::NonUnit, T::ONE, u11, l21);
-                    }
-                }
+                let u11 = w.view().submatrix(0, 0, jb, jb);
+                let l21 = st.local.view_mut().into_submatrix(lb0, pl0, lr_below, jb);
+                trsm(Side::Right, Uplo::Upper, Diag::NonUnit, T::ONE, u11, l21);
             }
 
             // --- Trailing update.
-            st.trailing_update(cm, &rowg, &colg, k, jb, cprow, cpcol);
-
-            k += jb;
-            ib += 1;
-        }
-        (st.local, ipiv, first_singular)
-    });
-
-    (report, assemble_factors(TileLayout::new(m, n, b, b).with_grid(pr, pc), results))
-}
-
-/// Real-data ScaLAPACK-style `PDGETRF` on the same 2D block-cyclic layout:
-/// the panel is factored column by column (`PDGETF2` — local scan, combine
-/// along the process column, physical pivot-row exchange, local rank-1
-/// update), then the swaps are applied to the rest of the matrix
-/// (`PDLASWP`) and the `trsm`/`gemm` trailing update runs.
-///
-/// The hand-written SPMD step loop — the **pre-refactor reference**; see
-/// [`dist_calu_factor_spmd`]. New code should call
-/// [`dist_pdgetrf_factor_rt`](crate::dist_rt::dist_pdgetrf_factor_rt).
-///
-/// Bitwise identical to the sequential blocked
-/// [`calu_matrix::lapack::getrf`] — asserted by the property tests.
-pub fn dist_pdgetrf_factor_spmd<T: Scalar>(
-    a: &Matrix<T>,
-    cfg: DistPdgetrfConfig,
-    mch: MachineConfig,
-) -> (SimReport, DistFactors<T>) {
-    let (m, n) = (a.rows(), a.cols());
-    let kn = m.min(n);
-    let DistPdgetrfConfig { b, pr, pc } = cfg;
-    assert!(b > 0 && pr > 0 && pc > 0, "block and grid must be positive");
-    let grid = Grid::new(pr, pc);
-
-    let (report, results) = run_sim(grid.size(), mch, |cm| {
-        let rank = cm.rank();
-        let mach = cm.machine().clone();
-        let mut st = Rank2d::new(a, b, pr, pc, rank);
-        let colg = grid.col_group(rank);
-        let rowg = grid.row_group(rank);
-        let mut ipiv = vec![0usize; kn];
-        let mut first_singular: Option<usize> = None;
-
-        let mut k = 0;
-        let mut ib = 0u64;
-        while k < kn {
-            let jb = b.min(kn - k);
-            let cprow = (ib as usize) % pr;
-            let cpcol = (ib as usize) % pc;
-
-            // --- PDGETF2 panel over the owning process column.
-            let local_ipiv: Vec<usize> = if st.pcol == cpcol {
-                let pl0 = st.lcol_at(k);
-                let mut li_piv = vec![0usize; jb];
-                for jj in 0..jb {
-                    let gc = k + jj;
-                    // Local scan (first strict max, ascending global order).
-                    let r0 = st.lrow_at(gc);
-                    let active = st.local.rows() - r0;
-                    cm.compute(active as f64 * mach.gamma1, 0.0);
-                    let (mut best, mut best_g, mut best_v) = (T::NEG_INFINITY, usize::MAX, T::ZERO);
-                    for li in r0..st.local.rows() {
-                        let v = st.local[(li, pl0 + jj)];
-                        if v.abs() > best {
-                            best = v.abs();
-                            best_g = st.grow(li);
-                            best_v = v;
-                        }
-                    }
-                    let mut pl = vec![best.to_f64(), best_g as f64, best_v.to_f64()];
-                    if best_g != usize::MAX && jj + 1 < jb {
-                        let li = st.layout.local_row(best_g);
-                        pl.extend((jj + 1..jb).map(|c| st.local[(li, pl0 + c)].to_f64()));
-                    } else {
-                        pl.extend(std::iter::repeat_n(0.0, jb - jj - 1));
-                    }
-                    let words = jb + 2;
-                    let red = colg.reduce(cm, Payload::Data(pl), words, |_cm, lo, hi| {
-                        let lo_v = lo.into_data();
-                        let hi_v = hi.into_data();
-                        // Ties resolve to the lower process row, whose
-                        // candidate has the smaller global index within
-                        // its block — but across blocks the global order
-                        // interleaves, so compare indices explicitly.
-                        if hi_v[0] > lo_v[0]
-                            || (hi_v[0] == lo_v[0] && (hi_v[1] as usize) < (lo_v[1] as usize))
-                        {
-                            Payload::Data(hi_v)
-                        } else {
-                            Payload::Data(lo_v)
-                        }
-                    });
-                    let win = colg.bcast(cm, 0, red.unwrap_or(Payload::Empty), words).into_data();
-                    let (piv_abs, piv_g, piv_v) =
-                        (T::from_f64(win[0]), win[1] as usize, T::from_f64(win[2]));
-                    li_piv[jj] = piv_g - k;
-                    let eliminate = piv_abs != T::ZERO && piv_abs.is_finite();
-                    if !eliminate {
-                        // DGETF2's INFO path: first zero pivot recorded,
-                        // elimination skipped, sweep continues.
-                        first_singular = first_singular.or(Some(k + jj));
-                    }
-                    if eliminate {
-                        // Swap rows gc <-> piv_g across the panel columns.
-                        if piv_g != gc {
-                            let tag = 0x5046_0000_0000 + ib * 4096 + jj as u64;
-                            st.swap_global_rows(cm, &grid, (gc, piv_g), (pl0, pl0 + jb), tag);
-                        }
-                        // Scale + rank-1 update on my sub-pivot rows,
-                        // walking the column's tile segments (elementwise
-                        // identical to the flat column sweep).
-                        let r1 = st.lrow_at(gc + 1);
-                        let lr = st.local.rows();
-                        let below = lr - r1;
-                        if below > 0 {
-                            let inv = piv_v.recip();
-                            cm.compute(mach.gamma_div + below as f64 * mach.gamma1, below as f64);
-                            st.local.for_each_col_segment_mut(pl0 + jj, r1..lr, |_, seg| {
-                                scal(inv, seg);
-                            });
-                            if jj + 1 < jb {
-                                cm.compute(
-                                    mach.t_ger(below, jb - jj - 1),
-                                    flops_ger(below, jb - jj - 1),
-                                );
-                                let urow: Vec<T> = cast_slice(&win[3..3 + (jb - jj - 1)]);
-                                // The panel's columns live in one column
-                                // tile (pl0 is tile-aligned, jb <= b); the
-                                // rank-1 update runs per row tile, with
-                                // the multiplier column and the trailing
-                                // block split out of the same tile view.
-                                let lay = st.local.layout();
-                                let (tjc, jc) = (pl0 / b, pl0 % b);
-                                for (ti, rr) in lay.row_tile_span(r1..lr) {
-                                    let t = st.local.tile_mut(ti, tjc);
-                                    let (left, mut right) = t.split_at_col_mut(jc + jj + 1);
-                                    let l_col = &left.col(jc + jj)[rr.clone()];
-                                    let trailing =
-                                        right.submatrix_mut(rr.start, 0, rr.len(), jb - jj - 1);
-                                    ger(-T::ONE, l_col, &urow, trailing);
-                                }
-                            }
-                        }
-                    }
-                }
-                let pl: Vec<f64> = li_piv.iter().map(|&x| x as f64).collect();
-                rowg.bcast(cm, cpcol, Payload::Data(pl), jb);
-                li_piv
-            } else {
-                let pl = rowg.bcast(cm, cpcol, Payload::Empty, jb).into_data();
-                pl.into_iter().map(|x| x as usize).collect()
-            };
-            for (i, &p) in local_ipiv.iter().enumerate() {
-                ipiv[k + i] = k + p;
-            }
-
-            // --- PDLASWP: apply the panel's swaps to the non-panel columns.
-            let (pl0, pl1) = if st.pcol == cpcol {
-                let c = st.lcol_at(k);
-                (c, c + jb)
-            } else {
-                (0, 0)
-            };
-            for (i, &p) in local_ipiv.iter().enumerate() {
-                if p != i {
-                    let (r1, r2) = (k + i, k + p);
-                    let tag = 0x4C57_0000_0000 + ib * 4096 + i as u64;
-                    if pl0 > 0 {
-                        st.swap_global_rows(cm, &grid, (r1, r2), (0, pl0), tag);
-                    }
-                    let ncols = st.local.cols();
-                    if pl1 < ncols || (pl0 == 0 && pl1 == 0 && ncols > 0) {
-                        st.swap_global_rows(cm, &grid, (r1, r2), (pl1, ncols), tag + 1);
-                    }
-                }
-            }
-
-            // --- Trailing update (identical to CALU's).
             st.trailing_update(cm, &rowg, &colg, k, jb, cprow, cpcol);
 
             k += jb;
@@ -1383,23 +1184,29 @@ mod tests {
         }
     }
 
+    /// With one process row, the distributed CALU is sequential CALU with
+    /// `p = 1`, bit for bit: both elect over the whole panel, and every
+    /// other kernel call is position independent.
     #[test]
     fn dist_calu_pr1_matches_sequential_p1() {
         let mut rng = StdRng::seed_from_u64(306);
-        let a: Matrix = gen::randn(&mut rng, 32, 32);
-        let (_rep, d) = dist_calu_factor_rt(
-            &a,
-            DistCaluConfig { b: 8, pr: 1, pc: 2, local: LocalLu::Classic },
-            DistRtOpts::default(),
-            MachineConfig::ideal(),
-        );
-        let f = calu_factor(
-            &a,
-            CaluOpts { block: 8, p: 1, local: LocalLu::Classic, ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(d.ipiv, f.ipiv);
-        assert!(d.lu.max_abs_diff(&f.lu) < 1e-11);
+        for n in [32usize, 200, 256] {
+            let a: Matrix = gen::randn(&mut rng, n, n);
+            for (b, pc, local) in [8usize, 16, 64]
+                .into_iter()
+                .flat_map(|b| [1usize, 2, 3].map(|pc| (b, pc)))
+                .flat_map(|(b, pc)| [LocalLu::Classic, LocalLu::Recursive].map(|l| (b, pc, l)))
+            {
+                let cfg = DistCaluConfig { b, pr: 1, pc, local };
+                let (_rep, d) =
+                    dist_calu_factor_rt(&a, cfg, DistRtOpts::default(), MachineConfig::ideal());
+                let f = calu_factor(&a, CaluOpts { block: b, p: 1, local, ..Default::default() })
+                    .unwrap();
+                let tag = format!("n={n} b={b} pc={pc} {local:?}");
+                assert_eq!(d.ipiv, f.ipiv, "{tag}");
+                assert_eq!(d.lu.max_abs_diff(&f.lu), 0.0, "{tag}");
+            }
+        }
     }
 
     #[test]
@@ -1468,55 +1275,6 @@ mod tests {
             MachineConfig::ideal(),
         );
         assert_eq!(d.first_singular, None);
-    }
-
-    /// The block-cyclic deal by its elementwise definition — what
-    /// `scatter_2d` replaced.
-    fn scatter_elementwise<T: Scalar>(
-        layout: TileLayout,
-        a: &Matrix<T>,
-        (prow, pcol): (usize, usize),
-    ) -> TileMatrix<T> {
-        TileMatrix::from_fn(layout.local_layout(prow, pcol), |li, lj| {
-            a[(layout.global_row(prow, li), layout.global_col(pcol, lj))]
-        })
-    }
-
-    fn scatter_then_assemble_is_the_identity<T: Scalar>() {
-        let mut rng = StdRng::seed_from_u64(90);
-        // Ragged in both dimensions on 2 × 2 and 3 × 2; one process row, one
-        // process column; a single tile on 2 × 2 (three ranks own nothing);
-        // a process column with no columns; an empty matrix.
-        for (m, n, b, pr, pc) in [
-            (50, 37, 8, 2, 2),
-            (45, 29, 6, 3, 2),
-            (37, 50, 8, 1, 4),
-            (41, 41, 8, 4, 1),
-            (8, 8, 8, 2, 2),
-            (20, 5, 8, 2, 3),
-            (0, 0, 4, 2, 2),
-        ] {
-            let a = gen::randn::<T>(&mut rng, m, n);
-            let layout = TileLayout::new(m, n, b, b).with_grid(pr, pc);
-            let parts: Vec<TileMatrix<T>> =
-                (0..pr * pc).map(|rank| scatter_2d(layout, &a, rank % pr, rank / pr)).collect();
-            for (rank, part) in parts.iter().enumerate() {
-                let want = scatter_elementwise(layout, &a, (rank % pr, rank / pr));
-                assert_eq!(part, &want, "{m}x{n} b={b} {pr}x{pc}: rank {rank}'s share");
-            }
-            let elementwise = Matrix::from_fn(m, n, |i, j| {
-                let owner = layout.owner(i / layout.mb(), j / layout.nb());
-                parts[owner][(layout.local_row(i), layout.local_col(j))]
-            });
-            assert_eq!(elementwise, a, "{m}x{n} b={b} {pr}x{pc}: the shares hold the matrix");
-            assert_eq!(assemble_2d(layout, &parts), a, "{m}x{n} b={b} {pr}x{pc}: round trip");
-        }
-    }
-
-    #[test]
-    fn scatter_then_assemble_is_the_identity_and_each_is_its_elementwise_form() {
-        scatter_then_assemble_is_the_identity::<f64>();
-        scatter_then_assemble_is_the_identity::<f32>();
     }
 
     #[test]

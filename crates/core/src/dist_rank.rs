@@ -2,9 +2,9 @@
 //! written once for both [`Communicator`]s.
 //!
 //! A [`RankTasks`] is one grid rank's view of a run: its grid position,
-//! **one** [`RankCell`] (its own block-cyclic tiles) and the seam objects
-//! every rank shares ([`RunCtx`]). Because the value holds a single cell,
-//! a body *cannot* reach another rank's tiles: everything else arrives
+//! **one** [`RankCell`] (its own local matrix) and the seam objects every
+//! rank shares ([`RunCtx`]). Because the value holds a single cell, a body
+//! *cannot* reach another rank's elements: everything else arrives
 //! through [`RankTasks::fetch`]. Every body computes the destination set
 //! of what it posts (the shared mailbox ignores it, point-to-point
 //! backends route on it) and propagates fetch errors (only a blocking
@@ -27,30 +27,31 @@
 //! message per partner process row**, and what stays on a rank moves in
 //! place.
 //!
-//! # Blocks and segments
+//! # Blocks
 //!
-//! A rank's storage is tile-major, so nothing here addresses an element by
-//! `(row, column)`. A body asks its cell for **blocks**:
-//! [`RankCell::tile_block`] hands out one block of one tile as a view, the
-//! operand of every `gemm`, `trsm` and `lu_nopiv` below, and
-//! [`RankCell::rect`] a local rectangle that may span tiles, as a [`Rect`].
-//! A rectangle is read a tile at a time, in a block's contiguous column
-//! **segments** — [`Rect::gather`] (the payloads, the candidate block, a
-//! pivot row), [`Rect::col_amax`] (`PDGETF2`'s scan). Rows that a
-//! collective moves go column by column through one-row blocks of each
-//! tile. The two accessors are the only `unsafe fn`s of the cell: the
-//! promise that the DAG's edges (or the rank thread's queue order) grant
-//! the elements is made where a block or a rectangle is taken, and what is
-//! done with it is safe code. Payloads arrive as `f64` words and are read in place at
-//! `T = f64` ([`Scalar::from_words`]); an `f32` run rounds them into a copy,
-//! exactly.
+//! A rank stores its share as ScaLAPACK's local array: one column-major
+//! matrix whose local row `li` is global row `global_row(prow, li)` and
+//! whose local column `lj` is global column `global_col(pcol, lj)`, with
+//! the local row count as its leading dimension ([`TileLayout`] is the
+//! ownership map). A body asks its cell for **blocks**:
+//! [`RankCell::block`] hands out a local rectangle as one strided view, the
+//! operand of every `gemm`, `trsm`, `lu_nopiv`, `scal` and `ger` below and
+//! the source of every payload ([`words`]) and pivot scan ([`col_amax`]),
+//! so each is one call over all of the rank's rows. Rows that a collective
+//! moves go column by column through one-row blocks. The accessor is the
+//! only `unsafe fn` of the cell: the promise that the DAG's edges (or the
+//! rank thread's queue order) grant the elements is made where a block is
+//! taken, and what is done with it is safe code. Payloads arrive as `f64`
+//! words and are read in place at `T = f64` ([`Scalar::from_words`]); an
+//! `f32` run rounds them into a copy, exactly.
 //!
 //! # Aliasing
 //!
-//! A cell is shared-mutable: under the in-process runner several tasks of
-//! one rank run concurrently on the executor's workers, and the DAG's
-//! edges prove they touch disjoint elements; on a rank thread the queue
-//! order is that proof (one thread is the cell's only toucher). Each
+//! A cell is `rt`'s [`SharedMat`] over one rank's local matrix, and
+//! shared-mutable for the same reason: under the in-process runner several
+//! tasks of one rank run concurrently on the executor's workers, and the
+//! DAG's edges prove they touch disjoint elements; on a rank thread the
+//! queue order is that proof (one thread is the cell's only toucher). Each
 //! `// SAFETY:` below names the edges that give the body its elements; a
 //! collective's participant holds what its task holds on its rank's cell.
 
@@ -63,7 +64,7 @@ use crate::comm::{
     Communicator, MAIL_ACC as ACC, MAIL_GCD as GCD, MAIL_GRX as GRX, MAIL_GUR as GUR,
     MAIL_PAN as PAN, MAIL_PIV as PIV, MAIL_SWP as SWP, MAIL_U12 as U12, MAIL_WBK as WBK,
 };
-use crate::rt::SharedIpiv;
+use crate::rt::{SharedIpiv, SharedMat};
 use crate::tournament::{reduce_pair, Candidates};
 use crate::tslu::{local_candidates, winners_to_ipiv, LocalLu};
 use calu_matrix::blas1::{iamax, scal};
@@ -72,8 +73,7 @@ use calu_matrix::blas3::{gemm, trsm};
 use calu_matrix::lapack::lu_nopiv;
 use calu_matrix::scalar::cast_slice;
 use calu_matrix::{
-    Diag, Error, MatView, MatViewMut, Matrix, NoObs, Result, Scalar, Side, TileLayout, TileMatrix,
-    Uplo,
+    Diag, Error, MatView, MatViewMut, Matrix, NoObs, Result, Scalar, Side, TileLayout, Uplo,
 };
 use calu_obs::CommLedger;
 use calu_runtime::{
@@ -81,137 +81,65 @@ use calu_runtime::{
     LegRole, Task,
 };
 
-/// Shared-mutable handle to one rank's local [`TileMatrix`] — the
-/// per-rank counterpart of `rt`'s shared storage (see *Aliasing* in the
-/// module docs).
-pub(crate) struct RankCell<T> {
-    ptr: *mut T,
-    pub(crate) lay: TileLayout,
-}
-
-// SAFETY: a cell is a pointer into a `TileMatrix<T>` that outlives the
-// run; sending or sharing it is sending or sharing `&mut [T]` whose
-// disjoint use the DAG proves.
-unsafe impl<T: Send> Send for RankCell<T> {}
-// SAFETY: as above — shared access hands out elements, never the slice.
-unsafe impl<T: Sync> Sync for RankCell<T> {}
+/// One rank's local matrix, shared-mutable (see *Aliasing* in the module
+/// docs). A [`RankTasks`] holds exactly one.
+pub(crate) struct RankCell<T>(SharedMat<T>);
 
 impl<T: Scalar> RankCell<T> {
-    pub(crate) fn new(a: &mut TileMatrix<T>) -> Self {
-        Self { ptr: a.as_mut_slice().as_mut_ptr(), lay: a.layout() }
+    pub(crate) fn new(a: &mut Matrix<T>) -> Self {
+        Self(SharedMat::new(&mut a.view_mut()))
     }
 
     /// Local rows of this rank.
     pub(crate) fn rows(&self) -> usize {
-        self.lay.rows()
+        self.0.rows()
     }
 
-    /// The local rectangle `rows × cols` as a handle whose (safe) methods
-    /// move its elements a contiguous segment at a time.
+    /// Mutable view of the local `nr × nc` block at `(li, lj)`; an empty
+    /// request is an empty view.
     ///
     /// # Safety
-    /// For as long as the handle lives, the caller's task must hold access
-    /// to the rectangle's elements — via DAG ordering, or as its cell's
-    /// only thread.
-    pub(crate) unsafe fn rect(&self, rows: Range<usize>, cols: Range<usize>) -> Rect<'_, T> {
-        Rect { cell: self, rows, cols }
-    }
-
-    /// Mutable view of the `nr × nc` block at `(i0, j0)` inside tile
-    /// `(ti, tj)`; built from raw parts so logically disjoint blocks never
-    /// materialize overlapping `&mut` slices.
-    ///
-    /// # Safety
-    /// The caller's task must hold exclusive element access via DAG
-    /// ordering, and the block must be in range of the tile.
-    pub(crate) unsafe fn tile_block(
+    /// As [`SharedMat::block`]: the caller's task must hold the block's
+    /// elements for the view's lifetime — via DAG ordering, or as its
+    /// cell's only thread.
+    pub(crate) unsafe fn block(
         &self,
-        ti: usize,
-        tj: usize,
-        i0: usize,
-        j0: usize,
+        li: usize,
+        lj: usize,
         nr: usize,
         nc: usize,
     ) -> MatViewMut<'_, T> {
-        let h = self.lay.tile_height(ti);
-        debug_assert!(i0 + nr <= h && j0 + nc <= self.lay.tile_width(tj));
-        let off = self.lay.tile_offset(ti, tj) + j0 * h + i0;
-        unsafe { MatViewMut::from_raw_parts(self.ptr.add(off), nr, nc, h) }
-    }
-}
-
-/// A local rectangle of a [`RankCell`] that its holder may read
-/// ([`RankCell::rect`] is the promise). The rectangle may span tiles; every
-/// method resolves each tile once and then reads contiguous column
-/// segments.
-pub(crate) struct Rect<'a, T> {
-    cell: &'a RankCell<T>,
-    rows: Range<usize>,
-    cols: Range<usize>,
-}
-
-impl<T: Scalar> Rect<'_, T> {
-    /// Calls `f(row offset, col offset, block)` for every tile block of
-    /// the rectangle, offsets counted from its corner. (The blocks are
-    /// writable views whoever asks; no method of a rectangle writes.)
-    pub(crate) fn for_each_block(&self, mut f: impl FnMut(usize, usize, MatViewMut<'_, T>)) {
-        let lay = &self.cell.lay;
-        let row_span = lay.row_tile_span(self.rows.clone());
-        for (tj, cr) in lay.col_tile_span(self.cols.clone()) {
-            for (ti, rr) in &row_span {
-                // SAFETY: the block lies inside the rectangle, whose
-                // elements the holder of this handle was granted.
-                let block = unsafe {
-                    self.cell.tile_block(*ti, tj, rr.start, cr.start, rr.len(), cr.len())
-                };
-                let at = (ti * lay.mb() + rr.start, tj * lay.nb() + cr.start);
-                f(at.0 - self.rows.start, at.1 - self.cols.start, block);
-            }
+        if nr == 0 || nc == 0 {
+            return MatViewMut::from_slice(&mut [], nr, nc, nr.max(1));
         }
+        // SAFETY: the caller holds the block.
+        unsafe { self.0.block(li, lj, nr, nc) }
     }
+}
 
-    /// The elements column-major, each through `map`: the `f64` words of a
-    /// payload ([`Scalar::to_f64`], exactly like the SPMD payloads), or the
-    /// values themselves — of a one-row rectangle, that row.
-    pub(crate) fn gather<U: Copy + Default>(&self, map: impl Fn(T) -> U) -> Vec<U> {
-        let nr = self.rows.len();
-        let mut out = vec![U::default(); nr * self.cols.len()];
-        self.for_each_block(|ro, co, block| {
-            for c in 0..block.cols() {
-                let at = (co + c) * nr + ro;
-                for (o, &x) in out[at..at + block.rows()].iter_mut().zip(block.col(c)) {
-                    *o = map(x);
-                }
-            }
-        });
-        out
+/// A block's elements as payload words, column-major ([`Scalar::to_f64`],
+/// exact).
+fn words<T: Scalar>(b: MatViewMut<'_, T>) -> Vec<f64> {
+    let mut out = Vec::with_capacity(b.rows() * b.cols());
+    for c in 0..b.cols() {
+        out.extend(b.col(c).iter().map(|x| x.to_f64()));
     }
+    out
+}
 
-    /// The rectangle as a flat matrix.
-    pub(crate) fn to_matrix(&self) -> Matrix<T> {
-        let (nr, nc) = (self.rows.len(), self.cols.len());
-        Matrix::from_col_major(nr, nc, self.gather(|x| x))
+/// The partial-pivoting scan of a column: its first strict maximum of
+/// `|v|`, as `(|v|, index, v)` — `(−∞, usize::MAX, 0)` over no rows or only
+/// NaNs.
+fn col_amax<T: Scalar>(col: &[T]) -> (T, usize, T) {
+    let none = (T::NEG_INFINITY, usize::MAX, T::ZERO);
+    if col.is_empty() {
+        return none;
     }
-
-    /// The partial-pivoting scan of a one-column rectangle: the first
-    /// strict maximum of `|v|` in ascending row order, as `(|v|, local row,
-    /// v)` — `(−∞, usize::MAX, 0)` over no rows or only NaNs. Each tile
-    /// block is one [`iamax`], and the blocks fold by the same strict `>`.
-    pub(crate) fn col_amax(&self) -> (T, usize, T) {
-        debug_assert_eq!(self.cols.len(), 1);
-        let first = self.rows.start;
-        let mut best = (T::NEG_INFINITY, usize::MAX, T::ZERO);
-        self.for_each_block(|ro, _, block| {
-            let col = block.col(0);
-            if col.is_empty() {
-                return;
-            }
-            let i = iamax(col);
-            if col[i].abs() > best.0 {
-                best = (col[i].abs(), first + ro + i, col[i]);
-            }
-        });
-        best
+    let i = iamax(col);
+    if col[i].abs() > T::NEG_INFINITY {
+        (col[i].abs(), i, col[i])
+    } else {
+        none
     }
 }
 
@@ -237,12 +165,12 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) plans: &'a [OnceLock<Arc<Plan>>],
 }
 
-/// One grid rank's task bodies over its own tiles (module docs).
+/// One grid rank's task bodies over its own local matrix (module docs).
 pub(crate) struct RankTasks<'a, T> {
     pub(crate) rank: usize,
     pub(crate) prow: usize,
     pub(crate) pcol: usize,
-    /// This rank's local tiles — the only matrix storage a body touches.
+    /// This rank's local matrix — the only matrix storage a body touches.
     pub(crate) cell: &'a RankCell<T>,
     pub(crate) ctx: RunCtx<'a>,
 }
@@ -382,14 +310,11 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
     }
 
     /// The local columns of block column `j` updated by step `k`'s
-    /// trailing work, as `(first local col, width, col tile, intra-tile
-    /// col)`.
-    fn upd_cols(&self, k: usize, j: usize) -> (usize, usize, usize, usize) {
-        let b = self.nb();
-        let c0 = self.ctx.glayout.local_cols_below(self.pcol, j * b);
+    /// trailing work, as `(first local col, width)`.
+    fn upd_cols(&self, k: usize, j: usize) -> (usize, usize) {
+        let c0 = self.ctx.glayout.local_cols_below(self.pcol, j * self.nb());
         let skip = if j == k { self.ctx.geom.jb(k) } else { 0 };
-        let lo = c0 + skip;
-        (lo, self.ctx.geom.upd_width(k, j), c0 / b, lo - (c0 / b) * b)
+        (c0 + skip, self.ctx.geom.upd_width(k, j))
     }
 
     // -- task bodies --------------------------------------------------------
@@ -400,11 +325,11 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let lr = self.cell.rows();
         let lr_k = lay.local_rows_below(self.prow, gk);
         let pl0 = lay.local_cols_below(self.pcol, gk);
-        // SAFETY: ordered after step k-1's gemms on this rank's panel rows
-        // and before Swap(k,k), their next writer.
-        let block = unsafe { self.cell.rect(lr_k..lr, pl0..pl0 + jb) }.to_matrix();
         let idx: Vec<usize> = (lr_k..lr).map(|li| lay.global_row(self.prow, li) - gk).collect();
         let cand = if lr > lr_k {
+            // SAFETY: ordered after step k-1's gemms on this rank's panel
+            // rows and before Swap(k,k), their next writer.
+            let block = unsafe { self.cell.block(lr_k, pl0, lr - lr_k, jb) }.to_matrix();
             local_candidates(&block, &idx, self.ctx.local)
         } else {
             Candidates::<T>::new(Matrix::zeros(0, jb), vec![])
@@ -469,15 +394,14 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let d0 = self.ctx.glayout.local_rows_below(self.prow, gk);
         let pl0 = self.ctx.glayout.local_cols_below(self.pcol, gk);
         // SAFETY: ordered after Swap(k,k), before every Second(k,·).
-        let w = unsafe { self.cell.rect(d0..d0 + jb, pl0..pl0 + jb) }.gather(T::to_f64);
+        let w = words(unsafe { self.cell.block(d0, pl0, jb, jb) });
         self.post(WBK, k, 0, 0, w, &self.col_ranks());
         Ok(())
     }
 
     fn run_second(&self, k: usize) -> Result<()> {
         let lay = &self.ctx.glayout;
-        let b = self.nb();
-        let (gk, jb) = (k * b, self.ctx.geom.jb(k));
+        let (gk, jb) = (k * self.nb(), self.ctx.geom.jb(k));
         let cprow = self.ctx.geom.cprow(k);
         let raw = self.fetch(WBK, k, 0, 0)?;
         let mut w = Matrix::from_col_major(jb, jb, T::from_words(&raw).into_owned());
@@ -488,20 +412,16 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
             return Err(Error::SingularPivot { step: gk + step });
         }
         let pl0 = lay.local_cols_below(self.pcol, gk);
-        let (tjc, jc) = (pl0 / b, pl0 % b);
         if self.prow == cprow {
             let d0 = lay.local_rows_below(cprow, gk);
             // SAFETY: Second(k, cprow) exclusively owns the W rows — the
-            // top `jb` rows of the diagonal tile.
-            unsafe { self.cell.tile_block(d0 / b, tjc, d0 % b, jc, jb, jb) }.copy_from(w.view());
+            // panel's top `jb` rows.
+            unsafe { self.cell.block(d0, pl0, jb, jb) }.copy_from(w.view());
         }
         let lb0 = lay.local_rows_below(self.prow, gk + jb);
-        let u11 = w.view();
-        for (ti, rr) in self.cell.lay.row_tile_span(lb0..self.cell.rows()) {
-            // SAFETY: Second(k, rank) owns its rank's L₂₁ rows.
-            let l21 = unsafe { self.cell.tile_block(ti, tjc, rr.start, jc, rr.len(), jb) };
-            trsm(Side::Right, Uplo::Upper, Diag::NonUnit, T::ONE, u11, l21);
-        }
+        // SAFETY: Second(k, rank) owns its rank's L₂₁ rows.
+        let l21 = unsafe { self.cell.block(lb0, pl0, self.cell.rows() - lb0, jb) };
+        trsm(Side::Right, Uplo::Upper, Diag::NonUnit, T::ONE, w.view(), l21);
         if self.prow != cprow {
             self.ctx.ledger.record_recv(self.rank as u32, "w_bcast", raw.len() as u64);
         }
@@ -514,23 +434,22 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let pl0 = self.ctx.glayout.local_cols_below(self.pcol, gk);
         // SAFETY: ordered after Second(k, rank) / PanelGetf2(k) — the
         // last writers of this rank's panel rows.
-        let v = unsafe { self.cell.rect(lr_k..self.cell.rows(), pl0..pl0 + jb) }.gather(T::to_f64);
+        let v = words(unsafe { self.cell.block(lr_k, pl0, self.cell.rows() - lr_k, jb) });
         self.post(PAN, k, 0, self.prow, v, &self.row_ranks(self.prow));
         Ok(())
     }
 
     fn run_trsm(&self, k: usize, j: usize) -> Result<()> {
-        let b = self.nb();
-        let (gk, jb) = (k * b, self.ctx.geom.jb(k));
+        let (gk, jb) = (k * self.nb(), self.ctx.geom.jb(k));
         // Trsm(k, j) runs on the diagonal process row.
         let lr_panel = self.ctx.geom.panel_rows(self.prow, k);
         let raw = self.fetch(PAN, k, 0, self.prow)?;
         let words = T::from_words(&raw);
         let l11 = Self::payload(&words, lr_panel, jb).submatrix(0, 0, jb, jb);
         let d0 = self.ctx.glayout.local_rows_below(self.prow, gk);
-        let (_lo, wid, tj, cr0) = self.upd_cols(k, j);
+        let (lo, wid) = self.upd_cols(k, j);
         // SAFETY: Trsm(k,j) owns rows d0..d0+jb of these columns.
-        let u12 = unsafe { self.cell.tile_block(d0 / b, tj, d0 % b, cr0, jb, wid) };
+        let u12 = unsafe { self.cell.block(d0, lo, jb, wid) };
         trsm(Side::Left, Uplo::Lower, Diag::Unit, T::ONE, l11, u12);
         Ok(())
     }
@@ -539,9 +458,9 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let g = &self.ctx.geom;
         let (gk, jb) = (k * self.nb(), g.jb(k));
         let d0 = self.ctx.glayout.local_rows_below(self.prow, gk);
-        let (lo, wid, _tj, _cr0) = self.upd_cols(k, j);
+        let (lo, wid) = self.upd_cols(k, j);
         // SAFETY: ordered after Trsm(k,j).
-        let v = unsafe { self.cell.rect(d0..d0 + jb, lo..lo + wid) }.gather(T::to_f64);
+        let v = words(unsafe { self.cell.block(d0, lo, jb, wid) });
         // Itself (its own gemm) and the process rows with trailing rows.
         let dests: Vec<usize> = (0..g.pr)
             .filter(|&r| r == self.prow || g.below_rows(r, k) > 0)
@@ -552,23 +471,18 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
     }
 
     fn run_gemm(&self, k: usize, j: usize) -> Result<()> {
-        let b = self.nb();
-        let (gk, jb) = (k * b, self.ctx.geom.jb(k));
+        let (gk, jb) = (k * self.nb(), self.ctx.geom.jb(k));
         let lr = self.cell.rows();
         let lr_k = self.ctx.glayout.local_rows_below(self.prow, gk);
         let (raw_l, raw_u) = (self.fetch(PAN, k, 0, self.prow)?, self.fetch(U12, k, j, 0)?);
         let (words_l, words_u) = (T::from_words(&raw_l), T::from_words(&raw_u));
-        let (_lo, wid, tj, cr0) = self.upd_cols(k, j);
-        let panel_l = Self::payload(&words_l, lr - lr_k, jb);
-        let u12 = Self::payload(&words_u, jb, wid);
+        let (lo, wid) = self.upd_cols(k, j);
         let lb0 = self.ctx.glayout.local_rows_below(self.prow, gk + jb);
-        for (ti, rr) in self.cell.lay.row_tile_span(lb0..lr) {
-            let l21 = panel_l.submatrix(ti * b + rr.start - lr_k, 0, rr.len(), jb);
-            // SAFETY: Gemm(k,j,rank) owns its rank's trailing rows of
-            // these columns.
-            let a22 = unsafe { self.cell.tile_block(ti, tj, rr.start, cr0, rr.len(), wid) };
-            gemm(-T::ONE, l21, u12, T::ONE, a22);
-        }
+        let l21 = Self::payload(&words_l, lr - lr_k, jb).submatrix(lb0 - lr_k, 0, lr - lb0, jb);
+        // SAFETY: Gemm(k,j,rank) owns its rank's trailing rows of these
+        // columns.
+        let a22 = unsafe { self.cell.block(lb0, lo, lr - lb0, wid) };
+        gemm(-T::ONE, l21, Self::payload(&words_u, jb, wid), T::ONE, a22);
         Ok(())
     }
 
@@ -638,55 +552,38 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         }
     }
 
-    /// One-row views of the local rows `rows` per column tile of local
-    /// columns `cols`, with the column tile's offset into `cols` and its
-    /// width.
-    fn row_segments(
-        &self,
-        rows: &[Place],
-        cols: &Range<usize>,
-    ) -> Vec<(usize, usize, Vec<MatViewMut<'_, T>>)> {
-        let lay = &self.cell.lay;
-        let spans = lay.col_tile_span(cols.clone());
-        let seg = |(tj, cr): (usize, Range<usize>)| {
-            let segs = rows.iter().map(|&(ti, i0)| {
-                // SAFETY: on every rank of its process column, Swap(k, j)
-                // holds block column j's rows ≥ k·nb and PanelGetf2(k) the
-                // panel's columns; a collective's moves name only those.
-                unsafe { self.cell.tile_block(ti, tj, i0, cr.start, 1, cr.len()) }
-            });
-            (tj * lay.nb() + cr.start - cols.start, cr.len(), segs.collect())
+    /// One-row views of the local rows `rows` over local columns `cols`.
+    fn row_views(&self, rows: &[usize], cols: &Range<usize>) -> Vec<MatViewMut<'_, T>> {
+        let row = |&li: &usize| {
+            // SAFETY: on every rank of its process column, Swap(k, j) holds
+            // block column j's rows ≥ k·nb and PanelGetf2(k) the panel's
+            // columns; a collective's moves name only those.
+            unsafe { self.cell.block(li, cols.start, 1, cols.len()) }
         };
-        spans.into_iter().map(seg).collect()
+        rows.iter().map(row).collect()
     }
 
     /// Local rows `rows` over local columns `cols` as payload words,
     /// column-major like every payload. Column by column: the rows'
-    /// elements of one column of a tile share its cache lines, where a walk
-    /// along a row touches a new line (and every eighth a new page) at each
+    /// elements of one column share its cache lines, where a walk along a
+    /// row touches a new line (and every eighth a new page) at each
     /// element.
-    fn rows_out(&self, rows: &[Place], cols: &Range<usize>) -> Vec<f64> {
-        let nr = rows.len();
-        let mut out = vec![0.0; nr * cols.len()];
-        for (co, width, segs) in self.row_segments(rows, cols) {
-            for c in 0..width {
-                for (o, seg) in out[(co + c) * nr..][..nr].iter_mut().zip(&segs) {
-                    *o = seg.get(0, c).to_f64();
-                }
-            }
+    fn rows_out(&self, rows: &[usize], cols: &Range<usize>) -> Vec<f64> {
+        let views = self.row_views(rows, cols);
+        let mut out = Vec::with_capacity(rows.len() * cols.len());
+        for c in 0..cols.len() {
+            out.extend(views.iter().map(|v| v.get(0, c).to_f64()));
         }
         out
     }
 
     /// Overwrites local rows `rows` over local columns `cols` from `vals`:
     /// the inverse of [`Self::rows_out`].
-    fn rows_in(&self, rows: &[Place], cols: &Range<usize>, vals: &[T]) {
-        let nr = rows.len();
-        for (co, width, mut segs) in self.row_segments(rows, cols) {
-            for c in 0..width {
-                for (&v, seg) in vals[(co + c) * nr..][..nr].iter().zip(segs.iter_mut()) {
-                    seg.set(0, c, v);
-                }
+    fn rows_in(&self, rows: &[usize], cols: &Range<usize>, vals: &[T]) {
+        let mut views = self.row_views(rows, cols);
+        for (c, col) in vals.chunks_exact(rows.len()).enumerate() {
+            for (&v, view) in col.iter().zip(views.iter_mut()) {
+                view.set(0, c, v);
             }
         }
     }
@@ -695,19 +592,17 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
     /// over local columns `cols`, where the rows of `dst` are those of
     /// `src` in another order: column by column through a one-column
     /// buffer, so an element is rewritten while its cache line is at hand.
-    fn move_rows(&self, dst: &[Place], src: &[Place], cols: &Range<usize>) {
+    fn move_rows(&self, dst: &[usize], src: &[usize], cols: &Range<usize>) {
         let mut buf = vec![T::ZERO; src.len()];
         // The two sets of views name the same rows; they are only read and
         // written an element at a time, never borrowed as slices.
-        let views = self.row_segments(src, cols).into_iter().zip(self.row_segments(dst, cols));
-        for ((_, width, from), (_, _, mut to)) in views {
-            for c in 0..width {
-                for (b, seg) in buf.iter_mut().zip(&from) {
-                    *b = seg.get(0, c);
-                }
-                for (&b, seg) in buf.iter().zip(to.iter_mut()) {
-                    seg.set(0, c, b);
-                }
+        let (from, mut to) = (self.row_views(src, cols), self.row_views(dst, cols));
+        for c in 0..cols.len() {
+            for (b, view) in buf.iter_mut().zip(&from) {
+                *b = view.get(0, c);
+            }
+            for (&b, view) in buf.iter().zip(to.iter_mut()) {
+                view.set(0, c, b);
             }
         }
     }
@@ -715,17 +610,11 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
     /// This rank's share of the interchanges of pivot list `ipiv` (row
     /// `base + i` with row `base + ipiv[i]`, see [`compose`]).
     fn plan(&self, base: usize, ipiv: &[usize]) -> Plan {
-        let (pr, mb) = (self.ctx.geom.pr, self.ctx.glayout.mb());
+        let (pr, lay) = (self.ctx.geom.pr, &self.ctx.glayout);
         let (rows, holds) = compose(ipiv);
-        // Each named row's owner and local place, one division by the
-        // block each.
-        let places: Vec<(usize, Place)> = rows
-            .iter()
-            .map(|&x| {
-                let (g, bi) = (base + x, (base + x) / mb);
-                (bi % pr, (bi / pr, g - bi * mb))
-            })
-            .collect();
+        // Each named row's owner and local row.
+        let places: Vec<(usize, usize)> =
+            rows.iter().map(|&x| (lay.row_owner(base + x), lay.local_row(base + x))).collect();
         let (mut sends, mut recvs) = (vec![Vec::new(); pr], vec![Vec::new(); pr]);
         let mut local = (Vec::new(), Vec::new());
         for (to, &from) in holds.iter().enumerate().filter(|&(to, &from)| to != from) {
@@ -868,17 +757,14 @@ pub(crate) fn compose(ipiv: &[usize]) -> (Vec<usize>, Vec<usize>) {
     (rows, holds)
 }
 
-/// A local row of a rank's cell: `(tile row, row within the tile)`.
-type Place = (usize, usize);
-
 /// One rank's share of composed interchanges ([`RankTasks::plan`]).
 pub(crate) struct Plan {
     /// Per partner process row, the source rows sent to it.
-    sends: Vec<Vec<Place>>,
+    sends: Vec<Vec<usize>>,
     /// Per partner process row, the destination rows received from it.
-    recvs: Vec<Vec<Place>>,
+    recvs: Vec<Vec<usize>>,
     /// The moves between this rank's own rows: (destinations, sources).
-    local: (Vec<Place>, Vec<Place>),
+    local: (Vec<usize>, Vec<usize>),
 }
 
 /// A [`Plan`] over the local columns `cols` of a process column, and the
@@ -987,8 +873,9 @@ impl<'s, 'a, T: Scalar> Getf2Part<'s, 'a, T> {
         let r0 = lay.local_rows_below(me.prow, me.nb() * self.k + jj);
         let c = self.pl0 + jj;
         // SAFETY: PanelGetf2(k) holds the whole panel column.
-        let (ba, li, bv) = unsafe { me.cell.rect(r0..me.cell.rows(), c..c + 1) }.col_amax();
-        let bg = if li == usize::MAX { li } else { lay.global_row(me.prow, li) };
+        let col = unsafe { me.cell.block(r0, c, me.cell.rows() - r0, 1) };
+        let (ba, i, bv) = col_amax(col.col(0));
+        let bg = if i == usize::MAX { i } else { lay.global_row(me.prow, r0 + i) };
         self.cand = (ba, bg, bv);
         if !self.others.is_empty() {
             let enc = if bg == usize::MAX { -1.0 } else { bg as f64 };
@@ -1026,7 +913,7 @@ impl<'s, 'a, T: Scalar> Getf2Part<'s, 'a, T> {
         } else if lay.row_owner(best_g) == me.prow {
             let (lw, c) = (lay.local_row(best_g), self.pl0 + jj + 1);
             // SAFETY: PanelGetf2(k) holds the whole panel column.
-            let row = unsafe { me.cell.rect(lw..lw + 1, c..self.pl0 + self.jb) }.gather(|v| v);
+            let row = unsafe { me.cell.block(lw, c, 1, self.jb - jj - 1) }.to_matrix().into_vec();
             if !self.others.is_empty() {
                 let words = row.iter().map(|v| v.to_f64()).collect();
                 me.post(GUR, self.k, jj, 0, words, &self.others);
@@ -1059,20 +946,15 @@ impl<'s, 'a, T: Scalar> Getf2Part<'s, 'a, T> {
         if let Some(m) = self.exchange.take() {
             me.recv_moves(&m)?;
         }
-        let b = me.nb();
-        let (tjc, jc) = (self.pl0 / b, self.pl0 % b);
-        let inv = self.pivot.recip();
-        let r1 = me.ctx.glayout.local_rows_below(me.prow, b * self.k + jj + 1);
-        for (ti, rr) in me.cell.lay.row_tile_span(r1..me.cell.rows()) {
-            // SAFETY: PanelGetf2(k) holds the whole panel column; the
-            // scaled column and the trailing block are disjoint.
-            let mut col = unsafe { me.cell.tile_block(ti, tjc, rr.start, jc + jj, rr.len(), 1) };
-            scal(inv, col.col_mut(0));
-            if jj + 1 < self.jb {
-                let (c, w) = (jc + jj + 1, self.jb - jj - 1);
-                let trailing = unsafe { me.cell.tile_block(ti, tjc, rr.start, c, rr.len(), w) };
-                ger(-T::ONE, col.as_view().col(0), &urow, trailing);
-            }
+        let r1 = me.ctx.glayout.local_rows_below(me.prow, me.nb() * self.k + jj + 1);
+        let (c, nr) = (self.pl0 + jj, me.cell.rows() - r1);
+        // SAFETY: PanelGetf2(k) holds the whole panel column; the scaled
+        // column and the trailing block are disjoint.
+        let mut col = unsafe { me.cell.block(r1, c, nr, 1) };
+        scal(self.pivot.recip(), col.col_mut(0));
+        if jj + 1 < self.jb {
+            let trailing = unsafe { me.cell.block(r1, c + 1, nr, self.jb - jj - 1) };
+            ger(-T::ONE, col.as_view().col(0), &urow, trailing);
         }
         Ok(())
     }
@@ -1114,62 +996,24 @@ impl<T: Scalar> Participant for Getf2Part<'_, '_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calu_matrix::gen;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// A rank's local storage: ragged 50 × 37 in 8 × 8 tiles.
-    fn local<T: Scalar>(seed: u64) -> TileMatrix<T> {
-        let a = gen::randn::<T>(&mut StdRng::seed_from_u64(seed), 50, 37);
-        TileMatrix::from_matrix(&a, 8, 8)
-    }
-
-    /// Rectangles that sit inside one tile, straddle tiles in one or both
-    /// dimensions, end in the ragged last tiles, or are empty.
-    const RECTS: [(Range<usize>, Range<usize>); 6] = [
-        (9..14, 17..22),
-        (5..29, 3..4),
-        (19..20, 3..30),
-        (5..29, 3..21),
-        (40..50, 30..37),
-        (7..7, 2..9),
-    ];
-
-    fn segment_moves_equal_their_elementwise_forms<T: Scalar>() {
-        let mut store = local::<T>(31);
-        let original = store.clone();
-        let cell = RankCell::new(&mut store);
-        // SAFETY: one thread, the only toucher of the cell.
-        let rect = |c, rows: &Range<usize>, cols: &Range<usize>| unsafe {
-            RankCell::rect(c, rows.clone(), cols.clone())
-        };
-        for (rows, cols) in &RECTS {
-            let at = cols.clone().flat_map(|lj| rows.clone().map(move |li| (li, lj)));
-            let want: Vec<T> = at.map(|at| original[at]).collect();
-            assert_eq!(rect(&cell, rows, cols).gather(|x| x), want, "{rows:?} x {cols:?}");
-            let words: Vec<f64> = want.iter().map(|x| x.to_f64()).collect();
-            assert_eq!(rect(&cell, rows, cols).gather(T::to_f64), words, "payload words");
-            let flat = Matrix::from_col_major(rows.len(), cols.len(), want);
-            assert_eq!(rect(&cell, rows, cols).to_matrix(), flat);
-            for lj in cols.clone() {
-                let mut want = (T::NEG_INFINITY, usize::MAX, T::ZERO);
-                for li in rows.clone() {
-                    let v = original[(li, lj)];
-                    if v.abs() > want.0 {
-                        want = (v.abs(), li, v);
-                    }
-                }
-                assert_eq!(rect(&cell, rows, &(lj..lj + 1)).col_amax(), want, "scan of {lj}");
-            }
-        }
-
-        assert_eq!(store, original, "reads leave the cell as it was");
-    }
-
+    /// The scan is the first strict maximum of `|v|` with NaNs ignored, on
+    /// ties, NaNs, infinities, an all-NaN and an empty column.
     #[test]
-    fn segment_moves_equal_their_elementwise_forms_at_both_precisions() {
-        segment_moves_equal_their_elementwise_forms::<f64>();
-        segment_moves_equal_their_elementwise_forms::<f32>();
+    fn col_amax_is_the_first_strict_maximum_ignoring_nans() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        assert_eq!(col_amax(&[1.0, -3.0, 3.0, 2.0]), (3.0, 1, -3.0));
+        assert_eq!(col_amax(&[nan, 0.5, nan, -0.5]), (0.5, 1, 0.5));
+        assert_eq!(col_amax(&[1.0, -inf, inf]), (inf, 1, -inf));
+        assert_eq!(col_amax(&[0.0, 0.0]), (0.0, 0, 0.0));
+        assert_eq!(col_amax(&[nan, nan]), (f64::NEG_INFINITY, usize::MAX, 0.0));
+        assert_eq!(col_amax::<f32>(&[]), (f32::NEG_INFINITY, usize::MAX, 0.0));
+        let mut rng = StdRng::seed_from_u64(31);
+        let col: Vec<f32> = (0..300).map(|_| rng.gen_range(0..9) as f32 - 4.0).collect();
+        let first = col.iter().position(|v| v.abs() == 4.0).expect("a maximum");
+        assert_eq!(col_amax(&col), (4.0, first, col[first]));
     }
 
     /// Composed moves leave every row where the interchanges, applied one

@@ -5,7 +5,8 @@
 //! distributed setting too.
 //!
 //! One run is set up once (`DistRun`: block-cyclic scatter into per-rank
-//! [`TileMatrix`] storage, the DAG, the pivot vector, the ledger), driven
+//! local matrices in ScaLAPACK's local layout, the DAG, the pivot vector,
+//! the ledger), driven
 //! by one of two drivers over the [`Communicator`] seam, and assembled
 //! once (`DistRun::finish`):
 //!
@@ -19,19 +20,19 @@
 //!   messages, blocking fetches.
 //!
 //! Both run the same task bodies (`crate::dist_rank`): a body touches
-//! exactly the tiles of the rank it runs for and everything else arrives
+//! exactly the local matrix of the rank it runs for and everything else arrives
 //! as keyed `f64`-word payloads (the same convention `calu-netsim` sends
 //! over channels — `T ↔ f64` round trips are exact for every [`Scalar`]).
 //! `Swap` and `PanelGetf2` are collectives over a process column, written
 //! once as rounds per participant: the in-process driver runs a
 //! collective's participants in lockstep inside its one task, a rank
 //! thread runs its own participant. Because every task replays the exact
-//! arithmetic of the SPMD sweep
-//! ([`dist_calu_factor_spmd`](crate::dist::dist_calu_factor_spmd) /
-//! [`dist_pdgetrf_factor_spmd`](crate::dist::dist_pdgetrf_factor_spmd)),
-//! factors are **bitwise identical** to those references on any schedule,
-//! any executor, any lookahead depth, either communicator — the property
-//! tests assert it.
+//! arithmetic of the references — CALU's SPMD sweep
+//! ([`dist_calu_factor_spmd`](crate::dist::dist_calu_factor_spmd)) and, for
+//! `PDGETRF`, the sequential blocked [`calu_matrix::lapack::getrf`] —
+//! factors are **bitwise identical** to them on any schedule, any
+//! executor, any lookahead depth, either communicator — the property tests
+//! assert it.
 //!
 //! # Per-rank schedules
 //!
@@ -83,7 +84,7 @@ use crate::dist::{assemble_2d, scatter_2d, DistCaluConfig, DistFactors, DistPdge
 use crate::dist_rank::{collective_pcol, compose, run_whole, Plan, RankCell, RankTasks, RunCtx};
 use crate::rt::SharedIpiv;
 use crate::tslu::LocalLu;
-use calu_matrix::{Error, Matrix, Scalar, TileLayout, TileMatrix};
+use calu_matrix::{Error, Matrix, Scalar, TileLayout};
 use calu_netsim::{MachineConfig, SimReport};
 use calu_obs::{CommDelta, CommLedger, CommLedgerReport, CommTerm, Recorder, Span};
 use calu_runtime::{
@@ -224,7 +225,7 @@ impl DistRtReport {
 // ---------------------------------------------------------------------------
 
 /// One distributed run's state, set up the same way for both drivers: the
-/// matrix scattered block-cyclically into per-rank tiles, the DAG, the
+/// matrix scattered block-cyclically into per-rank local matrices, the DAG, the
 /// pivot vector, and the measurement sinks.
 pub(crate) struct DistRun<T> {
     glayout: TileLayout,
@@ -232,7 +233,7 @@ pub(crate) struct DistRun<T> {
     alg: DistPanelAlg,
     local: LocalLu,
     pub(crate) dag: LuDag,
-    locals: Vec<TileMatrix<T>>,
+    locals: Vec<Matrix<T>>,
     /// One cell per entry of `locals` (same order: flat grid rank).
     pub(crate) cells: Vec<RankCell<T>>,
     ipiv: Vec<usize>,
@@ -259,7 +260,7 @@ impl<T: Scalar> DistRun<T> {
         let (m, n) = (a.rows(), a.cols());
         assert!(b > 0 && pr > 0 && pc > 0, "block and grid must be positive");
         let glayout = TileLayout::new(m, n, b, b).with_grid(pr, pc);
-        let mut locals: Vec<TileMatrix<T>> =
+        let mut locals: Vec<Matrix<T>> =
             (0..pr * pc).map(|rank| scatter_2d(glayout, a, rank % pr, rank / pr)).collect();
         let shape = LuShape { m, n, nb: b };
         let mut ipiv = vec![0usize; m.min(n)];
@@ -620,8 +621,9 @@ pub fn dist_pdgetrf_factor_rt<T: Scalar>(
 mod tests {
     use super::*;
     use crate::comm::{MailKey, MAIL_PAN};
-    use crate::dist::{dist_calu_factor_spmd, dist_pdgetrf_factor_spmd};
-    use calu_matrix::{gen, Result};
+    use crate::dist::dist_calu_factor_spmd;
+    use calu_matrix::lapack::{getrf, GetrfOpts};
+    use calu_matrix::{gen, NoObs, Result};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -637,7 +639,8 @@ mod tests {
     }
 
     /// Both algorithms on `a` over a `pr × pc` grid must reproduce their
-    /// SPMD references bitwise at every depth and executor, and leave no
+    /// references bitwise at every depth and executor — CALU its SPMD
+    /// sweep, `PDGETRF` the sequential blocked `getrf` — and leave no
     /// payload behind.
     fn assert_matches_spmd(comm: CommKind, a: &Matrix, b: usize, (pr, pc): (usize, usize)) {
         let ideal = MachineConfig::ideal;
@@ -645,7 +648,18 @@ mod tests {
         let calu = DistCaluConfig { b, pr, pc, local: LocalLu::Recursive };
         let pdgetrf = DistPdgetrfConfig { b, pr, pc };
         let (_r, want_calu) = dist_calu_factor_spmd(a, calu, ideal());
-        let (_r, want_pd) = dist_pdgetrf_factor_spmd(a, pdgetrf, ideal());
+        let mut want_pd = DistFactors {
+            lu: a.clone(),
+            ipiv: vec![0; a.rows().min(a.cols())],
+            first_singular: None,
+        };
+        getrf(
+            want_pd.lu.view_mut(),
+            &mut want_pd.ipiv,
+            GetrfOpts { block: b, ..Default::default() },
+            &mut NoObs,
+        )
+        .unwrap();
         for depth in 1..=3 {
             for &executor in executors(comm) {
                 let rt = DistRtOpts { lookahead: depth, executor, communicator: comm };
@@ -660,7 +674,7 @@ mod tests {
                     assert_eq!(
                         want.lu.max_abs_diff(&got.lu),
                         0.0,
-                        "{tag}: factors must be bitwise identical to the SPMD reference"
+                        "{tag}: factors must be bitwise identical to the reference"
                     );
                     assert_eq!(got.first_singular, None, "{tag}");
                     assert_eq!(rep.comm.residual_words, 0, "{tag}");
@@ -683,7 +697,7 @@ mod tests {
         assert_matches_spmd(comm, &a, 8, (4, 1));
     }
 
-    /// The DAG on an executor reproduces both SPMD sweeps bitwise.
+    /// The DAG on an executor reproduces both references bitwise.
     #[test]
     fn dag_matches_spmd_bitwise_on_grids_and_depths() {
         matches_spmd_bitwise_on_grids_and_depths(CommKind::InProcess);
@@ -691,7 +705,7 @@ mod tests {
 
     /// With ranks as real OS threads exchanging point-to-point messages —
     /// no shared matrix state at all — both algorithms still produce
-    /// bitwise-identical factors to the SPMD references.
+    /// bitwise-identical factors to their references.
     #[test]
     fn threaded_communicator_matches_spmd_bitwise() {
         matches_spmd_bitwise_on_grids_and_depths(CommKind::Threaded);

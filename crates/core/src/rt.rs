@@ -36,10 +36,10 @@
 //! Task bodies address the matrix through `SharedMat`, which hands out
 //! strided blocks of it: every operand — a leaf, an apply chunk, an update
 //! chunk, a `U₁₂` block column — is one block and one kernel call.
-//! (Tile-major storage is the distributed ranks' layout only: a tile-backed
-//! runner lost to this one by 6–10 % once the blocked `trsm` and the
-//! column-ordered swaps had landed, EXPERIMENTS.md "One shared-memory
-//! storage".)
+//! The distributed runner's cells are the same handle over each rank's
+//! local matrix (`crate::dist_rank::RankCell`). (A tile-backed runner lost
+//! to this one by 6–10 % once the blocked `trsm` and the column-ordered
+//! swaps had landed, EXPERIMENTS.md "One shared-memory storage".)
 //!
 //! [`runtime_calu_factor`] does not clone its input up front. Its output
 //! starts out zeroed (untouched pages for `f32`/`f64`) and each step-0
@@ -110,28 +110,33 @@ impl Default for RuntimeOpts {
     }
 }
 
-/// Shared-mutable handle to the flat column-major matrix being factored.
+/// Shared-mutable handle to a flat column-major matrix: the matrix being
+/// factored here, and each rank's local matrix in [`crate::dist_rank`].
 /// Tasks carve disjoint views out of it; the DAG's edges are the proof of
 /// disjointness among concurrently running tasks (every overlapping pair is
 /// ordered), which is exactly the invariant `MatViewMut` requires.
-struct SharedMat<T> {
+pub(crate) struct SharedMat<T> {
     ptr: *mut T,
     rows: usize,
     cols: usize,
     ld: usize,
 }
 
+// SAFETY: a `SharedMat` points into a matrix that outlives every task using
+// it; sending or sharing it is sending or sharing `&mut [T]` whose disjoint
+// use the DAG proves.
 unsafe impl<T: Send> Send for SharedMat<T> {}
+// SAFETY: as above — shared access hands out elements, never the slice.
 unsafe impl<T: Sync> Sync for SharedMat<T> {}
 
 impl<T: Scalar> SharedMat<T> {
-    fn new(a: &mut MatViewMut<'_, T>) -> Self {
-        let rows = a.rows();
-        let cols = a.cols();
-        let ld = a.ld();
-        let ptr =
-            if rows == 0 || cols == 0 { std::ptr::null_mut() } else { a.col_mut(0).as_mut_ptr() };
-        Self { ptr, rows, cols, ld }
+    pub(crate) fn new(a: &mut MatViewMut<'_, T>) -> Self {
+        Self { ptr: a.as_mut_ptr(), rows: a.rows(), cols: a.cols(), ld: a.ld() }
+    }
+
+    /// Rows of the matrix.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
     }
 
     /// A mutable view of the `nr × nc` block at `(i, j)`, built from raw
@@ -142,7 +147,13 @@ impl<T: Scalar> SharedMat<T> {
     /// The caller must hold (via DAG ordering) exclusive access to the
     /// block's *elements* for the view's lifetime — shared access if it
     /// only reads — and the block must be in range.
-    unsafe fn block(&self, i: usize, j: usize, nr: usize, nc: usize) -> MatViewMut<'_, T> {
+    pub(crate) unsafe fn block(
+        &self,
+        i: usize,
+        j: usize,
+        nr: usize,
+        nc: usize,
+    ) -> MatViewMut<'_, T> {
         debug_assert!(i + nr <= self.rows && j + nc <= self.cols);
         debug_assert!(nr > 0 && nc > 0, "tasks never touch empty blocks");
         unsafe { MatViewMut::from_raw_parts(self.ptr.add(j * self.ld + i), nr, nc, self.ld) }

@@ -17,11 +17,11 @@
 //!   `RGETF2` from Gustavson/Toledo), blocked `getrf` (GEPP baseline),
 //!   `lu_nopiv` (panel factorization after tournament pivoting), `laswp`,
 //!   and triangular solves `getrs`.
-//! * [`tile`] — tile-major storage: [`TileLayout`] (tile geometry plus the
-//!   ScaLAPACK block-cyclic ownership map) and [`TileMatrix`] (tiles
-//!   contiguous in memory, cross-tile row swaps), the layout of a
-//!   distributed rank's cells; the shared-memory runtime factors flat
-//!   [`Matrix`]es.
+//! * [`tile`] — block geometry: [`TileLayout`] (tile geometry plus the
+//!   ScaLAPACK block-cyclic ownership map a distributed rank's flat local
+//!   matrix is indexed by) and [`TileMatrix`] (a tile-major conversion,
+//!   tiles contiguous in memory, kept for the benchmark's conversion
+//!   probe); every factorization runs on flat [`Matrix`]es.
 //! * [`gen`] — seeded matrix ensembles used by the paper's experiments
 //!   (normal, uniform, Toeplitz, plus worst-case growth matrices).
 //! * [`perm`] — pivot-vector (`ipiv`) and permutation algebra.

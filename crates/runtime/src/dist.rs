@@ -17,7 +17,8 @@
 //! Three consumers:
 //!
 //! * the real-data runner in `calu-core::dist_rt` drives each rank's
-//!   owned `TileMatrix` tiles through this DAG under either executor;
+//!   local matrix (ScaLAPACK's local array of its owned rows and columns)
+//!   through this DAG under either executor;
 //! * [`DistCostModel`] prices every task from a [`MachineConfig`]'s
 //!   α-β-γ terms (compute for kernel tasks, `α + w·β` per message leg for
 //!   comm tasks), giving [`LuDag::critical_path`] a distributed cost;

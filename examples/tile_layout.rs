@@ -1,64 +1,55 @@
-//! Tile-major storage tour: convert a matrix to tiles, iterate per tile,
-//! print the block-cyclic ownership map, then deal the matrix out to the
-//! ranks of that grid and assemble it back — tile-major is the layout of a
-//! distributed rank's cells (the shared-memory runtime factors flat
-//! matrices).
+//! The 2-D block-cyclic layout: print the ownership map of a ragged matrix
+//! on a 2x2 process grid, deal the matrix out to the ranks as ScaLAPACK's
+//! local arrays (one column-major matrix each, local row `li` = global row
+//! `global_row(prow, li)`), check every local element against its global
+//! one, and assemble the shares back.
 //!
 //! Run: `cargo run --release --example tile_layout`
 
 use calu_repro::core::dist::{assemble_2d, scatter_2d};
-use calu_repro::matrix::{gen, Matrix, TileLayout, TileMatrix};
+use calu_repro::matrix::{gen, Matrix, TileLayout};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let (m, n, b) = (10usize, 7usize, 4usize);
+    let (m, n, b, (pr, pc)) = (10usize, 7usize, 4usize, (2usize, 2usize));
     let mut rng = StdRng::seed_from_u64(2008);
     let a: Matrix = gen::randn(&mut rng, m, n);
 
-    // Conversion: tiles contiguous in memory, ragged at both edges.
-    let tiles = TileMatrix::from_matrix(&a, b, b);
-    let layout = tiles.layout();
-    println!(
-        "{m}x{n} matrix in {b}x{b} tiles -> {}x{} tile grid",
-        layout.tile_rows(),
-        layout.tile_cols()
-    );
-
-    // Per-tile iteration: every tile is a plain contiguous MatView.
-    for (ti, tj, t) in tiles.tiles() {
-        println!(
-            "  tile ({ti},{tj}): {}x{} at buffer offset {:5}, |max| = {:.3}",
-            t.rows(),
-            t.cols(),
-            layout.tile_offset(ti, tj),
-            t.max_abs()
-        );
-    }
-
-    // The same geometry is the ScaLAPACK block-cyclic map: attach a
-    // 2x2 process grid and print who owns which tile.
-    let owned = TileLayout::new(m, n, b, b).with_grid(2, 2);
-    println!("\nblock-cyclic owners on a 2x2 grid (rank = pcol*Pr + prow):");
-    for ti in 0..owned.tile_rows() {
+    // `b x b` blocks dealt round-robin: block (bi, bj) lives on process
+    // (bi mod Pr, bj mod Pc), ragged at both edges.
+    let layout = TileLayout::new(m, n, b, b).with_grid(pr, pc);
+    println!("{m}x{n} matrix in {b}x{b} blocks on a {pr}x{pc} grid (rank = pcol*Pr + prow):");
+    for bi in 0..layout.tile_rows() {
         let row: Vec<String> =
-            (0..owned.tile_cols()).map(|tj| format!("r{}", owned.owner(ti, tj))).collect();
-        println!("  tile row {ti}: {}", row.join(" "));
+            (0..layout.tile_cols()).map(|bj| format!("r{}", layout.owner(bi, bj))).collect();
+        println!("  block row {bi}: {}", row.join(" "));
     }
-    println!(
-        "rank 0 owns {}x{} local elements (its local storage is itself a TileMatrix)",
-        owned.local_rows(0),
-        owned.local_cols(0)
-    );
 
-    // Where tile storage executes: each rank's share of the 2x2 deal is a
-    // TileMatrix of whole copied tiles, and assembly inverts it exactly.
-    let parts: Vec<TileMatrix> =
-        (0..4).map(|rank| scatter_2d(owned, &a, rank % 2, rank / 2)).collect();
-    let back = assemble_2d(owned, &parts);
+    // Each rank's share is one flat local matrix of its owned rows and
+    // columns; scatter_2d moves b-row column segments into it.
+    let parts: Vec<Matrix> =
+        (0..pr * pc).map(|rank| scatter_2d(layout, &a, rank % pr, rank / pr)).collect();
+    for (rank, part) in parts.iter().enumerate() {
+        let (prow, pcol) = (rank % pr, rank / pr);
+        let rows: Vec<usize> = (0..part.rows()).map(|li| layout.global_row(prow, li)).collect();
+        let cols: Vec<usize> = (0..part.cols()).map(|lj| layout.global_col(pcol, lj)).collect();
+        println!(
+            "  rank {rank}: {}x{} local, global rows {rows:?}, global cols {cols:?}",
+            part.rows(),
+            part.cols()
+        );
+        for (li, &gi) in rows.iter().enumerate() {
+            for (lj, &gj) in cols.iter().enumerate() {
+                assert_eq!(part[(li, lj)], a[(gi, gj)], "rank {rank} ({li}, {lj})");
+            }
+        }
+    }
+
+    let back = assemble_2d(layout, &parts);
     println!(
-        "scatter_2d -> assemble_2d on the 2x2 grid: {} rank cells, identity = {}",
-        parts.len(),
+        "scatter_2d -> assemble_2d on the {pr}x{pc} grid: every local element is its global one, \
+         identity = {}",
         back == a
     );
     assert_eq!(back, a);

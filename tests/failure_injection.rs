@@ -377,9 +377,7 @@ fn distributed_dag_cancels_across_ranks_and_reports_absolute_step() {
     // elimination step, for both executors, every lookahead depth, and
     // both panel algorithms — mirroring the shared-memory runtime's
     // failure contract above.
-    use calu_repro::core::dist::{
-        dist_calu_factor_spmd, dist_pdgetrf_factor_spmd, DistCaluConfig, DistPdgetrfConfig,
-    };
+    use calu_repro::core::dist::{dist_calu_factor_spmd, DistCaluConfig, DistPdgetrfConfig};
     use calu_repro::core::{dist_calu_factor_rt, dist_pdgetrf_factor_rt, DistRtOpts};
     use calu_repro::netsim::MachineConfig;
     let n = 32;
@@ -387,11 +385,14 @@ fn distributed_dag_cancels_across_ranks_and_reports_absolute_step() {
         let a = rank_deficient(900 + r as u64, n, r);
         let calu_cfg = DistCaluConfig { b: 8, pr: 2, pc: 2, local: LocalLu::Classic };
         let pdg_cfg = DistPdgetrfConfig { b: 8, pr: 2, pc: 2 };
-        // The SPMD references record the same absolute step INFO-style.
+        // The references fail at the same absolute step: CALU's SPMD sweep
+        // records it INFO-style, the sequential blocked getrf errors there.
         let (_q, spmd_calu) = dist_calu_factor_spmd(&a, calu_cfg, MachineConfig::ideal());
-        let (_q, spmd_pdg) = dist_pdgetrf_factor_spmd(&a, pdg_cfg, MachineConfig::ideal());
         assert_eq!(spmd_calu.first_singular, Some(r));
-        assert_eq!(spmd_pdg.first_singular, Some(r));
+        let (mut lu, mut ipiv) = (a.clone(), vec![0usize; n]);
+        let opts = GetrfOpts { block: pdg_cfg.b, ..Default::default() };
+        let seq = getrf(lu.view_mut(), &mut ipiv, opts, &mut NoObs);
+        assert!(matches!(seq, Err(Error::SingularPivot { step }) if step == r), "{seq:?}");
         for lookahead in 1..=3 {
             for executor in [ExecutorKind::Serial, ExecutorKind::Threaded { threads: 3 }] {
                 let rt = DistRtOpts { lookahead, executor, ..Default::default() };
