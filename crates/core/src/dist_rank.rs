@@ -66,7 +66,7 @@ use crate::comm::{
 };
 use crate::rt::{SharedIpiv, SharedMat};
 use crate::tournament::{reduce_pair, Candidates};
-use crate::tslu::{local_candidates, winners_to_ipiv, LocalLu};
+use crate::tslu::{elect_candidates, winners_to_ipiv, LocalLu};
 use calu_matrix::blas1::{iamax, scal};
 use calu_matrix::blas2::ger;
 use calu_matrix::blas3::{gemm, trsm};
@@ -329,8 +329,11 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let cand = if lr > lr_k {
             // SAFETY: ordered after step k-1's gemms on this rank's panel
             // rows and before Swap(k,k), their next writer.
-            let block = unsafe { self.cell.block(lr_k, pl0, lr - lr_k, jb) }.to_matrix();
-            local_candidates(&block, &idx, self.ctx.local)
+            let rows = unsafe { self.cell.block(lr_k, pl0, lr - lr_k, jb) };
+            let src = rows.as_view();
+            // One copy is the local LU's working matrix; the winners' rows
+            // are read back from the cell, which the election leaves as is.
+            elect_candidates(src.to_matrix(), self.ctx.local, |i, j| src.get(i, j), |i| idx[i])
         } else {
             Candidates::<T>::new(Matrix::zeros(0, jb), vec![])
         };

@@ -7,10 +7,14 @@
 //! supplies the missing front-end — [`SolverService`] — that makes the
 //! amortization real:
 //!
-//! * **Factorization cache** — completed [`LuFactors`] are kept in an LRU
-//!   cache keyed by [`MatrixKey`] (matrix id + registration generation),
-//!   bounded in bytes, with hit/miss/eviction counters
-//!   ([`SolverService::cache_stats`]). A cache miss factors the registered
+//! * **Factorization cache** — completed [`LuFactors`] are kept in a
+//!   cost-aware cache keyed by [`MatrixKey`] (matrix id + registration
+//!   generation) and bounded in bytes. It keeps the factorizations that
+//!   are costliest to redo: each key is worth its (periodically halved)
+//!   request count times its `O(n³)` factorization work, victims go in
+//!   ascending worth per byte, and a miss displaces residents only if it
+//!   is worth more than they are. Hit/miss/eviction/bypass counters:
+//!   [`SolverService::cache_stats`]. A cache miss factors the registered
 //!   matrix on the `calu-runtime` DAG.
 //! * **Batch coalescing** — queued requests ([`SolverService::submit`] →
 //!   [`Ticket`]) are grouped per factorization and solved as multi-RHS
@@ -131,6 +135,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to make room under the byte budget.
     pub evictions: u64,
+    /// Misses whose factors were not admitted — larger than the whole
+    /// budget, or worth less than the entries they would displace — and
+    /// served their one pass before being dropped.
+    pub bypassed: u64,
     /// Factorizations currently cached.
     pub entries: usize,
     /// Bytes currently held by cached factorizations.
@@ -148,43 +156,96 @@ pub struct ProcessReport {
     pub factored: usize,
 }
 
+/// Touches between two halvings of every count, per registered matrix.
+/// Halving bounds how long an old hot set can hold its place: a key that
+/// turns hot is admitted within about two such periods (a test pins it).
+/// 32 rather than 16 halves the churn between two keys of near-equal
+/// share (`serve_mixed`'s 7 % and 6 % matrices).
+const AGING_TOUCHES_PER_MATRIX: u64 = 32;
+
 struct CacheEntry<T> {
     factors: LuFactors<T>,
     bytes: usize,
     last_used: u64,
 }
 
-/// LRU cache of completed factorizations, bounded in bytes. Eviction
-/// scans for the minimum `last_used` tick — the entry count is small (a
-/// handful of factorizations fit any sane budget), so O(entries) beats
-/// maintaining an intrusive list.
+/// Cache of completed factorizations, bounded in bytes, that keeps the
+/// factorizations costliest to redo (GreedyDual-Size weighting with
+/// TinyLFU-style admission).
+///
+/// * **Value.** Every registered key counts its touches, hits and misses
+///   alike. Its value is that count times the work of its factorization,
+///   `n³` (the `2n³/3` flops of LU, the constant dropped: only ratios
+///   matter) — the work a resident copy saves. Its priority is value per
+///   byte.
+/// * **Aging.** Every [`AGING_TOUCHES_PER_MATRIX`] × registered-matrix
+///   touches, every count is halved.
+/// * **Eviction.** A miss that does not fit picks victims in ascending
+///   value per byte (the older `last_used` first on a tie) until it fits.
+/// * **Admission.** The newcomer displaces them only if its value exceeds
+///   their summed value; the residents win a tie. Otherwise — and when it
+///   is larger than the whole budget — its factors serve the miss that
+///   computed them and are dropped (`bypassed`).
+///
+/// Every decision reads counts, orders and a tick counter, never a clock,
+/// so two services fed one request sequence decide alike. Scans are
+/// O(entries): a handful of factorizations fit any sane budget.
 struct FactorCache<T> {
     entries: HashMap<MatrixKey, CacheEntry<T>>,
+    /// Touch count of every registered key, resident or not. A key enters
+    /// at [`Self::track`] and leaves at [`Self::forget`], so this holds
+    /// exactly the registered matrices.
+    touches: HashMap<MatrixKey, u64>,
     capacity: usize,
     bytes: usize,
     tick: u64,
+    /// Touches since the counts were last halved.
+    since_aging: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
+    bypassed: u64,
 }
 
 impl<T: Scalar> FactorCache<T> {
     fn new(capacity: usize) -> Self {
         Self {
             entries: HashMap::new(),
+            touches: HashMap::new(),
             capacity,
             bytes: 0,
             tick: 0,
+            since_aging: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
+            bypassed: 0,
         }
     }
 
-    /// Marks `key` used and reports whether it was cached, bumping the
-    /// hit/miss counters.
+    /// Starts counting the touches of a newly registered key.
+    fn track(&mut self, key: MatrixKey) {
+        self.touches.insert(key, 0);
+    }
+
+    /// Drops a key's factors and its count (its matrix was replaced).
+    fn forget(&mut self, key: MatrixKey) {
+        self.touches.remove(&key);
+        if let Some(e) = self.entries.remove(&key) {
+            self.bytes -= e.bytes;
+        }
+    }
+
+    /// Counts a touch of `key` and reports whether it was cached, bumping
+    /// the hit/miss counters.
     fn touch(&mut self, key: MatrixKey) -> bool {
         self.tick += 1;
+        *self.touches.get_mut(&key).expect("touched keys are registered") += 1;
+        self.since_aging += 1;
+        if self.since_aging >= AGING_TOUCHES_PER_MATRIX * self.touches.len() as u64 {
+            self.since_aging = 0;
+            self.touches.values_mut().for_each(|c| *c /= 2);
+        }
         match self.entries.get_mut(&key) {
             Some(e) => {
                 e.last_used = self.tick;
@@ -198,36 +259,53 @@ impl<T: Scalar> FactorCache<T> {
         }
     }
 
-    /// Inserts freshly computed factors, evicting least-recently-used
-    /// entries until the budget holds. Factors larger than the whole
-    /// budget are not cached at all: they are handed back for the caller's
-    /// one use (the next request re-factors).
+    /// Value of `key` with factors of order `n`: touches × `n³`.
+    fn value(&self, key: &MatrixKey, n: usize) -> u128 {
+        u128::from(self.touches[key]) * (n as u128).pow(3)
+    }
+
+    /// Offers freshly computed factors to the cache. Factors that are
+    /// admitted stay resident (`None`); factors that are not are handed
+    /// back for the caller's one use, and the next request re-factors.
     fn insert(&mut self, key: MatrixKey, factors: LuFactors<T>) -> Option<LuFactors<T>> {
         let n = factors.order();
         let bytes = n * n * std::mem::size_of::<T>() + n * std::mem::size_of::<usize>();
         if bytes > self.capacity {
+            self.bypassed += 1;
             return Some(factors);
         }
-        while self.bytes + bytes > self.capacity {
-            let lru = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-                .expect("over budget implies a resident entry");
-            self.remove(lru);
+        // Residents by ascending value per byte — `a` before `b` when
+        // value(a) / bytes(a) < value(b) / bytes(b), compared exactly —
+        // the older first on a tie.
+        let mut residents: Vec<(MatrixKey, u128, usize, u64)> = self
+            .entries
+            .iter()
+            .map(|(k, e)| (*k, self.value(k, e.factors.order()), e.bytes, e.last_used))
+            .collect();
+        residents.sort_by(|a, b| (a.1 * b.2 as u128).cmp(&(b.1 * a.2 as u128)).then(a.3.cmp(&b.3)));
+        let mut free = self.capacity - self.bytes;
+        let mut victims = Vec::new();
+        let mut displaced = 0;
+        for (victim, value, victim_bytes, _) in residents {
+            if free >= bytes {
+                break;
+            }
+            free += victim_bytes;
+            displaced += value;
+            victims.push(victim);
+        }
+        if !victims.is_empty() && self.value(&key, n) <= displaced {
+            self.bypassed += 1;
+            return Some(factors);
+        }
+        for victim in victims {
+            let e = self.entries.remove(&victim).expect("victims are resident");
+            self.bytes -= e.bytes;
             self.evictions += 1;
         }
-        self.tick += 1;
         self.bytes += bytes;
         self.entries.insert(key, CacheEntry { factors, bytes, last_used: self.tick });
         None
-    }
-
-    fn remove(&mut self, key: MatrixKey) {
-        if let Some(e) = self.entries.remove(&key) {
-            self.bytes -= e.bytes;
-        }
     }
 
     fn stats(&self) -> CacheStats {
@@ -235,6 +313,7 @@ impl<T: Scalar> FactorCache<T> {
             hits: self.hits,
             misses: self.misses,
             evictions: self.evictions,
+            bypassed: self.bypassed,
             entries: self.entries.len(),
             bytes: self.bytes,
         }
@@ -325,13 +404,15 @@ impl<T: Scalar> SolverService<T> {
         assert_eq!(a.rows(), a.cols(), "SolverService only serves square systems");
         let generation = match self.matrices.get(&id) {
             Some((g, _)) => {
-                self.cache.remove(MatrixKey { id, generation: *g });
+                self.cache.forget(MatrixKey { id, generation: *g });
                 g + 1
             }
             None => 1,
         };
         self.matrices.insert(id, (generation, a));
-        MatrixKey { id, generation }
+        let key = MatrixKey { id, generation };
+        self.cache.track(key);
+        key
     }
 
     /// Queues a solve of `A x = rhs` against the matrix registered under
@@ -476,6 +557,7 @@ impl<T: Scalar> SolverService<T> {
         sync("serve.cache.hits", stats.hits);
         sync("serve.cache.misses", stats.misses);
         sync("serve.cache.evictions", stats.evictions);
+        sync("serve.cache.bypassed", stats.bypassed);
         self.metrics.gauge_set("serve.cache.entries", stats.entries as f64);
         self.metrics.gauge_set("serve.cache.bytes", stats.bytes as f64);
         self.metrics.gauge_set("serve.queue_depth", self.queue.len() as f64);
@@ -493,9 +575,9 @@ impl<T: Scalar> SolverService<T> {
     }
 
     /// Resolves `key`'s factors into the cache (hit: a counter bump; miss:
-    /// a runtime factorization). Factors the cache did not keep (a zero or
-    /// overflowed budget) are returned, so one miss is one factorization;
-    /// `None` means they are resident.
+    /// a runtime factorization). Factors the cache did not admit (a budget
+    /// too small for them, or residents worth more) are returned, so one
+    /// miss is one factorization; `None` means they are resident.
     fn ensure_factors(
         &mut self,
         key: MatrixKey,
@@ -521,7 +603,7 @@ mod tests {
     use calu_matrix::gen;
     use calu_runtime::ExecutorKind;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn opts_with(executor: ExecutorKind) -> ServeOpts {
         ServeOpts {
@@ -616,24 +698,28 @@ mod tests {
         let factorizations = svc.spans().iter().filter(|s| s.name == "PanelFinish(0)").count();
         assert_eq!(factorizations, 2, "one factorization per miss, not one more to solve with");
 
-        // Capacity for exactly one entry: a second matrix evicts the first.
-        let entry_bytes = n * n * 8 + n * std::mem::size_of::<usize>();
+        // Capacity for exactly one entry. The second matrix is worth no
+        // more than the resident (one touch each): it is served and not
+        // admitted. Its third touch outweighs the resident's two: it is
+        // admitted and the first matrix is evicted.
         let mut opts = opts_with(ExecutorKind::Serial);
-        opts.cache_capacity_bytes = entry_bytes;
+        opts.cache_capacity_bytes = entry_bytes(n);
         let mut svc = SolverService::new(opts);
         let a: Matrix<f64> = gen::randn(&mut rng, n, n);
         svc.register(1, a);
         let a2: Matrix<f64> = gen::randn(&mut rng, n, n);
         svc.register(2, a2);
-        for id in [1, 2, 1] {
+        for id in [1, 2, 1, 2, 2] {
             let t = svc.submit(id, vec![1.0; n]).unwrap();
             svc.process();
             assert!(svc.try_take(t).unwrap().is_ok());
         }
         let stats = svc.cache_stats();
         assert_eq!(stats.entries, 1);
-        assert_eq!(stats.evictions, 2, "each re-factor evicts the resident entry");
-        assert_eq!(stats.misses, 3, "ping-ponging two matrices through a one-entry cache");
+        assert_eq!(stats.hits, 1, "the resident's second touch");
+        assert_eq!(stats.misses, 4);
+        assert_eq!(stats.bypassed, 2, "the newcomer ties, then trails the resident");
+        assert_eq!(stats.evictions, 1, "its third touch outweighs the resident's two");
     }
 
     #[test]
@@ -689,6 +775,7 @@ mod tests {
                 keys("counters"),
                 [
                     "serve.batches",
+                    "serve.cache.bypassed",
                     "serve.cache.evictions",
                     "serve.cache.hits",
                     "serve.cache.misses",
@@ -748,6 +835,176 @@ mod tests {
             let parsed =
                 calu_obs::parse_chrome_trace(&calu_obs::chrome_trace(&spans)).expect("valid trace");
             assert_eq!(parsed.len(), spans.len());
+        }
+    }
+
+    /// `serve_mixed`'s request shares and matrix orders, scaled down by 16:
+    /// a popular and a rare large matrix among four small ones.
+    const SHARES: [f64; 6] = [0.45, 0.25, 0.10, 0.07, 0.07, 0.06];
+    const ORDERS: [usize; 6] = [16, 32, 16, 16, 32, 16];
+
+    fn entry_bytes(n: usize) -> usize {
+        n * n * 8 + n * std::mem::size_of::<usize>()
+    }
+
+    /// A service over one diagonally dominant matrix per order, id = index.
+    fn service_over(orders: &[usize], capacity: usize, executor: ExecutorKind) -> SolverService {
+        let mut rng = StdRng::seed_from_u64(906);
+        let mut opts = opts_with(executor);
+        opts.cache_capacity_bytes = capacity;
+        let mut svc = SolverService::new(opts);
+        for (id, &n) in orders.iter().enumerate() {
+            svc.register(id as u64, gen::diag_dominant(&mut rng, n));
+        }
+        svc
+    }
+
+    /// Serves one right-hand side per id of `seq`, one `process` pass each.
+    fn serve_sequence(svc: &mut SolverService, seq: &[usize]) {
+        for &id in seq {
+            let n = svc.matrices[&(id as u64)].1.rows();
+            let t = svc.submit(id as u64, vec![1.0; n]).unwrap();
+            svc.process();
+            assert!(svc.try_take(t).unwrap().is_ok());
+        }
+    }
+
+    /// `len` ids drawn with probabilities `shares`.
+    fn draw_sequence(seed: u64, shares: &[f64], len: usize) -> Vec<usize> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| {
+                let draw: f64 = rng.gen();
+                let mut below = 0.0;
+                let id = shares.iter().position(|share| {
+                    below += share;
+                    draw < below
+                });
+                id.unwrap_or(shares.len() - 1)
+            })
+            .collect()
+    }
+
+    /// Hits of the least-recently-used rule on `seq` (ids index `orders`):
+    /// the reference the cost-aware rule is held to.
+    fn lru_hits(seq: &[usize], orders: &[usize], capacity: usize) -> u64 {
+        let mut resident: Vec<usize> = Vec::new(); // least recent first
+        let mut hits = 0;
+        for &id in seq {
+            if let Some(p) = resident.iter().position(|&r| r == id) {
+                resident.remove(p);
+                hits += 1;
+            } else if entry_bytes(orders[id]) > capacity {
+                continue;
+            } else {
+                let used = |r: &[usize]| r.iter().map(|&r| entry_bytes(orders[r])).sum::<usize>();
+                while used(&resident) + entry_bytes(orders[id]) > capacity {
+                    resident.remove(0);
+                }
+            }
+            resident.push(id);
+        }
+        hits
+    }
+
+    /// Room for 60 % of the working set, as in `serve_mixed`: the large
+    /// popular matrix and three small ones fit, both large ones do not.
+    fn skewed_capacity() -> usize {
+        let working_set: usize = ORDERS.iter().map(|&n| entry_bytes(n)).sum();
+        working_set * 6 / 10
+    }
+
+    #[test]
+    fn cost_aware_cache_beats_lru_on_skewed_traffic() {
+        let seq = draw_sequence(46, &SHARES, 2000);
+        let capacity = skewed_capacity();
+        let mut svc = service_over(&ORDERS, capacity, ExecutorKind::Serial);
+        serve_sequence(&mut svc, &seq);
+        let stats = svc.cache_stats();
+        let lru = lru_hits(&seq, &ORDERS, capacity);
+        // LRU: 1414 hits (71 %); the cost-aware rule: 1719 (86 %, the
+        // share of the popular large matrix and the three hottest small
+        // ones).
+        assert_eq!((lru, stats.hits), (1414, 1719));
+        assert!(stats.hits > lru);
+        assert!(stats.evictions < 20, "{stats:?}: residents churn only between near-equal keys");
+        assert_eq!(stats.misses, stats.bypassed + stats.entries as u64 + stats.evictions);
+    }
+
+    #[test]
+    fn a_newly_hot_key_is_admitted_within_two_aging_periods() {
+        let n = 16;
+        let mut svc = service_over(&[n, n], entry_bytes(n), ExecutorKind::Serial);
+        serve_sequence(&mut svc, &[0; 300]);
+        // The hot set shifts to key 1. Its count must outgrow key 0's,
+        // which aging halves every period of 32 × 2 touches.
+        let period = (AGING_TOUCHES_PER_MATRIX * 2) as usize;
+        let mut touches = 0;
+        while svc.cache.entries.keys().all(|k| k.id != 1) {
+            serve_sequence(&mut svc, &[1]);
+            touches += 1;
+            assert!(touches <= 2 * period, "key 1 starved after {touches} touches");
+        }
+        // LRU would admit it at once, and let any stray touch displace
+        // the hot key; counts without aging would need 301 touches.
+        assert!(touches > 1, "one stray touch must not displace the hot resident");
+        assert_eq!(touches, 63);
+    }
+
+    #[test]
+    fn uniform_traffic_does_no_worse_than_lru() {
+        // Six equal matrices, room for three.
+        let orders = [16; 6];
+        let capacity = 3 * entry_bytes(16);
+        // A cycle through all six: LRU always evicts the one needed next.
+        let cycle: Vec<usize> = (0..600).map(|i| i % 6).collect();
+        let mut svc = service_over(&orders, capacity, ExecutorKind::Serial);
+        serve_sequence(&mut svc, &cycle);
+        // The cost-aware rule keeps three of them resident: half the
+        // requests hit once counts settle.
+        assert_eq!(lru_hits(&cycle, &orders, capacity), 0);
+        assert_eq!(svc.cache_stats().hits, 297);
+        // Independent uniform draws.
+        let random = draw_sequence(47, &[1.0 / 6.0; 6], 1200);
+        let mut svc = service_over(&orders, capacity, ExecutorKind::Serial);
+        serve_sequence(&mut svc, &random);
+        // Any rule that keeps the cache full hits half of them in
+        // expectation; on this sequence LRU scores 582, the cost-aware
+        // rule 610.
+        let lru = lru_hits(&random, &orders, capacity);
+        assert_eq!((lru, svc.cache_stats().hits), (582, 610));
+    }
+
+    #[test]
+    fn services_fed_one_sequence_report_equal_cache_stats() {
+        let seq = draw_sequence(48, &SHARES, 600);
+        let stats: Vec<CacheStats> = executors()
+            .into_iter()
+            .map(|executor| {
+                let mut svc = service_over(&ORDERS, skewed_capacity(), executor);
+                serve_sequence(&mut svc, &seq);
+                svc.cache_stats()
+            })
+            .collect();
+        assert_eq!(stats[0], stats[1]);
+        assert!(stats[0].evictions + stats[0].bypassed > 0, "the rule had decisions to make");
+    }
+
+    #[test]
+    fn re_registration_drops_the_old_generations_counts() {
+        let mut rng = StdRng::seed_from_u64(907);
+        let mut svc = service_over(&[12, 12, 12], 2 * entry_bytes(12), ExecutorKind::Serial);
+        for round in 0..30 {
+            svc.register(round % 3, gen::diag_dominant(&mut rng, 12));
+            serve_sequence(&mut svc, &[0, 1, 2, 0]);
+            let registered: Vec<MatrixKey> = svc
+                .matrices
+                .iter()
+                .map(|(&id, &(generation, _))| MatrixKey { id, generation })
+                .collect();
+            assert_eq!(svc.cache.touches.len(), registered.len());
+            assert!(registered.iter().all(|k| svc.cache.touches.contains_key(k)));
+            assert!(svc.cache.entries.keys().all(|k| registered.contains(k)));
         }
     }
 

@@ -60,6 +60,29 @@ fn main() {
         rep.factored, stats.hits, stats.misses, stats.entries, stats.bytes
     );
 
+    // With room for one factorization, a matrix asked for once does not
+    // displace the one asked for twice: its factors serve the request and
+    // are dropped (a bypass).
+    let budget = ServeOpts { cache_capacity_bytes: stats.bytes, ..opts };
+    let mut tight: SolverService = SolverService::new(budget);
+    tight.register(1, a.clone());
+    tight.register(2, gen::diag_dominant(&mut rng, n));
+    for id in [1, 1, 2] {
+        let t = tight.submit(id, rhs[0].clone()).expect("queue has room");
+        tight.process();
+        tight.try_take(t).expect("processed").expect("nonsingular");
+    }
+    let snapshot = tight.metrics_snapshot();
+    let counter = |name: &str| {
+        snapshot.get("counters").and_then(|c| c.get(name)).and_then(|v| v.as_u64()).unwrap_or(0)
+    };
+    println!(
+        "one-entry budget, requests to ids 1, 1, 2: serve.cache.hits={} serve.cache.bypassed={} serve.cache.evictions={}",
+        counter("serve.cache.hits"),
+        counter("serve.cache.bypassed"),
+        counter("serve.cache.evictions")
+    );
+
     // Re-registering bumps the generation and invalidates the cache entry.
     let key2 = svc.register(42, a);
     println!("re-registered id=42: generation {} -> {}", key.generation, key2.generation);
