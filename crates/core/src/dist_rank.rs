@@ -2,7 +2,7 @@
 //! written once for both [`Communicator`]s.
 //!
 //! A [`RankTasks`] is one grid rank's view of a run: its grid position,
-//! **one** [`RankCell`] (its own local matrix) and the seam objects every
+//! **one** cell (its own local matrix) and the seam objects every
 //! rank shares ([`RunCtx`]). Because the value holds a single cell, a body
 //! *cannot* reach another rank's elements: everything else arrives
 //! through [`RankTasks::fetch`]. Every body computes the destination set
@@ -29,48 +29,35 @@
 //!
 //! # Blocks
 //!
-//! A rank stores its share as ScaLAPACK's local array: one column-major
-//! matrix whose local row `li` is global row `global_row(prow, li)` and
-//! whose local column `lj` is global column `global_col(pcol, lj)`, with
-//! the local row count as its leading dimension ([`TileLayout`] is the
-//! ownership map). A body asks its cell for **blocks**:
-//! [`RankCell::block`] hands out a local rectangle as one strided view, the
-//! operand of every `gemm`, `trsm`, `lu_nopiv`, `scal` and `ger` below and
-//! the source of every payload ([`words`]) and pivot scan ([`col_amax`]),
-//! so each is one call over all of the rank's rows. Rows that a collective
-//! moves go column by column through one-row blocks. The accessor is the
-//! only `unsafe fn` of the cell: the promise that the DAG's edges (or the
-//! rank thread's queue order) grant the elements is made where a block is
-//! taken, and what is done with it is safe code. Payloads arrive as `f64`
-//! words and are read in place at `T = f64` ([`Scalar::from_words`]); an
-//! `f32` run rounds them into a copy, exactly.
-//!
-//! # Aliasing
-//!
-//! A cell is `rt`'s [`SharedMat`] over one rank's local matrix, and
-//! shared-mutable for the same reason: under the in-process runner several
-//! tasks of one rank run concurrently on the executor's workers, and the
-//! DAG's edges prove they touch disjoint elements; on a rank thread the
-//! queue order is that proof (one thread is the cell's only toucher). Each
-//! `// SAFETY:` below names the edges that give the body its elements; a
-//! collective's participant holds what its task holds on its rank's cell.
+//! A rank's cell is a [`SharedMat`] over its local matrix, ScaLAPACK's
+//! local array. Each rank-local body takes its blocks in one
+//! [`SharedMat::blocks`] call, whose `// SAFETY:` names the edges (or the
+//! rank thread's queue order) that grant the elements; a collective's
+//! participant takes the rows it holds on its cell as one block
+//! ([`RankTasks::held`]) and moves rows within it column by column. A
+//! rank's `Gemm(k, ·, rank)` tasks share one packed copy of its `L₂₁`
+//! payload per step ([`SharedChunks`]). Payloads arrive as `f64` words and
+//! are read in place at `T = f64` ([`Scalar::from_words`]); an `f32` run
+//! rounds them into a copy, exactly. [`crate::blocks`] says why the cells
+//! are shared-mutable and when that is sound.
 
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
+use crate::blocks::{SharedChunks, SharedIpiv, SharedMat};
 use crate::comm::{
     Communicator, MAIL_ACC as ACC, MAIL_GCD as GCD, MAIL_GRX as GRX, MAIL_GUR as GUR,
     MAIL_PAN as PAN, MAIL_PIV as PIV, MAIL_SWP as SWP, MAIL_U12 as U12, MAIL_WBK as WBK,
 };
-use crate::rt::{SharedIpiv, SharedMat};
 use crate::tournament::{reduce_pair, Candidates};
 use crate::tslu::{elect_candidates, winners_to_ipiv, LocalLu};
 use calu_matrix::blas1::{iamax, scal};
 use calu_matrix::blas2::ger;
-use calu_matrix::blas3::{gemm, trsm};
-use calu_matrix::lapack::lu_nopiv;
+use calu_matrix::blas3::{gemm, gemm_packed, trsm, PackedA};
+use calu_matrix::lapack::{lu_nopiv, lu_rows};
 use calu_matrix::scalar::cast_slice;
 use calu_matrix::{
     Diag, Error, MatView, MatViewMut, Matrix, NoObs, Result, Scalar, Side, TileLayout, Uplo,
@@ -80,42 +67,6 @@ use calu_runtime::{
     tslu_acc_slot, tslu_leg_count, tslu_leg_role, DistGeom, DistKind, DistPanelAlg, DistTask,
     LegRole, Task,
 };
-
-/// One rank's local matrix, shared-mutable (see *Aliasing* in the module
-/// docs). A [`RankTasks`] holds exactly one.
-pub(crate) struct RankCell<T>(SharedMat<T>);
-
-impl<T: Scalar> RankCell<T> {
-    pub(crate) fn new(a: &mut Matrix<T>) -> Self {
-        Self(SharedMat::new(&mut a.view_mut()))
-    }
-
-    /// Local rows of this rank.
-    pub(crate) fn rows(&self) -> usize {
-        self.0.rows()
-    }
-
-    /// Mutable view of the local `nr × nc` block at `(li, lj)`; an empty
-    /// request is an empty view.
-    ///
-    /// # Safety
-    /// As [`SharedMat::block`]: the caller's task must hold the block's
-    /// elements for the view's lifetime — via DAG ordering, or as its
-    /// cell's only thread.
-    pub(crate) unsafe fn block(
-        &self,
-        li: usize,
-        lj: usize,
-        nr: usize,
-        nc: usize,
-    ) -> MatViewMut<'_, T> {
-        if nr == 0 || nc == 0 {
-            return MatViewMut::from_slice(&mut [], nr, nc, nr.max(1));
-        }
-        // SAFETY: the caller holds the block.
-        unsafe { self.0.block(li, lj, nr, nc) }
-    }
-}
 
 /// A block's elements as payload words, column-major ([`Scalar::to_f64`],
 /// exact).
@@ -146,7 +97,7 @@ fn col_amax<T: Scalar>(col: &[T]) -> (T, usize, T) {
 /// What every rank of one run shares: the block-cyclic geometry, the
 /// algorithm choices, and the seam objects.
 #[derive(Clone, Copy)]
-pub(crate) struct RunCtx<'a> {
+pub(crate) struct RunCtx<'a, T: Scalar> {
     pub(crate) geom: DistGeom,
     pub(crate) glayout: TileLayout,
     pub(crate) alg: DistPanelAlg,
@@ -163,22 +114,24 @@ pub(crate) struct RunCtx<'a> {
     /// Each rank's [`Plan`] of each step's swap list (index
     /// `rank · steps + k`), composed once.
     pub(crate) plans: &'a [OnceLock<Arc<Plan>>],
+    /// Every rank's packed `L₂₁` per step, keyed `(k, rank)`.
+    pub(crate) chunks: &'a SharedChunks<T>,
 }
 
 /// One grid rank's task bodies over its own local matrix (module docs).
-pub(crate) struct RankTasks<'a, T> {
+pub(crate) struct RankTasks<'a, T: Scalar> {
     pub(crate) rank: usize,
     pub(crate) prow: usize,
     pub(crate) pcol: usize,
     /// This rank's local matrix — the only matrix storage a body touches.
-    pub(crate) cell: &'a RankCell<T>,
-    pub(crate) ctx: RunCtx<'a>,
+    pub(crate) cell: &'a SharedMat<T>,
+    pub(crate) ctx: RunCtx<'a, T>,
 }
 
 impl<'a, T: Scalar> RankTasks<'a, T> {
     /// Rank `rank`'s bodies over `cells[rank]` (flat ranks are
     /// column-major over the grid, like [`DistGeom::rank`]).
-    pub(crate) fn new(ctx: RunCtx<'a>, cells: &'a [RankCell<T>], rank: usize) -> Self {
+    pub(crate) fn new(ctx: RunCtx<'a, T>, cells: &'a [SharedMat<T>], rank: usize) -> Self {
         let pr = ctx.geom.pr;
         Self { rank, prow: rank % pr, pcol: rank / pr, cell: &cells[rank], ctx }
     }
@@ -329,7 +282,7 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let cand = if lr > lr_k {
             // SAFETY: ordered after step k-1's gemms on this rank's panel
             // rows and before Swap(k,k), their next writer.
-            let rows = unsafe { self.cell.block(lr_k, pl0, lr - lr_k, jb) };
+            let [rows] = unsafe { self.cell.blocks([(lr_k, pl0, lr - lr_k, jb)]) };
             let src = rows.as_view();
             // One copy is the local LU's working matrix; the winners' rows
             // are read back from the cell, which the election leaves as is.
@@ -397,8 +350,8 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let d0 = self.ctx.glayout.local_rows_below(self.prow, gk);
         let pl0 = self.ctx.glayout.local_cols_below(self.pcol, gk);
         // SAFETY: ordered after Swap(k,k), before every Second(k,·).
-        let w = words(unsafe { self.cell.block(d0, pl0, jb, jb) });
-        self.post(WBK, k, 0, 0, w, &self.col_ranks());
+        let [w] = unsafe { self.cell.blocks([(d0, pl0, jb, jb)]) };
+        self.post(WBK, k, 0, 0, words(w), &self.col_ranks());
         Ok(())
     }
 
@@ -415,16 +368,19 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
             return Err(Error::SingularPivot { step: gk + step });
         }
         let pl0 = lay.local_cols_below(self.pcol, gk);
-        if self.prow == cprow {
-            let d0 = lay.local_rows_below(cprow, gk);
-            // SAFETY: Second(k, cprow) exclusively owns the W rows — the
-            // panel's top `jb` rows.
-            unsafe { self.cell.block(d0, pl0, jb, jb) }.copy_from(w.view());
-        }
+        let d0 = lay.local_rows_below(self.prow, gk);
         let lb0 = lay.local_rows_below(self.prow, gk + jb);
-        // SAFETY: Second(k, rank) owns its rank's L₂₁ rows.
-        let l21 = unsafe { self.cell.block(lb0, pl0, self.cell.rows() - lb0, jb) };
-        trsm(Side::Right, Uplo::Upper, Diag::NonUnit, T::ONE, w.view(), l21);
+        // SAFETY: Second(k, rank) exclusively owns its rank's panel rows:
+        // the W rows (the panel's top `jb`, on the diagonal process row
+        // only), then L₂₁.
+        let [panel] = unsafe { self.cell.blocks([(d0, pl0, self.cell.rows() - d0, jb)]) };
+        let (mut top, l21) = panel.split_at_row_mut(lb0 - d0);
+        if self.prow == cprow {
+            top.copy_from(w.view());
+        }
+        // L₂₁ = A₂₁·U₁₁⁻¹, as `rt`'s PanelApply forms it.
+        lu_rows(w.view(), l21, &mut vec![T::ZERO; jb], &mut NoObs)
+            .expect("lu_nopiv has checked U₁₁'s pivots");
         if self.prow != cprow {
             self.ctx.ledger.record_recv(self.rank as u32, "w_bcast", raw.len() as u64);
         }
@@ -437,8 +393,8 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let pl0 = self.ctx.glayout.local_cols_below(self.pcol, gk);
         // SAFETY: ordered after Second(k, rank) / PanelGetf2(k) — the
         // last writers of this rank's panel rows.
-        let v = words(unsafe { self.cell.block(lr_k, pl0, self.cell.rows() - lr_k, jb) });
-        self.post(PAN, k, 0, self.prow, v, &self.row_ranks(self.prow));
+        let [panel] = unsafe { self.cell.blocks([(lr_k, pl0, self.cell.rows() - lr_k, jb)]) };
+        self.post(PAN, k, 0, self.prow, words(panel), &self.row_ranks(self.prow));
         Ok(())
     }
 
@@ -452,7 +408,7 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let d0 = self.ctx.glayout.local_rows_below(self.prow, gk);
         let (lo, wid) = self.upd_cols(k, j);
         // SAFETY: Trsm(k,j) owns rows d0..d0+jb of these columns.
-        let u12 = unsafe { self.cell.block(d0, lo, jb, wid) };
+        let [u12] = unsafe { self.cell.blocks([(d0, lo, jb, wid)]) };
         trsm(Side::Left, Uplo::Lower, Diag::Unit, T::ONE, l11, u12);
         Ok(())
     }
@@ -463,7 +419,8 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let d0 = self.ctx.glayout.local_rows_below(self.prow, gk);
         let (lo, wid) = self.upd_cols(k, j);
         // SAFETY: ordered after Trsm(k,j).
-        let v = words(unsafe { self.cell.block(d0, lo, jb, wid) });
+        let [u12] = unsafe { self.cell.blocks([(d0, lo, jb, wid)]) };
+        let v = words(u12);
         // Itself (its own gemm) and the process rows with trailing rows.
         let dests: Vec<usize> = (0..g.pr)
             .filter(|&r| r == self.prow || g.below_rows(r, k) > 0)
@@ -477,15 +434,29 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         let (gk, jb) = (k * self.nb(), self.ctx.geom.jb(k));
         let lr = self.cell.rows();
         let lr_k = self.ctx.glayout.local_rows_below(self.prow, gk);
-        let (raw_l, raw_u) = (self.fetch(PAN, k, 0, self.prow)?, self.fetch(U12, k, j, 0)?);
-        let (words_l, words_u) = (T::from_words(&raw_l), T::from_words(&raw_u));
-        let (lo, wid) = self.upd_cols(k, j);
         let lb0 = self.ctx.glayout.local_rows_below(self.prow, gk + jb);
-        let l21 = Self::payload(&words_l, lr - lr_k, jb).submatrix(lb0 - lr_k, 0, lr - lb0, jb);
+        let (raw_l, raw_u) = (self.fetch(PAN, k, 0, self.prow)?, self.fetch(U12, k, j, 0)?);
+        let words_u = T::from_words(&raw_u);
+        let (lo, wid) = self.upd_cols(k, j);
+        let u12 = Self::payload(&words_u, jb, wid);
         // SAFETY: Gemm(k,j,rank) owns its rank's trailing rows of these
         // columns.
-        let a22 = unsafe { self.cell.block(lb0, lo, lr - lb0, wid) };
-        gemm(-T::ONE, l21, Self::payload(&words_u, jb, wid), T::ONE, a22);
+        let [a22] = unsafe { self.cell.blocks([(lb0, lo, lr - lb0, wid)]) };
+        // This rank's rows of L₂₁ are the panel payload's below its top
+        // block, packed (or, for a lone Gemm, converted) once per step.
+        let (rows, top) = (lr - lr_k, lb0 - lr_k);
+        let packed = self.ctx.chunks.take(k, self.rank, || {
+            let words = T::from_words(&raw_l);
+            PackedA::new(Self::payload(&words, rows, jb).submatrix(top, 0, rows - top, jb))
+        });
+        match packed {
+            Some(packed) => gemm_packed(-T::ONE, &packed, u12, T::ONE, a22),
+            None => {
+                let words = T::from_words(&raw_l);
+                let l21 = Self::payload(&words, rows, jb).submatrix(top, 0, rows - top, jb);
+                gemm(-T::ONE, l21, u12, T::ONE, a22);
+            }
+        }
         Ok(())
     }
 
@@ -555,59 +526,16 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
         }
     }
 
-    /// One-row views of the local rows `rows` over local columns `cols`.
-    fn row_views(&self, rows: &[usize], cols: &Range<usize>) -> Vec<MatViewMut<'_, T>> {
-        let row = |&li: &usize| {
-            // SAFETY: on every rank of its process column, Swap(k, j) holds
-            // block column j's rows ≥ k·nb and PanelGetf2(k) the panel's
-            // columns; a collective's moves name only those.
-            unsafe { self.cell.block(li, cols.start, 1, cols.len()) }
-        };
-        rows.iter().map(row).collect()
-    }
-
-    /// Local rows `rows` over local columns `cols` as payload words,
-    /// column-major like every payload. Column by column: the rows'
-    /// elements of one column share its cache lines, where a walk along a
-    /// row touches a new line (and every eighth a new page) at each
-    /// element.
-    fn rows_out(&self, rows: &[usize], cols: &Range<usize>) -> Vec<f64> {
-        let views = self.row_views(rows, cols);
-        let mut out = Vec::with_capacity(rows.len() * cols.len());
-        for c in 0..cols.len() {
-            out.extend(views.iter().map(|v| v.get(0, c).to_f64()));
-        }
-        out
-    }
-
-    /// Overwrites local rows `rows` over local columns `cols` from `vals`:
-    /// the inverse of [`Self::rows_out`].
-    fn rows_in(&self, rows: &[usize], cols: &Range<usize>, vals: &[T]) {
-        let mut views = self.row_views(rows, cols);
-        for (c, col) in vals.chunks_exact(rows.len()).enumerate() {
-            for (&v, view) in col.iter().zip(views.iter_mut()) {
-                view.set(0, c, v);
-            }
-        }
-    }
-
-    /// Moves local row `src[n]` into local row `dst[n]` for every `n`,
-    /// over local columns `cols`, where the rows of `dst` are those of
-    /// `src` in another order: column by column through a one-column
-    /// buffer, so an element is rewritten while its cache line is at hand.
-    fn move_rows(&self, dst: &[usize], src: &[usize], cols: &Range<usize>) {
-        let mut buf = vec![T::ZERO; src.len()];
-        // The two sets of views name the same rows; they are only read and
-        // written an element at a time, never borrowed as slices.
-        let (from, mut to) = (self.row_views(src, cols), self.row_views(dst, cols));
-        for c in 0..cols.len() {
-            for (b, view) in buf.iter_mut().zip(&from) {
-                *b = view.get(0, c);
-            }
-            for (&b, view) in buf.iter().zip(to.iter_mut()) {
-                view.set(0, c, b);
-            }
-        }
+    /// What a collective's participant holds on this rank: local rows
+    /// `r0..` of local columns `cols`. Only a participant's rounds call
+    /// this, on the rows and columns its task holds.
+    fn held(&self, r0: usize, cols: &Range<usize>) -> MatViewMut<'_, T> {
+        // SAFETY: on every rank of its process column, Swap(k, j) holds
+        // block column j's rows ≥ k·nb and PanelGetf2(k) the panel's;
+        // no caller's `r0` lies above this rank's first local row ≥ k·nb.
+        let [held] =
+            unsafe { self.cell.blocks([(r0, cols.start, self.cell.rows() - r0, cols.len())]) };
+        held
     }
 
     /// This rank's share of the interchanges of pivot list `ipiv` (row
@@ -615,9 +543,13 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
     fn plan(&self, base: usize, ipiv: &[usize]) -> Plan {
         let (pr, lay) = (self.ctx.geom.pr, &self.ctx.glayout);
         let (rows, holds) = compose(ipiv);
-        // Each named row's owner and local row.
-        let places: Vec<(usize, usize)> =
-            rows.iter().map(|&x| (lay.row_owner(base + x), lay.local_row(base + x))).collect();
+        let r0 = lay.local_rows_below(self.prow, base);
+        // Each named row's owner and its row in the held block (only this
+        // rank's rows are ever looked up there, and none lies above `r0`).
+        let places: Vec<(usize, usize)> = rows
+            .iter()
+            .map(|&x| (lay.row_owner(base + x), lay.local_row(base + x).wrapping_sub(r0)))
+            .collect();
         let (mut sends, mut recvs) = (vec![Vec::new(); pr], vec![Vec::new(); pr]);
         let mut local = (Vec::new(), Vec::new());
         for (to, &from) in holds.iter().enumerate().filter(|&(to, &from)| to != from) {
@@ -631,7 +563,7 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
                 _ => {}
             }
         }
-        Plan { sends, recvs, local }
+        Plan { r0, sends, recvs, local }
     }
 
     /// This rank's [`Plan`] of step `k`'s swap list: the same for every
@@ -652,23 +584,27 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
     /// own rows (every source read before any row is written).
     fn send_moves(&self, m: &Moves) {
         let pr = self.ctx.geom.pr;
+        let mut held = self.held(m.plan.r0, &m.cols);
         for (to, src) in m.plan.sends.iter().enumerate().filter(|(_, src)| !src.is_empty()) {
-            let words = self.rows_out(src, &m.cols);
+            let words = rows_out(&held, src);
             self.ctx.ledger.record_send(self.rank as u32, "swap", words.len() as u64);
             let dest = self.ctx.geom.rank(to, self.pcol);
             self.post(m.class, m.k, m.j, self.prow * pr + to, words, &[dest]);
         }
         let (dst, src) = &m.plan.local;
-        self.move_rows(dst, src, &m.cols);
+        if !dst.is_empty() {
+            move_rows(&mut held, dst, src);
+        }
     }
 
     /// The second half of `m` on this rank: one message from every partner
     /// process row that sends it rows, written into place.
     fn recv_moves(&self, m: &Moves) -> Result<()> {
         let pr = self.ctx.geom.pr;
+        let mut held = self.held(m.plan.r0, &m.cols);
         for (from, dst) in m.plan.recvs.iter().enumerate().filter(|(_, dst)| !dst.is_empty()) {
             let raw = self.fetch(m.class, m.k, m.j, from * pr + self.prow)?;
-            self.rows_in(dst, &m.cols, &T::from_words(&raw));
+            rows_in(&mut held, dst, &T::from_words(&raw));
         }
         Ok(())
     }
@@ -695,8 +631,8 @@ pub(crate) fn collective_pcol(
 /// mailbox that never blocks serves every fetch, because each was posted
 /// in an earlier round.
 pub(crate) fn run_whole<T: Scalar>(
-    ctx: RunCtx<'_>,
-    cells: &[RankCell<T>],
+    ctx: RunCtx<'_, T>,
+    cells: &[SharedMat<T>],
     task: Task,
 ) -> Result<()> {
     let Task::Dist(DistTask { kind, k, j, rank }) = task else {
@@ -760,8 +696,52 @@ pub(crate) fn compose(ipiv: &[usize]) -> (Vec<usize>, Vec<usize>) {
     (rows, holds)
 }
 
-/// One rank's share of composed interchanges ([`RankTasks::plan`]).
+/// Rows `rows` of `held` as payload words, column-major like every
+/// payload. Column by column: the rows' elements of one column share its
+/// cache lines, where a walk along a row touches a new line (and every
+/// eighth a new page) at each element.
+fn rows_out<T: Scalar>(held: &MatViewMut<'_, T>, rows: &[usize]) -> Vec<f64> {
+    let mut out = Vec::with_capacity(rows.len() * held.cols());
+    for c in 0..held.cols() {
+        let col = held.col(c);
+        out.extend(rows.iter().map(|&r| col[r].to_f64()));
+    }
+    out
+}
+
+/// Overwrites rows `rows` of `held` from `vals`: the inverse of
+/// [`rows_out`].
+fn rows_in<T: Scalar>(held: &mut MatViewMut<'_, T>, rows: &[usize], vals: &[T]) {
+    for (c, vals) in vals.chunks_exact(rows.len()).enumerate() {
+        let col = held.col_mut(c);
+        for (&r, &v) in rows.iter().zip(vals) {
+            col[r] = v;
+        }
+    }
+}
+
+/// Moves row `src[n]` of `held` into row `dst[n]` for every `n`, where the
+/// rows of `dst` are those of `src` in another order: column by column
+/// through a one-column buffer, so an element is rewritten while its cache
+/// line is at hand.
+fn move_rows<T: Scalar>(held: &mut MatViewMut<'_, T>, dst: &[usize], src: &[usize]) {
+    let mut buf = vec![T::ZERO; src.len()];
+    for c in 0..held.cols() {
+        let col = held.col_mut(c);
+        for (b, &r) in buf.iter_mut().zip(src) {
+            *b = col[r];
+        }
+        for (&b, &r) in buf.iter().zip(dst) {
+            col[r] = b;
+        }
+    }
+}
+
+/// One rank's share of composed interchanges ([`RankTasks::plan`]), as
+/// rows of the block it holds from local row `r0` down.
 pub(crate) struct Plan {
+    /// The first local row at or below the interchanges' first row.
+    r0: usize,
     /// Per partner process row, the source rows sent to it.
     sends: Vec<Vec<usize>>,
     /// Per partner process row, the destination rows received from it.
@@ -785,7 +765,7 @@ struct Moves {
 /// `Swap(k, j)`: step `k`'s swap list applied to the columns of block
 /// column `j`, over `j`'s process column. Round 0 sends and moves in
 /// place, round 1 receives.
-struct SwapPart<'s, 'a, T> {
+struct SwapPart<'s, 'a, T: Scalar> {
     me: &'s RankTasks<'a, T>,
     k: usize,
     j: usize,
@@ -830,12 +810,12 @@ impl<T: Scalar> Participant for SwapPart<'_, '_, T> {
 ///
 /// Candidates and trailing rows are ledgered as `panel_getf2` at their
 /// receivers, the exchange as `swap` at its senders.
-struct Getf2Part<'s, 'a, T> {
+struct Getf2Part<'s, 'a, T: Scalar> {
     me: &'s RankTasks<'a, T>,
     k: usize,
     jb: usize,
-    /// First local column of the panel.
-    pl0: usize,
+    /// The panel's local columns.
+    cols: Range<usize>,
     /// The other participants' ranks.
     others: Vec<usize>,
     /// This rank's scan of the current column: `(|v|, global row, v)`.
@@ -851,13 +831,13 @@ struct Getf2Part<'s, 'a, T> {
 
 impl<'s, 'a, T: Scalar> Getf2Part<'s, 'a, T> {
     fn new(me: &'s RankTasks<'a, T>, k: usize) -> Self {
-        let g = &me.ctx.geom;
-        let jb = g.jb(k);
+        let jb = me.ctx.geom.jb(k);
+        let pl0 = me.ctx.glayout.local_cols_below(me.pcol, k * me.nb());
         Self {
             me,
             k,
             jb,
-            pl0: me.ctx.glayout.local_cols_below(me.pcol, k * me.nb()),
+            cols: pl0..pl0 + jb,
             others: me.col_ranks().into_iter().filter(|&r| r != me.rank).collect(),
             cand: (T::NEG_INFINITY, usize::MAX, T::ZERO),
             pivot: T::ZERO,
@@ -874,10 +854,8 @@ impl<'s, 'a, T: Scalar> Getf2Part<'s, 'a, T> {
     fn scan(&mut self, jj: usize) {
         let (me, lay) = (self.me, &self.me.ctx.glayout);
         let r0 = lay.local_rows_below(me.prow, me.nb() * self.k + jj);
-        let c = self.pl0 + jj;
-        // SAFETY: PanelGetf2(k) holds the whole panel column.
-        let col = unsafe { me.cell.block(r0, c, me.cell.rows() - r0, 1) };
-        let (ba, i, bv) = col_amax(col.col(0));
+        let c = self.cols.start + jj;
+        let (ba, i, bv) = col_amax(me.held(r0, &(c..c + 1)).col(0));
         let bg = if i == usize::MAX { i } else { lay.global_row(me.prow, r0 + i) };
         self.cand = (ba, bg, bv);
         if !self.others.is_empty() {
@@ -914,9 +892,9 @@ impl<'s, 'a, T: Scalar> Getf2Part<'s, 'a, T> {
         self.urow = if jj + 1 == self.jb {
             Some(Vec::new())
         } else if lay.row_owner(best_g) == me.prow {
-            let (lw, c) = (lay.local_row(best_g), self.pl0 + jj + 1);
-            // SAFETY: PanelGetf2(k) holds the whole panel column.
-            let row = unsafe { me.cell.block(lw, c, 1, self.jb - jj - 1) }.to_matrix().into_vec();
+            let (lw, c) = (lay.local_row(best_g), self.cols.start + jj + 1);
+            let held = me.held(lw, &(c..self.cols.end));
+            let row = held.submatrix(0, 0, 1, held.cols()).to_matrix().into_vec();
             if !self.others.is_empty() {
                 let words = row.iter().map(|v| v.to_f64()).collect();
                 me.post(GUR, self.k, jj, 0, words, &self.others);
@@ -926,9 +904,8 @@ impl<'s, 'a, T: Scalar> Getf2Part<'s, 'a, T> {
             None
         };
         self.exchange = (best_g != gc).then(|| {
-            let cols = self.pl0..self.pl0 + self.jb;
             let plan = Arc::new(me.plan(gc, &[best_g - gc]));
-            Moves { class: GRX, k: self.k, j: jj, cols, plan }
+            Moves { class: GRX, k: self.k, j: jj, cols: self.cols.clone(), plan }
         });
         if let Some(m) = &self.exchange {
             me.send_moves(m);
@@ -950,13 +927,14 @@ impl<'s, 'a, T: Scalar> Getf2Part<'s, 'a, T> {
             me.recv_moves(&m)?;
         }
         let r1 = me.ctx.glayout.local_rows_below(me.prow, me.nb() * self.k + jj + 1);
-        let (c, nr) = (self.pl0 + jj, me.cell.rows() - r1);
-        // SAFETY: PanelGetf2(k) holds the whole panel column; the scaled
-        // column and the trailing block are disjoint.
-        let mut col = unsafe { me.cell.block(r1, c, nr, 1) };
-        scal(self.pivot.recip(), col.col_mut(0));
+        // Column jj and the trailing columns, below the pivot row.
+        let mut held = me.held(r1, &(self.cols.start + jj..self.cols.end));
+        if held.rows() == 0 {
+            return Ok(());
+        }
+        scal(self.pivot.recip(), held.col_mut(0));
         if jj + 1 < self.jb {
-            let trailing = unsafe { me.cell.block(r1, c + 1, nr, self.jb - jj - 1) };
+            let (col, trailing) = held.split_at_col_mut(1);
             ger(-T::ONE, col.as_view().col(0), &urow, trailing);
         }
         Ok(())

@@ -79,10 +79,10 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use crate::blocks::{SharedChunks, SharedIpiv, SharedMat};
 use crate::comm::{CommKind, Communicator, InProcessComm, ThreadedComm};
 use crate::dist::{assemble_2d, scatter_2d, DistCaluConfig, DistFactors, DistPdgetrfConfig};
-use crate::dist_rank::{collective_pcol, compose, run_whole, Plan, RankCell, RankTasks, RunCtx};
-use crate::rt::SharedIpiv;
+use crate::dist_rank::{collective_pcol, compose, run_whole, Plan, RankTasks, RunCtx};
 use crate::tslu::LocalLu;
 use calu_matrix::{Error, Matrix, Scalar, TileLayout};
 use calu_netsim::{MachineConfig, SimReport};
@@ -227,7 +227,7 @@ impl DistRtReport {
 /// One distributed run's state, set up the same way for both drivers: the
 /// matrix scattered block-cyclically into per-rank local matrices, the DAG, the
 /// pivot vector, and the measurement sinks.
-pub(crate) struct DistRun<T> {
+pub(crate) struct DistRun<T: Scalar> {
     glayout: TileLayout,
     geom: DistGeom,
     alg: DistPanelAlg,
@@ -235,11 +235,13 @@ pub(crate) struct DistRun<T> {
     pub(crate) dag: LuDag,
     locals: Vec<Matrix<T>>,
     /// One cell per entry of `locals` (same order: flat grid rank).
-    pub(crate) cells: Vec<RankCell<T>>,
+    pub(crate) cells: Vec<SharedMat<T>>,
     ipiv: Vec<usize>,
     ipiv_cell: SharedIpiv,
     /// Each rank's composed swap list per step ([`RunCtx::plans`]).
     plans: Vec<OnceLock<Arc<Plan>>>,
+    /// Each rank's packed `L₂₁` per step ([`RunCtx::chunks`]).
+    chunks: SharedChunks<T>,
     ledger: CommLedger,
     /// Task spans, on the driver's own clock (it starts when the driver
     /// does); [`Self::finish`] moves them onto the call's timeline.
@@ -264,13 +266,15 @@ impl<T: Scalar> DistRun<T> {
             (0..pr * pc).map(|rank| scatter_2d(glayout, a, rank % pr, rank / pr)).collect();
         let shape = LuShape { m, n, nb: b };
         let mut ipiv = vec![0usize; m.min(n)];
+        let dag = LuDag::build_dist_with(shape, (pr, pc), lookahead, alg);
         Self {
             glayout,
             geom: DistGeom { shape, pr, pc },
             alg,
             local,
-            dag: LuDag::build_dist_with(shape, (pr, pc), lookahead, alg),
-            cells: locals.iter_mut().map(RankCell::new).collect(),
+            chunks: SharedChunks::new(&dag),
+            dag,
+            cells: locals.iter_mut().map(|a| SharedMat::new(&mut a.view_mut())).collect(),
             locals,
             ipiv_cell: SharedIpiv::new(&mut ipiv),
             ipiv,
@@ -282,7 +286,7 @@ impl<T: Scalar> DistRun<T> {
     }
 
     /// What every rank shares when this run's payloads travel on `comm`.
-    pub(crate) fn ctx<'a>(&'a self, comm: &'a dyn Communicator) -> RunCtx<'a> {
+    pub(crate) fn ctx<'a>(&'a self, comm: &'a dyn Communicator) -> RunCtx<'a, T> {
         RunCtx {
             geom: self.geom,
             glayout: self.glayout,
@@ -293,6 +297,7 @@ impl<T: Scalar> DistRun<T> {
             ledger: &self.ledger,
             ipiv: &self.ipiv_cell,
             plans: &self.plans,
+            chunks: &self.chunks,
         }
     }
 
@@ -386,8 +391,22 @@ impl<T: Scalar> DistRun<T> {
             assert_eq!(residual, 0, "{} mailbox leaked {residual} words", comm.name());
         }
         let Self {
-            glayout, geom, alg, local, dag, locals, ipiv, ledger, recorder, started, ..
+            glayout,
+            geom,
+            alg,
+            local,
+            dag,
+            locals,
+            cells,
+            ipiv,
+            ipiv_cell,
+            plans,
+            chunks,
+            ledger,
+            recorder,
+            started,
         } = self;
+        chunks.release();
         let model = DistCostModel {
             geom,
             alg,
@@ -403,22 +422,13 @@ impl<T: Scalar> DistRun<T> {
         let modeled_terms = modeled_comm_terms(&dag, &model);
         let modeled = started.elapsed().as_secs_f64();
         let lu = assemble_2d(glayout, &locals);
-        let assembled = started.elapsed().as_secs_f64();
         // One timeline for the whole call: the task spans move from the
-        // driver's clock onto the call's, the phases go on a lane of their
-        // own, each starting where the last one ended.
+        // driver's clock onto the call's.
         let mut spans = recorder.take();
         for span in &mut spans {
             span.ts_us += begun * 1e6;
         }
-        let lane = (geom.pr * geom.pc) as u32;
-        let mut start = 0.0;
-        for (name, end) in DIST_PHASES.into_iter().zip([begun, ended, modeled, assembled]) {
-            recorder.record_interval(name.to_string(), "dist_phase", lane, 0, start, end);
-            start = end;
-        }
-        spans.extend(recorder.take());
-        let report = DistRtReport {
+        let mut report = DistRtReport {
             sim: SimReport { per_rank: sched.per_rank },
             modeled: sched.spans,
             exec,
@@ -431,6 +441,19 @@ impl<T: Scalar> DistRun<T> {
             spans,
             communicator: comm.name(),
         };
+        // The run's storage and DAG go before the closing stamp, so that
+        // the phases cover the call up to its return.
+        drop((dag, cells, locals, ipiv_cell, plans, model));
+        let assembled = started.elapsed().as_secs_f64();
+        // The phases go on a lane of their own, each starting where the
+        // last one ended.
+        let lane = (geom.pr * geom.pc) as u32;
+        let mut start = 0.0;
+        for (name, end) in DIST_PHASES.into_iter().zip([begun, ended, modeled, assembled]) {
+            recorder.record_interval(name.to_string(), "dist_phase", lane, 0, start, end);
+            start = end;
+        }
+        report.spans.extend(recorder.take());
         (report, DistFactors { lu, ipiv, first_singular })
     }
 }
@@ -620,6 +643,7 @@ pub fn dist_pdgetrf_factor_rt<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocks::chunk_census;
     use crate::comm::{MailKey, MAIL_PAN};
     use crate::dist::dist_calu_factor_spmd;
     use calu_matrix::lapack::{getrf, GetrfOpts};
@@ -979,5 +1003,93 @@ mod tests {
         assert_eq!(want.ipiv, got.ipiv);
         assert_eq!(want.lu.max_abs_diff(&got.lu), 0.0, "a healthy run after the panic");
         assert_eq!(rep.comm.residual_words, 0);
+    }
+
+    /// The oracle's factors of `a` as bits, and its first singular step:
+    /// the SPMD sweep for CALU, the sequential blocked `getrf` for
+    /// `PDGETRF`.
+    fn oracle<T: Scalar>(a: &Matrix<T>, b: usize, grid: (usize, usize), alg: DistPanelAlg) -> Bits {
+        if alg == DistPanelAlg::Tslu {
+            let cfg = DistCaluConfig { b, pr: grid.0, pc: grid.1, local: LocalLu::Recursive };
+            return bits(&dist_calu_factor_spmd(a, cfg, MachineConfig::ideal()).1);
+        }
+        let (mut lu, mut ipiv) = (a.clone(), vec![0; a.rows().min(a.cols())]);
+        let opts = GetrfOpts { block: b, ..Default::default() };
+        let first_singular = match getrf(lu.view_mut(), &mut ipiv, opts, &mut NoObs) {
+            Ok(()) => None,
+            Err(Error::SingularPivot { step }) => Some(step),
+            Err(e) => panic!("getrf: {e:?}"),
+        };
+        bits(&DistFactors { lu, ipiv, first_singular })
+    }
+
+    /// Factor bits, pivots and first singular step.
+    type Bits = (Vec<u64>, Vec<usize>, Option<usize>);
+
+    fn bits<T: Scalar>(f: &DistFactors<T>) -> Bits {
+        let lu = f.lu.as_slice().iter().map(|x| x.to_f64().to_bits()).collect();
+        (lu, f.ipiv.clone(), f.first_singular)
+    }
+
+    /// A rank packs its `L₂₁` payload once per step for its `Gemm(k, ·,
+    /// rank)` tasks: exactly one copy per `(k, rank)` with two or more of
+    /// them, none held after a full run (the last `Gemm` of each released
+    /// it), none live after the call — also when a zero column in block
+    /// column 3 cancels the run while copies are held — and no more than
+    /// `(depth + 1) × ranks` live at once, while the factors, pivots and
+    /// singular step are the oracle's: both algorithms, both communicators,
+    /// every depth, at `f64` and `f32`.
+    fn check_dist_chunk_census<T: Scalar>(a0: &Matrix<T>, b: usize, (pr, pc): (usize, usize)) {
+        let (m, n) = (a0.rows(), a0.cols());
+        let mut singular = a0.clone();
+        singular.view_mut().submatrix_mut(0, 3 * b, m, 1).fill(T::ZERO);
+        for alg in [DistPanelAlg::Tslu, DistPanelAlg::Getf2] {
+            let local =
+                if alg == DistPanelAlg::Tslu { LocalLu::Recursive } else { LocalLu::Classic };
+            for a in [a0, &singular] {
+                let want = oracle(a, b, (pr, pc), alg);
+                for depth in 1..=3 {
+                    let dag = LuDag::build_dist_with(LuShape { m, n, nb: b }, (pr, pc), depth, alg);
+                    let mut gemms = std::collections::HashMap::new();
+                    for &t in dag.tasks() {
+                        if let Task::Dist(DistTask { kind: DistKind::Gemm, k, rank, .. }) = t {
+                            *gemms.entry((k, rank)).or_insert(0) += 1;
+                        }
+                    }
+                    let shared = gemms.values().filter(|&&n| n >= 2).count();
+                    assert!(shared > 0, "the shape shares no packed copy");
+                    let bound = (depth + 1) * pr * pc;
+                    for communicator in [CommKind::InProcess, CommKind::Threaded] {
+                        for &executor in executors(communicator) {
+                            let rt = DistRtOpts { lookahead: depth, executor, communicator };
+                            let what = format!("{alg:?} {m}x{n} b={b} {pr}x{pc} d={depth} {rt:?}");
+                            let mch = MachineConfig::ideal();
+                            let (got, census) =
+                                chunk_census(|| run_dist(a, (b, pr, pc), local, alg, rt, &mch).1);
+                            let got = bits(&got);
+                            assert_eq!(got.2, want.2, "{what}: first singular step");
+                            assert!(census.high <= bound, "{what}: {census:?} > {bound} at once");
+                            assert_eq!(census.left, 0, "{what}: copies live after the call");
+                            if got.2.is_none() {
+                                assert!(got == want, "{what}: factors and pivots");
+                                assert_eq!(census.packed, shared, "{what}: one pack per key");
+                                assert_eq!(census.held, 0, "{what}: copies held after a full run");
+                            } else {
+                                assert!(census.packed <= shared, "{what}: {census:?}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dist_packed_chunks_are_bounded_and_released() {
+        let mut rng = StdRng::seed_from_u64(7009);
+        let a: Matrix = gen::randn(&mut rng, 96, 96);
+        check_dist_chunk_census(&a, 8, (2, 2));
+        let a: Matrix<f32> = gen::randn(&mut rng, 100, 72);
+        check_dist_chunk_census(&a, 8, (2, 3));
     }
 }

@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod blocks;
 pub mod calu;
 pub mod comm;
 pub mod dist;

@@ -20,9 +20,9 @@
 //!   row of `L₂₁` depend on that row and `U₁₁` only
 //!   ([`lu_rows`]), so any chunking of the apply is exact;
 //! * row swaps applied per block column are the same element swaps as one
-//!   whole-matrix `apply_ipiv` — literally `apply_ipiv` on the block
+//!   whole-matrix `apply_ipiv` — literally [`apply_ipiv`] on the block
 //!   column, all of a panel's interchanges applied to one column before the
-//!   next (`SharedMat::apply_swaps`);
+//!   next;
 //! * the bits of a column of `U₁₂` are a function of that column, `L₁₁` and
 //!   the `gemm` arm — the blocked `trsm`'s contract
 //!   ([`calu_matrix::blas3`]) — so a column split changes nothing;
@@ -33,13 +33,11 @@
 //!   (see `calu_runtime::dag`), so there are no racy interleavings to
 //!   reorder arithmetic.
 //!
-//! Task bodies address the matrix through `SharedMat`, which hands out
-//! strided blocks of it: every operand — a leaf, an apply chunk, an update
-//! chunk, a `U₁₂` block column — is one block and one kernel call.
-//! The distributed runner's cells are the same handle over each rank's
-//! local matrix (`crate::dist_rank::RankCell`). (A tile-backed runner lost
-//! to this one by 6–10 % once the blocked `trsm` and the column-ordered
-//! swaps had landed, EXPERIMENTS.md "One shared-memory storage".)
+//! Task bodies address the matrix through `crate::blocks`: each takes
+//! all of its operand blocks in one `SharedMat::blocks` call, and every
+//! operand — a leaf, an apply chunk, an update chunk, a `U₁₂` block
+//! column — is one block and one kernel call. The distributed runner's
+//! ranks hold their local matrices the same way (`crate::dist_rank`).
 //!
 //! [`runtime_calu_factor`] does not clone its input up front. Its output
 //! starts out zeroed (untouched pages for `f32`/`f64`) and each step-0
@@ -54,19 +52,8 @@
 //!
 //! Each update chunk of a step's `L₂₁` is packed once for `gemm` and
 //! shared by the chunk's `Gemm` tasks, one per block column right of the
-//! panel (23 at the first step of a 1536² factor with 64-wide panels),
-//! instead of being repacked by every one of them. The first of
-//! them to run packs it into a [`PackedA`] and leaves it in the step's slot
-//! for that chunk, the last to start takes it out, and its buffer goes back
-//! to `gemm`'s pack pool when the last one running drops it; a chunk with
-//! one `Gemm` task (every chunk of a two-panel factor) is packed inside its
-//! `gemm` call as before. The copy is sound by existing edges: every
-//! `Gemm(k, i, ·)` follows the apply chunks that form chunk `i` of step
-//! `k`'s `L₂₁`, and nothing writes those rows of block column `k` again
-//! until `Swap(k + 1, k)`, which follows every `Gemm(k, ·, ·)`. The slot's
-//! mutex publishes the packed copy across workers; no edge is added. The
-//! lookahead throttle bounds the live chunks: at depth `d` only the
-//! updates of `d + 1` steps are ever in flight.
+//! panel, instead of being repacked by every one of them
+//! (`SharedChunks`; `crate::blocks` says when and why that is sound).
 //!
 //! The observer is shared behind a mutex, locked per callback (so a
 //! concurrent update's `on_stage` never waits out a panel task) and not at
@@ -78,6 +65,8 @@
 //! `PanelTau` and reported after the run, in step order — the order the
 //! sequential sweep reports them in.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use calu_matrix::blas3::{gemm, gemm_packed, trsm, PackedA};
 use calu_matrix::lapack::lu_rows;
 use calu_matrix::perm::apply_ipiv;
@@ -86,9 +75,9 @@ use calu_matrix::{
     TileMatrix, Uplo,
 };
 use calu_runtime::{ExecReport, ExecutorKind, LuDag, LuShape, Task, TaskRunner};
-use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
+use crate::blocks::{SharedChunks, SharedIpiv, SharedMat};
 use crate::calu::{CaluOpts, LuFactors};
 use crate::tournament::{reduce_pair, Candidates};
 use crate::tslu::{elect_candidates, finish_top, winners_to_ipiv, LocalLu, PanelTau};
@@ -107,124 +96,6 @@ pub struct RuntimeOpts {
 impl Default for RuntimeOpts {
     fn default() -> Self {
         Self { lookahead: 1, executor: ExecutorKind::Threaded { threads: 0 } }
-    }
-}
-
-/// Shared-mutable handle to a flat column-major matrix: the matrix being
-/// factored here, and each rank's local matrix in [`crate::dist_rank`].
-/// Tasks carve disjoint views out of it; the DAG's edges are the proof of
-/// disjointness among concurrently running tasks (every overlapping pair is
-/// ordered), which is exactly the invariant `MatViewMut` requires.
-pub(crate) struct SharedMat<T> {
-    ptr: *mut T,
-    rows: usize,
-    cols: usize,
-    ld: usize,
-}
-
-// SAFETY: a `SharedMat` points into a matrix that outlives every task using
-// it; sending or sharing it is sending or sharing `&mut [T]` whose disjoint
-// use the DAG proves.
-unsafe impl<T: Send> Send for SharedMat<T> {}
-// SAFETY: as above — shared access hands out elements, never the slice.
-unsafe impl<T: Sync> Sync for SharedMat<T> {}
-
-impl<T: Scalar> SharedMat<T> {
-    pub(crate) fn new(a: &mut MatViewMut<'_, T>) -> Self {
-        Self { ptr: a.as_mut_ptr(), rows: a.rows(), cols: a.cols(), ld: a.ld() }
-    }
-
-    /// Rows of the matrix.
-    pub(crate) fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// A mutable view of the `nr × nc` block at `(i, j)`, built from raw
-    /// parts so that logically disjoint blocks whose strided spans
-    /// interleave never materialize overlapping `&mut` slices.
-    ///
-    /// # Safety
-    /// The caller must hold (via DAG ordering) exclusive access to the
-    /// block's *elements* for the view's lifetime — shared access if it
-    /// only reads — and the block must be in range.
-    pub(crate) unsafe fn block(
-        &self,
-        i: usize,
-        j: usize,
-        nr: usize,
-        nc: usize,
-    ) -> MatViewMut<'_, T> {
-        debug_assert!(i + nr <= self.rows && j + nc <= self.cols);
-        debug_assert!(nr > 0 && nc > 0, "tasks never touch empty blocks");
-        unsafe { MatViewMut::from_raw_parts(self.ptr.add(j * self.ld + i), nr, nc, self.ld) }
-    }
-
-    /// Applies a panel's interchanges to the columns `cols`: for `i` in
-    /// order, swaps rows `base + i` and `base + local[i]` — [`apply_ipiv`]
-    /// on rows `base..` of those columns, all of the interchanges applied
-    /// to one column before the next (a flat column is contiguous).
-    ///
-    /// # Safety
-    /// The caller's task must own rows `base..` of `cols` (DAG-ordered
-    /// against every other toucher).
-    unsafe fn apply_swaps(&self, base: usize, local: &[usize], cols: Range<usize>) {
-        // SAFETY: the caller owns rows `base..` of `cols`, which is this block.
-        let block = unsafe { self.block(base, cols.start, self.rows - base, cols.len()) };
-        apply_ipiv(block, local);
-    }
-}
-
-/// Shared pivot vector: `PanelFinish(k)` writes its `jb` slots exclusively
-/// ([`Self::publish`]), `Swap(k, ·)` tasks read them back concurrently
-/// ([`Self::read_local`] — several same-step swaps may read at once, so the
-/// read path hands out shared references only). Writes happen-before all
-/// reads via the `Swap ← PanelFinish` edges (the executor's pool lock
-/// carries the synchronization), and distinct panels own disjoint slots.
-/// The distributed runners publish through the same cell (their one
-/// designated panel task per step is the writer; their swap lists travel
-/// as messages, so nothing reads the slots back before assembly).
-pub(crate) struct SharedIpiv {
-    ptr: *mut usize,
-    len: usize,
-}
-
-unsafe impl Send for SharedIpiv {}
-unsafe impl Sync for SharedIpiv {}
-
-impl SharedIpiv {
-    /// A cell over `ipiv`, which must outlive every task that uses it.
-    pub(crate) fn new(ipiv: &mut [usize]) -> Self {
-        Self { ptr: ipiv.as_mut_ptr(), len: ipiv.len() }
-    }
-
-    /// Panel `k`'s pivot swaps, local to rows `k·nb..m`.
-    ///
-    /// # Safety
-    /// The caller's task must be DAG-ordered after `PanelFinish(k)` (no
-    /// writer may be live; concurrent readers are fine).
-    unsafe fn read_local(&self, shape: &LuShape, k: usize) -> Vec<usize> {
-        let base = k * shape.nb;
-        let jb = shape.panel_width(k);
-        debug_assert!(base + jb <= self.len);
-        unsafe { std::slice::from_raw_parts(self.ptr.add(base), jb) }
-            .iter()
-            .map(|&p| p - base)
-            .collect()
-    }
-
-    /// Publishes a panel's elected pivots (local to the panel) into their
-    /// absolute slots.
-    ///
-    /// # Safety
-    /// Only the panel task owning the slots at `base` may call this, and
-    /// nothing else may access them meanwhile. (The DAG, not the borrow
-    /// checker, proves exclusivity.)
-    pub(crate) unsafe fn publish(&self, base: usize, local: &[usize]) {
-        debug_assert!(base + local.len() <= self.len);
-        let slots = unsafe { std::slice::from_raw_parts_mut(self.ptr.add(base), local.len()) };
-        for (slot, &p) in slots.iter_mut().zip(local) {
-            *slot = p + base;
-        }
     }
 }
 
@@ -279,105 +150,6 @@ fn put_slot<T>(slots: &CandidateSlots<T>, i: usize, cand: Candidates<T>) {
     debug_assert!(prev.is_none(), "candidate slot overwritten before it was read");
 }
 
-/// One update chunk of one step's `L₂₁`, packed once for the `Gemm` tasks
-/// that read it (module documentation).
-struct ChunkSlot<T: Scalar> {
-    packed: Option<Arc<PackedA<T>>>,
-    /// The chunk's `Gemm` tasks that have not started.
-    left: usize,
-}
-
-/// The packed `L₂₁` chunks of every step: slot `[k][i]` is update chunk
-/// `i` of step `k`.
-struct SharedChunks<T: Scalar> {
-    slots: Vec<Vec<Mutex<ChunkSlot<T>>>>,
-    /// Every chunk packed so far, and the most that were live at once.
-    #[cfg(test)]
-    census: Mutex<(Vec<std::sync::Weak<PackedA<T>>>, usize)>,
-}
-
-impl<T: Scalar> SharedChunks<T> {
-    /// A slot per update chunk of every step, counting the chunk's `Gemm`
-    /// tasks in `dag`.
-    fn new(dag: &LuDag) -> Self {
-        let mut slots: Vec<Vec<Mutex<ChunkSlot<T>>>> = (0..dag.shape().steps())
-            .map(|k| {
-                let chunks = dag.panel_plan(k).update_chunks();
-                (0..chunks).map(|_| Mutex::new(ChunkSlot { packed: None, left: 0 })).collect()
-            })
-            .collect();
-        for &task in dag.tasks() {
-            if let Task::Gemm { k, i, .. } = task {
-                slots[k][i].get_mut().expect("chunk mutex").left += 1;
-            }
-        }
-        Self {
-            slots,
-            #[cfg(test)]
-            census: Mutex::default(),
-        }
-    }
-
-    /// Update chunk `i` of step `k`, whose rows of `L₂₁` are `l21`, for one
-    /// of its `Gemm` tasks: packed by the first of them to ask, taken out
-    /// of its slot by the last, so the buffer goes back to the pack pool
-    /// when the last running task drops it. `None` when nothing is packed
-    /// and this is the last task: a chunk with one `Gemm` task is never
-    /// packed here (`gemm` packs it inside the call).
-    fn take(&self, k: usize, i: usize, l21: MatView<'_, T>) -> Option<Arc<PackedA<T>>> {
-        let mut slot = self.slots[k][i].lock().expect("chunk mutex");
-        slot.left -= 1;
-        if slot.left == 0 {
-            return slot.packed.take();
-        }
-        let packed = slot.packed.get_or_insert_with(|| {
-            let packed = Arc::new(PackedA::new(l21));
-            #[cfg(test)]
-            self.count(&packed);
-            packed
-        });
-        Some(Arc::clone(packed))
-    }
-
-    /// Records a newly packed chunk and raises the high-water mark of live
-    /// ones.
-    #[cfg(test)]
-    fn count(&self, packed: &Arc<PackedA<T>>) {
-        let mut census = self.census.lock().expect("census mutex");
-        census.0.push(Arc::downgrade(packed));
-        let live = census.0.iter().filter(|w| w.strong_count() > 0).count();
-        census.1 = census.1.max(live);
-    }
-
-    /// Drops every slot, and with them any chunk whose `Gemm` tasks were
-    /// canceled. Under test, records the high-water mark of live chunks and
-    /// how many were live before and after the drop
-    /// ([`tests::chunk_census`]).
-    fn release(self) {
-        #[cfg(test)]
-        {
-            let (packed, high) = self.census.into_inner().expect("census mutex");
-            let live = || packed.iter().filter(|w| w.strong_count() > 0).count();
-            let held = live();
-            drop(self.slots);
-            tests::CHUNK_CENSUS.set(Some(ChunkCensus { high, held, left: live() }));
-        }
-    }
-}
-
-/// What [`SharedChunks::release`] saw, under test.
-#[cfg(test)]
-#[derive(Debug, Clone, Copy)]
-struct ChunkCensus {
-    /// The most packed chunks live at once during the call.
-    high: usize,
-    /// Chunks still held when the executor returned: none unless the run
-    /// was canceled.
-    held: usize,
-    /// Chunks live after the slots were dropped.
-    left: usize,
-}
-
 /// Binds the LU kernels to runtime tasks over one flat matrix.
 struct LuRunner<'a, T: Scalar, O> {
     mat: SharedMat<T>,
@@ -427,7 +199,7 @@ where
                 // rows. Without a copy the elect only reads its leaf's
                 // rows of block column k (their step k-1 updates are done;
                 // the next writer, PanelFinish, is DAG-ordered after it).
-                let mut leaf_rows = unsafe { self.mat.block(r0, base, nr, nc) };
+                let [mut leaf_rows] = unsafe { self.mat.blocks([(r0, base, nr, nc)]) };
                 if let Some(a) = copy_from {
                     leaf_rows.copy_from(a.submatrix(r0, 0, nr, nc));
                 }
@@ -453,17 +225,18 @@ where
                 let winners = take_slot(&self.slots[k], 0).rows;
                 let local = winners_to_ipiv(&winners, m - base);
                 // SAFETY: the finish exclusively owns rows base..m of block
-                // column k (every elect is ordered before it through the
-                // reduce tree, every apply and swap after it) and the
-                // step's ipiv slots. The Swap tasks handle all other
-                // columns.
-                unsafe { self.mat.apply_swaps(base, &local, base..base + jb) };
+                // column k: every elect is ordered before it through the
+                // reduce tree, every apply and swap after it. The Swap
+                // tasks handle all other columns.
+                let [mut panel] = unsafe { self.mat.blocks([(base, base, m - base, jb)]) };
+                apply_ipiv(panel.rb_mut(), &local);
                 // The top block's rows fully determine their own
                 // elimination — where a genuinely singular panel surfaces.
-                let top = unsafe { self.mat.block(base, base, jb, jb) };
                 let mut tau = self.taus[k].lock().expect("tau mutex");
-                finish_top(top, &mut tau, &mut MutexObs(&self.obs))
+                finish_top(panel.into_submatrix(0, 0, jb, jb), &mut tau, &mut MutexObs(&self.obs))
                     .map_err(rebase_singular(base))?;
+                // SAFETY: the finish is the one writer of step k's slots,
+                // and every reader, a Swap(k, ·), is ordered after it.
                 unsafe { self.ipiv.publish(base, &local) };
                 Ok(())
             }
@@ -472,8 +245,10 @@ where
                 // SAFETY: the apply owns its chunk's rows of block column
                 // k; U₁₁ is stable under concurrent readers (sibling
                 // applies and this step's trsms all read the top block).
-                let u11 = unsafe { self.mat.block(base, base, jb, jb) };
-                let l21 = unsafe { self.mat.block(base + rows.start, base, rows.len(), jb) };
+                let [u11, l21] = unsafe {
+                    self.mat
+                        .blocks([(base, base, jb, jb), (base + rows.start, base, rows.len(), jb)])
+                };
                 let mut col_max = vec![T::ZERO; jb];
                 lu_rows(u11.as_view(), l21, &mut col_max, &mut MutexObs(&self.obs))
                     .map_err(rebase_singular(base))?;
@@ -481,10 +256,14 @@ where
                 Ok(())
             }
             Task::Swap { j, .. } => {
+                // SAFETY: Swap(k, j) follows PanelFinish(k), the writer of
+                // step k's slots.
                 let local = unsafe { self.ipiv.read_local(shape, k) };
                 let cols = shape.update_col_range(k, j);
                 // SAFETY: Swap(k,j) owns rows base..m of these columns.
-                unsafe { self.mat.apply_swaps(base, &local, cols) };
+                let [block] =
+                    unsafe { self.mat.blocks([(base, cols.start, m - base, cols.len())]) };
+                apply_ipiv(block, &local);
                 Ok(())
             }
             Task::Trsm { j, .. } => {
@@ -492,23 +271,28 @@ where
                 // SAFETY: Trsm(k,j) owns rows base..base+jb of these
                 // columns and (shared, read-only among readers that are
                 // all ordered before the next writer) L₁₁ of column k.
-                let l11 = unsafe { self.mat.block(base, base, jb, jb) };
-                let u12 = unsafe { self.mat.block(base, cols.start, jb, cols.len()) };
+                let [l11, u12] = unsafe {
+                    self.mat.blocks([(base, base, jb, jb), (base, cols.start, jb, cols.len())])
+                };
                 trsm(Side::Left, Uplo::Lower, Diag::Unit, T::ONE, l11.as_view(), u12);
                 Ok(())
             }
             Task::Gemm { i, j, .. } => {
                 let rows = self.dag.panel_plan(k).update_chunk(i);
                 let cols = shape.col_range(j);
+                let (r0, nr) = (base + rows.start, rows.len());
                 // SAFETY: Gemm(k,i,j) owns its chunk's rows of block column
                 // j; L₂₁ and U₁₂ are stable until the swaps that are
                 // DAG-ordered after every gemm of step k — so is the packed
                 // copy of the chunk's L₂₁ that the first of them makes.
-                let (r0, nr) = (base + rows.start, rows.len());
-                let u12 = unsafe { self.mat.block(base, cols.start, jb, cols.len()) };
-                let l21 = unsafe { self.mat.block(r0, base, nr, jb) };
-                let mut c = unsafe { self.mat.block(r0, cols.start, nr, cols.len()) };
-                match self.chunks.take(k, i, l21.as_view()) {
+                let [u12, l21, mut c] = unsafe {
+                    self.mat.blocks([
+                        (base, cols.start, jb, cols.len()),
+                        (r0, base, nr, jb),
+                        (r0, cols.start, nr, cols.len()),
+                    ])
+                };
+                match self.chunks.take(k, i, || PackedA::new(l21.as_view())) {
                     Some(packed) => {
                         gemm_packed(-T::ONE, &packed, u12.as_view(), T::ONE, c.rb_mut())
                     }
@@ -631,26 +415,13 @@ pub fn runtime_calu_tiles_factor<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocks::chunk_census;
     use crate::calu::{calu_factor, calu_inplace};
     use crate::instrument::PivotStats;
     use calu_matrix::gen;
     use calu_runtime::PanelMode;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::cell::Cell;
-
-    thread_local! {
-        /// What the last factorization on this thread recorded in
-        /// [`SharedChunks::release`].
-        pub(super) static CHUNK_CENSUS: Cell<Option<ChunkCensus>> = const { Cell::new(None) };
-    }
-
-    /// The census of the factorization `f` runs on this thread.
-    fn chunk_census<R>(f: impl FnOnce() -> R) -> (R, ChunkCensus) {
-        CHUNK_CENSUS.set(None);
-        let out = f();
-        (out, CHUNK_CENSUS.take().expect("a runtime factorization ran"))
-    }
 
     fn executors() -> [ExecutorKind; 3] {
         [
