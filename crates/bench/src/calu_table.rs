@@ -10,7 +10,7 @@ use calu_netsim::MachineConfig;
 
 /// The paper's full-factorization sweep: square `m ∈ {10^3, 5·10^3, 10^4}`,
 /// `b ∈ {50, 100, 150}`.
-pub fn paper_sweep() -> (Vec<usize>, Vec<usize>) {
+pub(crate) fn paper_sweep() -> (Vec<usize>, Vec<usize>) {
     (vec![1_000, 5_000, 10_000], vec![50, 100, 150])
 }
 
@@ -35,7 +35,7 @@ pub fn cell_times(machine: &MachineConfig, m: usize, b: usize, pr: usize, pc: us
 
 /// Useful-flops GFLOP/s for a factorization of an `m x m` matrix in `t`
 /// seconds (the paper reports `GFlops` this way).
-pub fn gflops(m: usize, t: f64) -> f64 {
+pub(crate) fn gflops(m: usize, t: f64) -> f64 {
     flops_lu(m, m) / t / 1e9
 }
 
@@ -73,7 +73,7 @@ pub fn build(machine: &MachineConfig) -> Table {
 #[derive(Debug, Clone, Copy)]
 pub struct Best {
     /// Simulated runtime, seconds.
-    pub time: f64,
+    pub(crate) time: f64,
     /// Processor count.
     pub p: usize,
     /// Block size.

@@ -6,7 +6,7 @@ use calu_stability::suite::{hpl_sample_size, run_calu_case, run_gepp_case, Stabi
 /// The `(n, P, b)` cells of Table 1 / Figure 2. The reduced sweep keeps the
 /// laptop run under a couple of minutes; `--full` runs the paper's sizes
 /// (n up to 8192 — hours on two cores).
-pub fn calu_cells(cli: &Cli) -> Vec<(usize, usize, usize)> {
+pub(crate) fn calu_cells(cli: &Cli) -> Vec<(usize, usize, usize)> {
     if cli.full {
         // The paper's Table 1 cells, top to bottom.
         vec![
@@ -45,7 +45,7 @@ pub fn calu_cells(cli: &Cli) -> Vec<(usize, usize, usize)> {
 }
 
 /// Sizes for the GEPP control (Table 2).
-pub fn gepp_cells(cli: &Cli) -> Vec<usize> {
+pub(crate) fn gepp_cells(cli: &Cli) -> Vec<usize> {
     if cli.full {
         vec![8192, 4096, 2048, 1024]
     } else {
@@ -54,7 +54,7 @@ pub fn gepp_cells(cli: &Cli) -> Vec<usize> {
 }
 
 /// Samples per cell: the paper's rule, capped at 3 in the reduced sweep.
-pub fn samples_for(n: usize, cli: &Cli) -> usize {
+pub(crate) fn samples_for(n: usize, cli: &Cli) -> usize {
     let s = hpl_sample_size(n);
     if cli.full {
         s

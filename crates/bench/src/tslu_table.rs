@@ -9,14 +9,14 @@ use calu_netsim::MachineConfig;
 
 /// The paper's panel sweep: `m ∈ {10^3, 5·10^3, 10^4, 10^5, 10^6}`,
 /// `n = b ∈ {50, 100, 150}`, `P ∈ {4, 8, 16, 32, 64}`.
-pub fn paper_sweep() -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+pub(crate) fn paper_sweep() -> (Vec<usize>, Vec<usize>, Vec<usize>) {
     (vec![1_000, 5_000, 10_000, 100_000, 1_000_000], vec![50, 100, 150], vec![4, 8, 16, 32, 64])
 }
 
 /// A cell is reported only when every processor owns at least a block-row
 /// of the panel (the paper leaves cells blank when "the input matrix is too
 /// small and some processors are not involved").
-pub fn cell_valid(m: usize, b: usize, p: usize) -> bool {
+pub(crate) fn cell_valid(m: usize, b: usize, p: usize) -> bool {
     m / p >= b
 }
 

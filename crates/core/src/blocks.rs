@@ -327,7 +327,7 @@ pub(crate) fn chunk_census<R>(f: impl FnOnce() -> R) -> (R, ChunkCensus) {
     (out, CHUNK_CENSUS.take().expect("a factorization released its chunks"))
 }
 
-#[cfg(test)]
+#[cfg(all(test, debug_assertions))]
 mod tests {
     use super::*;
     use calu_matrix::Matrix;
@@ -336,7 +336,6 @@ mod tests {
     /// they meet, and so is a block out of range; blocks that only
     /// interleave in memory, or are empty, are not.
     #[test]
-    #[cfg(debug_assertions)]
     fn blocks_refuse_overlapping_rectangles() {
         let mut a: Matrix = Matrix::zeros(8, 8);
         let mat = SharedMat::new(&mut a.view_mut());

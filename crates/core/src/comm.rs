@@ -3,26 +3,26 @@
 //! `dist_rt` moves every cross-rank payload — TSLU candidate sets, pivot
 //! lists, packed panels, `W`/`U₁₂` blocks, pivot-row segments — as keyed
 //! `f64`-word messages. This module cuts that boundary as a trait,
-//! [`Communicator`], with two implementations:
+//! `Communicator`, with two implementations:
 //!
-//! * [`InProcessComm`] — the original shared mailbox: one
+//! * `InProcessComm` — the original shared mailbox: one
 //!   `Mutex<HashMap>` all ranks read and write. Posts are visible to
 //!   every rank immediately; the DAG's edges are the wire. This is the
 //!   default.
-//! * [`ThreadedComm`] — ranks as real OS threads: each rank owns a
+//! * `ThreadedComm` — ranks as real OS threads: each rank owns a
 //!   `std::sync::mpsc` receiver plus a local stash, sends are
-//!   point-to-point, and [`Communicator::fetch`] *blocks* until the
+//!   point-to-point, and `Communicator::fetch` *blocks* until the
 //!   payload arrives.
 //!
 //! Under both, nothing but messages crosses the seam: every task body
 //! (`crate::dist_rank`) touches only the tiles of the rank it runs for,
 //! and is written once against the trait. That includes the two
 //! collectives that move the matrix itself over a process column: `Swap`
-//! (rows that change owner travel as one [`MAIL_SWP`] message per pair of
+//! (rows that change owner travel as one `MAIL_SWP` message per pair of
 //! process rows) and `PanelGetf2` (`PDGETF2`'s per-column
-//! [`MAIL_GCD`]/[`MAIL_GUR`]/[`MAIL_GRX`] scan / combine / exchange). The
+//! `MAIL_GCD`/`MAIL_GUR`/`MAIL_GRX` scan / combine / exchange). The
 //! trait object is also the place a test substitutes a fake (the
-//! panicking-rank regression test wraps [`ThreadedComm`]).
+//! panicking-rank regression test wraps `ThreadedComm`).
 //!
 //! # Invariants at the seam
 //!
@@ -33,14 +33,14 @@
 //!   perturbs bits.
 //! * Consumers never mutate a fetched payload (shared `Arc`).
 //! * Payloads of steps older than the lookahead window are dead and may
-//!   be evicted ([`Communicator::evict_before`]).
+//!   be evicted (`Communicator::evict_before`).
 //! * Matrix elements and pivot lists never cross ranks except as posted
 //!   payloads, under either backend.
 //!
 //! # Failure semantics
 //!
-//! [`Communicator::cancel`] is the one way a run ends early: after it,
-//! every blocked and future [`Communicator::fetch`] on every rank returns
+//! `Communicator::cancel` is the one way a run ends early: after it,
+//! every blocked and future `Communicator::fetch` on every rank returns
 //! [`Error::Canceled`]. The rank-thread driver calls it when a rank finds
 //! a singular pivot and — from an unwind guard — when a rank thread
 //! panics, so no peer waits for a payload that will never be posted.
@@ -57,33 +57,33 @@ use calu_matrix::{Error, Result};
 /// of the `MAIL_*` constants; `k` is the elimination step the payload
 /// belongs to (the eviction horizon key); `j` and the final slot
 /// disambiguate within a step (leg index, block column, sender).
-pub type MailKey = (u8, u32, u32, u32);
+pub(crate) type MailKey = (u8, u32, u32, u32);
 
 /// Butterfly accumulator slots (`j` = slot index, slot `l+1` written by
 /// leg `l`; slot 0 is the local election).
-pub const MAIL_ACC: u8 = 0;
+pub(crate) const MAIL_ACC: u8 = 0;
 /// Swap list of step `k` (`who` = the process row whose copy this is:
 /// every row broadcasts its own, bitwise identical, along itself).
-pub const MAIL_PIV: u8 = 1;
+pub(crate) const MAIL_PIV: u8 = 1;
 /// Post-swap `W` block of step `k`.
-pub const MAIL_WBK: u8 = 2;
+pub(crate) const MAIL_WBK: u8 = 2;
 /// Packed panel rows of one process row (`who` = prow).
-pub const MAIL_PAN: u8 = 3;
+pub(crate) const MAIL_PAN: u8 = 3;
 /// `U₁₂` of block column `j`.
-pub const MAIL_U12: u8 = 4;
+pub(crate) const MAIL_U12: u8 = 4;
 /// Rows of step `k`'s interchanges on block column `j` that change
 /// process row (`who` = sending prow · `Pr` + receiving prow): one
 /// message per such pair, the rows column-major.
-pub const MAIL_SWP: u8 = 5;
+pub(crate) const MAIL_SWP: u8 = 5;
 /// `PDGETF2` per-column pivot candidate (`j` = panel column, `who` =
 /// sender prow): 3 words `[|v|, global row (−1 = none), v]`.
-pub const MAIL_GCD: u8 = 6;
+pub(crate) const MAIL_GCD: u8 = 6;
 /// `PDGETF2` winner's trailing row of one panel column (`j` = panel
 /// column).
-pub const MAIL_GUR: u8 = 7;
+pub(crate) const MAIL_GUR: u8 = 7;
 /// `PDGETF2` pivot-row exchange of one panel column (`j` = panel column,
 /// `who` as for [`MAIL_SWP`]).
-pub const MAIL_GRX: u8 = 8;
+pub(crate) const MAIL_GRX: u8 = 8;
 
 /// Number of mail classes (`MAIL_ACC..=MAIL_GRX`) — sizes the per-class
 /// wait counters.
@@ -93,7 +93,7 @@ const MAIL_CLASSES: usize = 9;
 /// accounted under — the same attribution the senders/receivers use for
 /// word counts, so blocked-fetch wait time lands next to the words that
 /// explain it.
-pub fn mail_class_term(class: u8) -> &'static str {
+pub(crate) fn mail_class_term(class: u8) -> &'static str {
     match class {
         MAIL_ACC => "tslu_leg",
         MAIL_PIV => "piv_bcast",
@@ -116,25 +116,6 @@ pub enum CommKind {
     Threaded,
 }
 
-impl CommKind {
-    /// Stable label, used in bench records and CLI flags.
-    pub fn label(self) -> &'static str {
-        match self {
-            CommKind::InProcess => "in_process",
-            CommKind::Threaded => "threaded",
-        }
-    }
-
-    /// Parses a CLI flag value (`in_process` | `threaded`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "in_process" | "in-process" | "inprocess" => Some(CommKind::InProcess),
-            "threaded" => Some(CommKind::Threaded),
-            _ => None,
-        }
-    }
-}
-
 /// The transport behind `dist_rt`'s keyed-payload mailbox. Object-safe:
 /// the driver holds a `&dyn Communicator` and never knows which backend
 /// moves the words.
@@ -142,7 +123,7 @@ impl CommKind {
 /// `from`/`at` are flat grid ranks. Backends with one shared address
 /// space ([`InProcessComm`]) may ignore them and `dests`; point-to-point
 /// backends route on them.
-pub trait Communicator: Send + Sync {
+pub(crate) trait Communicator: Send + Sync {
     /// Stable backend name (`"in_process"`, `"threaded"`).
     fn name(&self) -> &'static str;
 
@@ -194,13 +175,13 @@ pub trait Communicator: Send + Sync {
 /// must not cascade into every other rank's mailbox access (the same
 /// hardening the threaded executor's pool uses).
 #[derive(Debug, Default)]
-pub struct InProcessComm {
+pub(crate) struct InProcessComm {
     mail: Mutex<HashMap<MailKey, Arc<Vec<f64>>>>,
 }
 
 impl InProcessComm {
     /// An empty mailbox.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -277,7 +258,7 @@ struct RankBox {
 /// inbox into the stash) until its key arrives. No shared matrix state —
 /// this backend is what makes the distributed execution *physically*
 /// parallel.
-pub struct ThreadedComm {
+pub(crate) struct ThreadedComm {
     senders: Vec<Sender<(MailKey, Arc<Vec<f64>>)>>,
     boxes: Vec<RankBox>,
 }
@@ -290,7 +271,7 @@ impl std::fmt::Debug for ThreadedComm {
 
 impl ThreadedComm {
     /// A communicator for `ranks` ranks with empty inboxes.
-    pub fn new(ranks: usize) -> Self {
+    pub(crate) fn new(ranks: usize) -> Self {
         let mut senders = Vec::with_capacity(ranks);
         let mut boxes = Vec::with_capacity(ranks);
         for _ in 0..ranks {
@@ -307,7 +288,7 @@ impl ThreadedComm {
     }
 
     /// Number of ranks.
-    pub fn ranks(&self) -> usize {
+    pub(crate) fn ranks(&self) -> usize {
         self.boxes.len()
     }
 
@@ -315,7 +296,7 @@ impl ThreadedComm {
     /// aggregated per ledger term ([`mail_class_term`]); zero-wait terms
     /// are omitted, terms sorted. The driver folds these into the
     /// [`CommLedger`](calu_obs::CommLedger) after the run.
-    pub fn wait_ns(&self, rank: usize) -> Vec<(&'static str, u64)> {
+    pub(crate) fn wait_ns(&self, rank: usize) -> Vec<(&'static str, u64)> {
         let mut terms: std::collections::BTreeMap<&'static str, u64> =
             std::collections::BTreeMap::new();
         for (class, w) in self.boxes[rank].wait_ns.iter().enumerate() {
@@ -563,16 +544,5 @@ mod tests {
             assert!(!mail_class_term(class).is_empty());
         }
         assert_eq!(mail_class_term(MAIL_GCD), mail_class_term(MAIL_GRX));
-    }
-
-    #[test]
-    fn comm_kind_labels_and_parsing_round_trip() {
-        for kind in [CommKind::InProcess, CommKind::Threaded] {
-            assert_eq!(CommKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(CommKind::default(), CommKind::InProcess);
-        assert_eq!(CommKind::parse("in-process"), Some(CommKind::InProcess));
-        assert_eq!(CommKind::parse("mpi"), None, "the stub backend is gone");
-        assert_eq!(CommKind::parse("carrier-pigeon"), None);
     }
 }

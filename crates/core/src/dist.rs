@@ -93,9 +93,6 @@ pub struct DistPanel<T = f64> {
     pub ipiv: Vec<usize>,
     /// Pivot row indices in pivot order (original panel rows).
     pub pivot_rows: Vec<usize>,
-    /// First elimination step with a zero/non-finite pivot, if any
-    /// (LAPACK `INFO` semantics — see [`DistFactors::first_singular`]).
-    pub first_singular: Option<usize>,
 }
 
 /// How a skeleton models the application of a panel's row swaps to the
@@ -218,16 +215,15 @@ pub fn sim_tslu_panel<T: Scalar>(
         let winners: Candidates<T> = Candidates::from_payload(&win_pl.into_data());
 
         // Phase 2: redundant factorization of the winner block W = L11 U11.
-        // An exactly singular panel is reported LAPACK-INFO-style (the
-        // sequential reference returns `Error::SingularPivot` at the same
-        // step); factors beyond the step are not meaningful.
+        // On an exactly singular panel the factors beyond the failing step
+        // are not meaningful (the sequential reference returns
+        // `Error::SingularPivot` at the same step).
         let mut w = winners.block.clone();
         cm.compute(mach.t_getf2(kn, b), flops_getf2(kn, b));
-        let first_singular = match lu_nopiv(w.view_mut(), &mut NoObs) {
-            Ok(()) => None,
-            Err(calu_matrix::Error::SingularPivot { step }) => Some(step),
+        match lu_nopiv(w.view_mut(), &mut NoObs) {
+            Ok(()) | Err(calu_matrix::Error::SingularPivot { .. }) => {}
             Err(other) => panic!("unexpected lu_nopiv failure: {other:?}"),
-        };
+        }
 
         // Second pass: L rows for my *non-winner* originals, A_i U11^{-1}.
         let mine: Vec<usize> = idx.iter().copied().filter(|g| !winners.rows.contains(g)).collect();
@@ -267,7 +263,7 @@ pub fn sim_tslu_panel<T: Scalar>(
                     panel[(q, j)] = blocks[bi].block[(ri, j)];
                 }
             }
-            DistPanel { panel, ipiv, pivot_rows: winners.rows.clone(), first_singular }
+            DistPanel { panel, ipiv, pivot_rows: winners.rows.clone() }
         })
     });
     let panel = results.into_iter().flatten().next().expect("rank 0 assembles the panel");
@@ -302,7 +298,6 @@ pub fn sim_pdgetf2_panel<T: Scalar>(
         let group = Group::new((0..p_eff).collect(), r, Link::Col, 43);
         let mut local = a.view().submatrix(range.start, 0, rows, b).to_matrix();
         let mut ipiv = vec![0usize; kn];
-        let mut first_singular = None;
 
         for j in 0..kn {
             // Local pivot scan over my rows with global index >= j
@@ -345,11 +340,8 @@ pub fn sim_pdgetf2_panel<T: Scalar>(
                 (T::from_f64(win[0]), win[1] as usize, T::from_f64(win[2]));
             ipiv[j] = piv_g;
             let eliminate = piv_abs != T::ZERO && piv_abs.is_finite();
-            if !eliminate {
-                // DGETF2's INFO path: record the first zero pivot, skip
-                // the (vacuous) elimination, and keep going.
-                first_singular = first_singular.or(Some(j));
-            }
+            // DGETF2's INFO path: a zero pivot skips the (vacuous)
+            // elimination, and the scan keeps going.
             if eliminate {
                 // Physical swap of full rows j <-> piv_g between owners.
                 if piv_g != j {
@@ -413,7 +405,7 @@ pub fn sim_pdgetf2_panel<T: Scalar>(
                 }
             }
             let pivot_rows = ipiv_to_perm(&ipiv, m)[..kn].to_vec();
-            DistPanel { panel, ipiv: ipiv.clone(), pivot_rows, first_singular }
+            DistPanel { panel, ipiv: ipiv.clone(), pivot_rows }
         })
     });
     let panel = results.into_iter().flatten().next().expect("rank 0 assembles the panel");
@@ -1256,16 +1248,6 @@ mod tests {
         );
         assert_eq!(d.first_singular, Some(seq_calu_step));
 
-        // Panel drivers on an exactly-zero trailing column.
-        let mut panel = gen::randn(&mut rng, 16, 4);
-        for i in 0..16 {
-            panel[(i, 3)] = 0.0;
-        }
-        let (_rep, d) = sim_pdgetf2_panel(&panel, 2, MachineConfig::ideal());
-        assert!(d.first_singular.is_some());
-        let (_rep, d) = sim_tslu_panel(&panel, 2, LocalLu::Classic, MachineConfig::ideal());
-        assert!(d.first_singular.is_some());
-
         // And nonsingular inputs report None.
         let good: Matrix = gen::randn(&mut rng, n, n);
         let (_rep, d) = dist_pdgetrf_factor_rt(
@@ -1275,6 +1257,16 @@ mod tests {
             MachineConfig::ideal(),
         );
         assert_eq!(d.first_singular, None);
+
+        // The panel drivers complete on an exactly-zero trailing column.
+        let mut panel = gen::randn(&mut rng, 16, 4);
+        for i in 0..16 {
+            panel[(i, 3)] = 0.0;
+        }
+        let (_rep, d) = sim_pdgetf2_panel(&panel, 2, MachineConfig::ideal());
+        assert_eq!(d.ipiv.len(), 4);
+        let (_rep, d) = sim_tslu_panel(&panel, 2, LocalLu::Classic, MachineConfig::ideal());
+        assert_eq!(d.ipiv.len(), 4);
     }
 
     #[test]

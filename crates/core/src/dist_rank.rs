@@ -464,7 +464,7 @@ impl<'a, T: Scalar> RankTasks<'a, T> {
     /// returns (immediately from the shared mailbox, where the edge from
     /// the matching send is the wire), and the broadcast is ledgered at
     /// its receiver with the payload's measured length — the same
-    /// attribution as [`calu_runtime::dist_comm_term`].
+    /// term as the exact predictor, [`calu_runtime::expected_mailbox_comm`].
     fn run_recv(
         &self,
         class: u8,
@@ -995,6 +995,14 @@ mod tests {
         let col: Vec<f32> = (0..300).map(|_| rng.gen_range(0..9) as f32 - 4.0).collect();
         let first = col.iter().position(|v| v.abs() == 4.0).expect("a maximum");
         assert_eq!(col_amax(&col), (4.0, first, col[first]));
+    }
+
+    /// The block `SharedMat::blocks` hands out for a rectangle with no rows
+    /// (a dangling pointer and several columns) carries no words.
+    #[test]
+    fn a_block_without_rows_has_no_words() {
+        let b = MatViewMut::<f64>::from_slice(&mut [], 0, 5, 1);
+        assert!(words(b).is_empty());
     }
 
     /// Composed moves leave every row where the interchanges, applied one

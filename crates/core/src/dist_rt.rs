@@ -7,7 +7,7 @@
 //! One run is set up once (`DistRun`: block-cyclic scatter into per-rank
 //! local matrices in ScaLAPACK's local layout, the DAG, the pivot vector,
 //! the ledger), driven
-//! by one of two drivers over the [`Communicator`] seam, and assembled
+//! by one of two drivers over the `Communicator` seam, and assembled
 //! once (`DistRun::finish`):
 //!
 //! * [`CommKind::InProcess`] — *run the DAG on an executor*: each task
@@ -41,7 +41,7 @@
 //! part in — its own, plus every collective over its process column at
 //! the collective's one position — so the queues are consistent
 //! projections of one topological order. Every fetch is blocking with
-//! stash-first semantics (see [`ThreadedComm`]), which makes such a
+//! stash-first semantics (see `ThreadedComm`), which makes such a
 //! projection deadlock-free: whichever task needs a payload first pulls
 //! it from the channel into the rank's stash, and later tasks re-read it
 //! there.
@@ -57,7 +57,7 @@
 //! step are untouched — the leading part is still meaningful.
 //!
 //! On rank threads the finder cancels the whole grid through
-//! [`Communicator::cancel`]: every blocked and future fetch on every rank
+//! `Communicator::cancel`: every blocked and future fetch on every rank
 //! returns [`Error::Canceled`], rank threads unwind their queues, the
 //! driver joins them all (no hang), and the drain leaves
 //! `mailbox_residual_words == 0`. A rank thread that **panics** (an
@@ -88,8 +88,8 @@ use calu_matrix::{Error, Matrix, Scalar, TileLayout};
 use calu_netsim::{MachineConfig, SimReport};
 use calu_obs::{CommDelta, CommLedger, CommLedgerReport, CommTerm, Recorder, Span};
 use calu_runtime::{
-    expected_mailbox_comm, modeled_comm_terms, simulate_dist_schedule, DistCostModel, DistGeom,
-    DistKind, DistPanelAlg, DistTask, ExecReport, ExecutorKind, LuDag, LuShape, Task, TaskTiming,
+    expected_mailbox_comm, simulate_dist_schedule, DistCostModel, DistGeom, DistKind, DistPanelAlg,
+    DistTask, ExecReport, ExecutorKind, LuDag, LuShape, Task, TaskTiming,
 };
 
 /// How a runtime-driven distributed factorization should execute.
@@ -105,7 +105,7 @@ pub struct DistRtOpts {
     /// way). Under the [`CommKind::Threaded`] communicator the rank
     /// threads *are* the parallelism and this field is ignored.
     pub executor: ExecutorKind,
-    /// Which [`Communicator`] moves cross-rank payloads:
+    /// Which `Communicator` moves cross-rank payloads:
     /// [`CommKind::InProcess`] (the shared mailbox, the default) or
     /// [`CommKind::Threaded`] (ranks as OS threads over per-rank
     /// channels). Factors are bitwise identical under both.
@@ -153,10 +153,6 @@ pub struct DistRtReport {
     /// equals it term-for-term — [`Self::mailbox_deltas`] asserts so in
     /// the reconciliation tests.
     pub expected_mailbox: Vec<CommTerm>,
-    /// **First-order** skeleton predictions ([`modeled_comm_terms`]): the
-    /// [`DistCostModel`] word/message counts the paper's closed forms
-    /// price. [`Self::skeleton_deltas`] quantifies the gap to the wire.
-    pub modeled_terms: Vec<CommTerm>,
     /// Wall-clock spans of the whole call on one timeline whose origin is
     /// the call's start, ready for [`calu_obs::chrome_trace`] export: one
     /// span per executed task (pid = rank, tid = worker; on a canceled run
@@ -164,12 +160,9 @@ pub struct DistRtReport {
     /// and the four phases of [`DIST_PHASES`] on a lane of their own
     /// (pid = the number of ranks), back to back — block-cyclic scatter and
     /// set-up, the executor or rank-thread run, the in-call cost model
-    /// (mailbox drain, simulated schedule, critical path, expected and
-    /// modeled terms), and the assembly of the factors.
+    /// (mailbox drain, simulated schedule, critical path and expected
+    /// terms), and the assembly of the factors.
     pub spans: Vec<Span>,
-    /// Stable name of the [`Communicator`] that moved the payloads
-    /// (`"in_process"` or `"threaded"`).
-    pub communicator: &'static str,
 }
 
 /// Names of the four phase spans of [`DistRtReport::spans`], in the order
@@ -183,14 +176,6 @@ impl DistRtReport {
     /// owners depends on pivots the run did not find).
     pub fn mailbox_deltas(&self) -> Vec<CommDelta> {
         self.comm.reconcile(&self.expected_mailbox)
-    }
-
-    /// Measured ledger vs the paper's skeleton: per-term word/message
-    /// gaps quantifying how far the first-order closed forms sit from
-    /// the wire (full-width TSLU payloads on ragged steps, modeled
-    /// `panel_getf2`/`swap` rounds vs data-dependent reality).
-    pub fn skeleton_deltas(&self) -> Vec<CommDelta> {
-        self.comm.reconcile(&self.modeled_terms)
     }
 
     /// This report's headline numbers in the standard [`calu_obs::Metrics`]
@@ -419,7 +404,6 @@ impl<T: Scalar> DistRun<T> {
             expected_mailbox.push(expected_swap_comm(&dag, &geom, alg, &ipiv));
         }
         let critical_path = dag.critical_path(|t| model.cost(t).total(mch));
-        let modeled_terms = modeled_comm_terms(&dag, &model);
         let modeled = started.elapsed().as_secs_f64();
         let lu = assemble_2d(glayout, &locals);
         // One timeline for the whole call: the task spans move from the
@@ -437,9 +421,7 @@ impl<T: Scalar> DistRun<T> {
             tasks: dag.len(),
             comm: ledger.report(),
             expected_mailbox,
-            modeled_terms,
             spans,
-            communicator: comm.name(),
         };
         // The run's storage and DAG go before the closing stamp, so that
         // the phases cover the call up to its return.
@@ -693,7 +675,6 @@ mod tests {
                 ];
                 for (alg, want, (rep, got)) in runs {
                     let tag = format!("{alg} {tag} d={depth} {executor:?}");
-                    assert_eq!(rep.communicator, comm.label(), "{tag}");
                     assert_eq!(want.ipiv, got.ipiv, "{tag}");
                     assert_eq!(
                         want.lu.max_abs_diff(&got.lu),
@@ -784,11 +765,11 @@ mod tests {
     /// The reconciliation property: on every grid × depth × algorithm ×
     /// executor, the measured ledger equals the exact per-term prediction
     /// — message counts and word counts both, the `swap` term's one
-    /// message per partner process row included — and the skeleton
-    /// comparison shows agreeing message counts with a quantified (never
-    /// negative) word gap on the TSLU term. `PDGETF2`'s picket fence is
-    /// messages under both communicators, and its `panel_getf2` term
-    /// reconciles too.
+    /// message per partner process row included (`calu-runtime`'s
+    /// `exact_mailbox_prediction_matches_the_skeleton_when_panels_stay_full`
+    /// holds the exact prediction against the skeleton on the same sweep).
+    /// `PDGETF2`'s picket fence is messages under both communicators, and
+    /// its `panel_getf2` term reconciles too.
     fn measured_comm_equals_exact_prediction(comm: CommKind) {
         let mut rng = StdRng::seed_from_u64(7004);
         let a: Matrix = gen::randn(&mut rng, 48, 48);
@@ -806,14 +787,6 @@ mod tests {
                     assert_eq!(f.first_singular, None);
                     assert_mailbox_exact(&rep, &format!("calu {tag}"));
                     assert_eq!(rep.comm.residual_words, 0, "{tag}");
-                    // Skeleton: same message counts on the exact-modeled
-                    // terms, word gap only from ragged-tail payloads.
-                    for d in rep.skeleton_deltas() {
-                        if d.term == "tslu_leg" {
-                            assert_eq!(d.msg_gap(), 0, "{tag}");
-                            assert!(d.word_gap() <= 0, "measured can never exceed the skeleton");
-                        }
-                    }
 
                     let cfg = DistPdgetrfConfig { b: 8, pr, pc };
                     let (rep, f) = dist_pdgetrf_factor_rt(&a, cfg, rt, MachineConfig::ideal());
@@ -853,7 +826,6 @@ mod tests {
         let cfg = DistCaluConfig { b: 16, pr: 2, pc: 2, local: LocalLu::Classic };
         let rt = DistRtOpts { communicator: CommKind::Threaded, ..Default::default() };
         let (rep, _f) = dist_calu_factor_rt(&a, cfg, rt, MachineConfig::power5());
-        assert_eq!(rep.communicator, "threaded");
         assert_eq!(rep.exec.workers, 4);
         assert!(rep.exec.order.len() >= rep.tasks);
         assert_eq!(rep.spans.len(), rep.exec.order.len() + DIST_PHASES.len());

@@ -51,16 +51,14 @@ pub mod tslu;
 
 pub use calu::{calu_factor, calu_inplace, CaluOpts, LuFactors};
 pub use calu_runtime::PanelMode;
-pub use comm::{CommKind, Communicator, InProcessComm, ThreadedComm};
+pub use comm::CommKind;
 pub use dist_rt::{
     dist_calu_factor_rt, dist_pdgetrf_factor_rt, DistRtOpts, DistRtReport, DIST_PHASES,
 };
 pub use gepp::{gepp_factor, gepp_inplace};
 pub use instrument::PivotStats;
 pub use rt::{runtime_calu_factor, runtime_calu_inplace, runtime_calu_tiles_factor, RuntimeOpts};
-pub use serve::{
-    CacheStats, MatrixKey, ProcessReport, ServeOpts, SolverService, SubmitError, Ticket,
-};
-pub use solve::{ir_solve, ir_solve_batch, IrBatchReport, IrOpts, IrReport, IrStep, RefineInfo};
-pub use tournament::{reduce_pair, tournament, tournament_flat, Candidates};
-pub use tslu::{tslu_factor, tslu_pivots, LocalLu, TsluResult};
+pub use serve::{ServeOpts, SolverService, Ticket};
+pub use solve::{ir_solve, ir_solve_batch, IrOpts};
+pub use tournament::{reduce_pair, tournament, Candidates};
+pub use tslu::{tslu_factor, tslu_pivots, LocalLu};

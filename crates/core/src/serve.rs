@@ -47,7 +47,7 @@ use crate::rt::{runtime_calu_factor, RuntimeOpts};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatrixKey {
     /// Caller-chosen matrix identifier.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Registration generation (1 for the first `register` of an id).
     pub generation: u64,
 }
@@ -138,7 +138,7 @@ pub struct CacheStats {
     /// Misses whose factors were not admitted — larger than the whole
     /// budget, or worth less than the entries they would displace — and
     /// served their one pass before being dropped.
-    pub bypassed: u64,
+    pub(crate) bypassed: u64,
     /// Factorizations currently cached.
     pub entries: usize,
     /// Bytes currently held by cached factorizations.

@@ -6,7 +6,7 @@
 use crate::calu::{CaluOpts, LuFactors};
 use crate::rt::{runtime_calu_inplace, RuntimeOpts};
 use calu_matrix::blas2::gemv;
-use calu_matrix::lapack::{gecon, getri, getrs, getrs_mat, getrs_t};
+use calu_matrix::lapack::{getrs, getrs_mat};
 use calu_matrix::norms::{
     hpl_residuals_from_norms, mat_norm_1, mat_norm_inf, vec_norm_1, vec_norm_inf,
 };
@@ -25,7 +25,7 @@ pub struct RefineInfo {
 
 impl<T: Scalar> LuFactors<T> {
     /// Problem size (factors must be square to solve).
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.lu.rows()
     }
 
@@ -90,49 +90,6 @@ impl<T: Scalar> LuFactors<T> {
         }
         (x, RefineInfo { iterations, final_residual })
     }
-
-    /// Determinant from the factors: product of `U`'s diagonal with the
-    /// permutation sign.
-    pub fn det(&self) -> T {
-        let n = self.order();
-        let mut d = T::ONE;
-        for i in 0..n {
-            d *= self.lu[(i, i)];
-        }
-        let swaps = self.ipiv.iter().enumerate().filter(|&(i, &p)| p != i).count();
-        if swaps % 2 == 1 {
-            -d
-        } else {
-            d
-        }
-    }
-
-    /// Solves the transposed system `A^T x = b` from the same factors.
-    ///
-    /// # Panics
-    /// If the factors are not square or `b` has the wrong length.
-    pub fn solve_transposed(&self, b: &[T]) -> Vec<T> {
-        let mut x = b.to_vec();
-        getrs_t(self.lu.view(), &self.ipiv, &mut x);
-        x
-    }
-
-    /// Explicit inverse `A^{-1}` from the factors (`DGETRI`; `~4/3 n³`
-    /// flops on top of the factorization).
-    ///
-    /// # Errors
-    /// [`calu_matrix::Error::SingularPivot`] if `U` has a zero diagonal.
-    pub fn inverse(&self) -> Result<Matrix<T>> {
-        let mut inv = self.lu.clone();
-        getri(inv.view_mut(), &self.ipiv)?;
-        Ok(inv)
-    }
-
-    /// Reciprocal 1-norm condition estimate (`DGECON`); pass
-    /// `anorm = ||A||_1` of the original matrix. `O(n²)` given the factors.
-    pub fn rcond(&self, anorm: T) -> T {
-        gecon(self.lu.view(), &self.ipiv, anorm)
-    }
 }
 
 /// Options for the mixed-precision iterative-refinement solver
@@ -167,7 +124,7 @@ pub struct IrStep {
 
 impl IrStep {
     /// HPL's pass criterion: all three residuals below 16.
-    pub fn passes_hpl(&self) -> bool {
+    pub(crate) fn passes_hpl(&self) -> bool {
         self.hpl.iter().all(|&h| h < 16.0)
     }
 }
@@ -442,56 +399,6 @@ mod tests {
             "residual {} too large",
             info.final_residual
         );
-    }
-
-    #[test]
-    fn det_of_identity_and_swap() {
-        let f: crate::calu::LuFactors = gepp_factor(&Matrix::identity(4), 2).unwrap();
-        assert_eq!(f.det(), 1.0);
-        // A permutation matrix with one swap has det -1.
-        let mut m = Matrix::identity(4);
-        m[(0, 0)] = 0.0;
-        m[(1, 1)] = 0.0;
-        m[(0, 1)] = 1.0;
-        m[(1, 0)] = 1.0;
-        let f = gepp_factor(&m, 2).unwrap();
-        let d: f64 = f.det();
-        assert!((d + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn transposed_solve_round_trips() {
-        let mut rng = StdRng::seed_from_u64(114);
-        let n = 48;
-        let a = gen::randn(&mut rng, n, n);
-        let f = calu_factor(&a, CaluOpts { block: 8, p: 4, ..Default::default() }).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-        let x = f.solve_transposed(&b);
-        // A^T x == b.
-        let mut back = vec![0.0; n];
-        calu_matrix::blas2::gemv_t(1.0, a.view(), &x, 0.0, &mut back);
-        for (want, got) in b.iter().zip(&back) {
-            assert!((want - got).abs() < 1e-8, "{want} vs {got}");
-        }
-    }
-
-    #[test]
-    fn inverse_from_calu_factors() {
-        let mut rng = StdRng::seed_from_u64(115);
-        let n = 40;
-        let a = gen::randn(&mut rng, n, n);
-        let f = calu_factor(&a, CaluOpts { block: 8, p: 4, ..Default::default() }).unwrap();
-        let inv = f.inverse().unwrap();
-        let mut prod = Matrix::zeros(n, n);
-        calu_matrix::blas3::gemm(1.0, a.view(), inv.view(), 0.0, prod.view_mut());
-        assert!(prod.max_abs_diff(&Matrix::identity(n)) < 1e-9);
-    }
-
-    #[test]
-    fn rcond_of_identity_is_one() {
-        let f = gepp_factor(&Matrix::identity(6), 2).unwrap();
-        let rc: f64 = f.rcond(1.0);
-        assert!((rc - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl<T: Scalar> Candidates<T> {
     /// value widens to `f64` exactly, so the round trip is lossless at
     /// both precisions (the netsim moves `f64` words regardless of the
     /// compute precision, like an MPI datatype pinned to `MPI_DOUBLE`).
-    pub fn to_payload(&self) -> Vec<f64> {
+    pub(crate) fn to_payload(&self) -> Vec<f64> {
         let k = self.len();
         let b = self.width();
         let mut v = Vec::with_capacity(2 + k + k * b);
@@ -83,7 +83,7 @@ impl<T: Scalar> Candidates<T> {
     ///
     /// # Panics
     /// If the payload is malformed.
-    pub fn from_payload(v: &[f64]) -> Self {
+    pub(crate) fn from_payload(v: &[f64]) -> Self {
         assert!(v.len() >= 2, "payload too short");
         let k = v[0] as usize;
         let b = v[1] as usize;

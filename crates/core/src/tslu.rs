@@ -51,7 +51,7 @@ pub struct TsluResult {
     /// LAPACK-style swap sequence (`row i <-> ipiv[i]`, local to the panel)
     /// that brings the winners to the top; callers apply it to the rest of
     /// the matrix.
-    pub ipiv: Vec<usize>,
+    pub(crate) ipiv: Vec<usize>,
     /// Global winner row indices (local to the panel), in pivot order.
     pub pivot_rows: Vec<usize>,
 }

@@ -51,7 +51,7 @@ pub(crate) fn first_max<T: Scalar>(x: &[T], start: usize, mut best: (T, usize)) 
 /// # Panics
 /// If lengths differ.
 #[inline]
-pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
+pub(crate) fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
     if alpha == T::ZERO {
         return;
@@ -74,13 +74,13 @@ pub fn scal<T: Scalar>(alpha: T, x: &mut [T]) {
 /// # Panics
 /// If lengths differ.
 #[inline]
-pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
+pub(crate) fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
     assert_eq!(x.len(), y.len(), "dot length mismatch");
     x.iter().zip(y).map(|(&a, &b)| a * b).sum()
 }
 
 /// Euclidean norm (BLAS `DNRM2`), with scaling to avoid overflow.
-pub fn nrm2<T: Scalar>(x: &[T]) -> T {
+pub(crate) fn nrm2<T: Scalar>(x: &[T]) -> T {
     let mx = x.iter().fold(T::ZERO, |m, &v| m.max(v.abs()));
     if mx == T::ZERO || !mx.is_finite() {
         return mx;
@@ -91,7 +91,7 @@ pub fn nrm2<T: Scalar>(x: &[T]) -> T {
 
 /// Sum of absolute values (BLAS `DASUM`).
 #[inline]
-pub fn asum<T: Scalar>(x: &[T]) -> T {
+pub(crate) fn asum<T: Scalar>(x: &[T]) -> T {
     x.iter().map(|v| v.abs()).sum()
 }
 
@@ -99,16 +99,6 @@ pub fn asum<T: Scalar>(x: &[T]) -> T {
 #[inline]
 pub fn amax<T: Scalar>(x: &[T]) -> T {
     x.iter().fold(T::ZERO, |m, &v| m.max(v.abs()))
-}
-
-/// Swap two vectors elementwise (BLAS `DSWAP`).
-///
-/// # Panics
-/// If lengths differ.
-#[inline]
-pub fn swap<T: Scalar>(x: &mut [T], y: &mut [T]) {
-    assert_eq!(x.len(), y.len(), "swap length mismatch");
-    x.swap_with_slice(y);
 }
 
 #[cfg(test)]

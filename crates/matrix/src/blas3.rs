@@ -27,7 +27,7 @@
 //!   into a [`PackedA`] and passed to [`gemm_packed`], which runs
 //!   [`gemm_on`]'s loop nest without packing `A` again. `B` is still packed
 //!   per call: packing `U₁₂` once measured no gain.
-//! * The micro-kernel ([`Ukernel`]) keeps a whole `MR × NR` tile of `C` in
+//! * The micro-kernel (`Ukernel`) keeps a whole `MR × NR` tile of `C` in
 //!   registers across the `k` loop. It is reached through one hook,
 //!   [`Scalar::gemm_ukernel`], with three arms ([`Arm`]): `std::arch`
 //!   AVX-512 kernels for `f64` (16×8) and `f32` (32×8) and AVX2+FMA kernels
@@ -117,9 +117,10 @@ mod panel_kernel;
 mod trsm;
 mod ukernel;
 
-pub use panel_kernel::PanelKernel;
+pub(crate) use panel_kernel::PanelKernel;
 pub(crate) use trsm::{solve_right, Watch};
-pub use ukernel::{Arm, Ukernel};
+pub use ukernel::Arm;
+pub(crate) use ukernel::Ukernel;
 
 use crate::scalar::Scalar;
 use crate::view::{MatView, MatViewMut};
@@ -217,16 +218,6 @@ impl<T: Scalar> PackedA<T> {
             kernel.pack_a(a.submatrix(0, pc, rows, kb), block);
         }
         PackedA { kernel, rows, cols, buf }
-    }
-
-    /// Rows of `A`.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Columns of `A`.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// The `MR`-row panel of the `KC` block at column `pc` (of depth `kb`)

@@ -118,7 +118,7 @@ macro_rules! impl_for_arm {
         impl PanelKernel<$t> {
             /// The panel kernels of `arm` at this precision; `None` on the
             /// portable arm, whose kernels are the scalar loops.
-            pub fn for_arm(arm: Arm) -> Option<Self> {
+            pub(crate) fn for_arm(arm: Arm) -> Option<Self> {
                 match arm.0 {
                     Isa::Portable => None,
                     $($(#[$cfg])? $isa => Some(PanelKernel {

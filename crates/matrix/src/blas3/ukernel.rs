@@ -169,7 +169,7 @@ macro_rules! impl_for_arm {
     ($t:ty, $($(#[$cfg:meta])? $isa:pat => $mr:literal x $nr:literal, $run:expr, $column:expr;)+) => {
         impl Ukernel<$t> {
             /// The micro-kernel of `arm` at this precision.
-            pub fn for_arm(arm: Arm) -> Self {
+            pub(crate) fn for_arm(arm: Arm) -> Self {
                 static POOL: PackPool<$t> = PackPool::new(Vec::new());
                 match arm.0 {
                     $($(#[$cfg])? $isa => {

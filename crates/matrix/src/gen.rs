@@ -62,7 +62,7 @@ pub fn uniform<T: Scalar>(
 ///
 /// # Panics
 /// If `c[0] != r[0]` (the shared corner must agree) or either is empty.
-pub fn toeplitz<T: Scalar>(first_col: &[T], first_row: &[T]) -> Matrix<T> {
+pub(crate) fn toeplitz<T: Scalar>(first_col: &[T], first_row: &[T]) -> Matrix<T> {
     assert!(!first_col.is_empty() && !first_row.is_empty());
     assert_eq!(first_col[0], first_row[0], "corner element must agree");
     Matrix::from_fn(first_col.len(), first_row.len(), |i, j| {
@@ -115,24 +115,6 @@ pub fn wilkinson<T: Scalar>(n: usize) -> Matrix<T> {
             T::ONE
         } else if i > j {
             -T::ONE
-        } else {
-            T::ZERO
-        }
-    })
-}
-
-/// Kahan's matrix: upper triangular with `s^i` on the diagonal and
-/// `-c·s^i` above it (`s² + c² = 1`, `theta` sets the split). Famously
-/// ill-conditioned with *no* small pivot until the very end — a classic
-/// stress test for condition estimators and threshold statistics.
-pub fn kahan<T: Scalar>(n: usize, theta: f64) -> Matrix<T> {
-    let (s, c) = (theta.sin(), theta.cos());
-    Matrix::from_fn(n, n, |i, j| {
-        let scale = s.powi(i as i32);
-        if i == j {
-            T::from_f64(scale)
-        } else if j > i {
-            T::from_f64(-c * scale)
         } else {
             T::ZERO
         }
@@ -317,21 +299,6 @@ mod tests {
         for i in 0..20 {
             let off: f64 = (0..20).filter(|&j| j != i).map(|j| a[(i, j)].abs()).sum();
             assert!(a[(i, i)].abs() > off);
-        }
-    }
-
-    #[test]
-    fn kahan_is_upper_triangular_with_graded_diagonal() {
-        let k: Matrix = kahan(5, 1.2);
-        for i in 0..5 {
-            for j in 0..i {
-                assert_eq!(k[(i, j)], 0.0);
-            }
-        }
-        // Diagonal decays geometrically by sin(theta).
-        let s = 1.2_f64.sin();
-        for i in 1..5 {
-            assert!((k[(i, i)] / k[(i - 1, i - 1)] - s).abs() < 1e-14);
         }
     }
 

@@ -24,7 +24,7 @@ const ITMAX: usize = 5;
 ///
 /// # Panics
 /// If the factors are not square.
-pub fn inv_norm1_est<T: Scalar>(lu: MatView<'_, T>, ipiv: &[usize]) -> T {
+pub(crate) fn inv_norm1_est<T: Scalar>(lu: MatView<'_, T>, ipiv: &[usize]) -> T {
     let n = lu.rows();
     assert_eq!(lu.cols(), n, "inv_norm1_est: factors must be square");
     if n == 0 {
@@ -180,7 +180,7 @@ mod tests {
         let mut x = b.clone();
         crate::lapack::getrs_t(lu.view(), &ipiv, &mut x);
         // Check A^T x == b.
-        let at = a.transposed();
+        let at = Matrix::from_fn(n, n, |i, j| a[(j, i)]);
         let mut back = vec![0.0; n];
         crate::blas2::gemv(1.0, at.view(), &x, 0.0, &mut back);
         for (want, got) in b.iter().zip(&back) {

@@ -20,7 +20,7 @@ use crate::{Diag, Uplo};
 ///
 /// # Panics
 /// If `a` is not square.
-pub fn trtri_upper<T: Scalar>(mut a: MatViewMut<'_, T>, diag: Diag) -> Result<()> {
+pub(crate) fn trtri_upper<T: Scalar>(mut a: MatViewMut<'_, T>, diag: Diag) -> Result<()> {
     let n = a.rows();
     assert_eq!(a.cols(), n, "trtri_upper: A must be square");
     for j in 0..n {

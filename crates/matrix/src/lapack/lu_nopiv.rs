@@ -9,12 +9,10 @@
 
 use crate::blas1::{amax, scal};
 use crate::blas2::ger;
-use crate::blas3::{gemm, trsm};
 use crate::error::{Error, Result};
 use crate::observer::PivotObserver;
 use crate::scalar::Scalar;
 use crate::view::MatViewMut;
-use crate::{Diag, Side, Uplo};
 
 /// Factors `A = L * U` in place with no pivoting (unblocked).
 ///
@@ -54,49 +52,10 @@ pub fn lu_nopiv<T: Scalar, O: PivotObserver<T>>(
     Ok(())
 }
 
-/// Blocked LU with no pivoting (same sweep as `getrf` minus the swaps);
-/// used when the unpivoted panel is wide enough that BLAS-3 pays off.
-///
-/// # Errors
-/// [`Error::SingularPivot`] with the absolute step index.
-pub fn lu_nopiv_blocked<T: Scalar, O: PivotObserver<T>>(
-    mut a: MatViewMut<'_, T>,
-    nb: usize,
-    obs: &mut O,
-) -> Result<()> {
-    let (m, n) = (a.rows(), a.cols());
-    let kn = m.min(n);
-    assert!(nb > 0, "block must be positive");
-    let mut k = 0;
-    while k < kn {
-        let jb = nb.min(kn - k);
-        {
-            let panel = a.submatrix_mut(k, k, m - k, jb);
-            lu_nopiv(panel, obs).map_err(|e| match e {
-                Error::SingularPivot { step } => Error::SingularPivot { step: step + k },
-                other => other,
-            })?;
-        }
-        if k + jb < n {
-            let (left, right) = a.rb_mut().split_at_col_mut(k + jb);
-            let right = right.into_submatrix(k, 0, m - k, n - k - jb);
-            let (mut u12, mut a22) = right.split_at_row_mut(jb);
-            let l11 = left.submatrix(k, k, jb, jb);
-            trsm(Side::Left, Uplo::Lower, Diag::Unit, T::ONE, l11, u12.rb_mut());
-            if k + jb < m {
-                let l21 = left.submatrix(k + jb, k, m - k - jb, jb);
-                gemm(-T::ONE, l21, u12.as_view(), T::ONE, a22.rb_mut());
-                obs.on_stage(&a22.as_view());
-            }
-        }
-        k += jb;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blas3::gemm;
     use crate::gen;
     use crate::{Matrix, NoObs};
     use rand::rngs::StdRng;
@@ -120,17 +79,6 @@ mod tests {
             lu_nopiv(a.view_mut(), &mut NoObs).unwrap();
             check_lu(&a0, &a, 1e-9 * (n.max(1) as f64));
         }
-    }
-
-    #[test]
-    fn blocked_matches_unblocked() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let a0: Matrix = gen::diag_dominant(&mut rng, 70);
-        let mut a1 = a0.clone();
-        let mut a2 = a0.clone();
-        lu_nopiv(a1.view_mut(), &mut NoObs).unwrap();
-        lu_nopiv_blocked(a2.view_mut(), 16, &mut NoObs).unwrap();
-        assert!(a1.max_abs_diff(&a2) < 1e-10);
     }
 
     #[test]

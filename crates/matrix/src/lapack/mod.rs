@@ -15,7 +15,6 @@
 //! * [`getrs`] / [`getrs_t`] — triangular solves from the packed factors.
 //! * [`getri`] — explicit inverse from the packed factors.
 //! * [`gecon`] — Hager-Higham reciprocal condition estimate.
-//! * [`geequ`] / [`laqge`] — row/column equilibration.
 //!
 //! All factorizations overwrite their input with the packed `L\U` factors
 //! (unit lower triangle implicit) and accept a
@@ -23,7 +22,6 @@
 //! instrumentation.
 
 mod gecon;
-mod geequ;
 mod getf2;
 mod getrf;
 mod getri;
@@ -32,12 +30,11 @@ mod lu_nopiv;
 mod lu_rows;
 mod rgetf2;
 
-pub use gecon::{gecon, inv_norm1_est};
-pub use geequ::{geequ, laqge, unscale_solution, Equilibration};
+pub use gecon::gecon;
 pub use getf2::{getf2, getf2_info, getf2_info_on};
 pub use getrf::{getrf, GetrfOpts, PanelAlg};
-pub use getri::{getri, trtri_upper};
+pub use getri::getri;
 pub use getrs::{getrs, getrs_mat, getrs_t};
-pub use lu_nopiv::{lu_nopiv, lu_nopiv_blocked};
+pub use lu_nopiv::lu_nopiv;
 pub use lu_rows::{lu_rows, lu_rows_on};
 pub use rgetf2::{rgetf2, rgetf2_info, rgetf2_info_on};

@@ -108,12 +108,6 @@ impl<T: Scalar> Matrix<T> {
         self.cols
     }
 
-    /// `true` when either dimension is zero.
-    #[inline(always)]
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0 || self.cols == 0
-    }
-
     /// Immutable view of the whole matrix.
     #[inline(always)]
     pub fn view(&self) -> MatView<'_, T> {
@@ -151,25 +145,6 @@ impl<T: Scalar> Matrix<T> {
     /// Consumes the matrix, returning its buffer.
     pub fn into_vec(self) -> Vec<T> {
         self.data
-    }
-
-    /// Returns the transpose as a new matrix.
-    pub fn transposed(&self) -> Matrix<T> {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
-    /// Extracts row `i` as a `Vec`.
-    pub fn row(&self, i: usize) -> Vec<T> {
-        (0..self.cols).map(|j| self[(i, j)]).collect()
-    }
-
-    /// Element-wise absolute value.
-    pub fn abs(&self) -> Matrix<T> {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|x| x.abs()).collect(),
-        }
     }
 
     /// Maximum absolute entry (0 for empty).
@@ -212,9 +187,8 @@ impl<T: Scalar> Matrix<T> {
     /// Rounds every element into precision `U` (`f64 → f32` demotes with
     /// IEEE round-to-nearest; `f32 → f64` is exact). The mixed-precision
     /// solver uses this to hand a working copy to the fast low-precision
-    /// factorization. Shares the element conversion rule with
-    /// [`crate::TileMatrix::cast`] via [`crate::scalar::cast_slice`], so
-    /// the precision ladder behaves identically on either layout.
+    /// factorization. The element conversion rule is
+    /// [`crate::scalar::cast_slice`], which the distributed payloads share.
     pub fn cast<U: Scalar>(&self) -> Matrix<U> {
         Matrix { rows: self.rows, cols: self.cols, data: crate::scalar::cast_slice(&self.data) }
     }
@@ -276,13 +250,7 @@ mod tests {
         assert_eq!(m.rows(), 3);
         assert_eq!(m.cols(), 2);
         assert_eq!(m[(2, 1)], 6.0);
-        assert_eq!(m.row(1), vec![3.0, 4.0]);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let m = Matrix::from_fn(3, 5, |i, j| (i * 31 + j * 7) as f64);
-        assert_eq!(m.transposed().transposed(), m);
+        assert_eq!((m[(1, 0)], m[(1, 1)]), (3.0, 4.0));
     }
 
     #[test]

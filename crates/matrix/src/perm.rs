@@ -25,22 +25,8 @@ pub fn apply_ipiv<T: Scalar>(mut a: MatViewMut<'_, T>, ipiv: &[usize]) {
     }
 }
 
-/// Applies the inverse of the transposition sequence (LAPACK `DLASWP` with
-/// increment -1): for `i` in reverse order, swap rows `i` and `ipiv[i]`.
-/// Column by column, like [`apply_ipiv`].
-pub fn apply_ipiv_inv<T: Scalar>(mut a: MatViewMut<'_, T>, ipiv: &[usize]) {
-    for j in 0..a.cols() {
-        let col = a.col_mut(j);
-        for (i, &p) in ipiv.iter().enumerate().rev() {
-            if p != i {
-                col.swap(i, p);
-            }
-        }
-    }
-}
-
 /// Applies the transposition sequence to a vector.
-pub fn apply_ipiv_vec<T: Scalar>(x: &mut [T], ipiv: &[usize]) {
+pub(crate) fn apply_ipiv_vec<T: Scalar>(x: &mut [T], ipiv: &[usize]) {
     for (i, &p) in ipiv.iter().enumerate() {
         if p != i {
             x.swap(i, p);
@@ -56,29 +42,6 @@ pub fn ipiv_to_perm(ipiv: &[usize], m: usize) -> Vec<usize> {
         perm.swap(i, p);
     }
     perm
-}
-
-/// Inverts a permutation vector: `inv[perm[i]] = i`.
-///
-/// # Panics
-/// If `perm` is not a permutation of `0..len`.
-pub fn invert_perm(perm: &[usize]) -> Vec<usize> {
-    let mut inv = vec![usize::MAX; perm.len()];
-    for (i, &p) in perm.iter().enumerate() {
-        assert!(p < perm.len() && inv[p] == usize::MAX, "not a permutation");
-        inv[p] = i;
-    }
-    inv
-}
-
-/// Composes permutations: returns `q ∘ p`, the permutation that first
-/// applies `p` then `q` (as row selections: `result[i] = p[q[i]]`).
-///
-/// # Panics
-/// If lengths differ.
-pub fn compose(q: &[usize], p: &[usize]) -> Vec<usize> {
-    assert_eq!(q.len(), p.len());
-    q.iter().map(|&qi| p[qi]).collect()
 }
 
 /// `true` iff `perm` is a permutation of `0..perm.len()`.
@@ -110,17 +73,6 @@ mod tests {
     use crate::Matrix;
 
     #[test]
-    fn ipiv_round_trip() {
-        let mut a = Matrix::from_fn(4, 2, |i, _| i as f64);
-        let orig = a.clone();
-        let ipiv = vec![2, 3, 2, 3];
-        apply_ipiv(a.view_mut(), &ipiv);
-        assert_ne!(a, orig);
-        apply_ipiv_inv(a.view_mut(), &ipiv);
-        assert_eq!(a, orig);
-    }
-
-    #[test]
     fn ipiv_to_perm_matches_apply() {
         let ipiv = vec![2, 3, 2, 3];
         let m = 5;
@@ -131,16 +83,6 @@ mod tests {
         apply_ipiv(b.view_mut(), &ipiv);
         let c = permute_rows(&a, &perm);
         assert_eq!(b, c);
-    }
-
-    #[test]
-    fn invert_then_compose_is_identity() {
-        let perm = vec![3, 0, 4, 1, 2];
-        let inv = invert_perm(&perm);
-        let id = compose(&inv, &perm);
-        assert_eq!(id, vec![0, 1, 2, 3, 4]);
-        let id2 = compose(&perm, &inv);
-        assert_eq!(id2, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

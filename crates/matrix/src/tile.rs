@@ -18,12 +18,12 @@
 //! `ti+1`), and each tile is column-major inside with leading dimension
 //! equal to its own height. Edge tiles are ragged when the matrix
 //! dimensions are not multiples of the tile dimensions; the closed-form
-//! offset arithmetic in [`TileLayout::tile_offset`] stays exact because
+//! offset arithmetic in `TileLayout::tile_offset` stays exact because
 //! only the *last* tile row/column can be short.
 
-use crate::scalar::{cast_slice, Scalar};
+use crate::scalar::Scalar;
 use crate::Matrix;
-use std::ops::{Index, Range};
+use std::ops::Index;
 
 /// Tile geometry of an `rows x cols` matrix cut into `mb x nb` tiles,
 /// plus an optional block-cyclic `(Pr, Pc)` ownership map.
@@ -113,7 +113,7 @@ impl TileLayout {
 
     /// Width of tile column `tj` (`nb`, except a ragged last column).
     #[inline(always)]
-    pub fn tile_width(&self, tj: usize) -> usize {
+    pub(crate) fn tile_width(&self, tj: usize) -> usize {
         debug_assert!(tj < self.tile_cols());
         self.nb.min(self.cols - tj * self.nb)
     }
@@ -125,14 +125,14 @@ impl TileLayout {
     /// `rows` rows, and every tile above `(ti, tj)` is full height, so
     /// the offset is closed-form.
     #[inline(always)]
-    pub fn tile_offset(&self, ti: usize, tj: usize) -> usize {
+    pub(crate) fn tile_offset(&self, ti: usize, tj: usize) -> usize {
         debug_assert!(ti < self.tile_rows() && tj < self.tile_cols());
         self.rows * (tj * self.nb) + self.tile_width(tj) * (ti * self.mb)
     }
 
     /// Flat-buffer index of element `(i, j)` under the tile-major order.
     #[inline(always)]
-    pub fn elem_offset(&self, i: usize, j: usize) -> usize {
+    pub(crate) fn elem_offset(&self, i: usize, j: usize) -> usize {
         debug_assert!(
             i < self.rows && j < self.cols,
             "({i},{j}) out of {}x{}",
@@ -172,7 +172,7 @@ impl TileLayout {
     /// # Panics
     /// If no grid is attached.
     #[inline]
-    pub fn owner_coords(&self, ti: usize, tj: usize) -> (usize, usize) {
+    pub(crate) fn owner_coords(&self, ti: usize, tj: usize) -> (usize, usize) {
         (ti % self.pr(), tj % self.pc())
     }
 
@@ -310,38 +310,14 @@ impl<T: Scalar> TileMatrix<T> {
 
     /// Matrix rows.
     #[inline(always)]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.layout.rows()
     }
 
     /// Matrix columns.
     #[inline(always)]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.layout.cols()
-    }
-
-    /// Swaps global rows `i1` and `i2` across columns `cols` (crossing
-    /// tile boundaries as needed). Same element swaps as
-    /// [`crate::MatViewMut::swap_rows`] on flat storage.
-    pub fn swap_rows_in_cols(&mut self, i1: usize, i2: usize, cols: Range<usize>) {
-        assert!(i1 < self.rows() && i2 < self.rows());
-        assert!(cols.end <= self.cols());
-        if i1 == i2 {
-            return;
-        }
-        for j in cols {
-            let a = self.layout.elem_offset(i1, j);
-            let b = self.layout.elem_offset(i2, j);
-            self.data.swap(a, b);
-        }
-    }
-
-    /// Rounds every element into precision `U`, preserving the layout
-    /// (same tile geometry and ownership map). Shares the element
-    /// conversion rule with [`Matrix::cast`] via
-    /// [`crate::scalar::cast_slice`].
-    pub fn cast<U: Scalar>(&self) -> TileMatrix<U> {
-        TileMatrix { layout: self.layout, data: cast_slice(&self.data) }
     }
 }
 
@@ -357,7 +333,6 @@ impl<T: Scalar> Index<(usize, usize)> for TileMatrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perm::apply_ipiv;
 
     fn numbered(rows: usize, cols: usize) -> Matrix<f64> {
         Matrix::from_fn(rows, cols, |i, j| (i * 1000 + j) as f64)
@@ -400,21 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn ranged_cross_tile_swaps_touch_only_requested_columns() {
-        let a = numbered(8, 8);
-        let local = vec![3usize, 2];
-        let mut flat = a.clone();
-        // Flat reference: swaps offset by base 4, columns 2..7 only.
-        let sub = flat.view_mut().into_submatrix(4, 2, 4, 5);
-        apply_ipiv(sub, &local);
-        let mut tiled = TileMatrix::from_matrix(&a, 4, 4);
-        for (i, &p) in local.iter().enumerate() {
-            tiled.swap_rows_in_cols(4 + i, 4 + p, 2..7);
-        }
-        assert_eq!(tiled.to_matrix(), flat);
-    }
-
-    #[test]
     fn block_cyclic_map_matches_explicit_dealing() {
         let layout = TileLayout::new(53, 37, 4, 3).with_grid(3, 2);
         let (pr, pc) = (3, 2);
@@ -446,17 +406,6 @@ mod tests {
         assert_eq!(layout.owner(1, 0), 1);
         assert_eq!(layout.owner(0, 1), pr);
         assert_eq!(layout.owner_coords(4, 3), (1, 1));
-    }
-
-    #[test]
-    fn cast_round_trips_and_preserves_layout() {
-        let a = Matrix::from_fn(9, 5, |i, j| 0.1 * (i as f64) + j as f64);
-        let t = TileMatrix::from_matrix(&a, 4, 4);
-        let lo = t.cast::<f32>();
-        assert_eq!(lo.layout(), t.layout());
-        assert_eq!(lo.to_matrix(), a.cast::<f32>(), "both casts share one conversion rule");
-        let back = lo.cast::<f64>();
-        assert_eq!(back[(3, 3)], a[(3, 3)] as f32 as f64);
     }
 
     #[test]

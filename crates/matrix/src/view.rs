@@ -81,18 +81,6 @@ impl<'a, T: Scalar> MatView<'a, T> {
         self.cols
     }
 
-    /// Leading dimension (column stride).
-    #[inline(always)]
-    pub fn ld(&self) -> usize {
-        self.ld
-    }
-
-    /// `true` if the view contains no elements.
-    #[inline(always)]
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0 || self.cols == 0
-    }
-
     /// Element `(i, j)`.
     #[inline(always)]
     pub fn get(&self, i: usize, j: usize) -> T {
@@ -109,6 +97,9 @@ impl<'a, T: Scalar> MatView<'a, T> {
     #[inline(always)]
     pub fn col(&self, j: usize) -> &'a [T] {
         debug_assert!(j < self.cols, "column {j} out of {}", self.cols);
+        if self.rows == 0 {
+            return &[];
+        }
         unsafe { std::slice::from_raw_parts(self.ptr.add(j * self.ld), self.rows) }
     }
 
@@ -117,22 +108,12 @@ impl<'a, T: Scalar> MatView<'a, T> {
         assert!(i + nrows <= self.rows, "row range {i}+{nrows} out of {}", self.rows);
         assert!(j + ncols <= self.cols, "col range {j}+{ncols} out of {}", self.cols);
         MatView {
-            ptr: unsafe { self.ptr.add(j * self.ld + i) },
+            ptr: self.ptr.wrapping_add(j * self.ld + i),
             rows: nrows,
             cols: ncols,
             ld: self.ld,
             _marker: PhantomData,
         }
-    }
-
-    /// Splits into `(top, bottom)` at row `i`.
-    pub fn split_at_row(&self, i: usize) -> (MatView<'a, T>, MatView<'a, T>) {
-        (self.submatrix(0, 0, i, self.cols), self.submatrix(i, 0, self.rows - i, self.cols))
-    }
-
-    /// Splits into `(left, right)` at column `j`.
-    pub fn split_at_col(&self, j: usize) -> (MatView<'a, T>, MatView<'a, T>) {
-        (self.submatrix(0, 0, self.rows, j), self.submatrix(0, j, self.rows, self.cols - j))
     }
 
     /// Copies the viewed block into an owned [`crate::Matrix`].
@@ -216,7 +197,7 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
 
     /// `true` if the view contains no elements.
     #[inline(always)]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows == 0 || self.cols == 0
     }
 
@@ -230,7 +211,7 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
 
     /// Element `(i, j)`.
     #[inline(always)]
-    pub fn get(&self, i: usize, j: usize) -> T {
+    pub(crate) fn get(&self, i: usize, j: usize) -> T {
         debug_assert!(
             i < self.rows && j < self.cols,
             "index ({i},{j}) out of {}x{}",
@@ -242,7 +223,7 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
 
     /// Sets element `(i, j)` to `v`.
     #[inline(always)]
-    pub fn set(&mut self, i: usize, j: usize, v: T) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: T) {
         debug_assert!(
             i < self.rows && j < self.cols,
             "index ({i},{j}) out of {}x{}",
@@ -256,6 +237,9 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
     #[inline(always)]
     pub fn col(&self, j: usize) -> &[T] {
         debug_assert!(j < self.cols, "column {j} out of {}", self.cols);
+        if self.rows == 0 {
+            return &[];
+        }
         unsafe { std::slice::from_raw_parts(self.ptr.add(j * self.ld), self.rows) }
     }
 
@@ -263,6 +247,9 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
     #[inline(always)]
     pub fn col_mut(&mut self, j: usize) -> &mut [T] {
         debug_assert!(j < self.cols, "column {j} out of {}", self.cols);
+        if self.rows == 0 {
+            return &mut [];
+        }
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(j * self.ld), self.rows) }
     }
 
@@ -270,9 +257,12 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
     ///
     /// # Panics
     /// If `j1 == j2` or either is out of range.
-    pub fn two_cols_mut(&mut self, j1: usize, j2: usize) -> (&mut [T], &mut [T]) {
+    pub(crate) fn two_cols_mut(&mut self, j1: usize, j2: usize) -> (&mut [T], &mut [T]) {
         assert!(j1 != j2, "two_cols_mut requires distinct columns");
         assert!(j1 < self.cols && j2 < self.cols);
+        if self.rows == 0 {
+            return (&mut [], &mut []);
+        }
         unsafe {
             let a = std::slice::from_raw_parts_mut(self.ptr.add(j1 * self.ld), self.rows);
             let b = std::slice::from_raw_parts_mut(self.ptr.add(j2 * self.ld), self.rows);
@@ -317,7 +307,7 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
         assert!(i + nrows <= self.rows, "row range {i}+{nrows} out of {}", self.rows);
         assert!(j + ncols <= self.cols, "col range {j}+{ncols} out of {}", self.cols);
         MatViewMut {
-            ptr: unsafe { self.ptr.add(j * self.ld + i) },
+            ptr: self.ptr.wrapping_add(j * self.ld + i),
             rows: nrows,
             cols: ncols,
             ld: self.ld,
@@ -371,8 +361,10 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
             ld: self.ld,
             _marker: PhantomData,
         };
+        // `wrapping_add`: a view with no rows may carry a dangling pointer
+        // (`from_slice(&mut [], 0, nc, 1)`), which no offset may move.
         let right = MatViewMut {
-            ptr: unsafe { self.ptr.add(j * self.ld) },
+            ptr: self.ptr.wrapping_add(j * self.ld),
             rows: self.rows,
             cols: self.cols - j,
             ld: self.ld,
@@ -412,11 +404,6 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
         for j in 0..self.cols {
             self.col_mut(j).copy_from_slice(src.col(j));
         }
-    }
-
-    /// Copies the viewed block into an owned [`crate::Matrix`].
-    pub fn to_matrix(&self) -> crate::Matrix<T> {
-        self.as_view().to_matrix()
     }
 }
 
@@ -516,7 +503,6 @@ mod tests {
         // inner(0,0) is global (2, 3).
         assert_eq!(inner.get(0, 0), 23.0);
         assert_eq!(inner.get(1, 1), 34.0);
-        assert_eq!(inner.ld(), 6, "leading dimension survives nesting");
     }
 
     #[test]
@@ -525,10 +511,25 @@ mod tests {
         let v = m.view();
         let e1 = v.submatrix(2, 2, 0, 2);
         let e2 = v.submatrix(0, 4, 4, 0);
-        assert!(e1.is_empty() && e2.is_empty());
         assert_eq!(e1.rows(), 0);
         assert_eq!(e2.cols(), 0);
         assert_eq!(e1.max_abs(), 0.0);
+    }
+
+    #[test]
+    fn columns_of_a_view_without_rows_are_empty() {
+        // An empty rectangle handed out over no storage: its pointer is
+        // dangling, so no column may offset it.
+        let nc = 5;
+        let mut v = super::MatViewMut::<f64>::from_slice(&mut [], 0, nc, 1);
+        for j in 0..nc {
+            assert!(v.col(j).is_empty() && v.col_mut(j).is_empty());
+            assert!(v.as_view().col(j).is_empty());
+            assert!(v.submatrix(0, j, 0, nc - j).col(0).is_empty());
+        }
+        let (l, r) = v.split_at_col_mut(3);
+        assert_eq!((l.cols(), r.cols()), (3, 2));
+        assert!(r.col(1).is_empty());
     }
 
     #[test]

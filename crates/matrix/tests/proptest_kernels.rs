@@ -6,11 +6,11 @@ use calu_matrix::blas1::iamax_on;
 use calu_matrix::blas2::{gemv, gemv_t, trmv, trsv_t};
 use calu_matrix::blas3::{gemm, gemm_on, gemm_packed, trsm, trsm_on, Arm, PackedA};
 use calu_matrix::lapack::{
-    gecon, geequ, getf2, getf2_info, getf2_info_on, getrf, getri, getrs, getrs_t, laqge, lu_nopiv,
-    lu_rows_on, rgetf2, rgetf2_info, rgetf2_info_on, GetrfOpts, PanelAlg,
+    gecon, getf2, getf2_info, getf2_info_on, getrf, getri, getrs, getrs_t, lu_nopiv, lu_rows_on,
+    rgetf2, rgetf2_info, rgetf2_info_on, GetrfOpts, PanelAlg,
 };
-use calu_matrix::norms::{mat_norm_1, mat_norm_fro, mat_norm_inf};
-use calu_matrix::perm::{apply_ipiv, apply_ipiv_inv, ipiv_to_perm, permute_rows};
+use calu_matrix::norms::{mat_norm_1, mat_norm_inf};
+use calu_matrix::perm::{ipiv_to_perm, permute_rows};
 use calu_matrix::{gen, Diag, Error, MatView, Matrix, NoObs, PivotObserver, Scalar, Side, Uplo};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -150,7 +150,6 @@ fn packed_is_gemm_on<T: Scalar>(arm: Arm, rng: &mut StdRng) {
             let a_store = gen::randn::<T>(rng, m + 3, k);
             let a = a_store.view().submatrix(1, 0, m, k);
             let packed = PackedA::new_on(arm, a);
-            assert_eq!((packed.rows(), packed.cols()), (m, k));
             for n in [1, nr - 1, nr, nr + 1, 64] {
                 let b = gen::randn::<T>(rng, k, n);
                 let c0 = gen::randn::<T>(rng, m, n);
@@ -375,7 +374,7 @@ fn check_lu_rows<T: Scalar>(
         if lu_nopiv(top.rb_mut(), &mut NoObs) != want {
             return Err(format!("top-block lu_nopiv did not fail at step {s}"));
         }
-        let rows_before = below.to_matrix();
+        let rows_before = below.as_view().to_matrix();
         let got = lu_rows_on(arm, top.as_view(), below, &mut vec![T::ZERO; jb], &mut NoObs);
         if got != want {
             return Err(format!("lu_rows reported {got:?}, not step {s}"));
@@ -795,29 +794,12 @@ proptest! {
     }
 
     #[test]
-    fn prop_ipiv_apply_unapply(seed in 0u64..1_000_000, m in 1usize..40, n in 1usize..10) {
-        let a0 = randn_mat(seed, m, n);
-        let mut rng = StdRng::seed_from_u64(seed ^ 3);
-        let k = m.min(8);
-        let ipiv: Vec<usize> = (0..k).map(|i| rng.gen_range(i..m)).collect();
-        let mut a = a0.clone();
-        apply_ipiv(a.view_mut(), &ipiv);
-        apply_ipiv_inv(a.view_mut(), &ipiv);
-        prop_assert_eq!(a, a0);
-    }
-
-    #[test]
     fn prop_norm_inequalities(seed in 0u64..1_000_000, m in 1usize..30, n in 1usize..30) {
-        // ||A||_1 <= sqrt(n) * ||A||_F and ||A||_F <= sqrt(rank bound) etc:
-        // use the standard equivalence ||A||_1 <= n^0.5 * ... keep simple:
-        // max_abs <= every norm; fro <= sqrt(m n) max_abs.
+        // max_abs <= every norm.
         let a = randn_mat(seed, m, n);
         let mx = a.max_abs();
-        let fro = mat_norm_fro(a.view());
         prop_assert!(mat_norm_1(a.view()) + 1e-12 >= mx);
         prop_assert!(mat_norm_inf(a.view()) + 1e-12 >= mx);
-        prop_assert!(fro + 1e-12 >= mx);
-        prop_assert!(fro <= ((m * n) as f64).sqrt() * mx + 1e-12);
     }
 
     #[test]
@@ -883,31 +865,6 @@ proptest! {
         let kappa_est = 1.0 / rcond;
         prop_assert!(kappa_est <= kappa_true * (1.0 + 1e-8), "estimate must be a lower bound");
         prop_assert!(kappa_est >= kappa_true / 4.0, "Hager stays within a small factor");
-    }
-
-    #[test]
-    fn prop_geequ_produces_unit_maxima(seed in 0u64..1_000_000, m in 1usize..24, n in 1usize..24) {
-        let mut a = randn_mat(seed, m, n);
-        // Skew scales hard: rows by 10^(i%7-3), cols by 10^(2*(j%4)).
-        for i in 0..m {
-            for j in 0..n {
-                a[(i, j)] *= 10.0_f64.powi((i % 7) as i32 - 3) * 10.0_f64.powi(2 * (j % 4) as i32);
-                if a[(i, j)] == 0.0 {
-                    a[(i, j)] = 1e-3; // keep rows/cols nonzero
-                }
-            }
-        }
-        let eq = geequ(a.view()).unwrap();
-        let mut s = a.clone();
-        laqge(s.view_mut(), &eq);
-        for j in 0..n {
-            let cmax = s.col(j).iter().fold(0.0_f64, |mx, v| mx.max(v.abs()));
-            prop_assert!(cmax <= 1.0 + 1e-12 && cmax > 1e-8, "col {j}: {cmax}");
-        }
-        for i in 0..m {
-            let rmax = (0..n).map(|j| s[(i, j)].abs()).fold(0.0_f64, f64::max);
-            prop_assert!(rmax <= 1.0 + 1e-12, "row {i}: {rmax}");
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Collectives built from point-to-point messages: binomial broadcast and
-//! reduce, butterfly all-reduce (the communication pattern of TSLU), and a
-//! barrier.
+//! reduce, butterfly all-reduce (the communication pattern of TSLU), and a flat
+//! gather.
 //!
 //! A [`Group`] names a subset of ranks (a grid row, a grid column, or the
 //! world), the link class its traffic uses, and a tag namespace. Every rank
@@ -48,23 +48,13 @@ impl Group {
     }
 
     /// Number of members.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.ranks.len()
     }
 
     /// My index within the group.
     pub fn my_index(&self) -> usize {
         self.me
-    }
-
-    /// Global rank of member `idx`.
-    pub fn rank_at(&self, idx: usize) -> usize {
-        self.ranks[idx]
-    }
-
-    /// The link class used by this group's messages.
-    pub fn link(&self) -> Link {
-        self.link
     }
 
     fn next_op_tag(&self) -> u64 {
@@ -212,11 +202,6 @@ impl Group {
         acc
     }
 
-    /// Barrier: an all-reduce of empty payloads.
-    pub fn barrier(&self, cm: &mut SimComm) {
-        self.allreduce(cm, Payload::Empty, 0, |_cm, _a, _b| Payload::Empty);
-    }
-
     /// Flat gather to member index `root`: every other member sends its
     /// payload straight to the root. Returns `Some(items)` at the root
     /// (indexed by member), `None` elsewhere.
@@ -248,143 +233,6 @@ impl Group {
         } else {
             cm.send(self.ranks[root], tag, words, mine, self.link);
             None
-        }
-    }
-
-    /// Flat scatter from member index `root`: the root sends `items[idx]`
-    /// to each member `idx` (its own slot is returned directly). Non-roots
-    /// pass `None` and receive their slot.
-    ///
-    /// # Panics
-    /// At the root if `items` is missing or not `p` long.
-    pub fn scatter(
-        &self,
-        cm: &mut SimComm,
-        root: usize,
-        items: Option<Vec<Payload>>,
-        words: usize,
-    ) -> Payload {
-        let p = self.size();
-        let tag = self.next_op_tag();
-        if self.me == root {
-            let items = items.expect("root must supply items");
-            assert_eq!(items.len(), p, "one item per member");
-            let mut mine = Payload::Empty;
-            for (idx, item) in items.into_iter().enumerate() {
-                if idx == root {
-                    mine = item;
-                } else {
-                    cm.send(self.ranks[idx], tag, words, item, self.link);
-                }
-            }
-            mine
-        } else {
-            cm.recv(self.ranks[root], tag).0
-        }
-    }
-
-    /// Ring all-gather: in `p - 1` steps each member forwards the block it
-    /// received in the previous step to its successor, ending with every
-    /// member holding all `p` blocks indexed by origin.
-    ///
-    /// Cost: `(p-1)(α + w·β)` — latency-worse than a butterfly
-    /// (`log2 p` steps) but bandwidth-optimal and contention-free, which is
-    /// why MPI uses it for large payloads.
-    pub fn allgather(&self, cm: &mut SimComm, mine: Payload, words: usize) -> Vec<Payload> {
-        let p = self.size();
-        let tag = self.next_op_tag();
-        let mut items: Vec<Payload> = vec![Payload::Empty; p];
-        items[self.me] = mine;
-        if p == 1 {
-            return items;
-        }
-        let next = self.ranks[(self.me + 1) % p];
-        let prev = self.ranks[(self.me + p - 1) % p];
-        for s in 0..p - 1 {
-            // Block that originated at me - s (mod p) moves forward.
-            let out_idx = (self.me + p - s) % p;
-            let in_idx = (self.me + p - s - 1) % p;
-            cm.send(next, tag | (s as u64), words, items[out_idx].clone(), self.link);
-            let (pl, _w) = cm.recv(prev, tag | (s as u64));
-            items[in_idx] = pl;
-        }
-        items
-    }
-
-    /// Pipelined ring broadcast from member index `root`: the payload is cut
-    /// into `nseg` segments that stream around the ring, so the cost is
-    /// `(p - 2 + nseg)·(α + (w/nseg)·β)` instead of the binomial tree's
-    /// `log2(p)·(α + w·β)`.
-    ///
-    /// For wide panels (`w·β ≫ α`) and large `nseg` this approaches one
-    /// bandwidth term end to end — the reason ScaLAPACK's panel broadcasts
-    /// offer ring variants. For [`Payload::Data`] the segmentation is
-    /// physical; the reassembled payload is returned by every member.
-    ///
-    /// # Panics
-    /// If `nseg == 0`.
-    pub fn bcast_ring(
-        &self,
-        cm: &mut SimComm,
-        root: usize,
-        payload: Payload,
-        words: usize,
-        nseg: usize,
-    ) -> Payload {
-        assert!(nseg > 0, "need at least one segment");
-        let p = self.size();
-        let tag = self.next_op_tag();
-        if p == 1 {
-            return payload;
-        }
-        let rel = (self.me + p - root) % p;
-        let next_rel = (rel + 1) % p;
-        let next = self.ranks[(self.me + 1) % p];
-        let prev = self.ranks[(self.me + p - 1) % p];
-        let seg_words = words.div_ceil(nseg).max(1);
-
-        // Physical segmentation (by f64 count) when data is present.
-        let segments: Vec<Payload> = match (&payload, rel) {
-            (Payload::Data(v), 0) => {
-                let chunk = v.len().div_ceil(nseg).max(1);
-                (0..nseg)
-                    .map(|s| {
-                        let lo = (s * chunk).min(v.len());
-                        let hi = ((s + 1) * chunk).min(v.len());
-                        Payload::Data(v[lo..hi].to_vec())
-                    })
-                    .collect()
-            }
-            _ => vec![Payload::Empty; nseg],
-        };
-
-        let mut collected: Vec<Payload> = Vec::with_capacity(nseg);
-        for (s, seg) in segments.into_iter().enumerate() {
-            let stag = tag | (s as u64);
-            if rel == 0 {
-                cm.send(next, stag, seg_words, seg, self.link);
-            } else {
-                let (pl, _w) = cm.recv(prev, stag);
-                if next_rel != 0 {
-                    cm.send(next, stag, seg_words, pl.clone(), self.link);
-                }
-                collected.push(pl);
-            }
-        }
-        if rel == 0 {
-            return payload;
-        }
-        // Reassemble.
-        if collected.iter().all(|s| matches!(s, Payload::Empty)) {
-            Payload::Empty
-        } else {
-            let mut v = Vec::new();
-            for s in collected {
-                if let Payload::Data(mut d) = s {
-                    v.append(&mut d);
-                }
-            }
-            Payload::Data(v)
         }
     }
 }
@@ -505,21 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_synchronizes_clocks() {
-        let (report, _) = run_sim(4, MachineConfig::ideal(), |cm| {
-            cm.compute(cm.rank() as f64, 0.0);
-            let g = world(cm);
-            g.barrier(cm);
-            cm.now()
-        });
-        // After the barrier every clock is at least the slowest pre-barrier
-        // clock (3.0) — with an ideal network, exactly 3.0.
-        for r in &report.per_rank {
-            assert!(r.time >= 3.0 - 1e-12);
-        }
-    }
-
-    #[test]
     fn prev_pow2_values() {
         assert_eq!(prev_pow2(1), 1);
         assert_eq!(prev_pow2(2), 2);
@@ -559,112 +392,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn scatter_delivers_each_members_slot() {
-        for p in [1usize, 2, 4, 7] {
-            let (_r, results) = run_sim(p, MachineConfig::ideal(), |cm| {
-                let g = world(cm);
-                let items =
-                    (g.my_index() == 0).then(|| (0..p).map(|i| scalar(100.0 + i as f64)).collect());
-                g.scatter(cm, 0, items, 1).into_data()[0]
-            });
-            let want: Vec<f64> = (0..p).map(|i| 100.0 + i as f64).collect();
-            assert_eq!(results, want, "p={p}");
-        }
-    }
-
-    #[test]
-    fn allgather_every_rank_has_all_blocks_in_origin_order() {
-        for p in [1usize, 2, 3, 6, 8] {
-            let (_r, results) = run_sim(p, MachineConfig::ideal(), |cm| {
-                let g = world(cm);
-                let items = g.allgather(cm, scalar(cm.rank() as f64), 1);
-                items.into_iter().map(|pl| pl.into_data()[0]).collect::<Vec<_>>()
-            });
-            let want: Vec<f64> = (0..p).map(|i| i as f64).collect();
-            for (rank, res) in results.into_iter().enumerate() {
-                assert_eq!(res, want, "p={p} rank={rank}");
-            }
-        }
-    }
-
-    #[test]
-    fn allgather_costs_p_minus_one_steps() {
-        let p = 8;
-        let words = 50;
-        let m = MachineConfig::power5();
-        let per_msg = m.t_msg(words, Link::Col);
-        let (report, _) = run_sim(p, m, |cm| {
-            let g = world(cm);
-            g.allgather(cm, Payload::Empty, words);
-        });
-        let expect = (p - 1) as f64 * per_msg;
-        let got = report.makespan();
-        assert!(
-            (got - expect).abs() < per_msg * 1.01,
-            "ring allgather: {got} vs expected {expect}"
-        );
-    }
-
-    #[test]
-    fn ring_bcast_delivers_payload_to_all() {
-        for p in [2usize, 3, 5, 8] {
-            for nseg in [1usize, 2, 4] {
-                let (_r, results) = run_sim(p, MachineConfig::ideal(), |cm| {
-                    let g = world(cm);
-                    let data: Vec<f64> = (0..10).map(|i| i as f64).collect();
-                    let mine =
-                        if g.my_index() == 1 % p { Payload::Data(data) } else { Payload::Empty };
-                    g.bcast_ring(cm, 1 % p, mine, 10, nseg).into_data()
-                });
-                let want: Vec<f64> = (0..10).map(|i| i as f64).collect();
-                for res in results {
-                    assert_eq!(res, want, "p={p} nseg={nseg}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_ring_beats_tree_for_fat_messages_on_big_rings() {
-        // With w·β >> α and enough segments, the ring's end-to-end time
-        // approaches one bandwidth term while the binomial tree pays
-        // log2(p) full transfers.
-        let p = 16;
-        let words = 200_000;
-        let m = MachineConfig::power5();
-        let (ring, _) = run_sim(p, m.clone(), |cm| {
-            let g = world(cm);
-            g.bcast_ring(cm, 0, Payload::Empty, words, 32);
-        });
-        let (tree, _) = run_sim(p, m, |cm| {
-            let g = world(cm);
-            g.bcast(cm, 0, Payload::Empty, words);
-        });
-        assert!(
-            ring.makespan() < 0.75 * tree.makespan(),
-            "ring {} vs tree {}",
-            ring.makespan(),
-            tree.makespan()
-        );
-    }
-
-    #[test]
-    fn tree_beats_ring_for_small_messages() {
-        // Latency-bound regime: log2(p) hops beat p-1 hops.
-        let p = 16;
-        let words = 1;
-        let m = MachineConfig::power5();
-        let (ring, _) = run_sim(p, m.clone(), |cm| {
-            let g = world(cm);
-            g.bcast_ring(cm, 0, Payload::Empty, words, 1);
-        });
-        let (tree, _) = run_sim(p, m, |cm| {
-            let g = world(cm);
-            g.bcast(cm, 0, Payload::Empty, words);
-        });
-        assert!(tree.makespan() < 0.5 * ring.makespan());
     }
 }

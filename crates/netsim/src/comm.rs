@@ -42,23 +42,15 @@ impl Payload {
             Payload::Empty => panic!("expected data payload, got Empty"),
         }
     }
-
-    /// Number of physical `f64`s carried (0 for `Empty`).
-    pub fn physical_len(&self) -> usize {
-        match self {
-            Payload::Empty => 0,
-            Payload::Data(v) => v.len(),
-        }
-    }
 }
 
 pub(crate) struct Envelope {
-    pub src: usize,
-    pub tag: u64,
+    pub(crate) src: usize,
+    pub(crate) tag: u64,
     /// Modeled arrival time at the receiver (departure + α + w·β).
-    pub arrive: f64,
-    pub words: usize,
-    pub payload: Payload,
+    pub(crate) arrive: f64,
+    pub(crate) words: usize,
+    pub(crate) payload: Payload,
 }
 
 /// Per-rank accounting accumulated during a simulation.
@@ -172,11 +164,6 @@ impl SimComm {
     #[inline]
     pub fn machine(&self) -> &MachineConfig {
         &self.machine
-    }
-
-    /// Accumulated accounting for this rank.
-    pub fn stats(&self) -> &RankStats {
-        &self.stats
     }
 
     pub(crate) fn into_stats(mut self) -> RankStats {
@@ -347,7 +334,7 @@ mod tests {
                 cm.send(1, 7, 100, Payload::Data(vec![1.0; 100]), Link::Col);
                 let (p, w) = cm.recv(1, 8);
                 assert_eq!(w, 100);
-                assert_eq!(p.physical_len(), 100);
+                assert_eq!(p.into_data().len(), 100);
             } else {
                 let (_p, _w) = cm.recv(0, 7);
                 cm.send(0, 8, 100, Payload::Data(vec![2.0; 100]), Link::Col);

@@ -9,9 +9,9 @@ use crate::machine::Link;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grid {
     /// Number of process rows (`Pr`).
-    pub pr: usize,
+    pub(crate) pr: usize,
     /// Number of process columns (`Pc`).
-    pub pc: usize,
+    pub(crate) pc: usize,
 }
 
 impl Grid {
@@ -52,11 +52,6 @@ impl Grid {
         let (prow, _pcol) = self.coords(rank);
         let ranks: Vec<usize> = (0..self.pc).map(|c| self.rank_of(prow, c)).collect();
         Group::new(ranks, rank, Link::Row, 100_000 + prow as u64)
-    }
-
-    /// Group of every rank in the grid (column link class).
-    pub fn world_group(&self, rank: usize) -> Group {
-        Group::new((0..self.size()).collect(), rank, Link::Col, 3_000_000)
     }
 }
 

@@ -40,6 +40,6 @@ pub mod trace;
 pub use collectives::Group;
 pub use comm::{Payload, RankStats, SimComm};
 pub use grid::Grid;
-pub use machine::{Link, MachineConfig, Precision};
+pub use machine::{Link, MachineConfig};
 pub use runner::{run_sim, run_sim_traced, SimReport};
 pub use trace::TimeBreakdown;

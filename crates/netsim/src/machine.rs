@@ -41,40 +41,6 @@ pub enum Link {
     Row,
 }
 
-/// Floating-point width the modeled kernels compute and communicate at.
-///
-/// The baseline calibration of every [`MachineConfig`] preset is double
-/// precision (the paper's setting); [`MachineConfig::for_precision`]
-/// derives the single-precision rates from it. Mixed-precision schedules
-/// (factor in `f32`, refine in `f64`) combine costs from both derived
-/// configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// IEEE single (4-byte elements).
-    F32,
-    /// IEEE double (8-byte elements) — the calibration baseline.
-    #[default]
-    F64,
-}
-
-impl Precision {
-    /// Bytes per element.
-    pub fn bytes(self) -> usize {
-        match self {
-            Precision::F32 => 4,
-            Precision::F64 => 8,
-        }
-    }
-
-    /// Short name for reports (`"f32"` / `"f64"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Precision::F32 => "f32",
-            Precision::F64 => "f64",
-        }
-    }
-}
-
 /// α-β-γ machine description used by both the discrete-event simulator and
 /// the closed-form models of `calu-perfmodel`.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,23 +128,6 @@ impl MachineConfig {
         }
     }
 
-    /// A hierarchical machine: POWER5 compute with cheap *row* links
-    /// (processors in the same grid row placed on one node: 1 µs / 8 GB/s)
-    /// and expensive *column* links (internode: 4.5 µs / 3.1 GB/s).
-    ///
-    /// The paper introduces distinct `(αr, βr)` / `(αc, βc)` precisely as
-    /// "a first step towards understanding certain hierarchical parallel
-    /// machines" (Section 4); this preset exercises that path — grid-shape
-    /// sweeps under it favor tall grids less than under uniform links.
-    pub fn hierarchical() -> Self {
-        Self {
-            name: "hierarchical (fast rows)",
-            alpha_row: 1.0e-6,
-            beta_row: 8.0 / 8.0e9,
-            ..Self::power5()
-        }
-    }
-
     /// A contemporary commodity cluster a downstream user might actually
     /// run on (order-of-magnitude 2020s numbers: ~1 TF/s useful dgemm per
     /// node-socket, 200 Gb/s-class fabric at ~2 µs MPI latency). Relative
@@ -231,39 +180,6 @@ impl MachineConfig {
         1.0 / self.gamma3
     }
 
-    /// Derives the cost model for computing at precision `p` from this
-    /// (double-precision-calibrated) description.
-    ///
-    /// Single precision halves the bytes per element, which on every
-    /// machine this repo models doubles the useful SIMD width and the
-    /// effective cache/bandwidth capacity: all γ flop rates double
-    /// (γ values halve), per-element β transfer costs halve, divides
-    /// speed up the same 2×, and the cache holds twice as many elements
-    /// (`cache_bytes`/`t_msg`/`gamma2_for` count 8-byte-word-equivalents,
-    /// so the capacity is expressed by doubling it). Latency α and the
-    /// per-call recursion overhead are width-independent and unchanged —
-    /// which is exactly why the paper's latency-dominated regime sees
-    /// *less* than 2× from dropping precision, while the mixed-precision
-    /// solver still wins: refinement costs only `O(n²)` per step at f64.
-    ///
-    /// `Precision::F64` returns the config unchanged.
-    pub fn for_precision(&self, p: Precision) -> MachineConfig {
-        match p {
-            Precision::F64 => self.clone(),
-            Precision::F32 => MachineConfig {
-                gamma3: self.gamma3 / 2.0,
-                gamma2: self.gamma2 / 2.0,
-                gamma2_cache: self.gamma2_cache / 2.0,
-                gamma1: self.gamma1 / 2.0,
-                gamma_div: self.gamma_div / 2.0,
-                beta_col: self.beta_col / 2.0,
-                beta_row: self.beta_row / 2.0,
-                cache_bytes: self.cache_bytes * 2.0,
-                ..self.clone()
-            },
-        }
-    }
-
     /// Latency for one message on `link`.
     #[inline]
     pub fn alpha(&self, link: Link) -> f64 {
@@ -290,7 +206,7 @@ impl MachineConfig {
 
     /// BLAS-3 efficiency factor for smallest dimension `d`.
     #[inline]
-    pub fn eff3(&self, d: usize) -> f64 {
+    pub(crate) fn eff3(&self, d: usize) -> f64 {
         let d = d.max(1) as f64;
         d / (d + self.n_half3)
     }
@@ -326,7 +242,7 @@ impl MachineConfig {
     /// BLAS-2 rate for an operation touching an `m x n` block: stream rate
     /// if the block spills the cache, core rate otherwise.
     #[inline]
-    pub fn gamma2_for(&self, m: usize, n: usize) -> f64 {
+    pub(crate) fn gamma2_for(&self, m: usize, n: usize) -> f64 {
         if (m * n * 8) as f64 > self.cache_bytes {
             self.gamma2
         } else {
@@ -522,33 +438,6 @@ mod tests {
             skew(&mc),
             skew(&p5)
         );
-    }
-
-    #[test]
-    fn hierarchical_preset_has_asymmetric_links() {
-        let h = MachineConfig::hierarchical();
-        assert!(h.alpha_row < h.alpha_col);
-        assert!(h.beta_row < h.beta_col);
-        assert!(h.t_msg(100, Link::Row) < h.t_msg(100, Link::Col));
-    }
-
-    #[test]
-    fn f32_rates_double_flops_and_halve_words() {
-        let p = MachineConfig::power5();
-        let lo = p.for_precision(Precision::F32);
-        assert_eq!(lo.peak_flops(), 2.0 * p.peak_flops());
-        assert_eq!(lo.gamma1, p.gamma1 / 2.0);
-        assert_eq!(lo.gamma_div, p.gamma_div / 2.0);
-        assert_eq!(lo.beta_col, p.beta_col / 2.0);
-        // Latency does not improve with narrower words.
-        assert_eq!(lo.alpha_col, p.alpha_col);
-        assert_eq!(lo.rec_call_overhead, p.rec_call_overhead);
-        // F64 is the identity.
-        assert_eq!(p.for_precision(Precision::F64), p);
-        // A fixed gemm costs exactly half the time at f32.
-        assert!((lo.t_gemm(64, 64, 64) - p.t_gemm(64, 64, 64) / 2.0).abs() < 1e-18);
-        assert_eq!(Precision::F32.bytes() * 2, Precision::F64.bytes());
-        assert_eq!(Precision::F32.name(), "f32");
     }
 
     #[test]

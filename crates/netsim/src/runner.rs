@@ -212,7 +212,7 @@ mod tests {
                 if cm.rank() == 0 {
                     for src in 1..cm.size() {
                         let (p, _) = cm.recv(src, 1);
-                        assert_eq!(p.physical_len(), 5);
+                        assert_eq!(p.into_data().len(), 5);
                     }
                     for dst in 1..cm.size() {
                         cm.send(dst, 2, 5, Payload::Data(vec![0.0; 5]), Link::Col);

@@ -21,29 +21,18 @@ use crate::runner::SimReport;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeBreakdown {
     /// Fraction of processor-time in modeled compute (γ terms).
-    pub compute: f64,
+    pub(crate) compute: f64,
     /// Fraction in message latency (α terms) — what ca-pivoting reduces.
-    pub latency: f64,
+    pub(crate) latency: f64,
     /// Fraction in message volume (β terms) — equal for CALU and `PDGETRF`
     /// (paper Section 5: "both algorithms have the same communication
     /// volume").
-    pub bandwidth: f64,
+    pub(crate) bandwidth: f64,
     /// Fraction blocked waiting on other ranks.
     pub idle: f64,
 }
 
 impl TimeBreakdown {
-    /// Attribution for a single rank.
-    pub fn from_stats(s: &RankStats) -> Self {
-        let total = s.time.max(f64::MIN_POSITIVE);
-        Self {
-            compute: s.compute_time / total,
-            latency: s.alpha_time / total,
-            bandwidth: s.beta_time / total,
-            idle: s.idle_time / total,
-        }
-    }
-
     /// Attribution aggregated over all ranks of a report (processor-time
     /// weighted).
     pub fn from_report(r: &SimReport) -> Self {
@@ -113,7 +102,7 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_shares_sum_to_one_for_gapless_rank() {
+    fn breakdown_shares_sum_to_one() {
         let (report, _, _) = run_sim_traced(2, MachineConfig::power5(), |cm| {
             if cm.rank() == 0 {
                 cm.compute(1e-3, 0.0);
@@ -122,10 +111,9 @@ mod tests {
                 cm.recv(0, 0);
             }
         });
-        let b = TimeBreakdown::from_stats(&report.per_rank[0]);
-        let sum = b.compute + b.latency + b.bandwidth + b.idle;
-        assert!((sum - 1.0).abs() < 1e-9, "rank 0 never waits: shares sum to 1, got {sum}");
         let agg = TimeBreakdown::from_report(&report);
+        let sum = agg.compute + agg.latency + agg.bandwidth + agg.idle;
+        assert!((sum - 1.0).abs() < 1e-9, "shares sum to 1, got {sum}");
         assert!(agg.idle > 0.0, "rank 1 idles");
     }
 

@@ -64,21 +64,6 @@ proptest! {
     }
 
     #[test]
-    fn prop_gather_scatter_round_trip(p in 1usize..10) {
-        // scatter(gather(x)) == x on every rank.
-        let (_r, results) = run_sim(p, MachineConfig::ideal(), |cm| {
-            let g = world(cm);
-            let mine = Payload::Data(vec![cm.rank() as f64 + 0.5]);
-            let items = g.gather(cm, 0, mine, 1);
-            let back = g.scatter(cm, 0, items, 1);
-            back.into_data()[0]
-        });
-        for (rank, v) in results.into_iter().enumerate() {
-            prop_assert_eq!(v, rank as f64 + 0.5);
-        }
-    }
-
-    #[test]
     fn prop_simulation_is_deterministic(p in 2usize..8, words in 1usize..500) {
         let run = || {
             let (report, _) = run_sim(p, MachineConfig::power5(), |cm| {
@@ -108,7 +93,7 @@ proptest! {
             let mut ok = true;
             for i in 0..4 {
                 cm.compute(1e-6 * (i + 1) as f64, 1.0);
-                g.barrier(cm);
+                g.allreduce(cm, Payload::Empty, 0, |_cm, _a, _b| Payload::Empty);
                 ok &= cm.now() >= last;
                 last = cm.now();
             }
@@ -158,20 +143,4 @@ proptest! {
         );
     }
 
-    #[test]
-    fn prop_allgather_order_and_cost(p in 2usize..10, words in 1usize..100) {
-        let mch = MachineConfig::power5();
-        let per_msg = mch.t_msg(words, Link::Col);
-        let (report, results) = run_sim(p, mch, |cm| {
-            let g = world(cm);
-            let items = g.allgather(cm, Payload::Data(vec![cm.rank() as f64]), words);
-            items.into_iter().map(|pl| pl.into_data()[0] as usize).collect::<Vec<_>>()
-        });
-        for res in results {
-            prop_assert_eq!(res, (0..p).collect::<Vec<_>>());
-        }
-        let expect = (p - 1) as f64 * per_msg;
-        prop_assert!((report.makespan() - expect).abs() < per_msg + 1e-12,
-            "ring cost {} vs {}", report.makespan(), expect);
-    }
 }

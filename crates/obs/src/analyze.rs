@@ -53,7 +53,7 @@ use crate::trace::Span;
 ///
 /// Chrome traces carry microsecond floats; rounding both endpoints to
 /// nanoseconds keeps every downstream sum exact.
-pub fn span_interval_ns(s: &Span) -> (u64, u64) {
+pub(crate) fn span_interval_ns(s: &Span) -> (u64, u64) {
     let start = (s.ts_us * 1e3).round().max(0.0) as u64;
     let end = ((s.ts_us + s.dur_us) * 1e3).round().max(0.0) as u64;
     (start, end.max(start))
@@ -65,7 +65,7 @@ pub fn intervals_ns(spans: &[Span]) -> Vec<(u64, u64)> {
 }
 
 /// Total length of the union of `intervals` (overlaps counted once).
-pub fn union_ns(intervals: &[(u64, u64)]) -> u64 {
+pub(crate) fn union_ns(intervals: &[(u64, u64)]) -> u64 {
     let mut sorted = intervals.to_vec();
     sorted.sort_unstable();
     let mut total = 0u64;
@@ -155,7 +155,7 @@ pub struct WorkerProfile {
     /// The profile's wall clock (shared by every lane).
     pub wall_ns: u64,
     /// Union length of this lane's spans.
-    pub busy_ns: u64,
+    pub(crate) busy_ns: u64,
     /// Busy time net of communication waiting.
     pub compute_ns: u64,
     /// Blocked-fetch time carved out of busy time.
@@ -165,7 +165,7 @@ pub struct WorkerProfile {
     /// Remaining non-busy, non-overhead time.
     pub idle_ns: u64,
     /// Spans recorded on this lane.
-    pub spans: usize,
+    pub(crate) spans: usize,
 }
 
 impl WorkerProfile {
@@ -176,7 +176,7 @@ impl WorkerProfile {
     }
 
     /// JSON row (nanosecond integers plus float seconds).
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(self) -> JsonValue {
         JsonValue::obj()
             .set("pid", self.pid)
             .set("tid", self.tid)
@@ -284,10 +284,7 @@ impl Profile {
             .set("comm_wait_ns", self.total(|w| w.comm_wait_ns))
             .set("overhead_ns", self.total(|w| w.overhead_ns))
             .set("idle_ns", self.total(|w| w.idle_ns))
-            .set(
-                "per_worker",
-                self.workers.iter().map(WorkerProfile::to_json).collect::<JsonValue>(),
-            )
+            .set("per_worker", self.workers.iter().map(|w| w.to_json()).collect::<JsonValue>())
     }
 }
 

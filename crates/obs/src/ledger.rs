@@ -39,28 +39,23 @@ pub struct CommCounts {
 
 impl CommCounts {
     /// Component-wise sum.
-    pub fn add(&mut self, other: CommCounts) {
+    pub(crate) fn add(&mut self, other: CommCounts) {
         self.msgs += other.msgs;
         self.words += other.words;
-    }
-
-    /// Whether both counters are zero.
-    pub fn is_zero(&self) -> bool {
-        self.msgs == 0 && self.words == 0
     }
 }
 
 /// One measured row: a (rank, term, direction) cell of the ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommRow {
+pub(crate) struct CommRow {
     /// Grid rank the traffic is attributed to.
-    pub rank: u32,
+    pub(crate) rank: u32,
     /// Term name (`tslu_leg`, `piv_bcast`, ...).
-    pub term: &'static str,
+    pub(crate) term: &'static str,
     /// `true` for send-attributed traffic, `false` for recv-attributed.
-    pub sent: bool,
+    pub(crate) sent: bool,
     /// The counters.
-    pub counts: CommCounts,
+    pub(crate) counts: CommCounts,
 }
 
 /// An expected per-term entry to reconcile the measured ledger against.
@@ -84,11 +79,11 @@ pub struct CommTerm {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitRow {
     /// Grid rank that blocked.
-    pub rank: u32,
+    pub(crate) rank: u32,
     /// Term name of the payload waited for (`tslu_leg`, `piv_bcast`, ...).
-    pub term: &'static str,
+    pub(crate) term: &'static str,
     /// Total blocked nanoseconds, summed over fetches.
-    pub wait_ns: u64,
+    pub(crate) wait_ns: u64,
 }
 
 /// One reconciled term: measured total vs expected total.
@@ -111,17 +106,17 @@ impl CommDelta {
     }
 
     /// Signed word gap `measured - expected`.
-    pub fn word_gap(&self) -> i64 {
+    pub(crate) fn word_gap(&self) -> i64 {
         self.measured.words as i64 - self.expected.words as i64
     }
 
     /// Signed message gap `measured - expected`.
-    pub fn msg_gap(&self) -> i64 {
+    pub(crate) fn msg_gap(&self) -> i64 {
         self.measured.msgs as i64 - self.expected.msgs as i64
     }
 
     /// JSON row for reports.
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(&self) -> JsonValue {
         JsonValue::obj()
             .set("term", self.term)
             .set("source", self.source)
@@ -216,7 +211,7 @@ impl CommLedger {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommLedgerReport {
     /// Measured cells, sorted by (rank, term, direction).
-    pub rows: Vec<CommRow>,
+    pub(crate) rows: Vec<CommRow>,
     /// Blocked-fetch wait rows, sorted by (rank, term); empty under
     /// synchronous backends.
     pub waits: Vec<WaitRow>,
@@ -228,7 +223,7 @@ pub struct CommLedgerReport {
 
 impl CommLedgerReport {
     /// Measured total for one term: sends plus recvs across all ranks.
-    pub fn term_total(&self, term: &str) -> CommCounts {
+    pub(crate) fn term_total(&self, term: &str) -> CommCounts {
         let mut total = CommCounts::default();
         for row in self.rows.iter().filter(|r| r.term == term) {
             total.add(row.counts);
@@ -237,7 +232,7 @@ impl CommLedgerReport {
     }
 
     /// Measured totals per term, sorted by term name.
-    pub fn term_totals(&self) -> Vec<(&'static str, CommCounts)> {
+    pub(crate) fn term_totals(&self) -> Vec<(&'static str, CommCounts)> {
         let mut totals: BTreeMap<&'static str, CommCounts> = BTreeMap::new();
         for row in &self.rows {
             totals.entry(row.term).or_default().add(row.counts);
@@ -255,7 +250,7 @@ impl CommLedgerReport {
     }
 
     /// Per-rank measured totals (rank, counts), sorted by rank.
-    pub fn rank_totals(&self) -> Vec<(u32, CommCounts)> {
+    pub(crate) fn rank_totals(&self) -> Vec<(u32, CommCounts)> {
         let mut totals: BTreeMap<u32, CommCounts> = BTreeMap::new();
         for row in &self.rows {
             totals.entry(row.rank).or_default().add(row.counts);
@@ -454,7 +449,7 @@ mod tests {
     fn empty_ledger_reconciles_to_expected_side_only() {
         let rep = CommLedger::new().report();
         assert!(rep.rows.is_empty());
-        assert!(rep.total().is_zero());
+        assert_eq!(rep.total(), CommCounts::default());
         let deltas =
             rep.reconcile(&[CommTerm { term: "u_bcast", msgs: 4, words: 64, source: "s" }]);
         assert_eq!(deltas.len(), 1);

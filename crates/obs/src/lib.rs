@@ -48,8 +48,8 @@ pub mod ledger;
 pub mod metrics;
 pub mod trace;
 
-pub use analyze::{Profile, ProfileInputs, WorkerProfile};
+pub use analyze::{Profile, ProfileInputs};
 pub use json::JsonValue;
-pub use ledger::{CommCounts, CommDelta, CommLedger, CommLedgerReport, CommRow, CommTerm, WaitRow};
-pub use metrics::{Histogram, Metrics, MetricsSnapshot};
+pub use ledger::{CommDelta, CommLedger, CommLedgerReport, CommTerm};
+pub use metrics::Metrics;
 pub use trace::{chrome_trace, parse_chrome_trace, render_gantt, Recorder, Span};

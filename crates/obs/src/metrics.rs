@@ -28,7 +28,7 @@ const IDX_CLAMP: i32 = 64 * 4;
 
 /// A deterministic log-bucketed histogram of non-negative samples.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     /// Sparse bucket counts, keyed by quarter-octave index; `i` covers
     /// values in `[2^(i/4), 2^((i+1)/4))`.
     buckets: BTreeMap<i32, u64>,
@@ -42,7 +42,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Adds one sample.
-    pub fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         let v = if v.is_finite() { v.max(0.0) } else { 0.0 };
         if self.count == 0 {
             self.min = v;
@@ -61,18 +61,8 @@ impl Histogram {
         }
     }
 
-    /// Sample count.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Mean of samples (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -81,7 +71,7 @@ impl Histogram {
     }
 
     /// Smallest observed sample (0 when empty).
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -90,7 +80,7 @@ impl Histogram {
     }
 
     /// Largest observed sample (0 when empty).
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -101,7 +91,7 @@ impl Histogram {
     /// The `q`-quantile estimate (`0 <= q <= 1`): the geometric midpoint
     /// of the bucket holding the `⌈q·count⌉`-th smallest sample, clamped
     /// to `[min, max]`. Deterministic in the sample multiset.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -121,7 +111,7 @@ impl Histogram {
     }
 
     /// Snapshot of the summary statistics as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(&self) -> JsonValue {
         JsonValue::obj()
             .set("count", self.count)
             .set("min", self.min())
@@ -149,13 +139,13 @@ pub struct Metrics {
 /// An immutable copy of a registry's state, for reading several related
 /// values coherently.
 #[derive(Debug, Clone, Default)]
-pub struct MetricsSnapshot {
+pub(crate) struct MetricsSnapshot {
     /// Monotonic counters, sorted by name.
-    pub counters: Vec<(String, u64)>,
+    pub(crate) counters: Vec<(String, u64)>,
     /// Last-write-wins gauges, sorted by name.
-    pub gauges: Vec<(String, f64)>,
+    pub(crate) gauges: Vec<(String, f64)>,
     /// Histograms, sorted by name.
-    pub histograms: Vec<(String, Histogram)>,
+    pub(crate) histograms: Vec<(String, Histogram)>,
 }
 
 impl Metrics {
@@ -205,19 +195,9 @@ impl Metrics {
         self.inner.lock().expect("metrics poisoned").counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Current value of a gauge, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.inner.lock().expect("metrics poisoned").gauges.get(name).copied()
-    }
-
-    /// A copy of the named histogram, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner.lock().expect("metrics poisoned").hists.get(name).cloned()
-    }
-
     /// Coherent copy of the whole registry (every collection sorted by
     /// name — `BTreeMap` iteration order).
-    pub fn read(&self) -> MetricsSnapshot {
+    pub(crate) fn read(&self) -> MetricsSnapshot {
         let inner = self.inner.lock().expect("metrics poisoned");
         MetricsSnapshot {
             counters: inner.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
@@ -261,8 +241,7 @@ mod tests {
         m.gauge_set("depth", 4.0);
         assert_eq!(m.counter("reqs"), 5);
         assert_eq!(m.counter("absent"), 0);
-        assert_eq!(m.gauge("depth"), Some(4.0));
-        assert_eq!(m.gauge("absent"), None);
+        assert_eq!(m.read().gauges, vec![("depth".to_string(), 4.0)]);
     }
 
     #[test]
@@ -271,7 +250,7 @@ mod tests {
         for i in 1..=1000 {
             h.observe(i as f64);
         }
-        assert_eq!(h.count(), 1000);
+        assert_eq!(h.count, 1000);
         assert_eq!(h.min(), 1.0);
         assert_eq!(h.max(), 1000.0);
         // A quarter-octave bucket bounds the estimate within 2^(1/4).
@@ -309,7 +288,7 @@ mod tests {
         h.observe(0.0);
         h.observe(-3.0); // clamped to 0
         h.observe(f64::NAN); // clamped to 0
-        assert_eq!(h.count(), 3);
+        assert_eq!(h.count, 3);
         assert_eq!(h.quantile(0.99), 0.0);
         h.observe(8.0);
         assert_eq!(h.max(), 8.0);
@@ -333,7 +312,7 @@ mod tests {
         samples.iter().for_each(|&v| one.observe("lat", v));
         all.observe_all("lat", samples.iter().copied());
         all.observe_all("never", std::iter::empty());
-        assert_eq!(one.histogram("lat"), all.histogram("lat"));
+        assert_eq!(one.read().histograms, all.read().histograms);
         assert_eq!(one.snapshot().to_json(), all.snapshot().to_json(), "no key for no sample");
     }
 

@@ -53,7 +53,7 @@ impl Recorder {
     }
 
     /// Records one span.
-    pub fn record(&self, span: Span) {
+    pub(crate) fn record(&self, span: Span) {
         self.spans.lock().expect("recorder poisoned").push(span);
     }
 

@@ -16,11 +16,11 @@ use calu_netsim::MachineConfig;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostBreakdown {
     /// Arithmetic time (γ and γd terms), seconds.
-    pub compute: f64,
+    pub(crate) compute: f64,
     /// Latency time (α terms), seconds.
     pub latency: f64,
     /// Bandwidth time (β terms), seconds.
-    pub bandwidth: f64,
+    pub(crate) bandwidth: f64,
 }
 
 impl CostBreakdown {
@@ -31,7 +31,7 @@ impl CostBreakdown {
 
     /// Fraction of the total spent on latency (the paper's target
     /// bottleneck).
-    pub fn latency_fraction(&self) -> f64 {
+    pub(crate) fn latency_fraction(&self) -> f64 {
         let t = self.total();
         if t > 0.0 {
             self.latency / t
@@ -76,7 +76,7 @@ pub fn t_tslu(mch: &MachineConfig, m: usize, b: usize, p: usize) -> CostBreakdow
 ///
 /// ```
 /// use calu_netsim::MachineConfig;
-/// use calu_perfmodel::{t_calu, t_pdgetrf};
+/// use calu_perfmodel::equations::{t_calu, t_pdgetrf};
 ///
 /// // The paper's best regime: small matrix, many processors.
 /// let m = MachineConfig::power5();

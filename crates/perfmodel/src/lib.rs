@@ -26,7 +26,4 @@ pub mod section5;
 pub mod sweep;
 pub mod trend;
 
-pub use equations::{t_calu, t_pdgetrf, t_tslu, CostBreakdown};
-pub use section5::{compare, latency_advantage, Section5, TermPair};
-pub use sweep::{best_config, sweep_grids, BestConfig, SweepPoint};
-pub use trend::{evolve, gain_crossover_size, speedup_at, speedup_trend, TechTrend, TrendPoint};
+pub use trend::{evolve, gain_crossover_size, speedup_trend, TechTrend};

@@ -23,16 +23,16 @@ use calu_netsim::MachineConfig;
 
 /// One cost class compared between the two algorithms.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TermPair {
+pub(crate) struct TermPair {
     /// CALU's value for this term.
-    pub calu: f64,
+    pub(crate) calu: f64,
     /// `PDGETRF`'s value.
-    pub pdgetrf: f64,
+    pub(crate) pdgetrf: f64,
 }
 
 impl TermPair {
     /// `pdgetrf / calu` (∞ when CALU's term is zero and PDGETRF's is not).
-    pub fn ratio(&self) -> f64 {
+    pub(crate) fn ratio(&self) -> f64 {
         if self.calu == 0.0 {
             if self.pdgetrf == 0.0 {
                 1.0
@@ -49,17 +49,17 @@ impl TermPair {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Section5 {
     /// Multiply/add flop counts (per critical-path processor).
-    pub muladd_flops: TermPair,
+    pub(crate) muladd_flops: TermPair,
     /// Division counts.
-    pub divides: TermPair,
+    pub(crate) divides: TermPair,
     /// Messages within processor columns (the paper's headline).
-    pub col_messages: TermPair,
+    pub(crate) col_messages: TermPair,
     /// Words within processor columns.
-    pub col_words: TermPair,
+    pub(crate) col_words: TermPair,
     /// Messages within processor rows.
-    pub row_messages: TermPair,
+    pub(crate) row_messages: TermPair,
     /// Words within processor rows.
-    pub row_words: TermPair,
+    pub(crate) row_words: TermPair,
 }
 
 fn log2f(p: usize) -> f64 {

@@ -12,30 +12,30 @@ use calu_netsim::MachineConfig;
 
 /// One evaluated configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPoint {
+pub(crate) struct SweepPoint {
     /// Grid rows.
-    pub pr: usize,
+    pub(crate) pr: usize,
     /// Grid columns.
-    pub pc: usize,
+    pub(crate) pc: usize,
     /// Block size.
-    pub b: usize,
+    pub(crate) b: usize,
     /// Modeled cost breakdown.
-    pub cost: CostBreakdown,
+    pub(crate) cost: CostBreakdown,
 }
 
 /// Best configuration found by a sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BestConfig {
     /// The winning point.
-    pub point: SweepPoint,
+    pub(crate) point: SweepPoint,
     /// Total modeled runtime, seconds.
-    pub time: f64,
+    pub(crate) time: f64,
 }
 
 /// The paper's grid shapes: 4=2x2, 8=2x4, 16=4x4, 32=4x8, 64=8x8 (Tables
 /// 3-7). Returns `(pr, pc)` for a processor count, or `None` if it is not
 /// one of the swept counts.
-pub fn paper_grid(p: usize) -> Option<(usize, usize)> {
+pub(crate) fn paper_grid(p: usize) -> Option<(usize, usize)> {
     match p {
         4 => Some((2, 2)),
         8 => Some((2, 4)),
@@ -48,7 +48,7 @@ pub fn paper_grid(p: usize) -> Option<(usize, usize)> {
 
 /// Evaluates `alg` (`true` = CALU, `false` = PDGETRF) over the paper's
 /// grids up to `p_max` and blocks `bs`, returning all points.
-pub fn sweep_grids(
+pub(crate) fn sweep_grids(
     mch: &MachineConfig,
     m: usize,
     bs: &[usize],
@@ -77,7 +77,7 @@ pub fn sweep_grids(
 ///
 /// # Panics
 /// If the sweep is empty.
-pub fn best_config(points: &[SweepPoint]) -> BestConfig {
+pub(crate) fn best_config(points: &[SweepPoint]) -> BestConfig {
     let best = points
         .iter()
         .min_by(|a, b| a.cost.total().total_cmp(&b.cost.total()))
@@ -98,48 +98,10 @@ pub fn best_vs_best_speedup(
     (pdg.time / calu.time, calu, pdg)
 }
 
-/// Finds the best grid shape `(pr, pc)` with `pr*pc == p` for CALU at the
-/// given problem, exploring all factorizations of `p` — used to study the
-/// hierarchical-machine question the paper raises in Section 4.
-pub fn best_grid_shape(mch: &MachineConfig, m: usize, b: usize, p: usize) -> (usize, usize, f64) {
-    let mut best = (1, p, f64::INFINITY);
-    for pr in 1..=p {
-        if !p.is_multiple_of(pr) {
-            continue;
-        }
-        let pc = p / pr;
-        let t = crate::equations::t_calu(mch, m, m, b, pr, pc).total();
-        if t < best.2 {
-            best = (pr, pc, t);
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use calu_netsim::MachineConfig;
-
-    #[test]
-    fn hierarchical_links_shift_best_grid_shape() {
-        // With cheap row links, column communication is the expensive
-        // direction, so the optimal grid uses no more (usually fewer) grid
-        // rows than under uniform links.
-        let uni = MachineConfig::power5();
-        let hier = MachineConfig::hierarchical();
-        let (pr_u, _, _) = best_grid_shape(&uni, 2_000, 50, 64);
-        let (pr_h, _, _) = best_grid_shape(&hier, 2_000, 50, 64);
-        assert!(pr_h <= pr_u, "hierarchical best Pr {pr_h} vs uniform {pr_u}");
-    }
-
-    #[test]
-    fn best_grid_shape_explores_all_factorizations() {
-        let mch = MachineConfig::power5();
-        let (pr, pc, t) = best_grid_shape(&mch, 4_000, 100, 16);
-        assert_eq!(pr * pc, 16);
-        assert!(t.is_finite() && t > 0.0);
-    }
 
     #[test]
     fn paper_grids_cover_table_counts() {

@@ -65,7 +65,7 @@ pub fn evolve(mch: &MachineConfig, years: f64, trend: &TechTrend) -> MachineConf
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrendPoint {
     /// Years after the baseline machine.
-    pub years: f64,
+    pub(crate) years: f64,
     /// Modeled `T_PDGETRF / T_CALU` at this point (Equations (3)/(2)).
     pub speedup: f64,
     /// Fraction of `PDGETRF`'s modeled time spent on latency — the
@@ -103,7 +103,7 @@ pub fn speedup_trend(
 }
 
 /// Modeled `T_PDGETRF / T_CALU` for a square problem (Equations (3)/(2)).
-pub fn speedup_at(mch: &MachineConfig, n: usize, b: usize, pr: usize, pc: usize) -> f64 {
+pub(crate) fn speedup_at(mch: &MachineConfig, n: usize, b: usize, pr: usize, pc: usize) -> f64 {
     t_pdgetrf(mch, n, n, b, pr, pc).total() / t_calu(mch, n, n, b, pr, pc).total()
 }
 

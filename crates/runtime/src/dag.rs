@@ -52,7 +52,7 @@ use calu_netsim::MachineConfig;
 use crate::panel::{PanelMode, PanelPlan, DEFAULT_TOURNAMENT_LEAVES};
 
 /// Identifies a node in the DAG (index into [`LuDag::tasks`]).
-pub type TaskId = usize;
+pub(crate) type TaskId = usize;
 
 /// One schedulable unit of work. Indices are in units of `nb`-wide blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,7 +66,7 @@ pub enum Task {
         /// Leaf index into [`PanelPlan::leaves`].
         leaf: usize,
     },
-    /// One match of panel `k`'s tournament ([`crate::TreeMatch`]): fold the
+    /// One match of panel `k`'s tournament (`crate::TreeMatch`): fold the
     /// candidate set in slot `hi` into the one in slot `lo`.
     PanelReduce {
         /// Panel step.
@@ -141,13 +141,13 @@ pub enum Task {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SolveTask {
     /// What the task does.
-    pub kind: SolveKind,
+    pub(crate) kind: SolveKind,
     /// Diagonal row-block index (0 for `Piv`).
-    pub k: u32,
+    pub(crate) k: u32,
     /// Target row block of an off-diagonal update; `== k` otherwise.
-    pub i: u32,
+    pub(crate) i: u32,
     /// RHS block column.
-    pub j: u32,
+    pub(crate) j: u32,
 }
 
 /// Task kinds of the solve DAG, in the order a `getrs` sweep applies
@@ -155,7 +155,7 @@ pub struct SolveTask {
 /// (diagonal `TrsmL` blocks and trailing `GemmL` updates), then backward
 /// substitution with upper `U` (`TrsmU` / `GemmU`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SolveKind {
+pub(crate) enum SolveKind {
     /// Apply the factorization's full pivot sequence to RHS block
     /// column `j` (`laswp`).
     Piv,
@@ -240,25 +240,6 @@ pub enum DistKind {
     Gemm,
 }
 
-impl DistTask {
-    /// `true` for kinds whose cost is (at least partly) a message — the
-    /// segments the dual-layer Gantt draws as communication.
-    pub fn is_comm(&self) -> bool {
-        matches!(
-            self.kind,
-            DistKind::TsluLeg
-                | DistKind::PivSend
-                | DistKind::PivRecv
-                | DistKind::Swap
-                | DistKind::WSend
-                | DistKind::PanelSend
-                | DistKind::PanelRecv
-                | DistKind::USend
-                | DistKind::URecv
-        )
-    }
-}
-
 impl Task {
     /// The elimination step this task belongs to.
     pub fn step(&self) -> usize {
@@ -278,7 +259,7 @@ impl Task {
     /// The rank this task's work is attributed to — the trace exporter's
     /// `pid` lane. Distributed tasks carry their owning grid rank;
     /// shared-memory and solve tasks all run in one address space (rank 0).
-    pub fn trace_rank(&self) -> u32 {
+    pub(crate) fn trace_rank(&self) -> u32 {
         match *self {
             Task::Dist(d) => d.rank,
             _ => 0,
@@ -370,7 +351,7 @@ impl LuShape {
     }
 
     /// Number of block rows, `⌈m/nb⌉`.
-    pub fn row_blocks(&self) -> usize {
+    pub(crate) fn row_blocks(&self) -> usize {
         self.m.div_ceil(self.nb)
     }
 
@@ -404,7 +385,7 @@ impl LuShape {
 /// next panel drains before the bulk — the generalization of HPL's
 /// look-ahead. Left swaps (pivot fix-up of finished `L` columns) are off
 /// the critical path and sort last.
-pub type Prio = (u32, u8, u32, u32);
+pub(crate) type Prio = (u32, u8, u32, u32);
 
 fn priority(shape: &LuShape, t: Task) -> Prio {
     let cb = shape.col_blocks() as u32;
@@ -486,8 +467,6 @@ pub struct LuDag {
     dep_count: Vec<usize>,
     /// Number of ranks tasks are partitioned over (1 for shared memory).
     pub(crate) ranks: usize,
-    /// `(Pr, Pc)` grid of a distributed DAG, `None` for shared memory.
-    pub(crate) grid: Option<(usize, usize)>,
     /// Per-step panel geometry of a shared-memory factorization DAG (empty
     /// for distributed and solve DAGs, which have no panel subgraph).
     plans: Vec<PanelPlan>,
@@ -662,7 +641,7 @@ impl LuDag {
                 }
             }
         }
-        let mut dag = Self::from_parts(shape, lookahead, tasks, edges, 1, None);
+        let mut dag = Self::from_parts(shape, lookahead, tasks, edges, 1);
         dag.plans = plans;
         dag
     }
@@ -676,7 +655,6 @@ impl LuDag {
         tasks: Vec<Task>,
         mut edges: Vec<(TaskId, TaskId)>,
         ranks: usize,
-        grid: Option<(usize, usize)>,
     ) -> Self {
         edges.sort_unstable();
         edges.dedup();
@@ -688,24 +666,18 @@ impl LuDag {
             dep_count[to] += 1;
         }
         let prio = tasks.iter().map(|&t| priority(&shape, t)).collect();
-        LuDag { shape, lookahead, tasks, prio, succs, dep_count, ranks, grid, plans: Vec::new() }
+        LuDag { shape, lookahead, tasks, prio, succs, dep_count, ranks, plans: Vec::new() }
     }
 
     /// Number of ranks the tasks are partitioned over (1 for a
     /// shared-memory DAG).
-    pub fn ranks(&self) -> usize {
+    pub(crate) fn ranks(&self) -> usize {
         self.ranks
-    }
-
-    /// `(Pr, Pc)` process grid of a distributed DAG (`None` for shared
-    /// memory).
-    pub fn grid(&self) -> Option<(usize, usize)> {
-        self.grid
     }
 
     /// Owning rank of a task (column-major grid order; 0 for every
     /// shared-memory task).
-    pub fn owner(&self, id: TaskId) -> usize {
+    pub(crate) fn owner(&self, id: TaskId) -> usize {
         match self.tasks[id] {
             Task::Dist(d) => d.rank as usize,
             _ => 0,
@@ -731,7 +703,7 @@ impl LuDag {
         &self.plans[k]
     }
 
-    /// All tasks; a [`TaskId`] indexes this slice.
+    /// All tasks; a `TaskId` indexes this slice.
     pub fn tasks(&self) -> &[Task] {
         &self.tasks
     }
@@ -747,7 +719,7 @@ impl LuDag {
     }
 
     /// Scheduling priority of a task (smaller runs first).
-    pub fn priority(&self, id: TaskId) -> Prio {
+    pub(crate) fn priority(&self, id: TaskId) -> Prio {
         self.prio[id]
     }
 
@@ -757,7 +729,7 @@ impl LuDag {
     }
 
     /// Per-task predecessor counts (cloned as the executors' countdown).
-    pub fn dep_counts(&self) -> &[usize] {
+    pub(crate) fn dep_counts(&self) -> &[usize] {
         &self.dep_count
     }
 
@@ -806,20 +778,6 @@ impl LuDag {
     /// Sum of all task costs — the makespan of a one-worker machine.
     pub fn total_cost(&self, cost: impl Fn(Task) -> f64) -> f64 {
         self.tasks.iter().map(|&t| cost(t)).sum()
-    }
-
-    /// Lower bound on the makespan of `workers` workers under a per-task
-    /// cost model: the longer of the critical path and an even split of the
-    /// total work. The critical path alone is the `workers → ∞` limit and
-    /// ranks plans by depth only; on a few workers a plan that buys depth
-    /// with extra work (tile-height tournament leaves) loses, and this
-    /// bound says so.
-    ///
-    /// # Panics
-    /// If `workers == 0`.
-    pub fn makespan_bound(&self, workers: usize, cost: impl Fn(Task) -> f64) -> f64 {
-        assert!(workers > 0, "at least one worker");
-        self.critical_path(&cost).max(self.total_cost(&cost) / workers as f64)
     }
 }
 
@@ -1368,8 +1326,11 @@ mod tests {
         let shape = LuShape { m: 65536, n: 128, nb: 64 };
         for mch in [MachineConfig::power5(), MachineConfig::xt4()] {
             let bound = |mode: PanelMode, workers: usize| {
+                // The longer of the critical path and an even split of
+                // the total work.
                 let g = LuDag::build_with(shape, 1, mode);
-                g.makespan_bound(workers, |t| modeled_time(&g, t, &mch))
+                let cost = |t| modeled_time(&g, t, &mch);
+                g.critical_path(cost).max(g.total_cost(cost) / workers as f64)
             };
             assert!(
                 bound(PanelMode::Gathered, 2) < bound(PanelMode::Resident, 2),

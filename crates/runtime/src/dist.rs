@@ -195,7 +195,7 @@ impl DistGeom {
     }
 
     /// Local rows on `prow` with global index `≥ g`.
-    pub fn rows_at_least(&self, prow: usize, g: usize) -> usize {
+    pub(crate) fn rows_at_least(&self, prow: usize, g: usize) -> usize {
         numroc(self.shape.m, self.shape.nb, prow, self.pr)
             - numroc(g.min(self.shape.m), self.shape.nb, prow, self.pr)
     }
@@ -240,7 +240,7 @@ impl DistGeom {
     /// Binomial-tree depth at which the member at offset `rel` from the
     /// root receives a broadcast (0 at the root) — the latency hops a
     /// recv task is charged.
-    pub fn bcast_hops(p: usize, root: usize, member: usize) -> usize {
+    pub(crate) fn bcast_hops(p: usize, root: usize, member: usize) -> usize {
         let rel = (member + p - root) % p;
         (usize::BITS - rel.leading_zeros()) as usize
     }
@@ -574,7 +574,7 @@ impl LuDag {
             }
         }
 
-        LuDag::from_parts(shape, lookahead, tasks, edges, pr * pc, Some((pr, pc)))
+        LuDag::from_parts(shape, lookahead, tasks, edges, pr * pc)
     }
 }
 
@@ -584,23 +584,23 @@ impl LuDag {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistTaskCost {
     /// Modeled kernel seconds (γ terms).
-    pub compute: f64,
+    pub(crate) compute: f64,
     /// Modeled flops behind [`Self::compute`].
-    pub flops: f64,
+    pub(crate) flops: f64,
     /// Message count charged to this task's accounting. Broadcast
     /// deliveries are counted at the *receiver* (one per member, like the
     /// point-to-point sends of a real binomial tree), so totals stay
     /// comparable to a `run_sim` report's.
-    pub msgs: u64,
+    pub(crate) msgs: u64,
     /// 8-byte words moved by those counted messages.
-    pub words: u64,
+    pub(crate) words: u64,
     /// Link class the messages travel on.
-    pub link: Link,
+    pub(crate) link: Link,
     /// Modeled wire seconds occupying this task *without* counting as its
     /// own injections: a broadcast root's injection (delivered — and
     /// counted — at a receiver) and the extra tree hops beyond a deep
     /// receiver's final one. Accounted as waiting (idle) time.
-    pub transit: f64,
+    pub(crate) transit: f64,
 }
 
 impl DistTaskCost {
@@ -608,7 +608,7 @@ impl DistTaskCost {
         Self { compute: 0.0, flops: 0.0, msgs: 0, words: 0, link: Link::Col, transit: 0.0 };
 
     /// `Σ (α + wᵢ·β)` for this task's counted messages.
-    pub fn send_time(&self, mch: &MachineConfig) -> f64 {
+    pub(crate) fn send_time(&self, mch: &MachineConfig) -> f64 {
         self.msgs as f64 * mch.alpha(self.link) + self.words as f64 * mch.beta(self.link)
     }
 
@@ -623,7 +623,7 @@ impl DistTaskCost {
 /// granularity. A broadcast recv task's duration is its binomial-tree hop
 /// depth (`hops · (α + w·β)` — the path latency the waiting rank sees),
 /// of which exactly one message is counted toward its accounting and the
-/// rest is [`DistTaskCost::transit`]; the matching send task carries the
+/// rest is `DistTaskCost::transit`; the matching send task carries the
 /// root's injection as transit. Message/word *totals* therefore match the
 /// `p − 1` point-to-point sends of the real collective.
 #[derive(Debug, Clone)]
@@ -932,56 +932,13 @@ pub fn simulate_dist_schedule(
 // Communication-ledger terms
 // ---------------------------------------------------------------------------
 
-/// The canonical communication-ledger term a distributed task kind is
-/// accounted under (`None` for pure-compute kinds). Shared by the modeled
-/// side ([`modeled_comm_terms`]), the exact mailbox predictor
-/// ([`expected_mailbox_comm`]), and `calu-core`'s measured `dist_rt`
-/// instrumentation, so the three views of a transfer land in the same row
-/// of a reconciliation table.
-pub fn dist_comm_term(kind: DistKind) -> Option<&'static str> {
-    match kind {
-        DistKind::TsluLeg => Some("tslu_leg"),
-        DistKind::PivSend | DistKind::PivRecv => Some("piv_bcast"),
-        DistKind::PanelSend | DistKind::PanelRecv => Some("panel_bcast"),
-        DistKind::USend | DistKind::URecv => Some("u_bcast"),
-        DistKind::WSend | DistKind::Second => Some("w_bcast"),
-        DistKind::Swap => Some("swap"),
-        DistKind::PanelGetf2 => Some("panel_getf2"),
-        DistKind::Cand | DistKind::Trsm | DistKind::Gemm => None,
-    }
-}
-
 fn sum_terms(totals: BTreeMap<&'static str, (u64, u64)>, source: &'static str) -> Vec<CommTerm> {
     totals.into_iter().map(|(term, (msgs, words))| CommTerm { term, msgs, words, source }).collect()
 }
 
-/// The paper's skeleton predictions per ledger term: [`DistCostModel::cost`]
-/// message/word counts summed over the DAG's tasks and grouped by
-/// [`dist_comm_term`]. This is the *first-order* side of the
-/// reconciliation — e.g. every TSLU leg is charged the full-width
-/// candidate payload `2 + b + b²`, where the real mailbox sends smaller
-/// sets on late/ragged steps — so reconciling a measured ledger against
-/// it quantifies exactly how far the closed forms sit from the wire.
-pub fn modeled_comm_terms(dag: &LuDag, model: &DistCostModel) -> Vec<CommTerm> {
-    let source = match model.alg {
-        DistPanelAlg::Tslu => "skeleton_calu",
-        DistPanelAlg::Getf2 => "skeleton_pdgetrf",
-    };
-    let mut totals: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
-    for &t in dag.tasks() {
-        let Task::Dist(d) = t else { continue };
-        let Some(term) = dist_comm_term(d.kind) else { continue };
-        let c = model.cost(t);
-        let e = totals.entry(term).or_insert((0, 0));
-        e.0 += c.msgs;
-        e.1 += c.words;
-    }
-    sum_terms(totals, source)
-}
-
 /// The *exact* expected mailbox traffic of a distributed DAG: per ledger
 /// term, the message/word totals the real-data runner's mailbox must
-/// produce. Unlike the skeleton ([`modeled_comm_terms`]), TSLU leg
+/// produce. Unlike the skeleton ([`DistCostModel::cost`]), TSLU leg
 /// payloads are predicted by simulating candidate counts through the
 /// butterfly — a rank owning `r` panel rows elects `min(r, b)` candidates
 /// (payload `2 + c + c·b` words), and a combine keeps `min(c₁ + c₂, b)` —
@@ -1098,7 +1055,6 @@ mod tests {
                         let order = g.serial_schedule(); // asserts acyclicity
                         assert_eq!(order.len(), g.len());
                         assert_eq!(g.ranks(), pr * pc);
-                        assert_eq!(g.grid(), Some((pr, pc)));
                         for id in 0..g.len() {
                             assert!(g.owner(id) < pr * pc, "owner in range");
                         }
@@ -1281,6 +1237,45 @@ mod tests {
         }
     }
 
+    /// The canonical communication-ledger term a distributed task kind is
+    /// accounted under (`None` for pure-compute kinds).
+    fn dist_comm_term(kind: DistKind) -> Option<&'static str> {
+        match kind {
+            DistKind::TsluLeg => Some("tslu_leg"),
+            DistKind::PivSend | DistKind::PivRecv => Some("piv_bcast"),
+            DistKind::PanelSend | DistKind::PanelRecv => Some("panel_bcast"),
+            DistKind::USend | DistKind::URecv => Some("u_bcast"),
+            DistKind::WSend | DistKind::Second => Some("w_bcast"),
+            DistKind::Swap => Some("swap"),
+            DistKind::PanelGetf2 => Some("panel_getf2"),
+            DistKind::Cand | DistKind::Trsm | DistKind::Gemm => None,
+        }
+    }
+
+    /// The paper's skeleton predictions per ledger term: [`DistCostModel::cost`]
+    /// message/word counts summed over the DAG's tasks and grouped by
+    /// [`dist_comm_term`]. This is the *first-order* side of the
+    /// reconciliation — e.g. every TSLU leg is charged the full-width
+    /// candidate payload `2 + b + b²`, where the real mailbox sends smaller
+    /// sets on late/ragged steps — so reconciling a measured ledger against
+    /// it quantifies exactly how far the closed forms sit from the wire.
+    fn modeled_comm_terms(dag: &LuDag, model: &DistCostModel) -> Vec<CommTerm> {
+        let source = match model.alg {
+            DistPanelAlg::Tslu => "skeleton_calu",
+            DistPanelAlg::Getf2 => "skeleton_pdgetrf",
+        };
+        let mut totals: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
+        for &t in dag.tasks() {
+            let Task::Dist(d) = t else { continue };
+            let Some(term) = dist_comm_term(d.kind) else { continue };
+            let c = model.cost(t);
+            let e = totals.entry(term).or_insert((0, 0));
+            e.0 += c.msgs;
+            e.1 += c.words;
+        }
+        sum_terms(totals, source)
+    }
+
     #[test]
     fn exact_mailbox_prediction_matches_the_skeleton_when_panels_stay_full() {
         let terms_of = |shape: LuShape| {
@@ -1322,5 +1317,30 @@ mod tests {
         let m = find(&modeled, "tslu_leg").unwrap();
         assert_eq!(e.msgs, m.msgs);
         assert!(e.words < m.words, "ragged tail must shed words: {} vs {}", e.words, m.words);
+
+        // The grids and depths on which `calu-core`'s reconciliation test
+        // measures a ledger equal to the exact prediction: the TSLU legs'
+        // message counts agree with the skeleton, and their words never
+        // exceed it.
+        // 4 × 1 at n = 24 leaves a process row empty.
+        for (n, (pr, pc)) in [(48, (2, 2)), (48, (2, 4)), (48, (3, 2)), (24, (4, 1))] {
+            let shape = LuShape { m: n, n, nb: 8 };
+            let geom = DistGeom { shape, pr, pc };
+            let model = DistCostModel {
+                geom,
+                alg: DistPanelAlg::Tslu,
+                recursive_panel: false,
+                mch: MachineConfig::ideal(),
+            };
+            for depth in 1..=3 {
+                let tag = format!("n={n} {pr}x{pc} d={depth}");
+                let dag = LuDag::build_dist(shape, (pr, pc), depth);
+                let exact = expected_mailbox_comm(&dag, &geom, DistPanelAlg::Tslu);
+                let e = find(&exact, "tslu_leg").expect("tslu_leg");
+                let m = find(&modeled_comm_terms(&dag, &model), "tslu_leg").expect("tslu_leg");
+                assert_eq!(e.msgs, m.msgs, "{tag}");
+                assert!(e.words <= m.words, "{tag}: exact can never exceed the skeleton");
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Two implementations behind one [`Executor`] trait:
 //!
-//! * [`SerialExecutor`] — replays tasks one at a time in the fixed
+//! * `SerialExecutor` — replays tasks one at a time in the fixed
 //!   critical-path-priority topological order of
 //!   [`LuDag::serial_schedule`]. Run-to-run deterministic (same DAG ⇒ same
 //!   task sequence), which the property tests assert; the baseline every
@@ -142,7 +142,7 @@ impl ExecReport {
     }
 
     /// Per-lane queue-delay nanoseconds, keyed the way this report's
-    /// spans are attributed — `(pid, tid)` = ([`Task::trace_rank`],
+    /// spans are attributed — `(pid, tid)` = (`Task::trace_rank`,
     /// worker index) — ready to feed `calu_obs::analyze` as the
     /// overhead side channel. Lanes are sorted; zero-delay lanes are
     /// still listed so every span lane has a row.
@@ -163,7 +163,7 @@ impl ExecReport {
     /// timeline instead of overlapping them all at zero.
     ///
     /// Span attribution matches the executors' live tracing: `pid` is the
-    /// task's owning rank ([`Task::trace_rank`]), `tid` the worker index,
+    /// task's owning rank (`Task::trace_rank`), `tid` the worker index,
     /// `cat` the task-kind slug ([`Task::cat`]).
     pub fn record_into(&self, recorder: &Recorder, offset_s: f64) {
         for t in &self.timings {
@@ -221,7 +221,7 @@ pub trait Executor {
 
 /// Deterministic one-worker executor: replays [`LuDag::serial_schedule`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SerialExecutor;
+pub(crate) struct SerialExecutor;
 
 impl Executor for SerialExecutor {
     fn execute_traced<R: TaskRunner>(
@@ -424,7 +424,7 @@ fn run_job<'a>(id: u64, workers: usize, work: &'a (dyn Fn(usize) + Sync + 'a)) {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadedExecutor {
     /// Worker count; 0 uses [`host_parallelism`].
-    pub threads: usize,
+    pub(crate) threads: usize,
 }
 
 impl ThreadedExecutor {

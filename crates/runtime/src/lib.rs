@@ -14,7 +14,7 @@
 //!   anti-dependences that make row-swap deferral sound, and a panel
 //!   throttle for any lookahead depth `d ≥ 1`;
 //! * [`exec`] — two executors behind the [`Executor`] trait: a
-//!   deterministic [`SerialExecutor`] (priority-ordered replay) and a
+//!   deterministic `SerialExecutor` (priority-ordered replay) and a
 //!   [`ThreadedExecutor`] (the caller as worker 0 plus process-wide
 //!   long-lived helper threads over a shared critical-path-first pool,
 //!   woken only when a claim leaves ready tasks behind), both recording
@@ -36,19 +36,13 @@ pub mod exec;
 pub mod panel;
 pub mod solve;
 
-pub use dag::{
-    modeled_time, DistKind, DistTask, LuDag, LuShape, SolveKind, SolveTask, Task, TaskId,
-};
+pub use dag::{modeled_time, DistKind, DistTask, LuDag, LuShape, Task};
 pub use dist::{
-    dist_comm_term, expected_mailbox_comm, modeled_comm_terms, simulate_dist_schedule,
-    tslu_acc_slot, tslu_leg_count, tslu_leg_role, DistCostModel, DistGeom, DistPanelAlg,
-    DistSchedule, DistTaskCost, LegRole,
+    expected_mailbox_comm, simulate_dist_schedule, tslu_acc_slot, tslu_leg_count, tslu_leg_role,
+    DistCostModel, DistGeom, DistPanelAlg, LegRole,
 };
 pub use exec::{
-    host_parallelism, ExecReport, Executor, ExecutorKind, SerialExecutor, TaskRunner, TaskTiming,
-    ThreadedExecutor,
+    host_parallelism, ExecReport, Executor, ExecutorKind, TaskRunner, TaskTiming, ThreadedExecutor,
 };
-pub use panel::{
-    partition_rows, tournament_tree, PanelMode, PanelPlan, TreeMatch, DEFAULT_TOURNAMENT_LEAVES,
-};
+pub use panel::{partition_rows, tournament_tree, PanelMode, PanelPlan, DEFAULT_TOURNAMENT_LEAVES};
 pub use solve::SolveShape;

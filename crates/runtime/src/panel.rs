@@ -93,7 +93,7 @@ pub fn partition_rows(m: usize, p: usize) -> Vec<Range<usize>> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeMatch {
     /// Round of the tournament (`≥ 1`); matches of one round are independent.
-    pub round: usize,
+    pub(crate) round: usize,
     /// Slot holding the lower-indexed candidate set, and the result.
     pub lo: usize,
     /// Slot holding the higher-indexed candidate set; consumed.
@@ -202,7 +202,7 @@ impl PanelPlan {
     }
 
     /// The apply chunk forming row `row` of `L₂₁` (`row ≥ jb`).
-    pub fn chunk_of(&self, row: usize) -> usize {
+    pub(crate) fn chunk_of(&self, row: usize) -> usize {
         debug_assert!((self.jb..self.rows).contains(&row));
         (row - self.jb) / self.chunk_rows
     }
@@ -225,7 +225,7 @@ impl PanelPlan {
 
     /// The update chunks whose rows meet `rows` (non-empty, inside
     /// `jb..rows`).
-    pub fn update_chunks_of(&self, rows: Range<usize>) -> Range<usize> {
+    pub(crate) fn update_chunks_of(&self, rows: Range<usize>) -> Range<usize> {
         debug_assert!(self.jb <= rows.start && rows.start < rows.end && rows.end <= self.rows);
         (rows.start - self.jb) / self.update_rows..(rows.end - 1 - self.jb) / self.update_rows + 1
     }

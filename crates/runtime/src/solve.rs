@@ -45,23 +45,13 @@ pub struct SolveShape {
 
 impl SolveShape {
     /// Number of row blocks, `⌈n/nb⌉`.
-    pub fn row_blocks(&self) -> usize {
+    pub(crate) fn row_blocks(&self) -> usize {
         self.n.div_ceil(self.nb)
     }
 
     /// Number of RHS block columns, `⌈nrhs/rhs_nb⌉`.
-    pub fn rhs_blocks(&self) -> usize {
+    pub(crate) fn rhs_blocks(&self) -> usize {
         self.nrhs.div_ceil(self.rhs_nb)
-    }
-
-    /// Row range of row block `k`.
-    pub fn row_range(&self, k: usize) -> std::ops::Range<usize> {
-        k * self.nb..self.n.min((k + 1) * self.nb)
-    }
-
-    /// Column range of RHS block column `j`.
-    pub fn rhs_range(&self, j: usize) -> std::ops::Range<usize> {
-        j * self.rhs_nb..self.nrhs.min((j + 1) * self.rhs_nb)
     }
 }
 
@@ -167,7 +157,7 @@ impl LuDag {
         // m/nb. Lookahead throttling is a factorization concept (there are
         // no Panel tasks to throttle), so depth 1 is inert here.
         let lu_shape = LuShape { m: shape.n, n: shape.n, nb: shape.nb };
-        LuDag::from_parts(lu_shape, 1, tasks, edges, 1, None)
+        LuDag::from_parts(lu_shape, 1, tasks, edges, 1)
     }
 }
 

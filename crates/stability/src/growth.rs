@@ -12,23 +12,6 @@ pub fn growth_reference(n: usize, c: f64) -> f64 {
     c * (n as f64).powf(2.0 / 3.0)
 }
 
-/// Sample statistics helper: mean of a slice.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Sample statistics helper: population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,19 +45,11 @@ mod tests {
                 .unwrap();
                 gs.push(stats.growth_factor(1.0));
             }
-            let g = mean(&gs);
+            let g = gs.iter().sum::<f64>() / gs.len() as f64;
             let lo = growth_reference(n, 0.3);
             let hi = growth_reference(n, 6.0);
             assert!(g > lo && g < hi, "n={n}: gT={g} outside [{lo}, {hi}]");
         }
-    }
-
-    #[test]
-    fn stats_helpers() {
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert!((std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(std_dev(&[1.0]), 0.0);
     }
 
     #[test]

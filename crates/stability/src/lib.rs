@@ -22,8 +22,7 @@ pub mod residuals;
 pub mod suite;
 
 pub use growth::growth_reference;
-pub use residuals::{backward_error_inf, componentwise_backward_error, hpl_tests, HplReport};
+pub use residuals::{backward_error_inf, componentwise_backward_error, hpl_tests};
 pub use suite::{
-    hpl_sample_size, run_calu_case, run_calu_ensemble_case, run_gepp_case, run_gepp_ensemble_case,
-    run_resident_ensemble_case, Ensemble, StabilityRow,
+    run_calu_case, run_calu_ensemble_case, run_gepp_case, run_gepp_ensemble_case, Ensemble,
 };

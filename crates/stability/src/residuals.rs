@@ -37,7 +37,7 @@ impl HplReport {
 }
 
 /// Residual vector `r = b − A x`, computed at the matrix's precision.
-pub fn residual<T: Scalar>(a: &Matrix<T>, x: &[T], b: &[T]) -> Vec<T> {
+pub(crate) fn residual<T: Scalar>(a: &Matrix<T>, x: &[T], b: &[T]) -> Vec<T> {
     let mut r = b.to_vec();
     gemv(-T::ONE, a.view(), x, T::ONE, &mut r);
     r

@@ -3,10 +3,7 @@
 //! HPL-style system, and report one table row.
 
 use crate::residuals::{componentwise_backward_error, hpl_tests, HplReport};
-use calu_core::{
-    calu_inplace, gepp_inplace, rt::runtime_calu_inplace, rt::RuntimeOpts, CaluOpts, LuFactors,
-    PanelMode, PivotStats,
-};
+use calu_core::{calu_inplace, gepp_inplace, CaluOpts, LuFactors, PivotStats};
 use calu_matrix::gen;
 use calu_matrix::Matrix;
 use rand::rngs::StdRng;
@@ -81,7 +78,7 @@ pub enum Ensemble {
 impl Ensemble {
     /// Element standard deviation for the Trefethen-Schreiber `gT`
     /// normalization (structured ensembles use 1: absolute growth).
-    pub fn sigma(self) -> f64 {
+    pub(crate) fn sigma(self) -> f64 {
         match self {
             Ensemble::Uniform => (1.0f64 / 3.0).sqrt(), // std of U[-1,1)
             _ => 1.0,
@@ -89,7 +86,7 @@ impl Ensemble {
     }
 
     /// Draws one sample of the ensemble at order `n`.
-    pub fn sample(self, rng: &mut StdRng, n: usize) -> Matrix {
+    pub(crate) fn sample(self, rng: &mut StdRng, n: usize) -> Matrix {
         match self {
             Ensemble::Normal => gen::randn(rng, n, n),
             Ensemble::Uniform => gen::uniform(rng, n, n, -1.0, 1.0),
@@ -139,33 +136,6 @@ pub fn run_gepp_ensemble_case(
         LuFactors { lu, ipiv }
     };
     aggregate_ens(ens, n, 0, b, samples, seed0, factor)
-}
-
-/// Like [`run_calu_ensemble_case`] but factoring on the task-graph
-/// runtime with tile-height tournament leaves ([`PanelMode::Resident`]:
-/// `n.div_ceil(b)` leaves at the first panel, recorded as the row's `p`)
-/// instead of `Pr` block rows. Different leaves elect different pivots, so
-/// its rows are held to the same CALU stability gates as the gathered
-/// rows, not compared bit-for-bit.
-pub fn run_resident_ensemble_case(
-    ens: Ensemble,
-    n: usize,
-    b: usize,
-    samples: usize,
-    seed0: u64,
-) -> StabilityRow {
-    let factor = move |a: &Matrix, stats: &mut PivotStats| {
-        let mut lu = a.clone();
-        let (ipiv, _report) = runtime_calu_inplace(
-            lu.view_mut(),
-            CaluOpts { block: b, panel_mode: PanelMode::Resident, ..Default::default() },
-            RuntimeOpts::default(),
-            stats,
-        )
-        .expect("nonsingular");
-        LuFactors { lu, ipiv }
-    };
-    aggregate_ens(ens, n, n.div_ceil(b), b, samples, seed0, factor)
 }
 
 /// The one sampling loop: `samples` draws of `ens` seeded `seed0`,
@@ -223,6 +193,34 @@ fn aggregate_ens(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use calu_core::{rt::runtime_calu_inplace, rt::RuntimeOpts, PanelMode};
+
+    /// Like [`run_calu_ensemble_case`] but factoring on the task-graph
+    /// runtime with tile-height tournament leaves ([`PanelMode::Resident`]:
+    /// `n.div_ceil(b)` leaves at the first panel, recorded as the row's `p`)
+    /// instead of `Pr` block rows. Different leaves elect different pivots, so
+    /// its rows are held to the same CALU stability gates as the gathered
+    /// rows, not compared bit-for-bit.
+    fn run_resident_ensemble_case(
+        ens: Ensemble,
+        n: usize,
+        b: usize,
+        samples: usize,
+        seed0: u64,
+    ) -> StabilityRow {
+        let factor = move |a: &Matrix, stats: &mut PivotStats| {
+            let mut lu = a.clone();
+            let (ipiv, _report) = runtime_calu_inplace(
+                lu.view_mut(),
+                CaluOpts { block: b, panel_mode: PanelMode::Resident, ..Default::default() },
+                RuntimeOpts::default(),
+                stats,
+            )
+            .expect("nonsingular");
+            LuFactors { lu, ipiv }
+        };
+        aggregate_ens(ens, n, n.div_ceil(b), b, samples, seed0, factor)
+    }
 
     #[test]
     fn sample_size_rule_matches_paper() {

@@ -11,7 +11,7 @@
 //!
 //! * [`matrix`] — dense column-major substrate: BLAS-1/2/3 kernels and
 //!   LAPACK-style routines written from scratch (factorizations, solves,
-//!   inverse, condition estimation, equilibration, matrix ensembles).
+//!   inverse, condition estimation, matrix ensembles).
 //! * [`obs`] — the observability layer: structured tracing (one span type
 //!   for measured, simulated and modeled runs alike, with Chrome-trace/
 //!   Perfetto export and a text Gantt renderer), a deterministic

@@ -5,7 +5,7 @@
 use calu_repro::core::tournament::{reduce_pair, tournament, Candidates};
 use calu_repro::core::{calu_factor, calu_inplace, CaluOpts, PivotStats};
 use calu_repro::matrix::blas3::{gemm, gemm_naive};
-use calu_repro::matrix::perm::{compose, invert_perm, ipiv_to_perm, is_permutation, permute_rows};
+use calu_repro::matrix::perm::{ipiv_to_perm, is_permutation, permute_rows};
 use calu_repro::matrix::{gen, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -132,9 +132,6 @@ proptest! {
         let ipiv: Vec<usize> = (0..n).map(|i| rng.gen_range(i..n)).collect();
         let perm = ipiv_to_perm(&ipiv, n);
         prop_assert!(is_permutation(&perm));
-        let inv = invert_perm(&perm);
-        let id = compose(&inv, &perm);
-        prop_assert_eq!(id, (0..n).collect::<Vec<_>>());
     }
 
     #[test]
